@@ -128,7 +128,7 @@ fn engine_fault_transition(c: &mut Criterion) {
     group.bench_function("cut_and_repair", |b| {
         b.iter(|| {
             black_box(
-                sim.run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteResume)
+                sim.run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
                     .unwrap()
                     .makespan_seconds,
             )

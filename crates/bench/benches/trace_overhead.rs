@@ -40,7 +40,14 @@ fn run_metrics(topo: &Torus, dag: &FlowDag) -> SimReport {
 
 fn run_jsonl(topo: &Torus, dag: &FlowDag) -> (SimReport, usize) {
     let mut sink = JsonlSink::new(Vec::<u8>::new());
-    let report = Simulator::new(topo).run_traced(dag, &mut sink).unwrap();
+    let report = Simulator::new(topo)
+        .run_with(
+            dag,
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+            Some(&mut sink),
+        )
+        .unwrap();
     (report, sink.finish().unwrap().len())
 }
 

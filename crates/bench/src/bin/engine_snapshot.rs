@@ -67,7 +67,6 @@ struct TopoCacheRun {
     speedup: f64,
     hits: u64,
     misses: u64,
-    tables_built: u64,
     reports_identical: bool,
 }
 
@@ -247,15 +246,12 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
 
 /// End-to-end sweep wall-clock with the shared topology cache on vs off:
 /// a 50-entry grid over ONE topology spec — the shape the cache exists
-/// for — where cache-off builds (and route-derives on) the same graph 50
-/// times and cache-on builds it once with a precomputed route table. The
-/// per-result comparison drops only wall clocks; everything physical must
-/// be bit-identical.
+/// for — where cache-off builds the same graph 50 times and cache-on
+/// builds it once. The per-result comparison drops only wall clocks;
+/// everything physical must be bit-identical.
 fn topo_cache_run() -> TopoCacheRun {
     const ENTRIES: usize = 50;
-    let spec = TopologySpec::Torus {
-        dims: vec![12, 12], // 144 endpoints: under the table threshold
-    };
+    let spec = TopologySpec::Torus { dims: vec![12, 12] };
     let eps = spec.build().unwrap().num_endpoints();
     let configs: Vec<ExperimentConfig> = (0..ENTRIES as u64)
         .map(|i| ExperimentConfig {
@@ -302,7 +298,6 @@ fn topo_cache_run() -> TopoCacheRun {
         speedup: cache_off_wall_seconds / cache_on_wall_seconds,
         hits: stats.hits,
         misses: stats.misses,
-        tables_built: stats.tables_built,
         reports_identical: canonical(&on) == canonical(&off),
     }
 }
@@ -463,14 +458,13 @@ fn main() {
     let topo_cache = topo_cache_run();
     eprintln!(
         "{}: cache-off {:.4}s, cache-on {:.4}s, speedup {:.2}x, \
-         {} hits / {} misses, {} table(s) ({})",
+         {} hits / {} misses ({})",
         topo_cache.name,
         topo_cache.cache_off_wall_seconds,
         topo_cache.cache_on_wall_seconds,
         topo_cache.speedup,
         topo_cache.hits,
         topo_cache.misses,
-        topo_cache.tables_built,
         if topo_cache.reports_identical {
             "reports identical"
         } else {

@@ -223,7 +223,7 @@ fn cmd_run(args: &[String]) -> i32 {
                 }
             };
             let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-            let outcome = run_experiment_traced(&cfg, Some(&mut sink));
+            let outcome = run_experiment_with(&cfg, None, Some(&mut sink));
             if let Err(e) = sink.finish() {
                 eprintln!("error: write trace {tp}: {e}");
                 return 1;
@@ -355,8 +355,8 @@ fn cmd_sweep(args: &[String]) -> i32 {
     );
     if let Some(tc) = &run.report.topo_cache {
         eprintln!(
-            "sweep: topo-cache {} hit(s), {} miss(es), {} eviction(s), {} route table(s) built",
-            tc.hits, tc.misses, tc.evictions, tc.tables_built
+            "sweep: topo-cache {} hit(s), {} miss(es), {} eviction(s)",
+            tc.hits, tc.misses, tc.evictions
         );
     }
     if run.report.retries > 0 || run.report.quarantined > 0 {
@@ -422,12 +422,8 @@ fn cmd_resilience(args: &[String]) -> i32 {
     let journal = parsed_args
         .journal
         .map(|p| (std::path::Path::new(p), parsed_args.resume));
-    match run_resilience_campaign_with_cache(
-        &spec,
-        parsed_args.threads,
-        journal,
-        parsed_args.topo_cache,
-    ) {
+    match run_resilience_campaign_with(&spec, parsed_args.threads, journal, parsed_args.topo_cache)
+    {
         Ok((report, cache_stats)) => {
             eprintln!(
                 "resilience: {} runs ({} rates x {} policies x {} replicas), {} failed",
@@ -439,8 +435,8 @@ fn cmd_resilience(args: &[String]) -> i32 {
             );
             if let Some(tc) = &cache_stats {
                 eprintln!(
-                    "resilience: topo-cache {} hit(s), {} miss(es), {} eviction(s), {} route table(s) built",
-                    tc.hits, tc.misses, tc.evictions, tc.tables_built
+                    "resilience: topo-cache {} hit(s), {} miss(es), {} eviction(s)",
+                    tc.hits, tc.misses, tc.evictions
                 );
             }
             for cell in &report.cells {

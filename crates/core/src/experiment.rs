@@ -151,8 +151,9 @@ pub struct ExperimentResult {
     #[serde(default)]
     pub flows_coalesced: u64,
     /// Engine counters and histograms, present only when the experiment ran
-    /// with tracing ([`SimConfig::trace`] or [`run_experiment_traced`]);
-    /// untraced result files are byte-identical to pre-tracing ones.
+    /// with tracing ([`SimConfig::trace`] or a sink passed to
+    /// [`run_experiment_with`]); untraced result files are byte-identical
+    /// to pre-tracing ones.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<MetricsSnapshot>,
 }
@@ -165,33 +166,20 @@ pub struct ExperimentResult {
 /// [`ExperimentError`], so bulk drivers can report *which* grid point
 /// failed and *why* without string matching.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, ExperimentError> {
-    run_experiment_cached_traced(cfg, None, None)
+    run_experiment_with(cfg, None, None)
 }
 
-/// [`run_experiment`] streaming engine trace events into `sink` (when
-/// given). A sink implies tracing, so the result carries
-/// [`ExperimentResult::metrics`]; `cfg.sim.trace` alone collects metrics
-/// without an event stream.
-pub fn run_experiment_traced(
-    cfg: &ExperimentConfig,
-    sink: Option<&mut dyn TraceSink>,
-) -> Result<ExperimentResult, ExperimentError> {
-    run_experiment_cached_traced(cfg, None, sink)
-}
-
-/// [`run_experiment`] sourcing the topology from a shared [`TopoCache`]
-/// (when given): campaign workers hammering the same spec build it once
-/// and share the immutable result. Bit-identical to the uncached path —
-/// the cache only changes *who built* the topology, never what it is.
-pub fn run_experiment_cached(
-    cfg: &ExperimentConfig,
-    cache: Option<&TopoCache>,
-) -> Result<ExperimentResult, ExperimentError> {
-    run_experiment_cached_traced(cfg, cache, None)
-}
-
-/// The full-featured runner: optional topology cache, optional trace sink.
-pub fn run_experiment_cached_traced(
+/// The full form of [`run_experiment`]: optional shared topology cache,
+/// optional trace sink.
+///
+/// With a [`TopoCache`], campaign workers hammering the same spec build it
+/// once and share the immutable result. Bit-identical to the uncached path
+/// — the cache only changes *who built* the topology, never what it is.
+///
+/// With a sink, engine trace events stream into it. A sink implies
+/// tracing, so the result carries [`ExperimentResult::metrics`];
+/// `cfg.sim.trace` alone collects metrics without an event stream.
+pub fn run_experiment_with(
     cfg: &ExperimentConfig,
     cache: Option<&TopoCache>,
     sink: Option<&mut dyn TraceSink>,
@@ -218,8 +206,8 @@ pub fn run_experiment_cached_traced(
                 });
             }
             // `Degraded` wraps the shared topology without mutating it: it
-            // post-checks the inner (possibly table-served) nominal route
-            // and detours only the pairs a down link actually affects.
+            // post-checks the inner nominal route and detours only the
+            // pairs a down link actually affects.
             let degraded = Degraded::with_random_failures(built, f.count, f.seed);
             cables_requested = degraded.cables_requested() as u64;
             cables_applied = degraded.cables_applied() as u64;
@@ -254,16 +242,11 @@ pub fn run_experiment_cached_traced(
     let started = std::time::Instant::now();
     let mut simulator = Simulator::with_config(&*topo, cfg.sim.clone());
     simulator.set_topo_cache_hit(cache_hit);
-    // Normalise the two optional dimensions (fault schedule, trace sink)
-    // into one dispatch so every combination reaches the same engine path.
     let (schedule, policy) = match &cfg.fault_injection {
         Some(fi) => (fi.schedule.build(topo.network())?, fi.policy),
         None => (FaultSchedule::empty(), RecoveryPolicy::default()),
     };
-    let report: SimReport = match sink {
-        Some(sink) => simulator.run_with_faults_traced(&dag, &schedule, policy, sink)?,
-        None => simulator.run_with_faults(&dag, &schedule, policy)?,
-    };
+    let report: SimReport = simulator.run_with(&dag, &schedule, policy, sink)?;
     Ok(ExperimentResult {
         topology: topo.name(),
         workload: cfg.workload.name().to_owned(),

@@ -62,16 +62,16 @@ pub use analyze::{
 };
 pub use error::ExperimentError;
 pub use experiment::{
-    run_experiment, run_experiment_cached, run_experiment_cached_traced, run_experiment_traced,
-    ExperimentConfig, ExperimentResult, FailureSpec, FaultInjectionSpec, MappingSpec,
+    run_experiment, run_experiment_with, ExperimentConfig, ExperimentResult, FailureSpec,
+    FaultInjectionSpec, MappingSpec,
 };
 pub use journal::{
     fingerprint, fingerprint_value, read_journal, Journal, JournalEntry, JournalIndex,
 };
 pub use normalize::{normalize_to, NormalizedRow};
 pub use resilience::{
-    run_resilience_campaign, run_resilience_campaign_journaled, run_resilience_campaign_with_cache,
-    CellReport, ResilienceCampaignReport, ResilienceCampaignSpec,
+    run_resilience_campaign, run_resilience_campaign_with, CellReport, ResilienceCampaignReport,
+    ResilienceCampaignSpec,
 };
 pub use scale::SystemScale;
 pub use suite::{scoped_map, ExperimentSuite, RetryPolicy, SuiteMetrics, SuiteReport, SuiteRun};
@@ -94,17 +94,16 @@ pub mod prelude {
     };
     pub use crate::error::ExperimentError;
     pub use crate::experiment::{
-        run_experiment, run_experiment_cached, run_experiment_cached_traced, run_experiment_traced,
-        ExperimentConfig, ExperimentResult, FailureSpec, FaultInjectionSpec, MappingSpec,
+        run_experiment, run_experiment_with, ExperimentConfig, ExperimentResult, FailureSpec,
+        FaultInjectionSpec, MappingSpec,
     };
     pub use crate::journal::{
         fingerprint, fingerprint_value, read_journal, Journal, JournalEntry, JournalIndex,
     };
     pub use crate::presets;
     pub use crate::resilience::{
-        run_resilience_campaign, run_resilience_campaign_journaled,
-        run_resilience_campaign_with_cache, CellReport, ResilienceCampaignReport,
-        ResilienceCampaignSpec,
+        run_resilience_campaign, run_resilience_campaign_with, CellReport,
+        ResilienceCampaignReport, ResilienceCampaignSpec,
     };
     pub use crate::scale::SystemScale;
     pub use crate::suite::{

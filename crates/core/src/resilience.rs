@@ -24,7 +24,7 @@
 
 use crate::error::ExperimentError;
 use crate::experiment::{
-    run_experiment_cached, ExperimentConfig, ExperimentResult, FaultInjectionSpec,
+    run_experiment_with, ExperimentConfig, ExperimentResult, FaultInjectionSpec,
 };
 use crate::journal::{fingerprint, Journal, JournalIndex, JournaledOutcome};
 use crate::suite::ExperimentSuite;
@@ -209,7 +209,7 @@ pub fn run_resilience_campaign(
     spec: &ResilienceCampaignSpec,
     threads: Option<usize>,
 ) -> Result<ResilienceCampaignReport, ExperimentError> {
-    run_resilience_campaign_journaled(spec, threads, None)
+    run_resilience_campaign_with(spec, threads, None, None).map(|(report, _)| report)
 }
 
 fn journal_io(e: std::io::Error) -> ExperimentError {
@@ -218,30 +218,24 @@ fn journal_io(e: std::io::Error) -> ExperimentError {
     }
 }
 
-/// [`run_resilience_campaign`] with crash-safe journaling: every replica
-/// outcome (and the baseline) is appended to the JSONL journal at `path`
-/// the moment it finalises. With `resume`, outcomes already journaled are
-/// reused instead of re-run; since campaign reports carry no wall-clock
-/// fields, a resumed report is **bit-identical** to an uninterrupted one.
-/// Without `resume`, the journal is truncated and the campaign starts
-/// fresh. `journal: None` behaves exactly like the plain runner.
-pub fn run_resilience_campaign_journaled(
-    spec: &ResilienceCampaignSpec,
-    threads: Option<usize>,
-    journal: Option<(&Path, bool)>,
-) -> Result<ResilienceCampaignReport, ExperimentError> {
-    run_resilience_campaign_with_cache(spec, threads, journal, None).map(|(report, _)| report)
-}
-
-/// The full-featured campaign runner: like
-/// [`run_resilience_campaign_journaled`], plus an explicit topology-cache
-/// capacity (`None`: [`TopoCache::DEFAULT_CAP`]; `Some(0)`: cache off).
-/// One cache is shared by the baseline and every grid worker — the whole
-/// campaign reuses a single spec, so it builds the topology exactly once.
-/// Returns the cache's lifetime stats alongside the report (the report
-/// itself must stay bit-identical cache-on vs cache-off, so the stats
-/// never live inside it).
-pub fn run_resilience_campaign_with_cache(
+/// The full form of [`run_resilience_campaign`]: optional crash-safe
+/// journal, explicit topology-cache capacity.
+///
+/// With `journal: Some((path, resume))`, every replica outcome (and the
+/// baseline) is appended to the JSONL journal at `path` the moment it
+/// finalises. With `resume`, outcomes already journaled are reused instead
+/// of re-run; since campaign reports carry no wall-clock fields, a resumed
+/// report is **bit-identical** to an uninterrupted one. Without `resume`,
+/// the journal is truncated and the campaign starts fresh.
+///
+/// `topo_cache_cap` sizes the topology cache (`None`:
+/// [`TopoCache::DEFAULT_CAP`]; `Some(0)`: cache off). One cache is shared
+/// by the baseline and every grid worker — the whole campaign reuses a
+/// single spec, so it builds the topology exactly once. Returns the
+/// cache's lifetime stats alongside the report (the report itself must
+/// stay bit-identical cache-on vs cache-off, so the stats never live
+/// inside it).
+pub fn run_resilience_campaign_with(
     spec: &ResilienceCampaignSpec,
     threads: Option<usize>,
     journal: Option<(&Path, bool)>,
@@ -265,7 +259,7 @@ pub fn run_resilience_campaign_with_cache(
     let baseline: ExperimentResult = match index.take(&base_fp) {
         Some(outcome) => outcome?,
         None => {
-            let outcome: JournaledOutcome = run_experiment_cached(&spec.base, cache.as_ref());
+            let outcome: JournaledOutcome = run_experiment_with(&spec.base, cache.as_ref(), None);
             if let Some(j) = journal.as_mut() {
                 j.record(&base_fp, &outcome).map_err(journal_io)?;
             }
@@ -618,14 +612,19 @@ mod tests {
             RecoveryPolicy::SkipUnreachable,
         ];
 
-        let fresh = run_resilience_campaign_journaled(&s, Some(2), Some((&path, false))).unwrap();
+        let journaled = |threads, resume| {
+            run_resilience_campaign_with(&s, Some(threads), Some((&path, resume)), None)
+                .unwrap()
+                .0
+        };
+        let fresh = journaled(2, false);
         let plain = run_resilience_campaign(&s, Some(2)).unwrap();
         assert_eq!(fresh, plain, "journaling must not perturb the report");
         let full_len = crate::journal::read_journal(&path).unwrap().len() as u64;
         assert_eq!(full_len, fresh.total_runs + 1, "grid points + baseline");
 
         // Complete journal: resume replays everything, runs nothing new.
-        let resumed = run_resilience_campaign_journaled(&s, Some(2), Some((&path, true))).unwrap();
+        let resumed = journaled(2, true);
         assert_eq!(resumed, fresh);
         assert_eq!(
             crate::journal::read_journal(&path).unwrap().len() as u64,
@@ -641,7 +640,7 @@ mod tests {
             .map(|(i, _)| i)
             .expect("at least two journal lines");
         std::fs::write(&path, &text[..second_newline + 11]).unwrap();
-        let resumed = run_resilience_campaign_journaled(&s, Some(1), Some((&path, true))).unwrap();
+        let resumed = journaled(1, true);
         assert_eq!(resumed, fresh, "torn-journal resume must reconstruct");
         assert_eq!(
             crate::journal::read_journal(&path).unwrap().len() as u64,

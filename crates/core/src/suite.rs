@@ -52,7 +52,7 @@
 //! ```
 
 use crate::error::ExperimentError;
-use crate::experiment::{run_experiment_cached, ExperimentConfig, ExperimentResult};
+use crate::experiment::{run_experiment_with, ExperimentConfig, ExperimentResult};
 use crate::journal::{fingerprint, Journal, JournalIndex, JournaledOutcome};
 use crate::topocache::{TopoCache, TopoCacheStats};
 use serde::{Deserialize, Serialize};
@@ -426,7 +426,7 @@ impl ExperimentSuite {
             scoped_map_observed(
                 &batch,
                 threads.min(batch.len()).max(1),
-                &|_, cfg: &&ExperimentConfig| run_experiment_cached(cfg, topo_cache),
+                &|_, cfg: &&ExperimentConfig| run_experiment_with(cfg, topo_cache, None),
                 fault,
                 |k, outcome| {
                     let i = pending[k];

@@ -3,9 +3,9 @@
 //! Campaigns are "many workloads × few topologies": a sweep or resilience
 //! grid runs dozens of entries against the same [`TopologySpec`], yet each
 //! [`run_experiment`](crate::run_experiment) call would rebuild the
-//! topology (and re-derive every route) from scratch. [`TopoCache`] builds
-//! each distinct spec exactly once and hands out the result as an immutable
-//! `Arc<dyn Topology>` to every worker thread.
+//! topology from scratch. [`TopoCache`] builds each distinct spec exactly
+//! once and hands out the result as an immutable `Arc<dyn Topology>` to
+//! every worker thread.
 //!
 //! Three design points, in order:
 //!
@@ -26,10 +26,11 @@
 //!    on that slot rather than duplicating the work or serialising every
 //!    build behind one global lock.
 //!
-//! Small topologies (≤ the [`Tabled`] threshold) are stored with a
-//! precomputed all-pairs route table so every cached consumer also skips
-//! per-call route derivation; see `exaflow_topo::route_table` for why that
-//! is bit-identical and how it composes with fault wrappers.
+//! It is a *build* cache and nothing more: an entry is exactly what
+//! [`TopologySpec::build`] returns. Routes are not stored — every topology
+//! here routes by O(hops) arithmetic, and `(src, dst)` → path memoisation
+//! belongs to the engine's per-run route cache (nominal routes) and
+//! `FaultOverlay`'s detour memo (under faults).
 //!
 //! The cache is **provably invisible**: topologies are immutable once
 //! built, routing is a pure function of `(src, dst)`, and the only
@@ -40,10 +41,9 @@
 use crate::error::ExperimentError;
 use crate::journal::fingerprint_value;
 use crate::topospec::TopologySpec;
-use exaflow_topo::{Tabled, Topology, DEFAULT_TABLE_MAX_ENDPOINTS};
+use exaflow_topo::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A finished build slot: the built topology, or the typed error the spec
@@ -71,7 +71,7 @@ pub struct TopoCacheStats {
     pub misses: u64,
     /// Entries discarded by generation rotation.
     pub evictions: u64,
-    /// Built entries small enough to get a precomputed route table.
+    /// Always 0. The frozen `benchmark/src/main.rs` reads it; goes with the next `benchmark` PR.
     pub tables_built: u64,
     /// Entries resident when the stats were taken.
     pub entries: u64,
@@ -126,8 +126,6 @@ impl CacheState {
 /// [`topology_cache_key`].
 pub struct TopoCache {
     state: Mutex<CacheState>,
-    table_max_endpoints: usize,
-    tables_built: AtomicU64,
 }
 
 impl TopoCache {
@@ -137,15 +135,8 @@ impl TopoCache {
     pub const DEFAULT_CAP: usize = 64;
 
     /// A cache holding at most `cap` topologies (two generations of
-    /// `cap.div_ceil(2)`), with the default route-table threshold.
+    /// `cap.div_ceil(2)`).
     pub fn new(cap: usize) -> TopoCache {
-        TopoCache::with_table_threshold(cap, DEFAULT_TABLE_MAX_ENDPOINTS)
-    }
-
-    /// Like [`TopoCache::new`], but building route tables only for
-    /// topologies with at most `table_max_endpoints` endpoints (0 disables
-    /// tables entirely).
-    pub fn with_table_threshold(cap: usize, table_max_endpoints: usize) -> TopoCache {
         TopoCache {
             state: Mutex::new(CacheState {
                 fresh: HashMap::new(),
@@ -155,8 +146,6 @@ impl TopoCache {
                 misses: 0,
                 evictions: 0,
             }),
-            table_max_endpoints,
-            tables_built: AtomicU64::new(0),
         }
     }
 
@@ -173,18 +162,8 @@ impl TopoCache {
             let mut state = self.state.lock().expect("topology cache lock poisoned");
             state.lookup_or_insert(&key)
         };
-        let built = slot.get_or_init(|| self.build_entry(spec));
+        let built = slot.get_or_init(|| spec.build().map(Arc::from));
         built.clone().map(|topo| (topo, hit))
-    }
-
-    fn build_entry(&self, spec: &TopologySpec) -> Built {
-        let boxed = spec.build()?;
-        if boxed.num_endpoints() <= self.table_max_endpoints {
-            self.tables_built.fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(Tabled::new(boxed)))
-        } else {
-            Ok(Arc::from(boxed))
-        }
     }
 
     /// Lifetime counters (see [`TopoCacheStats`] for field semantics).
@@ -194,7 +173,7 @@ impl TopoCache {
             hits: state.hits,
             misses: state.misses,
             evictions: state.evictions,
-            tables_built: self.tables_built.load(Ordering::Relaxed),
+            tables_built: 0,
             entries: (state.fresh.len() + state.stale.len()) as u64,
         }
     }
@@ -248,6 +227,7 @@ fn normalize(spec: &TopologySpec) -> TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exaflow_netgraph::NodeId;
 
     fn torus(d: u32) -> TopologySpec {
         TopologySpec::Torus { dims: vec![d, d] }
@@ -264,7 +244,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.tables_built, 1);
     }
 
     #[test]
@@ -302,11 +281,23 @@ mod tests {
     }
 
     #[test]
-    fn large_topologies_skip_the_route_table() {
-        let cache = TopoCache::with_table_threshold(8, 8);
-        cache.get_or_build(&torus(2)).unwrap(); // 4 endpoints: tabled
-        cache.get_or_build(&torus(4)).unwrap(); // 16 endpoints: raw
-        assert_eq!(cache.stats().tables_built, 1);
+    fn cached_topology_routes_exactly_like_a_direct_build() {
+        let spec = TopologySpec::Nested {
+            upper: exaflow_topo::UpperTierKind::Fattree,
+            subtori: 8,
+            t: 2,
+            u: 2,
+        };
+        let cache = TopoCache::new(8);
+        let (cached, _) = cache.get_or_build(&spec).unwrap();
+        let direct = spec.build().unwrap();
+        assert_eq!(cached.num_endpoints(), 64);
+        for src in (0..64).map(NodeId) {
+            for dst in (0..64).map(NodeId) {
+                assert_eq!(cached.route_vec(src, dst), direct.route_vec(src, dst));
+            }
+        }
+        assert_eq!(cache.stats().tables_built, 0);
     }
 
     #[test]

@@ -91,20 +91,20 @@ pub struct SimConfig {
     #[serde(default = "default_full_threshold")]
     pub incremental_full_threshold: f64,
     /// Collect trace metrics ([`SimReport::metrics`]) even without an
-    /// explicit [`TraceSink`]; passing a sink to the `*_traced` entry
-    /// points enables tracing regardless. Off by default — an untraced
-    /// run constructs no events, touches no counters, and its report is
+    /// explicit [`TraceSink`]; passing a sink to [`Simulator::run_with`]
+    /// enables tracing regardless. Off by default — an untraced run
+    /// constructs no events, touches no counters, and its report is
     /// bit-identical to builds predating the trace subsystem.
     #[serde(default)]
     pub trace: bool,
     /// Worker threads for the in-run parallel phases (water-filling
     /// bottleneck scan / rate subtraction, batched route construction).
     /// `0` (the default) means auto: the `EXAFLOW_THREADS` environment
-    /// variable if set, otherwise the machine's available parallelism;
-    /// `1` runs the exact single-threaded code path with no pool at all.
-    /// Reports and traces are **bit-identical** at every value — threads
-    /// change wall-clock time, never physics (enforced by the
-    /// equivalence suites).
+    /// variable if set, otherwise 1 (see
+    /// [`SimConfig::effective_solver_threads`]); `1` runs the exact
+    /// single-threaded code path with no pool at all. Reports and traces
+    /// are **bit-identical** at every value — threads change wall-clock
+    /// time, never physics (enforced by the equivalence suites).
     #[serde(default)]
     pub solver_threads: usize,
     /// Deterministic event budget: the run stops with a typed
@@ -188,10 +188,14 @@ impl SimConfig {
     }
 
     /// The thread count a run with this config actually uses: the
-    /// configured [`SimConfig::solver_threads`], with `0` resolved through
-    /// `EXAFLOW_THREADS` / available parallelism (always at least 1).
+    /// configured [`SimConfig::solver_threads`], with `0` resolved to
+    /// `EXAFLOW_THREADS` if set, else 1 — not the core count
+    /// [`resolve_threads`](crate::pool::resolve_threads) falls back to,
+    /// because the in-run pool measured 10–38x slower than one thread on
+    /// the paper's workloads (`benchmark/README.md`).
     pub fn effective_solver_threads(&self) -> usize {
-        crate::pool::resolve_threads(self.solver_threads)
+        use crate::pool::{env_threads, pick_threads};
+        pick_threads(self.solver_threads, env_threads().as_deref(), 1)
     }
 }
 
@@ -434,12 +438,18 @@ impl<'a> Simulator<'a> {
     /// network), or a stalled rate allocation. Panics are reserved for
     /// internal invariant violations.
     pub fn run(&self, dag: &FlowDag) -> Result<SimReport, SimError> {
-        self.run_with_faults(dag, &FaultSchedule::empty(), RecoveryPolicy::default())
+        self.run_with(
+            dag,
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+            None,
+        )
     }
 
-    /// Simulate `dag` while injecting the link-down/link-up events of
-    /// `schedule` at their simulated times, recovering interrupted flows
-    /// per `policy`.
+    /// The full form of [`Simulator::run`]: simulate `dag` while injecting
+    /// the link-down/link-up events of `schedule` at their simulated times,
+    /// recovering interrupted flows per `policy`, and streaming every
+    /// engine state transition into `sink` when one is given.
     ///
     /// Fault events join the engine's event ordering alongside completions
     /// and delayed activations: at each step the earliest of the three
@@ -465,44 +475,11 @@ impl<'a> Simulator<'a> {
     /// their detour. An empty schedule reproduces [`Simulator::run`]
     /// bit-for-bit. Events scheduled after the workload completes never
     /// fire; see [`SimReport::fault_events_applied`].
-    pub fn run_with_faults(
-        &self,
-        dag: &FlowDag,
-        schedule: &FaultSchedule,
-        policy: RecoveryPolicy,
-    ) -> Result<SimReport, SimError> {
-        self.run_impl(dag, schedule, policy, None)
-    }
-
-    /// [`Simulator::run`] streaming every engine state transition into
-    /// `sink`; implies tracing regardless of [`SimConfig::trace`], so the
+    ///
+    /// A sink implies tracing regardless of [`SimConfig::trace`], so the
     /// report also carries [`SimReport::metrics`]. The resulting trace
     /// satisfies [`crate::trace_check::check_trace`] by construction.
-    pub fn run_traced(
-        &self,
-        dag: &FlowDag,
-        sink: &mut dyn TraceSink,
-    ) -> Result<SimReport, SimError> {
-        self.run_impl(
-            dag,
-            &FaultSchedule::empty(),
-            RecoveryPolicy::default(),
-            Some(sink),
-        )
-    }
-
-    /// [`Simulator::run_with_faults`] streaming trace events into `sink`.
-    pub fn run_with_faults_traced(
-        &self,
-        dag: &FlowDag,
-        schedule: &FaultSchedule,
-        policy: RecoveryPolicy,
-        sink: &mut dyn TraceSink,
-    ) -> Result<SimReport, SimError> {
-        self.run_impl(dag, schedule, policy, Some(sink))
-    }
-
-    fn run_impl(
+    pub fn run_with(
         &self,
         dag: &FlowDag,
         schedule: &FaultSchedule,
@@ -528,8 +505,8 @@ impl<'a> Simulator<'a> {
 
         // In-run parallelism: one persistent pool per run, shared by the
         // solver's water-filling phases and the route-prefetch batches.
-        // `threads == 1` (the resolved default on a single-core host)
-        // creates no pool and takes the exact sequential code path.
+        // `threads == 1` (the resolved default) creates no pool and takes
+        // the exact sequential code path.
         let threads = self.cfg.effective_solver_threads();
         let worker_pool = (threads > 1).then(|| WorkerPool::new(threads));
         let pool = worker_pool.as_ref();
@@ -1644,7 +1621,14 @@ mod tests {
         };
         let sim = Simulator::with_config(&topo, cfg);
         let mut sink = VecSink::new();
-        let err = sim.run_traced(&staggered_dag(), &mut sink).unwrap_err();
+        let err = sim
+            .run_with(
+                &staggered_dag(),
+                &FaultSchedule::empty(),
+                RecoveryPolicy::default(),
+                Some(&mut sink),
+            )
+            .unwrap_err();
         assert!(matches!(err, SimError::BudgetExhausted { .. }));
         let events = sink.into_events();
         assert!(
@@ -1837,14 +1821,14 @@ mod tests {
         let schedule = FaultSchedule::new(events).unwrap();
 
         let cached = Simulator::with_config(&topo, cfg(true))
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteResume)
+            .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         // C hits B's retained detour — the only cache hit in the run.
         assert_eq!(cached.route_cache_hits, 1);
         assert_eq!(cached.fault_events_applied, 4);
 
         let uncached = Simulator::with_config(&topo, cfg(false))
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteResume)
+            .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         assert_eq!(uncached.route_cache_hits, 0);
         // Same transfers; C pays 3 hops of head latency on the retained
@@ -2005,7 +1989,7 @@ mod tests {
         let plain = sim.run(&dag).unwrap();
         for policy in RecoveryPolicy::ALL {
             let faulted = sim
-                .run_with_faults(&dag, &FaultSchedule::empty(), policy)
+                .run_with(&dag, &FaultSchedule::empty(), policy, None)
                 .unwrap();
             assert_eq!(
                 serde_json::to_string(&plain).unwrap(),
@@ -2032,7 +2016,7 @@ mod tests {
                 .unwrap();
 
         let resume = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteResume)
+            .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         assert!(
             (resume.makespan_seconds - xfer(mb(1), 10.0 * GBPS)).abs() < 1e-12,
@@ -2043,7 +2027,7 @@ mod tests {
         assert_eq!(resume.skipped_flows, 0);
 
         let restart = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteRestart)
+            .run_with(&dag, &schedule, RecoveryPolicy::RerouteRestart, None)
             .unwrap();
         assert!(
             (restart.makespan_seconds - 1.5 * xfer(mb(1), 10.0 * GBPS)).abs() < 1e-12,
@@ -2063,7 +2047,7 @@ mod tests {
             FaultSchedule::new(cable_events(topo.network(), t_cut, 0, 1, FaultAction::Down))
                 .unwrap();
         let err = sim
-            .run_with_faults(&b.build(), &schedule, RecoveryPolicy::Abort)
+            .run_with(&b.build(), &schedule, RecoveryPolicy::Abort, None)
             .unwrap_err();
         match err {
             SimError::LinkLost { time, flow, .. } => {
@@ -2097,7 +2081,7 @@ mod tests {
         let schedule = FaultSchedule::new(events).unwrap();
 
         let r = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::SkipUnreachable)
+            .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
             .unwrap();
         assert_eq!(r.skipped_flows, 1);
         assert_eq!(r.skipped_flow_ids, vec![0]);
@@ -2108,7 +2092,7 @@ mod tests {
 
         // The same partition under resume is a typed unreachable error.
         let err = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteResume)
+            .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap_err();
         assert!(
             matches!(err, SimError::Unreachable { src: 0, dst: 1, .. }),
@@ -2135,7 +2119,7 @@ mod tests {
         let schedule = FaultSchedule::new(events).unwrap();
 
         let r = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::SkipUnreachable)
+            .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
             .unwrap();
         assert_eq!(r.skipped_flows, 1);
         assert_eq!(r.skipped_flow_ids, vec![1]);
@@ -2148,7 +2132,7 @@ mod tests {
             RecoveryPolicy::RerouteResume,
             RecoveryPolicy::RerouteRestart,
         ] {
-            let err = sim.run_with_faults(&dag, &schedule, policy).unwrap_err();
+            let err = sim.run_with(&dag, &schedule, policy, None).unwrap_err();
             assert!(
                 matches!(err, SimError::Unreachable { src: 0, dst: 3, .. }),
                 "policy {policy:?}: {err:?}"
@@ -2177,10 +2161,11 @@ mod tests {
         with_repair.extend(cable_events(topo.network(), 1e-4, 0, 1, FaultAction::Up));
 
         let repaired = sim
-            .run_with_faults(
+            .run_with(
                 &dag,
                 &FaultSchedule::new(with_repair).unwrap(),
                 RecoveryPolicy::RerouteResume,
+                None,
             )
             .unwrap();
         assert!(
@@ -2191,10 +2176,11 @@ mod tests {
         assert_eq!(repaired.fault_events_applied, 4);
 
         let detoured = sim
-            .run_with_faults(
+            .run_with(
                 &dag,
                 &FaultSchedule::new(down).unwrap(),
                 RecoveryPolicy::RerouteResume,
+                None,
             )
             .unwrap();
         assert!(
@@ -2213,7 +2199,7 @@ mod tests {
         let schedule =
             FaultSchedule::new(cable_events(topo.network(), 1.0, 0, 1, FaultAction::Down)).unwrap();
         let r = sim
-            .run_with_faults(&b.build(), &schedule, RecoveryPolicy::Abort)
+            .run_with(&b.build(), &schedule, RecoveryPolicy::Abort, None)
             .unwrap();
         assert_eq!(r.fault_events_applied, 0);
         assert!((r.makespan_seconds - xfer(mb(1), 10.0 * GBPS)).abs() < 1e-12);
@@ -2240,7 +2226,7 @@ mod tests {
         let schedule = FaultSchedule::new(events).unwrap();
 
         let r = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::SkipUnreachable)
+            .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
             .unwrap();
         assert_eq!(r.skipped_flow_ids, vec![1]);
         let times = r.completion_times.as_ref().unwrap();
@@ -2251,7 +2237,7 @@ mod tests {
 
         // Abort sees the delayed flow too.
         let err = sim
-            .run_with_faults(&dag, &schedule, RecoveryPolicy::Abort)
+            .run_with(&dag, &schedule, RecoveryPolicy::Abort, None)
             .unwrap_err();
         assert!(matches!(err, SimError::LinkLost { flow: 1, .. }), "{err:?}");
     }
@@ -2273,7 +2259,7 @@ mod tests {
         let schedule =
             FaultSchedule::new(cable_events(topo.network(), 0.0, 0, 1, FaultAction::Down)).unwrap();
         let r = sim
-            .run_with_faults(&b.build(), &schedule, RecoveryPolicy::RerouteResume)
+            .run_with(&b.build(), &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         assert_eq!(r.fault_events_applied, 2);
         let dead = topo

@@ -34,7 +34,8 @@
 //!   link-down/link-up events is consumed alongside completion events;
 //!   interrupted flows are aborted, dropped, or rerouted (resuming or
 //!   restarting the transfer) per the configured [`RecoveryPolicy`].
-//! * **Intra-run parallelism** ([`pool`], off at `solver_threads = 1`):
+//! * **Intra-run parallelism** ([`pool`], opt-in: off unless
+//!   `solver_threads` or `EXAFLOW_THREADS` asks for more than one thread):
 //!   a persistent [`WorkerPool`] parallelises the water-filling bottleneck
 //!   scan / rate subtraction and batches route construction at activation
 //!   events, partitioned statically so every thread count produces

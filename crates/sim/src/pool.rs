@@ -213,23 +213,29 @@ impl<T> SharedSlice<T> {
     }
 }
 
-/// Resolve a configured thread count: `0` means "auto" — the
-/// `EXAFLOW_THREADS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`]. Always at least 1.
-pub fn resolve_threads(requested: usize) -> usize {
+/// The thread-count rule, free of process state: `requested` when
+/// positive, else `env` (the value of `EXAFLOW_THREADS`, if set) when it
+/// parses to a positive integer, else `fallback`.
+pub(crate) fn pick_threads(requested: usize, env: Option<&str>, fallback: usize) -> usize {
     if requested >= 1 {
         return requested;
     }
-    if let Some(n) = std::env::var("EXAFLOW_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
+    env.and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        .unwrap_or(fallback)
+}
+
+pub(crate) fn env_threads() -> Option<String> {
+    std::env::var("EXAFLOW_THREADS").ok()
+}
+
+/// Resolve a configured thread count for work that scales with cores (the
+/// distance sweep, `exaflow analyze`): `0` means "auto" — the
+/// `EXAFLOW_THREADS` environment variable if set to a positive integer,
+/// otherwise [`std::thread::available_parallelism`]. Always at least 1.
+pub fn resolve_threads(requested: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    pick_threads(requested, env_threads().as_deref(), cores)
 }
 
 #[cfg(test)]
@@ -299,5 +305,20 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert_eq!(resolve_threads(1), 1);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn pick_threads_orders_request_then_env_then_fallback() {
+        // An explicit request wins over everything.
+        assert_eq!(pick_threads(3, Some("8"), 16), 3);
+        // Auto: a usable EXAFLOW_THREADS value, surrounding blanks allowed.
+        assert_eq!(pick_threads(0, Some("8"), 16), 8);
+        assert_eq!(pick_threads(0, Some(" 2\n"), 1), 2);
+        // Auto with the variable unset, empty, zero or garbage: the fallback
+        // — the core count for sweeps, 1 for the engine's own pool.
+        for env in [None, Some(""), Some("0"), Some("-1"), Some("many")] {
+            assert_eq!(pick_threads(0, env, 16), 16, "{env:?}");
+            assert_eq!(pick_threads(0, env, 1), 1, "{env:?}");
+        }
     }
 }

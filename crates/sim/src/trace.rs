@@ -2,11 +2,10 @@
 //!
 //! When tracing is enabled — [`SimConfig::trace`](crate::SimConfig::trace)
 //! or an explicit [`TraceSink`] passed to
-//! [`Simulator::run_traced`](crate::Simulator::run_traced) /
-//! [`Simulator::run_with_faults_traced`](crate::Simulator::run_with_faults_traced)
-//! — the engine emits one [`TraceEvent`] at every state transition:
-//! activation, transfer start, completion, skip, rate recomputation, fault
-//! application/repair and reroute. The stream is **self-contained**: the
+//! [`Simulator::run_with`](crate::Simulator::run_with) — the engine emits
+//! one [`TraceEvent`] at every state transition: activation, transfer
+//! start, completion, skip, rate recomputation, fault application/repair
+//! and reroute. The stream is **self-contained**: the
 //! leading [`TraceEvent::RunStarted`] header carries the resource
 //! capacities, and every path-changing event carries the full resource
 //! path, so [`crate::trace_check::check_trace`] can replay a trace and

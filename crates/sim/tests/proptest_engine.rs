@@ -3,7 +3,9 @@
 
 use exaflow_netgraph::NodeId;
 use exaflow_sim::maxmin::MaxMinSolver;
-use exaflow_sim::{FlowDagBuilder, FlowId, SimConfig, Simulator, VecSink};
+use exaflow_sim::{
+    FaultSchedule, FlowDagBuilder, FlowId, RecoveryPolicy, SimConfig, Simulator, VecSink,
+};
 use exaflow_topo::Torus;
 use proptest::prelude::*;
 
@@ -164,7 +166,7 @@ proptest! {
             };
             let mut sink = VecSink::new();
             let report = Simulator::with_config(&topo, cfg)
-                .run_traced(&dag, &mut sink)
+                .run_with(&dag, &FaultSchedule::empty(), RecoveryPolicy::default(), Some(&mut sink))
                 .unwrap();
             (report, sink.into_events())
         };

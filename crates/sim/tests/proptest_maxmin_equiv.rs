@@ -240,7 +240,7 @@ proptest! {
 /// Engine-shaped churn through a real [`FaultOverlay`]: flows between
 /// endpoint pairs of a 4x4 torus, links failing and recovering mid-stream,
 /// affected entries rerouted (or dropped when partitioned) and the solver
-/// invalidated — exactly the `run_with_faults` contract.
+/// invalidated — exactly the `run_with` contract.
 #[test]
 fn overlay_path_churn_matches_full_solve() {
     let topo = Torus::new(&[4, 4]);

@@ -301,26 +301,19 @@ pub struct FaultOverlay<'a> {
     down: HashSet<u32>,
     /// Reroutes valid under the current failure set.
     cache: HashMap<(u32, u32), Box<[LinkId]>>,
-    cache_cap: usize,
     transitions: u64,
 }
 
 impl<'a> FaultOverlay<'a> {
-    /// Default bound on memoised reroutes.
-    pub const DEFAULT_CACHE_CAP: usize = 1 << 16;
+    /// Bound on memoised reroutes.
+    const CACHE_CAP: usize = 1 << 16;
 
     /// A healthy overlay over `topo` (no dynamic failures yet).
     pub fn new(topo: &'a dyn Topology) -> Self {
-        Self::with_cache_cap(topo, Self::DEFAULT_CACHE_CAP)
-    }
-
-    /// A healthy overlay with a custom reroute-cache bound.
-    pub fn with_cache_cap(topo: &'a dyn Topology, cache_cap: usize) -> Self {
         FaultOverlay {
             topo,
             down: HashSet::new(),
             cache: HashMap::new(),
-            cache_cap,
             transitions: 0,
         }
     }
@@ -420,7 +413,7 @@ impl<'a> FaultOverlay<'a> {
                 failed_links: self.total_failed_links(),
             });
         }
-        if self.cache.len() < self.cache_cap {
+        if self.cache.len() < Self::CACHE_CAP {
             self.cache
                 .insert((src.0, dst.0), out[start..].to_vec().into_boxed_slice());
         }

@@ -26,9 +26,11 @@
 //! related work) and [`Degraded`] (link-failure injection with
 //! fault-tolerant rerouting, from the paper's future-work list).
 //!
-//! All routing functions are deterministic and table-driven: each generator
-//! records the link ids it creates so the hot routing path performs O(1)
-//! array lookups per hop instead of adjacency searches.
+//! All routing functions are deterministic arithmetic over link-id arrays:
+//! each generator records the link ids it creates so the hot routing path
+//! performs O(1) array lookups per hop instead of adjacency searches. A
+//! route therefore costs O(hops) to compute, which is why no layer of this
+//! crate precomputes or stores all-pairs paths.
 
 pub mod connection;
 pub mod dragonfly;
@@ -38,7 +40,6 @@ pub mod jellyfish;
 pub mod kary_tree;
 pub mod mixed_radix;
 pub mod nested;
-pub mod route_table;
 pub mod torus;
 
 pub use connection::{ConnectionRule, UplinkMap};
@@ -49,7 +50,6 @@ pub use jellyfish::Jellyfish;
 pub use kary_tree::KAryTree;
 pub use mixed_radix::MixedRadix;
 pub use nested::{Nested, UpperTierKind};
-pub use route_table::{RouteTable, Tabled, DEFAULT_TABLE_MAX_ENDPOINTS};
 pub use torus::Torus;
 
 use exaflow_netgraph::{LinkId, Network, NodeId};
@@ -173,41 +173,6 @@ pub trait Topology: Send + Sync {
     /// diameter.
     fn diameter_bound(&self) -> u32 {
         self.network().num_nodes() as u32
-    }
-}
-
-impl Topology for Box<dyn Topology> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-    fn network(&self) -> &Network {
-        self.as_ref().network()
-    }
-    fn num_endpoints(&self) -> usize {
-        self.as_ref().num_endpoints()
-    }
-    fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
-        self.as_ref().route(src, dst, path)
-    }
-    fn try_route(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        path: &mut Vec<LinkId>,
-    ) -> Result<(), RouteError> {
-        self.as_ref().try_route(src, dst, path)
-    }
-    fn link_is_failed(&self, link: LinkId) -> bool {
-        self.as_ref().link_is_failed(link)
-    }
-    fn num_failed_links(&self) -> usize {
-        self.as_ref().num_failed_links()
-    }
-    fn distance(&self, src: NodeId, dst: NodeId) -> u32 {
-        self.as_ref().distance(src, dst)
-    }
-    fn diameter_bound(&self) -> u32 {
-        self.as_ref().diameter_bound()
     }
 }
 

@@ -17,11 +17,10 @@ $TIMEOUT 1800 cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 $TIMEOUT 1800 cargo test -q --workspace
 
-echo "== engine equivalence with EXAFLOW_THREADS=1 (forced-sequential auto pool)"
-EXAFLOW_THREADS=1 $TIMEOUT 900 cargo test -q -p exaflow-suite --test engine_equiv
-
-echo "== engine equivalence with the default thread count"
-$TIMEOUT 900 cargo test -q -p exaflow-suite --test engine_equiv
+# The workspace run above covers the default (auto = 1 thread, no pool);
+# this pass makes `solver_threads: 0` resolve to a real pool.
+echo "== engine equivalence with EXAFLOW_THREADS=2 (auto resolves to a pool)"
+EXAFLOW_THREADS=2 $TIMEOUT 900 cargo test -q -p exaflow-suite --test engine_equiv
 
 echo "== crash-safety gate: kill-and-resume, torn journals, retry/quarantine"
 $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
@@ -32,14 +31,24 @@ EXAFLOW_THREADS=1 $TIMEOUT 900 cargo test -q -p exaflow-suite --test tables tabl
 echo "== parallel distance sweep bit-identical with the default thread count"
 $TIMEOUT 900 cargo test -q -p exaflow-suite --test tables table1_parallel_sweep
 
-echo "== topology-cache differential gate with EXAFLOW_THREADS=1"
-EXAFLOW_THREADS=1 $TIMEOUT 900 cargo test -q -p exaflow-suite --test topo_cache_equiv
-
-echo "== topology-cache differential gate with the default thread count"
+# One pass: the cache stores what `TopologySpec::build` returns, so it
+# cannot change which routing code runs and crossing it with the engine
+# pool size tests nothing new.
+echo "== topology-cache differential gate"
 $TIMEOUT 900 cargo test -q -p exaflow-suite --test topo_cache_equiv
 
 echo "== cargo bench --no-run (benches must keep compiling)"
 $TIMEOUT 1800 cargo bench --workspace --no-run
+
+# `benchmark/` is a package of its own that the pipeline builds from this
+# checkout; an API change that breaks it must fail here, not there.
+# run.sh builds into the root target/, so the cargo steps share it.
+echo "== frozen benchmark harness: build, unit tests, smoke run"
+CARGO_TARGET_DIR="$PWD/target" $TIMEOUT 1800 \
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" $TIMEOUT 1800 \
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+$TIMEOUT 900 bash benchmark/run.sh --smoke
 
 echo "== tracing-off output is bit-identical to the pinned pre-tracing run"
 cargo build -q --release -p exaflow-cli

@@ -115,6 +115,20 @@ fn cfg_threads(threads: usize) -> SimConfig {
     }
 }
 
+/// A fault-free traced run: its report and its event stream.
+fn run_traced(topo: &dyn Topology, cfg: SimConfig, dag: &FlowDag) -> (SimReport, Vec<TraceEvent>) {
+    let mut sink = VecSink::new();
+    let report = Simulator::with_config(topo, cfg)
+        .run_with(
+            dag,
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+            Some(&mut sink),
+        )
+        .unwrap();
+    (report, sink.into_events())
+}
+
 /// Zero the solver-effort payload of `rate_recompute` events — like the
 /// report counters, `entries_solved`/`full_pass` measure work done and are
 /// the only trace fields allowed to differ between engine modes.
@@ -248,11 +262,7 @@ fn fault_free_traces_identical_across_modes_and_pass_the_oracle() {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
 
-        let mut sink = VecSink::new();
-        let reference_report = Simulator::with_config(topo.as_ref(), cfg(false, false))
-            .run_traced(&dag, &mut sink)
-            .unwrap();
-        let reference = sink.into_events();
+        let (reference_report, reference) = run_traced(topo.as_ref(), cfg(false, false), &dag);
 
         let summary = check_trace(&reference)
             .unwrap_or_else(|v| panic!("{name}: reference trace failed the oracle: {v}"));
@@ -270,11 +280,7 @@ fn fault_free_traces_identical_across_modes_and_pass_the_oracle() {
 
         let want = canonical_trace(&reference);
         for (inc, coal) in MODES {
-            let mut sink = VecSink::new();
-            Simulator::with_config(topo.as_ref(), cfg(inc, coal))
-                .run_traced(&dag, &mut sink)
-                .unwrap();
-            let events = sink.into_events();
+            let (_, events) = run_traced(topo.as_ref(), cfg(inc, coal), &dag);
             check_trace(&events).unwrap_or_else(|v| {
                 panic!("{name}: incremental={inc} coalesce={coal} trace failed the oracle: {v}")
             });
@@ -306,8 +312,7 @@ fn faulted_traces_identical_across_modes_and_pass_the_oracle() {
             RecoveryPolicy::SkipUnreachable,
         ] {
             let mut sink = VecSink::new();
-            let reference_run =
-                reference_engine.run_with_faults_traced(&dag, &schedule, policy, &mut sink);
+            let reference_run = reference_engine.run_with(&dag, &schedule, policy, Some(&mut sink));
             let reference = sink.into_events();
             if reference_run.is_err() {
                 continue; // restart on a repaired cut can still livelock-guard out
@@ -322,7 +327,7 @@ fn faulted_traces_identical_across_modes_and_pass_the_oracle() {
             for (inc, coal) in MODES {
                 let mut sink = VecSink::new();
                 Simulator::with_config(topo.as_ref(), cfg(inc, coal))
-                    .run_with_faults_traced(&dag, &schedule, policy, &mut sink)
+                    .run_with(&dag, &schedule, policy, Some(&mut sink))
                     .unwrap_or_else(|e| {
                         panic!("{name}/{policy:?}: incremental={inc} coalesce={coal}: {e:?}")
                     });
@@ -361,8 +366,8 @@ fn thread_counts_bit_identical_reports_fault_free() {
             .unwrap();
         assert_eq!(reference.solver_threads, 1, "{name}");
         assert_eq!(reference.parallel_solves, 0, "{name}");
-        // 0 = resolve from EXAFLOW_THREADS / available parallelism, the
-        // default every config file gets.
+        // 0 = resolve from EXAFLOW_THREADS (else 1), the default every
+        // config file gets.
         for threads in [2, 8, 0] {
             let report = Simulator::with_config(topo.as_ref(), cfg_threads(threads))
                 .run(&dag)
@@ -397,17 +402,9 @@ fn thread_counts_identical_traces_fault_free() {
     for (name, spec) in families {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
-        let mut sink = VecSink::new();
-        Simulator::with_config(topo.as_ref(), cfg_threads(1))
-            .run_traced(&dag, &mut sink)
-            .unwrap();
-        let reference = sink.into_events();
+        let (_, reference) = run_traced(topo.as_ref(), cfg_threads(1), &dag);
         for threads in [2, 8] {
-            let mut sink = VecSink::new();
-            Simulator::with_config(topo.as_ref(), cfg_threads(threads))
-                .run_traced(&dag, &mut sink)
-                .unwrap();
-            let events = sink.into_events();
+            let (_, events) = run_traced(topo.as_ref(), cfg_threads(threads), &dag);
             check_trace(&events).unwrap_or_else(|v| {
                 panic!("{name}: {threads}-thread trace failed the oracle: {v}")
             });
@@ -438,13 +435,13 @@ fn thread_counts_bit_identical_faulted() {
         ] {
             let mut sink = VecSink::new();
             let reference = reference_engine
-                .run_with_faults_traced(&dag, &schedule, policy, &mut sink)
+                .run_with(&dag, &schedule, policy, Some(&mut sink))
                 .unwrap_or_else(|e| panic!("{name}/{policy:?}: single-thread run: {e:?}"));
             let reference_trace = sink.into_events();
             for threads in [2, 8] {
                 let mut sink = VecSink::new();
                 let report = Simulator::with_config(topo.as_ref(), cfg_threads(threads))
-                    .run_with_faults_traced(&dag, &schedule, policy, &mut sink)
+                    .run_with(&dag, &schedule, policy, Some(&mut sink))
                     .unwrap_or_else(|e| panic!("{name}/{policy:?}: {threads} threads: {e:?}"));
                 assert_eq!(
                     canonical_threads(&report),
@@ -470,7 +467,7 @@ fn faulted_reports_bit_identical_across_modes_and_policies() {
         let schedule = schedule_for(topo.as_ref(), &reference_engine.run(&dag).unwrap());
 
         for policy in RecoveryPolicy::ALL {
-            let reference = reference_engine.run_with_faults(&dag, &schedule, policy);
+            let reference = reference_engine.run_with(&dag, &schedule, policy, None);
             if policy == RecoveryPolicy::RerouteResume {
                 let r = reference.as_ref().expect("resume must survive a repair");
                 assert!(
@@ -480,7 +477,7 @@ fn faulted_reports_bit_identical_across_modes_and_policies() {
             }
             for (inc, coal) in MODES {
                 let report = Simulator::with_config(topo.as_ref(), cfg(inc, coal))
-                    .run_with_faults(&dag, &schedule, policy);
+                    .run_with(&dag, &schedule, policy, None);
                 match (&report, &reference) {
                     (Ok(got), Ok(want)) => assert_eq!(
                         canonical(got),

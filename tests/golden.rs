@@ -113,8 +113,13 @@ fn golden_trace_is_pinned_line_for_line() {
     let schedule = FaultSchedule::new(events).unwrap();
 
     let mut sink = VecSink::new();
-    sim.run_with_faults_traced(&dag, &schedule, RecoveryPolicy::RerouteResume, &mut sink)
-        .unwrap();
+    sim.run_with(
+        &dag,
+        &schedule,
+        RecoveryPolicy::RerouteResume,
+        Some(&mut sink),
+    )
+    .unwrap();
     let events = sink.into_events();
     // The scenario must exercise the full event vocabulary minus skips.
     let summary = check_trace_with_topology(&events, &topo).unwrap();

@@ -39,7 +39,7 @@ fn empty_schedule_is_an_exact_noop_for_every_policy() {
     let baseline_json = serde_json::to_string(&baseline).unwrap();
     for policy in RecoveryPolicy::ALL {
         let faulted = sim
-            .run_with_faults(&dag, &FaultSchedule::empty(), policy)
+            .run_with(&dag, &FaultSchedule::empty(), policy, None)
             .unwrap();
         assert_eq!(
             serde_json::to_string(&faulted).unwrap(),
@@ -63,7 +63,7 @@ fn policies_diverge_when_a_detour_exists() {
     let schedule = FaultSchedule::new(cut(&topo, t_cut, 0, 1)).unwrap();
 
     let err = sim
-        .run_with_faults(&dag, &schedule, RecoveryPolicy::Abort)
+        .run_with(&dag, &schedule, RecoveryPolicy::Abort, None)
         .unwrap_err();
     assert!(
         matches!(err, SimError::LinkLost { flow: 0, .. }),
@@ -71,13 +71,13 @@ fn policies_diverge_when_a_detour_exists() {
     );
 
     let resume = sim
-        .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteResume)
+        .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
         .unwrap();
     let restart = sim
-        .run_with_faults(&dag, &schedule, RecoveryPolicy::RerouteRestart)
+        .run_with(&dag, &schedule, RecoveryPolicy::RerouteRestart, None)
         .unwrap();
     let skip = sim
-        .run_with_faults(&dag, &schedule, RecoveryPolicy::SkipUnreachable)
+        .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
         .unwrap();
 
     // The destination stayed reachable, so nothing is skipped and the skip
@@ -121,7 +121,7 @@ fn policies_diverge_when_the_destination_is_cut_off() {
     let schedule = FaultSchedule::new(events).unwrap();
 
     let err = sim
-        .run_with_faults(&dag, &schedule, RecoveryPolicy::Abort)
+        .run_with(&dag, &schedule, RecoveryPolicy::Abort, None)
         .unwrap_err();
     assert!(matches!(err, SimError::LinkLost { .. }), "{err:?}");
 
@@ -129,7 +129,7 @@ fn policies_diverge_when_the_destination_is_cut_off() {
         RecoveryPolicy::RerouteResume,
         RecoveryPolicy::RerouteRestart,
     ] {
-        let err = sim.run_with_faults(&dag, &schedule, policy).unwrap_err();
+        let err = sim.run_with(&dag, &schedule, policy, None).unwrap_err();
         assert!(
             matches!(err, SimError::Unreachable { src: 0, dst: 2, .. }),
             "policy {policy:?}: {err:?}"
@@ -137,7 +137,7 @@ fn policies_diverge_when_the_destination_is_cut_off() {
     }
 
     let skip = sim
-        .run_with_faults(&dag, &schedule, RecoveryPolicy::SkipUnreachable)
+        .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
         .unwrap();
     assert_eq!(skip.skipped_flows, 1);
     assert_eq!(skip.skipped_flow_ids, vec![0]);
@@ -164,7 +164,7 @@ fn traces_of_crafted_fault_scenarios_pass_the_oracle() {
         (RecoveryPolicy::RerouteRestart, true),
     ] {
         let mut sink = VecSink::new();
-        sim.run_with_faults_traced(&dag, &schedule, policy, &mut sink)
+        sim.run_with(&dag, &schedule, policy, Some(&mut sink))
             .unwrap();
         let events = sink.into_events();
         let summary =
@@ -199,7 +199,12 @@ fn traces_of_crafted_fault_scenarios_pass_the_oracle() {
 
     let mut sink = VecSink::new();
     let report = sim
-        .run_with_faults_traced(&dag, &schedule, RecoveryPolicy::SkipUnreachable, &mut sink)
+        .run_with(
+            &dag,
+            &schedule,
+            RecoveryPolicy::SkipUnreachable,
+            Some(&mut sink),
+        )
         .unwrap();
     let events = sink.into_events();
     let summary = check_trace_with_topology(&events, &topo).unwrap_or_else(|v| panic!("{v}"));

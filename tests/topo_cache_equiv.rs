@@ -1,6 +1,5 @@
-//! Topology-cache equivalence: the content-addressed [`TopoCache`] (and
-//! the precomputed route tables it materialises for small topologies) must
-//! be **provably invisible** — cache-on and cache-off runs bit-identical at
+//! Topology-cache equivalence: the content-addressed [`TopoCache`] must be
+//! **provably invisible** — cache-on and cache-off runs bit-identical at
 //! the report layer, and event-for-event identical at the trace layer,
 //! across every suite/campaign entry point, all five topology families,
 //! faulted and fault-free, serial and 8-way parallel. The only observable
@@ -157,8 +156,8 @@ fn canonical_trace(events: &[TraceEvent]) -> Vec<TraceEvent> {
 
 /// Suite path, all five families: default cache vs `topo_cache(0)`,
 /// threads {1, 8}, reports and per-result JSON bit-identical. The cached
-/// run must also show the cache actually engaged — 1 build, 5 hits, a
-/// route table — or the comparison proves nothing.
+/// run must also show the cache actually engaged — 1 build, 5 hits — or
+/// the comparison proves nothing.
 #[test]
 fn suite_bit_identical_cache_on_vs_off() {
     for (name, spec) in specs() {
@@ -174,7 +173,6 @@ fn suite_bit_identical_cache_on_vs_off() {
             let stats = on.report.topo_cache.expect("default cache must be on");
             assert_eq!(stats.misses, 1, "{name}/t{threads}: one spec, one build");
             assert_eq!(stats.hits, 5, "{name}/t{threads}: five shared entries");
-            assert_eq!(stats.tables_built, 1, "{name}/t{threads}: under threshold");
             assert_eq!(
                 canonical_results(&on.results),
                 canonical_results(&off.results),
@@ -190,9 +188,9 @@ fn suite_bit_identical_cache_on_vs_off() {
 }
 
 /// Trace layer, all five families, faulted and fault-free: a run served
-/// from a *warm* cache (table-backed routing, `topo_cache_hit` stamped)
-/// must narrate the same story event-for-event as the uncached engine,
-/// and the header flag must be the only difference.
+/// from a *warm* cache (`topo_cache_hit` stamped) must narrate the same
+/// story event-for-event as the uncached engine, and the header flag must
+/// be the only difference.
 #[test]
 fn traces_identical_cache_on_vs_off() {
     for (name, spec) in specs() {
@@ -210,15 +208,14 @@ fn traces_identical_cache_on_vs_off() {
                 fault_injection: None,
             };
             let mut sink = VecSink::new();
-            let uncached = run_experiment_traced(&cfg, Some(&mut sink)).unwrap();
+            let uncached = run_experiment_with(&cfg, None, Some(&mut sink)).unwrap();
             let reference = sink.into_events();
 
             let cache = TopoCache::new(4);
-            // Warm the cache so the traced run below is a genuine hit
-            // (table-backed routing included).
-            run_experiment_cached(&cfg, Some(&cache)).unwrap();
+            // Warm the cache so the traced run below is a genuine hit.
+            run_experiment_with(&cfg, Some(&cache), None).unwrap();
             let mut sink = VecSink::new();
-            let cached = run_experiment_cached_traced(&cfg, Some(&cache), Some(&mut sink)).unwrap();
+            let cached = run_experiment_with(&cfg, Some(&cache), Some(&mut sink)).unwrap();
             let events = sink.into_events();
             assert_eq!(cache.stats().hits, 1, "{name}: warm lookup must hit");
 
@@ -292,9 +289,9 @@ fn campaign_bit_identical_cache_on_vs_off() {
     };
     for threads in [1usize, 8] {
         let (off, off_stats) =
-            run_resilience_campaign_with_cache(&spec, Some(threads), None, Some(0)).unwrap();
+            run_resilience_campaign_with(&spec, Some(threads), None, Some(0)).unwrap();
         let (on, on_stats) =
-            run_resilience_campaign_with_cache(&spec, Some(threads), None, None).unwrap();
+            run_resilience_campaign_with(&spec, Some(threads), None, None).unwrap();
         assert_eq!(off_stats, None, "t{threads}: cap 0 must disable");
         let stats = on_stats.expect("default cache must be on");
         assert_eq!(stats.misses, 1, "t{threads}: baseline builds, grid shares");
@@ -361,35 +358,4 @@ fn journaled_suite_bit_identical_cache_on_vs_off() {
     );
     std::fs::remove_file(&path_off).ok();
     std::fs::remove_file(&path_on).ok();
-}
-
-/// An *over-threshold* topology (no route table) must flow through the
-/// same cached path, bit-identically: the table layer is an optimisation
-/// inside the cache, not a semantic fork.
-#[test]
-fn over_threshold_topologies_skip_tables_and_stay_identical() {
-    let spec = TopologySpec::Torus { dims: vec![8, 8] };
-    let cfg = ExperimentConfig {
-        topology: spec.clone(),
-        workload: WorkloadSpec::AllReduce {
-            tasks: 64,
-            bytes: 1 << 16,
-        },
-        mapping: MappingSpec::Linear,
-        sim: SimConfig::default(),
-        failures: None,
-        fault_injection: None,
-    };
-    // Threshold 16 < 64 endpoints: cached, but tableless.
-    let cache = TopoCache::with_table_threshold(8, 16);
-    let cached = run_experiment_cached(&cfg, Some(&cache)).unwrap();
-    let stats = cache.stats();
-    assert_eq!((stats.misses, stats.tables_built), (1, 0));
-    let uncached = run_experiment(&cfg).unwrap();
-    let scrub = |mut r: ExperimentResult| {
-        r.wall_seconds = 0.0;
-        r.metrics = None;
-        serde_json::to_string(&r).unwrap()
-    };
-    assert_eq!(scrub(cached), scrub(uncached));
 }
