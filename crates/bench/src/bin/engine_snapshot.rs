@@ -14,6 +14,7 @@ use exaflow::prelude::*;
 use exaflow::sim::maxmin::MaxMinSolver;
 use exaflow_bench::allreduce_round0_paths;
 use serde::Serialize;
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +44,48 @@ struct EngineRun {
     speedup: f64,
     rate_recomputes: u64,
     flows_coalesced: u64,
+    /// Freeze rounds of the fast run, and how many of them its full passes
+    /// took from the previous pass's log instead of the heap (`maxmin`
+    /// module docs, "Prefix replay").
+    maxmin_iterations: u64,
+    replayed_rounds: u64,
     reports_identical: bool,
+}
+
+/// Trace sink that mirrors a fault-free run's solver traffic onto a
+/// solver of its own — one entry inserted per `flow_started`, removed per
+/// `flow_finished`, one recompute per `rate_recompute` — because the
+/// replay counter lives on the solver, not on `SimReport`.
+struct SolverMirror {
+    cfg: SimConfig,
+    solver: Option<MaxMinSolver>,
+    entries: HashMap<u32, u32>,
+}
+
+impl TraceSink for SolverMirror {
+    fn record(&mut self, event: &TraceEvent) {
+        if let TraceEvent::RunStarted { capacities_bps, .. } = event {
+            self.solver = Some(MaxMinSolver::new(capacities_bps.clone()).unwrap());
+        }
+        let solver = self.solver.as_mut().expect("run_started comes first");
+        match event {
+            TraceEvent::FlowStarted { flow, path, .. } => {
+                let id = solver.insert_entry(Arc::from(path.as_slice()), self.cfg.coalesce_flows);
+                self.entries.insert(*flow, id);
+            }
+            // Degenerate flows finish without ever having started.
+            TraceEvent::FlowFinished { flow, .. } => {
+                if let Some(id) = self.entries.remove(flow) {
+                    solver.remove_entry(id);
+                }
+            }
+            TraceEvent::RateRecompute { .. } => solver.recompute(
+                self.cfg.solver_incremental,
+                self.cfg.incremental_full_threshold,
+            ),
+            _ => {}
+        }
+    }
 }
 
 #[derive(Serialize)]
@@ -230,6 +272,24 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
     let fast = Simulator::with_config(topo, cfg(true)).run(dag).unwrap();
     let fast_wall_seconds = t.elapsed().as_secs_f64();
 
+    // A third, traced run feeds the mirror; it must land on the engine's
+    // own iteration count or it mirrored something else.
+    let mut mirror = SolverMirror {
+        cfg: cfg(true),
+        solver: None,
+        entries: HashMap::new(),
+    };
+    Simulator::with_config(topo, cfg(true))
+        .run_with(
+            dag,
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+            Some(&mut mirror),
+        )
+        .unwrap();
+    let mirrored = mirror.solver.expect("traced run emits a header");
+    assert_eq!(mirrored.iterations, fast.maxmin_iterations, "{name}");
+
     EngineRun {
         name,
         makespan_seconds: fast.makespan_seconds,
@@ -240,6 +300,8 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
         speedup: full_wall_seconds / fast_wall_seconds,
         rate_recomputes: fast.rate_recomputes,
         flows_coalesced: fast.flows_coalesced,
+        maxmin_iterations: fast.maxmin_iterations,
+        replayed_rounds: mirrored.replayed_rounds,
         reports_identical: canonical(&full) == canonical(&fast),
     }
 }
@@ -378,6 +440,7 @@ fn main() {
     };
     let staggered = engine_run_dag("staggered_pairs_4096ep_torus", &big_torus, &staggered_dag);
 
+    let heavy = SystemScale::new(1024).unwrap();
     let engine = vec![
         staggered,
         engine_run(
@@ -399,17 +462,40 @@ fn main() {
                 waves: 4,
             },
         ),
+        // Random heavy traffic: one giant sharing component, so nearly
+        // every recompute is a full pass — the prefix replay's regime.
+        engine_run(
+            "unstructured_app_1024_fattree",
+            &heavy.fattree_spec(),
+            &WorkloadSpec::UnstructuredApp {
+                tasks: heavy.qfdbs as usize,
+                flows_per_task: 1,
+                bytes: presets::MIB,
+                seed: 1,
+            },
+        ),
+        engine_run(
+            "unstructured_mgnt_1024_torus",
+            &heavy.torus_spec(),
+            &WorkloadSpec::UnstructuredMgnt {
+                tasks: heavy.qfdbs as usize,
+                flows_per_task: 1,
+                seed: 1,
+            },
+        ),
     ];
     for run in &engine {
         eprintln!(
             "{}: full {:.4}s, fast {:.4}s, speedup {:.2}x, {} recomputes, \
-             {} coalesced ({})",
+             {} coalesced, {} / {} rounds replayed ({})",
             run.name,
             run.full_wall_seconds,
             run.fast_wall_seconds,
             run.speedup,
             run.rate_recomputes,
             run.flows_coalesced,
+            run.replayed_rounds,
+            run.maxmin_iterations,
             if run.reports_identical {
                 "reports identical"
             } else {

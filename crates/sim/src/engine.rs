@@ -540,6 +540,7 @@ impl<'a> Simulator<'a> {
         let mut active_ids: Vec<u32> = Vec::new();
         let mut active_paths: Vec<Arc<[u32]>> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
+        let mut done_flags: Vec<bool> = Vec::new();
         // Incremental/coalesced mode: per-active-flow solver entry id,
         // parallel to `active_ids` (every swap_remove mirrors it).
         let use_entries = self.cfg.solver_incremental || self.cfg.coalesce_flows;
@@ -567,6 +568,10 @@ impl<'a> Simulator<'a> {
         } else {
             None
         };
+        // Dense scratch of the traced utilisation probe: per-resource load,
+        // all zero between probes, and the resources the current one hit.
+        let mut probe_load = vec![0.0f64; if tracing { solver.num_resources() } else { 0 }];
+        let mut probe_touched: Vec<u32> = Vec::new();
 
         // Forward one event to the metrics registry and the sink. The whole
         // emission — event construction included — sits behind the single
@@ -1041,16 +1046,23 @@ impl<'a> Simulator<'a> {
                     m.record_solve(elapsed.as_secs_f64(), active_ids.len());
                     // Post-recompute utilisation probe: the most loaded
                     // resource relative to its capacity.
-                    let mut load: HashMap<u32, f64> = HashMap::new();
-                    for (i, path) in active_paths.iter().enumerate() {
+                    // Per-resource sums accumulate in active-index
+                    // order; a resource listed twice (its load was still
+                    // 0.0 at a later visit) is drained by its first
+                    // occurrence and contributes 0 afterwards.
+                    for (path, &rate) in active_paths.iter().zip(&rates) {
                         for &r in path.iter() {
-                            *load.entry(r).or_insert(0.0) += rates[i];
+                            if probe_load[r as usize] == 0.0 {
+                                probe_touched.push(r);
+                            }
+                            probe_load[r as usize] += rate;
                         }
                     }
-                    let peak = load
-                        .iter()
-                        .map(|(&r, &l)| l / solver.capacity(r))
-                        .fold(0.0, f64::max);
+                    let mut peak = 0.0f64;
+                    for r in probe_touched.drain(..) {
+                        let load = std::mem::take(&mut probe_load[r as usize]);
+                        peak = peak.max(load / solver.capacity(r));
+                    }
                     m.record_utilization(peak);
                 }
                 let (entries_solved, full_pass) = if use_entries {
@@ -1131,10 +1143,13 @@ impl<'a> Simulator<'a> {
 
             let cutoff = dt * (1.0 + self.cfg.batch_epsilon);
             // Identify the completion batch *before* advancing, then advance.
-            let mut done_flags = vec![false; active_ids.len()];
-            for (i, &f) in active_ids.iter().enumerate() {
-                done_flags[i] = remaining[f as usize] / rates[i] <= cutoff;
-            }
+            done_flags.clear();
+            done_flags.extend(
+                active_ids
+                    .iter()
+                    .zip(&rates)
+                    .map(|(&f, &rate)| remaining[f as usize] / rate <= cutoff),
+            );
             self.advance(
                 dt,
                 &active_ids,

@@ -45,6 +45,57 @@
 //! recompute to a full one (used for fault-overlay churn), as does a dirty
 //! region larger than a caller-chosen fraction of the active set.
 //!
+//! # Prefix replay
+//!
+//! On one giant component (random traffic) most recomputes degrade to a
+//! full pass, and consecutive full passes repeat almost all of their own
+//! work: progressive filling freezes entries in increasing order of share,
+//! and the flow that completes next is a high-rate one frozen near the
+//! *end* of that order. So every full sequential pass **logs** its freeze
+//! order — per valid pop `(share, bottleneck, entries frozen)` — and the
+//! next full pass **replays** the log as plain subtractions (no heap, no
+//! division) for as long as the change since the logged pass provably
+//! could not have altered it:
+//!
+//! 1. *Perturbed set.* Every resource on a path inserted, removed or
+//!    re-weighted since the logged pass (the deduped `dirty_res` of every
+//!    recompute since, including those that return early).
+//! 2. *Replay.* After pass 1 (weighted counts, `remaining = capacity`),
+//!    walk the logged rounds in order and stop at the first round `k`
+//!    whose bottleneck is perturbed, or before which some perturbed
+//!    resource with a live count orders ahead of `(share_k, bottleneck_k)`
+//!    under the heap's own key. Every earlier round is applied exactly as
+//!    the freeze loop would: each logged entry takes the logged share and
+//!    subtracts it from every resource it crosses, once per unit of weight.
+//! 3. *Tail.* The log is truncated to `k` rounds, the heap is rebuilt from
+//!    the touched resources that still have a live count at their current
+//!    clamped share, and the ordinary freeze loop runs from there,
+//!    appending to the log.
+//!
+//! A from-scratch pass is the `k = 0` case of the same code. The log is
+//! discarded by anything it cannot describe: a component-local pass,
+//! [`MaxMinSolver::invalidate_all`], a recompute with `incremental = false`
+//! (which therefore stays a from-scratch reference), and the pooled
+//! round-based pass.
+//!
+//! Why the replayed pass is **bit-identical** to a from-scratch one:
+//!
+//! * Before round `k` the old and the new trajectory differ only in the
+//!   `count`/`remaining` of perturbed resources — every other resource
+//!   hosts the same entries and receives the same subtractions — and the
+//!   stop rule is precisely "no perturbed resource wins a pop before `k`",
+//!   so both trajectories pop the same bottlenecks at the same shares.
+//! * An entry that was removed or re-weighted crosses its own bottleneck,
+//!   which is therefore perturbed, so its round is never replayed; that
+//!   also makes entry-id recycling through the free list safe.
+//! * Every subtraction inside one round uses the same share, so the order
+//!   within a round is irrelevant (the property the parallel rounds below
+//!   rely on) and `swap_remove`-reordered incidence lists are harmless.
+//! * The valid pops of the lazy heap are exactly repeated extract-min over
+//!   the current `(clamped share, id)` keys — a key is re-pushed whenever
+//!   its resource changes — so a heap rebuilt from the current state
+//!   continues identically.
+//!
 //! # Parallel water-filling
 //!
 //! [`MaxMinSolver::recompute_with`] accepts a [`WorkerPool`]; passes large
@@ -100,6 +151,22 @@ impl Ord for HeapEntry {
     }
 }
 
+/// The bottleneck order shared by the heap, the round scan and the replay
+/// guard: smaller clamped share first, ties to the smaller resource id.
+#[inline]
+fn pops_before(a: (f64, u32), b: (f64, u32)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// One logged freeze round: `bottleneck` was popped at `share` and froze
+/// the entries `log_entries[previous end..end]`.
+#[derive(Debug, Clone, Copy)]
+struct LogRound {
+    share: f64,
+    bottleneck: u32,
+    end: u32,
+}
+
 /// Reusable progressive-filling solver.
 ///
 /// `R` resources with fixed capacities are registered at construction; each
@@ -129,6 +196,9 @@ pub struct MaxMinSolver {
     /// Statistics: water-filling passes that ran on the round-based
     /// parallel path (0 without a pool or below the entry threshold).
     pub parallel_passes: u64,
+    /// Statistics: freeze rounds (of `iterations`) that full passes took
+    /// from the log of the previous full pass instead of the heap.
+    pub replayed_rounds: u64,
     /// Entries (weighted flow groups) the most recent pass actually
     /// re-solved — the dirty-component size surfaced in trace events.
     /// Zero when the last recompute found nothing to do.
@@ -160,6 +230,16 @@ pub struct MaxMinSolver {
     epoch: u32,
     comp_entries: Vec<u32>,
     comp_res: Vec<u32>,
+    // ---- freeze log of the last full pass (module docs, "Prefix replay") ----
+    log_rounds: Vec<LogRound>,
+    log_entries: Vec<u32>,
+    /// The log describes a full pass over the entry set as it stood then,
+    /// and `pert_res` covers every change since.
+    log_valid: bool,
+    /// Resources perturbed since the logged pass: flagged in `pert_mark`,
+    /// listed once each in `pert_res`.
+    pert_mark: Vec<bool>,
+    pert_res: Vec<u32>,
 }
 
 impl MaxMinSolver {
@@ -197,6 +277,7 @@ impl MaxMinSolver {
             full_recomputes: 0,
             flows_coalesced: 0,
             parallel_passes: 0,
+            replayed_rounds: 0,
             last_pass_entries: 0,
             last_pass_full: false,
             ent_path: Vec::new(),
@@ -213,6 +294,11 @@ impl MaxMinSolver {
             epoch: 0,
             comp_entries: Vec::new(),
             comp_res: Vec::new(),
+            log_rounds: Vec::new(),
+            log_entries: Vec::new(),
+            log_valid: false,
+            pert_mark: Vec::new(),
+            pert_res: Vec::new(),
         })
     }
 
@@ -349,6 +435,7 @@ impl MaxMinSolver {
         if self.res_entries.len() != self.capacity.len() {
             self.res_entries = vec![Vec::new(); self.capacity.len()];
             self.res_mark = vec![0; self.capacity.len()];
+            self.pert_mark = vec![false; self.capacity.len()];
         }
     }
 
@@ -453,8 +540,11 @@ impl MaxMinSolver {
         self.last_pass_entries = 0;
         self.last_pass_full = false;
         if self.pending_full || !incremental {
+            // The dirty set is dropped unseen, so the log can no longer be
+            // checked against it: this pass runs from scratch and re-logs.
             self.pending_full = false;
             self.dirty_res.clear();
+            self.log_valid = false;
             self.collect_all_live();
             if !self.comp_entries.is_empty() {
                 self.full_recomputes += 1;
@@ -491,6 +581,9 @@ impl MaxMinSolver {
                 dirty_res,
                 comp_entries,
                 comp_res,
+                log_valid,
+                pert_mark,
+                pert_res,
                 ..
             } = self;
             for &r in dirty_res.iter() {
@@ -498,6 +591,10 @@ impl MaxMinSolver {
                 if res_mark[ri] != epoch {
                     res_mark[ri] = epoch;
                     comp_res.push(r);
+                    if *log_valid && !pert_mark[ri] {
+                        pert_mark[ri] = true;
+                        pert_res.push(r);
+                    }
                 }
             }
             dirty_res.clear();
@@ -547,11 +644,66 @@ impl MaxMinSolver {
         }
     }
 
+    /// Reset the per-resource scratch and run pass 1 over `comp_entries`:
+    /// weighted flow counts per resource, `remaining = capacity`, every
+    /// constrained entry unfrozen. Returns `(total weight, weight already
+    /// frozen)` — unconstrained entries are rated `INFINITY` on the spot.
+    fn begin_pass(&mut self) -> (u64, u64) {
+        let MaxMinSolver {
+            capacity,
+            remaining,
+            count,
+            version,
+            touched,
+            heap,
+            ent_path,
+            ent_weight,
+            ent_rate,
+            comp_entries,
+            ..
+        } = self;
+        // Scratch is shared with `solve`, so the two APIs can interleave
+        // on one solver.
+        for &r in touched.iter() {
+            count[r as usize] = 0;
+            version[r as usize] = 0;
+        }
+        touched.clear();
+        heap.clear();
+        let (mut total_weight, mut frozen) = (0u64, 0u64);
+        for &e in comp_entries.iter() {
+            let ei = e as usize;
+            let w = ent_weight[ei];
+            total_weight += w as u64;
+            let path = ent_path[ei].as_deref().expect("live entry");
+            if path.is_empty() {
+                ent_rate[ei] = f64::INFINITY;
+                frozen += w as u64;
+                continue;
+            }
+            ent_rate[ei] = -1.0;
+            for &r in path {
+                let ri = r as usize;
+                if count[ri] == 0 {
+                    touched.push(r);
+                    remaining[ri] = capacity[ri];
+                }
+                count[ri] += w;
+            }
+        }
+        (total_weight, frozen)
+    }
+
     /// Water-fill the entries listed in `comp_entries`, writing their
     /// rates. Mirrors [`MaxMinSolver::solve`] exactly, using the persistent
     /// `res_entries` incidence instead of a per-call CSR; weighted entries
     /// subtract their share once per unit of weight so the floating-point
     /// trajectory matches that many separate flows bit-for-bit.
+    ///
+    /// A full pass first replays the freeze log of the previous full pass
+    /// as far as it provably still holds and water-fills only the tail
+    /// (module docs, "Prefix replay"); a from-scratch pass is the same code
+    /// with nothing to replay.
     ///
     /// With a multi-thread `pool` and at least [`PARALLEL_MIN_ENTRIES`]
     /// entries, the pass runs the round-based parallel formulation
@@ -559,104 +711,164 @@ impl MaxMinSolver {
     /// produce bit-identical rates and iteration counts.
     fn waterfill(&mut self, pool: Option<&WorkerPool>) {
         self.rate_recomputes += 1;
-        let ids = std::mem::take(&mut self.comp_entries);
-        self.last_pass_entries = ids.len() as u64;
-        // Reset scratch for previously touched resources (shared with
-        // `solve`, so the two APIs can interleave on one solver).
-        for &r in &self.touched {
-            self.count[r as usize] = 0;
-            self.version[r as usize] = 0;
-        }
-        self.touched.clear();
-        self.heap.clear();
-
-        // Pass 1: weighted flow counts per resource.
-        let mut total_weight = 0u64;
-        let mut frozen = 0u64;
-        for &e in &ids {
-            let ei = e as usize;
-            let w = self.ent_weight[ei];
-            total_weight += w as u64;
-            let path = self.ent_path[ei].clone().expect("live entry");
-            if path.is_empty() {
-                self.ent_rate[ei] = f64::INFINITY;
-                frozen += w as u64;
-                continue;
-            }
-            self.ent_rate[ei] = -1.0;
-            for &r in path.iter() {
-                let ri = r as usize;
-                if self.count[ri] == 0 {
-                    self.touched.push(r);
-                    self.remaining[ri] = self.capacity[ri];
-                }
-                self.count[ri] += w;
-            }
-        }
+        self.last_pass_entries = self.comp_entries.len() as u64;
+        let (total_weight, mut frozen) = self.begin_pass();
 
         if let Some(pool) = pool {
-            if pool.threads() > 1 && ids.len() >= PARALLEL_MIN_ENTRIES {
+            if pool.threads() > 1 && self.comp_entries.len() >= PARALLEL_MIN_ENTRIES {
                 self.parallel_passes += 1;
+                self.log_valid = false; // the rounds keep no log
                 self.waterfill_rounds(pool, total_weight, frozen);
-                self.comp_entries = ids;
                 return;
             }
         }
 
-        // Initial heap: every touched resource's fair share.
-        for &r in &self.touched {
-            let ri = r as usize;
-            self.heap.push(HeapEntry {
-                share: self.remaining[ri] / self.count[ri] as f64,
-                resource: r,
-                version: 0,
-            });
+        let full = self.last_pass_full; // set by `recompute_with`
+        let MaxMinSolver {
+            remaining,
+            count,
+            version,
+            touched,
+            heap,
+            iterations,
+            replayed_rounds,
+            ent_path,
+            ent_weight,
+            ent_rate,
+            res_entries,
+            log_rounds,
+            log_entries,
+            log_valid,
+            pert_mark,
+            pert_res,
+            ..
+        } = self;
+
+        // Prefix replay: re-apply the logged rounds until the first one a
+        // perturbed resource could have changed.
+        let (mut kept_rounds, mut kept_entries) = (0usize, 0usize);
+        if full && *log_valid {
+            let mut pert_min = (f64::INFINITY, u32::MAX);
+            let mut pert_min_stale = true;
+            for round in log_rounds.iter() {
+                if pert_mark[round.bottleneck as usize] {
+                    break;
+                }
+                if pert_min_stale {
+                    pert_min = (f64::INFINITY, u32::MAX);
+                    for &r in pert_res.iter() {
+                        let ri = r as usize;
+                        if count[ri] > 0 {
+                            let key = ((remaining[ri] / count[ri] as f64).max(0.0), r);
+                            if pops_before(key, pert_min) {
+                                pert_min = key;
+                            }
+                        }
+                    }
+                    pert_min_stale = false;
+                }
+                if pops_before(pert_min, (round.share, round.bottleneck)) {
+                    break;
+                }
+                let end = round.end as usize;
+                for &e in &log_entries[kept_entries..end] {
+                    let ei = e as usize;
+                    ent_rate[ei] = round.share;
+                    let w = ent_weight[ei];
+                    frozen += w as u64;
+                    for &r2 in ent_path[ei].as_deref().expect("live entry") {
+                        let r2i = r2 as usize;
+                        count[r2i] -= w;
+                        for _ in 0..w {
+                            remaining[r2i] -= round.share;
+                        }
+                        pert_min_stale |= pert_mark[r2i];
+                    }
+                }
+                debug_assert_eq!(
+                    count[round.bottleneck as usize], 0,
+                    "replayed bottleneck must fully drain"
+                );
+                kept_entries = end;
+                kept_rounds += 1;
+            }
+            *iterations += kept_rounds as u64;
+            *replayed_rounds += kept_rounds as u64;
         }
+        log_rounds.truncate(kept_rounds);
+        log_entries.truncate(kept_entries);
+
+        // Bottleneck frontier: every touched resource still hosting an
+        // unfrozen entry, at its current fair share (heapified in place).
+        let mut frontier = std::mem::take(heap).into_vec();
+        frontier.extend(
+            touched
+                .iter()
+                .filter(|&&r| count[r as usize] > 0)
+                .map(|&r| HeapEntry {
+                    share: (remaining[r as usize] / count[r as usize] as f64).max(0.0),
+                    resource: r,
+                    version: 0,
+                }),
+        );
+        *heap = BinaryHeap::from(frontier);
 
         // Progressive filling over the component's entries. Resources in
-        // `touched` only host entries from `ids` (BFS closure), so the
-        // freeze loop never sees a stale outside rate.
+        // `touched` only host entries from `comp_entries` (BFS closure), so
+        // the freeze loop never sees a stale outside rate.
         while frozen < total_weight {
-            let entry = match self.heap.pop() {
+            let entry = match heap.pop() {
                 Some(e) => e,
                 None => break, // numerically everything frozen
             };
             let r = entry.resource as usize;
-            if entry.version != self.version[r] || self.count[r] == 0 {
+            if entry.version != version[r] || count[r] == 0 {
                 continue; // stale
             }
-            let share = (self.remaining[r] / self.count[r] as f64).max(0.0);
-            self.iterations += 1;
-            for k in 0..self.res_entries[r].len() {
-                let e = self.res_entries[r][k];
+            let share = (remaining[r] / count[r] as f64).max(0.0);
+            *iterations += 1;
+            for &e in &res_entries[r] {
                 let ei = e as usize;
-                if self.ent_rate[ei] >= 0.0 {
+                if ent_rate[ei] >= 0.0 {
                     continue; // already frozen by an earlier bottleneck
                 }
-                self.ent_rate[ei] = share;
-                let w = self.ent_weight[ei];
+                ent_rate[ei] = share;
+                log_entries.push(e);
+                let w = ent_weight[ei];
                 frozen += w as u64;
-                let path = self.ent_path[ei].clone().expect("live entry");
-                for &r2 in path.iter() {
+                for &r2 in ent_path[ei].as_deref().expect("live entry") {
                     let r2i = r2 as usize;
-                    self.count[r2i] -= w;
+                    count[r2i] -= w;
                     for _ in 0..w {
-                        self.remaining[r2i] -= share;
+                        remaining[r2i] -= share;
                     }
-                    if r2i != r && self.count[r2i] > 0 {
-                        self.version[r2i] += 1;
-                        self.heap.push(HeapEntry {
-                            share: (self.remaining[r2i] / self.count[r2i] as f64).max(0.0),
+                    if r2i != r && count[r2i] > 0 {
+                        version[r2i] += 1;
+                        heap.push(HeapEntry {
+                            share: (remaining[r2i] / count[r2i] as f64).max(0.0),
                             resource: r2,
-                            version: self.version[r2i],
+                            version: version[r2i],
                         });
                     }
                 }
             }
-            debug_assert_eq!(self.count[r], 0, "bottleneck must fully drain");
-            self.version[r] += 1;
+            debug_assert_eq!(count[r], 0, "bottleneck must fully drain");
+            version[r] += 1;
+            log_rounds.push(LogRound {
+                share,
+                bottleneck: entry.resource,
+                end: log_entries.len() as u32,
+            });
         }
-        self.comp_entries = ids;
+
+        // Only a full pass leaves a log the next one can resume from; the
+        // perturbed set restarts empty with it.
+        *log_valid = full;
+        if full {
+            for r in pert_res.drain(..) {
+                pert_mark[r as usize] = false;
+            }
+        }
     }
 
     /// Round-based parallel water-fill over the pass the caller already
@@ -715,7 +927,7 @@ impl MaxMinSolver {
                             return false;
                         }
                         let share = (remaining[ri] / count[ri] as f64).max(0.0);
-                        if share < best.0 || (share == best.0 && r < best.1) {
+                        if pops_before((share, r), best) {
                             best = (share, r);
                         }
                         true
@@ -725,7 +937,7 @@ impl MaxMinSolver {
             }
             let (mut share, mut bottleneck) = (f64::INFINITY, u32::MAX);
             for &(s, r) in &mins {
-                if s < share || (s == share && r < bottleneck) {
+                if pops_before((s, r), (share, bottleneck)) {
                     share = s;
                     bottleneck = r;
                 }
@@ -880,6 +1092,212 @@ mod tests {
         s.recompute_with(true, 0.5, Some(&pool));
         assert_eq!(s.parallel_passes, 0);
         assert!((s.entry_rate(0) - 1e9).abs() < 1.0);
+    }
+
+    /// A solver driven through the replaying path (`incremental = true`,
+    /// threshold 0: every recompute is a full pass) in lockstep with a twin
+    /// on the from-scratch reference path (`incremental = false`). Every
+    /// recompute asserts bit-equal rates and equal iteration counts.
+    struct Twin {
+        fast: MaxMinSolver,
+        reference: MaxMinSolver,
+        live: Vec<u32>,
+    }
+
+    impl Twin {
+        fn new(caps: &[f64]) -> Self {
+            Twin {
+                fast: MaxMinSolver::new(caps.to_vec()).unwrap(),
+                reference: MaxMinSolver::new(caps.to_vec()).unwrap(),
+                live: Vec::new(),
+            }
+        }
+
+        fn insert(&mut self, path: &[u32]) -> u32 {
+            let id = self.fast.insert_entry(Arc::from(path), false);
+            assert_eq!(id, self.reference.insert_entry(Arc::from(path), false));
+            self.live.push(id);
+            id
+        }
+
+        fn remove(&mut self, id: u32) {
+            self.fast.remove_entry(id);
+            self.reference.remove_entry(id);
+            self.live.retain(|&e| e != id);
+        }
+
+        /// Recompute both; returns the rounds the fast solver replayed.
+        fn recompute(&mut self) -> u64 {
+            let before = self.fast.replayed_rounds;
+            self.fast.recompute(true, 0.0);
+            self.reference.recompute(false, 0.0);
+            assert_eq!(self.reference.replayed_rounds, 0);
+            assert_eq!(self.fast.iterations, self.reference.iterations);
+            for &e in &self.live {
+                assert_eq!(
+                    self.fast.entry_rate(e).to_bits(),
+                    self.reference.entry_rate(e).to_bits(),
+                    "entry {e}"
+                );
+            }
+            self.fast.replayed_rounds - before
+        }
+
+        fn max_rate_entry(&self) -> u32 {
+            *self
+                .live
+                .iter()
+                .max_by(|&&a, &&b| {
+                    let (ra, rb) = (self.fast.entry_rate(a), self.fast.entry_rate(b));
+                    ra.partial_cmp(&rb).unwrap().then(b.cmp(&a))
+                })
+                .unwrap()
+        }
+    }
+
+    /// Chain of three bottlenecks freezing at 5, 15 and 25: rounds
+    /// `(5, r0, [A, B])`, `(15, r1, [C])`, `(25, r2, [D])`.
+    fn chain() -> (Twin, [u32; 4]) {
+        let mut t = Twin::new(&[10.0, 20.0, 40.0, 1.0]);
+        let ids = [
+            t.insert(&[0]),
+            t.insert(&[0, 1]),
+            t.insert(&[1, 2]),
+            t.insert(&[2]),
+        ];
+        assert_eq!(t.recompute(), 0, "nothing to replay on the first pass");
+        assert_eq!(t.fast.iterations, 3);
+        assert_eq!(t.fast.entry_rate(ids[3]), 25.0);
+        (t, ids)
+    }
+
+    #[test]
+    fn removing_the_fastest_entry_replays_every_round_but_the_last() {
+        let (mut t, ids) = chain();
+        t.remove(ids[3]);
+        assert_eq!(t.recompute(), 2);
+        // The drained last bottleneck leaves no tail at all.
+        assert_eq!(t.fast.iterations, 5);
+        assert_eq!(t.fast.full_recomputes, 2);
+        assert!(t.fast.last_pass_full);
+        assert_eq!(t.fast.last_pass_entries, 3);
+    }
+
+    #[test]
+    fn an_insert_undercutting_the_first_bottleneck_replays_nothing() {
+        let (mut t, _) = chain();
+        let e = t.insert(&[3]); // capacity 1 < the first logged share of 5
+        assert_eq!(t.recompute(), 0);
+        assert_eq!(t.fast.entry_rate(e), 1.0);
+        // The insert became round 0 of the new log and the old rounds
+        // follow it there: a third flow on r2 (40 / 3 < 15) replays the
+        // rounds of r3 and r0 and stops ahead of r1's.
+        t.insert(&[2]);
+        assert_eq!(t.recompute(), 2);
+    }
+
+    #[test]
+    fn a_perturbed_tie_stops_the_replay_only_from_a_lower_id() {
+        // Logged round: (5, r1). A perturbed resource also at share 5
+        // pops first iff its id is lower.
+        for (path, replayed) in [([0u32], 0), ([2u32], 1)] {
+            let mut t = Twin::new(&[5.0, 10.0, 5.0]);
+            t.insert(&[1]);
+            t.insert(&[1]);
+            t.recompute();
+            let e = t.insert(&path);
+            assert_eq!(t.recompute(), replayed, "path {path:?}");
+            assert_eq!(t.fast.entry_rate(e), 5.0);
+        }
+    }
+
+    #[test]
+    fn a_recycled_entry_id_never_replays_its_stale_round() {
+        let mut t = Twin::new(&[10.0, 20.0, 30.0, 40.0]);
+        t.insert(&[0]);
+        let b = t.insert(&[1]);
+        t.insert(&[2]);
+        t.recompute();
+        // The freed id comes straight back for a different path; the log
+        // still lists it under the round of resource 1 at share 20.
+        t.remove(b);
+        assert_eq!(t.insert(&[3]), b);
+        assert_eq!(t.recompute(), 1);
+        assert_eq!(t.fast.entry_rate(b), 40.0);
+    }
+
+    #[test]
+    fn a_component_pass_or_an_invalidation_discards_the_log() {
+        // Three independent pairs: rounds (5, r0), (10, r1), (15, r2).
+        let setup = || {
+            let mut s = MaxMinSolver::new(vec![10.0, 20.0, 30.0]).unwrap();
+            let ids: Vec<u32> = [[0u32], [0], [1], [1], [2], [2]]
+                .iter()
+                .map(|p| s.insert_entry(Arc::from(p.as_slice()), false))
+                .collect();
+            s.recompute(true, 0.0);
+            assert!(s.last_pass_full);
+            (s, ids)
+        };
+        // Control: two full passes back to back replay up to the change.
+        let (mut s, ids) = setup();
+        s.remove_entry(ids[4]);
+        s.recompute(true, 0.0);
+        assert_eq!(s.replayed_rounds, 2);
+
+        // A component-local pass in between (threshold 1.0 never degrades).
+        let (mut s, ids) = setup();
+        s.remove_entry(ids[0]);
+        s.recompute(true, 1.0);
+        assert!(!s.last_pass_full);
+        s.remove_entry(ids[4]);
+        s.recompute(true, 0.0);
+        assert!(s.last_pass_full);
+        assert_eq!(s.replayed_rounds, 0);
+        assert_eq!(s.entry_rate(ids[1]), 10.0);
+        assert_eq!(s.entry_rate(ids[3]), 10.0);
+        assert_eq!(s.entry_rate(ids[5]), 30.0);
+
+        // Fault churn: the dirty set is dropped, so the log goes with it.
+        let (mut s, ids) = setup();
+        s.invalidate_all();
+        s.remove_entry(ids[4]);
+        s.recompute(true, 0.0);
+        assert_eq!(s.replayed_rounds, 0);
+        // ...and the pass it forced left a log like any other.
+        s.remove_entry(ids[2]);
+        s.recompute(true, 0.0);
+        assert_eq!(s.replayed_rounds, 1);
+    }
+
+    /// The workload the replay exists for: one giant component, the fastest
+    /// flow leaves, repeat. Counts, not times, so it cannot flake.
+    #[test]
+    fn fastest_first_departures_replay_nine_rounds_in_ten() {
+        let caps: Vec<f64> = (0..96).map(|i| 1e9 + i as f64 * 3.7e7).collect();
+        let mut t = Twin::new(&caps);
+        let mut st = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..256 {
+            let mut p: Vec<u32> = (0..3)
+                .map(|_| (xorshift(&mut st) % caps.len() as u64) as u32)
+                .collect();
+            p.sort_unstable();
+            p.dedup();
+            t.insert(&p);
+        }
+        t.recompute();
+        let first_pass = t.fast.iterations;
+        for _ in 0..200 {
+            let e = t.max_rate_entry();
+            t.remove(e);
+            t.recompute();
+        }
+        let later = t.fast.iterations - first_pass;
+        assert!(
+            t.fast.replayed_rounds * 10 >= later * 9,
+            "replayed {} of {later} rounds",
+            t.fast.replayed_rounds
+        );
     }
 
     fn solve(caps: &[f64], paths: &[&[u32]]) -> Vec<f64> {

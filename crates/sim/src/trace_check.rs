@@ -11,8 +11,14 @@
 //!    its active lifetime delivers exactly its size (within the engine's
 //!    completion-batching epsilon), restarting the count when a
 //!    `reroute_restart` discards progress.
-//! 3. **Capacity** — at every rate recomputation, the allocations crossing
-//!    each resource sum to at most its capacity.
+//! 3. **Capacity and max-min fairness** — at every rate recomputation, the
+//!    allocations crossing each resource sum to at most its capacity, and
+//!    every flow crosses at least one *saturated* resource on which no
+//!    other flow has a higher rate. That bottleneck condition is the
+//!    textbook characterisation of the max-min fair allocation — a
+//!    feasible allocation satisfies it iff no flow can be raised without
+//!    lowering one that is no faster — so it certifies the solver's output
+//!    against the definition rather than against another run of the solver.
 //! 4. **Dependencies** — a flow only activates after every DAG predecessor
 //!    finished or was skipped.
 //! 5. **Fault discipline** — flows are only skipped while at least one
@@ -78,7 +84,9 @@ impl std::error::Error for TraceViolation {}
 /// epsilon: integrating rates over thousands of intervals loses a few ulps.
 const FLOAT_SLACK: f64 = 1e-6;
 /// Relative capacity headroom: progressive filling saturates bottlenecks
-/// exactly, so anything beyond rounding noise is a real violation.
+/// exactly, so anything beyond rounding noise is a real violation. The
+/// fairness certificate uses the same slack for "saturated" and for "no
+/// other flow is faster".
 const CAPACITY_SLACK: f64 = 1e-9;
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -179,7 +187,8 @@ fn check_inner(
     // Current rate assignment: (flow, bits/second), valid since `last_t`.
     let mut current_rates: Vec<(u32, f64)> = Vec::new();
     let mut down: BTreeSet<u32> = BTreeSet::new();
-    let mut load: HashMap<u32, f64> = HashMap::new();
+    // Per resource at the current recompute: (summed rate, highest rate).
+    let mut load: HashMap<u32, (f64, f64)> = HashMap::new();
     let mut last_t = 0.0f64;
     let mut summary = TraceSummary {
         events: events.len(),
@@ -407,10 +416,12 @@ fn check_inner(
                         return Err(fail(Some(i), format!("flow {f} assigned rate {rate}")));
                     }
                     for &r in &replay[f as usize].path {
-                        *load.entry(r).or_insert(0.0) += rate;
+                        let slot = load.entry(r).or_insert((0.0, 0.0));
+                        slot.0 += rate;
+                        slot.1 = slot.1.max(rate);
                     }
                 }
-                for (&r, &l) in &load {
+                for (&r, &(l, _)) in &load {
                     let cap = capacities_bps[r as usize];
                     if l > cap * (1.0 + CAPACITY_SLACK) {
                         return Err(fail(
@@ -420,6 +431,25 @@ fn check_inner(
                     }
                     if cap > 0.0 {
                         summary.max_utilization = summary.max_utilization.max(l / cap);
+                    }
+                }
+                // Fairness certificate: each flow has a bottleneck — a
+                // saturated resource on its path where it is (one of) the
+                // fastest flows.
+                for (&f, &rate) in flows.iter().zip(rates_bps) {
+                    let bottlenecked = replay[f as usize].path.iter().any(|r| {
+                        let (l, fastest) = load[r];
+                        l >= capacities_bps[*r as usize] * (1.0 - CAPACITY_SLACK)
+                            && rate >= fastest * (1.0 - CAPACITY_SLACK)
+                    });
+                    if !bottlenecked {
+                        return Err(fail(
+                            Some(i),
+                            format!(
+                                "flow {f} at {rate} bps is not max-min fair: no resource on \
+                                 its path is saturated with it among the fastest"
+                            ),
+                        ));
                     }
                 }
                 current_rates = flows
@@ -593,6 +623,43 @@ mod tests {
         };
         let err = check_trace(&t).unwrap_err();
         assert!(err.message.contains("over capacity"), "{err}");
+    }
+
+    /// Two flows started on the one path `[2, 0, 5]`, rated as given.
+    fn two_flows_rated(rates_bps: Vec<f64>) -> Vec<TraceEvent> {
+        let mut t = vec![header(2), activated(0, 0.0), activated(1, 0.0)];
+        t.extend((0..2).map(|flow| TraceEvent::FlowStarted {
+            t: 0.0,
+            flow,
+            path: vec![2, 0, 5],
+        }));
+        t.push(TraceEvent::RateRecompute {
+            t: 0.0,
+            flows: vec![0, 1],
+            rates_bps,
+            entries_solved: 2,
+            full_pass: true,
+        });
+        t.push(TraceEvent::BudgetExhausted { t: 0.0, events: 1 });
+        t
+    }
+
+    #[test]
+    fn rejects_an_unfair_allocation() {
+        // 0.3 / 0.7 of the shared link: feasible and work-conserving, but
+        // the slower flow has no bottleneck where it is among the fastest.
+        let err = check_trace(&two_flows_rated(vec![0.3e9, 0.7e9])).unwrap_err();
+        assert!(err.message.contains("flow 0"), "{err}");
+        assert!(err.message.contains("max-min"), "{err}");
+        check_trace(&two_flows_rated(vec![0.5e9, 0.5e9])).unwrap();
+    }
+
+    #[test]
+    fn rejects_an_unsaturated_allocation() {
+        // Equal rates that leave a fifth of the link idle: both flows could
+        // be raised, so neither has a saturated resource on its path.
+        let err = check_trace(&two_flows_rated(vec![0.4e9, 0.4e9])).unwrap_err();
+        assert!(err.message.contains("max-min"), "{err}");
     }
 
     #[test]

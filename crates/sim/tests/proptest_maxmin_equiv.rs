@@ -1,7 +1,9 @@
 //! Property tests for the incremental entry API of [`MaxMinSolver`]: under
 //! arbitrary join/leave/reroute/invalidate sequences — with and without
-//! coalescing, and under real `FaultOverlay` path churn — the incremental
-//! rates match a from-scratch `MaxMinSolver::solve` over the same flow set.
+//! coalescing, under real `FaultOverlay` path churn, and under the
+//! fastest-first departures that make full passes replay their logged
+//! prefix — the incremental rates match a from-scratch
+//! `MaxMinSolver::solve` over the same flow set.
 //!
 //! The design guarantee is stronger than the 1e-9 tolerance the engine
 //! needs: the incremental path is *bit-identical* to the full solve (see
@@ -128,6 +130,106 @@ proptest! {
     #[test]
     fn zero_threshold_always_full(caps in caps_strategy(), ops in ops_strategy()) {
         run_op_sequence(caps, ops, true, 0.0);
+    }
+}
+
+/// Non-empty-biased short paths: with equal capacities almost every share
+/// is `cap / small integer`, so bottlenecks tie constantly.
+fn tie_path_strategy() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..RESOURCES as u32, 1..4).prop_map(|mut p| {
+        p.sort_unstable();
+        p.dedup();
+        p
+    })
+}
+
+/// Churn shaped like the engine's heavy random workloads, aimed at the
+/// prefix replay (`maxmin` module docs): every capacity equal, departures
+/// biased to the fastest and the slowest entry. `fast` replays; `reference`
+/// runs every pass from scratch (`incremental = false`). Rates must match
+/// a fresh `solve` bit for bit, and every full pass of `fast` must count
+/// exactly the freeze rounds the from-scratch pass counts.
+fn run_replay_churn(
+    cap: f64,
+    preload: Vec<Vec<u32>>,
+    ops: Vec<(u8, Vec<u32>, usize)>,
+    coalesce: bool,
+    threshold: f64,
+) {
+    let caps = vec![cap; RESOURCES];
+    let mut fast = MaxMinSolver::new(caps.clone()).unwrap();
+    let mut reference = MaxMinSolver::new(caps.clone()).unwrap();
+    let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
+    let insert = |fast: &mut MaxMinSolver, reference: &mut MaxMinSolver, path: Vec<u32>| {
+        let id = fast.insert_entry(Arc::from(path.clone()), coalesce);
+        assert_eq!(
+            id,
+            reference.insert_entry(Arc::from(path.clone()), coalesce)
+        );
+        (id, path)
+    };
+    for path in preload {
+        live.push(insert(&mut fast, &mut reference, path));
+    }
+    let ops = std::iter::once((u8::MAX, Vec::new(), 0)).chain(ops);
+    for (step, (kind, path, pick)) in ops.enumerate() {
+        // Index of the live flow with the extreme rate (first among ties).
+        let extreme = |fast: &MaxMinSolver, live: &[(u32, Vec<u32>)], fastest: bool| {
+            let key = |i: &usize| fast.entry_rate(live[*i].0);
+            let cmp = |a: &usize, b: &usize| key(a).partial_cmp(&key(b)).unwrap().then(b.cmp(a));
+            let all = 0..live.len();
+            if fastest {
+                all.max_by(cmp)
+            } else {
+                all.min_by(cmp)
+            }
+        };
+        let victim = match kind {
+            2 | 3 => extreme(&fast, &live, true),
+            4 => extreme(&fast, &live, false),
+            5 | 6 if !live.is_empty() => Some(pick % live.len()),
+            _ => None,
+        };
+        if let Some(i) = victim {
+            let (id, _) = live.swap_remove(i);
+            fast.remove_entry(id);
+            reference.remove_entry(id);
+        }
+        match kind {
+            0 | 1 | 6 => live.push(insert(&mut fast, &mut reference, path)),
+            7 => {
+                fast.invalidate_all();
+                reference.invalidate_all();
+            }
+            _ => {}
+        }
+        let before = (fast.iterations, reference.iterations);
+        fast.recompute(true, threshold);
+        reference.recompute(false, threshold);
+        assert_rates_match(&fast, &live, &caps, step);
+        if fast.last_pass_full {
+            assert_eq!(
+                fast.iterations - before.0,
+                reference.iterations - before.1,
+                "step {step}: a replayed pass counted different freeze rounds"
+            );
+        }
+    }
+    assert_eq!(reference.replayed_rounds, 0);
+}
+
+// No `proptest_config`: the case count follows `PROPTEST_CASES`, which
+// `scripts/check.sh` raises for this file.
+proptest! {
+    #[test]
+    fn replayed_passes_match_from_scratch_under_tie_heavy_churn(
+        cap in prop::sample::select(vec![1.0f64, 3.0, 10.0]),
+        preload in prop::collection::vec(tie_path_strategy(), 8..40),
+        ops in prop::collection::vec((0u8..8, tie_path_strategy(), 0usize..1 << 16), 1..60),
+        coalesce in any::<bool>(),
+        threshold in prop::sample::select(vec![0.0f64, 0.5]),
+    ) {
+        run_replay_churn(cap, preload, ops, coalesce, threshold);
     }
 }
 

@@ -22,6 +22,12 @@ $TIMEOUT 1800 cargo test -q --workspace
 echo "== engine equivalence with EXAFLOW_THREADS=2 (auto resolves to a pool)"
 EXAFLOW_THREADS=2 $TIMEOUT 900 cargo test -q -p exaflow-suite --test engine_equiv
 
+# The workspace run gives the tie-heavy replay churn the default 64 cases
+# (tier-1 stays fast); the gate gives it real volume. Only strategies
+# without a pinned `with_cases` follow the variable.
+echo "== max-min replay churn with PROPTEST_CASES=512"
+PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-sim --test proptest_maxmin_equiv
+
 echo "== crash-safety gate: kill-and-resume, torn journals, retry/quarantine"
 $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 

@@ -4,7 +4,10 @@
 //! legitimately differ — to the plain full-solve-per-event engine. Covered
 //! across the paper's topology families (torus, fattree, standalone GHC,
 //! NestGHC, NestTree), fault-free and with a mid-run link cut + repair
-//! under all four recovery policies.
+//! under all four recovery policies. A last row drives random heavy
+//! traffic with `incremental_full_threshold: 0.0`, so every recompute is a
+//! full pass resumed from the previous pass's freeze log (`maxmin` module
+//! docs, "Prefix replay").
 
 use exaflow::prelude::*;
 use exaflow::sim::FaultSchedule;
@@ -493,6 +496,127 @@ fn faulted_reports_bit_identical_across_modes_and_policies() {
                         "{name}/{policy:?}: incremental={inc} coalesce={coal} \
                          changed success/failure: {report:?} vs {reference:?}"
                     ),
+                }
+            }
+        }
+    }
+}
+
+/// Run `dag` traced under `schedule`/`policy`: the outcome (canonical
+/// report, or the error's debug form) and the canonical trace.
+fn outcome(
+    topo: &dyn Topology,
+    cfg: SimConfig,
+    dag: &FlowDag,
+    schedule: &FaultSchedule,
+    policy: RecoveryPolicy,
+) -> (Result<String, String>, Vec<TraceEvent>) {
+    let mut sink = VecSink::new();
+    let result = Simulator::with_config(topo, cfg)
+        .run_with(dag, schedule, policy, Some(&mut sink))
+        .map(|r| canonical(&r))
+        .map_err(|e| format!("{e:?}"));
+    (result, sink.into_events())
+}
+
+/// The replay row. Random heavy traffic makes the sharing graph one giant
+/// component, and a threshold of 0 degrades every recompute to a full
+/// pass, so each one resumes from the freeze log of the one before:
+/// through departures (UnstructuredMgnt: mice finish first whatever their
+/// rate), through insertions mid-run (the second Bisection round starts
+/// behind dependencies), and — under a cut + repair — through
+/// `invalidate_all` discarding the log. Reports and traces must equal the
+/// `solver_incremental = false` engine under all four recovery policies,
+/// and every complete trace must carry the oracle's fairness certificate.
+#[test]
+fn replayed_full_passes_match_the_from_scratch_engine() {
+    let families = [
+        ("torus-8x8", TopologySpec::Torus { dims: vec![8, 8] }),
+        (
+            "fattree-64",
+            TopologySpec::Fattree {
+                k: 4,
+                n: 3,
+                endpoints: None,
+            },
+        ),
+    ];
+    for (name, spec) in families {
+        let topo = spec.build().unwrap();
+        let eps = topo.num_endpoints();
+        let workloads = [
+            WorkloadSpec::UnstructuredMgnt {
+                tasks: eps,
+                flows_per_task: 4,
+                seed: 7,
+            },
+            WorkloadSpec::Bisection {
+                tasks: eps,
+                rounds: 2,
+                bytes: 1 << 18,
+                seed: 7,
+            },
+        ];
+        for workload in workloads {
+            let dag = workload.generate(&TaskMapping::linear(eps, eps));
+            let healthy = Simulator::with_config(topo.as_ref(), cfg(false, false))
+                .run(&dag)
+                .unwrap();
+            let schedules = [
+                FaultSchedule::empty(),
+                schedule_for(topo.as_ref(), &healthy),
+            ];
+            for (schedule, policy) in schedules
+                .iter()
+                .flat_map(|s| RecoveryPolicy::ALL.map(|p| (s, p)))
+            {
+                let label = format!(
+                    "{name}/{workload:?}/{policy:?}/{} fault events",
+                    schedule.events().len()
+                );
+                let (want, want_trace) =
+                    outcome(topo.as_ref(), cfg(false, false), &dag, schedule, policy);
+                if want.is_ok() {
+                    check_trace_with_topology(&want_trace, topo.as_ref())
+                        .unwrap_or_else(|v| panic!("{label}: reference oracle: {v}"));
+                }
+                if policy == RecoveryPolicy::RerouteResume {
+                    let fired = want_trace
+                        .iter()
+                        .any(|ev| matches!(ev, TraceEvent::FaultApplied { .. }));
+                    assert_eq!(
+                        fired,
+                        !schedule.events().is_empty(),
+                        "{label}: the crafted schedule never fired"
+                    );
+                }
+                for coalesce in [true, false] {
+                    let replaying = SimConfig {
+                        incremental_full_threshold: 0.0,
+                        ..cfg(true, coalesce)
+                    };
+                    let (got, trace) = outcome(topo.as_ref(), replaying, &dag, schedule, policy);
+                    assert_eq!(got, want, "{label}: coalesce={coalesce} report diverged");
+                    assert!(
+                        trace.iter().all(|ev| !matches!(
+                            ev,
+                            TraceEvent::RateRecompute {
+                                entries_solved: 1..,
+                                full_pass: false,
+                                ..
+                            }
+                        )),
+                        "{label}: coalesce={coalesce} took a component-local pass"
+                    );
+                    if got.is_ok() {
+                        check_trace(&trace)
+                            .unwrap_or_else(|v| panic!("{label}: coalesce={coalesce} oracle: {v}"));
+                    }
+                    assert_eq!(
+                        canonical_trace(&trace),
+                        canonical_trace(&want_trace),
+                        "{label}: coalesce={coalesce} trace diverged"
+                    );
                 }
             }
         }
