@@ -12,11 +12,11 @@
 
 use exaflow::prelude::*;
 use exaflow::sim::maxmin::MaxMinSolver;
+use exaflow::sim::{PathId, PathTable};
 use exaflow_bench::allreduce_round0_paths;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Churn events in the solver-level scenario.
@@ -59,6 +59,7 @@ struct EngineRun {
 struct SolverMirror {
     cfg: SimConfig,
     solver: Option<MaxMinSolver>,
+    paths: PathTable,
     entries: HashMap<u32, u32>,
 }
 
@@ -70,7 +71,8 @@ impl TraceSink for SolverMirror {
         let solver = self.solver.as_mut().expect("run_started comes first");
         match event {
             TraceEvent::FlowStarted { flow, path, .. } => {
-                let id = solver.insert_entry(Arc::from(path.as_slice()), self.cfg.coalesce_flows);
+                let path = self.paths.intern(path);
+                let id = solver.insert_entry(&self.paths, path, self.cfg.coalesce_flows);
                 self.entries.insert(*flow, id);
             }
             // Degenerate flows finish without ever having started.
@@ -80,6 +82,7 @@ impl TraceSink for SolverMirror {
                 }
             }
             TraceEvent::RateRecompute { .. } => solver.recompute(
+                &self.paths,
                 self.cfg.solver_incremental,
                 self.cfg.incremental_full_threshold,
             ),
@@ -147,8 +150,10 @@ struct Snapshot {
 }
 
 /// The issue's acceptance scenario: a 4096-endpoint AllReduce active set
-/// (8192 resources touched) where each event retires and re-admits one
-/// flow. Full water-filling per event vs dirty-component recompute.
+/// (8192 resources touched) where each event retires one flow and, a
+/// recompute later, admits it again. One full water-fill per event vs two
+/// dirty-component recomputes (a retire and re-admit of the same path
+/// between two recomputes is settled as no change and measures nothing).
 fn solver_churn() -> SolverChurn {
     let (resources, paths) = allreduce_round0_paths(&[16, 16, 16]);
     let caps = vec![10e9; resources];
@@ -162,18 +167,21 @@ fn solver_churn() -> SolverChurn {
     }
     let full_seconds = t.elapsed().as_secs_f64();
 
+    let mut table = PathTable::new();
+    let path_ids: Vec<PathId> = paths.iter().map(|p| table.intern(p)).collect();
     let mut inc = MaxMinSolver::new(caps).unwrap();
-    let mut ids: Vec<u32> = paths
+    let mut ids: Vec<u32> = path_ids
         .iter()
-        .map(|p| inc.insert_entry(Arc::from(p.as_slice()), true))
+        .map(|&p| inc.insert_entry(&table, p, true))
         .collect();
-    inc.recompute(true, 0.5);
+    inc.recompute(&table, true, 0.5);
     let t = Instant::now();
     for e in 0..EVENTS {
         let k = (e * 101) % flows;
         inc.remove_entry(ids[k]);
-        ids[k] = inc.insert_entry(Arc::from(paths[k].as_slice()), true);
-        inc.recompute(true, 0.5);
+        inc.recompute(&table, true, 0.5);
+        ids[k] = inc.insert_entry(&table, path_ids[k], true);
+        inc.recompute(&table, true, 0.5);
         black_box(inc.entry_rate(ids[k]));
     }
     let incremental_seconds = t.elapsed().as_secs_f64();
@@ -277,6 +285,7 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
     let mut mirror = SolverMirror {
         cfg: cfg(true),
         solver: None,
+        paths: PathTable::new(),
         entries: HashMap::new(),
     };
     Simulator::with_config(topo, cfg(true))
@@ -441,6 +450,7 @@ fn main() {
     let staggered = engine_run_dag("staggered_pairs_4096ep_torus", &big_torus, &staggered_dag);
 
     let heavy = SystemScale::new(1024).unwrap();
+    let reduce_scale = SystemScale::new(32_768).unwrap();
     let engine = vec![
         staggered,
         engine_run(
@@ -481,6 +491,25 @@ fn main() {
                 tasks: heavy.qfdbs as usize,
                 flows_per_task: 1,
                 seed: 1,
+            },
+        ),
+        // Every event retires 512 ring flows and re-issues their paths:
+        // the deferred settle's regime (one water-fill for 256 events).
+        engine_run(
+            "nbodies_512_fattree",
+            &scale.fattree_spec(),
+            &WorkloadSpec::NBodies {
+                tasks: 512,
+                bytes: presets::MIB,
+            },
+        ),
+        // One batch of 32,767 entries sharing the root's ejection port.
+        engine_run(
+            "reduce_32768_torus",
+            &reduce_scale.torus_spec(),
+            &WorkloadSpec::Reduce {
+                tasks: reduce_scale.qfdbs as usize,
+                bytes: 64 << 10,
             },
         ),
     ];

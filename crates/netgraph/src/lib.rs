@@ -24,6 +24,7 @@
 pub mod bfs;
 pub mod builder;
 pub mod dot;
+pub mod hash;
 pub mod ids;
 pub mod network;
 pub mod path;
@@ -32,6 +33,7 @@ pub mod stats;
 pub use bfs::{bfs_distances, bfs_distances_physical, BfsScratch, PhysCsr};
 pub use builder::NetworkBuilder;
 pub use dot::DotOptions;
+pub use hash::{IntHasher, IntMap};
 pub use ids::{LinkId, NodeId};
 pub use network::{Link, Network, NodeKind};
 pub use path::{validate_path, PathError};

@@ -5,20 +5,21 @@ use crate::dag::{FlowDag, FlowId};
 use crate::error::SimError;
 use crate::fault::{FaultAction, FaultSchedule, RecoveryPolicy};
 use crate::maxmin::MaxMinSolver;
+use crate::paths::{PathId, PathTable};
 use crate::pool::{SharedSlice, WorkerPool};
 use crate::report::SimReport;
 use crate::trace::{MetricsRegistry, TraceEvent, TraceSink};
-use exaflow_netgraph::{LinkId, NodeId};
+use exaflow_netgraph::{IntMap, LinkId, NodeId};
 use exaflow_topo::{FaultOverlay, Topology};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Routes a prefetch batch computed ahead of admission, keyed by endpoint
-/// pair; failed routes are kept so admission re-reports the same error.
-type PrefetchedRoutes = HashMap<(u32, u32), Result<Arc<[u32]>, SimError>>;
+/// pair and interned when admission consumes them; failed routes are kept
+/// so admission re-reports the same error.
+type PrefetchedRoutes = IntMap<(u32, u32), Result<Vec<u32>, SimError>>;
 
 /// Bytes no longer outstanding at a cut point: total workload bytes minus
 /// the bits still `remaining`. Finished flows have zero remaining, partial
@@ -281,7 +282,7 @@ impl serde::de::Deserialize for SimConfig {
     }
 }
 
-/// Bounded `(src, dst) -> path` memo with two-generation eviction.
+/// Bounded `(src, dst) -> path id` memo with two-generation eviction.
 ///
 /// Inserts land in the `fresh` generation; once it holds half the cap the
 /// previous generation is dropped wholesale and `fresh` becomes `stale`.
@@ -292,10 +293,11 @@ impl serde::de::Deserialize for SimConfig {
 /// exact size threshold, so the eviction trajectory is deterministic (no
 /// dependence on `HashMap` iteration order) and — because lookups happen
 /// in the engine's sequential admission order — identical at every
-/// `solver_threads` value.
+/// `solver_threads` value. Eviction forgets a pair, not its path: the ids
+/// index the run's [`PathTable`], which keeps every path it was given.
 struct RouteCache {
-    fresh: HashMap<(u32, u32), Arc<[u32]>>,
-    stale: HashMap<(u32, u32), Arc<[u32]>>,
+    fresh: IntMap<(u32, u32), PathId>,
+    stale: IntMap<(u32, u32), PathId>,
     /// Per-generation capacity; 0 disables insertion (`route_cache_cap = 0`).
     half_cap: usize,
     hits: u64,
@@ -305,8 +307,8 @@ struct RouteCache {
 impl RouteCache {
     fn new(cap: usize) -> Self {
         RouteCache {
-            fresh: HashMap::new(),
-            stale: HashMap::new(),
+            fresh: IntMap::default(),
+            stale: IntMap::default(),
             half_cap: cap.div_ceil(2),
             hits: 0,
             evictions: 0,
@@ -314,14 +316,14 @@ impl RouteCache {
     }
 
     /// Cached route for `key`, counting a hit and promoting stale entries.
-    fn get(&mut self, key: (u32, u32)) -> Option<Arc<[u32]>> {
-        if let Some(p) = self.fresh.get(&key) {
+    fn get(&mut self, key: (u32, u32)) -> Option<PathId> {
+        if let Some(&p) = self.fresh.get(&key) {
             self.hits += 1;
-            return Some(p.clone());
+            return Some(p);
         }
         let p = self.stale.remove(&key)?;
         self.hits += 1;
-        self.insert(key, p.clone());
+        self.insert(key, p);
         Some(p)
     }
 
@@ -331,7 +333,7 @@ impl RouteCache {
         self.fresh.contains_key(&key) || self.stale.contains_key(&key)
     }
 
-    fn insert(&mut self, key: (u32, u32), path: Arc<[u32]>) {
+    fn insert(&mut self, key: (u32, u32), path: PathId) {
         if self.half_cap == 0 {
             return;
         }
@@ -344,12 +346,19 @@ impl RouteCache {
 
     /// Drop every cached path crossing a newly-downed link. Fault purges
     /// are not evictions: the counter tracks capacity pressure only.
-    fn purge_crossing(&mut self, downed: &[u32]) {
-        self.fresh
-            .retain(|_, p| !p.iter().any(|r| downed.contains(r)));
-        self.stale
-            .retain(|_, p| !p.iter().any(|r| downed.contains(r)));
+    fn purge_crossing(&mut self, paths: &PathTable, downed: &[u32]) {
+        let clear = |p: &mut PathId| !paths.get(*p).iter().any(|r| downed.contains(r));
+        self.fresh.retain(|_, p| clear(p));
+        self.stale.retain(|_, p| clear(p));
     }
+}
+
+/// Buffers [`Simulator::build_path`] reuses across flows: the physical
+/// route and the resource path made from it.
+#[derive(Default)]
+struct RouteScratch {
+    links: Vec<LinkId>,
+    route: Vec<u32>,
 }
 
 /// Smallest activation batch (in distinct uncached endpoint pairs) worth
@@ -500,6 +509,9 @@ impl<'a> Simulator<'a> {
         let (succ_offsets, succs) = dag.successors();
 
         let mut solver = MaxMinSolver::new(self.resource_capacities())?;
+        // Every route of the run, interned once; the route cache, the
+        // active and delayed sets and the solver all hold ids into it.
+        let mut paths = PathTable::new();
         let mut route_cache = RouteCache::new(self.cfg.route_cache_cap);
         let mut overlay = FaultOverlay::new(self.topo);
 
@@ -513,7 +525,7 @@ impl<'a> Simulator<'a> {
         // Routes computed ahead of admission by a prefetch batch, keyed by
         // endpoint pair; consumed (or invalidated by fault churn) before
         // any overlay state can drift from what the workers saw.
-        let mut prefetched: PrefetchedRoutes = HashMap::new();
+        let mut prefetched: PrefetchedRoutes = IntMap::default();
         let mut parallel_route_batches = 0u64;
         let fault_events = schedule.events();
         let mut fault_idx = 0usize;
@@ -538,7 +550,7 @@ impl<'a> Simulator<'a> {
 
         // Active set: parallel vectors of flow id and path (resource list).
         let mut active_ids: Vec<u32> = Vec::new();
-        let mut active_paths: Vec<Arc<[u32]>> = Vec::new();
+        let mut active_paths: Vec<PathId> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
         let mut done_flags: Vec<bool> = Vec::new();
         // Incremental/coalesced mode: per-active-flow solver entry id,
@@ -548,7 +560,7 @@ impl<'a> Simulator<'a> {
         let mut active_entries: Vec<u32> = Vec::new();
         // Flows waiting out their head latency.
         let mut delayed: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
-        let mut delayed_paths: HashMap<u32, Arc<[u32]>> = HashMap::new();
+        let mut delayed_paths: IntMap<u32, PathId> = IntMap::default();
 
         let mut now = 0.0f64;
         let mut completed = 0usize;
@@ -557,7 +569,7 @@ impl<'a> Simulator<'a> {
         // the event budget) at every event boundary so a runaway cell
         // terminates with a typed error instead of hanging its worker.
         let wall_deadline = self.cfg.max_wall_s.map(|limit| (Instant::now(), limit));
-        let mut path_scratch: Vec<exaflow_netgraph::LinkId> = Vec::new();
+        let mut scratch = RouteScratch::default();
         let latency_model = self.cfg.per_hop_latency_s > 0.0 || self.cfg.startup_latency_s > 0.0;
 
         let mut ready: Vec<u32> = (0..n as u32).filter(|&f| indeg[f as usize] == 0).collect();
@@ -573,19 +585,16 @@ impl<'a> Simulator<'a> {
         let mut probe_load = vec![0.0f64; if tracing { solver.num_resources() } else { 0 }];
         let mut probe_touched: Vec<u32> = Vec::new();
 
-        // Forward one event to the metrics registry and the sink. The whole
-        // emission — event construction included — sits behind the single
-        // `tracing` branch, so an untraced run pays one predictable jump
-        // per site and allocates nothing.
+        // Count one event in the metrics registry (present iff tracing)
+        // and, only when a sink listens, build it and hand it over: an
+        // untraced run pays one predictable jump per site, a metrics-only
+        // run one counter bump, and neither allocates an event payload.
         macro_rules! emit {
-            ($ev:expr) => {
-                if tracing {
-                    let ev: TraceEvent = $ev;
-                    if let Some(m) = metrics.as_mut() {
-                        m.observe(&ev);
-                    }
+            ($counter:ident, $ev:expr) => {
+                if let Some(m) = metrics.as_mut() {
+                    m.$counter += 1;
                     if let Some(s) = sink.as_mut() {
-                        s.record(&ev);
+                        s.record(&$ev);
                     }
                 }
             };
@@ -617,14 +626,17 @@ impl<'a> Simulator<'a> {
         macro_rules! admit {
             ($f:expr, $path:expr) => {{
                 let f: u32 = $f;
-                let path: Arc<[u32]> = $path;
-                emit!(TraceEvent::FlowStarted {
-                    t: now,
-                    flow: f,
-                    path: path.to_vec(),
-                });
+                let path: PathId = $path;
+                emit!(
+                    flows_started,
+                    TraceEvent::FlowStarted {
+                        t: now,
+                        flow: f,
+                        path: paths.get(path).to_vec(),
+                    }
+                );
                 if use_entries {
-                    active_entries.push(solver.insert_entry(path.clone(), coalesce));
+                    active_entries.push(solver.insert_entry(&paths, path, coalesce));
                 }
                 active_ids.push(f);
                 active_paths.push(path);
@@ -666,19 +678,21 @@ impl<'a> Simulator<'a> {
                         if pairs.len() >= ROUTE_PREFETCH_MIN {
                             parallel_route_batches += 1;
                             let nthreads = pool.threads();
-                            let mut results: Vec<Option<Result<Arc<[u32]>, SimError>>> =
+                            let mut results: Vec<Option<Result<Vec<u32>, SimError>>> =
                                 vec![None; pairs.len()];
                             {
                                 let slots = SharedSlice::new(&mut results[..]);
                                 let pairs: &[(u32, u32)] = &pairs;
                                 pool.run(|w| {
-                                    let mut scratch: Vec<LinkId> = Vec::new();
+                                    let mut scratch = RouteScratch::default();
                                     let mut local = FaultOverlay::new(self.topo);
                                     for (i, &(src, dst)) in pairs.iter().enumerate() {
                                         if i % nthreads != w {
                                             continue;
                                         }
-                                        let r = self.build_path(&mut local, src, dst, &mut scratch);
+                                        let r = self
+                                            .build_path(&mut local, src, dst, &mut scratch)
+                                            .map(|()| scratch.route.clone());
                                         // SAFETY: index i has exactly one
                                         // owning worker.
                                         unsafe { *slots.get_mut(i) = Some(r) };
@@ -702,16 +716,19 @@ impl<'a> Simulator<'a> {
                 prefetch_routes!();
                 while let Some(f) = ready.pop() {
                     let spec = dag.flow(FlowId(f));
-                    emit!(TraceEvent::FlowActivated {
-                        t: now,
-                        flow: f,
-                        src: spec.src,
-                        dst: spec.dst,
-                        bytes: spec.bytes,
-                        preds: dag.preds(FlowId(f)).to_vec(),
-                    });
+                    emit!(
+                        flows_activated,
+                        TraceEvent::FlowActivated {
+                            t: now,
+                            flow: f,
+                            src: spec.src,
+                            dst: spec.dst,
+                            bytes: spec.bytes,
+                            preds: dag.preds(FlowId(f)).to_vec(),
+                        }
+                    );
                     if spec.bytes == 0 || spec.src == spec.dst {
-                        emit!(TraceEvent::FlowFinished { t: now, flow: f });
+                        emit!(flows_finished, TraceEvent::FlowFinished { t: now, flow: f });
                         retire!(f);
                         continue;
                     }
@@ -720,7 +737,7 @@ impl<'a> Simulator<'a> {
                     } else {
                         None
                     };
-                    let path: Arc<[u32]> = match cached {
+                    let path: PathId = match cached {
                         Some(p) => p,
                         None => {
                             // A prefetch batch may have routed this pair
@@ -729,18 +746,15 @@ impl<'a> Simulator<'a> {
                             // clears it), so consuming it preserves the
                             // sequential admission semantics verbatim.
                             let built = match prefetched.remove(&(spec.src, spec.dst)) {
-                                Some(r) => r,
-                                None => self.build_path(
-                                    &mut overlay,
-                                    spec.src,
-                                    spec.dst,
-                                    &mut path_scratch,
-                                ),
+                                Some(r) => r.map(|route| paths.intern(&route)),
+                                None => self
+                                    .build_path(&mut overlay, spec.src, spec.dst, &mut scratch)
+                                    .map(|()| paths.intern(&scratch.route)),
                             };
                             match built {
                                 Ok(p) => {
                                     if self.cfg.cache_routes {
-                                        route_cache.insert((spec.src, spec.dst), p.clone());
+                                        route_cache.insert((spec.src, spec.dst), p);
                                     }
                                     p
                                 }
@@ -750,7 +764,10 @@ impl<'a> Simulator<'a> {
                                 Err(SimError::Unreachable { .. })
                                     if matches!(policy, RecoveryPolicy::SkipUnreachable) =>
                                 {
-                                    emit!(TraceEvent::FlowSkipped { t: now, flow: f });
+                                    emit!(
+                                        flows_skipped,
+                                        TraceEvent::FlowSkipped { t: now, flow: f }
+                                    );
                                     retire!(f);
                                     skipped_flow_ids.push(f);
                                     continue;
@@ -761,7 +778,7 @@ impl<'a> Simulator<'a> {
                     };
                     if latency_model {
                         // Physical hops = path minus the two NIC resources.
-                        let hops = path.len().saturating_sub(2) as f64;
+                        let hops = paths.get(path).len().saturating_sub(2) as f64;
                         let at =
                             now + self.cfg.startup_latency_s + hops * self.cfg.per_hop_latency_s;
                         delayed.push(Reverse((Time(at), f)));
@@ -802,27 +819,33 @@ impl<'a> Simulator<'a> {
                         FaultAction::Down => {
                             if overlay.fail_link(LinkId(ev.link)) {
                                 fault_events_applied += 1;
-                                emit!(TraceEvent::FaultApplied {
-                                    t: now,
-                                    link: ev.link,
-                                });
+                                emit!(
+                                    faults_applied,
+                                    TraceEvent::FaultApplied {
+                                        t: now,
+                                        link: ev.link,
+                                    }
+                                );
                                 downed.push(ev.link);
                             }
                         }
                         FaultAction::Up => {
                             if overlay.restore_link(LinkId(ev.link)) {
                                 fault_events_applied += 1;
-                                emit!(TraceEvent::FaultCleared {
-                                    t: now,
-                                    link: ev.link,
-                                });
+                                emit!(
+                                    faults_cleared,
+                                    TraceEvent::FaultCleared {
+                                        t: now,
+                                        link: ev.link,
+                                    }
+                                );
                                 restored = true;
                             }
                         }
                     }
                 }
                 if !downed.is_empty() {
-                    route_cache.purge_crossing(&downed);
+                    route_cache.purge_crossing(&paths, &downed);
                 }
                 // Repair retention invariant: every cached path avoids all
                 // currently-down links (down events purge the crossers,
@@ -851,7 +874,7 @@ impl<'a> Simulator<'a> {
                     let mut i = 0;
                     while i < active_ids.len() {
                         let f = active_ids[i];
-                        let Some(link) = crosses(&active_paths[i]) else {
+                        let Some(link) = crosses(paths.get(active_paths[i])) else {
                             i += 1;
                             continue;
                         };
@@ -863,17 +886,21 @@ impl<'a> Simulator<'a> {
                             });
                         }
                         let spec = dag.flow(FlowId(f));
-                        match self.build_path(&mut overlay, spec.src, spec.dst, &mut path_scratch) {
-                            Ok(p) => {
-                                emit!(TraceEvent::RerouteTaken {
-                                    t: now,
-                                    flow: f,
-                                    path: p.to_vec(),
-                                    restarted: matches!(policy, RecoveryPolicy::RerouteRestart),
-                                });
+                        match self.build_path(&mut overlay, spec.src, spec.dst, &mut scratch) {
+                            Ok(()) => {
+                                let p = paths.intern(&scratch.route);
+                                emit!(
+                                    reroutes,
+                                    TraceEvent::RerouteTaken {
+                                        t: now,
+                                        flow: f,
+                                        path: scratch.route.clone(),
+                                        restarted: matches!(policy, RecoveryPolicy::RerouteRestart),
+                                    }
+                                );
                                 if use_entries {
                                     solver.remove_entry(active_entries[i]);
-                                    active_entries[i] = solver.insert_entry(p.clone(), coalesce);
+                                    active_entries[i] = solver.insert_entry(&paths, p, coalesce);
                                 }
                                 active_paths[i] = p;
                                 if matches!(policy, RecoveryPolicy::RerouteRestart) {
@@ -884,7 +911,10 @@ impl<'a> Simulator<'a> {
                             }
                             Err(e) => {
                                 if matches!(policy, RecoveryPolicy::SkipUnreachable) {
-                                    emit!(TraceEvent::FlowSkipped { t: now, flow: f });
+                                    emit!(
+                                        flows_skipped,
+                                        TraceEvent::FlowSkipped { t: now, flow: f }
+                                    );
                                     retire!(f);
                                     skipped_flow_ids.push(f);
                                     active_ids.swap_remove(i);
@@ -905,7 +935,7 @@ impl<'a> Simulator<'a> {
                     let mut waiting: Vec<u32> = delayed_paths.keys().copied().collect();
                     waiting.sort_unstable();
                     for f in waiting {
-                        let Some(link) = crosses(&delayed_paths[&f]) else {
+                        let Some(link) = crosses(paths.get(delayed_paths[&f])) else {
                             continue;
                         };
                         if matches!(policy, RecoveryPolicy::Abort) {
@@ -916,23 +946,29 @@ impl<'a> Simulator<'a> {
                             });
                         }
                         let spec = dag.flow(FlowId(f));
-                        match self.build_path(&mut overlay, spec.src, spec.dst, &mut path_scratch) {
-                            Ok(p) => {
+                        match self.build_path(&mut overlay, spec.src, spec.dst, &mut scratch) {
+                            Ok(()) => {
                                 // Keep the original activation time: the head
                                 // latency was committed when the flow was
                                 // scheduled. Nothing transferred yet, so
                                 // resume and restart coincide here.
-                                emit!(TraceEvent::RerouteTaken {
-                                    t: now,
-                                    flow: f,
-                                    path: p.to_vec(),
-                                    restarted: false,
-                                });
-                                delayed_paths.insert(f, p);
+                                emit!(
+                                    reroutes,
+                                    TraceEvent::RerouteTaken {
+                                        t: now,
+                                        flow: f,
+                                        path: scratch.route.clone(),
+                                        restarted: false,
+                                    }
+                                );
+                                delayed_paths.insert(f, paths.intern(&scratch.route));
                             }
                             Err(e) => {
                                 if matches!(policy, RecoveryPolicy::SkipUnreachable) {
-                                    emit!(TraceEvent::FlowSkipped { t: now, flow: f });
+                                    emit!(
+                                        flows_skipped,
+                                        TraceEvent::FlowSkipped { t: now, flow: f }
+                                    );
                                     retire!(f);
                                     skipped_flow_ids.push(f);
                                     delayed_paths.remove(&f); // heap entry now stale
@@ -946,14 +982,16 @@ impl<'a> Simulator<'a> {
             }};
         }
 
-        emit!(TraceEvent::RunStarted {
-            flows: n as u64,
-            links: self.num_links as u64,
-            endpoints: self.num_eps as u64,
-            batch_epsilon: self.cfg.batch_epsilon,
-            capacities_bps: self.resource_capacities(),
-            topo_cache_hit: self.topo_cache_hit,
-        });
+        if let Some(s) = sink.as_mut() {
+            s.record(&TraceEvent::RunStarted {
+                flows: n as u64,
+                links: self.num_links as u64,
+                endpoints: self.num_eps as u64,
+                batch_epsilon: self.cfg.batch_epsilon,
+                capacities_bps: self.resource_capacities(),
+                topo_cache_hit: self.topo_cache_hit,
+            });
+        }
 
         apply_due_faults!(); // faults scheduled at t = 0 precede all routing
         activate_ready!();
@@ -1002,7 +1040,10 @@ impl<'a> Simulator<'a> {
             // event sequence is); the deadline is host-speed dependent.
             if let Some(max) = self.cfg.max_events {
                 if events >= max {
-                    emit!(TraceEvent::BudgetExhausted { t: now, events });
+                    emit!(
+                        budget_exhausted,
+                        TraceEvent::BudgetExhausted { t: now, events }
+                    );
                     return Err(SimError::BudgetExhausted {
                         max_events: max,
                         events,
@@ -1014,7 +1055,10 @@ impl<'a> Simulator<'a> {
             }
             if let Some((start, limit)) = wall_deadline {
                 if start.elapsed().as_secs_f64() >= limit {
-                    emit!(TraceEvent::DeadlineExceeded { t: now, events });
+                    emit!(
+                        deadline_exceeded,
+                        TraceEvent::DeadlineExceeded { t: now, events }
+                    );
                     return Err(SimError::DeadlineExceeded {
                         wall_limit_s: limit,
                         events,
@@ -1030,6 +1074,7 @@ impl<'a> Simulator<'a> {
             let solve_start = if tracing { Some(Instant::now()) } else { None };
             if use_entries {
                 solver.recompute_with(
+                    &paths,
                     self.cfg.solver_incremental,
                     self.cfg.incremental_full_threshold,
                     pool,
@@ -1038,45 +1083,48 @@ impl<'a> Simulator<'a> {
                     rates[i] = solver.entry_rate(e);
                 }
             } else {
-                solver.solve(&active_paths, &mut rates);
+                let slices: Vec<&[u32]> = active_paths.iter().map(|&p| paths.get(p)).collect();
+                solver.solve(&slices, &mut rates);
             }
-            if tracing {
-                if let Some(m) = metrics.as_mut() {
-                    let elapsed = solve_start.expect("set when tracing").elapsed();
-                    m.record_solve(elapsed.as_secs_f64(), active_ids.len());
-                    // Post-recompute utilisation probe: the most loaded
-                    // resource relative to its capacity.
-                    // Per-resource sums accumulate in active-index
-                    // order; a resource listed twice (its load was still
-                    // 0.0 at a later visit) is drained by its first
-                    // occurrence and contributes 0 afterwards.
-                    for (path, &rate) in active_paths.iter().zip(&rates) {
-                        for &r in path.iter() {
-                            if probe_load[r as usize] == 0.0 {
-                                probe_touched.push(r);
-                            }
-                            probe_load[r as usize] += rate;
+            if let Some(m) = metrics.as_mut() {
+                let elapsed = solve_start.expect("set when tracing").elapsed();
+                m.record_solve(elapsed.as_secs_f64(), active_ids.len());
+                // Post-recompute utilisation probe: the most loaded
+                // resource relative to its capacity. Per-resource sums
+                // accumulate in active-index order; a resource listed
+                // twice (its load was still 0.0 at a later visit) is
+                // drained by its first occurrence and contributes 0
+                // afterwards.
+                for (&path, &rate) in active_paths.iter().zip(&rates) {
+                    for &r in paths.get(path) {
+                        if probe_load[r as usize] == 0.0 {
+                            probe_touched.push(r);
                         }
+                        probe_load[r as usize] += rate;
                     }
-                    let mut peak = 0.0f64;
-                    for r in probe_touched.drain(..) {
-                        let load = std::mem::take(&mut probe_load[r as usize]);
-                        peak = peak.max(load / solver.capacity(r));
-                    }
-                    m.record_utilization(peak);
                 }
+                let mut peak = 0.0f64;
+                for r in probe_touched.drain(..) {
+                    let load = std::mem::take(&mut probe_load[r as usize]);
+                    peak = peak.max(load / solver.capacity(r));
+                }
+                m.record_utilization(peak);
                 let (entries_solved, full_pass) = if use_entries {
                     (solver.last_pass_entries, solver.last_pass_full)
                 } else {
                     (active_ids.len() as u64, true)
                 };
-                emit!(TraceEvent::RateRecompute {
-                    t: now,
-                    flows: active_ids.clone(),
-                    rates_bps: rates.clone(),
-                    entries_solved,
-                    full_pass,
-                });
+                m.rate_recomputes += 1;
+                m.full_passes += full_pass as u64;
+                if let Some(s) = sink.as_mut() {
+                    s.record(&TraceEvent::RateRecompute {
+                        t: now,
+                        flows: active_ids.clone(),
+                        rates_bps: rates.clone(),
+                        entries_solved,
+                        full_pass,
+                    });
+                }
             }
 
             // Earliest completion among active flows.
@@ -1088,7 +1136,14 @@ impl<'a> Simulator<'a> {
                 }
             }
             if !dt.is_finite() {
-                return Err(self.stall_error(now, &active_ids, &active_paths, &rates, &solver));
+                return Err(self.stall_error(
+                    now,
+                    &active_ids,
+                    &active_paths,
+                    &paths,
+                    &rates,
+                    &solver,
+                ));
             }
 
             // A fault or a delayed activation may precede the earliest
@@ -1103,10 +1158,11 @@ impl<'a> Simulator<'a> {
                 };
                 if ev.time_s < now + dt && before_act {
                     let step = ev.time_s - now;
-                    self.advance(
+                    Self::advance(
                         step,
                         &active_ids,
                         &active_paths,
+                        &paths,
                         &rates,
                         &mut remaining,
                         &mut resource_bytes,
@@ -1118,10 +1174,11 @@ impl<'a> Simulator<'a> {
             if let Some(t_act) = t_act {
                 if t_act < now + dt {
                     let step = t_act - now;
-                    self.advance(
+                    Self::advance(
                         step,
                         &active_ids,
                         &active_paths,
+                        &paths,
                         &rates,
                         &mut remaining,
                         &mut resource_bytes,
@@ -1150,10 +1207,11 @@ impl<'a> Simulator<'a> {
                     .zip(&rates)
                     .map(|(&f, &rate)| remaining[f as usize] / rate <= cutoff),
             );
-            self.advance(
+            Self::advance(
                 dt,
                 &active_ids,
                 &active_paths,
+                &paths,
                 &rates,
                 &mut remaining,
                 &mut resource_bytes,
@@ -1164,10 +1222,13 @@ impl<'a> Simulator<'a> {
             let mut i = 0;
             while i < active_ids.len() {
                 if done_flags[i] {
-                    emit!(TraceEvent::FlowFinished {
-                        t: now,
-                        flow: active_ids[i],
-                    });
+                    emit!(
+                        flows_finished,
+                        TraceEvent::FlowFinished {
+                            t: now,
+                            flow: active_ids[i],
+                        }
+                    );
                     retire!(active_ids[i]);
                     active_ids.swap_remove(i);
                     active_paths.swap_remove(i);
@@ -1237,7 +1298,8 @@ impl<'a> Simulator<'a> {
         &self,
         now: f64,
         active_ids: &[u32],
-        active_paths: &[Arc<[u32]>],
+        active_paths: &[PathId],
+        paths: &PathTable,
         rates: &[f64],
         solver: &MaxMinSolver,
     ) -> SimError {
@@ -1249,7 +1311,7 @@ impl<'a> Simulator<'a> {
                 continue;
             }
             if resource.is_none() {
-                resource = active_paths[i].iter().copied().min_by(|&a, &b| {
+                resource = paths.get(active_paths[i]).iter().copied().min_by(|&a, &b| {
                     solver
                         .capacity(a)
                         .partial_cmp(&solver.capacity(b))
@@ -1267,13 +1329,13 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Advance every active flow by `dt` seconds, accounting bytes when
-    /// link statistics are enabled.
+    /// Advance every active flow by `dt` seconds, accounting bytes into
+    /// `resource_bytes` when it is sized (link statistics enabled).
     fn advance(
-        &self,
         dt: f64,
         active_ids: &[u32],
-        active_paths: &[Arc<[u32]>],
+        active_paths: &[PathId],
+        paths: &PathTable,
         rates: &[f64],
         remaining: &mut [f64],
         resource_bytes: &mut [f64],
@@ -1283,45 +1345,45 @@ impl<'a> Simulator<'a> {
         }
         for (i, &f) in active_ids.iter().enumerate() {
             remaining[f as usize] -= rates[i] * dt;
-            if self.cfg.collect_link_stats {
+            if !resource_bytes.is_empty() {
                 let bytes = rates[i] * dt / 8.0;
-                for &r in active_paths[i].iter() {
+                for &r in paths.get(active_paths[i]) {
                     resource_bytes[r as usize] += bytes;
                 }
             }
         }
     }
 
-    /// Materialise the resource path of a flow: injection resource, physical
-    /// route links, ejection resource. Routing goes through the fault
-    /// overlay so mid-run link failures are avoided; with no dynamic
-    /// failures the overlay defers to the topology's own deterministic
-    /// route. An unreachable destination (failed links partitioning the
-    /// network) is a typed error, not a panic.
+    /// Write the resource path of a flow into `scratch.route`: injection
+    /// resource, physical route links, ejection resource. Routing goes
+    /// through the fault overlay so mid-run link failures are avoided; with
+    /// no dynamic failures the overlay defers to the topology's own
+    /// deterministic route. An unreachable destination (failed links
+    /// partitioning the network) is a typed error, not a panic.
     ///
-    /// Paths are interned as `Arc<[u32]>`: route-cache hits, the active
-    /// set, and coalesced solver groups all share one allocation.
+    /// The caller interns the route into the run's [`PathTable`].
     fn build_path(
         &self,
         overlay: &mut FaultOverlay,
         src: u32,
         dst: u32,
-        scratch: &mut Vec<LinkId>,
-    ) -> Result<Arc<[u32]>, SimError> {
-        scratch.clear();
+        scratch: &mut RouteScratch,
+    ) -> Result<(), SimError> {
+        let RouteScratch { links, route } = scratch;
+        links.clear();
         overlay
-            .try_route(NodeId(src), NodeId(dst), scratch)
+            .try_route(NodeId(src), NodeId(dst), links)
             .map_err(|e| SimError::Unreachable {
                 src,
                 dst,
                 topology: e.topology,
                 failed_links: e.failed_links as u64,
             })?;
-        let mut path = Vec::with_capacity(scratch.len() + 2);
-        path.push(self.injection_resource(src));
-        path.extend(scratch.iter().map(|l| l.0));
-        path.push(self.ejection_resource(dst));
-        Ok(path.into())
+        route.clear();
+        route.push(self.injection_resource(src));
+        route.extend(links.iter().map(|l| l.0));
+        route.push(self.ejection_resource(dst));
+        Ok(())
     }
 }
 

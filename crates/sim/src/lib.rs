@@ -26,6 +26,11 @@
 //!   flows with identical paths into one weighted entry. Both paths are
 //!   **bit-identical** to the full per-event solve (proved by construction
 //!   in [`maxmin`] and enforced by the equivalence test suites).
+//! * **One path table per run** ([`paths`]): a route is interned by content
+//!   when first built; the route cache, the active set and the solver hold
+//!   its [`PathId`]. Between events the engine only moves entry weights,
+//!   which the solver settles at the next recompute — a completion batch
+//!   that re-issues the paths it retired costs no water-fill.
 //! * **Batched completions** ([`engine`]): all flows finishing within a
 //!   relative `epsilon` of the earliest completion are retired in one event,
 //!   so symmetric workloads (collectives, stencils) advance in a handful of
@@ -52,6 +57,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod maxmin;
+pub mod paths;
 pub mod pool;
 pub mod report;
 pub mod trace;
@@ -61,6 +67,7 @@ pub use dag::{FlowDag, FlowDagBuilder, FlowId, FlowSpec};
 pub use engine::{SimConfig, Simulator};
 pub use error::SimError;
 pub use fault::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleSpec, RecoveryPolicy};
+pub use paths::{PathId, PathTable};
 pub use pool::WorkerPool;
 pub use report::SimReport;
 pub use trace::{

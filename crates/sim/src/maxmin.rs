@@ -24,7 +24,8 @@
 //! keeps a persistent per-resource incidence of the active flows and, on
 //! each change, re-runs water-filling only over the connected component(s)
 //! of the flow–resource sharing graph that the change touched. Identical
-//! paths can further be coalesced into one weighted entry.
+//! paths — equal [`PathId`]s of the run's [`PathTable`], which interns by
+//! content — can further be coalesced into one weighted entry.
 //!
 //! Both fast paths produce rates **bit-identical** to a from-scratch
 //! [`MaxMinSolver::solve`] over the same flow set:
@@ -40,10 +41,63 @@
 //!   the floating-point trajectory matches `weight` separate flows exactly.
 //!
 //! The dirty region of a change is the BFS closure, over the *new* sharing
-//! graph, of the resources on every inserted/removed/rerouted path since
-//! the last recompute; [`MaxMinSolver::invalidate_all`] degrades the next
+//! graph, of the resources on every path whose weight changed since the
+//! last recompute; [`MaxMinSolver::invalidate_all`] degrades the next
 //! recompute to a full one (used for fault-overlay churn), as does a dirty
 //! region larger than a caller-chosen fraction of the active set.
+//!
+//! # Deferred settle
+//!
+//! An entry *is* an interned path ([`PathId`] of the run's [`PathTable`])
+//! with a weight, and everything the engine tells the solver between two
+//! recomputes is a weight delta: `insert_entry` / `remove_entry` bump
+//! `ent_weight` and list the entry once in `changed` — O(1), no per-hop
+//! work, no hashing (the coalescing index is a dense array over path ids).
+//! The next recompute opens with a *settle* pass over `changed`, comparing
+//! each weight with `ent_solved`, the weight the previous settle left:
+//!
+//! * equal and non-zero — the entry was retired and re-issued (the
+//!   paper's iterative workloads re-issue the endpoint pairs of a round in
+//!   the next one). Nothing is dirtied; its rate stands. If that is every
+//!   changed entry the recompute returns without a pass.
+//! * different — the resources of its path are dirtied exactly as an
+//!   eager insert/remove would have; an entry no settle has seen is linked
+//!   into the incidence lists, an entry at zero is unlinked (per touched
+//!   resource, with one `retain`) and its id freed.
+//! * both zero — inserted and removed again unseen: the id is freed and
+//!   nothing is dirtied, since the incidence never knew it.
+//!
+//! A weight-zero entry stays in the coalescing index until the settle that
+//! frees it, so a flow re-issuing its path *resurrects* it: same id, rate
+//! intact. With coalescing off nothing is indexed, every insert is a fresh
+//! entry, and the mode stays a plain reference.
+//!
+//! Why eliding the pass is **bit-identical** to running it:
+//!
+//! * Max-min rates of a connected component are a function of its
+//!   multiset of (path, weight) — the property the component-local pass
+//!   already relies on: heap ties break by resource id and the order of
+//!   subtractions within a round is irrelevant (see "Prefix replay"). So
+//!   an entry whose (path, weight) is unchanged, in a component nothing
+//!   else changed, keeps its rate to the bit, whichever flows carry it.
+//! * Every entry whose weight *did* change dirties its resources at
+//!   settle exactly as it did at insert/remove time before, so the BFS
+//!   closure, the full-pass threshold (a fraction of
+//!   [`MaxMinSolver::live_entries`], which counts weight > 0 at call
+//!   time) and the perturbed set of the prefix replay see the same net
+//!   change. A net change through zero (1 → 0 → 2) is a changed weight.
+//! * Entry ids are recycled only at settle, when the resources of the
+//!   freed entry are dirty — hence perturbed — so a recycled id's stale
+//!   logged round is never replayed.
+//! * The incidence lists may order their entries differently than eager
+//!   maintenance would; that order is irrelevant for the same reason
+//!   `swap_remove` reordering was.
+//!
+//! [`MaxMinSolver::invalidate_all`] and `incremental = false` settle like
+//! any recompute and then run their from-scratch full pass — no elision —
+//! so the latter stays the reference the equivalence suites diff against.
+//! Only the effort counters (`iterations`, `rate_recomputes`) differ from
+//! eager maintenance, and only downward.
 //!
 //! # Prefix replay
 //!
@@ -57,8 +111,8 @@
 //! division) for as long as the change since the logged pass provably
 //! could not have altered it:
 //!
-//! 1. *Perturbed set.* Every resource on a path inserted, removed or
-//!    re-weighted since the logged pass (the deduped `dirty_res` of every
+//! 1. *Perturbed set.* Every resource on a path whose settled weight
+//!    changed since the logged pass (the deduped `dirty_res` of every
 //!    recompute since, including those that return early).
 //! 2. *Replay.* After pass 1 (weighted counts, `remaining = capacity`),
 //!    walk the logged rounds in order and stop at the first round `k`
@@ -87,7 +141,8 @@
 //!   so both trajectories pop the same bottlenecks at the same shares.
 //! * An entry that was removed or re-weighted crosses its own bottleneck,
 //!   which is therefore perturbed, so its round is never replayed; that
-//!   also makes entry-id recycling through the free list safe.
+//!   also makes entry-id recycling through the free list safe (ids are
+//!   freed at settle, together with the dirtying of their path).
 //! * Every subtraction inside one round uses the same share, so the order
 //!   within a round is irrelevant (the property the parallel rounds below
 //!   rely on) and `swap_remove`-reordered incidence lists are harmless.
@@ -113,10 +168,15 @@
 //! thread count, including 1.
 
 use crate::error::SimError;
+use crate::paths::{PathId, PathTable};
 use crate::pool::{SharedSlice, WorkerPool};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+
+/// `ent_path` of a slot on the free list.
+const FREE: PathId = PathId(u32::MAX);
+/// `entry_of_path` of a path no coalesced entry stands for.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// Smallest pass (in entries) worth dispatching to the worker pool: below
 /// this the per-round condvar handshakes dwarf the arithmetic and the
@@ -207,21 +267,36 @@ pub struct MaxMinSolver {
     /// rather than one dirty component.
     pub last_pass_full: bool,
     // ---- incremental entry store (see module docs) ----
-    // Slot `e` is live iff `ent_path[e].is_some()`; freed slots recycle
-    // through `free_ents`. A live entry represents `ent_weight[e]` flows
-    // sharing one path.
-    ent_path: Vec<Option<Arc<[u32]>>>,
+    // Slot `e` is allocated iff `ent_path[e] != FREE`; freed slots recycle
+    // through `free_ents`. An entry is an interned path with a weight: it
+    // stands for `ent_weight[e]` flows sharing that path. Inserts and
+    // removals only move the weight; `settle` (module docs, "Deferred
+    // settle") reconciles everything else at the next recompute.
+    ent_path: Vec<PathId>,
     ent_weight: Vec<u32>,
+    /// The weight the last settle left the entry with — what `res_entries`
+    /// and every rate reflect. Zero for an entry no settle has seen yet.
+    ent_solved: Vec<u32>,
     ent_rate: Vec<f64>,
     free_ents: Vec<u32>,
+    /// Entries with `ent_weight > 0`.
     live_entries: usize,
-    /// Coalescing index: path -> entry id (only for coalesced inserts).
-    by_path: HashMap<Arc<[u32]>, u32>,
-    /// Persistent incidence: resource -> live entries crossing it, one
+    /// Entries inserted into or removed from since the last settle, each
+    /// listed once (`ent_changed` is the membership flag).
+    changed: Vec<u32>,
+    ent_changed: Vec<bool>,
+    /// Coalescing index: path id -> entry id or `NO_ENTRY` (only coalesced
+    /// inserts register). Outlives a weight of zero until the settle that
+    /// frees the entry, so a re-issued path finds its entry again.
+    entry_of_path: Vec<u32>,
+    /// Persistent incidence: resource -> settled entries crossing it, one
     /// occurrence per occurrence of the resource on the entry's path.
     res_entries: Vec<Vec<u32>>,
-    /// Resources whose entry set changed since the last recompute.
+    /// Resources whose entry set the current settle changed; empty between
+    /// recomputes.
     dirty_res: Vec<u32>,
+    /// Settle scratch: resources that host an entry being unlinked.
+    unlink_res: Vec<u32>,
     /// Force a full pass on the next recompute (fault churn).
     pending_full: bool,
     // Epoch-stamped BFS visit marks and component scratch.
@@ -282,12 +357,16 @@ impl MaxMinSolver {
             last_pass_full: false,
             ent_path: Vec::new(),
             ent_weight: Vec::new(),
+            ent_solved: Vec::new(),
             ent_rate: Vec::new(),
             free_ents: Vec::new(),
             live_entries: 0,
-            by_path: HashMap::new(),
+            changed: Vec::new(),
+            ent_changed: Vec::new(),
+            entry_of_path: Vec::new(),
             res_entries: Vec::new(),
             dirty_res: Vec::new(),
+            unlink_res: Vec::new(),
             pending_full: false,
             res_mark: Vec::new(),
             ent_mark: Vec::new(),
@@ -439,70 +518,166 @@ impl MaxMinSolver {
         }
     }
 
-    /// Register one flow crossing `path`. With `coalesce`, a flow whose
-    /// path is already active joins the existing entry (weight + 1) and the
-    /// same id is returned; every [`MaxMinSolver::remove_entry`] of that id
-    /// sheds one unit of weight. The new rate is available from
-    /// [`MaxMinSolver::entry_rate`] after the next recompute (an empty path
-    /// is unconstrained and rated `INFINITY` immediately).
-    pub fn insert_entry(&mut self, path: Arc<[u32]>, coalesce: bool) -> u32 {
+    /// Register one flow crossing `path` (an id of `paths`). With
+    /// `coalesce`, a flow whose path already has an entry joins it
+    /// (weight + 1) and the same id is returned; every
+    /// [`MaxMinSolver::remove_entry`] of that id sheds one unit of weight.
+    /// O(1): the incidence lists are brought up to date by the next
+    /// recompute, after which the rate is available from
+    /// [`MaxMinSolver::entry_rate`] (an empty path is unconstrained and
+    /// rated `INFINITY` immediately).
+    ///
+    /// An entry retired since the last recompute is still indexed: a flow
+    /// re-issuing its path gets the same id back, rate intact, and if the
+    /// weight ends up where the last recompute left it the next one has
+    /// nothing to do for it. Such a resurrection is not a coalesced flow —
+    /// [`MaxMinSolver::flows_coalesced`] counts joins of a weight > 0 only.
+    pub fn insert_entry(&mut self, paths: &PathTable, path: PathId, coalesce: bool) -> u32 {
         self.ensure_incremental();
-        debug_assert!(path.iter().all(|&r| (r as usize) < self.capacity.len()));
-        self.dirty_res.extend_from_slice(&path);
+        debug_assert!(paths
+            .get(path)
+            .iter()
+            .all(|&r| (r as usize) < self.capacity.len()));
+        let pi = path.0 as usize;
         if coalesce {
-            if let Some(&id) = self.by_path.get(&path) {
-                self.ent_weight[id as usize] += 1;
-                self.flows_coalesced += 1;
+            if let Some(&id) = self.entry_of_path.get(pi).filter(|&&id| id != NO_ENTRY) {
+                let ei = id as usize;
+                if self.ent_weight[ei] > 0 {
+                    self.flows_coalesced += 1;
+                } else {
+                    self.live_entries += 1;
+                }
+                self.ent_weight[ei] += 1;
+                self.mark_changed(id);
                 return id;
             }
         }
         let id = match self.free_ents.pop() {
             Some(i) => i,
             None => {
-                self.ent_path.push(None);
+                self.ent_path.push(FREE);
                 self.ent_weight.push(0);
+                self.ent_solved.push(0);
                 self.ent_rate.push(-1.0);
+                self.ent_changed.push(false);
                 self.ent_mark.push(0);
                 (self.ent_path.len() - 1) as u32
             }
         };
         let ei = id as usize;
-        for &r in path.iter() {
-            self.res_entries[r as usize].push(id);
-        }
+        self.ent_path[ei] = path;
         self.ent_weight[ei] = 1;
-        self.ent_rate[ei] = if path.is_empty() { f64::INFINITY } else { -1.0 };
+        self.ent_solved[ei] = 0;
+        self.ent_rate[ei] = if paths.get(path).is_empty() {
+            f64::INFINITY
+        } else {
+            -1.0
+        };
         self.ent_mark[ei] = 0;
         if coalesce {
-            self.by_path.insert(path.clone(), id);
+            if self.entry_of_path.len() <= pi {
+                self.entry_of_path.resize(paths.len(), NO_ENTRY);
+            }
+            self.entry_of_path[pi] = id;
         }
-        self.ent_path[ei] = Some(path);
         self.live_entries += 1;
+        self.mark_changed(id);
         id
     }
 
-    /// Remove one flow from entry `id` (one unit of weight); the entry
-    /// itself is freed when its weight reaches zero.
+    /// Remove one flow from entry `id` (one unit of weight). O(1); an
+    /// entry still at weight zero at the next recompute is freed there.
     pub fn remove_entry(&mut self, id: u32) {
         let ei = id as usize;
-        let path = self.ent_path[ei].clone().expect("remove of a live entry");
-        debug_assert!(self.ent_weight[ei] > 0);
-        self.dirty_res.extend_from_slice(&path);
-        self.ent_weight[ei] -= 1;
-        if self.ent_weight[ei] > 0 {
+        self.ent_weight[ei] = self.ent_weight[ei]
+            .checked_sub(1)
+            .expect("remove of a live entry");
+        if self.ent_weight[ei] == 0 {
+            self.live_entries -= 1;
+        }
+        self.mark_changed(id);
+    }
+
+    fn mark_changed(&mut self, id: u32) {
+        if !std::mem::replace(&mut self.ent_changed[id as usize], true) {
+            self.changed.push(id);
+        }
+    }
+
+    /// Start a fresh generation of the BFS / unlink visit marks.
+    fn bump_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.res_mark.iter_mut().for_each(|m| *m = 0);
+            self.ent_mark.iter_mut().for_each(|m| *m = 0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
+    /// Reconcile the incidence lists, the coalescing index and `dirty_res`
+    /// with every weight change since the last recompute (module docs,
+    /// "Deferred settle"). An entry back at its settled weight costs one
+    /// comparison; any other dirties the resources of its path, is linked
+    /// if no settle has seen it yet, and is unlinked and freed if it ended
+    /// at zero — per touched resource with one `retain`, so a batch that
+    /// retires k entries sharing a link is O(k), not O(k²).
+    fn settle(&mut self, paths: &PathTable) {
+        if self.changed.is_empty() {
             return;
         }
-        for &r in path.iter() {
-            let list = &mut self.res_entries[r as usize];
-            let pos = list.iter().position(|&e| e == id).expect("incidence");
-            list.swap_remove(pos);
+        let epoch = self.bump_epoch();
+        let MaxMinSolver {
+            ent_path,
+            ent_weight,
+            ent_solved,
+            ent_changed,
+            changed,
+            free_ents,
+            entry_of_path,
+            res_entries,
+            res_mark,
+            dirty_res,
+            unlink_res,
+            ..
+        } = self;
+        for e in changed.drain(..) {
+            let ei = e as usize;
+            ent_changed[ei] = false;
+            let (weight, solved) = (ent_weight[ei], ent_solved[ei]);
+            if weight != solved {
+                let path = paths.get(ent_path[ei]);
+                dirty_res.extend_from_slice(path);
+                if solved == 0 {
+                    for &r in path {
+                        res_entries[r as usize].push(e);
+                    }
+                } else if weight == 0 {
+                    for &r in path {
+                        if res_mark[r as usize] != epoch {
+                            res_mark[r as usize] = epoch;
+                            unlink_res.push(r);
+                        }
+                    }
+                }
+                ent_solved[ei] = weight;
+            }
+            if weight == 0 {
+                // Free the slot. A retired entry's id is recycled only
+                // now, as its path is dirtied; one inserted and removed
+                // again unseen was never linked or logged.
+                let pi = ent_path[ei].0 as usize;
+                if entry_of_path.get(pi) == Some(&e) {
+                    entry_of_path[pi] = NO_ENTRY;
+                }
+                ent_path[ei] = FREE;
+                free_ents.push(e);
+            }
         }
-        if self.by_path.get(&path) == Some(&id) {
-            self.by_path.remove(&path);
+        // Everything listed at weight zero is an entry freed above.
+        for r in unlink_res.drain(..) {
+            res_entries[r as usize].retain(|&e| ent_weight[e as usize] > 0);
         }
-        self.ent_path[ei] = None;
-        self.free_ents.push(id);
-        self.live_entries -= 1;
     }
 
     /// Degrade the next [`MaxMinSolver::recompute`] to a full pass over
@@ -511,7 +686,6 @@ impl MaxMinSolver {
     /// `insert_entry` them individually.
     pub fn invalidate_all(&mut self) {
         self.pending_full = true;
-        self.dirty_res.clear();
     }
 
     /// Recompute the rates of every entry affected by inserts/removals
@@ -522,8 +696,9 @@ impl MaxMinSolver {
     /// [`MaxMinSolver::invalidate_all`] was called, which fall back to a
     /// full pass. Rates are bit-identical to a from-scratch
     /// [`MaxMinSolver::solve`] over the same flow multiset either way.
-    pub fn recompute(&mut self, incremental: bool, full_threshold: f64) {
-        self.recompute_with(incremental, full_threshold, None);
+    /// `paths` must be the table every inserted [`PathId`] came from.
+    pub fn recompute(&mut self, paths: &PathTable, incremental: bool, full_threshold: f64) {
+        self.recompute_with(paths, incremental, full_threshold, None);
     }
 
     /// [`MaxMinSolver::recompute`] with an optional worker pool: passes
@@ -532,6 +707,7 @@ impl MaxMinSolver {
     /// bit-identical to the sequential heap at every thread count.
     pub fn recompute_with(
         &mut self,
+        paths: &PathTable,
         incremental: bool,
         full_threshold: f64,
         pool: Option<&WorkerPool>,
@@ -539,6 +715,7 @@ impl MaxMinSolver {
         self.ensure_incremental();
         self.last_pass_entries = 0;
         self.last_pass_full = false;
+        self.settle(paths);
         if self.pending_full || !incremental {
             // The dirty set is dropped unseen, so the log can no longer be
             // checked against it: this pass runs from scratch and re-logs.
@@ -549,22 +726,16 @@ impl MaxMinSolver {
             if !self.comp_entries.is_empty() {
                 self.full_recomputes += 1;
                 self.last_pass_full = true;
-                self.waterfill(pool);
+                self.waterfill(paths, pool);
             }
             return;
         }
         if self.dirty_res.is_empty() {
-            return; // no change: every entry rate is still current
+            return; // no net change: every entry rate is still current
         }
         // BFS closure of the dirty resources over the sharing graph:
         // resources -> entries crossing them -> those entries' resources.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.res_mark.iter_mut().for_each(|m| *m = 0);
-            self.ent_mark.iter_mut().for_each(|m| *m = 0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
+        let epoch = self.bump_epoch();
         self.comp_entries.clear();
         self.comp_res.clear();
         // Past this many entries the dirty region is no cheaper than a
@@ -613,7 +784,7 @@ impl MaxMinSolver {
                         oversized = true;
                         break;
                     }
-                    for &r2 in ent_path[ei].as_ref().expect("live entry").iter() {
+                    for &r2 in paths.get(ent_path[ei]) {
                         let r2i = r2 as usize;
                         if res_mark[r2i] != epoch {
                             res_mark[r2i] = epoch;
@@ -631,14 +802,15 @@ impl MaxMinSolver {
             self.full_recomputes += 1;
             self.last_pass_full = true;
         }
-        self.waterfill(pool);
+        self.waterfill(paths, pool);
     }
 
     /// Fill `comp_entries` with every live entry (full-pass work list).
     fn collect_all_live(&mut self) {
         self.comp_entries.clear();
-        for (e, p) in self.ent_path.iter().enumerate() {
-            if p.is_some() {
+        // Called after a settle: every allocated slot is linked and live.
+        for (e, &p) in self.ent_path.iter().enumerate() {
+            if p != FREE {
                 self.comp_entries.push(e as u32);
             }
         }
@@ -648,7 +820,7 @@ impl MaxMinSolver {
     /// weighted flow counts per resource, `remaining = capacity`, every
     /// constrained entry unfrozen. Returns `(total weight, weight already
     /// frozen)` — unconstrained entries are rated `INFINITY` on the spot.
-    fn begin_pass(&mut self) -> (u64, u64) {
+    fn begin_pass(&mut self, paths: &PathTable) -> (u64, u64) {
         let MaxMinSolver {
             capacity,
             remaining,
@@ -675,7 +847,7 @@ impl MaxMinSolver {
             let ei = e as usize;
             let w = ent_weight[ei];
             total_weight += w as u64;
-            let path = ent_path[ei].as_deref().expect("live entry");
+            let path = paths.get(ent_path[ei]);
             if path.is_empty() {
                 ent_rate[ei] = f64::INFINITY;
                 frozen += w as u64;
@@ -709,16 +881,16 @@ impl MaxMinSolver {
     /// entries, the pass runs the round-based parallel formulation
     /// ([`MaxMinSolver::waterfill_rounds`]) instead of the heap loop; both
     /// produce bit-identical rates and iteration counts.
-    fn waterfill(&mut self, pool: Option<&WorkerPool>) {
+    fn waterfill(&mut self, paths: &PathTable, pool: Option<&WorkerPool>) {
         self.rate_recomputes += 1;
         self.last_pass_entries = self.comp_entries.len() as u64;
-        let (total_weight, mut frozen) = self.begin_pass();
+        let (total_weight, mut frozen) = self.begin_pass(paths);
 
         if let Some(pool) = pool {
             if pool.threads() > 1 && self.comp_entries.len() >= PARALLEL_MIN_ENTRIES {
                 self.parallel_passes += 1;
                 self.log_valid = false; // the rounds keep no log
-                self.waterfill_rounds(pool, total_weight, frozen);
+                self.waterfill_rounds(paths, pool, total_weight, frozen);
                 return;
             }
         }
@@ -776,7 +948,7 @@ impl MaxMinSolver {
                     ent_rate[ei] = round.share;
                     let w = ent_weight[ei];
                     frozen += w as u64;
-                    for &r2 in ent_path[ei].as_deref().expect("live entry") {
+                    for &r2 in paths.get(ent_path[ei]) {
                         let r2i = r2 as usize;
                         count[r2i] -= w;
                         for _ in 0..w {
@@ -836,7 +1008,7 @@ impl MaxMinSolver {
                 log_entries.push(e);
                 let w = ent_weight[ei];
                 frozen += w as u64;
-                for &r2 in ent_path[ei].as_deref().expect("live entry") {
+                for &r2 in paths.get(ent_path[ei]) {
                     let r2i = r2 as usize;
                     count[r2i] -= w;
                     for _ in 0..w {
@@ -878,7 +1050,13 @@ impl MaxMinSolver {
     /// heap pop of the sequential path does, so rates, `remaining`
     /// trajectories, and the `iterations` count are bit-identical at every
     /// thread count (module docs, "Parallel water-filling").
-    fn waterfill_rounds(&mut self, pool: &WorkerPool, total_weight: u64, mut frozen: u64) {
+    fn waterfill_rounds(
+        &mut self,
+        paths: &PathTable,
+        pool: &WorkerPool,
+        total_weight: u64,
+        mut frozen: u64,
+    ) {
         let nthreads = pool.threads();
         let MaxMinSolver {
             remaining,
@@ -971,14 +1149,13 @@ impl MaxMinSolver {
                 let count = SharedSlice::new(&mut count[..]);
                 let round: &[u32] = &round;
                 let flow_start: &[u32] = flow_start;
-                let ent_path: &[Option<Arc<[u32]>>] = ent_path;
+                let ent_path: &[PathId] = ent_path;
                 let ent_weight: &[u32] = ent_weight;
                 pool.run(|worker| {
                     for &e in round {
                         let ei = e as usize;
                         let w = ent_weight[ei];
-                        let path = ent_path[ei].as_ref().expect("live entry");
-                        for &r2 in path.iter() {
+                        for &r2 in paths.get(ent_path[ei]) {
                             let r2i = r2 as usize;
                             if flow_start[r2i] as usize % nthreads != worker {
                                 continue;
@@ -1012,7 +1189,8 @@ impl MaxMinSolver {
         self.ent_weight[id as usize]
     }
 
-    /// Number of live (distinct-path) entries.
+    /// Number of entries with a weight above zero right now (settled or
+    /// not).
     pub fn live_entries(&self) -> usize {
         self.live_entries
     }
@@ -1021,6 +1199,12 @@ impl MaxMinSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Intern `path` and register one flow on it.
+    fn insert(s: &mut MaxMinSolver, table: &mut PathTable, path: &[u32], coalesce: bool) -> u32 {
+        let id = table.intern(path);
+        s.insert_entry(table, id, coalesce)
+    }
 
     /// Deterministic xorshift64* for structured-random path sets.
     fn xorshift(state: &mut u64) -> u64 {
@@ -1052,12 +1236,13 @@ mod tests {
             paths.push(p);
         }
 
+        let mut table = PathTable::new();
         let mut seq = MaxMinSolver::new(caps.clone()).unwrap();
         let seq_ids: Vec<u32> = paths
             .iter()
-            .map(|p| seq.insert_entry(Arc::from(p.as_slice()), true))
+            .map(|p| insert(&mut seq, &mut table, p, true))
             .collect();
-        seq.recompute(true, 0.5);
+        seq.recompute(&table, true, 0.5);
         assert_eq!(seq.parallel_passes, 0);
 
         for threads in [2, 3, 8] {
@@ -1065,9 +1250,9 @@ mod tests {
             let mut par = MaxMinSolver::new(caps.clone()).unwrap();
             let par_ids: Vec<u32> = paths
                 .iter()
-                .map(|p| par.insert_entry(Arc::from(p.as_slice()), true))
+                .map(|p| insert(&mut par, &mut table, p, true))
                 .collect();
-            par.recompute_with(true, 0.5, Some(&pool));
+            par.recompute_with(&table, true, 0.5, Some(&pool));
             assert_eq!(par.parallel_passes, 1, "threads={threads}");
             assert_eq!(par.iterations, seq.iterations, "threads={threads}");
             for (s, p) in seq_ids.iter().zip(&par_ids) {
@@ -1085,11 +1270,12 @@ mod tests {
     #[test]
     fn small_passes_stay_sequential_even_with_a_pool() {
         let pool = WorkerPool::new(4);
+        let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![1e9; 8]).unwrap();
         for i in 0..4u32 {
-            s.insert_entry(Arc::from([i].as_slice()), true);
+            insert(&mut s, &mut table, &[i], true);
         }
-        s.recompute_with(true, 0.5, Some(&pool));
+        s.recompute_with(&table, true, 0.5, Some(&pool));
         assert_eq!(s.parallel_passes, 0);
         assert!((s.entry_rate(0) - 1e9).abs() < 1.0);
     }
@@ -1099,6 +1285,7 @@ mod tests {
     /// on the from-scratch reference path (`incremental = false`). Every
     /// recompute asserts bit-equal rates and equal iteration counts.
     struct Twin {
+        table: PathTable,
         fast: MaxMinSolver,
         reference: MaxMinSolver,
         live: Vec<u32>,
@@ -1107,6 +1294,7 @@ mod tests {
     impl Twin {
         fn new(caps: &[f64]) -> Self {
             Twin {
+                table: PathTable::new(),
                 fast: MaxMinSolver::new(caps.to_vec()).unwrap(),
                 reference: MaxMinSolver::new(caps.to_vec()).unwrap(),
                 live: Vec::new(),
@@ -1114,8 +1302,9 @@ mod tests {
         }
 
         fn insert(&mut self, path: &[u32]) -> u32 {
-            let id = self.fast.insert_entry(Arc::from(path), false);
-            assert_eq!(id, self.reference.insert_entry(Arc::from(path), false));
+            let p = self.table.intern(path);
+            let id = self.fast.insert_entry(&self.table, p, false);
+            assert_eq!(id, self.reference.insert_entry(&self.table, p, false));
             self.live.push(id);
             id
         }
@@ -1129,8 +1318,8 @@ mod tests {
         /// Recompute both; returns the rounds the fast solver replayed.
         fn recompute(&mut self) -> u64 {
             let before = self.fast.replayed_rounds;
-            self.fast.recompute(true, 0.0);
-            self.reference.recompute(false, 0.0);
+            self.fast.recompute(&self.table, true, 0.0);
+            self.reference.recompute(&self.table, false, 0.0);
             assert_eq!(self.reference.replayed_rounds, 0);
             assert_eq!(self.fast.iterations, self.reference.iterations);
             for &e in &self.live {
@@ -1218,12 +1407,20 @@ mod tests {
         let b = t.insert(&[1]);
         t.insert(&[2]);
         t.recompute();
-        // The freed id comes straight back for a different path; the log
-        // still lists it under the round of resource 1 at share 20.
+        // The id is freed by the settle of the next recompute — the round
+        // of resource 1 at share 20 is dropped from the log there — and
+        // comes back afterwards for a different path.
         t.remove(b);
-        assert_eq!(t.insert(&[3]), b);
+        assert_ne!(
+            t.insert(&[3]),
+            b,
+            "ids are recycled at settle, not at remove"
+        );
         assert_eq!(t.recompute(), 1);
-        assert_eq!(t.fast.entry_rate(b), 40.0);
+        assert_eq!(t.insert(&[1, 3]), b);
+        // Rounds (10, r0) and (20 = 40 / 2, r3) precede the change on r1.
+        assert_eq!(t.recompute(), 1);
+        assert_eq!(t.fast.entry_rate(b), 20.0);
     }
 
     #[test]
@@ -1231,27 +1428,28 @@ mod tests {
         // Three independent pairs: rounds (5, r0), (10, r1), (15, r2).
         let setup = || {
             let mut s = MaxMinSolver::new(vec![10.0, 20.0, 30.0]).unwrap();
+            let mut table = PathTable::new();
             let ids: Vec<u32> = [[0u32], [0], [1], [1], [2], [2]]
                 .iter()
-                .map(|p| s.insert_entry(Arc::from(p.as_slice()), false))
+                .map(|p| insert(&mut s, &mut table, p, false))
                 .collect();
-            s.recompute(true, 0.0);
+            s.recompute(&table, true, 0.0);
             assert!(s.last_pass_full);
-            (s, ids)
+            (s, table, ids)
         };
         // Control: two full passes back to back replay up to the change.
-        let (mut s, ids) = setup();
+        let (mut s, table, ids) = setup();
         s.remove_entry(ids[4]);
-        s.recompute(true, 0.0);
+        s.recompute(&table, true, 0.0);
         assert_eq!(s.replayed_rounds, 2);
 
         // A component-local pass in between (threshold 1.0 never degrades).
-        let (mut s, ids) = setup();
+        let (mut s, table, ids) = setup();
         s.remove_entry(ids[0]);
-        s.recompute(true, 1.0);
+        s.recompute(&table, true, 1.0);
         assert!(!s.last_pass_full);
         s.remove_entry(ids[4]);
-        s.recompute(true, 0.0);
+        s.recompute(&table, true, 0.0);
         assert!(s.last_pass_full);
         assert_eq!(s.replayed_rounds, 0);
         assert_eq!(s.entry_rate(ids[1]), 10.0);
@@ -1259,15 +1457,169 @@ mod tests {
         assert_eq!(s.entry_rate(ids[5]), 30.0);
 
         // Fault churn: the dirty set is dropped, so the log goes with it.
-        let (mut s, ids) = setup();
+        let (mut s, table, ids) = setup();
         s.invalidate_all();
         s.remove_entry(ids[4]);
-        s.recompute(true, 0.0);
+        s.recompute(&table, true, 0.0);
         assert_eq!(s.replayed_rounds, 0);
         // ...and the pass it forced left a log like any other.
         s.remove_entry(ids[2]);
-        s.recompute(true, 0.0);
+        s.recompute(&table, true, 0.0);
         assert_eq!(s.replayed_rounds, 1);
+    }
+
+    // ---- deferred settle ----
+
+    fn incidence_is_empty(s: &MaxMinSolver) -> bool {
+        s.res_entries.iter().all(Vec::is_empty)
+    }
+
+    /// The case the settle exists for: a batch that retires a path and
+    /// re-issues it costs no pass and keeps id and rate.
+    #[test]
+    fn a_reissued_path_keeps_its_entry_and_costs_no_pass() {
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![9.0, 4.0]).unwrap();
+        let a = insert(&mut s, &mut table, &[0, 1], true);
+        let b = insert(&mut s, &mut table, &[0], true);
+        s.recompute(&table, true, 0.5);
+        let before = (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits());
+        assert_eq!(f64::from_bits(before.2), 4.0);
+
+        s.remove_entry(a);
+        assert_eq!(s.live_entries(), 1, "counts weight > 0 at call time");
+        assert_eq!(insert(&mut s, &mut table, &[0, 1], true), a);
+        assert_eq!(s.flows_coalesced, 0, "a resurrection is not a join");
+        s.recompute(&table, true, 0.5);
+        assert_eq!(
+            (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits()),
+            before
+        );
+        assert_eq!((s.last_pass_entries, s.last_pass_full), (0, false));
+        assert_eq!(s.entry_rate(b), 5.0);
+
+        // The reference mode settles the same way and still runs its pass.
+        s.remove_entry(a);
+        assert_eq!(insert(&mut s, &mut table, &[0, 1], true), a);
+        s.recompute(&table, false, 0.5);
+        assert_eq!(s.rate_recomputes, before.0 + 1);
+        assert_eq!(s.entry_rate(a).to_bits(), before.2);
+    }
+
+    #[test]
+    fn a_net_change_through_zero_is_dirty() {
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![12.0]).unwrap();
+        let a = insert(&mut s, &mut table, &[0], true);
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.entry_rate(a), 12.0);
+        // 1 -> 0 -> 2: resurrected, then joined.
+        s.remove_entry(a);
+        assert_eq!(insert(&mut s, &mut table, &[0], true), a);
+        assert_eq!(insert(&mut s, &mut table, &[0], true), a);
+        assert_eq!(
+            s.flows_coalesced, 1,
+            "the second insert joined a weight of 1"
+        );
+        assert_eq!(s.entry_weight(a), 2);
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.rate_recomputes, 2);
+        assert_eq!(s.entry_rate(a), 6.0);
+        assert_eq!(
+            s.res_entries[0],
+            vec![a],
+            "linked once, whatever the weight"
+        );
+    }
+
+    #[test]
+    fn an_entry_inserted_and_removed_unseen_leaves_nothing_behind() {
+        for coalesce in [true, false] {
+            let mut table = PathTable::new();
+            let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
+            let keep = insert(&mut s, &mut table, &[1], coalesce);
+            s.recompute(&table, true, 0.5);
+            let gone = insert(&mut s, &mut table, &[0, 1], coalesce);
+            s.remove_entry(gone);
+            assert_eq!(s.live_entries(), 1);
+            s.recompute(&table, true, 0.5);
+            assert_eq!(s.rate_recomputes, 1, "weight 0 = solved 0 dirties nothing");
+            assert!(s.res_entries[0].is_empty());
+            assert_eq!(s.res_entries[1], vec![keep]);
+            // The slot and the index entry were released all the same.
+            assert_eq!(insert(&mut s, &mut table, &[0, 1], coalesce), gone);
+            assert_eq!(s.flows_coalesced, 0);
+        }
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
+        let e = insert(&mut s, &mut table, &[0], true);
+        s.remove_entry(e);
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.live_entries(), 0);
+        assert!(incidence_is_empty(&s));
+        assert_eq!(s.rate_recomputes, 0);
+    }
+
+    #[test]
+    fn a_forced_full_pass_settles_first() {
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
+        let a = insert(&mut s, &mut table, &[0, 1], true);
+        let b = insert(&mut s, &mut table, &[1], true);
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.entry_rate(b), 4.0);
+        s.remove_entry(a);
+        s.invalidate_all();
+        s.recompute(&table, true, 0.5);
+        assert!(s.last_pass_full);
+        assert_eq!(
+            s.last_pass_entries, 1,
+            "the retired entry is not in the pass"
+        );
+        assert!(s.res_entries[0].is_empty());
+        assert_eq!(s.res_entries[1], vec![b]);
+        assert_eq!(s.entry_rate(b), 8.0);
+    }
+
+    #[test]
+    fn an_empty_path_is_rated_on_insert_and_resurrects_like_any_other() {
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
+        let e = insert(&mut s, &mut table, &[], true);
+        assert!(s.entry_rate(e).is_infinite());
+        s.recompute(&table, true, 0.5);
+        s.remove_entry(e);
+        assert_eq!(insert(&mut s, &mut table, &[], true), e);
+        s.recompute(&table, true, 0.5);
+        assert!(s.entry_rate(e).is_infinite());
+        assert_eq!(s.rate_recomputes, 0);
+    }
+
+    /// Guards the batch unlink: every entry shares resource 0, so a
+    /// `position` scan per (entry, hop) would be quadratic in the batch.
+    #[test]
+    fn a_batch_retiring_every_entry_of_a_shared_resource_unlinks_them_all() {
+        const N: u32 = 4096;
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![1e9; N as usize + 1]).unwrap();
+        let ids: Vec<u32> = (1..=N)
+            .map(|i| insert(&mut s, &mut table, &[0, i], true))
+            .collect();
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.res_entries[0].len(), N as usize);
+        let survivor = ids[17];
+        for &e in &ids {
+            if e != survivor {
+                s.remove_entry(e);
+            }
+        }
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.res_entries[0], vec![survivor]);
+        assert_eq!(s.entry_rate(survivor), 1e9);
+        s.remove_entry(survivor);
+        s.recompute(&table, true, 0.5);
+        assert_eq!(s.live_entries(), 0);
+        assert!(incidence_is_empty(&s));
     }
 
     /// The workload the replay exists for: one giant component, the fastest

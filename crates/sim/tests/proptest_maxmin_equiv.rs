@@ -1,8 +1,9 @@
 //! Property tests for the incremental entry API of [`MaxMinSolver`]: under
 //! arbitrary join/leave/reroute/invalidate sequences — with and without
-//! coalescing, under real `FaultOverlay` path churn, and under the
+//! coalescing, under real `FaultOverlay` path churn, under the
 //! fastest-first departures that make full passes replay their logged
-//! prefix — the incremental rates match a from-scratch
+//! prefix, and under batches that re-issue the paths they just retired
+//! (which the settle elides) — the incremental rates match a from-scratch
 //! `MaxMinSolver::solve` over the same flow set.
 //!
 //! The design guarantee is stronger than the 1e-9 tolerance the engine
@@ -11,10 +12,9 @@
 
 use exaflow_netgraph::{LinkId, NodeId};
 use exaflow_sim::maxmin::{MaxMinSolver, PARALLEL_MIN_ENTRIES};
-use exaflow_sim::WorkerPool;
+use exaflow_sim::{PathTable, WorkerPool};
 use exaflow_topo::{FaultOverlay, Topology, Torus};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const RESOURCES: usize = 24;
 
@@ -40,6 +40,12 @@ fn caps_strategy() -> impl Strategy<Value = Vec<f64>> {
 /// feeds joins and reroutes, the `usize` picks the affected flow.
 fn ops_strategy() -> impl Strategy<Value = Vec<(u8, Vec<u32>, usize)>> {
     prop::collection::vec((0u8..8, path_strategy(), 0usize..1 << 16), 1..50)
+}
+
+/// Intern `path` into the run's table and register one flow on it.
+fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32], coalesce: bool) -> u32 {
+    let id = table.intern(path);
+    solver.insert_entry(table, id, coalesce)
 }
 
 /// From-scratch reference: a fresh solver's `solve` over `paths`.
@@ -72,12 +78,13 @@ fn run_op_sequence(
     threshold: f64,
 ) {
     let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
+    let mut table = PathTable::new();
     // Mirror of the live flows: (entry id, path). Coalesced flows share ids.
     let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
     for (step, (kind, path, pick)) in ops.into_iter().enumerate() {
         match kind {
             0..=2 => {
-                let id = solver.insert_entry(Arc::from(path.clone()), coalesce);
+                let id = insert(&mut solver, &mut table, &path, coalesce);
                 live.push((id, path));
             }
             3 | 4 => {
@@ -90,13 +97,13 @@ fn run_op_sequence(
                 if !live.is_empty() {
                     let i = pick % live.len();
                     solver.remove_entry(live[i].0);
-                    let id = solver.insert_entry(Arc::from(path.clone()), coalesce);
+                    let id = insert(&mut solver, &mut table, &path, coalesce);
                     live[i] = (id, path);
                 }
             }
             _ => solver.invalidate_all(),
         }
-        solver.recompute(true, threshold);
+        solver.recompute(&table, true, threshold);
         assert_rates_match(&solver, &live, &caps, step);
     }
 }
@@ -159,17 +166,19 @@ fn run_replay_churn(
     let caps = vec![cap; RESOURCES];
     let mut fast = MaxMinSolver::new(caps.clone()).unwrap();
     let mut reference = MaxMinSolver::new(caps.clone()).unwrap();
+    let mut table = PathTable::new();
     let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
-    let insert = |fast: &mut MaxMinSolver, reference: &mut MaxMinSolver, path: Vec<u32>| {
-        let id = fast.insert_entry(Arc::from(path.clone()), coalesce);
-        assert_eq!(
-            id,
-            reference.insert_entry(Arc::from(path.clone()), coalesce)
-        );
+    let insert = |fast: &mut MaxMinSolver,
+                  reference: &mut MaxMinSolver,
+                  table: &mut PathTable,
+                  path: Vec<u32>| {
+        let p = table.intern(&path);
+        let id = fast.insert_entry(table, p, coalesce);
+        assert_eq!(id, reference.insert_entry(table, p, coalesce));
         (id, path)
     };
     for path in preload {
-        live.push(insert(&mut fast, &mut reference, path));
+        live.push(insert(&mut fast, &mut reference, &mut table, path));
     }
     let ops = std::iter::once((u8::MAX, Vec::new(), 0)).chain(ops);
     for (step, (kind, path, pick)) in ops.enumerate() {
@@ -196,7 +205,7 @@ fn run_replay_churn(
             reference.remove_entry(id);
         }
         match kind {
-            0 | 1 | 6 => live.push(insert(&mut fast, &mut reference, path)),
+            0 | 1 | 6 => live.push(insert(&mut fast, &mut reference, &mut table, path)),
             7 => {
                 fast.invalidate_all();
                 reference.invalidate_all();
@@ -204,8 +213,8 @@ fn run_replay_churn(
             _ => {}
         }
         let before = (fast.iterations, reference.iterations);
-        fast.recompute(true, threshold);
-        reference.recompute(false, threshold);
+        fast.recompute(&table, true, threshold);
+        reference.recompute(&table, false, threshold);
         assert_rates_match(&fast, &live, &caps, step);
         if fast.last_pass_full {
             assert_eq!(
@@ -230,6 +239,63 @@ proptest! {
         threshold in prop::sample::select(vec![0.0f64, 0.5]),
     ) {
         run_replay_churn(cap, preload, ops, coalesce, threshold);
+    }
+
+    /// Re-issue churn, the shape of the paper's iterative workloads: every
+    /// step retires a subset of the flows and, before the one recompute
+    /// that follows, re-issues some of the very paths it retired next to
+    /// some new ones. The settle must tell the entries that ended where
+    /// they started (untouched) from those that did not (re-solved).
+    #[test]
+    fn reissued_paths_match_a_fresh_solve_under_tie_heavy_churn(
+        cap in prop::sample::select(vec![1.0f64, 3.0, 10.0]),
+        preload in prop::collection::vec(tie_path_strategy(), 8..40),
+        steps in prop::collection::vec(
+            (
+                // Per live flow: retire it? Per retired flow: re-issue it?
+                prop::collection::vec(any::<bool>(), 48),
+                prop::collection::vec(any::<bool>(), 48),
+                prop::collection::vec(tie_path_strategy(), 0..4),
+            ),
+            1..24,
+        ),
+        threshold in prop::sample::select(vec![0.0f64, 0.5]),
+    ) {
+        let caps = vec![cap; RESOURCES];
+        let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
+        let mut table = PathTable::new();
+        let mut live: Vec<(u32, Vec<u32>)> = preload
+            .into_iter()
+            .map(|path| (insert(&mut solver, &mut table, &path, true), path))
+            .collect();
+        solver.recompute(&table, true, threshold);
+        assert_rates_match(&solver, &live, &caps, usize::MAX);
+        for (step, (retire, reissue, fresh)) in steps.into_iter().enumerate() {
+            let mut retired: Vec<Vec<u32>> = Vec::new();
+            let mut i = 0;
+            live.retain(|(id, path)| {
+                let go = retire[i % retire.len()];
+                i += 1;
+                if go {
+                    solver.remove_entry(*id);
+                    retired.push(path.clone());
+                }
+                !go
+            });
+            let back = retired
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| reissue[i % reissue.len()])
+                .map(|(_, path)| path);
+            for path in back.chain(fresh) {
+                live.push((insert(&mut solver, &mut table, &path, true), path));
+            }
+            let live_entries: std::collections::HashSet<u32> =
+                live.iter().map(|(id, _)| *id).collect();
+            prop_assert_eq!(solver.live_entries(), live_entries.len());
+            solver.recompute(&table, true, threshold);
+            assert_rates_match(&solver, &live, &caps, step);
+        }
     }
 }
 
@@ -266,6 +332,7 @@ proptest! {
             .iter()
             .map(|_| MaxMinSolver::new(caps.clone()).unwrap())
             .collect();
+        let mut table = PathTable::new();
         let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
 
         // Preload one component of 3x the parallel threshold: every entry
@@ -277,14 +344,17 @@ proptest! {
             path.dedup();
             let mut id = 0;
             for s in solvers.iter_mut() {
-                id = s.insert_entry(Arc::from(path.clone()), false);
+                id = insert(s, &mut table, &path, false);
             }
             live.push((id, path));
         }
 
-        let check = |solvers: &mut [MaxMinSolver], live: &[(u32, Vec<u32>)], step: usize| {
+        let check = |solvers: &mut [MaxMinSolver],
+                     table: &PathTable,
+                     live: &[(u32, Vec<u32>)],
+                     step: usize| {
             for (s, pool) in solvers.iter_mut().zip(&pools) {
-                s.recompute_with(true, threshold, pool.as_ref());
+                s.recompute_with(table, true, threshold, pool.as_ref());
             }
             let (reference, pooled) = solvers.split_first().unwrap();
             for p in pooled {
@@ -298,14 +368,14 @@ proptest! {
                 }
             }
         };
-        check(&mut solvers, &live, usize::MAX);
+        check(&mut solvers, &table, &live, usize::MAX);
 
         for (step, (kind, path, pick)) in ops.into_iter().enumerate() {
             match kind {
                 0..=2 => {
                     let mut id = 0;
                     for s in solvers.iter_mut() {
-                        id = s.insert_entry(Arc::from(path.clone()), false);
+                        id = insert(s, &mut table, &path, false);
                     }
                     live.push((id, path));
                 }
@@ -321,13 +391,13 @@ proptest! {
                     let mut id = 0;
                     for s in solvers.iter_mut() {
                         s.remove_entry(old);
-                        id = s.insert_entry(Arc::from(path.clone()), false);
+                        id = insert(s, &mut table, &path, false);
                     }
                     live[i] = (id, path);
                 }
                 _ => solvers.iter_mut().for_each(MaxMinSolver::invalidate_all),
             }
-            check(&mut solvers, &live, step);
+            check(&mut solvers, &table, &live, step);
         }
 
         prop_assert_eq!(solvers[0].parallel_passes, 0);
@@ -363,6 +433,7 @@ fn overlay_path_churn_matches_full_solve() {
     for coalesce in [false, true] {
         let mut overlay = FaultOverlay::new(&topo);
         let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
+        let mut table = PathTable::new();
         let mut live: Vec<(u32, u32, u32, Vec<u32>)> = Vec::new(); // (entry, src, dst, path)
         let mut x = 0x2545F49_u64; // deterministic xorshift stream
         let mut rng = move || {
@@ -378,7 +449,7 @@ fn overlay_path_churn_matches_full_solve() {
                     let (src, dst) = (rng() as u32 % 16, rng() as u32 % 16);
                     if src != dst {
                         if let Some(p) = build(&mut overlay, src, dst) {
-                            let id = solver.insert_entry(Arc::from(p.clone()), coalesce);
+                            let id = insert(&mut solver, &mut table, &p, coalesce);
                             live.push((id, src, dst, p));
                         }
                     }
@@ -405,7 +476,7 @@ fn overlay_path_churn_matches_full_solve() {
                             solver.remove_entry(id);
                             match build(&mut overlay, src, dst) {
                                 Some(p) => {
-                                    let nid = solver.insert_entry(Arc::from(p.clone()), coalesce);
+                                    let nid = insert(&mut solver, &mut table, &p, coalesce);
                                     live[i] = (nid, src, dst, p);
                                     i += 1;
                                 }
@@ -423,7 +494,7 @@ fn overlay_path_churn_matches_full_solve() {
                     }
                 }
             }
-            solver.recompute(true, 0.5);
+            solver.recompute(&table, true, 0.5);
             let flows: Vec<(u32, Vec<u32>)> =
                 live.iter().map(|(id, _, _, p)| (*id, p.clone())).collect();
             assert_rates_match(&solver, &flows, &caps, step);

@@ -20,12 +20,12 @@
 //! must.
 
 use crate::{RouteError, Topology};
-use exaflow_netgraph::{LinkId, Network, NodeId};
+use exaflow_netgraph::{IntMap, LinkId, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Reusable per-thread buffers for [`Degraded::is_affected`] and the BFS
 /// reroute: the failure-resilience harness calls both once per flow, and a
@@ -300,7 +300,7 @@ pub struct FaultOverlay<'a> {
     /// Dynamically failed links (on top of whatever `topo` already failed).
     down: HashSet<u32>,
     /// Reroutes valid under the current failure set.
-    cache: HashMap<(u32, u32), Box<[LinkId]>>,
+    cache: IntMap<(u32, u32), Box<[LinkId]>>,
     transitions: u64,
 }
 
@@ -313,7 +313,7 @@ impl<'a> FaultOverlay<'a> {
         FaultOverlay {
             topo,
             down: HashSet::new(),
-            cache: HashMap::new(),
+            cache: IntMap::default(),
             transitions: 0,
         }
     }

@@ -52,12 +52,11 @@ impl Workload for MapReduce {
         for step in 1..n {
             for (i, last) in last_send.iter_mut().enumerate() {
                 let j = (i + step) % n;
-                let deps: Vec<FlowId> = (*last).into_iter().collect();
                 let f = b.add_flow(
                     mapping.node_of(i),
                     mapping.node_of(j),
                     self.shuffle_bytes,
-                    &deps,
+                    last.as_slice(),
                 );
                 *last = Some(f);
                 shuffle_in[j].push(f);
@@ -118,6 +117,37 @@ mod tests {
             let preds = dag.preds(exaflow_sim::FlowId(idx as u32));
             assert_eq!(preds.len(), n - 1);
         }
+    }
+
+    /// A sender's previous message is passed as `Option::as_slice`; a DAG
+    /// built with a collected `Vec` per flow must be identical.
+    #[test]
+    fn dag_matches_the_vec_per_flow_construction() {
+        let n = 5;
+        let mapping = TaskMapping::linear(n, n);
+        let root = mapping.node_of(0);
+        let mut b = FlowDagBuilder::new();
+        let mut last: Vec<Option<FlowId>> = vec![None; n];
+        for (t, slot) in last.iter_mut().enumerate().skip(1) {
+            *slot = Some(b.add_flow(root, mapping.node_of(t), 1000, &[]));
+        }
+        let mut shuffle_in: Vec<Vec<FlowId>> = vec![Vec::new(); n];
+        for step in 1..n {
+            for (i, slot) in last.iter_mut().enumerate() {
+                let j = (i + step) % n;
+                let deps: Vec<FlowId> = slot.iter().copied().collect();
+                let f = b.add_flow(mapping.node_of(i), mapping.node_of(j), 100, &deps);
+                *slot = Some(f);
+                shuffle_in[j].push(f);
+            }
+        }
+        for (j, inflows) in shuffle_in.iter().enumerate().skip(1) {
+            b.add_flow(mapping.node_of(j), root, 10, inflows);
+        }
+        assert_eq!(
+            serde_json::to_string(&gen(n)).unwrap(),
+            serde_json::to_string(&b.build()).unwrap()
+        );
     }
 
     #[test]

@@ -39,12 +39,11 @@ impl Workload for NBodies {
             for s in 0..hops {
                 let from = (start + s) % n;
                 let to = (start + s + 1) % n;
-                let deps: Vec<_> = prev.into_iter().collect();
                 prev = Some(b.add_flow(
                     mapping.node_of(from),
                     mapping.node_of(to),
                     self.bytes,
-                    &deps,
+                    prev.as_slice(),
                 ));
             }
         }
@@ -73,6 +72,28 @@ mod tests {
             assert_eq!(dag.preds(FlowId(base + 1)), &[base]);
             assert_eq!(dag.preds(FlowId(base + 2)), &[base + 1]);
         }
+    }
+
+    /// The dependency of a hop is passed as `Option::as_slice`; a DAG built
+    /// with a collected `Vec` per flow must be identical.
+    #[test]
+    fn dag_matches_the_vec_per_flow_construction() {
+        let (n, bytes) = (10, 7);
+        let mapping = TaskMapping::linear(n, n);
+        let mut b = FlowDagBuilder::new();
+        for start in 0..n {
+            let mut prev: Option<FlowId> = None;
+            for s in 0..n / 2 {
+                let deps: Vec<FlowId> = prev.into_iter().collect();
+                let (from, to) = ((start + s) % n, (start + s + 1) % n);
+                prev = Some(b.add_flow(mapping.node_of(from), mapping.node_of(to), bytes, &deps));
+            }
+        }
+        let dag = NBodies { tasks: n, bytes }.generate(&mapping);
+        assert_eq!(
+            serde_json::to_string(&dag).unwrap(),
+            serde_json::to_string(&b.build()).unwrap()
+        );
     }
 
     #[test]

@@ -232,8 +232,12 @@ fn random_pairs(
             let dst = pick_dst(&mut rng, src, tasks);
             debug_assert_ne!(dst, src);
             let bytes = size_of(&mut rng);
-            let deps: Vec<FlowId> = (*slot).into_iter().collect();
-            *slot = Some(b.add_flow(mapping.node_of(src), mapping.node_of(dst), bytes, &deps));
+            *slot = Some(b.add_flow(
+                mapping.node_of(src),
+                mapping.node_of(dst),
+                bytes,
+                slot.as_slice(),
+            ));
         }
     }
     b.build()
@@ -270,6 +274,35 @@ mod tests {
             assert_ne!(f.src, f.dst);
             assert_eq!(f.bytes, 500);
         }
+    }
+
+    /// A sender's previous flow is passed as `Option::as_slice`; a DAG
+    /// built with a collected `Vec` per flow must be identical.
+    #[test]
+    fn dag_matches_the_vec_per_flow_construction() {
+        let (tasks, flows_per_task, bytes, seed) = (8, 3, 5, 11);
+        let mapping = map(tasks);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = FlowDagBuilder::new();
+        let mut last: Vec<Option<FlowId>> = vec![None; tasks];
+        for _ in 0..flows_per_task {
+            for (src, slot) in last.iter_mut().enumerate() {
+                let dst = uniform_other(&mut rng, src, tasks);
+                let deps: Vec<FlowId> = slot.iter().copied().collect();
+                *slot = Some(b.add_flow(mapping.node_of(src), mapping.node_of(dst), bytes, &deps));
+            }
+        }
+        let dag = UnstructuredApp {
+            tasks,
+            flows_per_task,
+            bytes,
+            seed,
+        }
+        .generate(&mapping);
+        assert_eq!(
+            serde_json::to_string(&dag).unwrap(),
+            serde_json::to_string(&b.build()).unwrap()
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! under all four recovery policies. A last row drives random heavy
 //! traffic with `incremental_full_threshold: 0.0`, so every recompute is a
 //! full pass resumed from the previous pass's freeze log (`maxmin` module
-//! docs, "Prefix replay").
+//! docs, "Prefix replay"), and a re-issue row runs the iterative workloads
+//! (n-Bodies, Near-Neighbours) whose completion batches re-issue the paths
+//! they retire — the batches the deferred settle elides.
 
 use exaflow::prelude::*;
 use exaflow::sim::FaultSchedule;
@@ -519,6 +521,52 @@ fn outcome(
     (result, sink.into_events())
 }
 
+/// One (schedule, policy) cell of a reference-vs-candidates row. The
+/// reference engine's trace must pass the topology-backed oracle and show
+/// the crafted schedule firing; every candidate config must then reproduce
+/// its outcome and its canonical trace, and pass the oracle on its own.
+/// Returns the candidates' traces for row-specific assertions.
+fn assert_candidates_match_reference(
+    label: &str,
+    topo: &dyn Topology,
+    dag: &FlowDag,
+    (schedule, policy): (&FaultSchedule, RecoveryPolicy),
+    reference: SimConfig,
+    candidates: &[(String, SimConfig)],
+) -> Vec<Vec<TraceEvent>> {
+    let (want, want_trace) = outcome(topo, reference, dag, schedule, policy);
+    if want.is_ok() {
+        check_trace_with_topology(&want_trace, topo)
+            .unwrap_or_else(|v| panic!("{label}: reference oracle: {v}"));
+    }
+    if policy == RecoveryPolicy::RerouteResume {
+        let fired = want_trace
+            .iter()
+            .any(|ev| matches!(ev, TraceEvent::FaultApplied { .. }));
+        assert_eq!(
+            fired,
+            !schedule.events().is_empty(),
+            "{label}: the crafted schedule never fired"
+        );
+    }
+    candidates
+        .iter()
+        .map(|(mode, cfg)| {
+            let (got, trace) = outcome(topo, cfg.clone(), dag, schedule, policy);
+            assert_eq!(got, want, "{label}: {mode} report diverged");
+            if got.is_ok() {
+                check_trace(&trace).unwrap_or_else(|v| panic!("{label}: {mode} oracle: {v}"));
+            }
+            assert_eq!(
+                canonical_trace(&trace),
+                canonical_trace(&want_trace),
+                "{label}: {mode} trace diverged"
+            );
+            trace
+        })
+        .collect()
+}
+
 /// The replay row. Random heavy traffic makes the sharing graph one giant
 /// component, and a threshold of 0 degrades every recompute to a full
 /// pass, so each one resumes from the freeze log of the one before:
@@ -574,29 +622,22 @@ fn replayed_full_passes_match_the_from_scratch_engine() {
                     "{name}/{workload:?}/{policy:?}/{} fault events",
                     schedule.events().len()
                 );
-                let (want, want_trace) =
-                    outcome(topo.as_ref(), cfg(false, false), &dag, schedule, policy);
-                if want.is_ok() {
-                    check_trace_with_topology(&want_trace, topo.as_ref())
-                        .unwrap_or_else(|v| panic!("{label}: reference oracle: {v}"));
-                }
-                if policy == RecoveryPolicy::RerouteResume {
-                    let fired = want_trace
-                        .iter()
-                        .any(|ev| matches!(ev, TraceEvent::FaultApplied { .. }));
-                    assert_eq!(
-                        fired,
-                        !schedule.events().is_empty(),
-                        "{label}: the crafted schedule never fired"
-                    );
-                }
-                for coalesce in [true, false] {
-                    let replaying = SimConfig {
+                let replaying = [true, false].map(|coalesce| {
+                    let cfg = SimConfig {
                         incremental_full_threshold: 0.0,
                         ..cfg(true, coalesce)
                     };
-                    let (got, trace) = outcome(topo.as_ref(), replaying, &dag, schedule, policy);
-                    assert_eq!(got, want, "{label}: coalesce={coalesce} report diverged");
+                    (format!("coalesce={coalesce}"), cfg)
+                });
+                let traces = assert_candidates_match_reference(
+                    &label,
+                    topo.as_ref(),
+                    &dag,
+                    (schedule, policy),
+                    cfg(false, false),
+                    &replaying,
+                );
+                for trace in traces {
                     assert!(
                         trace.iter().all(|ev| !matches!(
                             ev,
@@ -606,19 +647,138 @@ fn replayed_full_passes_match_the_from_scratch_engine() {
                                 ..
                             }
                         )),
-                        "{label}: coalesce={coalesce} took a component-local pass"
-                    );
-                    if got.is_ok() {
-                        check_trace(&trace)
-                            .unwrap_or_else(|v| panic!("{label}: coalesce={coalesce} oracle: {v}"));
-                    }
-                    assert_eq!(
-                        canonical_trace(&trace),
-                        canonical_trace(&want_trace),
-                        "{label}: coalesce={coalesce} trace diverged"
+                        "{label}: took a component-local pass"
                     );
                 }
             }
         }
     }
+}
+
+/// The re-issue rows. n-Bodies chains and Near-Neighbours iterations send
+/// over the same endpoint pairs round after round, so a completion batch
+/// retires a set of paths and activates that very set again: the solver
+/// settles the batch as no change and skips the pass (`maxmin` module
+/// docs, "Deferred settle"). The engine that never elides —
+/// `solver_incremental = false`, `coalesce_flows = false` — is the
+/// reference; reports and traces must equal it in every accelerated mode,
+/// fault-free and across a cut + repair under all four recovery policies
+/// (where reroutes break the symmetry mid-run), and every complete trace
+/// must carry the oracle's fairness certificate. Head latencies are off
+/// here so that rounds stay aligned; the rows above cover the delayed path.
+#[test]
+fn reissued_rounds_match_the_never_eliding_engine() {
+    let aligned = |incremental: bool, coalesce: bool| SimConfig {
+        per_hop_latency_s: 0.0,
+        startup_latency_s: 0.0,
+        ..cfg(incremental, coalesce)
+    };
+    let families = [
+        (
+            "torus-4x4x4",
+            TopologySpec::Torus {
+                dims: vec![4, 4, 4],
+            },
+        ),
+        (
+            "fattree-64",
+            TopologySpec::Fattree {
+                k: 4,
+                n: 3,
+                endpoints: None,
+            },
+        ),
+        (
+            "nest-tree-64",
+            TopologySpec::Nested {
+                upper: UpperTierKind::Fattree,
+                subtori: 8,
+                t: 2,
+                u: 2,
+            },
+        ),
+    ];
+    for (name, spec) in families {
+        let topo = spec.build().unwrap();
+        let eps = topo.num_endpoints();
+        assert_eq!(eps, 64, "{name}");
+        let workloads = [
+            WorkloadSpec::NBodies {
+                tasks: eps,
+                bytes: 1 << 18,
+            },
+            WorkloadSpec::NearNeighbors {
+                gx: 4,
+                gy: 4,
+                gz: 4,
+                bytes: 1 << 18,
+                iterations: 3,
+                periodic: true,
+            },
+        ];
+        for workload in workloads {
+            let dag = workload.generate(&TaskMapping::linear(eps, eps));
+            let reference_engine = Simulator::with_config(topo.as_ref(), aligned(false, false));
+            let healthy = reference_engine.run(&dag).unwrap();
+            // The premise of the row: the fast engine really skips passes.
+            let fast = Simulator::with_config(topo.as_ref(), aligned(true, true))
+                .run(&dag)
+                .unwrap();
+            assert_eq!(
+                healthy.rate_recomputes, healthy.events,
+                "{name}/{workload:?}"
+            );
+            assert!(
+                fast.rate_recomputes < fast.events,
+                "{name}/{workload:?}: {} passes for {} events, nothing was elided",
+                fast.rate_recomputes,
+                fast.events
+            );
+            let schedules = [
+                FaultSchedule::empty(),
+                schedule_for(topo.as_ref(), &healthy),
+            ];
+            for (schedule, policy) in schedules
+                .iter()
+                .flat_map(|s| RecoveryPolicy::ALL.map(|p| (s, p)))
+            {
+                let label = format!(
+                    "{name}/{workload:?}/{policy:?}/{} fault events",
+                    schedule.events().len()
+                );
+                let modes = MODES.map(|(inc, coal)| {
+                    (
+                        format!("incremental={inc} coalesce={coal}"),
+                        aligned(inc, coal),
+                    )
+                });
+                assert_candidates_match_reference(
+                    &label,
+                    topo.as_ref(),
+                    &dag,
+                    (schedule, policy),
+                    aligned(false, false),
+                    &modes,
+                );
+            }
+        }
+    }
+}
+
+/// A count guard that cannot flake: 16 n-Bodies tasks on a 16-ring are 8
+/// rounds of the same 16 one-hop flows. The first event water-fills; each
+/// of the other seven retires 16 paths and re-issues them, which costs no
+/// pass at all.
+#[test]
+fn a_reissued_ring_round_costs_no_water_fill() {
+    let topo = Torus::new(&[16]);
+    let dag = WorkloadSpec::NBodies {
+        tasks: 16,
+        bytes: 1 << 20,
+    }
+    .generate(&TaskMapping::linear(16, 16));
+    let report = Simulator::new(&topo).run(&dag).unwrap();
+    assert_eq!(report.events, 8);
+    assert_eq!(report.rate_recomputes, 1);
+    assert_eq!(report.flows_coalesced, 0);
 }

@@ -10,8 +10,17 @@
 //! All statistics come from the stratified sampled estimator seeded per
 //! spec fingerprint (`exaflow analyze`'s engine), so the measured numbers
 //! are reproducible bit for bit across machines and runs.
+//!
+//! The file also holds the first *simulated* workload at paper scale:
+//! Reduce at 131,072 tasks (one event per phase, so the event count allows
+//! it). Those runs carry `max_wall_s: 60`, so a regression of the engine's
+//! batch bookkeeping is a typed `DeadlineExceeded`, not a hung job. The
+//! `tier2` CI job runs this whole file with `--ignored`; new tests here
+//! need no workflow change.
 
 use exaflow::prelude::*;
+use exaflow::sim::FlowId;
+use std::time::Instant;
 
 fn sampled(scale: SystemScale, spec: &TopologySpec, sources: usize) -> DistanceStats {
     let report = analyze_distances(
@@ -123,4 +132,89 @@ fn bfs_kernel_matches_routing_at_16k() {
     assert_eq!(physical.histogram, routed.histogram, "DOR is minimal");
     assert_eq!(physical.average.to_bits(), routed.average.to_bits());
     assert_eq!(physical.diameter, routed.diameter);
+}
+
+/// Engine config for the paper-scale runs: defaults plus the deadline.
+fn deadline_cfg() -> SimConfig {
+    SimConfig {
+        max_wall_s: Some(60.0),
+        ..SimConfig::default()
+    }
+}
+
+/// Reduce at the paper's 131,072 tasks on the torus and the fattree: the
+/// paper's topology-insensitive collective, serialised at the root's
+/// consumption port — 131,071 messages of 64 KiB through one 10 Gbps port
+/// whatever lies between.
+#[test]
+#[ignore = "tier-2 paper-scale simulation; run with --ignored in the tier2 CI job"]
+fn paper_scale_reduce_is_topology_insensitive() {
+    let scale = SystemScale::PAPER;
+    let n = scale.qfdbs as usize;
+    let workload = WorkloadSpec::Reduce {
+        tasks: n,
+        bytes: 64 << 10,
+    };
+    let expect = (n - 1) as f64 * (64u64 << 10) as f64 * 8.0 / exaflow::topo::LINK_RATE_BPS;
+    for spec in [scale.torus_spec(), scale.fattree_spec()] {
+        let topo = spec.build().unwrap();
+        let dag = workload.generate(&TaskMapping::linear(n, topo.num_endpoints()));
+        let started = Instant::now();
+        let report = Simulator::with_config(topo.as_ref(), deadline_cfg())
+            .run(&dag)
+            .unwrap_or_else(|e| panic!("{}: {e}", topo.name()));
+        eprintln!(
+            "{}: Reduce at {n} tasks in {:.2} s of wall",
+            topo.name(),
+            started.elapsed().as_secs_f64()
+        );
+        assert_eq!(report.flows, n as u64 - 1);
+        assert_eq!(report.events, 1, "{}", topo.name());
+        assert!(
+            (report.makespan_seconds - expect).abs() / expect < 1e-9,
+            "{}: {} vs {expect}",
+            topo.name(),
+            report.makespan_seconds
+        );
+    }
+}
+
+/// Two Reduce phases back to back — everyone to endpoint 0, a barrier,
+/// everyone to endpoint 1 — so that the 131,071-entry batch of the first
+/// phase, all sharing one ejection port, really is unlinked from the
+/// solver mid-run (the batch that ends a run is never settled). Unlinking
+/// it one `position` scan per entry was quadratic: 10.4 s for the single
+/// phase before the batch unlink, under 5 s for both phases on the 2-core
+/// box since.
+#[test]
+#[ignore = "tier-2 paper-scale simulation; run with --ignored in the tier2 CI job"]
+fn paper_scale_two_phase_reduce_unlinks_its_first_batch() {
+    let scale = SystemScale::PAPER;
+    let n = scale.qfdbs as u32;
+    let bytes = 64u64 << 10;
+    let topo = scale.torus_spec().build().unwrap();
+    let mut b = FlowDagBuilder::with_capacity(2 * n as usize, 2 * n as usize);
+    let first: Vec<FlowId> = (1..n)
+        .map(|src| b.add_flow(NodeId(src), NodeId(0), bytes, &[]))
+        .collect();
+    let barrier = b.add_barrier(&first);
+    for src in (0..n).filter(|&src| src != 1) {
+        b.add_flow(NodeId(src), NodeId(1), bytes, &[barrier]);
+    }
+    let dag = b.build();
+
+    let started = Instant::now();
+    let report = Simulator::with_config(topo.as_ref(), deadline_cfg())
+        .run(&dag)
+        .unwrap_or_else(|e| panic!("two-phase Reduce: {e}"));
+    let wall = started.elapsed().as_secs_f64();
+    eprintln!("two-phase Reduce at {n} tasks on the torus in {wall:.2} s of wall");
+    assert_eq!(report.events, 2);
+    assert_eq!(report.rate_recomputes, 2);
+    let phase = (n - 1) as f64 * bytes as f64 * 8.0 / exaflow::topo::LINK_RATE_BPS;
+    assert!(
+        (report.makespan_seconds - 2.0 * phase).abs() / phase < 1e-9,
+        "{}",
+        report.makespan_seconds
+    );
 }
