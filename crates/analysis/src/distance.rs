@@ -2,9 +2,6 @@
 
 use exaflow_netgraph::NodeId;
 use exaflow_topo::Topology;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Average distance, diameter and hop histogram under uniform traffic.
@@ -66,73 +63,21 @@ impl DistanceStats {
     }
 }
 
-/// Tally `src → d` route distances for every destination endpoint into a
-/// histogram pre-sized to `diameter_bound() + 1` (no growth in the hot
-/// loop), returning the total hops contributed by this source.
-pub(crate) fn accumulate(topo: &dyn Topology, src: NodeId, histogram: &mut [u64]) -> u64 {
-    let e = topo.num_endpoints() as u32;
-    let mut hops = 0u64;
-    for d in 0..e {
-        if d == src.0 {
-            continue;
-        }
-        let dist = topo.distance(src, NodeId(d));
-        histogram[dist as usize] += 1;
-        hops += dist as u64;
-    }
-    hops
-}
-
-/// A zeroed histogram sized so that [`accumulate`] can never index out of
-/// bounds: one slot per distance in `0..=diameter_bound()`.
+/// A zeroed histogram sized as [`Topology::distance_histogram`] requires:
+/// one slot per distance in `0..=diameter_bound()`.
 pub(crate) fn sized_histogram(topo: &dyn Topology) -> Vec<u64> {
     vec![0u64; topo.diameter_bound() as usize + 1]
 }
 
-/// Exact statistics over all ordered endpoint pairs (`O(E²)` distance
-/// evaluations).
+/// Exact statistics over all ordered endpoint pairs, one
+/// [`Topology::distance_histogram`] per source on the calling thread.
 pub fn distance_stats_exact(topo: &dyn Topology) -> DistanceStats {
     let e = topo.num_endpoints();
     let mut histogram = sized_histogram(topo);
     for s in 0..e as u32 {
-        accumulate(topo, NodeId(s), &mut histogram);
+        topo.distance_histogram(NodeId(s), &mut histogram);
     }
     DistanceStats::from_histogram(histogram, e, true)
-}
-
-/// Statistics from `samples` random source endpoints (deterministic in
-/// `seed`) plus `must_include` sources, against all destinations.
-///
-/// Falls back to the exact computation when the sample would cover all
-/// endpoints anyway.
-pub fn distance_survey(
-    topo: &dyn Topology,
-    samples: usize,
-    seed: u64,
-    must_include: &[NodeId],
-) -> DistanceStats {
-    let e = topo.num_endpoints();
-    if samples + must_include.len() >= e {
-        return distance_stats_exact(topo);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sources: Vec<u32> = must_include.iter().map(|n| n.0).collect();
-    // Partial Fisher-Yates over the endpoint range for distinct samples.
-    let mut pool: Vec<u32> = (0..e as u32).collect();
-    pool.shuffle(&mut rng);
-    for &cand in pool.iter() {
-        if sources.len() >= samples + must_include.len() {
-            break;
-        }
-        if !must_include.iter().any(|m| m.0 == cand) {
-            sources.push(cand);
-        }
-    }
-    let mut histogram = sized_histogram(topo);
-    for &s in &sources {
-        accumulate(topo, NodeId(s), &mut histogram);
-    }
-    DistanceStats::from_histogram(histogram, sources.len(), false)
 }
 
 #[cfg(test)]
@@ -169,26 +114,6 @@ mod tests {
         let s = distance_stats_exact(&g);
         assert_eq!(s.diameter, g.diameter());
         assert!((s.average - g.average_distance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn survey_with_full_coverage_is_exact() {
-        let t = Torus::new(&[4, 4]);
-        let s = distance_survey(&t, 1000, 1, &[]);
-        assert!(s.exact);
-        assert_eq!(s.diameter, 4);
-    }
-
-    #[test]
-    fn survey_sampling_close_to_exact() {
-        let n = Nested::new(UpperTierKind::Fattree, 16, 2, ConnectionRule::QuarterNodes);
-        let exact = distance_stats_exact(&n);
-        let survey = distance_survey(&n, 32, 7, &[NodeId(0)]);
-        assert!(!survey.exact);
-        assert_eq!(survey.sources_measured, 33);
-        assert!((survey.average - exact.average).abs() / exact.average < 0.05);
-        assert!(survey.diameter <= exact.diameter);
-        assert!(survey.diameter as f64 >= exact.diameter as f64 * 0.8);
     }
 
     #[test]

@@ -1,32 +1,32 @@
 //! Static topology analysis: distance distributions, average distance and
 //! diameter (the paper's Table 1), computed from each topology's analytic
-//! `distance` function.
+//! distances.
 //!
-//! Two modes are provided:
+//! Every distance mode tallies one source at a time through
+//! [`Topology::distance_histogram`](exaflow_topo::Topology::distance_histogram),
+//! which the paper's families answer by *counting* equidistant classes
+//! rather than by evaluating `distance` per destination — so an exact
+//! all-sources sweep is affordable at the paper's 131,072 QFDBs. Only
+//! topologies on the trait's default per-pair loop (Dragonfly, Jellyfish,
+//! `Degraded`) still pay `O(E)` per source.
 //!
-//! * [`distance_stats_exact`] — every ordered endpoint pair; O(E²), for
-//!   small instances and ground-truthing.
-//! * [`channel_load_survey`] — per-link load under uniform random traffic
-//!   and the saturation-throughput estimate it implies.
-//! * [`distance_survey`] — a set of source endpoints (sampled uniformly at
-//!   random, plus caller-supplied must-include sources) against **all**
-//!   destinations. For vertex-transitive topologies this is exact with any
-//!   single source; for the hybrids at full scale (131 072 endpoints) a few
-//!   hundred sampled sources estimate the average to well under 0.1% and
-//!   reliably find the diameter, since worst-case pairs are abundant.
-//! * [`distance_sweep`] / [`distance_estimate`] — the paper-scale engine:
-//!   a `WorkerPool`-parallel all-sources sweep that is bit-identical to
-//!   [`distance_stats_exact`] at any thread count, and a stratified
-//!   deterministic source-sampling estimator that reports a standard error
-//!   and 95% confidence half-width alongside the point estimate.
+//! * [`distance_stats_exact`] — every ordered endpoint pair, on the calling
+//!   thread; the sequential reference.
+//! * [`distance_sweep`] / [`distance_estimate`] — the same sweep on a
+//!   `WorkerPool`, bit-identical to [`distance_stats_exact`] at any thread
+//!   count, and a stratified deterministic source-sampling estimator that
+//!   reports a standard error and 95% confidence half-width alongside the
+//!   point estimate.
 //! * [`physical_distance_sweep`] — the same harness over the frontier-
 //!   bitset BFS kernel, measuring physical shortest-path distances (a
 //!   lower bound certifying routing minimality where it matches).
+//! * [`channel_load_survey`] — per-link load under uniform random traffic
+//!   and the saturation-throughput estimate it implies.
 
 pub mod distance;
 pub mod load;
 pub mod sweep;
 
-pub use distance::{distance_stats_exact, distance_survey, DistanceStats};
+pub use distance::{distance_stats_exact, DistanceStats};
 pub use load::{channel_load_survey, LoadStats};
 pub use sweep::{distance_estimate, distance_sweep, physical_distance_sweep, stratified_sources};

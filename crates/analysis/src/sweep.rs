@@ -2,18 +2,21 @@
 //!
 //! This module is the paper-scale engine behind Table 1: where
 //! [`distance_stats_exact`](crate::distance_stats_exact) walks every
-//! ordered pair from a single thread, [`distance_sweep`] partitions the
-//! source endpoints into deterministic contiguous chunks across a
-//! [`WorkerPool`] and merges per-worker histograms in fixed worker order.
-//! Because the histograms hold `u64` counts, the merged result is
-//! **bit-identical** to the sequential path at any thread count.
+//! source from a single thread, [`distance_sweep`] partitions the source
+//! endpoints into deterministic contiguous chunks across a [`WorkerPool`]
+//! and merges per-worker histograms in fixed worker order. Because the
+//! histograms hold `u64` counts, the merged result is **bit-identical** to
+//! the sequential path at any thread count.
 //!
-//! For systems where even a parallel all-sources sweep is too expensive
-//! (131,072 QFDBs means 1.7·10¹⁰ ordered pairs), [`distance_estimate`]
+//! A source costs one [`Topology::distance_histogram`]. The torus, the
+//! fattree, the GHC and the nested hybrids count equidistant classes, so
+//! their exact sweep is cheap even at 131,072 QFDBs; a topology on the
+//! default per-pair loop pays 1.7·10¹⁰ distance evaluations there. For
+//! those — and for a quick look at anything — [`distance_estimate`]
 //! measures a stratified deterministic sample of sources: the endpoint
 //! range is split into `samples` equal strata and one source per stratum
 //! is picked by a SplitMix64 stream seeded from the caller's seed. Every
-//! source still scans *all* destinations, so each per-source mean is an
+//! source still covers *all* destinations, so each per-source mean is an
 //! unbiased estimate of the population mean and the spread between them
 //! yields a standard error ([`DistanceStats::stderr`]) and a 95%
 //! confidence half-width ([`DistanceStats::confidence_95`]).
@@ -25,7 +28,7 @@
 //! a topology's routing rule (zero for torus/fattree/GHC, nonzero for the
 //! nested hybrids whose intra-subtorus traffic must stay local).
 
-use crate::distance::{accumulate, sized_histogram, DistanceStats};
+use crate::distance::{sized_histogram, DistanceStats};
 use exaflow_netgraph::{BfsScratch, NodeId, PhysCsr};
 use exaflow_sim::WorkerPool;
 use exaflow_topo::Topology;
@@ -102,7 +105,7 @@ pub fn distance_sweep(topo: &dyn Topology, threads: usize) -> DistanceStats {
     let sources: Vec<u32> = (0..e as u32).collect();
     let len = sized_histogram(topo).len();
     let (histogram, _) = parallel_tally(&sources, threads, len, |_, s, hist| {
-        accumulate(topo, NodeId(s), hist)
+        topo.distance_histogram(NodeId(s), hist)
     });
     DistanceStats::from_histogram(histogram, e, true)
 }
@@ -152,7 +155,7 @@ pub fn distance_estimate(
     let sources = stratified_sources(e, samples, seed);
     let len = sized_histogram(topo).len();
     let (histogram, hops) = parallel_tally(&sources, threads, len, |_, s, hist| {
-        accumulate(topo, NodeId(s), hist)
+        topo.distance_histogram(NodeId(s), hist)
     });
     let mut stats = DistanceStats::from_histogram(histogram, sources.len(), false);
     if sources.len() >= 2 && e >= 2 {
@@ -207,7 +210,52 @@ fn splitmix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::distance_stats_exact;
+    use exaflow_netgraph::{LinkId, Network, NetworkBuilder};
     use exaflow_topo::{ConnectionRule, KAryTree, Nested, Torus, UpperTierKind};
+    use std::sync::Arc;
+
+    /// A topology that can only count: every other endpoint is one hop
+    /// away by `distance_histogram`, and asking for a single `distance`
+    /// panics.
+    struct CountingOnly {
+        net: Network,
+    }
+
+    impl Topology for CountingOnly {
+        fn name(&self) -> String {
+            "CountingOnly".to_string()
+        }
+        fn network(&self) -> &Network {
+            &self.net
+        }
+        fn route(&self, _: NodeId, _: NodeId, _: &mut Vec<LinkId>) {
+            panic!("a distance sweep never routes");
+        }
+        fn distance(&self, _: NodeId, _: NodeId) -> u32 {
+            panic!("the per-pair loop was re-entered");
+        }
+        fn distance_histogram(&self, _: NodeId, histogram: &mut [u64]) -> u64 {
+            let others = self.num_endpoints() as u64 - 1;
+            histogram[1] += others;
+            others
+        }
+    }
+
+    #[test]
+    fn arc_dyn_topology_forwards_the_histogram_override() {
+        // What `TopoCache` hands out. Were the `Arc<dyn Topology>` impl to
+        // miss the method, the trait default would run instead — same
+        // numbers on a real topology, so nothing but a panic shows it.
+        let mut b = NetworkBuilder::new();
+        b.add_endpoints(5);
+        let topo: Arc<dyn Topology> = Arc::new(CountingOnly { net: b.build() });
+        let swept = distance_sweep(&topo, 2);
+        assert_eq!(swept.histogram, vec![0, 20]);
+        let estimate = distance_estimate(&topo, 3, 1, 2);
+        assert_eq!(estimate.histogram, vec![0, 12]);
+        assert_eq!(estimate.average, 1.0);
+        assert_eq!(estimate.stderr, Some(0.0));
+    }
 
     #[test]
     fn sweep_matches_exact_at_every_thread_count() {

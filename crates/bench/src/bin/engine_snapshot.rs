@@ -120,17 +120,27 @@ struct AnalysisRun {
     name: String,
     qfdbs: u64,
     sources: usize,
-    /// Wall time of the exact all-sources sweep; `null` where it was
-    /// skipped (the 131,072-QFDB sweep is ~1.7e10 pair evaluations).
-    exact_seconds: Option<f64>,
+    /// Wall time of the exact all-sources sweep on one thread.
+    exact_seconds: f64,
     sampled_seconds: f64,
-    exact_average: Option<f64>,
+    exact_average: f64,
     sampled_average: f64,
     confidence_95: f64,
     /// Closed-form torus average distance — the ground truth the sampled
     /// estimate must bracket.
     reference_average: f64,
     within_confidence: bool,
+}
+
+/// One topology of `exaflow analyze --scale 131072 --sources all
+/// --hybrids --threads 1`: the exact Table 1 row at the paper's scale.
+#[derive(Serialize)]
+struct ExactTable1Row {
+    topology: String,
+    build_seconds: f64,
+    sweep_seconds: f64,
+    average: f64,
+    diameter: u32,
 }
 
 #[derive(Serialize)]
@@ -140,6 +150,9 @@ struct Snapshot {
     /// Exact-vs-sampled distance analysis wall times on the torus at
     /// 2,048 / 16,384 / 131,072 QFDBs (the paper's Table 1 scale).
     analysis: Vec<AnalysisRun>,
+    /// The two baselines and two hybrids of `table1_specs` swept over all
+    /// 131,072 sources on one thread.
+    table1_exact_131072: Vec<ExactTable1Row>,
     /// `std::thread::available_parallelism` on the recording box — the
     /// honest context for the thread speedups (on a 1-core box every
     /// `speedup_vs_1` hovers around 1.0 or below; the numbers record
@@ -374,22 +387,17 @@ fn topo_cache_run() -> TopoCacheRun {
 }
 
 /// Exact-vs-sampled distance-analysis wall time on the torus at one
-/// scale. `exact` is skipped above 16,384 QFDBs (quadratic pair count);
-/// the sampled estimator uses the spec-fingerprint seed so the recorded
-/// averages are reproducible bit for bit.
-fn analysis_run(qfdbs: u64, sources: usize, run_exact: bool) -> AnalysisRun {
+/// scale. The sampled estimator uses the spec-fingerprint seed so the
+/// recorded averages are reproducible bit for bit.
+fn analysis_run(qfdbs: u64, sources: usize) -> AnalysisRun {
     let scale = SystemScale::new(qfdbs).unwrap();
     let spec = scale.torus_spec();
     let topo = spec.build().unwrap();
     let reference_average = exaflow::topo::torus::average_distance_for_dims(&scale.torus_dims());
 
-    let (exact_seconds, exact_average) = if run_exact {
-        let t = Instant::now();
-        let stats = distance_sweep(topo.as_ref(), 1);
-        (Some(t.elapsed().as_secs_f64()), Some(stats.average))
-    } else {
-        (None, None)
-    };
+    let t = Instant::now();
+    let exact = distance_sweep(topo.as_ref(), 1);
+    let exact_seconds = t.elapsed().as_secs_f64();
 
     let seed = spec_seed(&spec);
     let t = Instant::now();
@@ -402,12 +410,35 @@ fn analysis_run(qfdbs: u64, sources: usize, run_exact: bool) -> AnalysisRun {
         sources,
         exact_seconds,
         sampled_seconds,
-        exact_average,
+        exact_average: exact.average,
         sampled_average: sampled.average,
         confidence_95,
         reference_average,
         within_confidence: (sampled.average - reference_average).abs() <= confidence_95 + 1e-9,
     }
+}
+
+/// Build and sweep each Table 1 spec at the paper's scale, timing the two
+/// halves apart.
+fn table1_exact_rows() -> Vec<ExactTable1Row> {
+    let specs = table1_specs(SystemScale::PAPER, true).expect("paper scale hosts t = 2");
+    specs
+        .iter()
+        .map(|spec| {
+            let t = Instant::now();
+            let topo = spec.build().unwrap();
+            let build_seconds = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let stats = distance_sweep(topo.as_ref(), 1);
+            ExactTable1Row {
+                topology: topo.name(),
+                build_seconds,
+                sweep_seconds: t.elapsed().as_secs_f64(),
+                average: stats.average,
+                diameter: stats.diameter,
+            }
+        })
+        .collect()
 }
 
 fn main() {
@@ -587,21 +618,17 @@ fn main() {
         }
     );
 
-    // Distance-analysis trajectory: exact sweep wall time where feasible,
-    // sampled estimator (512 stratified sources) at every scale up to the
-    // paper's 131,072 QFDBs.
-    let analysis: Vec<AnalysisRun> = [(2_048u64, true), (16_384, true), (131_072, false)]
+    // Distance-analysis trajectory: exact sweep and sampled estimator (512
+    // stratified sources) at every scale up to the paper's 131,072 QFDBs.
+    let analysis: Vec<AnalysisRun> = [2_048u64, 16_384, 131_072]
         .into_iter()
-        .map(|(qfdbs, run_exact)| analysis_run(qfdbs, 512, run_exact))
+        .map(|qfdbs| analysis_run(qfdbs, 512))
         .collect();
     for run in &analysis {
-        let exact = run
-            .exact_seconds
-            .map_or("skipped".to_string(), |s| format!("{s:.4}s"));
         eprintln!(
-            "{}: exact {}, sampled {:.4}s, avg {:.4} ± {:.2e} vs {:.4} ({})",
+            "{}: exact {:.4}s, sampled {:.4}s, avg {:.4} ± {:.2e} vs {:.4} ({})",
             run.name,
-            exact,
+            run.exact_seconds,
             run.sampled_seconds,
             run.sampled_average,
             run.confidence_95,
@@ -614,10 +641,19 @@ fn main() {
         );
     }
 
+    let table1_exact_131072 = table1_exact_rows();
+    for row in &table1_exact_131072 {
+        eprintln!(
+            "exact Table 1 at 131072, {}: build {:.3}s, all-sources sweep {:.3}s, avg {:.4}, diameter {}",
+            row.topology, row.build_seconds, row.sweep_seconds, row.average, row.diameter
+        );
+    }
+
     let snapshot = Snapshot {
         solver,
         engine,
         analysis,
+        table1_exact_131072,
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         threads,
         topo_cache,

@@ -2,10 +2,11 @@
 //! for NestGHC(t,u) and NestTree(t,u) across the paper's (t,u) grid, plus
 //! the fattree and torus reference values from the table caption.
 //!
-//! By default the analysis runs at the paper's full scale (131 072 QFDBs):
-//! topologies are built in memory and distances are measured from a sample
-//! of source endpoints against every destination (exact for small scales;
-//! see `exaflow-analysis`). Use `--scale` to change, `--json` to dump.
+//! By default the analysis runs at the paper's full scale (131 072 QFDBs)
+//! and is *exact*: every topology is built in memory, one at a time, and
+//! swept over all sources and all destinations (see `exaflow-analysis`).
+//! Use `--scale` to change, `--threads` to size the sweep's worker pool,
+//! `--json` to dump.
 
 use exaflow::prelude::*;
 use exaflow::presets;
@@ -28,13 +29,17 @@ fn main() {
         std::process::exit(2);
     });
     let scale = args.scale;
-    let samples = if args.quick { 16 } else { 96 };
+    let threads = args.grid_threads();
     eprintln!(
-        "Table 1 at {} QFDBs ({} sampled sources per topology)",
-        scale.qfdbs, samples
+        "Table 1 at {} QFDBs (all sources, {threads} threads)",
+        scale.qfdbs
     );
 
-    let grid: Vec<(u32, u32)> = presets::hybrid_grid()
+    let sweep = |spec: TopologySpec| {
+        let topo = spec.build().unwrap_or_else(|e| panic!("{e}"));
+        distance_sweep(topo.as_ref(), threads)
+    };
+    let rows: Vec<Row> = presets::hybrid_grid()
         .into_iter()
         .filter(|&(t, _)| {
             let ok = scale.subtori(t).is_ok();
@@ -43,40 +48,23 @@ fn main() {
             }
             ok
         })
-        .collect();
-    // Each grid point builds two full topologies and surveys them — fan
-    // the points out across the worker pool.
-    let rows: Vec<Row> = scoped_map(&grid, args.grid_threads(), |_, &(t, u)| {
-        let mut cell = Row {
-            t,
-            u,
-            avg_ghc: 0.0,
-            avg_tree: 0.0,
-            diam_ghc: 0,
-            diam_tree: 0,
-        };
-        for kind in [UpperTierKind::GeneralizedHypercube, UpperTierKind::Fattree] {
-            let topo = scale.nested_spec(kind, t, u).unwrap().build().unwrap();
-            // Always include the extreme endpoints: corners of the first and
-            // last subtorus are the usual diameter witnesses.
-            let last = NodeId(topo.num_endpoints() as u32 - 1);
-            let stats = distance_survey(topo.as_ref(), samples, 0xE1F, &[NodeId(0), last]);
-            match kind {
-                UpperTierKind::GeneralizedHypercube => {
-                    cell.avg_ghc = stats.average;
-                    cell.diam_ghc = stats.diameter;
-                }
-                UpperTierKind::Fattree => {
-                    cell.avg_tree = stats.average;
-                    cell.diam_tree = stats.diameter;
-                }
+        .map(|(t, u)| {
+            let ghc = sweep(
+                scale
+                    .nested_spec(UpperTierKind::GeneralizedHypercube, t, u)
+                    .unwrap(),
+            );
+            let tree = sweep(scale.nested_spec(UpperTierKind::Fattree, t, u).unwrap());
+            Row {
+                t,
+                u,
+                avg_ghc: ghc.average,
+                avg_tree: tree.average,
+                diam_ghc: ghc.diameter,
+                diam_tree: tree.diameter,
             }
-        }
-        cell
-    })
-    .into_iter()
-    .map(|o| o.value.unwrap_or_else(|e| panic!("survey failed: {e}")))
-    .collect();
+        })
+        .collect();
 
     println!("Table 1: average distance and diameter of the hybrid topologies");
     println!(
@@ -91,14 +79,7 @@ fn main() {
     }
 
     // Reference rows from the table caption.
-    let tree_spec = scale.fattree_spec();
-    let tree = tree_spec.build().unwrap();
-    let tree_stats = distance_survey(
-        tree.as_ref(),
-        samples,
-        0xE1F,
-        &[NodeId(0), NodeId(tree.num_endpoints() as u32 - 1)],
-    );
+    let tree_stats = sweep(scale.fattree_spec());
     let torus_dims = scale.torus_dims();
     let torus_avg = exaflow::topo::torus::average_distance_for_dims(&torus_dims);
     let torus_diam: u32 = torus_dims.iter().map(|&d| d / 2).sum();

@@ -590,17 +590,12 @@ fn cmd_topo(path: Option<&str>) -> i32 {
             let stats = exaflow::netgraph::NetworkStats::of(topo.network());
             println!("{}", topo.name());
             println!("{stats}");
-            let survey = distance_survey(
-                topo.as_ref(),
-                64,
-                7,
-                &[NodeId(0), NodeId(topo.num_endpoints() as u32 - 1)],
-            );
+            let stats = distance_estimate(topo.as_ref(), 64, 7, 1);
             println!(
                 "distance: avg {:.2}, diameter {}{}",
-                survey.average,
-                survey.diameter,
-                if survey.exact {
+                stats.average,
+                stats.diameter,
+                if stats.exact {
                     " (exact)"
                 } else {
                     " (sampled)"

@@ -112,8 +112,8 @@ pub mod prelude {
     pub use crate::topocache::{topology_cache_key, TopoCache, TopoCacheStats};
     pub use crate::topospec::TopologySpec;
     pub use exaflow_analysis::{
-        channel_load_survey, distance_estimate, distance_stats_exact, distance_survey,
-        distance_sweep, physical_distance_sweep, stratified_sources, DistanceStats, LoadStats,
+        channel_load_survey, distance_estimate, distance_stats_exact, distance_sweep,
+        physical_distance_sweep, stratified_sources, DistanceStats, LoadStats,
     };
     pub use exaflow_netgraph::{LinkId, Network, NodeId};
     pub use exaflow_sim::{

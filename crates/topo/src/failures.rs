@@ -96,6 +96,11 @@ fn bfs_route(
 }
 
 /// A topology with some links out of service.
+///
+/// `distance` and `distance_histogram` keep the trait defaults on purpose
+/// (route length, and one `distance` per pair): a single detour breaks
+/// every equidistant class the wrapped topology counts by, so the wrapper
+/// must not forward `distance_histogram` to `inner`.
 pub struct Degraded<T: Topology> {
     inner: T,
     failed: HashSet<u32>,
@@ -272,8 +277,8 @@ impl<T: Topology> Topology for Degraded<T> {
         self.failed.len()
     }
 
-    // Distance falls back to the default (route length): with failures
-    // there is no closed form.
+    // `distance` and `distance_histogram` fall back to the defaults (route
+    // length, per pair): with failures there is no closed form.
 }
 
 /// A **time-varying** failure overlay: the dynamic counterpart of

@@ -16,7 +16,7 @@
 //! attaches caller-supplied nodes as ports.
 
 use crate::mixed_radix::MixedRadix;
-use crate::{Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 
 /// The router fabric of a generalised hypercube attached to port nodes.
@@ -173,6 +173,46 @@ impl GhcTier {
             }
         }
         d
+    }
+
+    /// Call `f(lo, hi, d)` on disjoint port ranges `[lo, hi)` that cover
+    /// every populated port but `src` exactly once, each range at
+    /// [`distance_ports`](Self::distance_ports) `d` from `src`: one range
+    /// per populated router (two around `src` on its own). Routers are
+    /// walked in index order by a mixed-radix odometer that carries the
+    /// Hamming distance to the home router along, so a router costs O(1)
+    /// amortised instead of a coordinate decode.
+    pub fn equidistant_ranges(&self, src: u64, mut f: impl FnMut(u64, u64, u32)) {
+        let ports = self.num_ports as u64;
+        let per_router = self.ports_per_router as u64;
+        let dims = self.shape.dims();
+        let home = self.home(src);
+        let home_coords = self.shape.decode(home);
+        let mut coords = vec![0u32; dims.len()];
+        let mut hamming = home_coords.iter().filter(|&&c| c != 0).count() as u32;
+        for router in 0..ports.div_ceil(per_router) {
+            let lo = router * per_router;
+            let hi = (lo + per_router).min(ports);
+            if router == home {
+                if lo < src {
+                    f(lo, src, 2);
+                }
+                if src + 1 < hi {
+                    f(src + 1, hi, 2);
+                }
+            } else {
+                f(lo, hi, 2 + hamming);
+            }
+            // Step the odometer to the next router.
+            for ((c, &size), &at_home) in coords.iter_mut().zip(dims).zip(&home_coords) {
+                hamming -= u32::from(*c != at_home);
+                *c = if *c + 1 < size { *c + 1 } else { 0 };
+                hamming += u32::from(*c != at_home);
+                if *c != 0 {
+                    break;
+                }
+            }
+        }
     }
 
     /// Largest possible port-to-port hop count: both attach links plus one
@@ -345,6 +385,13 @@ impl Topology for GeneralizedHypercube {
     fn diameter_bound(&self) -> u32 {
         self.diameter()
     }
+
+    fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
+        let mut tally = Tally::new(histogram);
+        self.tier
+            .equidistant_ranges(src.0 as u64, |lo, hi, d| tally.add(d, hi - lo));
+        tally.hops
+    }
 }
 
 #[cfg(test)]
@@ -462,6 +509,28 @@ mod tests {
         }
         let brute = sum as f64 / (e as u64 * (e as u64 - 1)) as f64;
         assert!((g.average_distance() - brute).abs() < 1e-9);
+    }
+
+    #[test]
+    fn equidistant_ranges_partition_the_other_ports() {
+        // A size-1 dimension makes the odometer carry through it; 14 and 7
+        // endpoints leave the last populated router partly filled.
+        for eps in [18usize, 14, 7, 1] {
+            let g = GeneralizedHypercube::with_endpoints(&[3, 1, 2], 3, eps);
+            for src in 0..eps as u64 {
+                let mut seen = vec![0u32; eps];
+                g.tier().equidistant_ranges(src, |lo, hi, d| {
+                    assert!(lo < hi, "empty range");
+                    for port in lo..hi {
+                        seen[port as usize] += 1;
+                        assert_eq!(g.tier().distance_ports(src, port), d);
+                    }
+                });
+                for (port, &count) in seen.iter().enumerate() {
+                    assert_eq!(count, u32::from(port as u64 != src), "port {port}");
+                }
+            }
+        }
     }
 
     #[test]

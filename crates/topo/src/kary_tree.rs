@@ -19,7 +19,7 @@
 //! list of nodes as ports — endpoints for the standalone [`KAryTree`],
 //! uplinked torus QFDBs for `NestTree`.
 
-use crate::{Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 
 /// The switch fabric of a k-ary n-tree attached to a list of port nodes.
@@ -226,6 +226,31 @@ impl TreeTier {
         }
     }
 
+    /// Call `f(lo, hi, d)` on disjoint port ranges `[lo, hi)` that cover
+    /// every populated port but `src` exactly once, each range at
+    /// [`distance_ports`](Self::distance_ports) `d` from `src`. Level `i`
+    /// gives what the aligned block of `kⁱ` ports around `src` adds to the
+    /// block of `kⁱ⁻¹` — at most one range below it and one above, so at
+    /// most `2·n` ranges — at distance `2·i`, clipped to the populated
+    /// ports.
+    pub fn equidistant_ranges(&self, src: u64, mut f: impl FnMut(u64, u64, u32)) {
+        let ports = self.num_ports as u64;
+        let (mut inner_lo, mut inner_hi) = (src, src + 1);
+        let mut width = 1u64;
+        for level in 1..=self.n {
+            width *= self.k as u64;
+            let lo = src / width * width;
+            let hi = (lo + width).min(ports);
+            if lo < inner_lo {
+                f(lo, inner_lo, 2 * level);
+            }
+            if inner_hi < hi {
+                f(inner_hi, hi, 2 * level);
+            }
+            (inner_lo, inner_hi) = (lo, hi);
+        }
+    }
+
     /// Largest port-to-port hop count over populated ports. Ports `0` and
     /// `num_ports - 1` differ in the highest digit any populated pair can
     /// differ in, so their distance is the populated diameter.
@@ -402,6 +427,13 @@ impl Topology for KAryTree {
     fn diameter_bound(&self) -> u32 {
         self.diameter()
     }
+
+    fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
+        let mut tally = Tally::new(histogram);
+        self.tier
+            .equidistant_ranges(src.0 as u64, |lo, hi, d| tally.add(d, hi - lo));
+        tally.hops
+    }
 }
 
 #[cfg(test)]
@@ -511,6 +543,30 @@ mod tests {
         }
         let brute = sum as f64 / (e as u64 * (e as u64 - 1)) as f64;
         assert!((t.average_distance() - brute).abs() < 1e-9);
+    }
+
+    #[test]
+    fn equidistant_ranges_partition_the_other_ports() {
+        // Full, and cut in the middle of a leaf and of a level-2 block.
+        for eps in [27usize, 20, 11, 1] {
+            let t = KAryTree::with_endpoints(3, 3, eps);
+            for src in 0..eps as u64 {
+                let mut seen = vec![0u32; eps];
+                let mut ranges = 0;
+                t.tier().equidistant_ranges(src, |lo, hi, d| {
+                    assert!(lo < hi, "empty range");
+                    ranges += 1;
+                    for port in lo..hi {
+                        seen[port as usize] += 1;
+                        assert_eq!(t.tier().distance_ports(src, port), d);
+                    }
+                });
+                assert!(ranges <= 2 * 3, "{ranges} ranges from {src}");
+                for (port, &count) in seen.iter().enumerate() {
+                    assert_eq!(count, u32::from(port as u64 != src), "port {port}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -174,6 +174,31 @@ pub trait Topology: Send + Sync {
     fn diameter_bound(&self) -> u32 {
         self.network().num_nodes() as u32
     }
+
+    /// Tally `distance(src, d)` for every endpoint `d != src` into
+    /// `histogram`, which the caller pre-sizes to `diameter_bound() + 1`
+    /// slots (no growth in the hot loop), and return the hops summed over
+    /// those destinations.
+    ///
+    /// The default is the per-pair loop, `O(E)` calls of `distance`; it is
+    /// the reference the overrides are tested against. [`Torus`],
+    /// [`KAryTree`], [`GeneralizedHypercube`] and [`Nested`] override it
+    /// with *counting*: seen from one source their destinations fall into a
+    /// few equidistant classes whose sizes are arithmetic, so a source costs
+    /// far less than `E` distance evaluations. Counts and the hop total are
+    /// integers, so an override must reproduce the default exactly.
+    fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
+        let mut hops = 0u64;
+        for d in 0..self.num_endpoints() as u32 {
+            if d == src.0 {
+                continue;
+            }
+            let dist = self.distance(src, NodeId(d));
+            histogram[dist as usize] += 1;
+            hops += dist as u64;
+        }
+        hops
+    }
 }
 
 impl Topology for std::sync::Arc<dyn Topology> {
@@ -208,6 +233,38 @@ impl Topology for std::sync::Arc<dyn Topology> {
     }
     fn diameter_bound(&self) -> u32 {
         self.as_ref().diameter_bound()
+    }
+    fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
+        self.as_ref().distance_histogram(src, histogram)
+    }
+}
+
+/// The running state of one [`Topology::distance_histogram`] override:
+/// whole equidistant classes are added at once.
+pub(crate) struct Tally<'a> {
+    histogram: &'a mut [u64],
+    /// Hops summed over everything added so far.
+    pub(crate) hops: u64,
+}
+
+impl<'a> Tally<'a> {
+    pub(crate) fn new(histogram: &'a mut [u64]) -> Self {
+        Tally { histogram, hops: 0 }
+    }
+
+    /// `count` destinations at `distance` hops.
+    #[inline]
+    pub(crate) fn add(&mut self, distance: u32, count: u64) {
+        self.histogram[distance as usize] += count;
+        self.hops += distance as u64 * count;
+    }
+
+    /// Every node of a torus [`distance_profile`](torus::grid::distance_profile)
+    /// but the source itself, which is its slot 0.
+    pub(crate) fn add_profile(&mut self, profile: &[u64]) {
+        for (d, &count) in profile.iter().enumerate().skip(1) {
+            self.add(d as u32, count);
+        }
     }
 }
 

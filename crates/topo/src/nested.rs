@@ -22,7 +22,7 @@ use crate::ghc::GhcTier;
 use crate::kary_tree::TreeTier;
 use crate::mixed_radix::{near_equal_dims, MixedRadix};
 use crate::torus::grid;
-use crate::{Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -112,6 +112,67 @@ impl Upper {
             Upper::Ghc(g) => g.max_distance_ports(),
         }
     }
+
+    #[inline]
+    fn equidistant_ranges(&self, src: u64, f: impl FnMut(u64, u64, u32)) {
+        match self {
+            Upper::Tree(t) => t.equidistant_ranges(src, f),
+            Upper::Ghc(g) => g.equidistant_ranges(src, f),
+        }
+    }
+}
+
+/// Who sits below a range of upper-tier ports: the endpoints that descend
+/// through it, counted by their DOR hops from the uplinked node. Every
+/// subtorus has the same layout, so one prefix-sum table over the uplink
+/// ordinals of a subtorus answers a port range of any alignment in
+/// `O(width)`.
+struct Descent {
+    uplinks_per_sub: u64,
+    /// One more than the longest `hops_to_uplink` of any local node.
+    width: usize,
+    /// `prefix[o * width + j]`: local nodes `j` hops from their uplink
+    /// target whose target's ordinal is below `o`, for `o` in `0..=U`.
+    prefix: Vec<u64>,
+}
+
+impl Descent {
+    fn new(sub_shape: &MixedRadix, uplink_map: &UplinkMap) -> Self {
+        let hops: Vec<usize> = (0..sub_shape.len())
+            .map(|local| {
+                let target = uplink_map.target(local as u32) as u64;
+                grid::distance(sub_shape, local, target) as usize
+            })
+            .collect();
+        let width = hops.iter().max().map_or(1, |&h| h + 1);
+        let mut prefix = vec![0u64; (uplink_map.num_uplinks() + 1) * width];
+        for (local, &h) in hops.iter().enumerate() {
+            let ordinal = uplink_map.target_ordinal(local as u32) as usize;
+            prefix[(ordinal + 1) * width + h] += 1;
+        }
+        for i in width..prefix.len() {
+            prefix[i] += prefix[i - width];
+        }
+        Descent {
+            uplinks_per_sub: uplink_map.num_uplinks() as u64,
+            width,
+            prefix,
+        }
+    }
+
+    /// Call `f(j, count)` for each hop count `j`: `count` endpoints enter
+    /// the upper tier `j` hops below global ports `[lo, hi)`.
+    #[inline]
+    fn below_ports(&self, lo: u64, hi: u64, mut f: impl FnMut(u32, u64)) {
+        let per_sub = self.uplinks_per_sub;
+        let whole = hi / per_sub - lo / per_sub;
+        let full = &self.prefix[self.prefix.len() - self.width..];
+        let upto_lo = &self.prefix[(lo % per_sub) as usize * self.width..];
+        let upto_hi = &self.prefix[(hi % per_sub) as usize * self.width..];
+        for j in 0..self.width {
+            f(j as u32, whole * full[j] + upto_hi[j] - upto_lo[j]);
+        }
+    }
 }
 
 /// A torus nested into an upper-tier fattree or generalised hypercube.
@@ -128,6 +189,9 @@ pub struct Nested {
     torus_tables: Vec<Vec<u32>>,
     upper: Upper,
     num_upper_switches: u64,
+    /// [`grid::distance_profile`] of one subtorus.
+    sub_profile: Vec<u64>,
+    descent: Descent,
 }
 
 impl Nested {
@@ -205,6 +269,8 @@ impl Nested {
             net: b.build(),
             kind,
             rule,
+            sub_profile: grid::distance_profile(&sub_shape),
+            descent: Descent::new(&sub_shape, &uplink_map),
             sub_shape,
             sub_size,
             num_subtori,
@@ -371,6 +437,30 @@ impl Topology for Nested {
         // destination; each DOR leg is bounded by the subtorus diameter.
         let sub_diam: u32 = self.sub_shape.dims().iter().map(|&d| d / 2).sum();
         2 * sub_diam + self.upper.max_distance_ports()
+    }
+
+    fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
+        let mut tally = Tally::new(histogram);
+        // The source's own subtorus never leaves the lower tier.
+        tally.add_profile(&self.sub_profile);
+        // Everyone else: up to the uplink, across to an equidistant range
+        // of upper-tier ports, down to whoever descends through them. The
+        // ranges are over all ports but the source's; clip the rest of its
+        // subtorus out.
+        let own_lo = self.subtorus_of(src) * self.uplinks_per_sub;
+        let own_hi = own_lo + self.uplinks_per_sub;
+        let climb = self.hops_to_uplink(src);
+        self.upper
+            .equidistant_ranges(self.port_of(src), |lo, hi, across| {
+                for (lo, hi) in [(lo, hi.min(own_lo)), (lo.max(own_hi), hi)] {
+                    if lo < hi {
+                        self.descent.below_ports(lo, hi, |descend, count| {
+                            tally.add(climb + across + descend, count)
+                        });
+                    }
+                }
+            });
+        tally.hops
     }
 }
 

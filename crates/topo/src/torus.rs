@@ -16,7 +16,7 @@
 //! network.
 
 use crate::mixed_radix::MixedRadix;
-use crate::{Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 
 /// Torus link construction and DOR routing over a node id range.
@@ -128,6 +128,28 @@ pub(crate) mod grid {
         }
         d
     }
+
+    /// How many nodes sit at each DOR distance from any one node:
+    /// `profile[d]` nodes at distance `d`, the node itself at 0. A torus is
+    /// vertex-transitive and dimensions add up independently, so this is
+    /// the convolution of the per-ring distance counts, whatever the source.
+    pub(crate) fn distance_profile(shape: &MixedRadix) -> Vec<u64> {
+        let mut profile = vec![1u64];
+        for (dim, &size) in shape.dims().iter().enumerate() {
+            let mut ring = vec![0u64; size as usize / 2 + 1];
+            for c in 0..size {
+                ring[shape.ring_distance(0, c, dim) as usize] += 1;
+            }
+            let mut next = vec![0u64; profile.len() + ring.len() - 1];
+            for (a, &x) in profile.iter().enumerate() {
+                for (b, &y) in ring.iter().enumerate() {
+                    next[a + b] += x * y;
+                }
+            }
+            profile = next;
+        }
+        profile
+    }
 }
 
 /// A d-dimensional torus of endpoints.
@@ -136,6 +158,8 @@ pub struct Torus {
     net: Network,
     shape: MixedRadix,
     link_table: Vec<u32>,
+    /// [`grid::distance_profile`] of `shape`.
+    profile: Vec<u64>,
 }
 
 impl Torus {
@@ -154,6 +178,7 @@ impl Torus {
         let link_table = grid::build_links(&mut b, 0, &shape, capacity_bps);
         Torus {
             net: b.build(),
+            profile: grid::distance_profile(&shape),
             shape,
             link_table,
         }
@@ -234,6 +259,12 @@ impl Topology for Torus {
 
     fn diameter_bound(&self) -> u32 {
         self.diameter()
+    }
+
+    fn distance_histogram(&self, _src: NodeId, histogram: &mut [u64]) -> u64 {
+        let mut tally = Tally::new(histogram);
+        tally.add_profile(&self.profile);
+        tally.hops
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property tests for the routing invariants of every topology family:
 //! routes are valid loop-free physical walks whose length equals the
 //! analytic distance, routing is deterministic, and minimal where the
-//! topology guarantees minimality.
+//! topology guarantees minimality — and the counting overrides of
+//! `distance_histogram` tally exactly what one `distance` per pair does.
 
-use exaflow_netgraph::{bfs_distances_physical, NodeId};
+use exaflow_netgraph::{bfs_distances_physical, LinkId, Network, NodeId};
 use exaflow_topo::{
     check_route, ConnectionRule, Dragonfly, GeneralizedHypercube, Jellyfish, KAryTree, Nested,
     Topology, Torus, UpperTierKind,
@@ -12,6 +13,74 @@ use proptest::prelude::*;
 
 fn torus_dims() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(1u32..6, 1..4)
+}
+
+/// A view of a topology that forwards everything but `distance_histogram`,
+/// which therefore runs the trait's default: one `distance` per pair.
+struct PerPair<'a>(&'a dyn Topology);
+
+impl Topology for PerPair<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn network(&self) -> &Network {
+        self.0.network()
+    }
+    fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
+        self.0.route(src, dst, path)
+    }
+    fn distance(&self, src: NodeId, dst: NodeId) -> u32 {
+        self.0.distance(src, dst)
+    }
+    fn diameter_bound(&self) -> u32 {
+        self.0.diameter_bound()
+    }
+}
+
+/// From every source, the topology's `distance_histogram` fills the same
+/// histogram and returns the same hop total as the per-pair default.
+fn assert_counts_what_the_pair_loop_tallies(topo: &dyn Topology) {
+    let slots = topo.diameter_bound() as usize + 1;
+    for src in (0..topo.num_endpoints() as u32).map(NodeId) {
+        let (mut counted, mut looped) = (vec![0u64; slots], vec![0u64; slots]);
+        let counted_hops = topo.distance_histogram(src, &mut counted);
+        let looped_hops = PerPair(topo).distance_histogram(src, &mut looped);
+        assert_eq!(counted, looped, "{} from {src}", topo.name());
+        assert_eq!(counted_hops, looped_hops, "{} from {src}", topo.name());
+    }
+}
+
+/// Endpoint counts that put the population edge everywhere it matters in
+/// a tree or GHC of `full` ports: alone, a pair, just past half (a partly
+/// filled last leaf or router), one short of full, full.
+fn populations(full: usize) -> Vec<usize> {
+    let mut eps = vec![1, 2, full / 2 + 1, full.saturating_sub(1), full];
+    eps.retain(|&e| (1..=full).contains(&e));
+    eps.sort_unstable();
+    eps.dedup();
+    eps
+}
+
+/// The hybrids over the whole grid the paper draws from, at subtorus
+/// counts that leave the upper tier partly empty and put its range edges
+/// in the middle of a subtorus; t = 3 only exists fully uplinked.
+#[test]
+fn nested_histogram_counts_what_the_pair_loop_tallies() {
+    let cases: [(u32, &[u64], &[ConnectionRule]); 4] = [
+        (2, &[1, 2, 3, 5, 17], &ConnectionRule::all()),
+        (4, &[1, 2, 3, 5, 17], &ConnectionRule::all()),
+        (3, &[1, 2, 3, 5, 17], &[ConnectionRule::EveryNode]),
+        (6, &[1, 3], &ConnectionRule::all()),
+    ];
+    for kind in [UpperTierKind::Fattree, UpperTierKind::GeneralizedHypercube] {
+        for (t, subtori, rules) in cases {
+            for &rule in rules {
+                for &count in subtori {
+                    assert_counts_what_the_pair_loop_tallies(&Nested::new(kind, count, t, rule));
+                }
+            }
+        }
+    }
 }
 
 /// Exhaustively cover the jellyfish parameter space the property test
@@ -49,6 +118,32 @@ proptest! {
         let bfs = bfs_distances_physical(t.network(), s);
         for d in 0..n as u32 {
             prop_assert_eq!(t.distance(s, NodeId(d)), bfs[d as usize]);
+        }
+    }
+
+    #[test]
+    fn torus_histogram_counts_what_the_pair_loop_tallies(dims in torus_dims()) {
+        // `torus_dims` draws rings of 1, 2, odd and even sizes.
+        assert_counts_what_the_pair_loop_tallies(&Torus::new(&dims));
+    }
+
+    #[test]
+    fn tree_histogram_counts_what_the_pair_loop_tallies(k in 2u32..5, n in 1u32..4) {
+        for eps in populations((k as usize).pow(n)) {
+            assert_counts_what_the_pair_loop_tallies(&KAryTree::with_endpoints(k, n, eps));
+        }
+    }
+
+    #[test]
+    fn ghc_histogram_counts_what_the_pair_loop_tallies(
+        dims in prop::collection::vec(1u32..5, 1..4),
+        ports in 1u32..4,
+    ) {
+        let routers: usize = dims.iter().map(|&d| d as usize).product();
+        for eps in populations(routers * ports as usize) {
+            assert_counts_what_the_pair_loop_tallies(&GeneralizedHypercube::with_endpoints(
+                &dims, ports, eps,
+            ));
         }
     }
 

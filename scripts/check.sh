@@ -63,17 +63,18 @@ $TIMEOUT 300 ./target/release/exaflow run scripts/golden_run_config.json \
   | diff -u scripts/golden_run_expected.json - \
   || { echo "untraced 'exaflow run' output drifted from scripts/golden_run_expected.json"; exit 1; }
 
-echo "== paper-scale analyze: sampled averages bracket Table 1 (40 / 5.94)"
-$TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources 512 2>/dev/null \
+echo "== paper-scale analyze: exact all-sources averages meet Table 1 (40 / 5.94)"
+$TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources all 2>/dev/null \
   | python3 -c '
 import json, sys
 rows = json.load(sys.stdin)["rows"]
 torus, fattree = rows[0]["stats"], rows[1]["stats"]
-assert abs(torus["average"] - 40.0) <= torus["confidence_95"] + 0.5, torus
-assert torus["diameter"] == 80, torus
-assert abs(fattree["average"] - 5.94) <= fattree["confidence_95"] + 0.05, fattree
-assert fattree["diameter"] == 6, fattree
-print("torus avg %.4f, fattree avg %.4f: brackets Table 1" % (torus["average"], fattree["average"]))
+assert torus["exact"] and fattree["exact"], (torus["exact"], fattree["exact"])
+assert abs(torus["average"] - 40.00030517810958) <= 1e-9, torus["average"]
+assert torus["diameter"] == 80, torus["diameter"]
+assert abs(fattree["average"] - 5.94) <= 0.05, fattree["average"]
+assert fattree["diameter"] == 6, fattree["diameter"]
+print("torus avg %.4f, fattree avg %.4f: exact, meets Table 1" % (torus["average"], fattree["average"]))
 ' || { echo "paper-scale analyze drifted from Table 1"; exit 1; }
 
 echo "All checks passed."
