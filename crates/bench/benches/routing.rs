@@ -1,5 +1,5 @@
-//! Routing micro-benchmarks: cost of one route computation per topology
-//! family, plus the route-cache ablation (DESIGN.md §6).
+//! Routing micro-benchmark: cost of one route computation per topology
+//! family.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exaflow::prelude::*;
@@ -36,42 +36,9 @@ fn route_each_family(c: &mut Criterion) {
     group.finish();
 }
 
-fn route_cache_ablation(c: &mut Criterion) {
-    // Iterative stencil: the same (src, dst) pairs recur every round, which
-    // is exactly what the route cache is for.
-    let topo = Torus::new(&[8, 8, 8]);
-    let w = WorkloadSpec::NearNeighbors {
-        gx: 8,
-        gy: 8,
-        gz: 8,
-        bytes: 1 << 16,
-        iterations: 8,
-        periodic: true,
-    };
-    let dag = w.generate(&TaskMapping::linear(512, 512));
-    let mut group = c.benchmark_group("route_cache");
-    for (label, cached) in [("cached", true), ("uncached", false)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let cfg = SimConfig {
-                    cache_routes: cached,
-                    ..SimConfig::default()
-                };
-                black_box(
-                    Simulator::with_config(&topo, cfg)
-                        .run(&dag)
-                        .unwrap()
-                        .makespan_seconds,
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = route_each_family, route_cache_ablation
+    targets = route_each_family
 );
 criterion_main!(benches);

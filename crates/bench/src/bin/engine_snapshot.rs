@@ -1,7 +1,6 @@
-//! Emits a `BENCH_engine.json` perf snapshot for the rate engine: the
-//! solver-level incremental-vs-full churn scenario (the issue's ≥ 3x
-//! acceptance number) plus end-to-end engine runs with the fast paths on
-//! vs off, with equivalence verified on every scenario.
+//! Emits a `BENCH_engine.json` perf snapshot for the rate engine: a
+//! solver-level churn scenario checked against the textbook max-min
+//! reference, plus end-to-end engine runs with their solver effort.
 //!
 //! The vendored criterion stub cannot write machine-readable output, so
 //! this binary is the perf-trajectory recorder: run
@@ -11,7 +10,9 @@
 //! Usage: `engine_snapshot [output.json]` (default `BENCH_engine.json`).
 
 use exaflow::prelude::*;
+use exaflow::sim::engine::FULL_PASS_THRESHOLD;
 use exaflow::sim::maxmin::MaxMinSolver;
+use exaflow::sim::trace_check::textbook_maxmin;
 use exaflow::sim::{PathId, PathTable};
 use exaflow_bench::allreduce_round0_paths;
 use serde::Serialize;
@@ -27,10 +28,10 @@ struct SolverChurn {
     name: &'static str,
     flows: usize,
     events: usize,
-    full_seconds: f64,
-    incremental_seconds: f64,
-    speedup: f64,
-    bit_identical: bool,
+    seconds: f64,
+    /// The final rates are bit-identical to `textbook_maxmin` over the
+    /// same paths.
+    matches_textbook: bool,
 }
 
 #[derive(Serialize)]
@@ -39,17 +40,13 @@ struct EngineRun {
     makespan_seconds: f64,
     events: u64,
     flows: u64,
-    full_wall_seconds: f64,
-    fast_wall_seconds: f64,
-    speedup: f64,
+    wall_seconds: f64,
     rate_recomputes: u64,
-    flows_coalesced: u64,
-    /// Freeze rounds of the fast run, and how many of them its full passes
-    /// took from the previous pass's log instead of the heap (`maxmin`
-    /// module docs, "Prefix replay").
+    /// Freeze rounds of the run, and how many of them its full passes took
+    /// from the previous pass's log instead of the heap (`maxmin` module
+    /// docs, "Prefix replay").
     maxmin_iterations: u64,
     replayed_rounds: u64,
-    reports_identical: bool,
 }
 
 /// Trace sink that mirrors a fault-free run's solver traffic onto a
@@ -57,7 +54,6 @@ struct EngineRun {
 /// `flow_finished`, one recompute per `rate_recompute` — because the
 /// replay counter lives on the solver, not on `SimReport`.
 struct SolverMirror {
-    cfg: SimConfig,
     solver: Option<MaxMinSolver>,
     paths: PathTable,
     entries: HashMap<u32, u32>,
@@ -72,7 +68,7 @@ impl TraceSink for SolverMirror {
         match event {
             TraceEvent::FlowStarted { flow, path, .. } => {
                 let path = self.paths.intern(path);
-                let id = solver.insert_entry(&self.paths, path, self.cfg.coalesce_flows);
+                let id = solver.insert_entry(&self.paths, path);
                 self.entries.insert(*flow, id);
             }
             // Degenerate flows finish without ever having started.
@@ -81,11 +77,7 @@ impl TraceSink for SolverMirror {
                     solver.remove_entry(id);
                 }
             }
-            TraceEvent::RateRecompute { .. } => solver.recompute(
-                &self.paths,
-                self.cfg.solver_incremental,
-                self.cfg.incremental_full_threshold,
-            ),
+            TraceEvent::RateRecompute { .. } => solver.recompute(&self.paths, FULL_PASS_THRESHOLD),
             _ => {}
         }
     }
@@ -162,69 +154,47 @@ struct Snapshot {
     topo_cache: TopoCacheRun,
 }
 
-/// The issue's acceptance scenario: a 4096-endpoint AllReduce active set
-/// (8192 resources touched) where each event retires one flow and, a
-/// recompute later, admits it again. One full water-fill per event vs two
-/// dirty-component recomputes (a retire and re-admit of the same path
-/// between two recomputes is settled as no change and measures nothing).
+/// Solver churn on a 4096-endpoint AllReduce active set (8192 resources
+/// touched): each event retires one flow and, a recompute later, admits it
+/// again — two dirty-component recomputes (a retire and re-admit of the
+/// same path between two recomputes is settled as no change and measures
+/// nothing).
 fn solver_churn() -> SolverChurn {
     let (resources, paths) = allreduce_round0_paths(&[16, 16, 16]);
     let caps = vec![10e9; resources];
     let flows = paths.len();
 
-    let mut full = MaxMinSolver::new(caps.clone()).unwrap();
-    let mut rates = vec![0.0; flows];
-    let t = Instant::now();
-    for _ in 0..EVENTS {
-        full.solve(black_box(&paths), &mut rates);
-    }
-    let full_seconds = t.elapsed().as_secs_f64();
-
     let mut table = PathTable::new();
     let path_ids: Vec<PathId> = paths.iter().map(|p| table.intern(p)).collect();
-    let mut inc = MaxMinSolver::new(caps).unwrap();
+    let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
     let mut ids: Vec<u32> = path_ids
         .iter()
-        .map(|&p| inc.insert_entry(&table, p, true))
+        .map(|&p| solver.insert_entry(&table, p))
         .collect();
-    inc.recompute(&table, true, 0.5);
+    solver.recompute(&table, FULL_PASS_THRESHOLD);
     let t = Instant::now();
     for e in 0..EVENTS {
         let k = (e * 101) % flows;
-        inc.remove_entry(ids[k]);
-        inc.recompute(&table, true, 0.5);
-        ids[k] = inc.insert_entry(&table, path_ids[k], true);
-        inc.recompute(&table, true, 0.5);
-        black_box(inc.entry_rate(ids[k]));
+        solver.remove_entry(ids[k]);
+        solver.recompute(&table, FULL_PASS_THRESHOLD);
+        ids[k] = solver.insert_entry(&table, path_ids[k]);
+        solver.recompute(&table, FULL_PASS_THRESHOLD);
+        black_box(solver.entry_rate(ids[k]));
     }
-    let incremental_seconds = t.elapsed().as_secs_f64();
+    let seconds = t.elapsed().as_secs_f64();
 
-    let bit_identical = ids
+    let (want, _) = textbook_maxmin(&caps, &paths);
+    let matches_textbook = ids
         .iter()
-        .zip(&rates)
-        .all(|(id, r)| inc.entry_rate(*id).to_bits() == r.to_bits());
+        .zip(&want)
+        .all(|(id, r)| solver.entry_rate(*id).to_bits() == r.to_bits());
     SolverChurn {
         name: "solver_churn_allreduce_4096ep",
         flows,
         events: EVENTS,
-        full_seconds,
-        incremental_seconds,
-        speedup: full_seconds / incremental_seconds,
-        bit_identical,
+        seconds,
+        matches_textbook,
     }
-}
-
-/// Serialize a report with the solver-effort counters zeroed (the only
-/// fields allowed to differ between engine modes).
-fn canonical(report: &SimReport) -> String {
-    let mut r = report.clone();
-    r.maxmin_iterations = 0;
-    r.rate_recomputes = 0;
-    r.flows_coalesced = 0;
-    r.solver_threads = 0;
-    r.parallel_solves = 0;
-    r.parallel_route_batches = 0;
-    serde_json::to_string(&r).unwrap()
 }
 
 /// Serialize a report with ONLY the pool-bookkeeping fields zeroed: across
@@ -280,28 +250,18 @@ fn engine_run(name: &'static str, spec: &TopologySpec, workload: &WorkloadSpec) 
 }
 
 fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> EngineRun {
-    let cfg = |fast: bool| SimConfig {
-        solver_incremental: fast,
-        coalesce_flows: fast,
-        ..SimConfig::default()
-    };
-
     let t = Instant::now();
-    let full = Simulator::with_config(topo, cfg(false)).run(dag).unwrap();
-    let full_wall_seconds = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let fast = Simulator::with_config(topo, cfg(true)).run(dag).unwrap();
-    let fast_wall_seconds = t.elapsed().as_secs_f64();
+    let report = Simulator::new(topo).run(dag).unwrap();
+    let wall_seconds = t.elapsed().as_secs_f64();
 
-    // A third, traced run feeds the mirror; it must land on the engine's
+    // A second, traced run feeds the mirror; it must land on the engine's
     // own iteration count or it mirrored something else.
     let mut mirror = SolverMirror {
-        cfg: cfg(true),
         solver: None,
         paths: PathTable::new(),
         entries: HashMap::new(),
     };
-    Simulator::with_config(topo, cfg(true))
+    Simulator::new(topo)
         .run_with(
             dag,
             &FaultSchedule::empty(),
@@ -310,21 +270,17 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
         )
         .unwrap();
     let mirrored = mirror.solver.expect("traced run emits a header");
-    assert_eq!(mirrored.iterations, fast.maxmin_iterations, "{name}");
+    assert_eq!(mirrored.iterations, report.maxmin_iterations, "{name}");
 
     EngineRun {
         name,
-        makespan_seconds: fast.makespan_seconds,
-        events: fast.events,
-        flows: fast.flows,
-        full_wall_seconds,
-        fast_wall_seconds,
-        speedup: full_wall_seconds / fast_wall_seconds,
-        rate_recomputes: fast.rate_recomputes,
-        flows_coalesced: fast.flows_coalesced,
-        maxmin_iterations: fast.maxmin_iterations,
+        makespan_seconds: report.makespan_seconds,
+        events: report.events,
+        flows: report.flows,
+        wall_seconds,
+        rate_recomputes: report.rate_recomputes,
+        maxmin_iterations: report.maxmin_iterations,
         replayed_rounds: mirrored.replayed_rounds,
-        reports_identical: canonical(&full) == canonical(&fast),
     }
 }
 
@@ -450,19 +406,17 @@ fn main() {
 
     let solver = solver_churn();
     eprintln!(
-        "{}: full {:.4}s, incremental {:.4}s, speedup {:.0}x ({})",
+        "{}: {:.4}s ({})",
         solver.name,
-        solver.full_seconds,
-        solver.incremental_seconds,
-        solver.speedup,
-        if solver.bit_identical {
-            "bit-identical"
+        solver.seconds,
+        if solver.matches_textbook {
+            "matches the textbook"
         } else {
             "MISMATCH"
         }
     );
 
-    // The incremental engine's target regime: staggered flow sizes mean
+    // The incremental solver's target regime: staggered flow sizes mean
     // every completion is its own event perturbing one tiny component —
     // at exascale the dominant shape (EvalNet/OutFlank observation).
     let big_torus = Torus::new(&[16, 16, 16]); // 4096 endpoints
@@ -546,21 +500,12 @@ fn main() {
     ];
     for run in &engine {
         eprintln!(
-            "{}: full {:.4}s, fast {:.4}s, speedup {:.2}x, {} recomputes, \
-             {} coalesced, {} / {} rounds replayed ({})",
+            "{}: {:.4}s, {} recomputes, {} / {} rounds replayed",
             run.name,
-            run.full_wall_seconds,
-            run.fast_wall_seconds,
-            run.speedup,
+            run.wall_seconds,
             run.rate_recomputes,
-            run.flows_coalesced,
             run.replayed_rounds,
             run.maxmin_iterations,
-            if run.reports_identical {
-                "reports identical"
-            } else {
-                "REPORTS DIVERGED"
-            }
         );
     }
 

@@ -95,7 +95,7 @@ impl HarnessArgs {
 /// torus: endpoint `i` sends to its recursive-doubling partner `i ^ 1`,
 /// each path `[injection, links.., ejection]` exactly as [`Simulator`]
 /// hands them to the max-min solver. Returns `(resource count, paths)`.
-/// Shared by the `solver_incremental` bench and the `engine_snapshot` bin.
+/// Used by the `engine_snapshot` bin's solver-churn scenario.
 pub fn allreduce_round0_paths(dims: &[u32]) -> (usize, Vec<Vec<u32>>) {
     let topo = Torus::new(dims);
     let eps = topo.num_endpoints();

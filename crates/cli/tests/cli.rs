@@ -283,13 +283,36 @@ fn run_reports_invalid_sim_config_kind() {
                 "workload": {"workload": "reduce", "tasks": 8, "bytes": 1024},
                 "sim": {"injection_bps": -5.0, "ejection_bps": 1e10,
                         "batch_epsilon": 1e-9, "record_flow_times": false,
-                        "cache_routes": true, "route_cache_cap": 1024}}"#,
+                        "route_cache_cap": 1024}}"#,
         )
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("injection_bps"), "stderr: {err}");
+}
+
+/// Two million `[` used to recurse the parser into a stack overflow that
+/// aborted the process. Every command that reads a JSON file must now
+/// stop at the nesting cap with a parse error and exit 1.
+#[test]
+fn deeply_nested_json_is_a_parse_error_in_every_command() {
+    let path = tmpfile("deep.json");
+    std::fs::write(&path, "[".repeat(2_000_000)).unwrap();
+    let file = path.to_str().unwrap();
+    for args in [
+        ["run", file],
+        ["sweep", file],
+        ["resilience", file],
+        ["topo", file],
+    ] {
+        let out = exaflow().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error: parse"), "{args:?}: {err}");
+        assert!(err.contains("nested deeper than 128"), "{args:?}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -791,12 +814,12 @@ fn campaign_torn_journal_resumes_cleanly() {
     std::fs::remove_file(&journal_path).ok();
 }
 
-/// Full sim object with the workspace defaults, ready for extra budget
-/// fields — the strict SimConfig deserializer takes all or nothing.
+/// Sim object with every required field at the workspace defaults, ready
+/// for extra budget fields.
 fn sim_json(extra: &str) -> String {
     format!(
         r#"{{"injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9,
-            "record_flow_times": true, "cache_routes": true, "route_cache_cap": 4096{}{extra}}}"#,
+            "record_flow_times": true, "route_cache_cap": 4096{}{extra}}}"#,
         if extra.is_empty() { "" } else { ", " }
     )
 }

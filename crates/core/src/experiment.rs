@@ -146,8 +146,8 @@ pub struct ExperimentResult {
     /// [`exaflow_sim::SimReport::rate_recomputes`]).
     #[serde(default)]
     pub rate_recomputes: u64,
-    /// Flows coalesced into identical-path solver entries (0 with
-    /// `coalesce_flows` off; absent in pre-incremental result files).
+    /// Flows coalesced into identical-path solver entries (absent in
+    /// pre-incremental result files).
     #[serde(default)]
     pub flows_coalesced: u64,
     /// Engine counters and histograms, present only when the experiment ran

@@ -66,31 +66,10 @@ pub struct SimConfig {
     /// event.
     #[serde(default)]
     pub collect_link_stats: bool,
-    /// Memoise routes per (src, dst) pair. Pays off for iterative workloads
-    /// that reuse pairs across rounds; capped to bound memory.
-    pub cache_routes: bool,
-    /// Maximum number of cached routes.
+    /// Maximum number of routes memoised per (src, dst) pair, which pays
+    /// off for iterative workloads that reuse pairs across rounds; `0`
+    /// disables the route cache.
     pub route_cache_cap: usize,
-    /// Incremental rate allocation: on each event, re-solve only the
-    /// connected component(s) of the flow–resource sharing graph that
-    /// changed (see `maxmin` module docs). Falls back to a full pass on
-    /// fault events and when the dirty region exceeds
-    /// `incremental_full_threshold`. Rates — and therefore the whole
-    /// report — are bit-identical to the full per-event solve.
-    #[serde(default = "default_true")]
-    pub solver_incremental: bool,
-    /// Coalesce active flows with identical resource paths into one
-    /// weighted solver entry. Collapses symmetric collectives (AllReduce
-    /// rounds, MapReduce shuffles) by orders of magnitude; bit-identical
-    /// to solving the flows separately.
-    #[serde(default = "default_true")]
-    pub coalesce_flows: bool,
-    /// Dirty-region fraction (of live entries) above which an incremental
-    /// recompute degrades to a full pass; `0.0..=1.0`. Small components
-    /// are cheaper to re-solve in place, near-global ones are not worth
-    /// the bookkeeping.
-    #[serde(default = "default_full_threshold")]
-    pub incremental_full_threshold: f64,
     /// Collect trace metrics ([`SimReport::metrics`]) even without an
     /// explicit [`TraceSink`]; passing a sink to [`Simulator::run_with`]
     /// enables tracing regardless. Off by default — an untraced run
@@ -123,14 +102,6 @@ pub struct SimConfig {
     /// suites treat it as transient and may retry.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub max_wall_s: Option<f64>,
-}
-
-fn default_true() -> bool {
-    true
-}
-
-fn default_full_threshold() -> f64 {
-    0.5
 }
 
 impl SimConfig {
@@ -168,14 +139,6 @@ impl SimConfig {
                 ));
             }
         }
-        let t = self.incremental_full_threshold;
-        if !(t.is_finite() && (0.0..=1.0).contains(&t)) {
-            return Err(SimError::invalid_config(
-                "incremental_full_threshold",
-                t,
-                "must be finite and within 0..=1",
-            ));
-        }
         if let Some(limit) = self.max_wall_s {
             if !(limit.is_finite() && limit > 0.0) {
                 return Err(SimError::invalid_config(
@@ -210,11 +173,7 @@ impl Default for SimConfig {
             startup_latency_s: 0.0,
             record_flow_times: false,
             collect_link_stats: false,
-            cache_routes: true,
             route_cache_cap: 1 << 21,
-            solver_incremental: true,
-            coalesce_flows: true,
-            incremental_full_threshold: 0.5,
             trace: false,
             solver_threads: 0,
             max_events: None,
@@ -238,14 +197,7 @@ struct SimConfigUnchecked {
     record_flow_times: bool,
     #[serde(default)]
     collect_link_stats: bool,
-    cache_routes: bool,
     route_cache_cap: usize,
-    #[serde(default = "default_true")]
-    solver_incremental: bool,
-    #[serde(default = "default_true")]
-    coalesce_flows: bool,
-    #[serde(default = "default_full_threshold")]
-    incremental_full_threshold: f64,
     #[serde(default)]
     trace: bool,
     #[serde(default)]
@@ -267,11 +219,7 @@ impl serde::de::Deserialize for SimConfig {
             startup_latency_s: raw.startup_latency_s,
             record_flow_times: raw.record_flow_times,
             collect_link_stats: raw.collect_link_stats,
-            cache_routes: raw.cache_routes,
             route_cache_cap: raw.route_cache_cap,
-            solver_incremental: raw.solver_incremental,
-            coalesce_flows: raw.coalesce_flows,
-            incremental_full_threshold: raw.incremental_full_threshold,
             trace: raw.trace,
             solver_threads: raw.solver_threads,
             max_events: raw.max_events,
@@ -360,6 +308,11 @@ struct RouteScratch {
     links: Vec<LinkId>,
     route: Vec<u32>,
 }
+
+/// Dirty-region fraction (of live solver entries) above which a recompute
+/// degrades to a full pass: small components are cheaper to re-solve in
+/// place, near-global ones are not worth the bookkeeping.
+pub const FULL_PASS_THRESHOLD: f64 = 0.5;
 
 /// Smallest activation batch (in distinct uncached endpoint pairs) worth
 /// routing on the worker pool; below this the dispatch handshake costs
@@ -548,16 +501,13 @@ impl<'a> Simulator<'a> {
             Vec::new()
         };
 
-        // Active set: parallel vectors of flow id and path (resource list).
+        // Active set: parallel vectors of flow id, path (resource list) and
+        // solver entry id (every swap_remove mirrors all of them).
         let mut active_ids: Vec<u32> = Vec::new();
         let mut active_paths: Vec<PathId> = Vec::new();
+        let mut active_entries: Vec<u32> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
         let mut done_flags: Vec<bool> = Vec::new();
-        // Incremental/coalesced mode: per-active-flow solver entry id,
-        // parallel to `active_ids` (every swap_remove mirrors it).
-        let use_entries = self.cfg.solver_incremental || self.cfg.coalesce_flows;
-        let coalesce = self.cfg.coalesce_flows;
-        let mut active_entries: Vec<u32> = Vec::new();
         // Flows waiting out their head latency.
         let mut delayed: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
         let mut delayed_paths: IntMap<u32, PathId> = IntMap::default();
@@ -621,8 +571,8 @@ impl<'a> Simulator<'a> {
             }};
         }
 
-        // Admit flow `f` with `path` into the active set, registering a
-        // solver entry in incremental/coalesced mode.
+        // Admit flow `f` with `path` into the active set, registering its
+        // solver entry.
         macro_rules! admit {
             ($f:expr, $path:expr) => {{
                 let f: u32 = $f;
@@ -635,9 +585,7 @@ impl<'a> Simulator<'a> {
                         path: paths.get(path).to_vec(),
                     }
                 );
-                if use_entries {
-                    active_entries.push(solver.insert_entry(&paths, path, coalesce));
-                }
+                active_entries.push(solver.insert_entry(&paths, path));
                 active_ids.push(f);
                 active_paths.push(path);
             }};
@@ -732,12 +680,7 @@ impl<'a> Simulator<'a> {
                         retire!(f);
                         continue;
                     }
-                    let cached = if self.cfg.cache_routes {
-                        route_cache.get((spec.src, spec.dst))
-                    } else {
-                        None
-                    };
-                    let path: PathId = match cached {
+                    let path: PathId = match route_cache.get((spec.src, spec.dst)) {
                         Some(p) => p,
                         None => {
                             // A prefetch batch may have routed this pair
@@ -753,9 +696,7 @@ impl<'a> Simulator<'a> {
                             };
                             match built {
                                 Ok(p) => {
-                                    if self.cfg.cache_routes {
-                                        route_cache.insert((spec.src, spec.dst), p);
-                                    }
+                                    route_cache.insert((spec.src, spec.dst), p);
                                     p
                                 }
                                 // A flow activating toward a destination the
@@ -861,8 +802,6 @@ impl<'a> Simulator<'a> {
                     // overlay; drop them so consumption can never lag the
                     // down-set.
                     prefetched.clear();
-                }
-                if use_entries && (restored || !downed.is_empty()) {
                     // Fault churn perturbs the sharing graph beyond the
                     // entry-level diff (coalesced groups included): force
                     // the next recompute to cover every live entry.
@@ -898,10 +837,8 @@ impl<'a> Simulator<'a> {
                                         restarted: matches!(policy, RecoveryPolicy::RerouteRestart),
                                     }
                                 );
-                                if use_entries {
-                                    solver.remove_entry(active_entries[i]);
-                                    active_entries[i] = solver.insert_entry(&paths, p, coalesce);
-                                }
+                                solver.remove_entry(active_entries[i]);
+                                active_entries[i] = solver.insert_entry(&paths, p);
                                 active_paths[i] = p;
                                 if matches!(policy, RecoveryPolicy::RerouteRestart) {
                                     // Retransmit from zero on the new path.
@@ -919,10 +856,8 @@ impl<'a> Simulator<'a> {
                                     skipped_flow_ids.push(f);
                                     active_ids.swap_remove(i);
                                     active_paths.swap_remove(i);
-                                    if use_entries {
-                                        solver.remove_entry(active_entries[i]);
-                                        active_entries.swap_remove(i);
-                                    }
+                                    solver.remove_entry(active_entries[i]);
+                                    active_entries.swap_remove(i);
                                     // `rates` is resized before the next solve.
                                 } else {
                                     return Err(e);
@@ -1072,19 +1007,9 @@ impl<'a> Simulator<'a> {
             events += 1;
             rates.resize(active_ids.len(), 0.0);
             let solve_start = if tracing { Some(Instant::now()) } else { None };
-            if use_entries {
-                solver.recompute_with(
-                    &paths,
-                    self.cfg.solver_incremental,
-                    self.cfg.incremental_full_threshold,
-                    pool,
-                );
-                for (i, &e) in active_entries.iter().enumerate() {
-                    rates[i] = solver.entry_rate(e);
-                }
-            } else {
-                let slices: Vec<&[u32]> = active_paths.iter().map(|&p| paths.get(p)).collect();
-                solver.solve(&slices, &mut rates);
+            solver.recompute_with(&paths, FULL_PASS_THRESHOLD, pool);
+            for (rate, &e) in rates.iter_mut().zip(&active_entries) {
+                *rate = solver.entry_rate(e);
             }
             if let Some(m) = metrics.as_mut() {
                 let elapsed = solve_start.expect("set when tracing").elapsed();
@@ -1109,20 +1034,15 @@ impl<'a> Simulator<'a> {
                     peak = peak.max(load / solver.capacity(r));
                 }
                 m.record_utilization(peak);
-                let (entries_solved, full_pass) = if use_entries {
-                    (solver.last_pass_entries, solver.last_pass_full)
-                } else {
-                    (active_ids.len() as u64, true)
-                };
                 m.rate_recomputes += 1;
-                m.full_passes += full_pass as u64;
+                m.full_passes += solver.last_pass_full as u64;
                 if let Some(s) = sink.as_mut() {
                     s.record(&TraceEvent::RateRecompute {
                         t: now,
                         flows: active_ids.clone(),
                         rates_bps: rates.clone(),
-                        entries_solved,
-                        full_pass,
+                        entries_solved: solver.last_pass_entries,
+                        full_pass: solver.last_pass_full,
                     });
                 }
             }
@@ -1234,10 +1154,8 @@ impl<'a> Simulator<'a> {
                     active_paths.swap_remove(i);
                     rates.swap_remove(i);
                     done_flags.swap_remove(i);
-                    if use_entries {
-                        solver.remove_entry(active_entries[i]);
-                        active_entries.swap_remove(i);
-                    }
+                    solver.remove_entry(active_entries[i]);
+                    active_entries.swap_remove(i);
                 } else {
                     i += 1;
                 }
@@ -1759,12 +1677,39 @@ mod tests {
             "ejection_bps": 1e10,
             "batch_epsilon": 1e-9,
             "record_flow_times": false,
-            "cache_routes": true,
             "route_cache_cap": 1024
         }"#;
         let err = serde_json::from_str::<SimConfig>(json).unwrap_err();
         let msg = format!("{err}");
         assert!(msg.contains("injection_bps"), "{msg}");
+    }
+
+    /// Config files written before the engine had one mode still carry its
+    /// four mode keys. They are ignored like any unknown key, whatever
+    /// their values: the config and the report match the same file
+    /// without them.
+    #[test]
+    fn old_configs_with_the_deleted_mode_keys_still_load() {
+        let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9,
+            "record_flow_times": true, "route_cache_cap": 1024"#;
+        let old = format!(
+            r#"{{{base}, "cache_routes": false, "solver_incremental": false,
+                "coalesce_flows": false, "incremental_full_threshold": 0.0}}"#
+        );
+        let old: SimConfig = serde_json::from_str(&old).unwrap();
+        let new: SimConfig = serde_json::from_str(&format!("{{{base}}}")).unwrap();
+        assert_eq!(old, new);
+        let topo = Torus::new(&[4, 4]);
+        let mut b = FlowDagBuilder::new();
+        for i in 0..16u32 {
+            b.add_flow(NodeId(i), NodeId((i + 5) % 16), mb(1) + i as u64, &[]);
+        }
+        let dag = b.build();
+        let report = |cfg: SimConfig| {
+            let r = Simulator::with_config(&topo, cfg).run(&dag).unwrap();
+            serde_json::to_string(&r).unwrap()
+        };
+        assert_eq!(report(old), report(new));
     }
 
     #[test]
@@ -1812,9 +1757,9 @@ mod tests {
             prev = cur;
         }
         let dag = dagb.build();
-        let run = |cache: bool| {
+        let run = |route_cache_cap: usize| {
             let cfg = SimConfig {
-                cache_routes: cache,
+                route_cache_cap,
                 ..SimConfig::default()
             };
             Simulator::with_config(&topo, cfg)
@@ -1822,7 +1767,7 @@ mod tests {
                 .unwrap()
                 .makespan_seconds
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(SimConfig::default().route_cache_cap), run(0));
     }
 
     /// Regression: the cache used to silently refuse inserts once full, so
@@ -1874,9 +1819,9 @@ mod tests {
     fn link_repair_retains_cached_detours() {
         let topo = Torus::new(&[4]);
         // Per-hop latency makes path length observable in the makespan.
-        let cfg = |cache: bool| SimConfig {
+        let cfg = |route_cache_cap: usize| SimConfig {
             per_hop_latency_s: 1e-6,
-            cache_routes: cache,
+            route_cache_cap,
             ..SimConfig::default()
         };
         // A fills time; B (0 -> 1) activates during the outage and caches
@@ -1897,14 +1842,14 @@ mod tests {
         ));
         let schedule = FaultSchedule::new(events).unwrap();
 
-        let cached = Simulator::with_config(&topo, cfg(true))
+        let cached = Simulator::with_config(&topo, cfg(SimConfig::default().route_cache_cap))
             .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         // C hits B's retained detour — the only cache hit in the run.
         assert_eq!(cached.route_cache_hits, 1);
         assert_eq!(cached.fault_events_applied, 4);
 
-        let uncached = Simulator::with_config(&topo, cfg(false))
+        let uncached = Simulator::with_config(&topo, cfg(0))
             .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         assert_eq!(uncached.route_cache_hits, 0);

@@ -17,15 +17,14 @@
 //!   paper's explanation for Reduce being topology-insensitive.
 //! * **Max-min** is computed by progressive filling with a lazy min-heap
 //!   ([`maxmin`]), `O(Σ path length · log R)` per recomputation.
-//! * **Incremental rate allocation** (on by default, see
-//!   [`SimConfig::solver_incremental`]): between events the solver keeps a
+//! * **Incremental rate allocation**: between events the solver keeps a
 //!   persistent flow–resource incidence and re-solves only the connected
 //!   component(s) of the sharing graph that an arrival/departure/reroute
 //!   touched, falling back to a full pass on fault events or near-global
-//!   dirty regions. [`SimConfig::coalesce_flows`] further merges active
-//!   flows with identical paths into one weighted entry. Both paths are
-//!   **bit-identical** to the full per-event solve (proved by construction
-//!   in [`maxmin`] and enforced by the equivalence test suites).
+//!   dirty regions; active flows with identical paths share one weighted
+//!   entry. Rates are **bit-identical** to textbook progressive filling
+//!   over the active set (argued in [`maxmin`], checked at every recompute
+//!   against [`trace_check::textbook_maxmin`] by the equivalence suites).
 //! * **One path table per run** ([`paths`]): a route is interned by content
 //!   when first built; the route cache, the active set and the solver hold
 //!   its [`PathId`]. Between events the engine only moves entry weights,

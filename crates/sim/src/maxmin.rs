@@ -16,19 +16,20 @@
 //! (the engine recomputes rates at every completion event), with touched
 //! lists to avoid `O(total resources)` clearing.
 //!
-//! # Incremental mode
+//! # Incremental recomputes
 //!
-//! [`MaxMinSolver::solve`] recomputes every flow from scratch. The
-//! *incremental* entry API ([`MaxMinSolver::insert_entry`],
-//! [`MaxMinSolver::remove_entry`], [`MaxMinSolver::recompute`]) instead
-//! keeps a persistent per-resource incidence of the active flows and, on
-//! each change, re-runs water-filling only over the connected component(s)
-//! of the flow–resource sharing graph that the change touched. Identical
+//! The solver is driven through an entry API ([`MaxMinSolver::insert_entry`],
+//! [`MaxMinSolver::remove_entry`], [`MaxMinSolver::recompute`]): it keeps a
+//! persistent per-resource incidence of the active flows and, on each
+//! change, re-runs water-filling only over the connected component(s) of
+//! the flow–resource sharing graph that the change touched. Identical
 //! paths — equal [`PathId`]s of the run's [`PathTable`], which interns by
-//! content — can further be coalesced into one weighted entry.
+//! content — share one weighted entry. [`MaxMinSolver::solve`] is the
+//! one-shot form: insert every path, one full pass.
 //!
-//! Both fast paths produce rates **bit-identical** to a from-scratch
-//! [`MaxMinSolver::solve`] over the same flow set:
+//! Rates are **bit-identical** to textbook progressive filling over the
+//! same flow set ([`crate::trace_check::textbook_maxmin`], the reference
+//! the equivalence suites hold every recompute to):
 //!
 //! * Water-filling decomposes over connected components: a resource's
 //!   `remaining`/`count` trajectory only depends on flows of its own
@@ -69,8 +70,7 @@
 //!
 //! A weight-zero entry stays in the coalescing index until the settle that
 //! frees it, so a flow re-issuing its path *resurrects* it: same id, rate
-//! intact. With coalescing off nothing is indexed, every insert is a fresh
-//! entry, and the mode stays a plain reference.
+//! intact.
 //!
 //! Why eliding the pass is **bit-identical** to running it:
 //!
@@ -93,10 +93,8 @@
 //!   maintenance would; that order is irrelevant for the same reason
 //!   `swap_remove` reordering was.
 //!
-//! [`MaxMinSolver::invalidate_all`] and `incremental = false` settle like
-//! any recompute and then run their from-scratch full pass — no elision —
-//! so the latter stays the reference the equivalence suites diff against.
-//! Only the effort counters (`iterations`, `rate_recomputes`) differ from
+//! [`MaxMinSolver::invalidate_all`] settles like any recompute and then
+//! runs a from-scratch full pass — no elision. Only the effort counters (`iterations`, `rate_recomputes`) differ from
 //! eager maintenance, and only downward.
 //!
 //! # Prefix replay
@@ -128,9 +126,7 @@
 //!
 //! A from-scratch pass is the `k = 0` case of the same code. The log is
 //! discarded by anything it cannot describe: a component-local pass,
-//! [`MaxMinSolver::invalidate_all`], a recompute with `incremental = false`
-//! (which therefore stays a from-scratch reference), and the pooled
-//! round-based pass.
+//! [`MaxMinSolver::invalidate_all`], and the pooled round-based pass.
 //!
 //! Why the replayed pass is **bit-identical** to a from-scratch one:
 //!
@@ -175,7 +171,7 @@ use std::collections::BinaryHeap;
 
 /// `ent_path` of a slot on the free list.
 const FREE: PathId = PathId(u32::MAX);
-/// `entry_of_path` of a path no coalesced entry stands for.
+/// `entry_of_path` of a path no entry stands for.
 const NO_ENTRY: u32 = u32::MAX;
 
 /// Smallest pass (in entries) worth dispatching to the worker pool: below
@@ -229,9 +225,9 @@ struct LogRound {
 
 /// Reusable progressive-filling solver.
 ///
-/// `R` resources with fixed capacities are registered at construction; each
-/// [`MaxMinSolver::solve`] call computes rates for an arbitrary set of flows
-/// over those resources.
+/// `R` resources with fixed capacities are registered at construction; the
+/// entry API (module docs) keeps the rates of a changing flow set over
+/// those resources current.
 #[derive(Debug)]
 pub struct MaxMinSolver {
     capacity: Vec<f64>,
@@ -239,11 +235,9 @@ pub struct MaxMinSolver {
     remaining: Vec<f64>,
     count: Vec<u32>,
     version: Vec<u32>,
-    flow_start: Vec<u32>,
+    /// Position of each resource in `touched` (the pooled rounds' owner map).
+    touched_index: Vec<u32>,
     touched: Vec<u32>,
-    // Resource -> flows incidence (CSR over touched resources).
-    res_flow_offsets: Vec<u32>,
-    res_flows: Vec<u32>,
     heap: BinaryHeap<HeapEntry>,
     /// Statistics: total freeze iterations across calls.
     pub iterations: u64,
@@ -285,9 +279,9 @@ pub struct MaxMinSolver {
     /// listed once (`ent_changed` is the membership flag).
     changed: Vec<u32>,
     ent_changed: Vec<bool>,
-    /// Coalescing index: path id -> entry id or `NO_ENTRY` (only coalesced
-    /// inserts register). Outlives a weight of zero until the settle that
-    /// frees the entry, so a re-issued path finds its entry again.
+    /// Coalescing index: path id -> entry id or `NO_ENTRY`. Outlives a
+    /// weight of zero until the settle that frees the entry, so a re-issued
+    /// path finds its entry again.
     entry_of_path: Vec<u32>,
     /// Persistent incidence: resource -> settled entries crossing it, one
     /// occurrence per occurrence of the resource on the entry's path.
@@ -342,10 +336,8 @@ impl MaxMinSolver {
             remaining: vec![0.0; r],
             count: vec![0; r],
             version: vec![0; r],
-            flow_start: vec![0; r],
+            touched_index: vec![0; r],
             touched: Vec::new(),
-            res_flow_offsets: Vec::new(),
-            res_flows: Vec::new(),
             heap: BinaryHeap::new(),
             iterations: 0,
             rate_recomputes: 0,
@@ -364,11 +356,11 @@ impl MaxMinSolver {
             changed: Vec::new(),
             ent_changed: Vec::new(),
             entry_of_path: Vec::new(),
-            res_entries: Vec::new(),
+            res_entries: vec![Vec::new(); r],
             dirty_res: Vec::new(),
             unlink_res: Vec::new(),
             pending_full: false,
-            res_mark: Vec::new(),
+            res_mark: vec![0; r],
             ent_mark: Vec::new(),
             epoch: 0,
             comp_entries: Vec::new(),
@@ -376,7 +368,7 @@ impl MaxMinSolver {
             log_rounds: Vec::new(),
             log_entries: Vec::new(),
             log_valid: false,
-            pert_mark: Vec::new(),
+            pert_mark: vec![false; r],
             pert_res: Vec::new(),
         })
     }
@@ -396,132 +388,37 @@ impl MaxMinSolver {
     /// (which must be sized by the caller).
     ///
     /// A flow with an empty path is unconstrained and gets `f64::INFINITY`.
+    /// The one-shot form of the entry API: every path is inserted, one full
+    /// pass runs, and every entry is retired again — so a solver whose
+    /// entries are in use elsewhere must not be passed here.
     pub fn solve<P: AsRef<[u32]>>(&mut self, paths: &[P], rates: &mut [f64]) {
-        let num_flows = paths.len();
-        assert!(rates.len() >= num_flows);
-        self.rate_recomputes += 1;
-        self.full_recomputes += 1;
-        self.last_pass_entries = num_flows as u64;
-        self.last_pass_full = true;
-        // Reset scratch for previously touched resources.
-        for &r in &self.touched {
-            self.count[r as usize] = 0;
-            self.version[r as usize] = 0;
+        assert!(rates.len() >= paths.len());
+        let mut table = PathTable::new();
+        let ids: Vec<u32> = paths
+            .iter()
+            .map(|p| {
+                let path = table.intern(p.as_ref());
+                self.insert_entry(&table, path)
+            })
+            .collect();
+        self.invalidate_all();
+        self.recompute(&table, 0.0);
+        for (rate, &e) in rates.iter_mut().zip(&ids) {
+            *rate = self.entry_rate(e);
         }
-        self.touched.clear();
-        self.heap.clear();
-
-        // Pass 1: count flows per resource.
-        for path in paths.iter().take(num_flows) {
-            for &r in path.as_ref() {
-                let ri = r as usize;
-                if self.count[ri] == 0 {
-                    self.touched.push(r);
-                    self.remaining[ri] = self.capacity[ri];
-                }
-                self.count[ri] += 1;
-            }
+        for &e in &ids {
+            self.remove_entry(e);
         }
-
-        // Build CSR incidence over touched resources.
-        self.res_flow_offsets.clear();
-        self.res_flow_offsets.resize(self.touched.len() + 1, 0);
-        for (i, &r) in self.touched.iter().enumerate() {
-            self.res_flow_offsets[i + 1] = self.res_flow_offsets[i] + self.count[r as usize];
-            // flow_start doubles as the touched-index lookup for resource r.
-            self.flow_start[r as usize] = i as u32;
-        }
-        let total = *self.res_flow_offsets.last().unwrap() as usize;
-        self.res_flows.clear();
-        self.res_flows.resize(total, 0);
-        let mut cursor: Vec<u32> = self.res_flow_offsets[..self.touched.len()].to_vec();
-        for (f, path) in paths.iter().enumerate().take(num_flows) {
-            for &r in path.as_ref() {
-                let ti = self.flow_start[r as usize] as usize;
-                self.res_flows[cursor[ti] as usize] = f as u32;
-                cursor[ti] += 1;
-            }
-        }
-
-        // Initial heap: every touched resource's fair share.
-        for &r in &self.touched {
-            let ri = r as usize;
-            self.heap.push(HeapEntry {
-                share: self.remaining[ri] / self.count[ri] as f64,
-                resource: r,
-                version: 0,
-            });
-        }
-
-        // Unconstrained flows finish instantly.
-        let mut frozen = 0usize;
-        for f in 0..num_flows {
-            if paths[f].as_ref().is_empty() {
-                rates[f] = f64::INFINITY;
-                frozen += 1;
-            } else {
-                rates[f] = -1.0;
-            }
-        }
-
-        // Progressive filling.
-        while frozen < num_flows {
-            let entry = match self.heap.pop() {
-                Some(e) => e,
-                None => break, // numerically everything frozen
-            };
-            let r = entry.resource as usize;
-            if entry.version != self.version[r] || self.count[r] == 0 {
-                continue; // stale
-            }
-            let share = (self.remaining[r] / self.count[r] as f64).max(0.0);
-            self.iterations += 1;
-            // Freeze every unfrozen flow crossing r.
-            let ti = self.flow_start[r] as usize;
-            let lo = self.res_flow_offsets[ti] as usize;
-            let hi = self.res_flow_offsets[ti + 1] as usize;
-            for idx in lo..hi {
-                let f = self.res_flows[idx] as usize;
-                if rates[f] >= 0.0 {
-                    continue; // already frozen by an earlier bottleneck
-                }
-                rates[f] = share;
-                frozen += 1;
-                for &r2 in paths[f].as_ref() {
-                    let r2i = r2 as usize;
-                    self.count[r2i] -= 1;
-                    self.remaining[r2i] -= share;
-                    if r2i != r && self.count[r2i] > 0 {
-                        self.version[r2i] += 1;
-                        self.heap.push(HeapEntry {
-                            share: (self.remaining[r2i] / self.count[r2i] as f64).max(0.0),
-                            resource: r2,
-                            version: self.version[r2i],
-                        });
-                    }
-                }
-            }
-            debug_assert_eq!(self.count[r], 0, "bottleneck must fully drain");
-            self.version[r] += 1;
-        }
+        // Unlink now, while the table the entries index is still alive.
+        self.settle(&table);
     }
 
     // ---- incremental entry API ----
 
-    /// Lazily size the persistent incidence structures. Solvers used only
-    /// through [`MaxMinSolver::solve`] never pay for them.
-    fn ensure_incremental(&mut self) {
-        if self.res_entries.len() != self.capacity.len() {
-            self.res_entries = vec![Vec::new(); self.capacity.len()];
-            self.res_mark = vec![0; self.capacity.len()];
-            self.pert_mark = vec![false; self.capacity.len()];
-        }
-    }
-
-    /// Register one flow crossing `path` (an id of `paths`). With
-    /// `coalesce`, a flow whose path already has an entry joins it
-    /// (weight + 1) and the same id is returned; every
-    /// [`MaxMinSolver::remove_entry`] of that id sheds one unit of weight.
+    /// Register one flow crossing `path` (an id of `paths`). A flow whose
+    /// path already has an entry joins it (weight + 1) and the same id is
+    /// returned; every [`MaxMinSolver::remove_entry`] of that id sheds one
+    /// unit of weight.
     /// O(1): the incidence lists are brought up to date by the next
     /// recompute, after which the rate is available from
     /// [`MaxMinSolver::entry_rate`] (an empty path is unconstrained and
@@ -532,25 +429,22 @@ impl MaxMinSolver {
     /// weight ends up where the last recompute left it the next one has
     /// nothing to do for it. Such a resurrection is not a coalesced flow —
     /// [`MaxMinSolver::flows_coalesced`] counts joins of a weight > 0 only.
-    pub fn insert_entry(&mut self, paths: &PathTable, path: PathId, coalesce: bool) -> u32 {
-        self.ensure_incremental();
+    pub fn insert_entry(&mut self, paths: &PathTable, path: PathId) -> u32 {
         debug_assert!(paths
             .get(path)
             .iter()
             .all(|&r| (r as usize) < self.capacity.len()));
         let pi = path.0 as usize;
-        if coalesce {
-            if let Some(&id) = self.entry_of_path.get(pi).filter(|&&id| id != NO_ENTRY) {
-                let ei = id as usize;
-                if self.ent_weight[ei] > 0 {
-                    self.flows_coalesced += 1;
-                } else {
-                    self.live_entries += 1;
-                }
-                self.ent_weight[ei] += 1;
-                self.mark_changed(id);
-                return id;
+        if let Some(&id) = self.entry_of_path.get(pi).filter(|&&id| id != NO_ENTRY) {
+            let ei = id as usize;
+            if self.ent_weight[ei] > 0 {
+                self.flows_coalesced += 1;
+            } else {
+                self.live_entries += 1;
             }
+            self.ent_weight[ei] += 1;
+            self.mark_changed(id);
+            return id;
         }
         let id = match self.free_ents.pop() {
             Some(i) => i,
@@ -574,12 +468,10 @@ impl MaxMinSolver {
             -1.0
         };
         self.ent_mark[ei] = 0;
-        if coalesce {
-            if self.entry_of_path.len() <= pi {
-                self.entry_of_path.resize(paths.len(), NO_ENTRY);
-            }
-            self.entry_of_path[pi] = id;
+        if self.entry_of_path.len() <= pi {
+            self.entry_of_path.resize(paths.len(), NO_ENTRY);
         }
+        self.entry_of_path[pi] = id;
         self.live_entries += 1;
         self.mark_changed(id);
         id
@@ -689,16 +581,16 @@ impl MaxMinSolver {
     }
 
     /// Recompute the rates of every entry affected by inserts/removals
-    /// since the last call. With `incremental`, only the connected
-    /// component(s) of the sharing graph reached from the changed resources
-    /// are re-solved — unless the region exceeds `full_threshold` (a
-    /// fraction of the live entries, `0.0..=1.0`) or
+    /// since the last call. Only the connected component(s) of the sharing
+    /// graph reached from the changed resources are re-solved — unless the
+    /// region exceeds `full_threshold` (a fraction of the live entries,
+    /// `0.0..=1.0`; `0.0` forces a full pass whenever anything changed) or
     /// [`MaxMinSolver::invalidate_all`] was called, which fall back to a
-    /// full pass. Rates are bit-identical to a from-scratch
-    /// [`MaxMinSolver::solve`] over the same flow multiset either way.
-    /// `paths` must be the table every inserted [`PathId`] came from.
-    pub fn recompute(&mut self, paths: &PathTable, incremental: bool, full_threshold: f64) {
-        self.recompute_with(paths, incremental, full_threshold, None);
+    /// full pass. Rates are bit-identical to textbook progressive filling
+    /// over the same flow multiset either way. `paths` must be the table
+    /// every inserted [`PathId`] came from.
+    pub fn recompute(&mut self, paths: &PathTable, full_threshold: f64) {
+        self.recompute_with(paths, full_threshold, None);
     }
 
     /// [`MaxMinSolver::recompute`] with an optional worker pool: passes
@@ -708,15 +600,13 @@ impl MaxMinSolver {
     pub fn recompute_with(
         &mut self,
         paths: &PathTable,
-        incremental: bool,
         full_threshold: f64,
         pool: Option<&WorkerPool>,
     ) {
-        self.ensure_incremental();
         self.last_pass_entries = 0;
         self.last_pass_full = false;
         self.settle(paths);
-        if self.pending_full || !incremental {
+        if self.pending_full {
             // The dirty set is dropped unseen, so the log can no longer be
             // checked against it: this pass runs from scratch and re-logs.
             self.pending_full = false;
@@ -834,8 +724,6 @@ impl MaxMinSolver {
             comp_entries,
             ..
         } = self;
-        // Scratch is shared with `solve`, so the two APIs can interleave
-        // on one solver.
         for &r in touched.iter() {
             count[r as usize] = 0;
             version[r as usize] = 0;
@@ -867,10 +755,10 @@ impl MaxMinSolver {
     }
 
     /// Water-fill the entries listed in `comp_entries`, writing their
-    /// rates. Mirrors [`MaxMinSolver::solve`] exactly, using the persistent
-    /// `res_entries` incidence instead of a per-call CSR; weighted entries
-    /// subtract their share once per unit of weight so the floating-point
-    /// trajectory matches that many separate flows bit-for-bit.
+    /// rates: the heap freeze loop over the persistent `res_entries`
+    /// incidence. Weighted entries subtract their share once per unit of
+    /// weight so the floating-point trajectory matches that many separate
+    /// flows bit-for-bit.
     ///
     /// A full pass first replays the freeze log of the previous full pass
     /// as far as it provably still holds and water-fills only the tail
@@ -1061,7 +949,7 @@ impl MaxMinSolver {
         let MaxMinSolver {
             remaining,
             count,
-            flow_start,
+            touched_index,
             touched,
             iterations,
             ent_path,
@@ -1070,12 +958,11 @@ impl MaxMinSolver {
             res_entries,
             ..
         } = self;
-        // `flow_start` doubles as the touched-index lookup (as in `solve`);
-        // a resource's owning worker is its touched index mod the thread
+        // A resource's owning worker is its touched index mod the thread
         // count, so ownership is deterministic and covers every resource
         // this pass can touch.
         for (i, &r) in touched.iter().enumerate() {
-            flow_start[r as usize] = i as u32;
+            touched_index[r as usize] = i as u32;
         }
         // Per-worker live-resource worklists (static split of the
         // deterministic touched order); workers prune drained resources so
@@ -1148,7 +1035,7 @@ impl MaxMinSolver {
                 let remaining = SharedSlice::new(&mut remaining[..]);
                 let count = SharedSlice::new(&mut count[..]);
                 let round: &[u32] = &round;
-                let flow_start: &[u32] = flow_start;
+                let touched_index: &[u32] = touched_index;
                 let ent_path: &[PathId] = ent_path;
                 let ent_weight: &[u32] = ent_weight;
                 pool.run(|worker| {
@@ -1157,7 +1044,7 @@ impl MaxMinSolver {
                         let w = ent_weight[ei];
                         for &r2 in paths.get(ent_path[ei]) {
                             let r2i = r2 as usize;
-                            if flow_start[r2i] as usize % nthreads != worker {
+                            if touched_index[r2i] as usize % nthreads != worker {
                                 continue;
                             }
                             // SAFETY: resource r2 has exactly one owning
@@ -1199,11 +1086,12 @@ impl MaxMinSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_check::textbook_maxmin;
 
     /// Intern `path` and register one flow on it.
-    fn insert(s: &mut MaxMinSolver, table: &mut PathTable, path: &[u32], coalesce: bool) -> u32 {
+    fn insert(s: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> u32 {
         let id = table.intern(path);
-        s.insert_entry(table, id, coalesce)
+        s.insert_entry(table, id)
     }
 
     /// Deterministic xorshift64* for structured-random path sets.
@@ -1240,9 +1128,9 @@ mod tests {
         let mut seq = MaxMinSolver::new(caps.clone()).unwrap();
         let seq_ids: Vec<u32> = paths
             .iter()
-            .map(|p| insert(&mut seq, &mut table, p, true))
+            .map(|p| insert(&mut seq, &mut table, p))
             .collect();
-        seq.recompute(&table, true, 0.5);
+        seq.recompute(&table, 0.5);
         assert_eq!(seq.parallel_passes, 0);
 
         for threads in [2, 3, 8] {
@@ -1250,9 +1138,9 @@ mod tests {
             let mut par = MaxMinSolver::new(caps.clone()).unwrap();
             let par_ids: Vec<u32> = paths
                 .iter()
-                .map(|p| insert(&mut par, &mut table, p, true))
+                .map(|p| insert(&mut par, &mut table, p))
                 .collect();
-            par.recompute_with(&table, true, 0.5, Some(&pool));
+            par.recompute_with(&table, 0.5, Some(&pool));
             assert_eq!(par.parallel_passes, 1, "threads={threads}");
             assert_eq!(par.iterations, seq.iterations, "threads={threads}");
             for (s, p) in seq_ids.iter().zip(&par_ids) {
@@ -1273,70 +1161,71 @@ mod tests {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![1e9; 8]).unwrap();
         for i in 0..4u32 {
-            insert(&mut s, &mut table, &[i], true);
+            insert(&mut s, &mut table, &[i]);
         }
-        s.recompute_with(&table, true, 0.5, Some(&pool));
+        s.recompute_with(&table, 0.5, Some(&pool));
         assert_eq!(s.parallel_passes, 0);
         assert!((s.entry_rate(0) - 1e9).abs() < 1.0);
     }
 
-    /// A solver driven through the replaying path (`incremental = true`,
-    /// threshold 0: every recompute is a full pass) in lockstep with a twin
-    /// on the from-scratch reference path (`incremental = false`). Every
-    /// recompute asserts bit-equal rates and equal iteration counts.
+    /// A solver driven through the replaying path (threshold 0: every
+    /// recompute that finds a change is a full pass), held after every
+    /// recompute to textbook progressive filling over its live flows:
+    /// bit-equal rates, and as many freeze rounds as the textbook counts.
     struct Twin {
         table: PathTable,
+        caps: Vec<f64>,
         fast: MaxMinSolver,
-        reference: MaxMinSolver,
-        live: Vec<u32>,
+        /// One `(entry, path)` per live flow.
+        live: Vec<(u32, Vec<u32>)>,
     }
 
     impl Twin {
         fn new(caps: &[f64]) -> Self {
             Twin {
                 table: PathTable::new(),
+                caps: caps.to_vec(),
                 fast: MaxMinSolver::new(caps.to_vec()).unwrap(),
-                reference: MaxMinSolver::new(caps.to_vec()).unwrap(),
                 live: Vec::new(),
             }
         }
 
         fn insert(&mut self, path: &[u32]) -> u32 {
-            let p = self.table.intern(path);
-            let id = self.fast.insert_entry(&self.table, p, false);
-            assert_eq!(id, self.reference.insert_entry(&self.table, p, false));
-            self.live.push(id);
+            let id = insert(&mut self.fast, &mut self.table, path);
+            self.live.push((id, path.to_vec()));
             id
         }
 
         fn remove(&mut self, id: u32) {
             self.fast.remove_entry(id);
-            self.reference.remove_entry(id);
-            self.live.retain(|&e| e != id);
+            let i = self.live.iter().position(|&(e, _)| e == id).unwrap();
+            self.live.swap_remove(i);
         }
 
-        /// Recompute both; returns the rounds the fast solver replayed.
+        /// Recompute and check; returns the rounds the solver replayed.
         fn recompute(&mut self) -> u64 {
-            let before = self.fast.replayed_rounds;
-            self.fast.recompute(&self.table, true, 0.0);
-            self.reference.recompute(&self.table, false, 0.0);
-            assert_eq!(self.reference.replayed_rounds, 0);
-            assert_eq!(self.fast.iterations, self.reference.iterations);
-            for &e in &self.live {
+            let before = (self.fast.replayed_rounds, self.fast.iterations);
+            self.fast.recompute(&self.table, 0.0);
+            let paths: Vec<&[u32]> = self.live.iter().map(|(_, p)| p.as_slice()).collect();
+            let (rates, rounds) = textbook_maxmin(&self.caps, &paths);
+            if self.fast.last_pass_full {
+                assert_eq!(self.fast.iterations - before.1, rounds);
+            }
+            for (&(e, _), want) in self.live.iter().zip(&rates) {
                 assert_eq!(
                     self.fast.entry_rate(e).to_bits(),
-                    self.reference.entry_rate(e).to_bits(),
+                    want.to_bits(),
                     "entry {e}"
                 );
             }
-            self.fast.replayed_rounds - before
+            self.fast.replayed_rounds - before.0
         }
 
         fn max_rate_entry(&self) -> u32 {
-            *self
-                .live
+            self.live
                 .iter()
-                .max_by(|&&a, &&b| {
+                .map(|&(e, _)| e)
+                .max_by(|&a, &b| {
                     let (ra, rb) = (self.fast.entry_rate(a), self.fast.entry_rate(b));
                     ra.partial_cmp(&rb).unwrap().then(b.cmp(&a))
                 })
@@ -1425,31 +1314,32 @@ mod tests {
 
     #[test]
     fn a_component_pass_or_an_invalidation_discards_the_log() {
-        // Three independent pairs: rounds (5, r0), (10, r1), (15, r2).
+        // Three independent pairs, one weight-2 entry each: rounds (5, r0),
+        // (10, r1), (15, r2).
         let setup = || {
             let mut s = MaxMinSolver::new(vec![10.0, 20.0, 30.0]).unwrap();
             let mut table = PathTable::new();
             let ids: Vec<u32> = [[0u32], [0], [1], [1], [2], [2]]
                 .iter()
-                .map(|p| insert(&mut s, &mut table, p, false))
+                .map(|p| insert(&mut s, &mut table, p))
                 .collect();
-            s.recompute(&table, true, 0.0);
+            s.recompute(&table, 0.0);
             assert!(s.last_pass_full);
             (s, table, ids)
         };
         // Control: two full passes back to back replay up to the change.
         let (mut s, table, ids) = setup();
         s.remove_entry(ids[4]);
-        s.recompute(&table, true, 0.0);
+        s.recompute(&table, 0.0);
         assert_eq!(s.replayed_rounds, 2);
 
         // A component-local pass in between (threshold 1.0 never degrades).
         let (mut s, table, ids) = setup();
         s.remove_entry(ids[0]);
-        s.recompute(&table, true, 1.0);
+        s.recompute(&table, 1.0);
         assert!(!s.last_pass_full);
         s.remove_entry(ids[4]);
-        s.recompute(&table, true, 0.0);
+        s.recompute(&table, 0.0);
         assert!(s.last_pass_full);
         assert_eq!(s.replayed_rounds, 0);
         assert_eq!(s.entry_rate(ids[1]), 10.0);
@@ -1460,11 +1350,11 @@ mod tests {
         let (mut s, table, ids) = setup();
         s.invalidate_all();
         s.remove_entry(ids[4]);
-        s.recompute(&table, true, 0.0);
+        s.recompute(&table, 0.0);
         assert_eq!(s.replayed_rounds, 0);
         // ...and the pass it forced left a log like any other.
         s.remove_entry(ids[2]);
-        s.recompute(&table, true, 0.0);
+        s.recompute(&table, 0.0);
         assert_eq!(s.replayed_rounds, 1);
     }
 
@@ -1480,17 +1370,17 @@ mod tests {
     fn a_reissued_path_keeps_its_entry_and_costs_no_pass() {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![9.0, 4.0]).unwrap();
-        let a = insert(&mut s, &mut table, &[0, 1], true);
-        let b = insert(&mut s, &mut table, &[0], true);
-        s.recompute(&table, true, 0.5);
+        let a = insert(&mut s, &mut table, &[0, 1]);
+        let b = insert(&mut s, &mut table, &[0]);
+        s.recompute(&table, 0.5);
         let before = (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits());
         assert_eq!(f64::from_bits(before.2), 4.0);
 
         s.remove_entry(a);
         assert_eq!(s.live_entries(), 1, "counts weight > 0 at call time");
-        assert_eq!(insert(&mut s, &mut table, &[0, 1], true), a);
+        assert_eq!(insert(&mut s, &mut table, &[0, 1]), a);
         assert_eq!(s.flows_coalesced, 0, "a resurrection is not a join");
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert_eq!(
             (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits()),
             before
@@ -1498,10 +1388,11 @@ mod tests {
         assert_eq!((s.last_pass_entries, s.last_pass_full), (0, false));
         assert_eq!(s.entry_rate(b), 5.0);
 
-        // The reference mode settles the same way and still runs its pass.
+        // A forced full pass settles the same way and still runs its pass.
         s.remove_entry(a);
-        assert_eq!(insert(&mut s, &mut table, &[0, 1], true), a);
-        s.recompute(&table, false, 0.5);
+        assert_eq!(insert(&mut s, &mut table, &[0, 1]), a);
+        s.invalidate_all();
+        s.recompute(&table, 0.5);
         assert_eq!(s.rate_recomputes, before.0 + 1);
         assert_eq!(s.entry_rate(a).to_bits(), before.2);
     }
@@ -1510,19 +1401,19 @@ mod tests {
     fn a_net_change_through_zero_is_dirty() {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![12.0]).unwrap();
-        let a = insert(&mut s, &mut table, &[0], true);
-        s.recompute(&table, true, 0.5);
+        let a = insert(&mut s, &mut table, &[0]);
+        s.recompute(&table, 0.5);
         assert_eq!(s.entry_rate(a), 12.0);
         // 1 -> 0 -> 2: resurrected, then joined.
         s.remove_entry(a);
-        assert_eq!(insert(&mut s, &mut table, &[0], true), a);
-        assert_eq!(insert(&mut s, &mut table, &[0], true), a);
+        assert_eq!(insert(&mut s, &mut table, &[0]), a);
+        assert_eq!(insert(&mut s, &mut table, &[0]), a);
         assert_eq!(
             s.flows_coalesced, 1,
             "the second insert joined a weight of 1"
         );
         assert_eq!(s.entry_weight(a), 2);
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert_eq!(s.rate_recomputes, 2);
         assert_eq!(s.entry_rate(a), 6.0);
         assert_eq!(
@@ -1534,27 +1425,26 @@ mod tests {
 
     #[test]
     fn an_entry_inserted_and_removed_unseen_leaves_nothing_behind() {
-        for coalesce in [true, false] {
-            let mut table = PathTable::new();
-            let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
-            let keep = insert(&mut s, &mut table, &[1], coalesce);
-            s.recompute(&table, true, 0.5);
-            let gone = insert(&mut s, &mut table, &[0, 1], coalesce);
-            s.remove_entry(gone);
-            assert_eq!(s.live_entries(), 1);
-            s.recompute(&table, true, 0.5);
-            assert_eq!(s.rate_recomputes, 1, "weight 0 = solved 0 dirties nothing");
-            assert!(s.res_entries[0].is_empty());
-            assert_eq!(s.res_entries[1], vec![keep]);
-            // The slot and the index entry were released all the same.
-            assert_eq!(insert(&mut s, &mut table, &[0, 1], coalesce), gone);
-            assert_eq!(s.flows_coalesced, 0);
-        }
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
+        let keep = insert(&mut s, &mut table, &[1]);
+        s.recompute(&table, 0.5);
+        let gone = insert(&mut s, &mut table, &[0, 1]);
+        s.remove_entry(gone);
+        assert_eq!(s.live_entries(), 1);
+        s.recompute(&table, 0.5);
+        assert_eq!(s.rate_recomputes, 1, "weight 0 = solved 0 dirties nothing");
+        assert!(s.res_entries[0].is_empty());
+        assert_eq!(s.res_entries[1], vec![keep]);
+        // The slot and the index entry were released all the same.
+        assert_eq!(insert(&mut s, &mut table, &[0, 1]), gone);
+        assert_eq!(s.flows_coalesced, 0);
+
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
-        let e = insert(&mut s, &mut table, &[0], true);
+        let e = insert(&mut s, &mut table, &[0]);
         s.remove_entry(e);
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert_eq!(s.live_entries(), 0);
         assert!(incidence_is_empty(&s));
         assert_eq!(s.rate_recomputes, 0);
@@ -1564,13 +1454,13 @@ mod tests {
     fn a_forced_full_pass_settles_first() {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
-        let a = insert(&mut s, &mut table, &[0, 1], true);
-        let b = insert(&mut s, &mut table, &[1], true);
-        s.recompute(&table, true, 0.5);
+        let a = insert(&mut s, &mut table, &[0, 1]);
+        let b = insert(&mut s, &mut table, &[1]);
+        s.recompute(&table, 0.5);
         assert_eq!(s.entry_rate(b), 4.0);
         s.remove_entry(a);
         s.invalidate_all();
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert!(s.last_pass_full);
         assert_eq!(
             s.last_pass_entries, 1,
@@ -1585,12 +1475,12 @@ mod tests {
     fn an_empty_path_is_rated_on_insert_and_resurrects_like_any_other() {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
-        let e = insert(&mut s, &mut table, &[], true);
+        let e = insert(&mut s, &mut table, &[]);
         assert!(s.entry_rate(e).is_infinite());
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         s.remove_entry(e);
-        assert_eq!(insert(&mut s, &mut table, &[], true), e);
-        s.recompute(&table, true, 0.5);
+        assert_eq!(insert(&mut s, &mut table, &[]), e);
+        s.recompute(&table, 0.5);
         assert!(s.entry_rate(e).is_infinite());
         assert_eq!(s.rate_recomputes, 0);
     }
@@ -1603,9 +1493,9 @@ mod tests {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![1e9; N as usize + 1]).unwrap();
         let ids: Vec<u32> = (1..=N)
-            .map(|i| insert(&mut s, &mut table, &[0, i], true))
+            .map(|i| insert(&mut s, &mut table, &[0, i]))
             .collect();
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert_eq!(s.res_entries[0].len(), N as usize);
         let survivor = ids[17];
         for &e in &ids {
@@ -1613,11 +1503,11 @@ mod tests {
                 s.remove_entry(e);
             }
         }
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert_eq!(s.res_entries[0], vec![survivor]);
         assert_eq!(s.entry_rate(survivor), 1e9);
         s.remove_entry(survivor);
-        s.recompute(&table, true, 0.5);
+        s.recompute(&table, 0.5);
         assert_eq!(s.live_entries(), 0);
         assert!(incidence_is_empty(&s));
     }
@@ -1652,49 +1542,43 @@ mod tests {
         );
     }
 
-    fn solve(caps: &[f64], paths: &[&[u32]]) -> Vec<f64> {
-        let mut s = MaxMinSolver::new(caps.to_vec()).unwrap();
-        let mut rates = vec![0.0; paths.len()];
-        s.solve(paths, &mut rates);
-        rates
-    }
-
+    /// `solve` on hand-worked cases, each held to its expected rates and
+    /// freeze rounds and, bit for bit, to the textbook. Feasibility,
+    /// saturation and state reset on random instances are
+    /// `tests/proptest_maxmin.rs`.
     #[test]
-    fn single_flow_gets_capacity() {
-        let r = solve(&[10.0], &[&[0]]);
-        assert_eq!(r, vec![10.0]);
-    }
-
-    #[test]
-    fn two_flows_share_equally() {
-        let r = solve(&[10.0], &[&[0], &[0]]);
-        assert_eq!(r, vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn classic_three_flow_example() {
-        // Two links of capacity 1. Flow A uses both, flows B and C one each.
-        // Max-min: A = 0.5, B = 0.5, C = 0.5... actually with B on link 0
-        // and C on link 1: bottleneck share 0.5 everywhere.
-        let r = solve(&[1.0, 1.0], &[&[0, 1], &[0], &[1]]);
-        assert!(r.iter().all(|&x| (x - 0.5).abs() < 1e-12), "{r:?}");
-    }
-
-    #[test]
-    fn asymmetric_capacities() {
-        // Link 0: cap 1 shared by A,B; link 1: cap 10 used by A,C.
-        // A frozen at 0.5 by link 0; C then gets 9.5.
-        let r = solve(&[1.0, 10.0], &[&[0, 1], &[0], &[1]]);
-        assert!((r[0] - 0.5).abs() < 1e-12);
-        assert!((r[1] - 0.5).abs() < 1e-12);
-        assert!((r[2] - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_path_is_unconstrained() {
-        let r = solve(&[1.0], &[&[], &[0]]);
-        assert!(r[0].is_infinite());
-        assert_eq!(r[1], 1.0);
+    fn solve_matches_hand_worked_cases_and_the_textbook() {
+        let d = f64::from_bits(1); // the smallest subnormal
+        type Case<'a> = (&'a [f64], &'a [&'a [u32]], &'a [f64], u64);
+        let cases: &[Case] = &[
+            (&[10.0], &[&[0], &[0]], &[5.0, 5.0], 1),
+            (&[1.0, 1.0], &[&[0, 1], &[0], &[1]], &[0.5, 0.5, 0.5], 2),
+            // A is frozen at 0.5 by link 0; C then gets the 9.5 left on link 1.
+            (&[1.0, 10.0], &[&[0, 1], &[0], &[1]], &[0.5, 0.5, 9.5], 2),
+            (&[1.0], &[&[], &[0]], &[f64::INFINITY, 1.0], 1),
+            (&[1.0; 4], &[], &[], 0),
+            // Subnormal capacities make a share round up: resource 0
+            // (4d / 4 = d) ties with resource 1 (3d / 5 rounds to d) and
+            // pops first on the lower id, leaving resource 1 at 3d - 4d =
+            // -d for its last flow, which the clamp rates 0.
+            (
+                &[4.0 * d, 3.0 * d],
+                &[&[0, 1], &[0, 1], &[0, 1], &[0, 1], &[1]],
+                &[d, d, d, d, 0.0],
+                2,
+            ),
+        ];
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &(caps, paths, want, rounds) in cases {
+            let mut s = MaxMinSolver::new(caps.to_vec()).unwrap();
+            let mut rates = vec![0.0; paths.len()];
+            s.solve(paths, &mut rates);
+            assert_eq!(rates, want, "{paths:?}");
+            assert_eq!(s.iterations, rounds, "{paths:?}");
+            let (textbook, textbook_rounds) = textbook_maxmin(caps, paths);
+            assert_eq!(bits(&rates), bits(&textbook), "{paths:?}");
+            assert_eq!(textbook_rounds, rounds, "{paths:?}");
+        }
     }
 
     #[test]
@@ -1723,65 +1607,5 @@ mod tests {
             MaxMinSolver::new(vec![f64::INFINITY]),
             Err(SimError::InvalidCapacity { resource: 0, .. })
         ));
-    }
-
-    #[test]
-    fn no_flows() {
-        let mut s = MaxMinSolver::new(vec![1.0; 4]).unwrap();
-        let mut rates: Vec<f64> = vec![];
-        s.solve(&[] as &[&[u32]], &mut rates);
-    }
-
-    #[test]
-    fn rates_never_exceed_any_link() {
-        // Random-ish structured case: verify feasibility.
-        let caps = [3.0, 1.0, 2.0, 5.0];
-        let paths: Vec<&[u32]> = vec![&[0, 1], &[1, 2], &[2, 3], &[0, 3], &[3]];
-        let r = solve(&caps, &paths);
-        let mut used = [0.0f64; 4];
-        for (f, p) in paths.iter().enumerate() {
-            for &res in *p {
-                used[res as usize] += r[f];
-            }
-        }
-        for (res, &cap) in caps.iter().enumerate() {
-            assert!(used[res] <= cap + 1e-9, "resource {res} over capacity");
-        }
-        // Max-min property: at least one resource on each flow's path is
-        // saturated (the flow cannot be increased).
-        for (f, p) in paths.iter().enumerate() {
-            let saturated = p
-                .iter()
-                .any(|&res| used[res as usize] >= caps[res as usize] - 1e-9);
-            assert!(saturated, "flow {f} could be increased");
-        }
-    }
-
-    #[test]
-    fn solver_reusable_across_calls() {
-        let mut s = MaxMinSolver::new(vec![4.0, 4.0]).unwrap();
-        let mut rates = vec![0.0; 2];
-        let paths1: Vec<&[u32]> = vec![&[0], &[0]];
-        s.solve(&paths1, &mut rates);
-        assert_eq!(rates, vec![2.0, 2.0]);
-        let paths2: Vec<&[u32]> = vec![&[1], &[1]];
-        s.solve(&paths2, &mut rates);
-        assert_eq!(rates, vec![2.0, 2.0]);
-        let paths3: Vec<&[u32]> = vec![&[0, 1]];
-        s.solve(&paths3, &mut rates[..1]);
-        assert_eq!(rates[0], 4.0);
-        assert!(s.iterations >= 3);
-    }
-
-    #[test]
-    fn many_flows_one_bottleneck() {
-        let n = 1000;
-        let paths: Vec<Vec<u32>> = (0..n).map(|_| vec![0u32]).collect();
-        let mut s = MaxMinSolver::new(vec![1000.0]).unwrap();
-        let mut rates = vec![0.0; n];
-        s.solve(&paths, &mut rates);
-        for &r in &rates {
-            assert!((r - 1.0).abs() < 1e-9);
-        }
     }
 }

@@ -45,8 +45,7 @@ pub struct SimReport {
     /// covers the dirty component; effort metric, not physics.
     #[serde(default)]
     pub rate_recomputes: u64,
-    /// Flows absorbed into an existing identical-path solver entry by
-    /// [`crate::SimConfig::coalesce_flows`]. Zero with coalescing off.
+    /// Flows absorbed into an existing identical-path solver entry.
     #[serde(default)]
     pub flows_coalesced: u64,
     /// Worker threads the run used for its parallel phases (resolved from

@@ -29,8 +29,10 @@
 //!    failed links at skip time.
 //!
 //! This gives the incremental solver, the fault machinery and the
-//! coalescing layer an independent witness: bit-equality tests show two
-//! engines agree, the oracle shows they agree on something *physical*.
+//! coalescing layer an independent witness. [`textbook_maxmin`] is the
+//! other one: plain progressive filling, which the engine's rates must
+//! match bit for bit at every recompute (the equivalence suites check
+//! that; the oracle above stays tolerance-based).
 
 use crate::trace::TraceEvent;
 use exaflow_netgraph::{LinkId, NodeId};
@@ -534,6 +536,60 @@ fn check_inner(
     Ok(summary)
 }
 
+/// Textbook progressive filling: repeatedly scan every resource that still
+/// carries an unfrozen flow for the smallest `(max(0, remaining / count),
+/// id)`, freeze that resource's unfrozen flows at that share, and subtract
+/// the share from every resource each of them crosses, once per flow.
+/// Returns each flow's rate (`INFINITY` for an empty path) and the number
+/// of rounds — one per bottleneck frozen.
+///
+/// No heap, no incidence reuse, no coalescing: the independent reference
+/// the solver is held to bit for bit, because it performs the same
+/// floating-point operations on every resource in the same order.
+pub fn textbook_maxmin<P: AsRef<[u32]>>(caps: &[f64], paths: &[P]) -> (Vec<f64>, u64) {
+    let mut remaining = caps.to_vec();
+    let mut count = vec![0u32; caps.len()];
+    let mut crossing: Vec<Vec<usize>> = vec![Vec::new(); caps.len()];
+    for (f, path) in paths.iter().enumerate() {
+        for &r in path.as_ref() {
+            count[r as usize] += 1;
+            crossing[r as usize].push(f);
+        }
+    }
+    let mut rates = vec![f64::INFINITY; paths.len()];
+    let mut frozen: Vec<bool> = paths.iter().map(|p| p.as_ref().is_empty()).collect();
+    // Resources with an unfrozen flow, in id order; drained ones drop out.
+    let mut live: Vec<usize> = (0..caps.len()).filter(|&r| count[r] > 0).collect();
+    let mut rounds = 0;
+    loop {
+        let mut best: Option<(f64, usize)> = None;
+        live.retain(|&r| {
+            if count[r] == 0 {
+                return false;
+            }
+            let share = (remaining[r] / count[r] as f64).max(0.0);
+            if best.is_none_or(|(s, _)| share < s) {
+                best = Some((share, r));
+            }
+            true
+        });
+        let Some((share, r)) = best else {
+            return (rates, rounds);
+        };
+        rounds += 1;
+        for &f in &crossing[r] {
+            if std::mem::replace(&mut frozen[f], true) {
+                continue;
+            }
+            rates[f] = share;
+            for &r2 in paths[f].as_ref() {
+                count[r2 as usize] -= 1;
+                remaining[r2 as usize] -= share;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +634,31 @@ mod tests {
             },
             TraceEvent::FlowFinished { t: 8e-6, flow: 0 },
         ]
+    }
+
+    #[test]
+    fn textbook_maxmin_fills_progressively() {
+        // Link 0 (cap 1) is shared by flows 0 and 1, link 1 (cap 10) by
+        // flows 0 and 2: round 1 freezes flows 0 and 1 at 0.5 on link 0,
+        // round 2 gives flow 2 the 9.5 left on link 1.
+        let (rates, rounds) = textbook_maxmin(&[1.0, 10.0], &[vec![0, 1], vec![0], vec![1]]);
+        assert_eq!(rates, vec![0.5, 0.5, 9.5]);
+        assert_eq!(rounds, 2);
+        let (rates, rounds) = textbook_maxmin::<&[u32]>(&[1.0], &[&[], &[0]]);
+        assert_eq!(rates, vec![f64::INFINITY, 1.0]);
+        assert_eq!(rounds, 1);
+    }
+
+    #[test]
+    fn textbook_maxmin_clamps_and_breaks_ties_by_resource_id() {
+        // Resource 0 (4d / 4 flows) ties with resource 1 (3d / 5 flows,
+        // which rounds up to d) and wins on the lower id; resource 1 is
+        // then left at -d for its last flow, which the clamp rates 0.
+        let d = f64::from_bits(1);
+        let paths: Vec<&[u32]> = vec![&[0, 1], &[0, 1], &[0, 1], &[0, 1], &[1]];
+        let (rates, rounds) = textbook_maxmin(&[4.0 * d, 3.0 * d], &paths);
+        assert_eq!(rates, vec![d, d, d, d, 0.0]);
+        assert_eq!(rounds, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests for the flow engine: physical sanity bounds, max-min
-//! feasibility/saturation, and determinism on random DAGs.
+//! Property tests for the flow engine: physical sanity bounds and
+//! determinism on random DAGs (the solver's own max-min properties are
+//! `proptest_maxmin.rs`).
 
 use exaflow_netgraph::NodeId;
-use exaflow_sim::maxmin::MaxMinSolver;
 use exaflow_sim::{
     FaultSchedule, FlowDagBuilder, FlowId, RecoveryPolicy, SimConfig, Simulator, VecSink,
 };
@@ -101,42 +101,6 @@ proptest! {
                 times[pred.index()] <= times[succ.index()] + 1e-15,
                 "dep finished after dependent"
             );
-        }
-    }
-
-    #[test]
-    fn maxmin_feasible_and_saturating(
-        paths in prop::collection::vec(prop::collection::vec(0u32..30, 1..6), 1..50),
-        caps in prop::collection::vec(1.0f64..100.0, 30),
-    ) {
-        // Deduplicate resources within each path (engine paths are loop-free).
-        let paths: Vec<Vec<u32>> = paths
-            .into_iter()
-            .map(|mut p| {
-                p.sort_unstable();
-                p.dedup();
-                p
-            })
-            .collect();
-        let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
-        let mut rates = vec![0.0; paths.len()];
-        solver.solve(&paths, &mut rates);
-
-        let mut used = vec![0.0f64; caps.len()];
-        for (f, p) in paths.iter().enumerate() {
-            prop_assert!(rates[f] >= 0.0);
-            for &r in p {
-                used[r as usize] += rates[f];
-            }
-        }
-        // Feasibility: no resource above capacity.
-        for (r, &u) in used.iter().enumerate() {
-            prop_assert!(u <= caps[r] * (1.0 + 1e-9) + 1e-9, "resource {r} over");
-        }
-        // Max-min: every flow crosses at least one saturated resource.
-        for (f, p) in paths.iter().enumerate() {
-            let saturated = p.iter().any(|&r| used[r as usize] >= caps[r as usize] * (1.0 - 1e-6));
-            prop_assert!(saturated, "flow {f} not bottlenecked");
         }
     }
 

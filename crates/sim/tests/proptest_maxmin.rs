@@ -1,7 +1,7 @@
 //! Property tests for [`MaxMinSolver`]: feasibility and max-min
-//! saturation on arbitrary capacity/path sets — the generalisation of the
-//! hand-written `rates_never_exceed_any_link` case in `maxmin.rs` — plus
-//! scale invariance and cross-call reusability.
+//! saturation on arbitrary capacity/path sets — the definition, checked
+//! directly rather than against a second solver — plus scale invariance
+//! and cross-call reusability.
 
 use exaflow_sim::maxmin::MaxMinSolver;
 use proptest::prelude::*;

@@ -1,17 +1,18 @@
-//! Property tests for the incremental entry API of [`MaxMinSolver`]: under
-//! arbitrary join/leave/reroute/invalidate sequences — with and without
-//! coalescing, under real `FaultOverlay` path churn, under the
-//! fastest-first departures that make full passes replay their logged
-//! prefix, and under batches that re-issue the paths they just retired
-//! (which the settle elides) — the incremental rates match a from-scratch
-//! `MaxMinSolver::solve` over the same flow set.
+//! Property tests for the entry API of [`MaxMinSolver`]: under arbitrary
+//! join/leave/reroute/invalidate sequences — identical paths coalescing,
+//! under real `FaultOverlay` path churn, under the fastest-first departures
+//! that make full passes replay their logged prefix, and under batches that
+//! re-issue the paths they just retired (which the settle elides) — the
+//! rates match `textbook_maxmin`, plain progressive filling over the same
+//! flow set, and every full pass counts the textbook's rounds.
 //!
 //! The design guarantee is stronger than the 1e-9 tolerance the engine
-//! needs: the incremental path is *bit-identical* to the full solve (see
-//! the `maxmin` module docs), and that is what these tests assert.
+//! needs: the solver is *bit-identical* to the textbook (see the `maxmin`
+//! module docs), and that is what these tests assert.
 
 use exaflow_netgraph::{LinkId, NodeId};
 use exaflow_sim::maxmin::{MaxMinSolver, PARALLEL_MIN_ENTRIES};
+use exaflow_sim::trace_check::textbook_maxmin;
 use exaflow_sim::{PathTable, WorkerPool};
 use exaflow_topo::{FaultOverlay, Topology, Torus};
 use proptest::prelude::*;
@@ -36,107 +37,125 @@ fn caps_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.5f64..500.0, RESOURCES)
 }
 
-/// Op stream: the `u8` selects join/leave/reroute/invalidate, the path
-/// feeds joins and reroutes, the `usize` picks the affected flow.
-fn ops_strategy() -> impl Strategy<Value = Vec<(u8, Vec<u32>, usize)>> {
-    prop::collection::vec((0u8..8, path_strategy(), 0usize..1 << 16), 1..50)
+/// Op stream for [`run_churn`]: the `u8` selects the op, the path feeds
+/// joins and reroutes, the `usize` picks the affected flow.
+fn ops_strategy(
+    path: impl Strategy<Value = Vec<u32>>,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(u8, Vec<u32>, usize)>> {
+    prop::collection::vec((0u8..8, path, 0usize..1 << 16), len)
 }
 
 /// Intern `path` into the run's table and register one flow on it.
-fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32], coalesce: bool) -> u32 {
+fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> u32 {
     let id = table.intern(path);
-    solver.insert_entry(table, id, coalesce)
+    solver.insert_entry(table, id)
 }
 
-/// From-scratch reference: a fresh solver's `solve` over `paths`.
-fn reference_rates(caps: &[f64], paths: &[Vec<u32>]) -> Vec<f64> {
-    let mut solver = MaxMinSolver::new(caps.to_vec()).unwrap();
-    let mut rates = vec![0.0; paths.len()];
-    solver.solve(paths, &mut rates);
-    rates
-}
-
-/// Assert the incremental solver's per-flow rates are bit-identical to the
-/// reference (which trivially satisfies the 1e-9 requirement).
-fn assert_rates_match(solver: &MaxMinSolver, live: &[(u32, Vec<u32>)], caps: &[f64], step: usize) {
-    let paths: Vec<Vec<u32>> = live.iter().map(|(_, p)| p.clone()).collect();
-    let want = reference_rates(caps, &paths);
+/// Recompute, then hold the solver to the textbook over the live flows:
+/// every per-flow rate bit-identical (which trivially satisfies the 1e-9
+/// requirement) and, when the recompute ran a full pass, exactly the
+/// textbook's number of freeze rounds.
+fn recompute_and_check(
+    solver: &mut MaxMinSolver,
+    table: &PathTable,
+    threshold: f64,
+    live: &[(u32, Vec<u32>)],
+    caps: &[f64],
+    step: usize,
+) {
+    let before = solver.iterations;
+    solver.recompute(table, threshold);
+    let paths: Vec<&[u32]> = live.iter().map(|(_, p)| p.as_slice()).collect();
+    let (want, rounds) = textbook_maxmin(caps, &paths);
     for (i, &(entry, ref path)) in live.iter().enumerate() {
         let got = solver.entry_rate(entry);
         assert!(
             got.to_bits() == want[i].to_bits(),
-            "step {step}, flow {i} (path {path:?}): incremental {got:e} != full {:e}",
+            "step {step}, flow {i} (path {path:?}): solver {got:e} != textbook {:e}",
             want[i]
+        );
+    }
+    if solver.last_pass_full {
+        assert_eq!(
+            solver.iterations - before,
+            rounds,
+            "step {step}: a full pass counted different freeze rounds"
         );
     }
 }
 
-fn run_op_sequence(
+/// Drive one solver through `preload` and then `ops` — 0, 1 and 6 join;
+/// 2 / 3 retire the fastest / slowest flow, the departures that let full
+/// passes replay their logged prefix (`maxmin` module docs); 4 retires and
+/// 5 reroutes a flow picked at random; 7 invalidates — and hold every
+/// recompute to the textbook. Identical paths coalesce into weighted
+/// entries, which must still land on the separate-flow rates.
+fn run_churn(
     caps: Vec<f64>,
+    preload: Vec<Vec<u32>>,
     ops: Vec<(u8, Vec<u32>, usize)>,
-    coalesce: bool,
     threshold: f64,
 ) {
     let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
     let mut table = PathTable::new();
     // Mirror of the live flows: (entry id, path). Coalesced flows share ids.
     let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
-    for (step, (kind, path, pick)) in ops.into_iter().enumerate() {
-        match kind {
-            0..=2 => {
-                let id = insert(&mut solver, &mut table, &path, coalesce);
-                live.push((id, path));
+    for path in preload {
+        live.push((insert(&mut solver, &mut table, &path), path));
+    }
+    let ops = std::iter::once((u8::MAX, Vec::new(), 0)).chain(ops);
+    for (step, (kind, path, pick)) in ops.enumerate() {
+        // Index of the live flow with the extreme rate (first among ties).
+        let extreme = |solver: &MaxMinSolver, live: &[(u32, Vec<u32>)], fastest: bool| {
+            let key = |i: &usize| solver.entry_rate(live[*i].0);
+            let cmp = |a: &usize, b: &usize| key(a).partial_cmp(&key(b)).unwrap().then(b.cmp(a));
+            let all = 0..live.len();
+            if fastest {
+                all.max_by(cmp)
+            } else {
+                all.min_by(cmp)
             }
-            3 | 4 => {
-                if !live.is_empty() {
-                    let (id, _) = live.swap_remove(pick % live.len());
-                    solver.remove_entry(id);
-                }
-            }
-            5 | 6 => {
-                if !live.is_empty() {
-                    let i = pick % live.len();
-                    solver.remove_entry(live[i].0);
-                    let id = insert(&mut solver, &mut table, &path, coalesce);
-                    live[i] = (id, path);
-                }
-            }
-            _ => solver.invalidate_all(),
+        };
+        let victim = match kind {
+            2 | 3 => extreme(&solver, &live, kind == 2),
+            4 | 5 if !live.is_empty() => Some(pick % live.len()),
+            _ => None,
+        };
+        if let Some(i) = victim {
+            let (id, _) = live.swap_remove(i);
+            solver.remove_entry(id);
         }
-        solver.recompute(&table, true, threshold);
-        assert_rates_match(&solver, &live, &caps, step);
+        match kind {
+            0 | 1 | 5 | 6 => live.push((insert(&mut solver, &mut table, &path), path)),
+            7 => solver.invalidate_all(),
+            _ => {}
+        }
+        recompute_and_check(&mut solver, &table, threshold, &live, &caps, step);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Join/leave/reroute/invalidate churn, uncoalesced entries.
+    /// Churn over random capacities, any threshold.
     #[test]
-    fn incremental_matches_full_solve(
+    fn churn_matches_the_textbook(
         caps in caps_strategy(),
-        ops in ops_strategy(),
+        ops in ops_strategy(path_strategy(), 1..50),
         threshold in 0.0f64..1.2,
     ) {
-        run_op_sequence(caps, ops, false, threshold);
+        run_churn(caps, Vec::new(), ops, threshold);
     }
 
-    /// The same churn with identical-path coalescing: weighted entries must
-    /// still land on the exact rates of the separate-flow solve.
+    /// A degenerate threshold of 0 forces a full pass on every recompute
+    /// that finds a change.
     #[test]
-    fn coalesced_incremental_matches_full_solve(
+    fn zero_threshold_always_full(
         caps in caps_strategy(),
-        ops in ops_strategy(),
-        threshold in 0.0f64..1.2,
+        ops in ops_strategy(path_strategy(), 1..50),
     ) {
-        run_op_sequence(caps, ops, true, threshold);
-    }
-
-    /// A degenerate threshold of 0 forces the full-fallback path on every
-    /// recompute; it must agree with the purely incremental path.
-    #[test]
-    fn zero_threshold_always_full(caps in caps_strategy(), ops in ops_strategy()) {
-        run_op_sequence(caps, ops, true, 0.0);
+        run_churn(caps, Vec::new(), ops, 0.0);
     }
 }
 
@@ -150,95 +169,20 @@ fn tie_path_strategy() -> impl Strategy<Value = Vec<u32>> {
     })
 }
 
-/// Churn shaped like the engine's heavy random workloads, aimed at the
-/// prefix replay (`maxmin` module docs): every capacity equal, departures
-/// biased to the fastest and the slowest entry. `fast` replays; `reference`
-/// runs every pass from scratch (`incremental = false`). Rates must match
-/// a fresh `solve` bit for bit, and every full pass of `fast` must count
-/// exactly the freeze rounds the from-scratch pass counts.
-fn run_replay_churn(
-    cap: f64,
-    preload: Vec<Vec<u32>>,
-    ops: Vec<(u8, Vec<u32>, usize)>,
-    coalesce: bool,
-    threshold: f64,
-) {
-    let caps = vec![cap; RESOURCES];
-    let mut fast = MaxMinSolver::new(caps.clone()).unwrap();
-    let mut reference = MaxMinSolver::new(caps.clone()).unwrap();
-    let mut table = PathTable::new();
-    let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
-    let insert = |fast: &mut MaxMinSolver,
-                  reference: &mut MaxMinSolver,
-                  table: &mut PathTable,
-                  path: Vec<u32>| {
-        let p = table.intern(&path);
-        let id = fast.insert_entry(table, p, coalesce);
-        assert_eq!(id, reference.insert_entry(table, p, coalesce));
-        (id, path)
-    };
-    for path in preload {
-        live.push(insert(&mut fast, &mut reference, &mut table, path));
-    }
-    let ops = std::iter::once((u8::MAX, Vec::new(), 0)).chain(ops);
-    for (step, (kind, path, pick)) in ops.enumerate() {
-        // Index of the live flow with the extreme rate (first among ties).
-        let extreme = |fast: &MaxMinSolver, live: &[(u32, Vec<u32>)], fastest: bool| {
-            let key = |i: &usize| fast.entry_rate(live[*i].0);
-            let cmp = |a: &usize, b: &usize| key(a).partial_cmp(&key(b)).unwrap().then(b.cmp(a));
-            let all = 0..live.len();
-            if fastest {
-                all.max_by(cmp)
-            } else {
-                all.min_by(cmp)
-            }
-        };
-        let victim = match kind {
-            2 | 3 => extreme(&fast, &live, true),
-            4 => extreme(&fast, &live, false),
-            5 | 6 if !live.is_empty() => Some(pick % live.len()),
-            _ => None,
-        };
-        if let Some(i) = victim {
-            let (id, _) = live.swap_remove(i);
-            fast.remove_entry(id);
-            reference.remove_entry(id);
-        }
-        match kind {
-            0 | 1 | 6 => live.push(insert(&mut fast, &mut reference, &mut table, path)),
-            7 => {
-                fast.invalidate_all();
-                reference.invalidate_all();
-            }
-            _ => {}
-        }
-        let before = (fast.iterations, reference.iterations);
-        fast.recompute(&table, true, threshold);
-        reference.recompute(&table, false, threshold);
-        assert_rates_match(&fast, &live, &caps, step);
-        if fast.last_pass_full {
-            assert_eq!(
-                fast.iterations - before.0,
-                reference.iterations - before.1,
-                "step {step}: a replayed pass counted different freeze rounds"
-            );
-        }
-    }
-    assert_eq!(reference.replayed_rounds, 0);
-}
-
 // No `proptest_config`: the case count follows `PROPTEST_CASES`, which
 // `scripts/check.sh` raises for this file.
 proptest! {
+    /// Churn shaped like the engine's heavy random workloads, aimed at the
+    /// prefix replay: every capacity equal, a preloaded giant component,
+    /// full passes every recompute (threshold 0) or most of them (0.5).
     #[test]
-    fn replayed_passes_match_from_scratch_under_tie_heavy_churn(
+    fn replayed_passes_match_the_textbook_under_tie_heavy_churn(
         cap in prop::sample::select(vec![1.0f64, 3.0, 10.0]),
         preload in prop::collection::vec(tie_path_strategy(), 8..40),
-        ops in prop::collection::vec((0u8..8, tie_path_strategy(), 0usize..1 << 16), 1..60),
-        coalesce in any::<bool>(),
+        ops in ops_strategy(tie_path_strategy(), 1..60),
         threshold in prop::sample::select(vec![0.0f64, 0.5]),
     ) {
-        run_replay_churn(cap, preload, ops, coalesce, threshold);
+        run_churn(vec![cap; RESOURCES], preload, ops, threshold);
     }
 
     /// Re-issue churn, the shape of the paper's iterative workloads: every
@@ -247,7 +191,7 @@ proptest! {
     /// some new ones. The settle must tell the entries that ended where
     /// they started (untouched) from those that did not (re-solved).
     #[test]
-    fn reissued_paths_match_a_fresh_solve_under_tie_heavy_churn(
+    fn reissued_paths_match_the_textbook_under_tie_heavy_churn(
         cap in prop::sample::select(vec![1.0f64, 3.0, 10.0]),
         preload in prop::collection::vec(tie_path_strategy(), 8..40),
         steps in prop::collection::vec(
@@ -266,10 +210,9 @@ proptest! {
         let mut table = PathTable::new();
         let mut live: Vec<(u32, Vec<u32>)> = preload
             .into_iter()
-            .map(|path| (insert(&mut solver, &mut table, &path, true), path))
+            .map(|path| (insert(&mut solver, &mut table, &path), path))
             .collect();
-        solver.recompute(&table, true, threshold);
-        assert_rates_match(&solver, &live, &caps, usize::MAX);
+        recompute_and_check(&mut solver, &table, threshold, &live, &caps, usize::MAX);
         for (step, (retire, reissue, fresh)) in steps.into_iter().enumerate() {
             let mut retired: Vec<Vec<u32>> = Vec::new();
             let mut i = 0;
@@ -288,13 +231,12 @@ proptest! {
                 .filter(|(i, _)| reissue[i % reissue.len()])
                 .map(|(_, path)| path);
             for path in back.chain(fresh) {
-                live.push((insert(&mut solver, &mut table, &path, true), path));
+                live.push((insert(&mut solver, &mut table, &path), path));
             }
             let live_entries: std::collections::HashSet<u32> =
                 live.iter().map(|(id, _)| *id).collect();
             prop_assert_eq!(solver.live_entries(), live_entries.len());
-            solver.recompute(&table, true, threshold);
-            assert_rates_match(&solver, &live, &caps, step);
+            recompute_and_check(&mut solver, &table, threshold, &live, &caps, step);
         }
     }
 }
@@ -312,7 +254,7 @@ fn wide_path_strategy() -> impl Strategy<Value = Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The churn of `incremental_matches_full_solve` stepped through three
+    /// Join/leave/reroute/invalidate churn stepped through three
     /// solvers in lockstep — no pool, a 2-thread pool, an 8-thread pool:
     /// every live entry's rate is `to_bits`-identical across all three at
     /// every step, and the pooled solvers genuinely run the parallel
@@ -321,10 +263,7 @@ proptest! {
     #[test]
     fn threaded_churn_is_bit_identical_across_pool_sizes(
         caps in prop::collection::vec(0.5f64..500.0, WIDE_RESOURCES),
-        ops in prop::collection::vec(
-            (0u8..8, wide_path_strategy(), 0usize..1 << 16),
-            1..30,
-        ),
+        ops in ops_strategy(wide_path_strategy(), 1..30),
         threshold in 0.0f64..1.2,
     ) {
         let pools = [None, Some(WorkerPool::new(2)), Some(WorkerPool::new(8))];
@@ -344,7 +283,7 @@ proptest! {
             path.dedup();
             let mut id = 0;
             for s in solvers.iter_mut() {
-                id = insert(s, &mut table, &path, false);
+                id = insert(s, &mut table, &path);
             }
             live.push((id, path));
         }
@@ -354,7 +293,7 @@ proptest! {
                      live: &[(u32, Vec<u32>)],
                      step: usize| {
             for (s, pool) in solvers.iter_mut().zip(&pools) {
-                s.recompute_with(table, true, threshold, pool.as_ref());
+                s.recompute_with(table, threshold, pool.as_ref());
             }
             let (reference, pooled) = solvers.split_first().unwrap();
             for p in pooled {
@@ -375,7 +314,7 @@ proptest! {
                 0..=2 => {
                     let mut id = 0;
                     for s in solvers.iter_mut() {
-                        id = insert(s, &mut table, &path, false);
+                        id = insert(s, &mut table, &path);
                     }
                     live.push((id, path));
                 }
@@ -391,7 +330,7 @@ proptest! {
                     let mut id = 0;
                     for s in solvers.iter_mut() {
                         s.remove_entry(old);
-                        id = insert(s, &mut table, &path, false);
+                        id = insert(s, &mut table, &path);
                     }
                     live[i] = (id, path);
                 }
@@ -414,7 +353,7 @@ proptest! {
 /// affected entries rerouted (or dropped when partitioned) and the solver
 /// invalidated — exactly the `run_with` contract.
 #[test]
-fn overlay_path_churn_matches_full_solve() {
+fn overlay_path_churn_matches_the_textbook() {
     let topo = Torus::new(&[4, 4]);
     let num_links = topo.network().num_links();
     let num_eps = topo.num_endpoints();
@@ -430,75 +369,72 @@ fn overlay_path_churn_matches_full_solve() {
         Some(p)
     };
 
-    for coalesce in [false, true] {
-        let mut overlay = FaultOverlay::new(&topo);
-        let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
-        let mut table = PathTable::new();
-        let mut live: Vec<(u32, u32, u32, Vec<u32>)> = Vec::new(); // (entry, src, dst, path)
-        let mut x = 0x2545F49_u64; // deterministic xorshift stream
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for step in 0..400 {
-            match rng() % 5 {
-                0 | 1 => {
-                    // Join a random pair (duplicates welcome: they coalesce).
-                    let (src, dst) = (rng() as u32 % 16, rng() as u32 % 16);
-                    if src != dst {
-                        if let Some(p) = build(&mut overlay, src, dst) {
-                            let id = insert(&mut solver, &mut table, &p, coalesce);
-                            live.push((id, src, dst, p));
-                        }
-                    }
-                }
-                2 => {
-                    if !live.is_empty() {
-                        let i = rng() as usize % live.len();
-                        let (id, ..) = live.swap_remove(i);
-                        solver.remove_entry(id);
-                    }
-                }
-                3 => {
-                    // Fail a link; reroute every flow crossing it.
-                    let l = rng() as u32 % num_links as u32;
-                    if overlay.fail_link(LinkId(l)) {
-                        solver.invalidate_all();
-                        let mut i = 0;
-                        while i < live.len() {
-                            if !live[i].3.contains(&l) {
-                                i += 1;
-                                continue;
-                            }
-                            let (id, src, dst, _) = live[i].clone();
-                            solver.remove_entry(id);
-                            match build(&mut overlay, src, dst) {
-                                Some(p) => {
-                                    let nid = insert(&mut solver, &mut table, &p, coalesce);
-                                    live[i] = (nid, src, dst, p);
-                                    i += 1;
-                                }
-                                None => {
-                                    live.swap_remove(i); // partitioned: drop
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    let l = rng() as u32 % num_links as u32;
-                    if overlay.restore_link(LinkId(l)) {
-                        solver.invalidate_all();
+    let mut overlay = FaultOverlay::new(&topo);
+    let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
+    let mut table = PathTable::new();
+    let mut live: Vec<(u32, u32, u32, Vec<u32>)> = Vec::new(); // (entry, src, dst, path)
+    let mut x = 0x2545F49_u64; // deterministic xorshift stream
+    let mut rng = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for step in 0..400 {
+        match rng() % 5 {
+            0 | 1 => {
+                // Join a random pair (duplicates welcome: they coalesce).
+                let (src, dst) = (rng() as u32 % 16, rng() as u32 % 16);
+                if src != dst {
+                    if let Some(p) = build(&mut overlay, src, dst) {
+                        let id = insert(&mut solver, &mut table, &p);
+                        live.push((id, src, dst, p));
                     }
                 }
             }
-            solver.recompute(&table, true, 0.5);
-            let flows: Vec<(u32, Vec<u32>)> =
-                live.iter().map(|(id, _, _, p)| (*id, p.clone())).collect();
-            assert_rates_match(&solver, &flows, &caps, step);
+            2 => {
+                if !live.is_empty() {
+                    let i = rng() as usize % live.len();
+                    let (id, ..) = live.swap_remove(i);
+                    solver.remove_entry(id);
+                }
+            }
+            3 => {
+                // Fail a link; reroute every flow crossing it.
+                let l = rng() as u32 % num_links as u32;
+                if overlay.fail_link(LinkId(l)) {
+                    solver.invalidate_all();
+                    let mut i = 0;
+                    while i < live.len() {
+                        if !live[i].3.contains(&l) {
+                            i += 1;
+                            continue;
+                        }
+                        let (id, src, dst, _) = live[i].clone();
+                        solver.remove_entry(id);
+                        match build(&mut overlay, src, dst) {
+                            Some(p) => {
+                                let nid = insert(&mut solver, &mut table, &p);
+                                live[i] = (nid, src, dst, p);
+                                i += 1;
+                            }
+                            None => {
+                                live.swap_remove(i); // partitioned: drop
+                            }
+                        }
+                    }
+                }
+            }
+            _ => {
+                let l = rng() as u32 % num_links as u32;
+                if overlay.restore_link(LinkId(l)) {
+                    solver.invalidate_all();
+                }
+            }
         }
-        assert!(solver.rate_recomputes > 0);
+        let flows: Vec<(u32, Vec<u32>)> =
+            live.iter().map(|(id, _, _, p)| (*id, p.clone())).collect();
+        recompute_and_check(&mut solver, &table, 0.5, &flows, &caps, step);
     }
+    assert!(solver.rate_recomputes > 0);
 }

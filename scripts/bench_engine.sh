@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Rate-engine perf snapshot: records the incremental-solver speedup,
-# end-to-end engine walltimes (fast paths on vs off, equivalence-checked)
-# and the distance-analysis trajectory (exact sweep vs stratified sampled
+# Rate-engine perf snapshot: records a solver churn scenario (checked
+# against the textbook max-min reference), end-to-end engine walltimes with
+# their solver effort, and the distance-analysis trajectory (exact sweep vs stratified sampled
 # estimator up to the paper's 131,072-QFDB scale) to a JSON file.
 # Usage: scripts/bench_engine.sh [output.json]   (default BENCH_engine.json)
 set -euo pipefail

@@ -17,6 +17,12 @@ $TIMEOUT 1800 cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 $TIMEOUT 1800 cargo test -q --workspace
 
+# The vendored JSON parser sits outside the workspace; its unit tests
+# (nesting cap included) run against the root target/.
+echo "== vendored JSON parser unit tests"
+CARGO_TARGET_DIR="$PWD/target" $TIMEOUT 900 \
+  cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml
+
 # The workspace run above covers the default (auto = 1 thread, no pool);
 # this pass makes `solver_threads: 0` resolve to a real pool.
 echo "== engine equivalence with EXAFLOW_THREADS=2 (auto resolves to a pool)"
@@ -62,6 +68,52 @@ $TIMEOUT 300 ./target/release/exaflow run scripts/golden_run_config.json \
   | grep -v '"wall_seconds"' \
   | diff -u scripts/golden_run_expected.json - \
   || { echo "untraced 'exaflow run' output drifted from scripts/golden_run_expected.json"; exit 1; }
+
+# Hostile input: every file of a generated corpus, fed to every command
+# that reads JSON, must end in a typed error (exit 1-4) well inside a
+# timeout — never a hang (124) and never a signal (a stack overflow
+# aborts with 134).
+echo "== malformed input: every command exits 1-4, never on a signal"
+CORPUS="$(mktemp -d)"
+trap 'rm -rf "$CORPUS"' EXIT
+mkdir "$CORPUS/bad"
+python3 - "$CORPUS" <<'PY'
+import os, random, sys
+root = sys.argv[1]
+def write(name, data):
+    with open(os.path.join(root, name), "wb") as f:
+        f.write(data.encode() if isinstance(data, str) else data)
+config = ('{"topology": {"topology": "torus", "dims": [4, 4]}, '
+          '"workload": {"workload": "reduce", "tasks": 8, "bytes": 1024}')
+write("suite.json", "[" + config + "}]")
+write("bad/deep.json", "[" * 2_000_000)
+write("bad/truncated.json", config[:-20])
+write("bad/empty.json", "")
+write("bad/random.bin", random.Random(7).randbytes(4096))
+write("bad/negative_rate.json", config + ', "sim": {"injection_bps": -1.0, '
+      '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "record_flow_times": false, '
+      '"route_cache_cap": 1024}}')
+PY
+EXAFLOW=./target/release/exaflow
+JOURNAL="$CORPUS/bad/journal.jsonl"
+$TIMEOUT 60 $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" >/dev/null 2>&1
+printf 'not a journal line\n{"fingerprint": "torn' >>"$JOURNAL"
+expect_typed_error() {
+  local code=0
+  timeout -k 5 60 "$@" >/dev/null 2>&1 || code=$?
+  if [ "$code" -lt 1 ] || [ "$code" -gt 4 ]; then
+    echo "exit $code, want 1-4: $*"
+    exit 1
+  fi
+}
+for f in "$CORPUS"/bad/*; do
+  for cmd in run sweep resilience topo; do
+    expect_typed_error $EXAFLOW "$cmd" "$f"
+  done
+  expect_typed_error $EXAFLOW sweep "$f" --journal "$JOURNAL" --resume
+done
+expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" --resume
+echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors only"
 
 echo "== paper-scale analyze: exact all-sources averages meet Table 1 (40 / 5.94)"
 $TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources all 2>/dev/null \
