@@ -44,7 +44,7 @@ struct EngineRun {
     rate_recomputes: u64,
     /// Freeze rounds of the run, and how many of them its full passes took
     /// from the previous pass's log instead of the heap (`maxmin` module
-    /// docs, "Prefix replay").
+    /// docs, "Merge replay").
     maxmin_iterations: u64,
     replayed_rounds: u64,
 }
@@ -458,7 +458,7 @@ fn main() {
             },
         ),
         // Random heavy traffic: one giant sharing component, so nearly
-        // every recompute is a full pass — the prefix replay's regime.
+        // every recompute is a full pass — the merge replay's regime.
         engine_run(
             "unstructured_app_1024_fattree",
             &heavy.fattree_spec(),

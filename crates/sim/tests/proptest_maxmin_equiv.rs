@@ -173,7 +173,7 @@ fn tie_path_strategy() -> impl Strategy<Value = Vec<u32>> {
 // `scripts/check.sh` raises for this file.
 proptest! {
     /// Churn shaped like the engine's heavy random workloads, aimed at the
-    /// prefix replay: every capacity equal, a preloaded giant component,
+    /// merge replay: every capacity equal, a preloaded giant component,
     /// full passes every recompute (threshold 0) or most of them (0.5).
     #[test]
     fn replayed_passes_match_the_textbook_under_tie_heavy_churn(

@@ -7,8 +7,8 @@
 //! the paper's topology families (torus, fattree, standalone GHC, NestGHC,
 //! NestTree), fault-free and with a mid-run link cut + repair under all four
 //! recovery policies; on random heavy traffic, whose recomputes are full
-//! passes resumed from the previous pass's freeze log (`maxmin` module docs,
-//! "Prefix replay"); and on the iterative workloads (n-Bodies,
+//! passes merged with the previous pass's freeze log (`maxmin` module docs,
+//! "Merge replay"); and on the iterative workloads (n-Bodies,
 //! Near-Neighbours) whose completion batches re-issue the paths they retire
 //! — the batches the deferred settle elides. Reports are also held equal
 //! across tracing modes and across solver thread counts.

@@ -17,10 +17,11 @@
 //!
 //! The file also holds the first *simulated* workload at paper scale:
 //! Reduce at 131,072 tasks (one event per phase, so the event count allows
-//! it). Those runs carry `max_wall_s: 60`, so a regression of the engine's
-//! batch bookkeeping is a typed `DeadlineExceeded`, not a hung job. The
-//! `tier2` CI job runs this whole file with `--ignored`; new tests here
-//! need no workflow change.
+//! it), and a solver-bound random panel, Bisection at 8,192 QFDBs. Those
+//! runs carry a `max_wall_s` budget, so a regression of the engine's
+//! batch bookkeeping or of the water-fill is a typed `DeadlineExceeded`,
+//! not a hung job. The `tier2` CI job runs this whole file with
+//! `--ignored`; new tests here need no workflow change.
 
 use exaflow::prelude::*;
 use exaflow::sim::FlowId;
@@ -274,6 +275,38 @@ fn paper_scale_reduce_is_topology_insensitive() {
             report.makespan_seconds
         );
     }
+}
+
+/// Bisection, 4 rounds, at 8,192 QFDBs on the 32×16×16 torus: a random
+/// panel of Fig 4/5 one rung below the 16,384-QFDB grid, bound by the
+/// max-min solver (25,536 completion events, most of them a global pass).
+/// On a 2-core box it takes 51 s alone and 63 s beside the other tier-2
+/// tests; before the merge replay (`maxmin` module docs) it took 175 s,
+/// past this budget.
+#[test]
+#[ignore = "tier-2 paper-scale simulation; run with --ignored in the tier2 CI job"]
+fn bisection_at_8192_qfdbs_finishes_inside_its_budget() {
+    let mut cfg: ExperimentConfig = serde_json::from_str(
+        r#"{"topology": {"topology": "torus", "dims": [32, 16, 16]},
+            "workload": {"workload": "bisection", "tasks": 8192, "rounds": 4,
+                         "bytes": 1048576, "seed": 1},
+            "mapping": {"mapping": "linear"}}"#,
+    )
+    .unwrap();
+    cfg.sim.max_wall_s = Some(150.0);
+    let started = Instant::now();
+    let result = run_experiment(&cfg).unwrap_or_else(|e| panic!("Bisection at 8,192: {e}"));
+    eprintln!(
+        "Bisection x4 at 8,192 QFDBs on the torus in {:.1} s of wall",
+        started.elapsed().as_secs_f64()
+    );
+    assert_eq!(result.events, 25_536);
+    let expect = 0.027044836927906407;
+    assert!(
+        (result.makespan_seconds - expect).abs() / expect < 1e-9,
+        "{}",
+        result.makespan_seconds
+    );
 }
 
 /// Two Reduce phases back to back — everyone to endpoint 0, a barrier,
