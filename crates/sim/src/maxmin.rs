@@ -103,58 +103,93 @@
 //! full pass, and consecutive full passes repeat almost all of their own
 //! work: a change since the last full pass reaches only a few of its
 //! freeze rounds. So every full sequential pass **logs** its freeze order
-//! — per valid pop `(share, bottleneck, entries frozen)` — and the next
+//! — per valid pop `(share, bottleneck, entries frozen, their weight)` —
+//! and records in `ent_round` the round that froze each entry. The next
 //! full pass **merges** that log with a heap over the resources the change
-//! has reached, the *tainted* ones:
+//! has reached, the *tainted* ones, and builds fill state for those alone:
 //!
 //! * *Taint set.* Seeded with the perturbed set: every resource on a path
 //!   whose settled weight changed since the logged pass (the deduped
-//!   `dirty_res` of every recompute since, including those that return
-//!   early). It grows during the pass and every heap pass clears it at
-//!   its end, whether it merged or not.
-//! * *Heap.* After pass 1 (weighted counts, `remaining = capacity`) it
-//!   holds the tainted resources with a live count, keyed `(clamped share,
-//!   id)`. A tainted resource re-keys whenever it receives a subtraction,
-//!   from a replayed round too.
+//!   `dirty_res` of every recompute since, component-local ones and those
+//!   that return early included). It grows during the pass, and every
+//!   sequential full pass clears it at its end.
+//! * *Materialisation.* A resource gets `count`/`remaining` when it is
+//!   first tainted, never before: `count` is the weight of its entries not
+//!   yet frozen this pass, `remaining` its capacity less the share of each
+//!   frozen one, once per unit of weight and in round order (the
+//!   *catch-up*). It then sits on
+//!   the heap, keyed `(clamped share, id)`, and re-keys whenever it
+//!   receives a subtraction. There is no pass 1 over the live entries.
+//! * *Subscriptions.* A materialised resource subscribes `(resource,
+//!   weight)` to the logged round of each of its unfrozen entries that the
+//!   merge has not reached yet.
 //! * *Merge.* Each step takes whichever pops first under that key: the
 //!   next logged round or the heap top. A logged round whose bottleneck is
-//!   untainted is **replayed** — its entries take the logged share and
-//!   subtract it from every resource they cross, once per unit of weight:
-//!   no heap, no division — and copied into the new log. A logged round
-//!   whose bottleneck is tainted is **skipped**: its entries will freeze
-//!   elsewhere, so every resource on their current paths is tainted
-//!   (`FREE` slots have none). A heap pop freezes the unfrozen entries of
+//!   untainted is **replayed**: its entries take the logged share and the
+//!   pass's frozen stamp, `frozen` advances by the logged weight, and each
+//!   subscriber receives the share once per unit of weight — no path walk,
+//!   no division. A logged round whose bottleneck is tainted is
+//!   **skipped**: its entries will freeze elsewhere, so every resource on
+//!   their current paths is tainted (`FREE` slots have none), and its
+//!   subscriptions never fire. A heap pop freezes the unfrozen entries of
 //!   its resource at the current share the textbook way, taints every
-//!   resource on their paths, and is logged.
+//!   resource on their paths before subtracting from it, and is logged.
 //!
-//! A from-scratch pass is the same loop with an empty log and every
-//! touched resource tainted. The new log is written in pop order while the
-//! old one is read, so the two are double-buffered. The log is discarded
-//! by anything it cannot describe: a component-local pass,
-//! [`MaxMinSolver::invalidate_all`], and the pooled round-based pass.
+//! A replayed round thus costs its subscribers plus one rate write per
+//! entry, and a merged pass builds state for the tainted resources only.
+//! A from-scratch full pass (the first one, or one after the log was
+//! discarded) is the classic loop over every live entry and logs the same
+//! way. The new log is written in pop order while the old one is read, so
+//! the two are double-buffered. A component-local pass neither reads nor
+//! writes the log: its dirty resources join the taint set like any other.
+//! Only [`MaxMinSolver::invalidate_all`], which drops its dirty set
+//! unseen, and the pooled round-based pass, which keeps no log, discard it.
 //!
 //! Why the merged pass is **bit-identical** to a from-scratch one:
 //!
-//! 1. An untainted resource hosts the same entries as in the logged pass.
-//!    Every subtraction it has received came from a replayed round at the
-//!    logged share: skipped rounds and heap pops taint every resource they
-//!    subtract from, or would have subtracted from. So its
-//!    `remaining`/`count` equal their logged values before the same round.
+//! 1. An untainted resource hosts the same entries, at the same weights,
+//!    as in the logged pass. Every subtraction the textbook applies to it
+//!    comes from a replayed round at the logged share: skipped rounds and
+//!    heap pops taint every resource they subtract from, or would have
+//!    subtracted from. So its textbook `remaining`/`count` equal their
+//!    logged values before the same round, and the merge never needs them:
+//!    an untainted resource is read only as the bottleneck of a replayed
+//!    round, through the round's logged key.
 //! 2. So an untainted bottleneck has its logged key. Every other untainted
 //!    live resource keys after it, because the logged pass popped it as
 //!    the minimum; every tainted one does too, because the heap top was
 //!    compared. It is therefore the textbook's next pop.
-//! 3. Its unfrozen entries are exactly the logged ones: an entry frozen by
-//!    a heap pop, or listed in a skipped round, would have tainted this
-//!    bottleneck. Entry ids are recycled only at settle, where the path of
-//!    the freed entry is perturbed, so a recycled id's stale round is
-//!    always skipped (tainting the id's new path is only conservative).
+//! 3. Its unfrozen entries are exactly the logged ones, at the logged
+//!    weight: an entry frozen by a heap pop, listed in a skipped round, or
+//!    of changed weight would have tainted this bottleneck. Entry ids are
+//!    recycled only at settle, where the path of the freed entry is
+//!    perturbed, so a recycled id's stale round is always skipped
+//!    (tainting the id's new path is only conservative).
 //! 4. Heap pops are textbook pops: the heap top keys before every other
 //!    tainted resource and before the next logged round, whose key bounds
 //!    every untainted one (2). Subtractions within a round all use one
 //!    share, so their order is irrelevant (the property the parallel
 //!    rounds below rely on) and `swap_remove`-reordered incidence lists
 //!    are harmless.
+//! 5. A materialised resource holds the textbook's state. Until it is
+//!    tainted the textbook subtracts from it only in replayed rounds (1),
+//!    one share per round; the catch-up applies exactly those
+//!    subtractions, in round order. Order is what keeps the bits: f64
+//!    subtraction does not commute across shares, (1 − 0.1) − 0.2 = 0.7
+//!    but (1 − 0.2) − 0.1 = 0.7000000000000001. From then on it receives
+//!    every round that freezes one of its entries: a heap pop directly, a
+//!    replayed round through its subscription. A skipped round freezes
+//!    nothing, so it fires nothing; its entries freeze later on the heap.
+//!    A resource first tainted inside a heap pop counts the entry being
+//!    frozen as unfrozen and receives it right after; it catches up on the
+//!    entries that round froze before, because the round is logged before
+//!    it is filled.
+//! 6. Keeping the log across component-local passes is sound. Such a pass
+//!    changes rates, never the entry set, and the merge reads no rate: its
+//!    frozen test is the pass's stamp in `ent_mark`, not `ent_rate`. The
+//!    entry set differs from the logged one only by settled weight
+//!    changes, whose resources every recompute adds to the taint set while
+//!    the log is valid, whether its own pass is full or component-local.
 //!
 //! # Parallel water-filling
 //!
@@ -224,13 +259,29 @@ fn pops_before(a: (f64, u32), b: (f64, u32)) -> bool {
 }
 
 /// One logged freeze round: `bottleneck` was popped at `share` and froze
-/// the entries `log_entries[previous end..end]`.
+/// the entries `log_entries[previous end..end]`, `weight` flows in all.
 #[derive(Debug, Clone, Copy)]
 struct LogRound {
     share: f64,
+    weight: u64,
     bottleneck: u32,
     end: u32,
 }
+
+/// A materialised resource's claim on a pending logged round: replaying
+/// the round subtracts its share from `res` `weight` times. `next` links
+/// the round's subscriptions (`NO_SUB` ends the list).
+#[derive(Debug, Clone, Copy)]
+struct Sub {
+    res: u32,
+    weight: u32,
+    next: u32,
+}
+
+/// End of a subscription list.
+const NO_SUB: u32 = u32::MAX;
+/// `ent_round` of an entry the log does not hold.
+const NO_ROUND: u32 = u32::MAX;
 
 /// Reusable progressive-filling solver.
 ///
@@ -262,6 +313,9 @@ pub struct MaxMinSolver {
     /// Statistics: freeze rounds (of `iterations`) that full passes took
     /// from the log of the previous full pass instead of the heap.
     pub replayed_rounds: u64,
+    /// Statistics: resources merged passes built fill state for — the
+    /// resources their change reached (module docs, "Merge replay").
+    pub materialised_resources: u64,
     /// Entries (weighted flow groups) the most recent pass actually
     /// re-solved — the dirty-component size surfaced in trace events.
     /// Zero when the last recompute found nothing to do.
@@ -281,9 +335,17 @@ pub struct MaxMinSolver {
     /// and every rate reflect. Zero for an entry no settle has seen yet.
     ent_solved: Vec<u32>,
     ent_rate: Vec<f64>,
+    /// The round of the log that froze the entry, `NO_ROUND` if none did.
+    /// During a merge: an index of the new log for entries frozen this
+    /// pass (`ent_mark` at the pass's stamp), of the merged one for the
+    /// others.
+    ent_round: Vec<u32>,
     free_ents: Vec<u32>,
     /// Entries with `ent_weight > 0`.
     live_entries: usize,
+    /// Σ `ent_solved` over entries with a non-empty path: the weight a
+    /// full pass freezes.
+    constrained_weight: u64,
     /// Entries inserted into or removed from since the last settle, each
     /// listed once (`ent_changed` is the membership flag).
     changed: Vec<u32>,
@@ -302,7 +364,8 @@ pub struct MaxMinSolver {
     unlink_res: Vec<u32>,
     /// Force a full pass on the next recompute (fault churn).
     pending_full: bool,
-    // Epoch-stamped BFS visit marks and component scratch.
+    // Epoch-stamped BFS visit marks and component scratch. A merged pass
+    // stamps `ent_mark` with an epoch of its own: "frozen this pass".
     res_mark: Vec<u32>,
     ent_mark: Vec<u32>,
     epoch: u32,
@@ -323,6 +386,41 @@ pub struct MaxMinSolver {
     /// also every resource it reached.
     taint_mark: Vec<bool>,
     taint_res: Vec<u32>,
+    /// Per merged round: head of its subscription list in `subs`.
+    sub_head: Vec<u32>,
+    subs: Vec<Sub>,
+    /// Materialisation scratch: `(new round, weight)` to catch up on.
+    catch_up: Vec<(u32, u32)>,
+}
+
+/// The pool a pass over `entries` entries runs on: none unless the pool
+/// has several threads and the pass is big enough to amortise them.
+fn pass_pool(pool: Option<&WorkerPool>, entries: usize) -> Option<&WorkerPool> {
+    pool.filter(|p| p.threads() > 1 && entries >= PARALLEL_MIN_ENTRIES)
+}
+
+/// Replace the lazy heap by every resource of `touched` with a live count,
+/// at its current clamped share and version 0 (heapified in place: O(n),
+/// where n pushes would cost O(n log n)).
+fn heapify_frontier(
+    heap: &mut BinaryHeap<HeapEntry>,
+    touched: &[u32],
+    remaining: &[f64],
+    count: &[u32],
+) {
+    let mut frontier = std::mem::take(heap).into_vec();
+    frontier.clear();
+    frontier.extend(
+        touched
+            .iter()
+            .filter(|&&r| count[r as usize] > 0)
+            .map(|&r| HeapEntry {
+                share: (remaining[r as usize] / count[r as usize] as f64).max(0.0),
+                resource: r,
+                version: 0,
+            }),
+    );
+    *heap = BinaryHeap::from(frontier);
 }
 
 /// Push resource `r` onto the lazy heap at its current clamped share,
@@ -378,14 +476,17 @@ impl MaxMinSolver {
             flows_coalesced: 0,
             parallel_passes: 0,
             replayed_rounds: 0,
+            materialised_resources: 0,
             last_pass_entries: 0,
             last_pass_full: false,
             ent_path: Vec::new(),
             ent_weight: Vec::new(),
             ent_solved: Vec::new(),
             ent_rate: Vec::new(),
+            ent_round: Vec::new(),
             free_ents: Vec::new(),
             live_entries: 0,
+            constrained_weight: 0,
             changed: Vec::new(),
             ent_changed: Vec::new(),
             entry_of_path: Vec::new(),
@@ -405,6 +506,9 @@ impl MaxMinSolver {
             log_valid: false,
             taint_mark: vec![false; r],
             taint_res: Vec::new(),
+            sub_head: Vec::new(),
+            subs: Vec::new(),
+            catch_up: Vec::new(),
         })
     }
 
@@ -488,6 +592,7 @@ impl MaxMinSolver {
                 self.ent_weight.push(0);
                 self.ent_solved.push(0);
                 self.ent_rate.push(-1.0);
+                self.ent_round.push(NO_ROUND);
                 self.ent_changed.push(false);
                 self.ent_mark.push(0);
                 (self.ent_path.len() - 1) as u32
@@ -502,6 +607,7 @@ impl MaxMinSolver {
         } else {
             -1.0
         };
+        self.ent_round[ei] = NO_ROUND;
         self.ent_mark[ei] = 0;
         if self.entry_of_path.len() <= pi {
             self.entry_of_path.resize(paths.len(), NO_ENTRY);
@@ -566,6 +672,7 @@ impl MaxMinSolver {
             res_mark,
             dirty_res,
             unlink_res,
+            constrained_weight,
             ..
         } = self;
         for e in changed.drain(..) {
@@ -574,6 +681,9 @@ impl MaxMinSolver {
             let (weight, solved) = (ent_weight[ei], ent_solved[ei]);
             if weight != solved {
                 let path = paths.get(ent_path[ei]);
+                if !path.is_empty() {
+                    *constrained_weight = *constrained_weight + weight as u64 - solved as u64;
+                }
                 dirty_res.extend_from_slice(path);
                 if solved == 0 {
                     for &r in path {
@@ -647,12 +757,7 @@ impl MaxMinSolver {
             self.pending_full = false;
             self.dirty_res.clear();
             self.log_valid = false;
-            self.collect_all_live();
-            if !self.comp_entries.is_empty() {
-                self.full_recomputes += 1;
-                self.last_pass_full = true;
-                self.waterfill(paths, pool);
-            }
+            self.full_pass(paths, pool);
             return;
         }
         if self.dirty_res.is_empty() {
@@ -723,22 +828,45 @@ impl MaxMinSolver {
             return; // pure departures: nothing left in the dirty region
         }
         if oversized {
-            self.collect_all_live();
-            self.full_recomputes += 1;
-            self.last_pass_full = true;
+            self.full_pass(paths, pool);
+        } else {
+            self.waterfill(paths, pool);
         }
-        self.waterfill(paths, pool);
     }
 
-    /// Fill `comp_entries` with every live entry (full-pass work list).
-    fn collect_all_live(&mut self) {
-        self.comp_entries.clear();
+    /// Run a full pass over every live entry: merged with the log of the
+    /// previous full pass when that log is valid and the pass stays on the
+    /// heap, from scratch otherwise.
+    fn full_pass(&mut self, paths: &PathTable, pool: Option<&WorkerPool>) {
         // Called after a settle: every allocated slot is linked and live.
-        for (e, &p) in self.ent_path.iter().enumerate() {
-            if p != FREE {
-                self.comp_entries.push(e as u32);
-            }
+        let live = self.ent_path.len() - self.free_ents.len();
+        if live == 0 {
+            return;
         }
+        self.full_recomputes += 1;
+        self.last_pass_full = true;
+        if self.log_valid && pass_pool(pool, live).is_none() {
+            self.merge_pass(paths, live);
+        } else {
+            self.comp_entries.clear();
+            for (e, &p) in self.ent_path.iter().enumerate() {
+                if p != FREE {
+                    self.comp_entries.push(e as u32);
+                }
+            }
+            self.waterfill(paths, pool);
+        }
+    }
+
+    /// Forget the per-resource fill state of the previous pass: every
+    /// resource outside `touched` has a zero `count` and `version`.
+    fn reset_scratch(&mut self) {
+        for &r in &self.touched {
+            self.count[r as usize] = 0;
+            self.version[r as usize] = 0;
+        }
+        self.touched.clear();
+        self.heap.clear();
     }
 
     /// Reset the per-resource scratch and run pass 1 over `comp_entries`:
@@ -746,25 +874,18 @@ impl MaxMinSolver {
     /// constrained entry unfrozen. Returns `(total weight, weight already
     /// frozen)` — unconstrained entries are rated `INFINITY` on the spot.
     fn begin_pass(&mut self, paths: &PathTable) -> (u64, u64) {
+        self.reset_scratch();
         let MaxMinSolver {
             capacity,
             remaining,
             count,
-            version,
             touched,
-            heap,
             ent_path,
             ent_weight,
             ent_rate,
             comp_entries,
             ..
         } = self;
-        for &r in touched.iter() {
-            count[r as usize] = 0;
-            version[r as usize] = 0;
-        }
-        touched.clear();
-        heap.clear();
         let (mut total_weight, mut frozen) = (0u64, 0u64);
         for &e in comp_entries.iter() {
             let ei = e as usize;
@@ -786,6 +907,10 @@ impl MaxMinSolver {
                 count[ri] += w;
             }
         }
+        debug_assert!(
+            !self.last_pass_full || total_weight - frozen == self.constrained_weight,
+            "constrained_weight tracks the weight a full pass freezes"
+        );
         (total_weight, frozen)
     }
 
@@ -795,11 +920,9 @@ impl MaxMinSolver {
     /// weight so the floating-point trajectory matches that many separate
     /// flows bit-for-bit.
     ///
-    /// A full pass merges the freeze log of the previous full pass with a
-    /// heap over the resources the change since has reached, replaying
-    /// every logged round the change did not reach (module docs, "Merge
-    /// replay"); any other pass is the same loop with an empty log and
-    /// every resource on the heap.
+    /// A full pass run here (no valid log to merge) logs its freeze order
+    /// for the next one; a component-local pass leaves the log and the
+    /// taint set alone (module docs, "Merge replay").
     ///
     /// With a multi-thread `pool` and at least [`PARALLEL_MIN_ENTRIES`]
     /// entries, the pass runs the round-based parallel formulation
@@ -810,26 +933,17 @@ impl MaxMinSolver {
         self.last_pass_entries = self.comp_entries.len() as u64;
         let (total_weight, mut frozen) = self.begin_pass(paths);
 
-        if let Some(pool) = pool {
-            if pool.threads() > 1 && self.comp_entries.len() >= PARALLEL_MIN_ENTRIES {
-                self.parallel_passes += 1;
-                self.log_valid = false; // the rounds keep no log
-                self.waterfill_rounds(paths, pool, total_weight, frozen);
-                return;
-            }
+        if let Some(pool) = pass_pool(pool, self.comp_entries.len()) {
+            self.parallel_passes += 1;
+            self.log_valid = false; // the rounds keep no log
+            self.waterfill_rounds(paths, pool, total_weight, frozen);
+            return;
         }
 
-        // Only a full pass (`last_pass_full`, set by `recompute_with`) can
-        // merge the log; any other runs from scratch, every touched
-        // resource tainted.
         let full = self.last_pass_full;
-        let merge = full && self.log_valid;
-        std::mem::swap(&mut self.log_rounds, &mut self.prev_rounds);
-        std::mem::swap(&mut self.log_entries, &mut self.prev_entries);
-        self.log_rounds.clear();
-        self.log_entries.clear();
-        if !merge {
-            self.prev_rounds.clear();
+        if full {
+            self.log_rounds.clear();
+            self.log_entries.clear();
         }
         let MaxMinSolver {
             remaining,
@@ -838,133 +952,54 @@ impl MaxMinSolver {
             touched,
             heap,
             iterations,
-            replayed_rounds,
             ent_path,
             ent_weight,
             ent_rate,
+            ent_round,
             res_entries,
             log_rounds,
             log_entries,
-            prev_rounds,
-            prev_entries,
             log_valid,
             taint_mark,
             taint_res,
             ..
         } = self;
 
-        // Bottleneck frontier: every tainted resource still hosting an
-        // unfrozen entry, at its current fair share (heapified in place).
-        let seeds: &[u32] = if merge { taint_res } else { touched };
-        let mut frontier = std::mem::take(heap).into_vec();
-        frontier.extend(
-            seeds
-                .iter()
-                .filter(|&&r| count[r as usize] > 0)
-                .map(|&r| HeapEntry {
-                    share: (remaining[r as usize] / count[r as usize] as f64).max(0.0),
-                    resource: r,
-                    version: 0,
-                }),
-        );
-        *heap = BinaryHeap::from(frontier);
+        heapify_frontier(heap, touched, remaining, count);
 
-        // Progressive filling over the component's entries, merged with the
-        // log. Resources in `touched` only host entries from `comp_entries`
-        // (BFS closure), so the loop never sees a stale outside rate.
-        let (mut next, mut start) = (0usize, 0usize); // next logged round, its first entry
+        // Progressive filling over the component's entries. Resources in
+        // `touched` only host entries from `comp_entries` (BFS closure), so
+        // the loop never sees a stale outside rate.
         while frozen < total_weight {
-            while let Some(top) = heap.peek() {
-                let r = top.resource as usize;
-                if top.version == version[r] && count[r] > 0 {
-                    break;
-                }
-                heap.pop(); // stale
-            }
-            let top = heap.peek().map(|h| (h.share, h.resource));
-            let logged = prev_rounds.get(next).copied().filter(|round| {
-                top.is_none_or(|t| pops_before((round.share, round.bottleneck), t))
-            });
-            if let Some(round) = logged {
-                let entries = &prev_entries[start..round.end as usize];
-                next += 1;
-                start = round.end as usize;
-                if taint_mark[round.bottleneck as usize] {
-                    // Skipped: its entries freeze elsewhere, so taint every
-                    // resource they would have subtracted from.
-                    for &e in entries {
-                        let path = ent_path[e as usize];
-                        if path == FREE {
-                            continue;
-                        }
-                        for &r2 in paths.get(path) {
-                            let r2i = r2 as usize;
-                            if !std::mem::replace(&mut taint_mark[r2i], true) {
-                                taint_res.push(r2);
-                                if count[r2i] > 0 {
-                                    rekey(heap, version, remaining, count, r2);
-                                }
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // Replayed: the textbook's next pop, applied as logged.
-                *iterations += 1;
-                *replayed_rounds += 1;
-                for &e in entries {
-                    let ei = e as usize;
-                    debug_assert!(ent_rate[ei] < 0.0, "a replayed entry is unfrozen");
-                    ent_rate[ei] = round.share;
-                    let w = ent_weight[ei];
-                    frozen += w as u64;
-                    for &r2 in paths.get(ent_path[ei]) {
-                        let r2i = r2 as usize;
-                        count[r2i] -= w;
-                        for _ in 0..w {
-                            remaining[r2i] -= round.share;
-                        }
-                        if taint_mark[r2i] && count[r2i] > 0 {
-                            rekey(heap, version, remaining, count, r2);
-                        }
-                    }
-                }
-                debug_assert_eq!(
-                    count[round.bottleneck as usize], 0,
-                    "replayed bottleneck must fully drain"
-                );
-                log_entries.extend_from_slice(entries);
-                log_rounds.push(LogRound {
-                    end: log_entries.len() as u32,
-                    ..round
-                });
-                continue;
-            }
-
-            // Heap pop: a textbook freeze round at the current share.
             let Some(entry) = heap.pop() else {
                 break; // numerically everything frozen
             };
             let r = entry.resource as usize;
+            if entry.version != version[r] || count[r] == 0 {
+                continue; // stale
+            }
             let share = entry.share;
             *iterations += 1;
+            let round = log_rounds.len() as u32;
+            let mut round_weight = 0u64;
             for &e in &res_entries[r] {
                 let ei = e as usize;
                 if ent_rate[ei] >= 0.0 {
                     continue; // already frozen by an earlier bottleneck
                 }
                 ent_rate[ei] = share;
-                log_entries.push(e);
                 let w = ent_weight[ei];
                 frozen += w as u64;
+                if full {
+                    ent_round[ei] = round;
+                    log_entries.push(e);
+                    round_weight += w as u64;
+                }
                 for &r2 in paths.get(ent_path[ei]) {
                     let r2i = r2 as usize;
                     count[r2i] -= w;
                     for _ in 0..w {
                         remaining[r2i] -= share;
-                    }
-                    if merge && !std::mem::replace(&mut taint_mark[r2i], true) {
-                        taint_res.push(r2);
                     }
                     if r2i != r && count[r2i] > 0 {
                         rekey(heap, version, remaining, count, r2);
@@ -973,19 +1008,240 @@ impl MaxMinSolver {
             }
             debug_assert_eq!(count[r], 0, "bottleneck must fully drain");
             version[r] += 1;
-            log_rounds.push(LogRound {
-                share,
-                bottleneck: entry.resource,
-                end: log_entries.len() as u32,
-            });
+            if full {
+                log_rounds.push(LogRound {
+                    share,
+                    weight: round_weight,
+                    bottleneck: entry.resource,
+                    end: log_entries.len() as u32,
+                });
+            }
         }
 
-        // Only a full pass leaves a log the next one can merge; the taint
-        // set is pass-local either way.
-        *log_valid = full;
-        for r in taint_res.drain(..) {
-            taint_mark[r as usize] = false;
+        if full {
+            *log_valid = true;
+            for r in taint_res.drain(..) {
+                taint_mark[r as usize] = false;
+            }
         }
+    }
+
+    /// A full pass of `live` entries merged with the freeze log of the
+    /// previous full pass (module docs, "Merge replay"). Only tainted
+    /// resources get fill state, materialised when first tainted; a
+    /// replayed round writes its entries' rates and applies its share to
+    /// the resources subscribed to it, and walks no path.
+    fn merge_pass(&mut self, paths: &PathTable, live: usize) {
+        self.rate_recomputes += 1;
+        self.last_pass_entries = live as u64;
+        // `ent_mark == stamp`: frozen this pass. `ent_round` then indexes
+        // the new log, and the old one for every other entry.
+        let stamp = self.bump_epoch();
+        self.reset_scratch();
+        std::mem::swap(&mut self.log_rounds, &mut self.prev_rounds);
+        std::mem::swap(&mut self.log_entries, &mut self.prev_entries);
+        self.log_rounds.clear();
+        self.log_entries.clear();
+        self.subs.clear();
+        self.sub_head.clear();
+        self.sub_head.resize(self.prev_rounds.len(), NO_SUB);
+        for i in 0..self.taint_res.len() {
+            self.materialise(self.taint_res[i], 0, stamp);
+        }
+        heapify_frontier(&mut self.heap, &self.touched, &self.remaining, &self.count);
+
+        let total_weight = self.constrained_weight;
+        let mut frozen = 0u64;
+        let (mut next, mut start) = (0usize, 0usize); // next logged round, its first entry
+        while frozen < total_weight {
+            while let Some(top) = self.heap.peek() {
+                let r = top.resource as usize;
+                if top.version == self.version[r] && self.count[r] > 0 {
+                    break;
+                }
+                self.heap.pop(); // stale
+            }
+            let top = self.heap.peek().map(|h| (h.share, h.resource));
+            let logged = self.prev_rounds.get(next).copied().filter(|round| {
+                top.is_none_or(|t| pops_before((round.share, round.bottleneck), t))
+            });
+            if let Some(round) = logged {
+                let (j, end) = (next, round.end as usize);
+                next += 1;
+                if self.taint_mark[round.bottleneck as usize] {
+                    // Skipped: its entries freeze elsewhere, so taint every
+                    // resource they would have subtracted from. Its
+                    // subscriptions never fire.
+                    for i in start..end {
+                        let path = self.ent_path[self.prev_entries[i] as usize];
+                        if path != FREE {
+                            for &r in paths.get(path) {
+                                if self.taint(r, next, stamp) {
+                                    self.rekey(r);
+                                }
+                            }
+                        }
+                    }
+                    start = end;
+                    continue;
+                }
+                // Replayed: the textbook's next pop, applied as logged.
+                self.iterations += 1;
+                self.replayed_rounds += 1;
+                let k = self.log_rounds.len() as u32;
+                for &e in &self.prev_entries[start..end] {
+                    let ei = e as usize;
+                    debug_assert_ne!(self.ent_mark[ei], stamp, "a replayed entry is unfrozen");
+                    self.ent_mark[ei] = stamp;
+                    self.ent_rate[ei] = round.share;
+                    self.ent_round[ei] = k;
+                }
+                frozen += round.weight;
+                let mut s = self.sub_head[j];
+                while s != NO_SUB {
+                    let Sub { res, weight, next } = self.subs[s as usize];
+                    let ri = res as usize;
+                    self.count[ri] -= weight;
+                    for _ in 0..weight {
+                        self.remaining[ri] -= round.share;
+                    }
+                    if self.count[ri] > 0 {
+                        self.rekey(res);
+                    }
+                    s = next;
+                }
+                self.log_entries
+                    .extend_from_slice(&self.prev_entries[start..end]);
+                self.log_rounds.push(LogRound {
+                    end: self.log_entries.len() as u32,
+                    ..round
+                });
+                start = end;
+                continue;
+            }
+
+            // Heap pop: a textbook freeze round at the current share. It is
+            // logged before it is filled, so a resource materialised during
+            // the round can catch up on the entries frozen so far.
+            let Some(entry) = self.heap.pop() else {
+                break; // numerically everything frozen
+            };
+            let (r, share) = (entry.resource, entry.share);
+            self.iterations += 1;
+            let k = self.log_rounds.len();
+            self.log_rounds.push(LogRound {
+                share,
+                weight: 0,
+                bottleneck: r,
+                end: 0,
+            });
+            let mut round_weight = 0u64;
+            for i in 0..self.res_entries[r as usize].len() {
+                let e = self.res_entries[r as usize][i];
+                let ei = e as usize;
+                if self.ent_mark[ei] == stamp {
+                    continue; // already frozen by an earlier bottleneck
+                }
+                let w = self.ent_weight[ei];
+                round_weight += w as u64;
+                for &r2 in paths.get(self.ent_path[ei]) {
+                    // Tainted while `e` is still unfrozen: a resource this
+                    // materialises counts it, and then receives it here.
+                    self.taint(r2, next, stamp);
+                    let r2i = r2 as usize;
+                    self.count[r2i] -= w;
+                    for _ in 0..w {
+                        self.remaining[r2i] -= share;
+                    }
+                    if r2 != r && self.count[r2i] > 0 {
+                        self.rekey(r2);
+                    }
+                }
+                self.ent_mark[ei] = stamp;
+                self.ent_rate[ei] = share;
+                self.ent_round[ei] = k as u32;
+                self.log_entries.push(e);
+            }
+            debug_assert_eq!(self.count[r as usize], 0, "bottleneck must fully drain");
+            self.version[r as usize] += 1;
+            frozen += round_weight;
+            self.log_rounds[k].weight = round_weight;
+            self.log_rounds[k].end = self.log_entries.len() as u32;
+        }
+
+        self.log_valid = true;
+        for r in self.taint_res.drain(..) {
+            self.taint_mark[r as usize] = false;
+        }
+    }
+
+    /// [`rekey`] on the solver's own heap and fill state.
+    fn rekey(&mut self, r: u32) {
+        rekey(
+            &mut self.heap,
+            &mut self.version,
+            &self.remaining,
+            &self.count,
+            r,
+        );
+    }
+
+    /// Taint `r` in the middle of a merge whose next logged round is
+    /// `next`, materialising it if it was untainted. Returns whether it
+    /// was materialised with a live count, for the caller to put on the
+    /// heap.
+    fn taint(&mut self, r: u32, next: usize, stamp: u32) -> bool {
+        if std::mem::replace(&mut self.taint_mark[r as usize], true) {
+            return false;
+        }
+        self.taint_res.push(r);
+        self.materialise(r, next, stamp)
+    }
+
+    /// Give tainted resource `r` the fill state the textbook has for it
+    /// before logged round `next` of the merge: `count` is the weight of
+    /// its unfrozen entries, and `remaining` is `capacity` minus the shares
+    /// of its frozen entries, subtracted in round order as the textbook
+    /// subtracted them. Each unfrozen entry with a pending logged round
+    /// subscribes `r` to it. Returns whether `r` has a live count, which
+    /// the caller puts on the heap.
+    fn materialise(&mut self, r: u32, next: usize, stamp: u32) -> bool {
+        let ri = r as usize;
+        self.materialised_resources += 1;
+        self.touched.push(r);
+        self.catch_up.clear();
+        let mut count = 0;
+        for &e in &self.res_entries[ri] {
+            let ei = e as usize;
+            let (w, round) = (self.ent_weight[ei], self.ent_round[ei]);
+            if self.ent_mark[ei] == stamp {
+                self.catch_up.push((round, w));
+                continue;
+            }
+            count += w;
+            // A round before `next` was skipped, as every replayed one
+            // froze its entries: this entry freezes on the heap.
+            if round != NO_ROUND && round as usize >= next {
+                let head = &mut self.sub_head[round as usize];
+                self.subs.push(Sub {
+                    res: r,
+                    weight: w,
+                    next: *head,
+                });
+                *head = (self.subs.len() - 1) as u32;
+            }
+        }
+        self.catch_up.sort_unstable_by_key(|&(round, _)| round);
+        let mut remaining = self.capacity[ri];
+        for &(round, w) in &self.catch_up {
+            let share = self.log_rounds[round as usize].share;
+            for _ in 0..w {
+                remaining -= share;
+            }
+        }
+        self.remaining[ri] = remaining;
+        self.count[ri] = count;
+        count > 0
     }
 
     /// Round-based parallel water-fill over the pass the caller already
@@ -1384,7 +1640,7 @@ mod tests {
     }
 
     #[test]
-    fn a_component_pass_or_an_invalidation_discards_the_log() {
+    fn a_component_pass_keeps_the_log_and_only_an_invalidation_discards_it() {
         // Three independent pairs, one weight-2 entry each: rounds (5, r0),
         // (10, r1), (15, r2).
         let setup = || {
@@ -1405,15 +1661,20 @@ mod tests {
         s.recompute(&table, 0.0);
         assert_eq!(s.replayed_rounds, 2);
 
-        // A component-local pass in between (threshold 1.0 never degrades).
+        // A component-local pass in between (threshold 1.0 never degrades)
+        // leaves its dirty r0 tainted: the full pass after it skips the
+        // rounds of r0 and r2 and still replays (10, r1), after the heap
+        // pops r0 at the same share on the lower id.
         let (mut s, table, ids) = setup();
         s.remove_entry(ids[0]);
         s.recompute(&table, 1.0);
         assert!(!s.last_pass_full);
+        assert_eq!(s.entry_rate(ids[1]), 10.0);
         s.remove_entry(ids[4]);
         s.recompute(&table, 0.0);
         assert!(s.last_pass_full);
-        assert_eq!(s.replayed_rounds, 0);
+        assert_eq!(s.replayed_rounds, 1);
+        assert_eq!(logged_bottlenecks(&s), [0, 1, 2]);
         assert_eq!(s.entry_rate(ids[1]), 10.0);
         assert_eq!(s.entry_rate(ids[3]), 10.0);
         assert_eq!(s.entry_rate(ids[5]), 30.0);
@@ -1492,6 +1753,55 @@ mod tests {
         t.insert(&[0]);
         assert_eq!(t.recompute(), 0);
         assert_eq!((t.fast.entry_rate(e), t.fast.entry_rate(z)), (4.0, 6.0));
+    }
+
+    /// Old rounds (0.1, r0, [A]), (0.2, r1, [B]), (0.3, r2, [D, E]),
+    /// (0.4, r3, [C]), with A = [0, 3], B = [1, 3], D = [2, 3]. E leaves:
+    /// the first two rounds replay without touching r3, the skipped round
+    /// of r2 materialises r3 mid-pass, and r3 must catch up on A and B in
+    /// round order — (1 - 0.1) - 0.2 = 0.7, while (1 - 0.2) - 0.1 =
+    /// 0.7000000000000001. B is linked first, so its incidence order is
+    /// the reverse of the round order.
+    #[test]
+    fn a_resource_materialised_mid_pass_catches_up_in_round_order() {
+        let mut t = Twin::new(&[0.1, 0.2, 0.6, 1.0]);
+        t.insert(&[1, 3]);
+        t.insert(&[0, 3]);
+        let d = t.insert(&[2, 3]);
+        let e = t.insert(&[2]);
+        let c = t.insert(&[3]);
+        t.recompute();
+        assert_eq!(logged_bottlenecks(&t.fast), [0, 1, 2, 3]);
+        t.remove(e);
+        let materialised = t.fast.materialised_resources;
+        // Twin::recompute holds every rate to the textbook's bits.
+        assert_eq!(t.recompute(), 2);
+        assert_eq!(t.fast.materialised_resources - materialised, 2);
+        assert_eq!(logged_bottlenecks(&t.fast), [0, 1, 3]);
+        assert_eq!(t.fast.entry_rate(d).to_bits(), 0.35f64.to_bits());
+        assert_eq!(t.fast.entry_rate(c).to_bits(), 0.35f64.to_bits());
+    }
+
+    /// Old rounds (5, r0, [e, G]) and (35, r1, [C]) with e = [0, 1]. H
+    /// joins r0 and F joins r1, so both are materialised up front and r1
+    /// subscribes to r0's round for e. The heap pops r0 at 10 / 3 first
+    /// and freezes e there; the logged round of r0 is then skipped, and
+    /// firing its subscriptions would take e's share off r1 a second time.
+    #[test]
+    fn a_skipped_round_fires_no_subscription() {
+        let mut t = Twin::new(&[10.0, 40.0]);
+        let e = t.insert(&[0, 1]);
+        t.insert(&[0]);
+        let c = t.insert(&[1]);
+        t.recompute();
+        assert_eq!(logged_bottlenecks(&t.fast), [0, 1]);
+        t.insert(&[0]);
+        let f = t.insert(&[1]);
+        assert_eq!(t.recompute(), 0);
+        assert!(t.fast.subs.iter().any(|s| s.res == 1 && s.weight == 1));
+        assert_eq!(logged_bottlenecks(&t.fast), [0, 1]);
+        let rest = (40.0 - t.fast.entry_rate(e)) / 2.0;
+        assert_eq!((t.fast.entry_rate(c), t.fast.entry_rate(f)), (rest, rest));
     }
 
     // ---- deferred settle ----
@@ -1683,7 +1993,9 @@ mod tests {
     /// ring arcs of 2–6 consecutive resources over 256; each step retires a
     /// random flow and admits a random arc. The merge replays 93 % of the
     /// later rounds; a replay that stops at the first perturbed round
-    /// took 24 %. Counts, not times, so it cannot flake.
+    /// took 24 %. Each merged pass materialises ~21 resources of the ~256
+    /// a walk over every live entry touches. Counts, not times, so it
+    /// cannot flake.
     #[test]
     fn random_ring_churn_replays_most_rounds() {
         const RESOURCES: u64 = 256;
@@ -1700,17 +2012,32 @@ mod tests {
         }
         t.recompute();
         let first_pass = t.fast.iterations;
+        // Resources a pass that walks every live entry would touch.
+        let mut touched = 0;
         for _ in 0..300 {
             let i = (xorshift(&mut st) % t.live.len() as u64) as usize;
             t.remove(t.live[i].0);
             t.insert(&arc(&mut st));
             t.recompute();
+            let mut hit = vec![false; RESOURCES as usize];
+            for (_, p) in &t.live {
+                p.iter().for_each(|&r| hit[r as usize] = true);
+            }
+            touched += hit.iter().filter(|&&h| h).count() as u64;
         }
         let later = t.fast.iterations - first_pass;
         assert!(
             t.fast.replayed_rounds * 100 >= later * 85,
             "replayed {} of {later} rounds",
             t.fast.replayed_rounds
+        );
+        // Work guard: the merged passes build fill state for about one
+        // resource in twelve; walking the bulk would make it every one.
+        assert_eq!(t.fast.full_recomputes, 301, "every later pass merged");
+        assert!(
+            t.fast.materialised_resources * 8 <= touched,
+            "materialised {} of {touched} resources",
+            t.fast.materialised_resources
         );
     }
 

@@ -280,9 +280,9 @@ fn paper_scale_reduce_is_topology_insensitive() {
 /// Bisection, 4 rounds, at 8,192 QFDBs on the 32×16×16 torus: a random
 /// panel of Fig 4/5 one rung below the 16,384-QFDB grid, bound by the
 /// max-min solver (25,536 completion events, most of them a global pass).
-/// On a 2-core box it takes 51 s alone and 63 s beside the other tier-2
-/// tests; before the merge replay (`maxmin` module docs) it took 175 s,
-/// past this budget.
+/// On a 2-core box it takes 16 s alone and 22 s beside the other tier-2
+/// tests; a merged pass that walks every live entry took 43 s alone, and
+/// no merge replay (`maxmin` module docs) 175 s, both past this budget.
 #[test]
 #[ignore = "tier-2 paper-scale simulation; run with --ignored in the tier2 CI job"]
 fn bisection_at_8192_qfdbs_finishes_inside_its_budget() {
@@ -293,7 +293,7 @@ fn bisection_at_8192_qfdbs_finishes_inside_its_budget() {
             "mapping": {"mapping": "linear"}}"#,
     )
     .unwrap();
-    cfg.sim.max_wall_s = Some(150.0);
+    cfg.sim.max_wall_s = Some(40.0);
     let started = Instant::now();
     let result = run_experiment(&cfg).unwrap_or_else(|e| panic!("Bisection at 8,192: {e}"));
     eprintln!(
