@@ -12,11 +12,11 @@
 //!
 //! * [`distance_stats_exact`] — every ordered endpoint pair, on the calling
 //!   thread; the sequential reference.
-//! * [`distance_sweep`] / [`distance_estimate`] — the same sweep on a
-//!   `WorkerPool`, bit-identical to [`distance_stats_exact`] at any thread
-//!   count, and a stratified deterministic source-sampling estimator that
-//!   reports a standard error and 95% confidence half-width alongside the
-//!   point estimate.
+//! * [`distance_sweep`] / [`distance_estimate`] — the same sweep on
+//!   scoped threads ([`resolve_threads`] picks how many), bit-identical to
+//!   [`distance_stats_exact`] at any thread count, and a stratified
+//!   deterministic source-sampling estimator that reports a standard error
+//!   and 95% confidence half-width alongside the point estimate.
 //! * [`physical_distance_sweep`] — the same harness over the frontier-
 //!   bitset BFS kernel, measuring physical shortest-path distances (a
 //!   lower bound certifying routing minimality where it matches).
@@ -29,4 +29,6 @@ pub mod sweep;
 
 pub use distance::{distance_stats_exact, DistanceStats};
 pub use load::{channel_load_survey, LoadStats};
-pub use sweep::{distance_estimate, distance_sweep, physical_distance_sweep, stratified_sources};
+pub use sweep::{
+    distance_estimate, distance_sweep, physical_distance_sweep, resolve_threads, stratified_sources,
+};

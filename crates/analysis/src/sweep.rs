@@ -3,7 +3,7 @@
 //! This module is the paper-scale engine behind Table 1: where
 //! [`distance_stats_exact`](crate::distance_stats_exact) walks every
 //! source from a single thread, [`distance_sweep`] partitions the source
-//! endpoints into deterministic contiguous chunks across a [`WorkerPool`]
+//! endpoints into deterministic contiguous chunks across scoped threads
 //! and merges per-worker histograms in fixed worker order. Because the
 //! histograms hold `u64` counts, the merged result is **bit-identical** to
 //! the sequential path at any thread count.
@@ -30,11 +30,10 @@
 
 use crate::distance::{sized_histogram, DistanceStats};
 use exaflow_netgraph::{BfsScratch, NodeId, PhysCsr};
-use exaflow_sim::WorkerPool;
 use exaflow_topo::Topology;
 use std::sync::Mutex;
 
-/// Per-worker partial result, handed back through a dedicated slot.
+/// Per-worker partial result, handed back through the worker's join handle.
 struct WorkerOut {
     histogram: Vec<u64>,
     /// Total hops per source in this worker's chunk, in chunk order.
@@ -50,10 +49,32 @@ fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
     (start, start + per + usize::from(w < rem))
 }
 
+/// The thread-count rule, free of process state: `requested` when
+/// positive, else `env` (the value of `EXAFLOW_THREADS`, if set) when it
+/// parses to a positive integer, else `fallback`.
+fn pick_threads(requested: usize, env: Option<&str>, fallback: usize) -> usize {
+    if requested >= 1 {
+        return requested;
+    }
+    env.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(fallback)
+}
+
+/// Resolve a configured thread count for work that scales with cores (the
+/// distance sweep, `exaflow analyze`): `0` means "auto" — the
+/// `EXAFLOW_THREADS` environment variable if set to a positive integer,
+/// otherwise [`std::thread::available_parallelism`]. Always at least 1.
+pub fn resolve_threads(requested: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let env = std::env::var("EXAFLOW_THREADS").ok();
+    pick_threads(requested, env.as_deref(), cores)
+}
+
 /// Run `per_source` over a static partition of `sources` on `threads`
 /// threads and merge the per-worker histograms in fixed worker order.
 /// Returns the merged histogram plus per-source hop totals in `sources`
-/// order.
+/// order. The calling thread is worker 0, so one worker spawns nothing.
 fn parallel_tally<F>(
     sources: &[u32],
     threads: usize,
@@ -64,28 +85,34 @@ where
     F: Fn(usize, u32, &mut [u64]) -> u64 + Sync,
 {
     let workers = threads.max(1).min(sources.len().max(1));
-    let pool = WorkerPool::new(workers);
-    let slots: Vec<Mutex<Option<WorkerOut>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    pool.run(|w| {
+    let tally = |w: usize| {
         let (lo, hi) = chunk_bounds(sources.len(), workers, w);
         let mut histogram = vec![0u64; histogram_len];
-        let mut source_hops = Vec::with_capacity(hi - lo);
-        for &s in &sources[lo..hi] {
-            source_hops.push(per_source(w, s, &mut histogram));
-        }
-        *slots[w].lock().unwrap() = Some(WorkerOut {
+        let source_hops = sources[lo..hi]
+            .iter()
+            .map(|&s| per_source(w, s, &mut histogram))
+            .collect();
+        WorkerOut {
             histogram,
             source_hops,
-        });
+        }
+    };
+    let tally = &tally;
+    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || tally(w)))
+            .collect();
+        let mut outs = vec![tally(0)];
+        outs.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        outs
     });
     let mut histogram = vec![0u64; histogram_len];
     let mut hops = Vec::with_capacity(sources.len());
-    for slot in &slots {
-        let out = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("every pool worker fills its slot exactly once");
+    for out in outs {
         for (acc, v) in histogram.iter_mut().zip(&out.histogram) {
             *acc += v;
         }
@@ -342,6 +369,28 @@ mod tests {
         let routed = distance_stats_exact(&n);
         assert!(phys.average <= routed.average + 1e-12);
         assert!(phys.diameter <= routed.diameter);
+    }
+
+    #[test]
+    fn resolve_threads_prefers_explicit_request() {
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(1), 1);
+        assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn pick_threads_orders_request_then_env_then_fallback() {
+        // An explicit request wins over everything.
+        assert_eq!(pick_threads(3, Some("8"), 16), 3);
+        // Auto: a usable EXAFLOW_THREADS value, surrounding blanks allowed.
+        assert_eq!(pick_threads(0, Some("8"), 16), 8);
+        assert_eq!(pick_threads(0, Some(" 2\n"), 1), 2);
+        // Auto with the variable unset, empty, zero or garbage: the
+        // fallback, the core count.
+        for env in [None, Some(""), Some("0"), Some("-1"), Some("many")] {
+            assert_eq!(pick_threads(0, env, 16), 16, "{env:?}");
+            assert_eq!(pick_threads(0, env, 1), 1, "{env:?}");
+        }
     }
 
     #[test]

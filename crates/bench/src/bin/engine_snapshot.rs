@@ -84,17 +84,6 @@ impl TraceSink for SolverMirror {
 }
 
 #[derive(Serialize)]
-struct ThreadRun {
-    name: &'static str,
-    threads: usize,
-    wall_seconds: f64,
-    speedup_vs_1: f64,
-    parallel_solves: u64,
-    parallel_route_batches: u64,
-    report_identical_to_1: bool,
-}
-
-#[derive(Serialize)]
 struct TopoCacheRun {
     name: &'static str,
     entries: usize,
@@ -145,12 +134,6 @@ struct Snapshot {
     /// The two baselines and two hybrids of `table1_specs` swept over all
     /// 131,072 sources on one thread.
     table1_exact_131072: Vec<ExactTable1Row>,
-    /// `std::thread::available_parallelism` on the recording box — the
-    /// honest context for the thread speedups (on a 1-core box every
-    /// `speedup_vs_1` hovers around 1.0 or below; the numbers record
-    /// overhead and equivalence, not a parallel win).
-    available_parallelism: usize,
-    threads: Vec<ThreadRun>,
     topo_cache: TopoCacheRun,
 }
 
@@ -195,51 +178,6 @@ fn solver_churn() -> SolverChurn {
         seconds,
         matches_textbook,
     }
-}
-
-/// Serialize a report with ONLY the pool-bookkeeping fields zeroed: across
-/// thread counts even the effort counters must match bit-for-bit.
-fn canonical_threads(report: &SimReport) -> String {
-    let mut r = report.clone();
-    r.solver_threads = 0;
-    r.parallel_solves = 0;
-    r.parallel_route_batches = 0;
-    serde_json::to_string(&r).unwrap()
-}
-
-/// One scenario at thread counts 1/2/4: walltime, pool engagement and the
-/// equivalence bit (everything but pool bookkeeping identical to 1).
-fn thread_runs(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Vec<ThreadRun> {
-    let run = |threads: usize| {
-        let cfg = SimConfig {
-            solver_threads: threads,
-            ..SimConfig::default()
-        };
-        let t = Instant::now();
-        let report = Simulator::with_config(topo, cfg).run(dag).unwrap();
-        (t.elapsed().as_secs_f64(), report)
-    };
-    let (base_wall, base) = run(1);
-    let base_canon = canonical_threads(&base);
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let (wall_seconds, report) = if threads == 1 {
-                (base_wall, base.clone())
-            } else {
-                run(threads)
-            };
-            ThreadRun {
-                name,
-                threads,
-                wall_seconds,
-                speedup_vs_1: base_wall / wall_seconds,
-                parallel_solves: report.parallel_solves,
-                parallel_route_batches: report.parallel_route_batches,
-                report_identical_to_1: canonical_threads(&report) == base_canon,
-            }
-        })
-        .collect()
 }
 
 fn engine_run(name: &'static str, spec: &TopologySpec, workload: &WorkloadSpec) -> EngineRun {
@@ -509,43 +447,6 @@ fn main() {
         );
     }
 
-    // 1-vs-N thread runs: one batch-heavy AllReduce (big synchronized
-    // rounds, the parallel water-fill's target) and the staggered pairs
-    // (worst case for a pool: thousands of tiny solves).
-    let allreduce_dag = {
-        let workload = WorkloadSpec::AllReduce {
-            tasks: big_torus.num_endpoints(),
-            bytes: presets::MIB,
-        };
-        workload.generate(&TaskMapping::linear(
-            workload.num_tasks(),
-            big_torus.num_endpoints(),
-        ))
-    };
-    let mut threads = thread_runs("allreduce_4096ep_torus", &big_torus, &allreduce_dag);
-    threads.extend(thread_runs(
-        "staggered_pairs_4096ep_torus",
-        &big_torus,
-        &staggered_dag,
-    ));
-    for run in &threads {
-        eprintln!(
-            "{} x{}: {:.4}s, speedup {:.2}x vs 1 thread, {} parallel solves, \
-             {} route batches ({})",
-            run.name,
-            run.threads,
-            run.wall_seconds,
-            run.speedup_vs_1,
-            run.parallel_solves,
-            run.parallel_route_batches,
-            if run.report_identical_to_1 {
-                "identical to 1-thread"
-            } else {
-                "DIVERGED FROM 1-THREAD"
-            }
-        );
-    }
-
     let topo_cache = topo_cache_run();
     eprintln!(
         "{}: cache-off {:.4}s, cache-on {:.4}s, speedup {:.2}x, \
@@ -599,8 +500,6 @@ fn main() {
         engine,
         analysis,
         table1_exact_131072,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        threads,
         topo_cache,
     };
     let body = serde_json::to_string_pretty(&snapshot).expect("serialise snapshot");

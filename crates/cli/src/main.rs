@@ -7,7 +7,9 @@
 //!                                also stream every engine state transition
 //!                                to t.jsonl as JSON Lines (one event per
 //!                                line; see exaflow_sim::trace) and attach
-//!                                engine metrics to the printed result
+//!                                engine metrics to the printed result; the
+//!                                engine is sequential (parallelism pays
+//!                                across runs: sweep, resilience, analyze)
 //! exaflow sweep <suite.json>     run a whole suite (JSON array of configs)
 //!                                in parallel; --threads N picks the pool
 //!                                size (1 = serial); --metrics enables
@@ -105,12 +107,10 @@ fn main() {
 
 fn print_help() {
     eprintln!("usage:");
-    eprintln!("  exaflow run <config.json | -> [--trace <file.jsonl>] [--threads <n>]");
+    eprintln!("  exaflow run <config.json | -> [--trace <file.jsonl>]");
     eprintln!("                                  run an experiment, print the result as JSON;");
     eprintln!("                                  --trace streams engine events to a JSONL file");
-    eprintln!("                                  and attaches engine metrics to the result;");
-    eprintln!("                                  --threads sets the intra-run solver pool size");
-    eprintln!("                                  (results are bit-identical at every count)");
+    eprintln!("                                  and attaches engine metrics to the result");
     eprintln!("  exaflow sweep <suite.json | -> [--threads <n>] [--metrics] [--retries <n>]");
     eprintln!(
         "                                 [--journal <f.jsonl>] [--resume] [--topo-cache <n>]"
@@ -178,7 +178,6 @@ struct ErrorOutput {
 fn cmd_run(args: &[String]) -> i32 {
     let mut path: Option<&str> = None;
     let mut trace_path: Option<&str> = None;
-    let mut solver_threads: Option<usize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -189,13 +188,10 @@ fn cmd_run(args: &[String]) -> i32 {
                     return 1;
                 }
             },
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => solver_threads = Some(n),
-                _ => {
-                    eprintln!("error: --threads needs a positive integer");
-                    return 1;
-                }
-            },
+            other if other.starts_with("--") => {
+                eprintln!("error: unknown option '{other}'");
+                return 1;
+            }
             other if path.is_none() => path = Some(other),
             other => {
                 eprintln!("error: unexpected argument '{other}'");
@@ -203,16 +199,13 @@ fn cmd_run(args: &[String]) -> i32 {
             }
         }
     }
-    let mut cfg = match read_config(path) {
+    let cfg = match read_config(path) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
             return 1;
         }
     };
-    if let Some(n) = solver_threads {
-        cfg.sim.solver_threads = n;
-    }
     let outcome = match trace_path {
         Some(tp) => {
             let file = match std::fs::File::create(tp) {
@@ -292,6 +285,7 @@ fn parse_campaign_args(args: &[String], allow_retries: bool) -> Result<CampaignA
                 Some(n) => parsed.topo_cache = Some(n),
                 None => return Err("--topo-cache needs a non-negative integer (0 = off)".into()),
             },
+            other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             other if parsed.path.is_none() => parsed.path = Some(other),
             other => return Err(format!("unexpected argument '{other}'")),
         }
@@ -529,7 +523,7 @@ fn cmd_analyze(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let threads = exaflow::sim::pool::resolve_threads(threads);
+    let threads = exaflow::analysis::resolve_threads(threads);
     let started = std::time::Instant::now();
     match analyze_distances(scale, &specs, sources, threads) {
         Ok(report) => {

@@ -136,79 +136,32 @@ fn run_without_trace_emits_no_metrics_key() {
 }
 
 #[test]
-fn run_threads_flag_sets_pool_size_and_keeps_results_identical() {
+fn run_rejects_unknown_flag() {
     use std::io::Write;
-    let config = br#"{"topology": {"topology": "torus", "dims": [4, 4]},
-        "workload": {"workload": "all_reduce", "tasks": 16, "bytes": 65536}}"#;
-    let trace_path =
-        std::env::temp_dir().join(format!("exaflow-threads-{}.jsonl", std::process::id()));
-    let mut bodies = Vec::new();
-    for threads in ["1", "2"] {
+    // After the path, and before it: an unknown `--` argument is named as
+    // an option, never taken for the path or blamed on its value.
+    for args in [&["-", "--frobnicate"][..], &["--threads", "2", "-"]] {
         let mut child = exaflow()
-            .args(["run", "-", "--threads", threads])
-            .args(["--trace", trace_path.to_str().unwrap()])
+            .arg("run")
+            .args(args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
             .unwrap();
-        child.stdin.as_mut().unwrap().write_all(config).unwrap();
+        // The child rejects the flag without reading stdin, so it may
+        // already have exited: a broken pipe here is expected, not a
+        // failure.
+        let _ = child.stdin.as_mut().unwrap().write_all(b"{}");
         let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
         assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
+            err.contains(&format!("error: unknown option '{flag}'")),
+            "{args:?}: stderr: {err}"
         );
-        let body: serde_json::Value =
-            serde_json::from_slice(&out.stdout).expect("valid JSON result");
-        assert_eq!(
-            body["metrics"]["solver_threads"].as_u64(),
-            Some(threads.parse().unwrap())
-        );
-        bodies.push(body);
     }
-    std::fs::remove_file(&trace_path).ok();
-    // Physics is thread-count independent.
-    assert_eq!(bodies[0]["makespan_seconds"], bodies[1]["makespan_seconds"]);
-    assert_eq!(bodies[0]["flows"], bodies[1]["flows"]);
-}
-
-#[test]
-fn run_rejects_zero_threads() {
-    use std::io::Write;
-    let mut child = exaflow()
-        .args(["run", "-", "--threads", "0"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    // The child rejects the flag without reading stdin, so it may already
-    // have exited: a broken pipe here is expected, not a failure.
-    let _ = child.stdin.as_mut().unwrap().write_all(b"{}");
-    let out = child.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--threads"), "stderr: {err}");
-}
-
-#[test]
-fn run_rejects_unknown_flag() {
-    use std::io::Write;
-    let mut child = exaflow()
-        .args(["run", "-", "--frobnicate"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    // See run_rejects_zero_threads: the early-exiting child may close the
-    // pipe before this write lands.
-    let _ = child.stdin.as_mut().unwrap().write_all(b"{}");
-    let out = child.wait_with_output().unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("frobnicate"), "stderr: {err}");
 }
 
 #[test]
@@ -535,6 +488,20 @@ fn sweep_rejects_bad_thread_count() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--threads"), "stderr: {err}");
+}
+
+#[test]
+fn sweep_rejects_unknown_option_before_the_path() {
+    let out = exaflow()
+        .args(["sweep", "--journl", "j.jsonl", "-"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: unknown option '--journl'"),
+        "stderr: {err}"
+    );
 }
 
 const RESILIENCE_SPEC: &str = r#"{

@@ -6,7 +6,6 @@ use crate::error::SimError;
 use crate::fault::{FaultAction, FaultSchedule, RecoveryPolicy};
 use crate::maxmin::MaxMinSolver;
 use crate::paths::{PathId, PathTable};
-use crate::pool::{SharedSlice, WorkerPool};
 use crate::report::SimReport;
 use crate::trace::{MetricsRegistry, TraceEvent, TraceSink};
 use exaflow_netgraph::{IntMap, LinkId, NodeId};
@@ -15,11 +14,6 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// Routes a prefetch batch computed ahead of admission, keyed by endpoint
-/// pair and interned when admission consumes them; failed routes are kept
-/// so admission re-reports the same error.
-type PrefetchedRoutes = IntMap<(u32, u32), Result<Vec<u32>, SimError>>;
 
 /// Bytes no longer outstanding at a cut point: total workload bytes minus
 /// the bits still `remaining`. Finished flows have zero remaining, partial
@@ -77,14 +71,10 @@ pub struct SimConfig {
     /// bit-identical to builds predating the trace subsystem.
     #[serde(default)]
     pub trace: bool,
-    /// Worker threads for the in-run parallel phases (water-filling
-    /// bottleneck scan / rate subtraction, batched route construction).
-    /// `0` (the default) means auto: the `EXAFLOW_THREADS` environment
-    /// variable if set, otherwise 1 (see
-    /// [`SimConfig::effective_solver_threads`]); `1` runs the exact
-    /// single-threaded code path with no pool at all. Reports and traces
-    /// are **bit-identical** at every value — threads change wall-clock
-    /// time, never physics (enforced by the equivalence suites).
+    /// Ignored: the engine is sequential and reads nothing here. The field
+    /// stays, serialised as before, so config fingerprints and journals do
+    /// not move and the frozen `benchmark/src/main.rs`, which assigns it,
+    /// still builds; it goes with the next `benchmark` PR.
     #[serde(default)]
     pub solver_threads: usize,
     /// Deterministic event budget: the run stops with a typed
@@ -149,17 +139,6 @@ impl SimConfig {
             }
         }
         Ok(())
-    }
-
-    /// The thread count a run with this config actually uses: the
-    /// configured [`SimConfig::solver_threads`], with `0` resolved to
-    /// `EXAFLOW_THREADS` if set, else 1 — not the core count
-    /// [`resolve_threads`](crate::pool::resolve_threads) falls back to,
-    /// because the in-run pool measured 10–38x slower than one thread on
-    /// the paper's workloads (`benchmark/README.md`).
-    pub fn effective_solver_threads(&self) -> usize {
-        use crate::pool::{env_threads, pick_threads};
-        pick_threads(self.solver_threads, env_threads().as_deref(), 1)
     }
 }
 
@@ -238,11 +217,10 @@ impl serde::de::Deserialize for SimConfig {
 /// bounded by `cap` while recently-used pairs survive — the previous
 /// behaviour (silently refusing inserts at the cap) degraded beyond-cap
 /// workloads to a zero hit rate with no signal. Rotation triggers on an
-/// exact size threshold, so the eviction trajectory is deterministic (no
-/// dependence on `HashMap` iteration order) and — because lookups happen
-/// in the engine's sequential admission order — identical at every
-/// `solver_threads` value. Eviction forgets a pair, not its path: the ids
-/// index the run's [`PathTable`], which keeps every path it was given.
+/// exact size threshold and lookups happen in the engine's admission
+/// order, so the eviction trajectory is deterministic (no dependence on
+/// `HashMap` iteration order). Eviction forgets a pair, not its path: the
+/// ids index the run's [`PathTable`], which keeps every path it was given.
 struct RouteCache {
     fresh: IntMap<(u32, u32), PathId>,
     stale: IntMap<(u32, u32), PathId>,
@@ -273,12 +251,6 @@ impl RouteCache {
         self.hits += 1;
         self.insert(key, p);
         Some(p)
-    }
-
-    /// Whether `key` is cached, without touching the hit counter (used by
-    /// the route-prefetch planner, which must not perturb accounting).
-    fn contains(&self, key: (u32, u32)) -> bool {
-        self.fresh.contains_key(&key) || self.stale.contains_key(&key)
     }
 
     fn insert(&mut self, key: (u32, u32), path: PathId) {
@@ -313,11 +285,6 @@ struct RouteScratch {
 /// degrades to a full pass: small components are cheaper to re-solve in
 /// place, near-global ones are not worth the bookkeeping.
 pub const FULL_PASS_THRESHOLD: f64 = 0.5;
-
-/// Smallest activation batch (in distinct uncached endpoint pairs) worth
-/// routing on the worker pool; below this the dispatch handshake costs
-/// more than the routes.
-const ROUTE_PREFETCH_MIN: usize = 32;
 
 /// Total-ordered f64 key for the delayed-activation heap (times are always
 /// finite and non-NaN by construction).
@@ -467,19 +434,6 @@ impl<'a> Simulator<'a> {
         let mut paths = PathTable::new();
         let mut route_cache = RouteCache::new(self.cfg.route_cache_cap);
         let mut overlay = FaultOverlay::new(self.topo);
-
-        // In-run parallelism: one persistent pool per run, shared by the
-        // solver's water-filling phases and the route-prefetch batches.
-        // `threads == 1` (the resolved default) creates no pool and takes
-        // the exact sequential code path.
-        let threads = self.cfg.effective_solver_threads();
-        let worker_pool = (threads > 1).then(|| WorkerPool::new(threads));
-        let pool = worker_pool.as_ref();
-        // Routes computed ahead of admission by a prefetch batch, keyed by
-        // endpoint pair; consumed (or invalidated by fault churn) before
-        // any overlay state can drift from what the workers saw.
-        let mut prefetched: PrefetchedRoutes = IntMap::default();
-        let mut parallel_route_batches = 0u64;
         let fault_events = schedule.events();
         let mut fault_idx = 0usize;
         let mut fault_events_applied = 0u64;
@@ -591,77 +545,11 @@ impl<'a> Simulator<'a> {
             }};
         }
 
-        // Route the batch of pending activations across the worker pool.
-        // Only runs with a fault-free overlay: with `num_down() == 0` the
-        // overlay defers to the topology's pure deterministic route (or,
-        // for statically-degraded topologies, a BFS over a fixed blocked
-        // set), so a fresh per-worker overlay reproduces the main
-        // overlay's answer exactly. Under active faults the overlay's
-        // reroute memo is stateful and routing stays sequential. The
-        // admission loop itself stays sequential either way, so the cache
-        // trajectory, hit counters, trace order, and error surfacing are
-        // identical at every thread count.
-        macro_rules! prefetch_routes {
-            () => {
-                if let Some(pool) = pool {
-                    if overlay.num_down() == 0 && ready.len() >= ROUTE_PREFETCH_MIN {
-                        // Dedupe uncached, non-degenerate pairs in
-                        // admission (LIFO) order.
-                        let mut pairs: Vec<(u32, u32)> = Vec::new();
-                        let mut seen: std::collections::HashSet<(u32, u32)> =
-                            std::collections::HashSet::new();
-                        for &f in ready.iter().rev() {
-                            let spec = dag.flow(FlowId(f));
-                            if spec.bytes == 0 || spec.src == spec.dst {
-                                continue;
-                            }
-                            let key = (spec.src, spec.dst);
-                            if !route_cache.contains(key)
-                                && !prefetched.contains_key(&key)
-                                && seen.insert(key)
-                            {
-                                pairs.push(key);
-                            }
-                        }
-                        if pairs.len() >= ROUTE_PREFETCH_MIN {
-                            parallel_route_batches += 1;
-                            let nthreads = pool.threads();
-                            let mut results: Vec<Option<Result<Vec<u32>, SimError>>> =
-                                vec![None; pairs.len()];
-                            {
-                                let slots = SharedSlice::new(&mut results[..]);
-                                let pairs: &[(u32, u32)] = &pairs;
-                                pool.run(|w| {
-                                    let mut scratch = RouteScratch::default();
-                                    let mut local = FaultOverlay::new(self.topo);
-                                    for (i, &(src, dst)) in pairs.iter().enumerate() {
-                                        if i % nthreads != w {
-                                            continue;
-                                        }
-                                        let r = self
-                                            .build_path(&mut local, src, dst, &mut scratch)
-                                            .map(|()| scratch.route.clone());
-                                        // SAFETY: index i has exactly one
-                                        // owning worker.
-                                        unsafe { *slots.get_mut(i) = Some(r) };
-                                    }
-                                });
-                            }
-                            for (key, res) in pairs.into_iter().zip(results) {
-                                prefetched.insert(key, res.expect("routed by its owner"));
-                            }
-                        }
-                    }
-                }
-            };
-        }
-
         // Activation: instantly retire degenerate flows (zero bytes or
         // self-traffic) cascading; queue real flows into the active set or,
         // under the latency model, into the delayed heap.
         macro_rules! activate_ready {
             () => {
-                prefetch_routes!();
                 while let Some(f) = ready.pop() {
                     let spec = dag.flow(FlowId(f));
                     emit!(
@@ -683,17 +571,9 @@ impl<'a> Simulator<'a> {
                     let path: PathId = match route_cache.get((spec.src, spec.dst)) {
                         Some(p) => p,
                         None => {
-                            // A prefetch batch may have routed this pair
-                            // already; the map holds exactly what
-                            // `build_path` would return here (fault churn
-                            // clears it), so consuming it preserves the
-                            // sequential admission semantics verbatim.
-                            let built = match prefetched.remove(&(spec.src, spec.dst)) {
-                                Some(r) => r.map(|route| paths.intern(&route)),
-                                None => self
-                                    .build_path(&mut overlay, spec.src, spec.dst, &mut scratch)
-                                    .map(|()| paths.intern(&scratch.route)),
-                            };
+                            let built = self
+                                .build_path(&mut overlay, spec.src, spec.dst, &mut scratch)
+                                .map(|()| paths.intern(&scratch.route));
                             match built {
                                 Ok(p) => {
                                     route_cache.insert((spec.src, spec.dst), p);
@@ -798,10 +678,6 @@ impl<'a> Simulator<'a> {
                 // here (the old behaviour) threw away every warm route on
                 // each up-event in a long-running campaign.
                 if restored || !downed.is_empty() {
-                    // Prefetched routes were computed against the previous
-                    // overlay; drop them so consumption can never lag the
-                    // down-set.
-                    prefetched.clear();
                     // Fault churn perturbs the sharing graph beyond the
                     // entry-level diff (coalesced groups included): force
                     // the next recompute to cover every live entry.
@@ -1007,7 +883,7 @@ impl<'a> Simulator<'a> {
             events += 1;
             rates.resize(active_ids.len(), 0.0);
             let solve_start = if tracing { Some(Instant::now()) } else { None };
-            solver.recompute_with(&paths, FULL_PASS_THRESHOLD, pool);
+            solver.recompute(&paths, FULL_PASS_THRESHOLD);
             for (rate, &e) in rates.iter_mut().zip(&active_entries) {
                 *rate = solver.entry_rate(e);
             }
@@ -1193,15 +1069,10 @@ impl<'a> Simulator<'a> {
             fault_events_applied,
             rate_recomputes: solver.rate_recomputes,
             flows_coalesced: solver.flows_coalesced,
-            solver_threads: threads as u64,
-            parallel_solves: solver.parallel_passes,
-            parallel_route_batches,
             route_cache_hits: route_cache.hits,
             route_cache_evictions: route_cache.evictions,
             metrics: metrics.map(|m| {
                 let mut snap = m.snapshot();
-                snap.solver_threads = threads as u64;
-                snap.parallel_solves = solver.parallel_passes;
                 snap.topo_cache_hit = self.topo_cache_hit as u64;
                 snap
             }),
@@ -1687,18 +1558,27 @@ mod tests {
     /// Config files written before the engine had one mode still carry its
     /// four mode keys. They are ignored like any unknown key, whatever
     /// their values: the config and the report match the same file
-    /// without them.
+    /// without them. So is a thread count from the days of the in-run
+    /// pool: it loads into the inert `solver_threads` and moves nothing.
     #[test]
     fn old_configs_with_the_deleted_mode_keys_still_load() {
         let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9,
             "record_flow_times": true, "route_cache_cap": 1024"#;
         let old = format!(
             r#"{{{base}, "cache_routes": false, "solver_incremental": false,
-                "coalesce_flows": false, "incremental_full_threshold": 0.0}}"#
+                "coalesce_flows": false, "incremental_full_threshold": 0.0,
+                "solver_threads": 8}}"#
         );
         let old: SimConfig = serde_json::from_str(&old).unwrap();
         let new: SimConfig = serde_json::from_str(&format!("{{{base}}}")).unwrap();
-        assert_eq!(old, new);
+        assert_eq!(old.solver_threads, 8);
+        assert_eq!(
+            SimConfig {
+                solver_threads: 0,
+                ..old.clone()
+            },
+            new
+        );
         let topo = Torus::new(&[4, 4]);
         let mut b = FlowDagBuilder::new();
         for i in 0..16u32 {

@@ -38,12 +38,9 @@
 //!   link-down/link-up events is consumed alongside completion events;
 //!   interrupted flows are aborted, dropped, or rerouted (resuming or
 //!   restarting the transfer) per the configured [`RecoveryPolicy`].
-//! * **Intra-run parallelism** ([`pool`], opt-in: off unless
-//!   `solver_threads` or `EXAFLOW_THREADS` asks for more than one thread):
-//!   a persistent [`WorkerPool`] parallelises the water-filling bottleneck
-//!   scan / rate subtraction and batches route construction at activation
-//!   events, partitioned statically so every thread count produces
-//!   bit-identical reports and traces (see [`SimConfig::solver_threads`]).
+//! * **One thread per run**: the engine is sequential. Parallelism pays
+//!   across runs (suites, campaigns, distance sweeps), never inside one
+//!   water-fill.
 //! * **Event tracing + metrics** ([`trace`], zero-cost when off): a traced
 //!   run streams every state transition to a [`TraceSink`] and aggregates
 //!   counters/histograms into [`SimReport::metrics`]; the pure
@@ -57,7 +54,6 @@ pub mod error;
 pub mod fault;
 pub mod maxmin;
 pub mod paths;
-pub mod pool;
 pub mod report;
 pub mod trace;
 pub mod trace_check;
@@ -67,7 +63,6 @@ pub use engine::{SimConfig, Simulator};
 pub use error::SimError;
 pub use fault::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleSpec, RecoveryPolicy};
 pub use paths::{PathId, PathTable};
-pub use pool::WorkerPool;
 pub use report::SimReport;
 pub use trace::{
     parse_jsonl, Histogram, JsonlSink, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceSink,

@@ -143,7 +143,7 @@
 //! the two are double-buffered. A component-local pass neither reads nor
 //! writes the log: its dirty resources join the taint set like any other.
 //! Only [`MaxMinSolver::invalidate_all`], which drops its dirty set
-//! unseen, and the pooled round-based pass, which keeps no log, discard it.
+//! unseen, discards it.
 //!
 //! Why the merged pass is **bit-identical** to a from-scratch one:
 //!
@@ -168,9 +168,8 @@
 //! 4. Heap pops are textbook pops: the heap top keys before every other
 //!    tainted resource and before the next logged round, whose key bounds
 //!    every untainted one (2). Subtractions within a round all use one
-//!    share, so their order is irrelevant (the property the parallel
-//!    rounds below rely on) and `swap_remove`-reordered incidence lists
-//!    are harmless.
+//!    share, so their order is irrelevant and `swap_remove`-reordered
+//!    incidence lists are harmless.
 //! 5. A materialised resource holds the textbook's state. Until it is
 //!    tainted the textbook subtracts from it only in replayed rounds (1),
 //!    one share per round; the catch-up applies exactly those
@@ -190,26 +189,9 @@
 //!    entry set differs from the logged one only by settled weight
 //!    changes, whose resources every recompute adds to the taint set while
 //!    the log is valid, whether its own pass is full or component-local.
-//!
-//! # Parallel water-filling
-//!
-//! [`MaxMinSolver::recompute_with`] accepts a [`WorkerPool`]; passes large
-//! enough to amortise the dispatch run a *round-based* formulation of the
-//! same algorithm (see `waterfill_rounds`): each round scans all live
-//! resources for the globally minimal clamped share (partitioned across
-//! workers), freezes that one bottleneck exactly as the heap loop would,
-//! and applies the rate subtractions sharded by resource owner. Because
-//! the heap also freezes one bottleneck per valid pop — the resource with
-//! the minimal current share, ties to the smallest id — and because every
-//! subtraction within a round uses the *same* share value (making the
-//! subtraction order across entries irrelevant: each resource receives an
-//! identical count of identical f64 subtractions), the rounds produce
-//! **bit-identical** rates and an identical `iterations` count at every
-//! thread count, including 1.
 
 use crate::error::SimError;
 use crate::paths::{PathId, PathTable};
-use crate::pool::{SharedSlice, WorkerPool};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -217,12 +199,6 @@ use std::collections::BinaryHeap;
 const FREE: PathId = PathId(u32::MAX);
 /// `entry_of_path` of a path no entry stands for.
 const NO_ENTRY: u32 = u32::MAX;
-
-/// Smallest pass (in entries) worth dispatching to the worker pool: below
-/// this the per-round condvar handshakes dwarf the arithmetic and the
-/// sequential heap wins outright. Incremental recomputes of small dirty
-/// components therefore stay on the heap even when a pool is attached.
-pub const PARALLEL_MIN_ENTRIES: usize = 64;
 
 /// Heap entry: min-share ordering with lazy invalidation by version.
 #[derive(Debug, PartialEq)]
@@ -251,8 +227,8 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The bottleneck order shared by the heap, the round scan and the replay
-/// guard: smaller clamped share first, ties to the smaller resource id.
+/// The bottleneck order shared by the heap and the replay guard: smaller
+/// clamped share first, ties to the smaller resource id.
 #[inline]
 fn pops_before(a: (f64, u32), b: (f64, u32)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
@@ -295,8 +271,6 @@ pub struct MaxMinSolver {
     remaining: Vec<f64>,
     count: Vec<u32>,
     version: Vec<u32>,
-    /// Position of each resource in `touched` (the pooled rounds' owner map).
-    touched_index: Vec<u32>,
     touched: Vec<u32>,
     heap: BinaryHeap<HeapEntry>,
     /// Statistics: total freeze iterations across calls.
@@ -307,9 +281,6 @@ pub struct MaxMinSolver {
     pub full_recomputes: u64,
     /// Statistics: flows absorbed into an existing coalesced entry.
     pub flows_coalesced: u64,
-    /// Statistics: water-filling passes that ran on the round-based
-    /// parallel path (0 without a pool or below the entry threshold).
-    pub parallel_passes: u64,
     /// Statistics: freeze rounds (of `iterations`) that full passes took
     /// from the log of the previous full pass instead of the heap.
     pub replayed_rounds: u64,
@@ -393,12 +364,6 @@ pub struct MaxMinSolver {
     catch_up: Vec<(u32, u32)>,
 }
 
-/// The pool a pass over `entries` entries runs on: none unless the pool
-/// has several threads and the pass is big enough to amortise them.
-fn pass_pool(pool: Option<&WorkerPool>, entries: usize) -> Option<&WorkerPool> {
-    pool.filter(|p| p.threads() > 1 && entries >= PARALLEL_MIN_ENTRIES)
-}
-
 /// Replace the lazy heap by every resource of `touched` with a live count,
 /// at its current clamped share and version 0 (heapified in place: O(n),
 /// where n pushes would cost O(n log n)).
@@ -467,14 +432,12 @@ impl MaxMinSolver {
             remaining: vec![0.0; r],
             count: vec![0; r],
             version: vec![0; r],
-            touched_index: vec![0; r],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
             iterations: 0,
             rate_recomputes: 0,
             full_recomputes: 0,
             flows_coalesced: 0,
-            parallel_passes: 0,
             replayed_rounds: 0,
             materialised_resources: 0,
             last_pass_entries: 0,
@@ -735,19 +698,6 @@ impl MaxMinSolver {
     /// over the same flow multiset either way. `paths` must be the table
     /// every inserted [`PathId`] came from.
     pub fn recompute(&mut self, paths: &PathTable, full_threshold: f64) {
-        self.recompute_with(paths, full_threshold, None);
-    }
-
-    /// [`MaxMinSolver::recompute`] with an optional worker pool: passes
-    /// whose entry count reaches the parallel threshold run the
-    /// round-based parallel water-fill (see the module docs), which is
-    /// bit-identical to the sequential heap at every thread count.
-    pub fn recompute_with(
-        &mut self,
-        paths: &PathTable,
-        full_threshold: f64,
-        pool: Option<&WorkerPool>,
-    ) {
         self.last_pass_entries = 0;
         self.last_pass_full = false;
         self.settle(paths);
@@ -757,7 +707,7 @@ impl MaxMinSolver {
             self.pending_full = false;
             self.dirty_res.clear();
             self.log_valid = false;
-            self.full_pass(paths, pool);
+            self.full_pass(paths);
             return;
         }
         if self.dirty_res.is_empty() {
@@ -828,16 +778,15 @@ impl MaxMinSolver {
             return; // pure departures: nothing left in the dirty region
         }
         if oversized {
-            self.full_pass(paths, pool);
+            self.full_pass(paths);
         } else {
-            self.waterfill(paths, pool);
+            self.waterfill(paths);
         }
     }
 
     /// Run a full pass over every live entry: merged with the log of the
-    /// previous full pass when that log is valid and the pass stays on the
-    /// heap, from scratch otherwise.
-    fn full_pass(&mut self, paths: &PathTable, pool: Option<&WorkerPool>) {
+    /// previous full pass when that log is valid, from scratch otherwise.
+    fn full_pass(&mut self, paths: &PathTable) {
         // Called after a settle: every allocated slot is linked and live.
         let live = self.ent_path.len() - self.free_ents.len();
         if live == 0 {
@@ -845,7 +794,7 @@ impl MaxMinSolver {
         }
         self.full_recomputes += 1;
         self.last_pass_full = true;
-        if self.log_valid && pass_pool(pool, live).is_none() {
+        if self.log_valid {
             self.merge_pass(paths, live);
         } else {
             self.comp_entries.clear();
@@ -854,7 +803,7 @@ impl MaxMinSolver {
                     self.comp_entries.push(e as u32);
                 }
             }
-            self.waterfill(paths, pool);
+            self.waterfill(paths);
         }
     }
 
@@ -923,22 +872,10 @@ impl MaxMinSolver {
     /// A full pass run here (no valid log to merge) logs its freeze order
     /// for the next one; a component-local pass leaves the log and the
     /// taint set alone (module docs, "Merge replay").
-    ///
-    /// With a multi-thread `pool` and at least [`PARALLEL_MIN_ENTRIES`]
-    /// entries, the pass runs the round-based parallel formulation
-    /// ([`MaxMinSolver::waterfill_rounds`]) instead of the heap loop; both
-    /// produce bit-identical rates and iteration counts.
-    fn waterfill(&mut self, paths: &PathTable, pool: Option<&WorkerPool>) {
+    fn waterfill(&mut self, paths: &PathTable) {
         self.rate_recomputes += 1;
         self.last_pass_entries = self.comp_entries.len() as u64;
         let (total_weight, mut frozen) = self.begin_pass(paths);
-
-        if let Some(pool) = pass_pool(pool, self.comp_entries.len()) {
-            self.parallel_passes += 1;
-            self.log_valid = false; // the rounds keep no log
-            self.waterfill_rounds(paths, pool, total_weight, frozen);
-            return;
-        }
 
         let full = self.last_pass_full;
         if full {
@@ -1244,139 +1181,6 @@ impl MaxMinSolver {
         count > 0
     }
 
-    /// Round-based parallel water-fill over the pass the caller already
-    /// counted into `touched`/`remaining`/`count`. One round freezes
-    /// exactly one bottleneck — the live resource with the minimal clamped
-    /// share, ties to the smallest id — which is precisely what one valid
-    /// heap pop of the sequential path does, so rates, `remaining`
-    /// trajectories, and the `iterations` count are bit-identical at every
-    /// thread count (module docs, "Parallel water-filling").
-    fn waterfill_rounds(
-        &mut self,
-        paths: &PathTable,
-        pool: &WorkerPool,
-        total_weight: u64,
-        mut frozen: u64,
-    ) {
-        let nthreads = pool.threads();
-        let MaxMinSolver {
-            remaining,
-            count,
-            touched_index,
-            touched,
-            iterations,
-            ent_path,
-            ent_weight,
-            ent_rate,
-            res_entries,
-            ..
-        } = self;
-        // A resource's owning worker is its touched index mod the thread
-        // count, so ownership is deterministic and covers every resource
-        // this pass can touch.
-        for (i, &r) in touched.iter().enumerate() {
-            touched_index[r as usize] = i as u32;
-        }
-        // Per-worker live-resource worklists (static split of the
-        // deterministic touched order); workers prune drained resources so
-        // the scan stays proportional to the live set.
-        let mut live: Vec<Vec<u32>> = vec![Vec::new(); nthreads];
-        for (i, &r) in touched.iter().enumerate() {
-            live[i % nthreads].push(r);
-        }
-        let mut mins: Vec<(f64, u32)> = vec![(f64::INFINITY, u32::MAX); nthreads];
-        let mut round: Vec<u32> = Vec::new();
-
-        while frozen < total_weight {
-            // Phase 1: every worker scans (and prunes) its own live list
-            // for the locally minimal (share, id). Reads only.
-            {
-                let live_slots = SharedSlice::new(&mut live[..]);
-                let min_slots = SharedSlice::new(&mut mins[..]);
-                let remaining: &[f64] = remaining;
-                let count: &[u32] = count;
-                pool.run(|w| {
-                    // SAFETY: slot `w` belongs to this worker alone.
-                    let list = unsafe { live_slots.get_mut(w) };
-                    let mut best = (f64::INFINITY, u32::MAX);
-                    list.retain(|&r| {
-                        let ri = r as usize;
-                        if count[ri] == 0 {
-                            return false;
-                        }
-                        let share = (remaining[ri] / count[ri] as f64).max(0.0);
-                        if pops_before((share, r), best) {
-                            best = (share, r);
-                        }
-                        true
-                    });
-                    unsafe { *min_slots.get_mut(w) = best };
-                });
-            }
-            let (mut share, mut bottleneck) = (f64::INFINITY, u32::MAX);
-            for &(s, r) in &mins {
-                if pops_before((s, r), (share, bottleneck)) {
-                    share = s;
-                    bottleneck = r;
-                }
-            }
-            if bottleneck == u32::MAX {
-                break; // numerically everything frozen
-            }
-            *iterations += 1;
-
-            // Phase 2 (coordinator): freeze every unfrozen entry crossing
-            // the bottleneck, in incidence order — the order the heap's
-            // freeze loop uses.
-            round.clear();
-            for &e in &res_entries[bottleneck as usize] {
-                let ei = e as usize;
-                if ent_rate[ei] >= 0.0 {
-                    continue; // already frozen by an earlier bottleneck
-                }
-                ent_rate[ei] = share;
-                frozen += ent_weight[ei] as u64;
-                round.push(e);
-            }
-
-            // Phase 3: subtract the frozen rates, sharded by resource
-            // owner. Every subtraction this round uses the same `share`,
-            // so each resource receives an identical sequence of f64
-            // operations regardless of how entries interleave across
-            // workers — and each owner still walks `round` in order.
-            {
-                let remaining = SharedSlice::new(&mut remaining[..]);
-                let count = SharedSlice::new(&mut count[..]);
-                let round: &[u32] = &round;
-                let touched_index: &[u32] = touched_index;
-                let ent_path: &[PathId] = ent_path;
-                let ent_weight: &[u32] = ent_weight;
-                pool.run(|worker| {
-                    for &e in round {
-                        let ei = e as usize;
-                        let w = ent_weight[ei];
-                        for &r2 in paths.get(ent_path[ei]) {
-                            let r2i = r2 as usize;
-                            if touched_index[r2i] as usize % nthreads != worker {
-                                continue;
-                            }
-                            // SAFETY: resource r2 has exactly one owning
-                            // worker, so these writes never race.
-                            unsafe {
-                                *count.get_mut(r2i) -= w;
-                                let rem = remaining.get_mut(r2i);
-                                for _ in 0..w {
-                                    *rem -= share;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            debug_assert_eq!(count[bottleneck as usize], 0, "bottleneck must fully drain");
-        }
-    }
-
     /// The rate of entry `id` as of the last recompute (bits/second). For
     /// a coalesced entry this is the rate of *each* member flow.
     #[inline]
@@ -1413,72 +1217,6 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         state.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// The parallel round-based pass must match the sequential heap
-    /// bit-for-bit — rates and iteration counts — on an entangled pass of
-    /// weighted entries at several thread counts.
-    #[test]
-    fn parallel_waterfill_is_bit_identical_to_the_heap() {
-        let caps: Vec<f64> = (0..96).map(|i| 1e9 + i as f64 * 3.7e7).collect();
-        let mut paths: Vec<Vec<u32>> = Vec::new();
-        let mut st = 0x1234_5678_9ABC_DEF0u64;
-        for _ in 0..(PARALLEL_MIN_ENTRIES * 3) {
-            let len = 1 + (xorshift(&mut st) % 4) as usize;
-            let mut p: Vec<u32> = (0..len)
-                .map(|_| (xorshift(&mut st) % caps.len() as u64) as u32)
-                .collect();
-            p.dedup();
-            paths.push(p);
-        }
-        // Duplicate a slice of the paths so coalesced weights > 1 exist.
-        for i in 0..40 {
-            let p = paths[i * 3].clone();
-            paths.push(p);
-        }
-
-        let mut table = PathTable::new();
-        let mut seq = MaxMinSolver::new(caps.clone()).unwrap();
-        let seq_ids: Vec<u32> = paths
-            .iter()
-            .map(|p| insert(&mut seq, &mut table, p))
-            .collect();
-        seq.recompute(&table, 0.5);
-        assert_eq!(seq.parallel_passes, 0);
-
-        for threads in [2, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            let mut par = MaxMinSolver::new(caps.clone()).unwrap();
-            let par_ids: Vec<u32> = paths
-                .iter()
-                .map(|p| insert(&mut par, &mut table, p))
-                .collect();
-            par.recompute_with(&table, 0.5, Some(&pool));
-            assert_eq!(par.parallel_passes, 1, "threads={threads}");
-            assert_eq!(par.iterations, seq.iterations, "threads={threads}");
-            for (s, p) in seq_ids.iter().zip(&par_ids) {
-                assert_eq!(
-                    seq.entry_rate(*s).to_bits(),
-                    par.entry_rate(*p).to_bits(),
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    /// Below the entry threshold a pooled recompute must fall back to the
-    /// sequential heap (no dispatch overhead for small dirty components).
-    #[test]
-    fn small_passes_stay_sequential_even_with_a_pool() {
-        let pool = WorkerPool::new(4);
-        let mut table = PathTable::new();
-        let mut s = MaxMinSolver::new(vec![1e9; 8]).unwrap();
-        for i in 0..4u32 {
-            insert(&mut s, &mut table, &[i]);
-        }
-        s.recompute_with(&table, 0.5, Some(&pool));
-        assert_eq!(s.parallel_passes, 0);
-        assert!((s.entry_rate(0) - 1e9).abs() < 1.0);
     }
 
     /// A solver driven through the replaying path (threshold 0: every

@@ -48,23 +48,7 @@ pub struct SimReport {
     /// Flows absorbed into an existing identical-path solver entry.
     #[serde(default)]
     pub flows_coalesced: u64,
-    /// Worker threads the run used for its parallel phases (resolved from
-    /// [`crate::SimConfig::solver_threads`]; `1` means the pure sequential
-    /// path). Effort metadata, not physics: reports are bit-identical
-    /// across thread counts once the parallelism counters are zeroed.
-    #[serde(default)]
-    pub solver_threads: u64,
-    /// Water-filling passes that ran on the round-based parallel path
-    /// (0 at one thread or when every pass stayed below the dispatch
-    /// threshold).
-    #[serde(default)]
-    pub parallel_solves: u64,
-    /// Route-construction batches dispatched to the worker pool at
-    /// activation events.
-    #[serde(default)]
-    pub parallel_route_batches: u64,
-    /// Activation-time route-cache hits. Identical at every thread count:
-    /// the admission loop owns the cache trajectory.
+    /// Activation-time route-cache hits.
     #[serde(default)]
     pub route_cache_hits: u64,
     /// Cached routes dropped by the cache's generational eviction (never
@@ -166,9 +150,6 @@ mod tests {
             fault_events_applied: 0,
             rate_recomputes: 0,
             flows_coalesced: 0,
-            solver_threads: 1,
-            parallel_solves: 0,
-            parallel_route_batches: 0,
             route_cache_hits: 0,
             route_cache_evictions: 0,
             metrics: None,
@@ -194,6 +175,17 @@ mod tests {
         assert_eq!(r.skipped_flows, 0);
         assert!(r.skipped_flow_ids.is_empty());
         assert_eq!(r.fault_events_applied, 0);
+
+        // Reports serialized while the engine had an in-run worker pool
+        // carry three counters it no longer has; they are ignored.
+        let json = r#"{"makespan_seconds":1.0,"flows":2,"events":1,
+            "maxmin_iterations":1,"completion_times":null,
+            "resource_bytes":null,"num_links":2,"num_endpoints":2,
+            "solver_threads":2,"parallel_solves":5,"parallel_route_batches":1,
+            "route_cache_hits":3}"#;
+        let r: SimReport = serde_json::from_str(json).unwrap();
+        assert_eq!(r.events, 1);
+        assert_eq!(r.route_cache_hits, 3);
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! only — the sites bump their counter and still construct no event.
 //!
 //! Events contain no wall-clock data — a trace is a pure function of
-//! (topology, workload, config, schedule), bit-identical across reruns,
-//! thread counts and solver modes (modulo the solver-effort fields of
-//! [`TraceEvent::RateRecompute`], which measure work done, not physics).
+//! (topology, workload, config, schedule), bit-identical across reruns.
 //! Wall-clock timings live in the separate [`MetricsRegistry`], surfaced
 //! through [`SimReport::metrics`](crate::SimReport::metrics).
 
@@ -366,8 +364,6 @@ impl MetricsRegistry {
             full_passes: self.full_passes,
             budget_exhausted: self.budget_exhausted,
             deadline_exceeded: self.deadline_exceeded,
-            solver_threads: 0,
-            parallel_solves: 0,
             topo_cache_hit: 0,
             solver_seconds_total: self.solver_seconds_total,
             solver_seconds: self.solver_seconds.clone(),
@@ -407,16 +403,9 @@ pub struct MetricsSnapshot {
     /// Runs cut by the wall-clock deadline (0 or 1 per run).
     #[serde(default)]
     pub deadline_exceeded: u64,
-    /// Worker threads the run used (stamped by the engine at snapshot
-    /// time; the registry itself never sees the pool).
-    #[serde(default)]
-    pub solver_threads: u64,
-    /// Water-filling passes that ran on the parallel round-based path
-    /// (engine-stamped, like `solver_threads`).
-    #[serde(default)]
-    pub parallel_solves: u64,
     /// Runs whose topology came from a shared topology cache
-    /// (engine-stamped provenance, 0 or 1 per run; never affects physics).
+    /// (stamped by the engine at snapshot time, 0 or 1 per run; never
+    /// affects physics).
     #[serde(default)]
     pub topo_cache_hit: u64,
     /// Total solver wall-clock time, seconds. **Non-deterministic.**

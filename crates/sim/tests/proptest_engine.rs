@@ -3,9 +3,7 @@
 //! `proptest_maxmin.rs`).
 
 use exaflow_netgraph::NodeId;
-use exaflow_sim::{
-    FaultSchedule, FlowDagBuilder, FlowId, RecoveryPolicy, SimConfig, Simulator, VecSink,
-};
+use exaflow_sim::{FlowDagBuilder, FlowId, SimConfig, Simulator};
 use exaflow_topo::Torus;
 use proptest::prelude::*;
 
@@ -101,57 +99,6 @@ proptest! {
                 times[pred.index()] <= times[succ.index()] + 1e-15,
                 "dep finished after dependent"
             );
-        }
-    }
-
-    /// The worker pool is invisible in results: random DAGs on a
-    /// 64-endpoint torus (large enough to cross the parallel-solve and
-    /// route-prefetch thresholds on bigger cases) produce event-for-event
-    /// identical traces and bit-identical completion times at every
-    /// thread count.
-    #[test]
-    fn thread_counts_trace_identically(flows in random_dag(64)) {
-        let topo = Torus::new(&[8, 8]);
-        let mut b = FlowDagBuilder::new();
-        for (i, (s, d, bytes, deps)) in flows.iter().enumerate() {
-            let deps: Vec<FlowId> = deps
-                .iter()
-                .filter(|_| i > 0)
-                .map(|&x| FlowId((x % i) as u32))
-                .collect();
-            b.add_flow(NodeId(*s), NodeId(*d), *bytes, &deps);
-        }
-        let dag = b.build();
-        let run = |threads: usize| {
-            let cfg = SimConfig {
-                solver_threads: threads,
-                record_flow_times: true,
-                ..SimConfig::default()
-            };
-            let mut sink = VecSink::new();
-            let report = Simulator::with_config(&topo, cfg)
-                .run_with(&dag, &FaultSchedule::empty(), RecoveryPolicy::default(), Some(&mut sink))
-                .unwrap();
-            (report, sink.into_events())
-        };
-        let (reference, ref_events) = run(1);
-        let ref_times = reference.completion_times.as_ref().unwrap();
-        for threads in [2, 8] {
-            let (report, events) = run(threads);
-            prop_assert_eq!(&events, &ref_events, "threads={}", threads);
-            prop_assert_eq!(
-                report.makespan_seconds.to_bits(),
-                reference.makespan_seconds.to_bits(),
-                "threads={}", threads
-            );
-            let times = report.completion_times.as_ref().unwrap();
-            for (f, (t, r)) in times.iter().zip(ref_times).enumerate() {
-                prop_assert!(
-                    t.to_bits() == r.to_bits(),
-                    "threads={threads}, flow {f}: {t:e} != {r:e}"
-                );
-            }
-            prop_assert_eq!(report.maxmin_iterations, reference.maxmin_iterations);
         }
     }
 

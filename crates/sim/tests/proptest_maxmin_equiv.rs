@@ -11,17 +11,17 @@
 //! module docs), and that is what these tests assert.
 
 use exaflow_netgraph::{LinkId, NodeId};
-use exaflow_sim::maxmin::{MaxMinSolver, PARALLEL_MIN_ENTRIES};
+use exaflow_sim::maxmin::MaxMinSolver;
 use exaflow_sim::trace_check::textbook_maxmin;
-use exaflow_sim::{PathTable, WorkerPool};
+use exaflow_sim::PathTable;
 use exaflow_topo::{FaultOverlay, Topology, Torus};
 use proptest::prelude::*;
 
 const RESOURCES: usize = 24;
 
-/// Resource pool wide enough that passes regularly clear
-/// [`PARALLEL_MIN_ENTRIES`] and actually dispatch to the worker pool.
-const WIDE_RESOURCES: usize = 2 * PARALLEL_MIN_ENTRIES;
+/// Resources of the wide churn: enough that components routinely span
+/// many of them.
+const WIDE_RESOURCES: usize = 128;
 
 /// Arbitrary loop-free paths over `RESOURCES` resources. Empty paths are
 /// legal (unconstrained flows).
@@ -241,8 +241,8 @@ proptest! {
     }
 }
 
-/// Paths for the threaded churn test: wider and longer than
-/// [`path_strategy`] so components routinely span many resources.
+/// Paths for the wide churn test: wider and longer than [`path_strategy`]
+/// so components routinely span many resources.
 fn wide_path_strategy() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..WIDE_RESOURCES as u32, 0..12).prop_map(|mut p| {
         p.sort_unstable();
@@ -254,97 +254,19 @@ fn wide_path_strategy() -> impl Strategy<Value = Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Join/leave/reroute/invalidate churn stepped through three
-    /// solvers in lockstep — no pool, a 2-thread pool, an 8-thread pool:
-    /// every live entry's rate is `to_bits`-identical across all three at
-    /// every step, and the pooled solvers genuinely run the parallel
-    /// water-fill (a preload of shared-bottleneck entries keeps every
-    /// pass over them above [`PARALLEL_MIN_ENTRIES`]).
+    /// Churn on top of one 192-entry component: every preloaded entry
+    /// crosses resource 0, so any pass touching the component covers all
+    /// of them, and the ops grow, shrink and reroute it.
     #[test]
-    fn threaded_churn_is_bit_identical_across_pool_sizes(
+    fn wide_shared_bottleneck_churn_matches_the_textbook(
         caps in prop::collection::vec(0.5f64..500.0, WIDE_RESOURCES),
         ops in ops_strategy(wide_path_strategy(), 1..30),
         threshold in 0.0f64..1.2,
     ) {
-        let pools = [None, Some(WorkerPool::new(2)), Some(WorkerPool::new(8))];
-        let mut solvers: Vec<MaxMinSolver> = pools
-            .iter()
-            .map(|_| MaxMinSolver::new(caps.clone()).unwrap())
+        let preload = (0..192u32)
+            .map(|i| vec![0, 1 + i % (WIDE_RESOURCES as u32 - 1)])
             .collect();
-        let mut table = PathTable::new();
-        let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
-
-        // Preload one component of 3x the parallel threshold: every entry
-        // crosses resource 0, so any pass touching the component covers
-        // all of them and clears the parallel gate. Identical op order
-        // means identical entry ids across the three solvers.
-        for i in 0..PARALLEL_MIN_ENTRIES as u32 * 3 {
-            let mut path = vec![0, 1 + i % (WIDE_RESOURCES as u32 - 1)];
-            path.dedup();
-            let mut id = 0;
-            for s in solvers.iter_mut() {
-                id = insert(s, &mut table, &path);
-            }
-            live.push((id, path));
-        }
-
-        let check = |solvers: &mut [MaxMinSolver],
-                     table: &PathTable,
-                     live: &[(u32, Vec<u32>)],
-                     step: usize| {
-            for (s, pool) in solvers.iter_mut().zip(&pools) {
-                s.recompute_with(table, threshold, pool.as_ref());
-            }
-            let (reference, pooled) = solvers.split_first().unwrap();
-            for p in pooled {
-                for &(entry, ref path) in live {
-                    let (got, want) = (p.entry_rate(entry), reference.entry_rate(entry));
-                    assert!(
-                        got.to_bits() == want.to_bits(),
-                        "step {step}, entry {entry} (path {path:?}): \
-                         pooled {got:e} != sequential {want:e}"
-                    );
-                }
-            }
-        };
-        check(&mut solvers, &table, &live, usize::MAX);
-
-        for (step, (kind, path, pick)) in ops.into_iter().enumerate() {
-            match kind {
-                0..=2 => {
-                    let mut id = 0;
-                    for s in solvers.iter_mut() {
-                        id = insert(s, &mut table, &path);
-                    }
-                    live.push((id, path));
-                }
-                3 | 4 => {
-                    let (id, _) = live.swap_remove(pick % live.len());
-                    for s in solvers.iter_mut() {
-                        s.remove_entry(id);
-                    }
-                }
-                5 | 6 => {
-                    let i = pick % live.len();
-                    let old = live[i].0;
-                    let mut id = 0;
-                    for s in solvers.iter_mut() {
-                        s.remove_entry(old);
-                        id = insert(s, &mut table, &path);
-                    }
-                    live[i] = (id, path);
-                }
-                _ => solvers.iter_mut().for_each(MaxMinSolver::invalidate_all),
-            }
-            check(&mut solvers, &table, &live, step);
-        }
-
-        prop_assert_eq!(solvers[0].parallel_passes, 0);
-        prop_assert!(
-            solvers[1].parallel_passes > 0,
-            "the 2-thread pool never took the parallel water-fill"
-        );
-        prop_assert_eq!(solvers[1].parallel_passes, solvers[2].parallel_passes);
+        run_churn(caps, preload, ops, threshold);
     }
 }
 

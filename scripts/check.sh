@@ -4,8 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Every long-running step runs under a hard timeout: a hung test (deadlocked
-# worker pool, wedged child process) must fail the gate, not stall it.
+# Every long-running step runs under a hard timeout: a hung test (a wedged
+# child process, a suite worker that never returns) must fail the gate, not
+# stall it.
 TIMEOUT="timeout -k 30"
 
 echo "== cargo fmt --check"
@@ -23,11 +24,6 @@ echo "== vendored JSON parser unit tests"
 CARGO_TARGET_DIR="$PWD/target" $TIMEOUT 900 \
   cargo test -q --offline --manifest-path vendor/serde_json/Cargo.toml
 
-# The workspace run above covers the default (auto = 1 thread, no pool);
-# this pass makes `solver_threads: 0` resolve to a real pool.
-echo "== engine equivalence with EXAFLOW_THREADS=2 (auto resolves to a pool)"
-EXAFLOW_THREADS=2 $TIMEOUT 900 cargo test -q -p exaflow-suite --test engine_equiv
-
 # The workspace run gives the tie-heavy replay churn the default 64 cases
 # (tier-1 stays fast); the gate gives it real volume. Only strategies
 # without a pinned `with_cases` follow the variable.
@@ -37,15 +33,8 @@ PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-sim --test proptest_max
 echo "== crash-safety gate: kill-and-resume, torn journals, retry/quarantine"
 $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 
-echo "== parallel distance sweep bit-identical with EXAFLOW_THREADS=1"
-EXAFLOW_THREADS=1 $TIMEOUT 900 cargo test -q -p exaflow-suite --test tables table1_parallel_sweep
-
-echo "== parallel distance sweep bit-identical with the default thread count"
-$TIMEOUT 900 cargo test -q -p exaflow-suite --test tables table1_parallel_sweep
-
 # One pass: the cache stores what `TopologySpec::build` returns, so it
-# cannot change which routing code runs and crossing it with the engine
-# pool size tests nothing new.
+# cannot change which routing code runs.
 echo "== topology-cache differential gate"
 $TIMEOUT 900 cargo test -q -p exaflow-suite --test topo_cache_equiv
 

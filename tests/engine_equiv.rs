@@ -11,7 +11,7 @@
 //! "Merge replay"); and on the iterative workloads (n-Bodies,
 //! Near-Neighbours) whose completion batches re-issue the paths they retire
 //! — the batches the deferred settle elides. Reports are also held equal
-//! across tracing modes and across solver thread counts.
+//! across tracing modes.
 
 use exaflow::prelude::*;
 use exaflow::sim::trace_check::textbook_maxmin;
@@ -82,27 +82,6 @@ fn canonical(report: &SimReport) -> String {
     let mut r = report.clone();
     r.metrics = None;
     serde_json::to_string(&r).unwrap()
-}
-
-/// Canonical form for *thread-count* comparisons: only the fields that
-/// describe work placement (pool size, how many passes/batches ran
-/// parallel) may differ. Everything else — including the solver iteration
-/// and recompute counts and the route-cache hit/eviction counters — must
-/// be bit-identical across thread counts.
-fn canonical_threads(report: &SimReport) -> String {
-    let mut r = report.clone();
-    r.solver_threads = 0;
-    r.parallel_solves = 0;
-    r.parallel_route_batches = 0;
-    r.metrics = None;
-    serde_json::to_string(&r).unwrap()
-}
-
-fn cfg_threads(threads: usize) -> SimConfig {
-    SimConfig {
-        solver_threads: threads,
-        ..cfg()
-    }
 }
 
 /// A fault-free traced run: its report and its event stream.
@@ -370,119 +349,6 @@ fn faulted_reports_bit_identical_across_modes_and_policies() {
                     "{name}/{policy:?}: tracing changed success/failure: \
                      {traced:?} vs {untraced:?}"
                 ),
-            }
-        }
-    }
-}
-
-/// Tentpole guarantee: the worker pool changes wall-clock, never results.
-/// `solver_threads ∈ {2, 8, auto}` must reproduce the single-thread report
-/// bit-for-bit on every topology family — including the solver-effort
-/// counters, which the parallel water-fill matches round-for-round.
-#[test]
-fn thread_counts_bit_identical_reports_fault_free() {
-    let mut parallel_solves = 0;
-    let mut parallel_batches = 0;
-    // The standard families (16–32 endpoints) mostly stay under the pool's
-    // dispatch thresholds; the 64-endpoint torus guarantees both the
-    // parallel water-fill and the route prefetcher actually engage.
-    let mut families = specs();
-    families.push(("torus-8x8", TopologySpec::Torus { dims: vec![8, 8] }));
-    for (name, spec) in families {
-        let topo = spec.build().unwrap();
-        let dag = workload_for(topo.num_endpoints());
-        let reference = Simulator::with_config(topo.as_ref(), cfg_threads(1))
-            .run(&dag)
-            .unwrap();
-        assert_eq!(reference.solver_threads, 1, "{name}");
-        assert_eq!(reference.parallel_solves, 0, "{name}");
-        // 0 = resolve from EXAFLOW_THREADS (else 1), the default every
-        // config file gets.
-        for threads in [2, 8, 0] {
-            let report = Simulator::with_config(topo.as_ref(), cfg_threads(threads))
-                .run(&dag)
-                .unwrap();
-            if threads > 1 {
-                assert_eq!(report.solver_threads, threads as u64, "{name}");
-                parallel_solves += report.parallel_solves;
-                parallel_batches += report.parallel_route_batches;
-            }
-            assert_eq!(
-                canonical_threads(&report),
-                canonical_threads(&reference),
-                "{name}: solver_threads={threads} diverged from the single-thread engine"
-            );
-        }
-    }
-    // The comparisons above are only meaningful if the pool actually did
-    // work somewhere: small families legitimately stay under the dispatch
-    // thresholds, but not all of them.
-    assert!(parallel_solves > 0, "no family hit the parallel water-fill");
-    assert!(parallel_batches > 0, "no family hit the route prefetcher");
-}
-
-/// Thread counts must also tell the same story event-for-event: raw trace
-/// equality, no canonicalisation — even the `entries_solved`/`full_pass`
-/// payloads match, because the pool never changes what is solved, only who
-/// solves it.
-#[test]
-fn thread_counts_identical_traces_fault_free() {
-    let mut families = specs();
-    families.push(("torus-8x8", TopologySpec::Torus { dims: vec![8, 8] }));
-    for (name, spec) in families {
-        let topo = spec.build().unwrap();
-        let dag = workload_for(topo.num_endpoints());
-        let (_, reference) = run_traced(topo.as_ref(), cfg_threads(1), &dag);
-        for threads in [2, 8] {
-            let (_, events) = run_traced(topo.as_ref(), cfg_threads(threads), &dag);
-            check_trace(&events).unwrap_or_else(|v| {
-                panic!("{name}: {threads}-thread trace failed the oracle: {v}")
-            });
-            assert_eq!(
-                events, reference,
-                "{name}: solver_threads={threads} trace diverged from single-thread"
-            );
-        }
-    }
-}
-
-/// Mid-run cut + repair with the pool on: fault handling (route-cache
-/// purges, prefetch invalidation, overlay reroutes) must stay thread-count
-/// independent, reports and traces both.
-#[test]
-fn thread_counts_bit_identical_faulted() {
-    let mut families = specs();
-    families.push(("torus-8x8", TopologySpec::Torus { dims: vec![8, 8] }));
-    for (name, spec) in families {
-        let topo = spec.build().unwrap();
-        let dag = workload_for(topo.num_endpoints());
-        let reference_engine = Simulator::with_config(topo.as_ref(), cfg_threads(1));
-        let schedule = schedule_for(topo.as_ref(), &reference_engine.run(&dag).unwrap());
-
-        for policy in [
-            RecoveryPolicy::RerouteResume,
-            RecoveryPolicy::SkipUnreachable,
-        ] {
-            let mut sink = VecSink::new();
-            let reference = reference_engine
-                .run_with(&dag, &schedule, policy, Some(&mut sink))
-                .unwrap_or_else(|e| panic!("{name}/{policy:?}: single-thread run: {e:?}"));
-            let reference_trace = sink.into_events();
-            for threads in [2, 8] {
-                let mut sink = VecSink::new();
-                let report = Simulator::with_config(topo.as_ref(), cfg_threads(threads))
-                    .run_with(&dag, &schedule, policy, Some(&mut sink))
-                    .unwrap_or_else(|e| panic!("{name}/{policy:?}: {threads} threads: {e:?}"));
-                assert_eq!(
-                    canonical_threads(&report),
-                    canonical_threads(&reference),
-                    "{name}/{policy:?}: solver_threads={threads} report diverged"
-                );
-                assert_eq!(
-                    sink.into_events(),
-                    reference_trace,
-                    "{name}/{policy:?}: solver_threads={threads} trace diverged"
-                );
             }
         }
     }
