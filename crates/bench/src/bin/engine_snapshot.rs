@@ -10,7 +10,6 @@
 //! Usage: `engine_snapshot [output.json]` (default `BENCH_engine.json`).
 
 use exaflow::prelude::*;
-use exaflow::sim::engine::FULL_PASS_THRESHOLD;
 use exaflow::sim::maxmin::MaxMinSolver;
 use exaflow::sim::trace_check::textbook_maxmin;
 use exaflow::sim::{PathId, PathTable};
@@ -42,17 +41,16 @@ struct EngineRun {
     flows: u64,
     wall_seconds: f64,
     rate_recomputes: u64,
-    /// Freeze rounds of the run, and how many of them its full passes took
-    /// from the previous pass's log instead of the heap (`maxmin` module
-    /// docs, "Merge replay").
+    /// Freeze rounds of the run, and how many of them its passes visited;
+    /// the others were jumped (`maxmin` module docs, "Merge replay").
     maxmin_iterations: u64,
-    replayed_rounds: u64,
+    visited_rounds: u64,
 }
 
 /// Trace sink that mirrors a fault-free run's solver traffic onto a
 /// solver of its own — one entry inserted per `flow_started`, removed per
 /// `flow_finished`, one recompute per `rate_recompute` — because the
-/// replay counter lives on the solver, not on `SimReport`.
+/// visit counter lives on the solver, not on `SimReport`.
 struct SolverMirror {
     solver: Option<MaxMinSolver>,
     paths: PathTable,
@@ -77,7 +75,7 @@ impl TraceSink for SolverMirror {
                     solver.remove_entry(id);
                 }
             }
-            TraceEvent::RateRecompute { .. } => solver.recompute(&self.paths, FULL_PASS_THRESHOLD),
+            TraceEvent::RateRecompute { .. } => solver.recompute(&self.paths),
             _ => {}
         }
     }
@@ -139,7 +137,7 @@ struct Snapshot {
 
 /// Solver churn on a 4096-endpoint AllReduce active set (8192 resources
 /// touched): each event retires one flow and, a recompute later, admits it
-/// again — two dirty-component recomputes (a retire and re-admit of the
+/// again — two merged passes (a retire and re-admit of the
 /// same path between two recomputes is settled as no change and measures
 /// nothing).
 fn solver_churn() -> SolverChurn {
@@ -154,14 +152,14 @@ fn solver_churn() -> SolverChurn {
         .iter()
         .map(|&p| solver.insert_entry(&table, p))
         .collect();
-    solver.recompute(&table, FULL_PASS_THRESHOLD);
+    solver.recompute(&table);
     let t = Instant::now();
     for e in 0..EVENTS {
         let k = (e * 101) % flows;
         solver.remove_entry(ids[k]);
-        solver.recompute(&table, FULL_PASS_THRESHOLD);
+        solver.recompute(&table);
         ids[k] = solver.insert_entry(&table, path_ids[k]);
-        solver.recompute(&table, FULL_PASS_THRESHOLD);
+        solver.recompute(&table);
         black_box(solver.entry_rate(ids[k]));
     }
     let seconds = t.elapsed().as_secs_f64();
@@ -218,7 +216,7 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
         wall_seconds,
         rate_recomputes: report.rate_recomputes,
         maxmin_iterations: report.maxmin_iterations,
-        replayed_rounds: mirrored.replayed_rounds,
+        visited_rounds: mirrored.visited_rounds,
     }
 }
 
@@ -395,8 +393,8 @@ fn main() {
                 waves: 4,
             },
         ),
-        // Random heavy traffic: one giant sharing component, so nearly
-        // every recompute is a full pass — the merge replay's regime.
+        // Random heavy traffic: one giant sharing component, so a change
+        // reaches far into the log — the merge replay's regime.
         engine_run(
             "unstructured_app_1024_fattree",
             &heavy.fattree_spec(),
@@ -438,11 +436,11 @@ fn main() {
     ];
     for run in &engine {
         eprintln!(
-            "{}: {:.4}s, {} recomputes, {} / {} rounds replayed",
+            "{}: {:.4}s, {} recomputes, {} / {} rounds visited",
             run.name,
             run.wall_seconds,
             run.rate_recomputes,
-            run.replayed_rounds,
+            run.visited_rounds,
             run.maxmin_iterations,
         );
     }

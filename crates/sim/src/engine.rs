@@ -281,11 +281,6 @@ struct RouteScratch {
     route: Vec<u32>,
 }
 
-/// Dirty-region fraction (of live solver entries) above which a recompute
-/// degrades to a full pass: small components are cheaper to re-solve in
-/// place, near-global ones are not worth the bookkeeping.
-pub const FULL_PASS_THRESHOLD: f64 = 0.5;
-
 /// Total-ordered f64 key for the delayed-activation heap (times are always
 /// finite and non-NaN by construction).
 #[derive(PartialEq, PartialOrd)]
@@ -632,7 +627,6 @@ impl<'a> Simulator<'a> {
         macro_rules! apply_due_faults {
             () => {{
                 let mut downed: Vec<u32> = Vec::new();
-                let mut restored = false;
                 while fault_idx < fault_events.len() && fault_events[fault_idx].time_s <= now {
                     let ev = fault_events[fault_idx];
                     fault_idx += 1;
@@ -660,7 +654,6 @@ impl<'a> Simulator<'a> {
                                         link: ev.link,
                                     }
                                 );
-                                restored = true;
                             }
                         }
                     }
@@ -677,12 +670,6 @@ impl<'a> Simulator<'a> {
                 // route through the repaired link immediately. Clearing
                 // here (the old behaviour) threw away every warm route on
                 // each up-event in a long-running campaign.
-                if restored || !downed.is_empty() {
-                    // Fault churn perturbs the sharing graph beyond the
-                    // entry-level diff (coalesced groups included): force
-                    // the next recompute to cover every live entry.
-                    solver.invalidate_all();
-                }
                 if !downed.is_empty() {
                     let crosses = |p: &[u32]| p.iter().find(|r| downed.contains(r)).copied();
                     // Active flows first, in deterministic index order...
@@ -883,7 +870,8 @@ impl<'a> Simulator<'a> {
             events += 1;
             rates.resize(active_ids.len(), 0.0);
             let solve_start = if tracing { Some(Instant::now()) } else { None };
-            solver.recompute(&paths, FULL_PASS_THRESHOLD);
+            let passes = solver.rate_recomputes;
+            solver.recompute(&paths);
             for (rate, &e) in rates.iter_mut().zip(&active_entries) {
                 *rate = solver.entry_rate(e);
             }
@@ -911,14 +899,15 @@ impl<'a> Simulator<'a> {
                 }
                 m.record_utilization(peak);
                 m.rate_recomputes += 1;
-                m.full_passes += solver.last_pass_full as u64;
+                let full_pass = solver.rate_recomputes > passes;
+                m.full_passes += full_pass as u64;
                 if let Some(s) = sink.as_mut() {
                     s.record(&TraceEvent::RateRecompute {
                         t: now,
                         flows: active_ids.clone(),
                         rates_bps: rates.clone(),
                         entries_solved: solver.last_pass_entries,
-                        full_pass: solver.last_pass_full,
+                        full_pass,
                     });
                 }
             }

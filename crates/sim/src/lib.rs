@@ -18,10 +18,10 @@
 //! * **Max-min** is computed by progressive filling with a lazy min-heap
 //!   ([`maxmin`]), `O(Σ path length · log R)` per recomputation.
 //! * **Incremental rate allocation**: between events the solver keeps a
-//!   persistent flow–resource incidence and re-solves only the connected
-//!   component(s) of the sharing graph that an arrival/departure/reroute
-//!   touched, falling back to a full pass on fault events or near-global
-//!   dirty regions; active flows with identical paths share one weighted
+//!   persistent flow–resource incidence and the freeze log of its last
+//!   pass; each pass merges that log with a heap over the resources an
+//!   arrival/departure/reroute reached, so it costs the rounds the change
+//!   reaches. Active flows with identical paths share one weighted
 //!   entry. Rates are **bit-identical** to textbook progressive filling
 //!   over the active set (argued in [`maxmin`], checked at every recompute
 //!   against [`trace_check::textbook_maxmin`] by the equivalence suites).

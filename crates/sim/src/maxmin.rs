@@ -20,32 +20,20 @@
 //!
 //! The solver is driven through an entry API ([`MaxMinSolver::insert_entry`],
 //! [`MaxMinSolver::remove_entry`], [`MaxMinSolver::recompute`]): it keeps a
-//! persistent per-resource incidence of the active flows and, on each
-//! change, re-runs water-filling only over the connected component(s) of
-//! the flow–resource sharing graph that the change touched. Identical
+//! persistent per-resource incidence of the active flows, and every
+//! recompute that finds a net change runs one pass over the whole flow set,
+//! merged with the freeze log of the pass before so that it costs only the
+//! rounds and resources the change reaches ("Merge replay"). Identical
 //! paths — equal [`PathId`]s of the run's [`PathTable`], which interns by
 //! content — share one weighted entry. [`MaxMinSolver::solve`] is the
-//! one-shot form: insert every path, one full pass.
+//! one-shot form: insert every path, one pass.
 //!
 //! Rates are **bit-identical** to textbook progressive filling over the
 //! same flow set ([`crate::trace_check::textbook_maxmin`], the reference
-//! the equivalence suites hold every recompute to):
-//!
-//! * Water-filling decomposes over connected components: a resource's
-//!   `remaining`/`count` trajectory only depends on flows of its own
-//!   component, and the bottleneck heap's ordering (share, then resource
-//!   id) is a total order over *valid* entries, so interleaving components
-//!   in one heap or solving them separately freezes every flow at the same
-//!   share.
-//! * A weighted entry subtracts its share from each crossed resource once
-//!   *per unit of weight* (repeated subtraction, not `share * weight`), so
-//!   the floating-point trajectory matches `weight` separate flows exactly.
-//!
-//! The dirty region of a change is the BFS closure, over the *new* sharing
-//! graph, of the resources on every path whose weight changed since the
-//! last recompute; [`MaxMinSolver::invalidate_all`] degrades the next
-//! recompute to a full one (used for fault-overlay churn), as does a dirty
-//! region larger than a caller-chosen fraction of the active set.
+//! the equivalence suites hold every recompute to). A weighted entry
+//! subtracts its share from each crossed resource once *per unit of
+//! weight* (repeated subtraction, not `share * weight`), so the
+//! floating-point trajectory matches `weight` separate flows exactly.
 //!
 //! # Deferred settle
 //!
@@ -59,140 +47,118 @@
 //!
 //! * equal and non-zero — the entry was retired and re-issued (the
 //!   paper's iterative workloads re-issue the endpoint pairs of a round in
-//!   the next one). Nothing is dirtied; its rate stands. If that is every
+//!   the next one). Nothing is tainted; its rate stands. If that is every
 //!   changed entry the recompute returns without a pass.
-//! * different — the resources of its path are dirtied exactly as an
+//! * different — the resources of its path are tainted exactly as an
 //!   eager insert/remove would have; an entry no settle has seen is linked
 //!   into the incidence lists, an entry at zero is unlinked (per touched
 //!   resource, with one `retain`) and its id freed.
 //! * both zero — inserted and removed again unseen: the id is freed and
-//!   nothing is dirtied, since the incidence never knew it.
+//!   nothing is tainted, since the incidence never knew it.
 //!
 //! A weight-zero entry stays in the coalescing index until the settle that
 //! frees it, so a flow re-issuing its path *resurrects* it: same id, rate
-//! intact.
+//! intact. A recompute whose tainted resources host no entry any more —
+//! pure departures — runs no pass either: no remaining flow crosses what
+//! changed, so every rate and every other logged round stands.
 //!
-//! Why eliding the pass is **bit-identical** to running it:
-//!
-//! * Max-min rates of a connected component are a function of its
-//!   multiset of (path, weight) — the property the component-local pass
-//!   already relies on: heap ties break by resource id and the order of
-//!   subtractions within a round is irrelevant (see "Merge replay"). So
-//!   an entry whose (path, weight) is unchanged, in a component nothing
-//!   else changed, keeps its rate to the bit, whichever flows carry it.
-//! * Every entry whose weight *did* change dirties its resources at
-//!   settle exactly as it did at insert/remove time before, so the BFS
-//!   closure, the full-pass threshold (a fraction of
-//!   [`MaxMinSolver::live_entries`], which counts weight > 0 at call
-//!   time) and the perturbed set of the merge replay see the same net
-//!   change. A net change through zero (1 → 0 → 2) is a changed weight.
-//! * Entry ids are recycled only at settle, when the resources of the
-//!   freed entry are dirty — hence perturbed — so a recycled id's stale
-//!   logged round is never replayed.
-//! * The incidence lists may order their entries differently than eager
-//!   maintenance would; that order is irrelevant for the same reason
-//!   `swap_remove` reordering was.
-//!
-//! [`MaxMinSolver::invalidate_all`] settles like any recompute and then
-//! runs a from-scratch full pass — no elision. Only the effort counters (`iterations`, `rate_recomputes`) differ from
-//! eager maintenance, and only downward.
+//! Eliding a pass is **bit-identical** to running it. Max-min rates are a
+//! function of the multiset of (path, weight), as heap ties break by
+//! resource id and the order of subtractions within a round is irrelevant.
+//! Every entry whose weight *did* change taints its resources exactly as
+//! at insert/remove time (a net change through zero, 1 → 0 → 2, is a
+//! change), and ids are recycled only at settle, as their paths are
+//! tainted, so a recycled id's stale logged round is never replayed. Only
+//! the effort counters (`iterations`, `rate_recomputes`) differ from eager
+//! maintenance, and only downward.
 //!
 //! # Merge replay
 //!
-//! On one giant component (random traffic) most recomputes degrade to a
-//! full pass, and consecutive full passes repeat almost all of their own
-//! work: a change since the last full pass reaches only a few of its
-//! freeze rounds. So every full sequential pass **logs** its freeze order
-//! — per valid pop `(share, bottleneck, entries frozen, their weight)` —
-//! and records in `ent_round` the round that froze each entry. The next
-//! full pass **merges** that log with a heap over the resources the change
-//! has reached, the *tainted* ones, and builds fill state for those alone:
+//! Consecutive passes repeat almost all of their work: a change reaches
+//! only a few of the freeze rounds of the pass before. So every pass
+//! **logs** its freeze order, and the next one **merges** that log with a
+//! heap over the resources the change has reached, the *tainted* ones,
+//! building fill state for those alone. A logged round is named by its
+//! bottleneck, as a resource bottlenecks at most one round of a pass: the
+//! log holds its share, `ent_round` the bottleneck of the round that froze
+//! each entry, and a round's entries are its bottleneck's incidence entries
+//! with that `ent_round`. The rounds sit in pop order in an array of slots
+//! with gaps (a packed-memory array), so the slot order *is* the round
+//! order. It is never recovered from the keys, which are not monotone
+//! under f64: 10 / 3 = 3.3333333333333335 freezes a round before
+//! 10 − 10/3 − 10/3 = 3.3333333333333326 freezes the next one.
 //!
-//! * *Taint set.* Seeded with the perturbed set: every resource on a path
-//!   whose settled weight changed since the logged pass (the deduped
-//!   `dirty_res` of every recompute since, component-local ones and those
-//!   that return early included). It grows during the pass, and every
-//!   sequential full pass clears it at its end.
+//! Every pass merges, the first one an empty log with every resource
+//! tainted, and keeps the invariant that **a frozen entry's `ent_rate` is
+//! the share of the logged round that froze it**.
+//!
+//! * *Taint set.* Seeded with every resource on a path whose settled
+//!   weight changed since the last pass; it grows during the pass.
 //! * *Materialisation.* A resource gets `count`/`remaining` when it is
 //!   first tainted, never before: `count` is the weight of its entries not
 //!   yet frozen this pass, `remaining` its capacity less the share of each
 //!   frozen one, once per unit of weight and in round order (the
-//!   *catch-up*). It then sits on
-//!   the heap, keyed `(clamped share, id)`, and re-keys whenever it
-//!   receives a subtraction. There is no pass 1 over the live entries.
-//! * *Subscriptions.* A materialised resource subscribes `(resource,
-//!   weight)` to the logged round of each of its unfrozen entries that the
-//!   merge has not reached yet.
-//! * *Merge.* Each step takes whichever pops first under that key: the
-//!   next logged round or the heap top. A logged round whose bottleneck is
-//!   untainted is **replayed**: its entries take the logged share and the
-//!   pass's frozen stamp, `frozen` advances by the logged weight, and each
-//!   subscriber receives the share once per unit of weight — no path walk,
-//!   no division. A logged round whose bottleneck is tainted is
-//!   **skipped**: its entries will freeze elsewhere, so every resource on
-//!   their current paths is tainted (`FREE` slots have none), and its
-//!   subscriptions never fire. A heap pop freezes the unfrozen entries of
-//!   its resource at the current share the textbook way, taints every
-//!   resource on their paths before subtracting from it, and is logged.
+//!   *catch-up*). It then sits on the heap, keyed `(clamped share, id)`.
+//!   It also subscribes `(resource, weight)` to the logged round of each of
+//!   its unfrozen entries that the merge has not reached yet.
+//! * *Merge.* A cursor walks the log in slot order. A round has *work* if
+//!   its bottleneck is tainted or it has a subscriber. A round without work
+//!   whose key pops before the heap top is **jumped**: it stands as logged,
+//!   with no write at all. The next round that cannot be jumped is found in
+//!   O(log slots) — rounds with work wait in a heap by slot, and a segment
+//!   tree over the slots keeps the key that pops last below each node. If
+//!   the heap top keys before it, the heap pops: its unfrozen entries
+//!   freeze at the current share the textbook way, every resource on their
+//!   paths is tainted before the subtraction reaches it, and the round
+//!   joins the log at the end of the pass, right after the slots the
+//!   cursor had passed. Otherwise the round is **visited**: with a tainted
+//!   bottleneck it is **skipped** and leaves the log — its entries freeze
+//!   elsewhere, so their paths are tainted, and its subscriptions never
+//!   fire — and without one it is **replayed**: each subscriber receives
+//!   the share once per unit of weight.
 //!
-//! A replayed round thus costs its subscribers plus one rate write per
-//! entry, and a merged pass builds state for the tainted resources only.
-//! A from-scratch full pass (the first one, or one after the log was
-//! discarded) is the classic loop over every live entry and logs the same
-//! way. The new log is written in pop order while the old one is read, so
-//! the two are double-buffered. A component-local pass neither reads nor
-//! writes the log: its dirty resources join the taint set like any other.
-//! Only [`MaxMinSolver::invalidate_all`], which drops its dirty set
-//! unseen, discards it.
-//!
-//! Why the merged pass is **bit-identical** to a from-scratch one:
+//! `iterations` advances by the rounds of the new log, `visited_rounds` by
+//! the rounds a pass visited or popped. Why a merged pass is
+//! **bit-identical** to the textbook:
 //!
 //! 1. An untainted resource hosts the same entries, at the same weights,
-//!    as in the logged pass. Every subtraction the textbook applies to it
-//!    comes from a replayed round at the logged share: skipped rounds and
-//!    heap pops taint every resource they subtract from, or would have
-//!    subtracted from. So its textbook `remaining`/`count` equal their
-//!    logged values before the same round, and the merge never needs them:
-//!    an untainted resource is read only as the bottleneck of a replayed
-//!    round, through the round's logged key.
+//!    as in the logged pass, and every subtraction the textbook applies to
+//!    it comes from a jumped or replayed round at the logged share: skipped
+//!    rounds and heap pops taint every resource they subtract from, or
+//!    would have. So it has its logged state before the same round, and the
+//!    merge reads it only as a bottleneck, through the round's logged key.
 //! 2. So an untainted bottleneck has its logged key. Every other untainted
 //!    live resource keys after it, because the logged pass popped it as
 //!    the minimum; every tainted one does too, because the heap top was
-//!    compared. It is therefore the textbook's next pop.
+//!    compared. It is the textbook's next pop. A jumped round has no
+//!    subscriber, so it moves no tainted resource: the heap top stands
+//!    across a run of them.
 //! 3. Its unfrozen entries are exactly the logged ones, at the logged
-//!    weight: an entry frozen by a heap pop, listed in a skipped round, or
-//!    of changed weight would have tainted this bottleneck. Entry ids are
-//!    recycled only at settle, where the path of the freed entry is
-//!    perturbed, so a recycled id's stale round is always skipped
-//!    (tainting the id's new path is only conservative).
+//!    weight: an entry frozen by a heap pop, of a skipped round, or of
+//!    changed weight would have tainted this bottleneck. By the invariant
+//!    they already hold the round's share. The invariant itself holds
+//!    because a heap pop writes the share it freezes at, and an entry
+//!    leaves its round only when the round is skipped or its bottleneck
+//!    pops from the heap, both of which freeze it again.
 //! 4. Heap pops are textbook pops: the heap top keys before every other
-//!    tainted resource and before the next logged round, whose key bounds
-//!    every untainted one (2). Subtractions within a round all use one
-//!    share, so their order is irrelevant and `swap_remove`-reordered
-//!    incidence lists are harmless.
-//! 5. A materialised resource holds the textbook's state. Until it is
-//!    tainted the textbook subtracts from it only in replayed rounds (1),
-//!    one share per round; the catch-up applies exactly those
-//!    subtractions, in round order. Order is what keeps the bits: f64
-//!    subtraction does not commute across shares, (1 − 0.1) − 0.2 = 0.7
-//!    but (1 − 0.2) − 0.1 = 0.7000000000000001. From then on it receives
-//!    every round that freezes one of its entries: a heap pop directly, a
-//!    replayed round through its subscription. A skipped round freezes
-//!    nothing, so it fires nothing; its entries freeze later on the heap.
-//!    A resource first tainted inside a heap pop counts the entry being
-//!    frozen as unfrozen and receives it right after; it catches up on the
-//!    entries that round froze before, because the round is logged before
-//!    it is filled.
-//! 6. Keeping the log across component-local passes is sound. Such a pass
-//!    changes rates, never the entry set, and the merge reads no rate: its
-//!    frozen test is the pass's stamp in `ent_mark`, not `ent_rate`. The
-//!    entry set differs from the logged one only by settled weight
-//!    changes, whose resources every recompute adds to the taint set while
-//!    the log is valid, whether its own pass is full or component-local.
+//!    tainted resource and before the next round not jumped, whose key
+//!    bounds every untainted one (2). Subtractions within a round share one
+//!    share, so their order and incidence-list order are irrelevant.
+//! 5. A materialised resource holds the textbook's state. Before it is
+//!    tainted the textbook subtracts from it only in jumped and replayed
+//!    rounds (1); the catch-up applies exactly those, in round order — slot
+//!    order, with each heap pop of the pass after the slots its cursor had
+//!    passed. Order is what keeps the bits: (1 − 0.1) − 0.2 = 0.7 but
+//!    (1 − 0.2) − 0.1 = 0.7000000000000001. After, it receives every round
+//!    that freezes one of its entries: a heap pop directly, a replayed
+//!    round through its subscription; a skipped round freezes nothing. A
+//!    resource first tainted inside a heap pop counts the entry being
+//!    frozen as unfrozen and receives it right after, and catches up on
+//!    those frozen before it, as the round is ordered before it is filled.
 
 use crate::error::SimError;
 use crate::paths::{PathId, PathTable};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// `ent_path` of a slot on the free list.
@@ -234,16 +200,6 @@ fn pops_before(a: (f64, u32), b: (f64, u32)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
-/// One logged freeze round: `bottleneck` was popped at `share` and froze
-/// the entries `log_entries[previous end..end]`, `weight` flows in all.
-#[derive(Debug, Clone, Copy)]
-struct LogRound {
-    share: f64,
-    weight: u64,
-    bottleneck: u32,
-    end: u32,
-}
-
 /// A materialised resource's claim on a pending logged round: replaying
 /// the round subtracts its share from `res` `weight` times. `next` links
 /// the round's subscriptions (`NO_SUB` ends the list).
@@ -258,6 +214,285 @@ struct Sub {
 const NO_SUB: u32 = u32::MAX;
 /// `ent_round` of an entry the log does not hold.
 const NO_ROUND: u32 = u32::MAX;
+/// `slot_of` of a resource that bottlenecks no logged round, and
+/// `res_at` of an empty slot.
+const NO_SLOT: u32 = u32::MAX;
+/// Tree key of a subtree without rounds: pops before every real key.
+const EMPTY: (f64, u32) = (f64::NEG_INFINITY, 0);
+
+/// The freeze log of the last pass (module docs, "Merge replay"): its
+/// rounds in pop order, in an array of slots with gaps between them, so a
+/// heap pop goes in between two logged rounds without moving the others,
+/// and a round's slot is its place in the order. A round is named by its
+/// bottleneck, as a resource bottlenecks at most one round of a pass. A
+/// segment tree over the slots holds the key that pops last below each
+/// node, and the rounds with work wait in a heap by slot, so a merge finds
+/// the next round it cannot jump in O(log slots).
+#[derive(Debug, Default)]
+struct FreezeLog {
+    /// Per resource: the slot of the round it bottlenecks, `NO_SLOT` if
+    /// none, that round's share, and whether the round has work.
+    slot_of: Vec<u32>,
+    share: Vec<f64>,
+    work: Vec<bool>,
+    /// Per slot: the bottleneck of the round there, `NO_SLOT` if empty.
+    res_at: Vec<u32>,
+    /// Segment tree: node 1 is the root, slot `s` is leaf `slots + s`.
+    tree: Vec<(f64, u32)>,
+    /// `(slot, bottleneck)` of the rounds with work; an entry whose round
+    /// has moved or been visited since is stale.
+    pending: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Rounds in the log.
+    len: u64,
+    /// Re-spacing scratch: the bottlenecks of a window's rounds, in order.
+    moved: Vec<u32>,
+    /// `insert_pops` scratch: per run of pops, its end and the bottleneck
+    /// of the round it goes ahead of (`NO_SLOT`: the end of the log).
+    runs: Vec<(usize, u32)>,
+    /// The last search of `next_stop` for a key that pops after the heap
+    /// top: `(done, top, first such slot)`.
+    seen: Option<(usize, (f64, u32), Option<usize>)>,
+}
+
+impl FreezeLog {
+    fn new(resources: usize) -> Self {
+        FreezeLog {
+            slot_of: vec![NO_SLOT; resources],
+            share: vec![0.0; resources],
+            work: vec![false; resources],
+            ..FreezeLog::default()
+        }
+    }
+
+    fn slots(&self) -> usize {
+        self.res_at.len()
+    }
+
+    /// Key of the round in slot `s`.
+    fn key(&self, s: usize) -> (f64, u32) {
+        self.tree[self.slots() + s]
+    }
+
+    /// Node `n` as its children make it.
+    fn pull(&self, n: usize) -> (f64, u32) {
+        let (a, b) = (self.tree[2 * n], self.tree[2 * n + 1]);
+        if pops_before(a, b) {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Drop the round `r` bottlenecks, and update the tree above its slot
+    /// up to the first node that stays as it was.
+    fn remove(&mut self, r: u32) {
+        let s = std::mem::replace(&mut self.slot_of[r as usize], NO_SLOT) as usize;
+        self.work[r as usize] = false;
+        self.res_at[s] = NO_SLOT;
+        self.len -= 1;
+        let mut n = self.slots() + s;
+        self.tree[n] = EMPTY;
+        while n > 1 {
+            n /= 2;
+            let key = self.pull(n);
+            if std::mem::replace(&mut self.tree[n], key) == key {
+                break;
+            }
+        }
+    }
+
+    /// Give the round `r` bottlenecks work, if it sits at or after slot
+    /// `done`.
+    fn flag(&mut self, r: u32, done: usize) {
+        let s = self.slot_of[r as usize];
+        if s != NO_SLOT && s as usize >= done && !self.work[r as usize] {
+            self.work[r as usize] = true;
+            self.pending.push(Reverse((s, r)));
+        }
+    }
+
+    /// The first slot at or after `done` whose round has work or pops
+    /// after `top`: the next round a merge cannot jump.
+    fn next_stop(&mut self, done: usize, top: Option<(f64, u32)>) -> Option<usize> {
+        while let Some(&Reverse((s, r))) = self.pending.peek() {
+            if self.work[r as usize] && self.slot_of[r as usize] == s {
+                break;
+            }
+            self.pending.pop(); // stale
+        }
+        let work = self.pending.peek().map(|&Reverse((s, _))| s as usize);
+        let end = work.unwrap_or(self.slots());
+        let later = top.and_then(|t| match self.seen {
+            // No round joins the slots mid-pass, so the last search holds
+            // while its round stands and the merge has not passed it.
+            Some((d, seen_top, found))
+                if seen_top == t
+                    && d <= done
+                    && found.is_none_or(|s| s >= done && self.res_at[s] != NO_SLOT) =>
+            {
+                found
+            }
+            _ => {
+                let found = self.seek(done, false, |key| pops_before(t, key));
+                self.seen = Some((done, t, found));
+                found
+            }
+        });
+        later.filter(|&s| s < end).or(work)
+    }
+
+    /// The first slot at or after `s` (`rev`: the last at or before it)
+    /// whose key passes `hit`, where a node's key passes iff one of the
+    /// keys below it does.
+    fn seek(&self, s: usize, rev: bool, hit: impl Fn((f64, u32)) -> bool) -> Option<usize> {
+        let size = self.slots();
+        if s >= size || !hit(self.tree[1]) {
+            return None;
+        }
+        let mut n = size + s;
+        loop {
+            if hit(self.tree[n]) {
+                while n < size {
+                    let first = 2 * n + rev as usize;
+                    n = if hit(self.tree[first]) {
+                        first
+                    } else {
+                        first ^ 1
+                    };
+                }
+                return Some(n - size);
+            }
+            // Climb out of the subtrees this node ends (`rev`: starts),
+            // then step to the neighbouring one.
+            while n & 1 == !rev as usize {
+                n >>= 1;
+            }
+            if n == rev as usize {
+                return None;
+            }
+            n = if rev { n - 1 } else { n + 1 };
+        }
+    }
+
+    /// Log the heap pops of a pass, `(bottleneck, done)` in pop order, each
+    /// after every round in the slots before its `done` and ahead of the
+    /// rest. The pops that fall between the same two logged rounds go in
+    /// together, ahead of the round that follows them: named by its
+    /// bottleneck, as making room moves rounds.
+    fn insert_pops(&mut self, pops: &[(u32, u32)]) {
+        self.seen = None;
+        self.len += pops.len() as u64;
+        let occupied = |key: (f64, u32)| key != EMPTY;
+        self.runs.clear();
+        let mut i = 0;
+        while i < pops.len() {
+            let hi = self.seek(pops[i].1 as usize, false, occupied);
+            i += pops[i..]
+                .iter()
+                .take_while(|p| hi.is_none_or(|hi| p.1 as usize <= hi))
+                .count();
+            self.runs.push((i, hi.map_or(NO_SLOT, |s| self.res_at[s])));
+        }
+        let mut start = 0;
+        for k in 0..self.runs.len() {
+            let (end, next) = self.runs[k];
+            let run = &pops[start..end];
+            start = end;
+            let hi = if next == NO_SLOT {
+                self.slots()
+            } else {
+                self.slot_of[next as usize] as usize
+            };
+            let last = hi.checked_sub(1).and_then(|s| self.seek(s, true, occupied));
+            let lo = last.map_or(0, |s| s + 1);
+            if hi - lo < run.len() {
+                self.make_room(hi, run);
+                continue;
+            }
+            // Evenly over the gap, but no sparser than the array on average.
+            let step = ((hi - lo) / run.len())
+                .min(self.slots() / self.len as usize)
+                .max(1);
+            for (k, &(r, _)) in run.iter().enumerate() {
+                self.put(lo + step / 2 + k * step, r);
+            }
+            self.rebuild(lo, hi - lo);
+        }
+    }
+
+    /// Log `run` ahead of slot `before`, where the free slots do not hold
+    /// it: re-space the smallest aligned window around the gap that stays
+    /// under its density bound (1 for a pair of slots, falling to 1/2 for
+    /// the whole array), or double the array. The usual packed-memory-array
+    /// bounds make this O(log² slots) amortised per round.
+    fn make_room(&mut self, before: usize, run: &[(u32, u32)]) {
+        let n = self.slots();
+        let height = n.max(1).trailing_zeros() as usize;
+        let at = before.saturating_sub(1);
+        let window = (1..=height)
+            .map(|h| (h, 1 << h, at & !((1 << h) - 1)))
+            .find(|&(h, w, a)| {
+                let rounds = (a..a + w).filter(|&s| self.res_at[s] != NO_SLOT).count();
+                (rounds + run.len()) * 2 * height <= w * (2 * height - h)
+            });
+        let (a, w) = window.map_or((0, n), |(_, w, a)| (a, w));
+        let split = before.clamp(a, a + w);
+        self.moved.clear();
+        self.moved
+            .extend(self.res_at[a..split].iter().filter(|&&r| r != NO_SLOT));
+        self.moved.extend(run.iter().map(|&(r, _)| r));
+        self.moved
+            .extend(self.res_at[split..a + w].iter().filter(|&&r| r != NO_SLOT));
+        if window.is_none() {
+            let n = (2 * n)
+                .max(64)
+                .max(2 * self.len as usize)
+                .next_power_of_two();
+            self.res_at = vec![NO_SLOT; n];
+            self.tree = vec![EMPTY; 2 * n];
+            return self.spread(0, n);
+        }
+        self.spread(a, w)
+    }
+
+    /// Lay `moved` out evenly over slots `a..a + w` and rebuild the tree
+    /// above them; a moved round with work waits at its new slot.
+    fn spread(&mut self, a: usize, w: usize) {
+        let n = self.slots();
+        self.res_at[a..a + w].fill(NO_SLOT);
+        self.tree[n + a..n + a + w].fill(EMPTY);
+        let m = self.moved.len();
+        for k in 0..m {
+            let r = self.moved[k];
+            self.put(a + k * w / m, r);
+            if self.work[r as usize] {
+                self.pending.push(Reverse((self.slot_of[r as usize], r)));
+            }
+        }
+        self.rebuild(a, w);
+    }
+
+    /// Put the round of `r` in empty slot `s`, leaving the tree above it
+    /// for [`FreezeLog::rebuild`].
+    fn put(&mut self, s: usize, r: u32) {
+        self.res_at[s] = r;
+        self.slot_of[r as usize] = s as u32;
+        let n = self.slots();
+        self.tree[n + s] = (self.share[r as usize], r);
+    }
+
+    /// Recompute the tree above slots `a..a + w`.
+    fn rebuild(&mut self, a: usize, w: usize) {
+        let n = self.slots();
+        let (mut lo, mut hi) = ((n + a) / 2, (n + a + w - 1) / 2);
+        while lo >= 1 {
+            for i in lo..=hi {
+                self.tree[i] = self.pull(i);
+            }
+            (lo, hi) = (lo / 2, hi / 2);
+        }
+    }
+}
 
 /// Reusable progressive-filling solver.
 ///
@@ -273,27 +508,27 @@ pub struct MaxMinSolver {
     version: Vec<u32>,
     touched: Vec<u32>,
     heap: BinaryHeap<HeapEntry>,
+    /// Materialised resources with a live count: none, and every entry
+    /// left on the heap is stale.
+    live_res: usize,
     /// Statistics: total freeze iterations across calls.
     pub iterations: u64,
-    /// Statistics: water-filling passes executed (full or partial).
+    /// Statistics: water-filling passes executed.
     pub rate_recomputes: u64,
-    /// Statistics: full (non-component) passes among `rate_recomputes`.
-    pub full_recomputes: u64,
     /// Statistics: flows absorbed into an existing coalesced entry.
     pub flows_coalesced: u64,
-    /// Statistics: freeze rounds (of `iterations`) that full passes took
-    /// from the log of the previous full pass instead of the heap.
-    pub replayed_rounds: u64,
-    /// Statistics: resources merged passes built fill state for — the
-    /// resources their change reached (module docs, "Merge replay").
+    /// Statistics: freeze rounds passes visited — heap pops, and logged
+    /// rounds skipped or replayed for a subscriber. The logged rounds a
+    /// pass jumps (module docs, "Merge replay") count in `iterations`
+    /// only.
+    pub visited_rounds: u64,
+    /// Statistics: resources passes built fill state for — the resources
+    /// their change reached (module docs, "Merge replay").
     pub materialised_resources: u64,
-    /// Entries (weighted flow groups) the most recent pass actually
-    /// re-solved — the dirty-component size surfaced in trace events.
-    /// Zero when the last recompute found nothing to do.
+    /// Entries (weighted flow groups) the most recent pass froze from the
+    /// heap, re-deriving their rates — surfaced in trace events. Zero when
+    /// the last recompute found nothing to do.
     pub last_pass_entries: u64,
-    /// Whether the most recent pass covered every live entry (a full pass)
-    /// rather than one dirty component.
-    pub last_pass_full: bool,
     // ---- incremental entry store (see module docs) ----
     // Slot `e` is allocated iff `ent_path[e] != FREE`; freed slots recycle
     // through `free_ents`. An entry is an interned path with a weight: it
@@ -305,18 +540,18 @@ pub struct MaxMinSolver {
     /// The weight the last settle left the entry with — what `res_entries`
     /// and every rate reflect. Zero for an entry no settle has seen yet.
     ent_solved: Vec<u32>,
+    /// The rate of the round that froze the entry (module docs, "Merge
+    /// replay"); `INFINITY` for an empty path, negative before the first
+    /// freeze.
     ent_rate: Vec<f64>,
-    /// The round of the log that froze the entry, `NO_ROUND` if none did.
-    /// During a merge: an index of the new log for entries frozen this
-    /// pass (`ent_mark` at the pass's stamp), of the merged one for the
-    /// others.
+    /// The bottleneck of the round that froze the entry, `NO_ROUND` if no
+    /// logged round did. During a pass the entry is frozen iff a heap pop
+    /// of the pass stamped it in `ent_mark` or its round's slot is behind
+    /// the merge.
     ent_round: Vec<u32>,
     free_ents: Vec<u32>,
     /// Entries with `ent_weight > 0`.
     live_entries: usize,
-    /// Σ `ent_solved` over entries with a non-empty path: the weight a
-    /// full pass freezes.
-    constrained_weight: u64,
     /// Entries inserted into or removed from since the last settle, each
     /// listed once (`ent_changed` is the membership flag).
     changed: Vec<u32>,
@@ -328,83 +563,31 @@ pub struct MaxMinSolver {
     /// Persistent incidence: resource -> settled entries crossing it, one
     /// occurrence per occurrence of the resource on the entry's path.
     res_entries: Vec<Vec<u32>>,
-    /// Resources whose entry set the current settle changed; empty between
-    /// recomputes.
-    dirty_res: Vec<u32>,
-    /// Settle scratch: resources that host an entry being unlinked.
+    /// Settle scratch: resources that host an entry being unlinked, and
+    /// their epoch-stamped marks. A pass stamps `ent_mark` with an epoch
+    /// of its own: "frozen on the heap this pass".
     unlink_res: Vec<u32>,
-    /// Force a full pass on the next recompute (fault churn).
-    pending_full: bool,
-    // Epoch-stamped BFS visit marks and component scratch. A merged pass
-    // stamps `ent_mark` with an epoch of its own: "frozen this pass".
     res_mark: Vec<u32>,
     ent_mark: Vec<u32>,
     epoch: u32,
-    comp_entries: Vec<u32>,
-    comp_res: Vec<u32>,
-    // ---- freeze log of the last full pass (module docs, "Merge replay") ----
-    log_rounds: Vec<LogRound>,
-    log_entries: Vec<u32>,
-    /// The log a pass merges, swapped in from `log_*` at its start.
-    prev_rounds: Vec<LogRound>,
-    prev_entries: Vec<u32>,
-    /// The log describes a full pass over the entry set as it stood then,
-    /// and `taint_res` covers every change since.
-    log_valid: bool,
+    log: FreezeLog,
+    /// The heap pops of the current pass, `(bottleneck, done)` in pop
+    /// order, logged at its end; per resource, the place of its pop in
+    /// the round order, `done << 32` plus its pop number.
+    popped: Vec<(u32, u32)>,
+    pop_key: Vec<u64>,
     /// Tainted resources: flagged in `taint_mark`, listed once each in
     /// `taint_res`. Between passes, the resources perturbed since the
-    /// logged pass (meaningful only while `log_valid`); during a merge,
-    /// also every resource it reached.
+    /// logged pass; during a merge, also every resource it reached.
     taint_mark: Vec<bool>,
     taint_res: Vec<u32>,
-    /// Per merged round: head of its subscription list in `subs`.
+    /// Per pending logged round, by bottleneck: head of its subscription
+    /// list in `subs`.
     sub_head: Vec<u32>,
     subs: Vec<Sub>,
-    /// Materialisation scratch: `(new round, weight)` to catch up on.
-    catch_up: Vec<(u32, u32)>,
-}
-
-/// Replace the lazy heap by every resource of `touched` with a live count,
-/// at its current clamped share and version 0 (heapified in place: O(n),
-/// where n pushes would cost O(n log n)).
-fn heapify_frontier(
-    heap: &mut BinaryHeap<HeapEntry>,
-    touched: &[u32],
-    remaining: &[f64],
-    count: &[u32],
-) {
-    let mut frontier = std::mem::take(heap).into_vec();
-    frontier.clear();
-    frontier.extend(
-        touched
-            .iter()
-            .filter(|&&r| count[r as usize] > 0)
-            .map(|&r| HeapEntry {
-                share: (remaining[r as usize] / count[r as usize] as f64).max(0.0),
-                resource: r,
-                version: 0,
-            }),
-    );
-    *heap = BinaryHeap::from(frontier);
-}
-
-/// Push resource `r` onto the lazy heap at its current clamped share,
-/// invalidating any entry it already has there.
-#[inline]
-fn rekey(
-    heap: &mut BinaryHeap<HeapEntry>,
-    version: &mut [u32],
-    remaining: &[f64],
-    count: &[u32],
-    r: u32,
-) {
-    let ri = r as usize;
-    version[ri] += 1;
-    heap.push(HeapEntry {
-        share: (remaining[ri] / count[ri] as f64).max(0.0),
-        resource: r,
-        version: version[ri],
-    });
+    /// Materialisation scratch: `(place in the round order, bottleneck,
+    /// weight)` to catch up on.
+    catch_up: Vec<(u64, u32, u32)>,
 }
 
 impl MaxMinSolver {
@@ -434,14 +617,13 @@ impl MaxMinSolver {
             version: vec![0; r],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            live_res: 0,
             iterations: 0,
             rate_recomputes: 0,
-            full_recomputes: 0,
             flows_coalesced: 0,
-            replayed_rounds: 0,
+            visited_rounds: 0,
             materialised_resources: 0,
             last_pass_entries: 0,
-            last_pass_full: false,
             ent_path: Vec::new(),
             ent_weight: Vec::new(),
             ent_solved: Vec::new(),
@@ -449,27 +631,20 @@ impl MaxMinSolver {
             ent_round: Vec::new(),
             free_ents: Vec::new(),
             live_entries: 0,
-            constrained_weight: 0,
             changed: Vec::new(),
             ent_changed: Vec::new(),
             entry_of_path: Vec::new(),
             res_entries: vec![Vec::new(); r],
-            dirty_res: Vec::new(),
             unlink_res: Vec::new(),
-            pending_full: false,
             res_mark: vec![0; r],
             ent_mark: Vec::new(),
             epoch: 0,
-            comp_entries: Vec::new(),
-            comp_res: Vec::new(),
-            log_rounds: Vec::new(),
-            log_entries: Vec::new(),
-            prev_rounds: Vec::new(),
-            prev_entries: Vec::new(),
-            log_valid: false,
+            log: FreezeLog::new(r),
+            popped: Vec::new(),
+            pop_key: vec![0; r],
             taint_mark: vec![false; r],
             taint_res: Vec::new(),
-            sub_head: Vec::new(),
+            sub_head: vec![NO_SUB; r],
             subs: Vec::new(),
             catch_up: Vec::new(),
         })
@@ -503,8 +678,7 @@ impl MaxMinSolver {
                 self.insert_entry(&table, path)
             })
             .collect();
-        self.invalidate_all();
-        self.recompute(&table, 0.0);
+        self.recompute(&table);
         for (rate, &e) in rates.iter_mut().zip(&ids) {
             *rate = self.entry_rate(e);
         }
@@ -571,7 +745,6 @@ impl MaxMinSolver {
             -1.0
         };
         self.ent_round[ei] = NO_ROUND;
-        self.ent_mark[ei] = 0;
         if self.entry_of_path.len() <= pi {
             self.entry_of_path.resize(paths.len(), NO_ENTRY);
         }
@@ -600,7 +773,7 @@ impl MaxMinSolver {
         }
     }
 
-    /// Start a fresh generation of the BFS / unlink visit marks.
+    /// Start a fresh generation of the unlink and freeze marks.
     fn bump_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -611,10 +784,10 @@ impl MaxMinSolver {
         self.epoch
     }
 
-    /// Reconcile the incidence lists, the coalescing index and `dirty_res`
-    /// with every weight change since the last recompute (module docs,
+    /// Reconcile the incidence lists, the coalescing index and the taint
+    /// set with every weight change since the last recompute (module docs,
     /// "Deferred settle"). An entry back at its settled weight costs one
-    /// comparison; any other dirties the resources of its path, is linked
+    /// comparison; any other taints the resources of its path, is linked
     /// if no settle has seen it yet, and is unlinked and freed if it ended
     /// at zero — per touched resource with one `retain`, so a batch that
     /// retires k entries sharing a link is O(k), not O(k²).
@@ -633,9 +806,9 @@ impl MaxMinSolver {
             entry_of_path,
             res_entries,
             res_mark,
-            dirty_res,
             unlink_res,
-            constrained_weight,
+            taint_mark,
+            taint_res,
             ..
         } = self;
         for e in changed.drain(..) {
@@ -644,10 +817,11 @@ impl MaxMinSolver {
             let (weight, solved) = (ent_weight[ei], ent_solved[ei]);
             if weight != solved {
                 let path = paths.get(ent_path[ei]);
-                if !path.is_empty() {
-                    *constrained_weight = *constrained_weight + weight as u64 - solved as u64;
+                for &r in path {
+                    if !std::mem::replace(&mut taint_mark[r as usize], true) {
+                        taint_res.push(r);
+                    }
                 }
-                dirty_res.extend_from_slice(path);
                 if solved == 0 {
                     for &r in path {
                         res_entries[r as usize].push(e);
@@ -664,7 +838,7 @@ impl MaxMinSolver {
             }
             if weight == 0 {
                 // Free the slot. A retired entry's id is recycled only
-                // now, as its path is dirtied; one inserted and removed
+                // now, as its path is tainted; one inserted and removed
                 // again unseen was never linked or logged.
                 let pi = ent_path[ei].0 as usize;
                 if entry_of_path.get(pi) == Some(&e) {
@@ -680,317 +854,57 @@ impl MaxMinSolver {
         }
     }
 
-    /// Degrade the next [`MaxMinSolver::recompute`] to a full pass over
-    /// every live entry. Coalesced groups survive (their path identity is
-    /// unchanged); callers rerouting flows must `remove_entry` +
-    /// `insert_entry` them individually.
-    pub fn invalidate_all(&mut self) {
-        self.pending_full = true;
-    }
-
-    /// Recompute the rates of every entry affected by inserts/removals
-    /// since the last call. Only the connected component(s) of the sharing
-    /// graph reached from the changed resources are re-solved — unless the
-    /// region exceeds `full_threshold` (a fraction of the live entries,
-    /// `0.0..=1.0`; `0.0` forces a full pass whenever anything changed) or
-    /// [`MaxMinSolver::invalidate_all`] was called, which fall back to a
-    /// full pass. Rates are bit-identical to textbook progressive filling
-    /// over the same flow multiset either way. `paths` must be the table
-    /// every inserted [`PathId`] came from.
-    pub fn recompute(&mut self, paths: &PathTable, full_threshold: f64) {
+    /// Bring every entry rate up to date with the inserts and removals
+    /// since the last call: one pass, merged with the log of the last one,
+    /// whose cost is the rounds and resources the change reaches (module
+    /// docs, "Merge replay"). Returns without a pass when nothing changed
+    /// net. Rates are bit-identical to textbook progressive filling over
+    /// the same flow multiset. `paths` must be the table every inserted
+    /// [`PathId`] came from.
+    pub fn recompute(&mut self, paths: &PathTable) {
         self.last_pass_entries = 0;
-        self.last_pass_full = false;
         self.settle(paths);
-        if self.pending_full {
-            // The dirty set is dropped unseen, so the log can no longer be
-            // checked against it: this pass runs from scratch and re-logs.
-            self.pending_full = false;
-            self.dirty_res.clear();
-            self.log_valid = false;
-            self.full_pass(paths);
-            return;
-        }
-        if self.dirty_res.is_empty() {
-            return; // no net change: every entry rate is still current
-        }
-        // BFS closure of the dirty resources over the sharing graph:
-        // resources -> entries crossing them -> those entries' resources.
-        let epoch = self.bump_epoch();
-        self.comp_entries.clear();
-        self.comp_res.clear();
-        // Past this many entries the dirty region is no cheaper than a
-        // full pass — stop expanding the closure as soon as it is crossed
-        // instead of walking the rest of a (possibly giant) component.
-        let limit = (full_threshold * self.live_entries as f64) as usize;
-        let mut oversized = false;
+        if self
+            .taint_res
+            .iter()
+            .all(|&r| self.res_entries[r as usize].is_empty())
         {
-            let MaxMinSolver {
-                res_entries,
-                ent_path,
-                res_mark,
-                ent_mark,
-                dirty_res,
-                comp_entries,
-                comp_res,
-                log_valid,
-                taint_mark,
-                taint_res,
-                ..
-            } = self;
-            for &r in dirty_res.iter() {
-                let ri = r as usize;
-                if res_mark[ri] != epoch {
-                    res_mark[ri] = epoch;
-                    comp_res.push(r);
-                    if *log_valid && !taint_mark[ri] {
-                        taint_mark[ri] = true;
-                        taint_res.push(r);
-                    }
+            // No live flow crosses what changed, so no rate moves: only the
+            // rounds the departed flows froze leave the log.
+            for r in self.taint_res.drain(..) {
+                self.taint_mark[r as usize] = false;
+                if self.log.slot_of[r as usize] != NO_SLOT {
+                    self.log.remove(r);
                 }
             }
-            dirty_res.clear();
-            let mut cur = 0;
-            while cur < comp_res.len() && !oversized {
-                let r = comp_res[cur] as usize;
-                cur += 1;
-                for &e in &res_entries[r] {
-                    let ei = e as usize;
-                    if ent_mark[ei] == epoch {
-                        continue;
-                    }
-                    ent_mark[ei] = epoch;
-                    comp_entries.push(e);
-                    if comp_entries.len() > limit {
-                        oversized = true;
-                        break;
-                    }
-                    for &r2 in paths.get(ent_path[ei]) {
-                        let r2i = r2 as usize;
-                        if res_mark[r2i] != epoch {
-                            res_mark[r2i] = epoch;
-                            comp_res.push(r2);
-                        }
-                    }
-                }
-            }
-        }
-        if self.comp_entries.is_empty() {
-            return; // pure departures: nothing left in the dirty region
-        }
-        if oversized {
-            self.full_pass(paths);
-        } else {
-            self.waterfill(paths);
-        }
-    }
-
-    /// Run a full pass over every live entry: merged with the log of the
-    /// previous full pass when that log is valid, from scratch otherwise.
-    fn full_pass(&mut self, paths: &PathTable) {
-        // Called after a settle: every allocated slot is linked and live.
-        let live = self.ent_path.len() - self.free_ents.len();
-        if live == 0 {
             return;
         }
-        self.full_recomputes += 1;
-        self.last_pass_full = true;
-        if self.log_valid {
-            self.merge_pass(paths, live);
-        } else {
-            self.comp_entries.clear();
-            for (e, &p) in self.ent_path.iter().enumerate() {
-                if p != FREE {
-                    self.comp_entries.push(e as u32);
-                }
-            }
-            self.waterfill(paths);
-        }
-    }
-
-    /// Forget the per-resource fill state of the previous pass: every
-    /// resource outside `touched` has a zero `count` and `version`.
-    fn reset_scratch(&mut self) {
+        self.rate_recomputes += 1;
         for &r in &self.touched {
             self.count[r as usize] = 0;
             self.version[r as usize] = 0;
         }
         self.touched.clear();
-        self.heap.clear();
-    }
-
-    /// Reset the per-resource scratch and run pass 1 over `comp_entries`:
-    /// weighted flow counts per resource, `remaining = capacity`, every
-    /// constrained entry unfrozen. Returns `(total weight, weight already
-    /// frozen)` — unconstrained entries are rated `INFINITY` on the spot.
-    fn begin_pass(&mut self, paths: &PathTable) -> (u64, u64) {
-        self.reset_scratch();
-        let MaxMinSolver {
-            capacity,
-            remaining,
-            count,
-            touched,
-            ent_path,
-            ent_weight,
-            ent_rate,
-            comp_entries,
-            ..
-        } = self;
-        let (mut total_weight, mut frozen) = (0u64, 0u64);
-        for &e in comp_entries.iter() {
-            let ei = e as usize;
-            let w = ent_weight[ei];
-            total_weight += w as u64;
-            let path = paths.get(ent_path[ei]);
-            if path.is_empty() {
-                ent_rate[ei] = f64::INFINITY;
-                frozen += w as u64;
-                continue;
-            }
-            ent_rate[ei] = -1.0;
-            for &r in path {
-                let ri = r as usize;
-                if count[ri] == 0 {
-                    touched.push(r);
-                    remaining[ri] = capacity[ri];
-                }
-                count[ri] += w;
-            }
-        }
-        debug_assert!(
-            !self.last_pass_full || total_weight - frozen == self.constrained_weight,
-            "constrained_weight tracks the weight a full pass freezes"
-        );
-        (total_weight, frozen)
-    }
-
-    /// Water-fill the entries listed in `comp_entries`, writing their
-    /// rates: the heap freeze loop over the persistent `res_entries`
-    /// incidence. Weighted entries subtract their share once per unit of
-    /// weight so the floating-point trajectory matches that many separate
-    /// flows bit-for-bit.
-    ///
-    /// A full pass run here (no valid log to merge) logs its freeze order
-    /// for the next one; a component-local pass leaves the log and the
-    /// taint set alone (module docs, "Merge replay").
-    fn waterfill(&mut self, paths: &PathTable) {
-        self.rate_recomputes += 1;
-        self.last_pass_entries = self.comp_entries.len() as u64;
-        let (total_weight, mut frozen) = self.begin_pass(paths);
-
-        let full = self.last_pass_full;
-        if full {
-            self.log_rounds.clear();
-            self.log_entries.clear();
-        }
-        let MaxMinSolver {
-            remaining,
-            count,
-            version,
-            touched,
-            heap,
-            iterations,
-            ent_path,
-            ent_weight,
-            ent_rate,
-            ent_round,
-            res_entries,
-            log_rounds,
-            log_entries,
-            log_valid,
-            taint_mark,
-            taint_res,
-            ..
-        } = self;
-
-        heapify_frontier(heap, touched, remaining, count);
-
-        // Progressive filling over the component's entries. Resources in
-        // `touched` only host entries from `comp_entries` (BFS closure), so
-        // the loop never sees a stale outside rate.
-        while frozen < total_weight {
-            let Some(entry) = heap.pop() else {
-                break; // numerically everything frozen
-            };
-            let r = entry.resource as usize;
-            if entry.version != version[r] || count[r] == 0 {
-                continue; // stale
-            }
-            let share = entry.share;
-            *iterations += 1;
-            let round = log_rounds.len() as u32;
-            let mut round_weight = 0u64;
-            for &e in &res_entries[r] {
-                let ei = e as usize;
-                if ent_rate[ei] >= 0.0 {
-                    continue; // already frozen by an earlier bottleneck
-                }
-                ent_rate[ei] = share;
-                let w = ent_weight[ei];
-                frozen += w as u64;
-                if full {
-                    ent_round[ei] = round;
-                    log_entries.push(e);
-                    round_weight += w as u64;
-                }
-                for &r2 in paths.get(ent_path[ei]) {
-                    let r2i = r2 as usize;
-                    count[r2i] -= w;
-                    for _ in 0..w {
-                        remaining[r2i] -= share;
-                    }
-                    if r2i != r && count[r2i] > 0 {
-                        rekey(heap, version, remaining, count, r2);
-                    }
-                }
-            }
-            debug_assert_eq!(count[r], 0, "bottleneck must fully drain");
-            version[r] += 1;
-            if full {
-                log_rounds.push(LogRound {
-                    share,
-                    weight: round_weight,
-                    bottleneck: entry.resource,
-                    end: log_entries.len() as u32,
-                });
-            }
-        }
-
-        if full {
-            *log_valid = true;
-            for r in taint_res.drain(..) {
-                taint_mark[r as usize] = false;
-            }
-        }
-    }
-
-    /// A full pass of `live` entries merged with the freeze log of the
-    /// previous full pass (module docs, "Merge replay"). Only tainted
-    /// resources get fill state, materialised when first tainted; a
-    /// replayed round writes its entries' rates and applies its share to
-    /// the resources subscribed to it, and walks no path.
-    fn merge_pass(&mut self, paths: &PathTable, live: usize) {
-        self.rate_recomputes += 1;
-        self.last_pass_entries = live as u64;
-        // `ent_mark == stamp`: frozen this pass. `ent_round` then indexes
-        // the new log, and the old one for every other entry.
-        let stamp = self.bump_epoch();
-        self.reset_scratch();
-        std::mem::swap(&mut self.log_rounds, &mut self.prev_rounds);
-        std::mem::swap(&mut self.log_entries, &mut self.prev_entries);
-        self.log_rounds.clear();
-        self.log_entries.clear();
         self.subs.clear();
-        self.sub_head.clear();
-        self.sub_head.resize(self.prev_rounds.len(), NO_SUB);
+        self.live_res = 0;
+        self.bump_epoch();
         for i in 0..self.taint_res.len() {
-            self.materialise(self.taint_res[i], 0, stamp);
+            self.log.flag(self.taint_res[i], 0);
+            self.materialise(self.taint_res[i], 0);
         }
-        heapify_frontier(&mut self.heap, &self.touched, &self.remaining, &self.count);
+        // Heapified in place: O(n), where n pushes would cost O(n log n).
+        let mut frontier = std::mem::take(&mut self.heap).into_vec();
+        frontier.clear();
+        let live = self.touched.iter().filter(|&&r| self.count[r as usize] > 0);
+        frontier.extend(live.map(|&r| self.heap_entry(r)));
+        self.heap = BinaryHeap::from(frontier);
 
-        let total_weight = self.constrained_weight;
-        let mut frozen = 0u64;
-        let (mut next, mut start) = (0usize, 0usize); // next logged round, its first entry
-        while frozen < total_weight {
+        // Every round in slots before `done` is behind the merge.
+        let mut done = 0;
+        loop {
+            if self.live_res == 0 {
+                self.heap.clear(); // every entry left is stale
+            }
             while let Some(top) = self.heap.peek() {
                 let r = top.resource as usize;
                 if top.version == self.version[r] && self.count[r] > 0 {
@@ -999,150 +913,188 @@ impl MaxMinSolver {
                 self.heap.pop(); // stale
             }
             let top = self.heap.peek().map(|h| (h.share, h.resource));
-            let logged = self.prev_rounds.get(next).copied().filter(|round| {
-                top.is_none_or(|t| pops_before((round.share, round.bottleneck), t))
-            });
-            if let Some(round) = logged {
-                let (j, end) = (next, round.end as usize);
-                next += 1;
-                if self.taint_mark[round.bottleneck as usize] {
-                    // Skipped: its entries freeze elsewhere, so taint every
-                    // resource they would have subtracted from. Its
-                    // subscriptions never fire.
-                    for i in start..end {
-                        let path = self.ent_path[self.prev_entries[i] as usize];
-                        if path != FREE {
-                            for &r in paths.get(path) {
-                                if self.taint(r, next, stamp) {
-                                    self.rekey(r);
-                                }
-                            }
-                        }
-                    }
-                    start = end;
-                    continue;
+            // Every logged round before `stop` is jumped: replayed as it
+            // stands, with no subscriber to feed and no heap pop ahead.
+            let stop = self.log.next_stop(done, top);
+            let heap_first =
+                top.is_some_and(|t| stop.is_none_or(|s| pops_before(t, self.log.key(s))));
+            match stop {
+                _ if heap_first => {
+                    // Every round before the stop is passed: jumped.
+                    done = stop.unwrap_or(self.log.slots());
+                    self.heap_round(paths, done);
                 }
-                // Replayed: the textbook's next pop, applied as logged.
-                self.iterations += 1;
-                self.replayed_rounds += 1;
-                let k = self.log_rounds.len() as u32;
-                for &e in &self.prev_entries[start..end] {
-                    let ei = e as usize;
-                    debug_assert_ne!(self.ent_mark[ei], stamp, "a replayed entry is unfrozen");
-                    self.ent_mark[ei] = stamp;
-                    self.ent_rate[ei] = round.share;
-                    self.ent_round[ei] = k;
-                }
-                frozen += round.weight;
-                let mut s = self.sub_head[j];
-                while s != NO_SUB {
-                    let Sub { res, weight, next } = self.subs[s as usize];
-                    let ri = res as usize;
-                    self.count[ri] -= weight;
-                    for _ in 0..weight {
-                        self.remaining[ri] -= round.share;
-                    }
-                    if self.count[ri] > 0 {
-                        self.rekey(res);
-                    }
-                    s = next;
-                }
-                self.log_entries
-                    .extend_from_slice(&self.prev_entries[start..end]);
-                self.log_rounds.push(LogRound {
-                    end: self.log_entries.len() as u32,
-                    ..round
-                });
-                start = end;
-                continue;
+                Some(s) => done = self.logged_round(paths, s),
+                None => break,
             }
-
-            // Heap pop: a textbook freeze round at the current share. It is
-            // logged before it is filled, so a resource materialised during
-            // the round can catch up on the entries frozen so far.
-            let Some(entry) = self.heap.pop() else {
-                break; // numerically everything frozen
-            };
-            let (r, share) = (entry.resource, entry.share);
-            self.iterations += 1;
-            let k = self.log_rounds.len();
-            self.log_rounds.push(LogRound {
-                share,
-                weight: 0,
-                bottleneck: r,
-                end: 0,
-            });
-            let mut round_weight = 0u64;
-            for i in 0..self.res_entries[r as usize].len() {
-                let e = self.res_entries[r as usize][i];
-                let ei = e as usize;
-                if self.ent_mark[ei] == stamp {
-                    continue; // already frozen by an earlier bottleneck
-                }
-                let w = self.ent_weight[ei];
-                round_weight += w as u64;
-                for &r2 in paths.get(self.ent_path[ei]) {
-                    // Tainted while `e` is still unfrozen: a resource this
-                    // materialises counts it, and then receives it here.
-                    self.taint(r2, next, stamp);
-                    let r2i = r2 as usize;
-                    self.count[r2i] -= w;
-                    for _ in 0..w {
-                        self.remaining[r2i] -= share;
-                    }
-                    if r2 != r && self.count[r2i] > 0 {
-                        self.rekey(r2);
-                    }
-                }
-                self.ent_mark[ei] = stamp;
-                self.ent_rate[ei] = share;
-                self.ent_round[ei] = k as u32;
-                self.log_entries.push(e);
-            }
-            debug_assert_eq!(self.count[r as usize], 0, "bottleneck must fully drain");
-            self.version[r as usize] += 1;
-            frozen += round_weight;
-            self.log_rounds[k].weight = round_weight;
-            self.log_rounds[k].end = self.log_entries.len() as u32;
         }
-
-        self.log_valid = true;
+        self.log.insert_pops(&self.popped);
+        self.popped.clear();
+        self.iterations += self.log.len;
         for r in self.taint_res.drain(..) {
             self.taint_mark[r as usize] = false;
         }
     }
 
-    /// [`rekey`] on the solver's own heap and fill state.
-    fn rekey(&mut self, r: u32) {
-        rekey(
-            &mut self.heap,
-            &mut self.version,
-            &self.remaining,
-            &self.count,
-            r,
-        );
+    /// Visit the logged round in slot `s`, the merge's next stop. Returns
+    /// the new `done`.
+    fn logged_round(&mut self, paths: &PathTable, s: usize) -> usize {
+        let done = s + 1;
+        let b = self.log.res_at[s];
+        self.visited_rounds += 1;
+        let mut sub = std::mem::replace(&mut self.sub_head[b as usize], NO_SUB);
+        if self.taint_mark[b as usize] {
+            // Skipped: its entries freeze elsewhere, so taint every
+            // resource they would have subtracted from. Its subscriptions
+            // never fire.
+            self.log.remove(b);
+            for i in 0..self.res_entries[b as usize].len() {
+                let ei = self.res_entries[b as usize][i] as usize;
+                if self.ent_round[ei] == b {
+                    self.ent_round[ei] = NO_ROUND;
+                    for &r in paths.get(self.ent_path[ei]) {
+                        if self.taint(r, done) {
+                            self.rekey(r);
+                        }
+                    }
+                }
+            }
+            return done;
+        }
+        // Replayed: the textbook's next pop, fed to its subscribers.
+        self.log.work[b as usize] = false;
+        let share = self.log.share[b as usize];
+        while sub != NO_SUB {
+            let Sub { res, weight, next } = self.subs[sub as usize];
+            let ri = res as usize;
+            self.count[ri] -= weight;
+            for _ in 0..weight {
+                self.remaining[ri] -= share;
+            }
+            if self.count[ri] == 0 {
+                self.live_res -= 1;
+            } else {
+                self.rekey(res);
+            }
+            sub = next;
+        }
+        done
     }
 
-    /// Taint `r` in the middle of a merge whose next logged round is
-    /// `next`, materialising it if it was untainted. Returns whether it
+    /// Pop the heap top: a textbook freeze round at its share, ordered
+    /// after every round behind the merge and ahead of the rest. It is
+    /// ordered before it is filled, so a resource materialised during the
+    /// round catches up on the entries frozen so far.
+    fn heap_round(&mut self, paths: &PathTable, done: usize) {
+        let entry = self.heap.pop().expect("peeked");
+        let (t, share) = (entry.resource, entry.share);
+        let ti = t as usize;
+        self.visited_rounds += 1;
+        if self.log.slot_of[ti] != NO_SLOT {
+            // Its logged round is pending (a passed one would have drained
+            // it) and tainted: the entries it would freeze freeze here.
+            self.log.remove(t);
+            self.sub_head[ti] = NO_SUB;
+            for &e in &self.res_entries[ti] {
+                if self.ent_round[e as usize] == t {
+                    self.ent_round[e as usize] = NO_ROUND;
+                }
+            }
+        }
+        self.log.share[ti] = share;
+        self.pop_key[ti] = (done as u64) << 32 | (self.popped.len() as u64 + 1);
+        self.popped.push((t, done as u32));
+        for i in 0..self.res_entries[ti].len() {
+            let e = self.res_entries[ti][i];
+            let ei = e as usize;
+            if self.frozen(e, done).is_some() {
+                continue; // already frozen by an earlier bottleneck
+            }
+            let w = self.ent_weight[ei];
+            for &r2 in paths.get(self.ent_path[ei]) {
+                let r2i = r2 as usize;
+                if !self.taint_mark[r2i] && self.res_entries[r2i].len() == 1 {
+                    // `e` is its only entry and freezes here: no fill state.
+                    self.taint_mark[r2i] = true;
+                    self.taint_res.push(r2);
+                    self.log.flag(r2, done);
+                    continue;
+                }
+                // Tainted while `e` is still unfrozen: a resource this
+                // materialises counts it, and then receives it here.
+                self.taint(r2, done);
+                self.count[r2i] -= w;
+                for _ in 0..w {
+                    self.remaining[r2i] -= share;
+                }
+                if self.count[r2i] == 0 {
+                    self.live_res -= 1;
+                } else if r2 != t {
+                    self.rekey(r2);
+                }
+            }
+            self.ent_mark[ei] = self.epoch;
+            self.ent_rate[ei] = share;
+            self.ent_round[ei] = t;
+            self.last_pass_entries += 1;
+        }
+        debug_assert_eq!(self.count[ti], 0, "bottleneck must fully drain");
+        self.version[ti] += 1;
+    }
+
+    /// The place in the round order of the round that froze entry `e`, if
+    /// the merge has passed it with the slots before `done`.
+    fn frozen(&self, e: u32, done: usize) -> Option<u64> {
+        let (ei, b) = (e as usize, self.ent_round[e as usize]);
+        if self.ent_mark[ei] == self.epoch {
+            return Some(self.pop_key[b as usize]);
+        }
+        let s = if b == NO_ROUND {
+            NO_SLOT
+        } else {
+            self.log.slot_of[b as usize]
+        };
+        ((s as usize) < done).then_some((s as u64 + 1) << 32)
+    }
+
+    /// Heap entry of materialised resource `r` at its clamped share.
+    fn heap_entry(&self, r: u32) -> HeapEntry {
+        let ri = r as usize;
+        HeapEntry {
+            share: (self.remaining[ri] / self.count[ri] as f64).max(0.0),
+            resource: r,
+            version: self.version[ri],
+        }
+    }
+
+    /// Push `r` onto the lazy heap at its current share, invalidating any
+    /// entry it already has there.
+    fn rekey(&mut self, r: u32) {
+        self.version[r as usize] += 1;
+        self.heap.push(self.heap_entry(r));
+    }
+
+    /// Taint `r` in the middle of a merge that has passed the slots before
+    /// `done`, materialising it if it was untainted. Returns whether it
     /// was materialised with a live count, for the caller to put on the
     /// heap.
-    fn taint(&mut self, r: u32, next: usize, stamp: u32) -> bool {
+    fn taint(&mut self, r: u32, done: usize) -> bool {
         if std::mem::replace(&mut self.taint_mark[r as usize], true) {
             return false;
         }
         self.taint_res.push(r);
-        self.materialise(r, next, stamp)
+        self.log.flag(r, done);
+        self.materialise(r, done)
     }
 
     /// Give tainted resource `r` the fill state the textbook has for it
-    /// before logged round `next` of the merge: `count` is the weight of
-    /// its unfrozen entries, and `remaining` is `capacity` minus the shares
-    /// of its frozen entries, subtracted in round order as the textbook
-    /// subtracted them. Each unfrozen entry with a pending logged round
-    /// subscribes `r` to it. Returns whether `r` has a live count, which
-    /// the caller puts on the heap.
-    fn materialise(&mut self, r: u32, next: usize, stamp: u32) -> bool {
+    /// once the merge has passed the slots before `done`: `count` is the
+    /// weight of its unfrozen entries, and `remaining` is `capacity` minus
+    /// the shares of its frozen entries, subtracted in round order as the
+    /// textbook subtracted them. Each unfrozen entry with a pending logged
+    /// round subscribes `r` to it, which makes the round work. Returns
+    /// whether `r` has a live count, which the caller puts on the heap.
+    fn materialise(&mut self, r: u32, done: usize) -> bool {
         let ri = r as usize;
         self.materialised_resources += 1;
         self.touched.push(r);
@@ -1150,34 +1102,34 @@ impl MaxMinSolver {
         let mut count = 0;
         for &e in &self.res_entries[ri] {
             let ei = e as usize;
-            let (w, round) = (self.ent_weight[ei], self.ent_round[ei]);
-            if self.ent_mark[ei] == stamp {
-                self.catch_up.push((round, w));
+            let (w, b) = (self.ent_weight[ei], self.ent_round[ei]);
+            if let Some(key) = self.frozen(e, done) {
+                self.catch_up.push((key, b, w));
                 continue;
             }
             count += w;
-            // A round before `next` was skipped, as every replayed one
-            // froze its entries: this entry freezes on the heap.
-            if round != NO_ROUND && round as usize >= next {
-                let head = &mut self.sub_head[round as usize];
+            if b != NO_ROUND && self.log.slot_of[b as usize] != NO_SLOT {
+                let head = &mut self.sub_head[b as usize];
                 self.subs.push(Sub {
                     res: r,
                     weight: w,
                     next: *head,
                 });
                 *head = (self.subs.len() - 1) as u32;
+                self.log.flag(b, done);
             }
         }
-        self.catch_up.sort_unstable_by_key(|&(round, _)| round);
+        self.catch_up.sort_unstable_by_key(|&(key, ..)| key);
         let mut remaining = self.capacity[ri];
-        for &(round, w) in &self.catch_up {
-            let share = self.log_rounds[round as usize].share;
+        for &(_, b, w) in &self.catch_up {
+            let share = self.log.share[b as usize];
             for _ in 0..w {
                 remaining -= share;
             }
         }
         self.remaining[ri] = remaining;
         self.count[ri] = count;
+        self.live_res += (count > 0) as usize;
         count > 0
     }
 
@@ -1219,10 +1171,9 @@ mod tests {
         state.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// A solver driven through the replaying path (threshold 0: every
-    /// recompute that finds a change is a full pass), held after every
-    /// recompute to textbook progressive filling over its live flows:
-    /// bit-equal rates, and as many freeze rounds as the textbook counts.
+    /// A solver held after every recompute to textbook progressive filling
+    /// over its live flows: bit-equal rates, and as many freeze rounds as
+    /// the textbook counts whenever a pass ran.
     struct Twin {
         table: PathTable,
         caps: Vec<f64>,
@@ -1253,23 +1204,20 @@ mod tests {
             self.live.swap_remove(i);
         }
 
-        /// Recompute and check; returns the rounds the solver replayed.
+        /// Recompute and check; returns the rounds the pass visited.
         fn recompute(&mut self) -> u64 {
-            let before = (self.fast.replayed_rounds, self.fast.iterations);
-            self.fast.recompute(&self.table, 0.0);
+            let s = &mut self.fast;
+            let before = (s.visited_rounds, s.iterations, s.rate_recomputes);
+            s.recompute(&self.table);
             let paths: Vec<&[u32]> = self.live.iter().map(|(_, p)| p.as_slice()).collect();
             let (rates, rounds) = textbook_maxmin(&self.caps, &paths);
-            if self.fast.last_pass_full {
-                assert_eq!(self.fast.iterations - before.1, rounds);
+            if s.rate_recomputes > before.2 {
+                assert_eq!(s.iterations - before.1, rounds);
             }
             for (&(e, _), want) in self.live.iter().zip(&rates) {
-                assert_eq!(
-                    self.fast.entry_rate(e).to_bits(),
-                    want.to_bits(),
-                    "entry {e}"
-                );
+                assert_eq!(s.entry_rate(e).to_bits(), want.to_bits(), "entry {e}");
             }
-            self.fast.replayed_rounds - before.0
+            s.visited_rounds - before.0
         }
 
         fn max_rate_entry(&self) -> u32 {
@@ -1294,7 +1242,7 @@ mod tests {
             t.insert(&[1, 2]),
             t.insert(&[2]),
         ];
-        assert_eq!(t.recompute(), 0, "nothing to replay on the first pass");
+        assert_eq!(t.recompute(), 3, "the first pass pops every round");
         assert_eq!(t.fast.iterations, 3);
         assert_eq!(t.fast.entry_rate(ids[3]), 25.0);
         (t, ids)
@@ -1304,31 +1252,37 @@ mod tests {
     fn removing_the_fastest_entry_replays_every_round_but_the_last() {
         let (mut t, ids) = chain();
         t.remove(ids[3]);
+        // r1's round is replayed for r2, which C crosses, and r2's is
+        // skipped; r0's is jumped. Nothing is frozen on the heap.
         assert_eq!(t.recompute(), 2);
-        // The drained last bottleneck leaves no tail at all.
         assert_eq!(t.fast.iterations, 5);
-        assert_eq!(t.fast.full_recomputes, 2);
-        assert!(t.fast.last_pass_full);
-        assert_eq!(t.fast.last_pass_entries, 3);
+        assert_eq!(t.fast.rate_recomputes, 2);
+        assert_eq!(t.fast.last_pass_entries, 0);
+        assert_eq!(logged_bottlenecks(&t.fast), [0, 1]);
     }
 
     /// Bottlenecks of the current log, in pop order.
     fn logged_bottlenecks(s: &MaxMinSolver) -> Vec<u32> {
-        s.log_rounds.iter().map(|r| r.bottleneck).collect()
+        s.log
+            .res_at
+            .iter()
+            .copied()
+            .filter(|&r| r != NO_SLOT)
+            .collect()
     }
 
     #[test]
     fn an_insert_undercutting_the_first_bottleneck_replays_every_old_round() {
         let (mut t, _) = chain();
         // Capacity 1 < the first logged share of 5: the heap pops r3 ahead
-        // of the log, and no old round crosses r3.
+        // of the log, and every old round is jumped.
         let e = t.insert(&[3]);
-        assert_eq!(t.recompute(), 3);
+        assert_eq!(t.recompute(), 1);
         assert_eq!(t.fast.entry_rate(e), 1.0);
         assert_eq!(logged_bottlenecks(&t.fast), [3, 0, 1, 2]);
         // A third flow on r2 (40 / 3 < 15) pops r2 from the heap ahead of
         // r1's round and freezes C there, which taints r1: the rounds of
-        // r3 and r0 replay, those of r1 and r2 are skipped.
+        // r3 and r0 are jumped, r1's is skipped and r2's is dropped.
         t.insert(&[2]);
         assert_eq!(t.recompute(), 2);
         assert_eq!(logged_bottlenecks(&t.fast), [3, 0, 2]);
@@ -1337,8 +1291,8 @@ mod tests {
     #[test]
     fn a_perturbed_tie_pops_ahead_of_the_logged_round_only_from_a_lower_id() {
         // Logged round: (5, r1). A perturbed resource also at share 5
-        // pops first iff its id is lower; the logged round replays either
-        // way.
+        // pops first iff its id is lower; the logged round is jumped
+        // either way.
         for (path, order) in [([0u32], [0, 1]), ([2u32], [1, 2])] {
             let mut t = Twin::new(&[5.0, 10.0, 5.0]);
             t.insert(&[1]);
@@ -1370,71 +1324,17 @@ mod tests {
         assert_eq!(t.recompute(), 2);
         assert_eq!(logged_bottlenecks(&t.fast), [0, 2, 3]);
         assert_eq!(t.insert(&[1, 3]), b);
-        // (10, r0) and (30, r2) replay; the heap pops r1 and r3 at 20 =
-        // 40 / 2 in between, and the stale round of r3 is skipped.
+        // (10, r0) and (30, r2) are jumped; the heap pops r1 and r3 at 20
+        // = 40 / 2 in between, and the stale round of r3 is dropped.
         assert_eq!(t.recompute(), 2);
         assert_eq!(logged_bottlenecks(&t.fast), [0, 1, 3, 2]);
         assert_eq!(t.fast.entry_rate(b), 20.0);
     }
 
-    #[test]
-    fn a_component_pass_keeps_the_log_and_only_an_invalidation_discards_it() {
-        // Three independent pairs, one weight-2 entry each: rounds (5, r0),
-        // (10, r1), (15, r2).
-        let setup = || {
-            let mut s = MaxMinSolver::new(vec![10.0, 20.0, 30.0]).unwrap();
-            let mut table = PathTable::new();
-            let ids: Vec<u32> = [[0u32], [0], [1], [1], [2], [2]]
-                .iter()
-                .map(|p| insert(&mut s, &mut table, p))
-                .collect();
-            s.recompute(&table, 0.0);
-            assert!(s.last_pass_full);
-            (s, table, ids)
-        };
-        // Control: two full passes back to back replay every round but
-        // the one the change reached.
-        let (mut s, table, ids) = setup();
-        s.remove_entry(ids[4]);
-        s.recompute(&table, 0.0);
-        assert_eq!(s.replayed_rounds, 2);
-
-        // A component-local pass in between (threshold 1.0 never degrades)
-        // leaves its dirty r0 tainted: the full pass after it skips the
-        // rounds of r0 and r2 and still replays (10, r1), after the heap
-        // pops r0 at the same share on the lower id.
-        let (mut s, table, ids) = setup();
-        s.remove_entry(ids[0]);
-        s.recompute(&table, 1.0);
-        assert!(!s.last_pass_full);
-        assert_eq!(s.entry_rate(ids[1]), 10.0);
-        s.remove_entry(ids[4]);
-        s.recompute(&table, 0.0);
-        assert!(s.last_pass_full);
-        assert_eq!(s.replayed_rounds, 1);
-        assert_eq!(logged_bottlenecks(&s), [0, 1, 2]);
-        assert_eq!(s.entry_rate(ids[1]), 10.0);
-        assert_eq!(s.entry_rate(ids[3]), 10.0);
-        assert_eq!(s.entry_rate(ids[5]), 30.0);
-
-        // Fault churn: the dirty set is dropped, so the log goes with it.
-        let (mut s, table, ids) = setup();
-        s.invalidate_all();
-        s.remove_entry(ids[4]);
-        s.recompute(&table, 0.0);
-        assert_eq!(s.replayed_rounds, 0);
-        // ...and the pass it forced left a log like any other: (5, r0) and
-        // (30, r2) replay around the change on r1.
-        s.remove_entry(ids[2]);
-        s.recompute(&table, 0.0);
-        assert_eq!(s.replayed_rounds, 2);
-    }
-
     /// Two disjoint chains interleave in the log: rounds (5, r0), (6, r3),
     /// (15, r1), (18, r4), (25, r2), (30, r5). An insert undercutting the
-    /// first round reaches chain A only, and every round of chain B
-    /// replays; a replay that stops at the first perturbed round would
-    /// replay none of them.
+    /// first round reaches chain A only: the pass visits four rounds of
+    /// chain A and jumps every round of chain B.
     #[test]
     fn a_change_to_one_chain_replays_every_round_of_a_disjoint_one() {
         let mut t = Twin::new(&[10.0, 20.0, 40.0, 12.0, 24.0, 48.0]);
@@ -1453,7 +1353,7 @@ mod tests {
         t.recompute();
         assert_eq!(logged_bottlenecks(&t.fast), [0, 3, 1, 4, 2, 5]);
         t.insert(&[0]); // r0: 10 / 3 < 5
-        assert_eq!(t.recompute(), 3);
+        assert_eq!(t.recompute(), 4);
         assert_eq!(t.fast.iterations, 12);
     }
 
@@ -1473,7 +1373,7 @@ mod tests {
         assert_eq!((t.fast.entry_rate(e), t.fast.entry_rate(y)), (5.0, 11.0));
         t.remove(x);
         // Twin::recompute holds both rates to the textbook's bits.
-        assert_eq!(t.recompute(), 0);
+        assert_eq!(t.recompute(), 2);
         assert_eq!((t.fast.entry_rate(e), t.fast.entry_rate(y)), (8.0, 8.0));
     }
 
@@ -1489,15 +1389,15 @@ mod tests {
         t.recompute();
         assert_eq!(logged_bottlenecks(&t.fast), [1]);
         t.insert(&[0]);
-        assert_eq!(t.recompute(), 0);
+        assert_eq!(t.recompute(), 3);
         assert_eq!((t.fast.entry_rate(e), t.fast.entry_rate(z)), (4.0, 6.0));
     }
 
     /// Old rounds (0.1, r0, [A]), (0.2, r1, [B]), (0.3, r2, [D, E]),
     /// (0.4, r3, [C]), with A = [0, 3], B = [1, 3], D = [2, 3]. E leaves:
-    /// the first two rounds replay without touching r3, the skipped round
-    /// of r2 materialises r3 mid-pass, and r3 must catch up on A and B in
-    /// round order — (1 - 0.1) - 0.2 = 0.7, while (1 - 0.2) - 0.1 =
+    /// the first two rounds are jumped, the skipped round of r2
+    /// materialises r3 mid-pass, and r3 must catch up on A and B in round
+    /// order — (1 - 0.1) - 0.2 = 0.7, while (1 - 0.2) - 0.1 =
     /// 0.7000000000000001. B is linked first, so its incidence order is
     /// the reverse of the round order.
     #[test]
@@ -1523,7 +1423,7 @@ mod tests {
     /// Old rounds (5, r0, [e, G]) and (35, r1, [C]) with e = [0, 1]. H
     /// joins r0 and F joins r1, so both are materialised up front and r1
     /// subscribes to r0's round for e. The heap pops r0 at 10 / 3 first
-    /// and freezes e there; the logged round of r0 is then skipped, and
+    /// and freezes e there; the logged round of r0 is then dropped, and
     /// firing its subscriptions would take e's share off r1 a second time.
     #[test]
     fn a_skipped_round_fires_no_subscription() {
@@ -1535,11 +1435,35 @@ mod tests {
         assert_eq!(logged_bottlenecks(&t.fast), [0, 1]);
         t.insert(&[0]);
         let f = t.insert(&[1]);
-        assert_eq!(t.recompute(), 0);
+        assert_eq!(t.recompute(), 2);
         assert!(t.fast.subs.iter().any(|s| s.res == 1 && s.weight == 1));
         assert_eq!(logged_bottlenecks(&t.fast), [0, 1]);
         let rest = (40.0 - t.fast.entry_rate(e)) / 2.0;
         assert_eq!((t.fast.entry_rate(c), t.fast.entry_rate(f)), (rest, rest));
+    }
+
+    /// Logged keys are not monotone under f64. A, B, C = [0, 2], [0, 1],
+    /// [0, 1] freeze on r0 at a = 10 / 3; r1 is left with 10 - a - a =
+    /// 3.3333333333333326 < a for D = [1, 2]. X then joins r2 (capacity
+    /// 20), which subscribes to both rounds: they must be replayed in log
+    /// order, (20 - a) - b = 13.333333333333336, not in share order,
+    /// (20 - b) - a = 13.333333333333334.
+    #[test]
+    fn a_merge_replays_logged_rounds_in_pop_order_not_share_order() {
+        let mut t = Twin::new(&[10.0, 10.0, 20.0]);
+        t.insert(&[0, 2]);
+        t.insert(&[0, 1]);
+        t.insert(&[0, 1]);
+        let d = t.insert(&[1, 2]);
+        t.recompute();
+        let (a, b) = (10.0 / 3.0, t.fast.entry_rate(d));
+        assert_eq!(logged_bottlenecks(&t.fast), [0, 1]);
+        assert!(b < a, "the second round's share undercuts the first");
+        assert_ne!((20.0 - a - b).to_bits(), (20.0 - b - a).to_bits());
+        let x = t.insert(&[2]);
+        // Both rounds are replayed for r2, which then pops from the heap.
+        assert_eq!(t.recompute(), 3);
+        assert_eq!(t.fast.entry_rate(x).to_bits(), (20.0 - a - b).to_bits());
     }
 
     // ---- deferred settle ----
@@ -1556,7 +1480,7 @@ mod tests {
         let mut s = MaxMinSolver::new(vec![9.0, 4.0]).unwrap();
         let a = insert(&mut s, &mut table, &[0, 1]);
         let b = insert(&mut s, &mut table, &[0]);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         let before = (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits());
         assert_eq!(f64::from_bits(before.2), 4.0);
 
@@ -1564,21 +1488,13 @@ mod tests {
         assert_eq!(s.live_entries(), 1, "counts weight > 0 at call time");
         assert_eq!(insert(&mut s, &mut table, &[0, 1]), a);
         assert_eq!(s.flows_coalesced, 0, "a resurrection is not a join");
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(
             (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits()),
             before
         );
-        assert_eq!((s.last_pass_entries, s.last_pass_full), (0, false));
+        assert_eq!(s.last_pass_entries, 0);
         assert_eq!(s.entry_rate(b), 5.0);
-
-        // A forced full pass settles the same way and still runs its pass.
-        s.remove_entry(a);
-        assert_eq!(insert(&mut s, &mut table, &[0, 1]), a);
-        s.invalidate_all();
-        s.recompute(&table, 0.5);
-        assert_eq!(s.rate_recomputes, before.0 + 1);
-        assert_eq!(s.entry_rate(a).to_bits(), before.2);
     }
 
     #[test]
@@ -1586,7 +1502,7 @@ mod tests {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![12.0]).unwrap();
         let a = insert(&mut s, &mut table, &[0]);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.entry_rate(a), 12.0);
         // 1 -> 0 -> 2: resurrected, then joined.
         s.remove_entry(a);
@@ -1597,7 +1513,7 @@ mod tests {
             "the second insert joined a weight of 1"
         );
         assert_eq!(s.entry_weight(a), 2);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.rate_recomputes, 2);
         assert_eq!(s.entry_rate(a), 6.0);
         assert_eq!(
@@ -1612,11 +1528,11 @@ mod tests {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
         let keep = insert(&mut s, &mut table, &[1]);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         let gone = insert(&mut s, &mut table, &[0, 1]);
         s.remove_entry(gone);
         assert_eq!(s.live_entries(), 1);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.rate_recomputes, 1, "weight 0 = solved 0 dirties nothing");
         assert!(s.res_entries[0].is_empty());
         assert_eq!(s.res_entries[1], vec![keep]);
@@ -1628,24 +1544,22 @@ mod tests {
         let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
         let e = insert(&mut s, &mut table, &[0]);
         s.remove_entry(e);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.live_entries(), 0);
         assert!(incidence_is_empty(&s));
         assert_eq!(s.rate_recomputes, 0);
     }
 
     #[test]
-    fn a_forced_full_pass_settles_first() {
+    fn a_retired_entry_is_unlinked_before_the_pass() {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![8.0, 8.0]).unwrap();
         let a = insert(&mut s, &mut table, &[0, 1]);
         let b = insert(&mut s, &mut table, &[1]);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.entry_rate(b), 4.0);
         s.remove_entry(a);
-        s.invalidate_all();
-        s.recompute(&table, 0.5);
-        assert!(s.last_pass_full);
+        s.recompute(&table);
         assert_eq!(
             s.last_pass_entries, 1,
             "the retired entry is not in the pass"
@@ -1661,10 +1575,10 @@ mod tests {
         let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
         let e = insert(&mut s, &mut table, &[]);
         assert!(s.entry_rate(e).is_infinite());
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         s.remove_entry(e);
         assert_eq!(insert(&mut s, &mut table, &[]), e);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert!(s.entry_rate(e).is_infinite());
         assert_eq!(s.rate_recomputes, 0);
     }
@@ -1679,7 +1593,7 @@ mod tests {
         let ids: Vec<u32> = (1..=N)
             .map(|i| insert(&mut s, &mut table, &[0, i]))
             .collect();
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.res_entries[0].len(), N as usize);
         let survivor = ids[17];
         for &e in &ids {
@@ -1687,16 +1601,16 @@ mod tests {
                 s.remove_entry(e);
             }
         }
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.res_entries[0], vec![survivor]);
         assert_eq!(s.entry_rate(survivor), 1e9);
         s.remove_entry(survivor);
-        s.recompute(&table, 0.5);
+        s.recompute(&table);
         assert_eq!(s.live_entries(), 0);
         assert!(incidence_is_empty(&s));
     }
 
-    /// The workload the replay exists for: one giant component, the fastest
+    /// The workload the merge exists for: one giant component, the fastest
     /// flow leaves, repeat. Counts, not times, so it cannot flake.
     #[test]
     fn fastest_first_departures_replay_nine_rounds_in_ten() {
@@ -1712,28 +1626,29 @@ mod tests {
             t.insert(&p);
         }
         t.recompute();
-        let first_pass = t.fast.iterations;
+        let (first_pass, first_visits) = (t.fast.iterations, t.fast.visited_rounds);
+        let (mut solved, mut live) = (0, 0);
         for _ in 0..200 {
             let e = t.max_rate_entry();
             t.remove(e);
             t.recompute();
+            solved += t.fast.last_pass_entries;
+            live += t.live.len() as u64;
         }
         let later = t.fast.iterations - first_pass;
-        assert!(
-            t.fast.replayed_rounds * 10 >= later * 9,
-            "replayed {} of {later} rounds",
-            t.fast.replayed_rounds
-        );
+        let visited = t.fast.visited_rounds - first_visits;
+        // 480 of 31,100 entries are frozen from the heap, the rest keep
+        // their logged round; 2,050 of 4,532 rounds are visited.
+        assert!(solved * 20 <= live, "re-solved {solved} of {live} entries");
+        assert!(visited * 2 <= later, "visited {visited} of {later} rounds");
     }
 
     /// The workload the merge exists for: departures of any rate and
     /// arrivals anywhere, so changes land all along the freeze order. 512
     /// ring arcs of 2–6 consecutive resources over 256; each step retires a
-    /// random flow and admits a random arc. The merge replays 93 % of the
-    /// later rounds; a replay that stops at the first perturbed round
-    /// took 24 %. Each merged pass materialises ~21 resources of the ~256
-    /// a walk over every live entry touches. Counts, not times, so it
-    /// cannot flake.
+    /// random flow and admits a random arc. The passes visit 15 % of their
+    /// rounds and materialise ~21 resources of the ~256 a walk over
+    /// every live entry touches. Counts, not times, so it cannot flake.
     #[test]
     fn random_ring_churn_replays_most_rounds() {
         const RESOURCES: u64 = 256;
@@ -1749,7 +1664,7 @@ mod tests {
             t.insert(&arc(&mut st));
         }
         t.recompute();
-        let first_pass = t.fast.iterations;
+        let (first_pass, first_visits) = (t.fast.iterations, t.fast.visited_rounds);
         // Resources a pass that walks every live entry would touch.
         let mut touched = 0;
         for _ in 0..300 {
@@ -1764,18 +1679,74 @@ mod tests {
             touched += hit.iter().filter(|&&h| h).count() as u64;
         }
         let later = t.fast.iterations - first_pass;
-        assert!(
-            t.fast.replayed_rounds * 100 >= later * 85,
-            "replayed {} of {later} rounds",
-            t.fast.replayed_rounds
-        );
-        // Work guard: the merged passes build fill state for about one
-        // resource in twelve; walking the bulk would make it every one.
-        assert_eq!(t.fast.full_recomputes, 301, "every later pass merged");
+        let visited = t.fast.visited_rounds - first_visits;
+        assert!(visited * 5 <= later, "visited {visited} of {later} rounds");
+        // Work guard: the passes build fill state for about one resource
+        // in twelve; walking the bulk would make it every one.
+        assert_eq!(t.fast.rate_recomputes, 301, "every later step ran a pass");
         assert!(
             t.fast.materialised_resources * 8 <= touched,
             "materialised {} of {touched} resources",
             t.fast.materialised_resources
+        );
+    }
+
+    /// Work guard for the jump: `n` disjoint two-resource chains, and a
+    /// step that retires one flow of a chain and admits another. Only the
+    /// same 64 chains ever change, so a pass that visits only the rounds
+    /// its change reaches does the same work at 64 chains as at 1,024; one
+    /// that walks every logged round does 16 times more at 1,024. Returns
+    /// `(rounds visited, resources materialised)` over the steps.
+    fn disjoint_chain_churn(n: u32) -> (u64, u64) {
+        let caps: Vec<f64> = (0..2 * n).map(|r| [10.0, 16.0][r as usize % 2]).collect();
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(caps.clone()).unwrap();
+        let shapes = |c: u32| [vec![2 * c], vec![2 * c, 2 * c + 1], vec![2 * c + 1]];
+        // Per chain, its live flows oldest first: `(entry, path)`.
+        let mut chains: Vec<Vec<(u32, usize)>> = (0..n)
+            .map(|c| {
+                (0..3)
+                    .map(|k| (insert(&mut s, &mut table, &shapes(c)[k]), k))
+                    .collect()
+            })
+            .collect();
+        s.recompute(&table);
+        let before = (s.visited_rounds, s.materialised_resources);
+        for k in 0..512u32 {
+            let c = (k % 64) * (n / 64);
+            let (old, shape) = chains[c as usize].remove(0);
+            s.remove_entry(old);
+            let shape = (shape + 1) % 3;
+            let e = insert(&mut s, &mut table, &shapes(c)[shape]);
+            chains[c as usize].push((e, shape));
+            s.recompute(&table);
+        }
+        let flows = chains
+            .iter()
+            .enumerate()
+            .flat_map(|(c, f)| f.iter().map(move |&e| (c, e)));
+        let paths: Vec<_> = flows
+            .clone()
+            .map(|(c, (_, k))| shapes(c as u32)[k].clone())
+            .collect();
+        let want = textbook_maxmin(&caps, &paths)
+            .0
+            .into_iter()
+            .map(f64::to_bits);
+        assert!(want.eq(flows.map(|(_, (e, _))| s.entry_rate(e).to_bits())));
+        let work = (s.visited_rounds, s.materialised_resources);
+        (work.0 - before.0, work.1 - before.1)
+    }
+
+    #[test]
+    fn disjoint_chain_churn_does_the_same_work_at_any_chain_count() {
+        let (small, large) = (disjoint_chain_churn(64), disjoint_chain_churn(1024));
+        // 1,344 rounds and 1,024 resources over 512 passes at either size.
+        assert_eq!(small, large);
+        assert!(
+            small.0 <= 3 * 512,
+            "visited {} rounds in 512 passes",
+            small.0
         );
     }
 

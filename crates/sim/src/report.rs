@@ -40,9 +40,10 @@ pub struct SimReport {
     /// before the workload completed.
     #[serde(default)]
     pub fault_events_applied: u64,
-    /// Water-filling passes the solver executed (full or component-local).
-    /// With the incremental solver this tracks `events` but each pass only
-    /// covers the dirty component; effort metric, not physics.
+    /// Water-filling passes the solver executed: at most one per event,
+    /// none when an event changed no rate. Each pass merges the log of the
+    /// one before and costs what its change reaches; effort metric, not
+    /// physics.
     #[serde(default)]
     pub rate_recomputes: u64,
     /// Flows absorbed into an existing identical-path solver entry.

@@ -86,9 +86,11 @@ pub enum TraceEvent {
     FlowSkipped { t: f64, flow: u32 },
     /// The solver reassigned rates. `flows` and `rates_bps` are parallel
     /// arrays covering the whole active set; these rates hold until the
-    /// next timestamped event. `entries_solved` (the dirty-component size
-    /// actually re-solved) and `full_pass` measure solver effort and are
-    /// the only trace fields allowed to differ between solver modes.
+    /// next timestamped event. `entries_solved` (the entries the solver's
+    /// pass froze from its heap, re-deriving their rates; the rest kept
+    /// their logged round) and `full_pass` (whether a pass ran at all:
+    /// every pass covers the whole flow set) measure solver effort, not
+    /// physics.
     RateRecompute {
         t: f64,
         flows: Vec<u32>,
@@ -395,7 +397,8 @@ pub struct MetricsSnapshot {
     pub reroutes: u64,
     /// Rate recomputations performed (one per engine event).
     pub rate_recomputes: u64,
-    /// Recomputations that degraded to a full pass over all live entries.
+    /// Recomputations that ran a solver pass (every pass covers all live
+    /// entries); the others changed no rate.
     pub full_passes: u64,
     /// Runs cut by the deterministic event budget (0 or 1 per run).
     #[serde(default)]

@@ -1,10 +1,10 @@
 //! Property tests for the entry API of [`MaxMinSolver`]: under arbitrary
-//! join/leave/reroute/invalidate sequences — identical paths coalescing,
+//! join/leave/reroute sequences — identical paths coalescing,
 //! under real `FaultOverlay` path churn, under the fastest-first departures
 //! that make full passes replay their logged prefix, and under batches that
 //! re-issue the paths they just retired (which the settle elides) — the
 //! rates match `textbook_maxmin`, plain progressive filling over the same
-//! flow set, and every full pass counts the textbook's rounds.
+//! flow set, and every pass counts the textbook's rounds.
 //!
 //! The design guarantee is stronger than the 1e-9 tolerance the engine
 //! needs: the solver is *bit-identical* to the textbook (see the `maxmin`
@@ -43,7 +43,7 @@ fn ops_strategy(
     path: impl Strategy<Value = Vec<u32>>,
     len: std::ops::Range<usize>,
 ) -> impl Strategy<Value = Vec<(u8, Vec<u32>, usize)>> {
-    prop::collection::vec((0u8..8, path, 0usize..1 << 16), len)
+    prop::collection::vec((0u8..7, path, 0usize..1 << 16), len)
 }
 
 /// Intern `path` into the run's table and register one flow on it.
@@ -54,18 +54,17 @@ fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> u32
 
 /// Recompute, then hold the solver to the textbook over the live flows:
 /// every per-flow rate bit-identical (which trivially satisfies the 1e-9
-/// requirement) and, when the recompute ran a full pass, exactly the
+/// requirement) and, when the recompute ran a pass, exactly the
 /// textbook's number of freeze rounds.
 fn recompute_and_check(
     solver: &mut MaxMinSolver,
     table: &PathTable,
-    threshold: f64,
     live: &[(u32, Vec<u32>)],
     caps: &[f64],
     step: usize,
 ) {
-    let before = solver.iterations;
-    solver.recompute(table, threshold);
+    let before = (solver.iterations, solver.rate_recomputes);
+    solver.recompute(table);
     let paths: Vec<&[u32]> = live.iter().map(|(_, p)| p.as_slice()).collect();
     let (want, rounds) = textbook_maxmin(caps, &paths);
     for (i, &(entry, ref path)) in live.iter().enumerate() {
@@ -76,11 +75,11 @@ fn recompute_and_check(
             want[i]
         );
     }
-    if solver.last_pass_full {
+    if solver.rate_recomputes > before.1 {
         assert_eq!(
-            solver.iterations - before,
+            solver.iterations - before.0,
             rounds,
-            "step {step}: a full pass counted different freeze rounds"
+            "step {step}: a pass counted different freeze rounds"
         );
     }
 }
@@ -88,15 +87,10 @@ fn recompute_and_check(
 /// Drive one solver through `preload` and then `ops` — 0, 1 and 6 join;
 /// 2 / 3 retire the fastest / slowest flow, the departures that let full
 /// passes replay their logged prefix (`maxmin` module docs); 4 retires and
-/// 5 reroutes a flow picked at random; 7 invalidates — and hold every
-/// recompute to the textbook. Identical paths coalesce into weighted
+/// 5 reroutes a flow picked at random — and hold every recompute to the
+/// textbook. Identical paths coalesce into weighted
 /// entries, which must still land on the separate-flow rates.
-fn run_churn(
-    caps: Vec<f64>,
-    preload: Vec<Vec<u32>>,
-    ops: Vec<(u8, Vec<u32>, usize)>,
-    threshold: f64,
-) {
+fn run_churn(caps: Vec<f64>, preload: Vec<Vec<u32>>, ops: Vec<(u8, Vec<u32>, usize)>) {
     let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
     let mut table = PathTable::new();
     // Mirror of the live flows: (entry id, path). Coalesced flows share ids.
@@ -126,36 +120,23 @@ fn run_churn(
             let (id, _) = live.swap_remove(i);
             solver.remove_entry(id);
         }
-        match kind {
-            0 | 1 | 5 | 6 => live.push((insert(&mut solver, &mut table, &path), path)),
-            7 => solver.invalidate_all(),
-            _ => {}
+        if matches!(kind, 0 | 1 | 5 | 6) {
+            live.push((insert(&mut solver, &mut table, &path), path));
         }
-        recompute_and_check(&mut solver, &table, threshold, &live, &caps, step);
+        recompute_and_check(&mut solver, &table, &live, &caps, step);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Churn over random capacities, any threshold.
+    /// Churn over random capacities.
     #[test]
     fn churn_matches_the_textbook(
         caps in caps_strategy(),
         ops in ops_strategy(path_strategy(), 1..50),
-        threshold in 0.0f64..1.2,
     ) {
-        run_churn(caps, Vec::new(), ops, threshold);
-    }
-
-    /// A degenerate threshold of 0 forces a full pass on every recompute
-    /// that finds a change.
-    #[test]
-    fn zero_threshold_always_full(
-        caps in caps_strategy(),
-        ops in ops_strategy(path_strategy(), 1..50),
-    ) {
-        run_churn(caps, Vec::new(), ops, 0.0);
+        run_churn(caps, Vec::new(), ops);
     }
 }
 
@@ -173,16 +154,14 @@ fn tie_path_strategy() -> impl Strategy<Value = Vec<u32>> {
 // `scripts/check.sh` raises for this file.
 proptest! {
     /// Churn shaped like the engine's heavy random workloads, aimed at the
-    /// merge replay: every capacity equal, a preloaded giant component,
-    /// full passes every recompute (threshold 0) or most of them (0.5).
+    /// merge replay: every capacity equal, a preloaded giant component.
     #[test]
     fn replayed_passes_match_the_textbook_under_tie_heavy_churn(
         cap in prop::sample::select(vec![1.0f64, 3.0, 10.0]),
         preload in prop::collection::vec(tie_path_strategy(), 8..40),
         ops in ops_strategy(tie_path_strategy(), 1..60),
-        threshold in prop::sample::select(vec![0.0f64, 0.5]),
     ) {
-        run_churn(vec![cap; RESOURCES], preload, ops, threshold);
+        run_churn(vec![cap; RESOURCES], preload, ops);
     }
 
     /// Re-issue churn, the shape of the paper's iterative workloads: every
@@ -203,7 +182,6 @@ proptest! {
             ),
             1..24,
         ),
-        threshold in prop::sample::select(vec![0.0f64, 0.5]),
     ) {
         let caps = vec![cap; RESOURCES];
         let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
@@ -212,7 +190,7 @@ proptest! {
             .into_iter()
             .map(|path| (insert(&mut solver, &mut table, &path), path))
             .collect();
-        recompute_and_check(&mut solver, &table, threshold, &live, &caps, usize::MAX);
+        recompute_and_check(&mut solver, &table, &live, &caps, usize::MAX);
         for (step, (retire, reissue, fresh)) in steps.into_iter().enumerate() {
             let mut retired: Vec<Vec<u32>> = Vec::new();
             let mut i = 0;
@@ -236,7 +214,7 @@ proptest! {
             let live_entries: std::collections::HashSet<u32> =
                 live.iter().map(|(id, _)| *id).collect();
             prop_assert_eq!(solver.live_entries(), live_entries.len());
-            recompute_and_check(&mut solver, &table, threshold, &live, &caps, step);
+            recompute_and_check(&mut solver, &table, &live, &caps, step);
         }
     }
 }
@@ -261,19 +239,18 @@ proptest! {
     fn wide_shared_bottleneck_churn_matches_the_textbook(
         caps in prop::collection::vec(0.5f64..500.0, WIDE_RESOURCES),
         ops in ops_strategy(wide_path_strategy(), 1..30),
-        threshold in 0.0f64..1.2,
     ) {
         let preload = (0..192u32)
             .map(|i| vec![0, 1 + i % (WIDE_RESOURCES as u32 - 1)])
             .collect();
-        run_churn(caps, preload, ops, threshold);
+        run_churn(caps, preload, ops);
     }
 }
 
 /// Engine-shaped churn through a real [`FaultOverlay`]: flows between
 /// endpoint pairs of a 4x4 torus, links failing and recovering mid-stream,
-/// affected entries rerouted (or dropped when partitioned) and the solver
-/// invalidated — exactly the `run_with` contract.
+/// affected entries rerouted (or dropped when partitioned) — exactly the
+/// `run_with` contract.
 #[test]
 fn overlay_path_churn_matches_the_textbook() {
     let topo = Torus::new(&[4, 4]);
@@ -325,7 +302,6 @@ fn overlay_path_churn_matches_the_textbook() {
                 // Fail a link; reroute every flow crossing it.
                 let l = rng() as u32 % num_links as u32;
                 if overlay.fail_link(LinkId(l)) {
-                    solver.invalidate_all();
                     let mut i = 0;
                     while i < live.len() {
                         if !live[i].3.contains(&l) {
@@ -348,15 +324,12 @@ fn overlay_path_churn_matches_the_textbook() {
                 }
             }
             _ => {
-                let l = rng() as u32 % num_links as u32;
-                if overlay.restore_link(LinkId(l)) {
-                    solver.invalidate_all();
-                }
+                overlay.restore_link(LinkId(rng() as u32 % num_links as u32));
             }
         }
         let flows: Vec<(u32, Vec<u32>)> =
             live.iter().map(|(id, _, _, p)| (*id, p.clone())).collect();
-        recompute_and_check(&mut solver, &table, 0.5, &flows, &caps, step);
+        recompute_and_check(&mut solver, &table, &flows, &caps, step);
     }
     assert!(solver.rate_recomputes > 0);
 }

@@ -365,11 +365,11 @@ fn fault_cells(topo: &dyn Topology, healthy: &SimReport) -> Vec<(FaultSchedule, 
 }
 
 /// The replay row. Random heavy traffic makes the sharing graph one giant
-/// component, so recomputes degrade to full passes, and a full pass right
-/// after another resumes from its freeze log: through departures (UnstructuredMgnt:
-/// mice finish first whatever their rate), through insertions mid-run (the
-/// second Bisection round starts behind dependencies), and — under a cut +
-/// repair — through `invalidate_all` discarding the log. Every recompute
+/// component, so a change reaches far into the freeze log every pass
+/// resumes from: through departures (UnstructuredMgnt: mice finish first
+/// whatever their rate), through insertions mid-run (the second Bisection
+/// round starts behind dependencies), and — under a cut + repair — through
+/// reroutes and drops, which reach the log as weight changes. Every recompute
 /// must sit at the textbook's rates under all four recovery policies, and
 /// every complete trace must carry the oracle's fairness certificate.
 #[test]

@@ -17,7 +17,8 @@
 //!
 //! The file also holds the first *simulated* workload at paper scale:
 //! Reduce at 131,072 tasks (one event per phase, so the event count allows
-//! it), and a solver-bound random panel, Bisection at 8,192 QFDBs. Those
+//! it), a solver-bound random panel, Bisection at 8,192 QFDBs, and the
+//! fattree AllReduce at 16,384 QFDBs, 31,474 events of solver churn. Those
 //! runs carry a `max_wall_s` budget, so a regression of the engine's
 //! batch bookkeeping or of the water-fill is a typed `DeadlineExceeded`,
 //! not a hung job. The `tier2` CI job runs this whole file with
@@ -279,10 +280,11 @@ fn paper_scale_reduce_is_topology_insensitive() {
 
 /// Bisection, 4 rounds, at 8,192 QFDBs on the 32×16×16 torus: a random
 /// panel of Fig 4/5 one rung below the 16,384-QFDB grid, bound by the
-/// max-min solver (25,536 completion events, most of them a global pass).
-/// On a 2-core box it takes 16 s alone and 22 s beside the other tier-2
-/// tests; a merged pass that walks every live entry took 43 s alone, and
-/// no merge replay (`maxmin` module docs) 175 s, both past this budget.
+/// max-min solver (25,536 completion events, each a merged pass). On a
+/// 2-core box it takes 1.8 s alone; with a dirty-region BFS gating the
+/// merge it took 16 s, with a merged pass that walks every live entry
+/// 43 s, and with no merge replay (`maxmin` module docs) 175 s, the last
+/// two past this budget.
 #[test]
 #[ignore = "tier-2 paper-scale simulation; run with --ignored in the tier2 CI job"]
 fn bisection_at_8192_qfdbs_finishes_inside_its_budget() {
@@ -306,6 +308,40 @@ fn bisection_at_8192_qfdbs_finishes_inside_its_budget() {
         (result.makespan_seconds - expect).abs() / expect < 1e-9,
         "{}",
         result.makespan_seconds
+    );
+}
+
+/// AllReduce at 16,384 QFDBs on the 26-ary 3-tree: 31,474 completion
+/// events, each a solver pass whose change reaches a few dozen of the
+/// thousands of logged freeze rounds. A pass that walks every logged round
+/// took 5.2 s alone on a 2-core box, twice what jumping the rounds a change
+/// cannot reach takes, so the wall time is printed for comparison.
+#[test]
+#[ignore = "tier-2 paper-scale simulation; run with --ignored in the tier2 CI job"]
+fn fattree_allreduce_at_16384_qfdbs_keeps_its_makespan() {
+    let scale = SystemScale::new(16_384).unwrap();
+    let topo = scale.fattree_spec().build().unwrap();
+    let n = scale.qfdbs as usize;
+    let workload = WorkloadSpec::AllReduce {
+        tasks: n,
+        bytes: 1 << 20,
+    };
+    let dag = workload.generate(&TaskMapping::linear(n, topo.num_endpoints()));
+    let started = Instant::now();
+    let report = Simulator::with_config(topo.as_ref(), deadline_cfg())
+        .run(&dag)
+        .unwrap_or_else(|e| panic!("{}: {e}", topo.name()));
+    eprintln!(
+        "{}: AllReduce at {n} tasks in {:.2} s of wall",
+        topo.name(),
+        started.elapsed().as_secs_f64()
+    );
+    assert_eq!(report.events, 31_474);
+    let expect = 0.024429321467621962;
+    assert!(
+        (report.makespan_seconds - expect).abs() / expect < 1e-9,
+        "{}",
+        report.makespan_seconds
     );
 }
 
