@@ -1,29 +1,55 @@
 //! The simulation engine: activation, rate allocation, batched completions,
-//! optional per-hop latency and per-link accounting.
+//! optional per-hop latency, mid-run faults and per-link accounting.
+//!
+//! [`Simulator::run_with`] validates its inputs, builds a `RunState` (the
+//! solver, the run's [`PathTable`], route cache, fault overlay, per-flow
+//! vectors, active and delayed sets, clock, counters and trace) and calls
+//! `RunState::step` until the workload is done. A step runs the engine's
+//! concerns in a fixed order:
+//!
+//! 1. `apply_due_faults`: every fault due by `now` updates the overlay. A
+//!    downed link purges the route cache and hands each in-flight flow that
+//!    crosses it, transferring or delayed, to `recover` (abort, reroute or
+//!    skip, per [`RecoveryPolicy`]).
+//! 2. `activate_ready`: flows whose dependencies resolved are routed and
+//!    admitted, or held back by their head latency.
+//! 3. With nothing transferring, jump to the next fault or activation.
+//! 4. `check_limits`, then `recompute` the max-min rates: one event.
+//! 5. `advance` to the earliest of a fault, a delayed activation (then
+//!    `admit_due`) and the completion batch (then `retire` it and activate
+//!    what it released).
+//!
+//! Invariants the steps rely on:
+//!
+//! * Every cached route avoids every down link: a down event purges the
+//!   routes that cross it, and inserts route around the live down-set. A
+//!   repair only shrinks that set, so it keeps the cache; a kept route may
+//!   hold a detour the repaired link would now shorten.
+//! * A flow skipped while delayed leaves a stale entry in the delayed heap
+//!   (its `delayed_paths` entry is gone); `next_activation` drops stale
+//!   entries before the heap is read.
+//! * The active set is one `Vec<Active>` and every removal is a
+//!   `swap_remove`, so its order, and with it the order of rates, trace
+//!   events and float sums, is fixed by the event sequence.
+//! * An untraced run builds no trace payload: `Tracer::emit` takes the event
+//!   as a closure and calls it only when a sink listens.
+#![deny(clippy::too_many_lines)]
 
 use crate::dag::{FlowDag, FlowId};
 use crate::error::SimError;
-use crate::fault::{FaultAction, FaultSchedule, RecoveryPolicy};
+use crate::fault::{FaultAction, FaultEvent, FaultSchedule, RecoveryPolicy};
 use crate::maxmin::MaxMinSolver;
 use crate::paths::{PathId, PathTable};
 use crate::report::SimReport;
-use crate::trace::{MetricsRegistry, TraceEvent, TraceSink};
+use crate::trace::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceSink};
 use exaflow_netgraph::{IntMap, LinkId, NodeId};
 use exaflow_topo::{FaultOverlay, Topology};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Peekable;
+use std::slice;
 use std::time::Instant;
-
-/// Bytes no longer outstanding at a cut point: total workload bytes minus
-/// the bits still `remaining`. Finished flows have zero remaining, partial
-/// flows contribute their transferred prefix, and skipped flows (whose
-/// remaining is zeroed at retirement) count as accounted-for.
-fn bytes_accounted(dag: &FlowDag, remaining: &[f64]) -> u64 {
-    let total_bits: f64 = dag.flows().iter().map(|f| f.bytes as f64 * 8.0).sum();
-    let outstanding_bits: f64 = remaining.iter().sum();
-    (((total_bits - outstanding_bits) / 8.0).max(0.0)) as u64
-}
 
 /// Engine configuration.
 ///
@@ -214,10 +240,8 @@ impl serde::de::Deserialize for SimConfig {
 /// Inserts land in the `fresh` generation; once it holds half the cap the
 /// previous generation is dropped wholesale and `fresh` becomes `stale`.
 /// A `stale` hit promotes the route back into `fresh`. Total size is thus
-/// bounded by `cap` while recently-used pairs survive — the previous
-/// behaviour (silently refusing inserts at the cap) degraded beyond-cap
-/// workloads to a zero hit rate with no signal. Rotation triggers on an
-/// exact size threshold and lookups happen in the engine's admission
+/// bounded by `cap` while recently-used pairs survive. Rotation triggers on
+/// an exact size threshold and lookups happen in the engine's admission
 /// order, so the eviction trajectory is deterministic (no dependence on
 /// `HashMap` iteration order). Eviction forgets a pair, not its path: the
 /// ids index the run's [`PathTable`], which keeps every path it was given.
@@ -271,14 +295,6 @@ impl RouteCache {
         self.fresh.retain(|_, p| clear(p));
         self.stale.retain(|_, p| clear(p));
     }
-}
-
-/// Buffers [`Simulator::build_path`] reuses across flows: the physical
-/// route and the resource path made from it.
-#[derive(Default)]
-struct RouteScratch {
-    links: Vec<LinkId>,
-    route: Vec<u32>,
 }
 
 /// Total-ordered f64 key for the delayed-activation heap (times are always
@@ -408,7 +424,7 @@ impl<'a> Simulator<'a> {
         dag: &FlowDag,
         schedule: &FaultSchedule,
         policy: RecoveryPolicy,
-        mut sink: Option<&mut dyn TraceSink>,
+        sink: Option<&mut dyn TraceSink>,
     ) -> Result<SimReport, SimError> {
         self.cfg.validate()?;
         schedule.validate_for(self.topo.network())?;
@@ -420,748 +436,673 @@ impl<'a> Simulator<'a> {
                 });
             }
         }
+        // Shorten the sink's object lifetime to the run's.
+        let sink = sink.map(|s| s as &mut dyn TraceSink);
+        let mut run = RunState::new(self, dag, schedule.events(), policy, sink)?;
+        while run.step()? {}
+        Ok(run.finish())
+    }
+}
+
+/// One flow of the active set.
+#[derive(Clone, Copy)]
+struct Active {
+    rate: f64,
+    id: u32,
+    path: PathId,
+    /// Solver entry id.
+    entry: u32,
+    /// In the completion batch; set before the batch advances time.
+    done: bool,
+}
+
+/// The metrics registry (present iff tracing) and the optional sink.
+struct Tracer<'r> {
+    metrics: Option<MetricsRegistry>,
+    sink: Option<&'r mut dyn TraceSink>,
+}
+
+impl Tracer<'_> {
+    /// Count one event and, only when a sink listens, build it and hand it
+    /// over: an untraced run pays one predictable jump per site, a
+    /// metrics-only run one counter bump, and neither builds a payload.
+    fn emit(
+        &mut self,
+        counter: impl FnOnce(&mut MetricsRegistry) -> &mut u64,
+        event: impl FnOnce() -> TraceEvent,
+    ) {
+        if let Some(m) = self.metrics.as_mut() {
+            *counter(m) += 1;
+            if let Some(s) = self.sink.as_mut() {
+                s.record(&event());
+            }
+        }
+    }
+}
+
+/// The state of one run, with one method per engine concern (see the
+/// module docs for the order a step runs them in).
+struct RunState<'r> {
+    sim: &'r Simulator<'r>,
+    dag: &'r FlowDag,
+    policy: RecoveryPolicy,
+    trace: Tracer<'r>,
+    solver: MaxMinSolver,
+    /// Every route of the run, interned once; the route cache, the active
+    /// and delayed sets and the solver all hold ids into it.
+    paths: PathTable,
+    route_cache: RouteCache,
+    overlay: FaultOverlay<'r>,
+    /// `build_path` buffers: the physical route and the resource path.
+    scratch_links: Vec<LinkId>,
+    scratch_route: Vec<u32>,
+    faults: Peekable<slice::Iter<'r, FaultEvent>>,
+    fault_events_applied: u64,
+    skipped_flow_ids: Vec<u32>,
+    /// Successor lists (CSR), then per-flow state by flow id.
+    succ_offsets: Vec<u32>,
+    succs: Vec<u32>,
+    remaining: Vec<f64>,
+    indeg: Vec<u32>,
+    completion_times: Vec<f64>,
+    /// Flows whose dependencies resolved, not yet activated.
+    ready: Vec<u32>,
+    active: Vec<Active>,
+    /// Flows waiting out their head latency, by activation time.
+    delayed: BinaryHeap<Reverse<(Time, u32)>>,
+    delayed_paths: IntMap<u32, PathId>,
+    /// Bytes carried per resource; empty unless link statistics are on.
+    resource_bytes: Vec<f64>,
+    now: f64,
+    completed: usize,
+    events: u64,
+    /// Armed once per run; checked with the event budget at every event.
+    wall_deadline: Option<(Instant, f64)>,
+    /// Dense scratch of the traced utilisation probe: per-resource load,
+    /// all zero between probes, and the resources the current one hit.
+    probe_load: Vec<f64>,
+    probe_touched: Vec<u32>,
+}
+
+impl<'r> RunState<'r> {
+    fn new(
+        sim: &'r Simulator<'r>,
+        dag: &'r FlowDag,
+        faults: &'r [FaultEvent],
+        policy: RecoveryPolicy,
+        sink: Option<&'r mut dyn TraceSink>,
+    ) -> Result<Self, SimError> {
         let n = dag.len();
+        let cfg = &sim.cfg;
         let (succ_offsets, succs) = dag.successors();
-
-        let mut solver = MaxMinSolver::new(self.resource_capacities())?;
-        // Every route of the run, interned once; the route cache, the
-        // active and delayed sets and the solver all hold ids into it.
-        let mut paths = PathTable::new();
-        let mut route_cache = RouteCache::new(self.cfg.route_cache_cap);
-        let mut overlay = FaultOverlay::new(self.topo);
-        let fault_events = schedule.events();
-        let mut fault_idx = 0usize;
-        let mut fault_events_applied = 0u64;
-        let mut skipped_flow_ids: Vec<u32> = Vec::new();
-
-        // Per-flow state.
-        let mut remaining: Vec<f64> = dag.flows().iter().map(|f| f.bytes as f64 * 8.0).collect();
-        let mut indeg: Vec<u32> = (0..n)
+        let indeg: Vec<u32> = (0..n)
             .map(|f| dag.preds(FlowId(f as u32)).len() as u32)
             .collect();
-        let mut completion_times = if self.cfg.record_flow_times {
-            vec![f64::NAN; n]
-        } else {
-            Vec::new()
+        let solver = MaxMinSolver::new(sim.resource_capacities())?;
+        let resources = solver.num_resources();
+        let tracing = cfg.trace || sink.is_some();
+        let mut run = RunState {
+            sim,
+            dag,
+            policy,
+            probe_load: vec![0.0; if tracing { resources } else { 0 }],
+            probe_touched: Vec::new(),
+            trace: Tracer {
+                metrics: tracing.then(MetricsRegistry::new),
+                sink,
+            },
+            solver,
+            paths: PathTable::new(),
+            route_cache: RouteCache::new(cfg.route_cache_cap),
+            overlay: FaultOverlay::new(sim.topo),
+            scratch_links: Vec::new(),
+            scratch_route: Vec::new(),
+            faults: faults.iter().peekable(),
+            fault_events_applied: 0,
+            skipped_flow_ids: Vec::new(),
+            succ_offsets,
+            succs,
+            remaining: dag.flows().iter().map(|f| f.bytes as f64 * 8.0).collect(),
+            ready: (0..n as u32).filter(|&f| indeg[f as usize] == 0).collect(),
+            indeg,
+            completion_times: vec![f64::NAN; if cfg.record_flow_times { n } else { 0 }],
+            active: Vec::new(),
+            delayed: BinaryHeap::new(),
+            delayed_paths: IntMap::default(),
+            resource_bytes: vec![0.0; if cfg.collect_link_stats { resources } else { 0 }],
+            now: 0.0,
+            completed: 0,
+            events: 0,
+            wall_deadline: cfg.max_wall_s.map(|limit| (Instant::now(), limit)),
         };
-        let mut resource_bytes = if self.cfg.collect_link_stats {
-            vec![0.0f64; self.num_links + 2 * self.num_eps]
-        } else {
-            Vec::new()
-        };
-
-        // Active set: parallel vectors of flow id, path (resource list) and
-        // solver entry id (every swap_remove mirrors all of them).
-        let mut active_ids: Vec<u32> = Vec::new();
-        let mut active_paths: Vec<PathId> = Vec::new();
-        let mut active_entries: Vec<u32> = Vec::new();
-        let mut rates: Vec<f64> = Vec::new();
-        let mut done_flags: Vec<bool> = Vec::new();
-        // Flows waiting out their head latency.
-        let mut delayed: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
-        let mut delayed_paths: IntMap<u32, PathId> = IntMap::default();
-
-        let mut now = 0.0f64;
-        let mut completed = 0usize;
-        let mut events = 0u64;
-        // Wall-clock deadline, armed once per run; checked (together with
-        // the event budget) at every event boundary so a runaway cell
-        // terminates with a typed error instead of hanging its worker.
-        let wall_deadline = self.cfg.max_wall_s.map(|limit| (Instant::now(), limit));
-        let mut scratch = RouteScratch::default();
-        let latency_model = self.cfg.per_hop_latency_s > 0.0 || self.cfg.startup_latency_s > 0.0;
-
-        let mut ready: Vec<u32> = (0..n as u32).filter(|&f| indeg[f as usize] == 0).collect();
-
-        let tracing = self.cfg.trace || sink.is_some();
-        let mut metrics = if tracing {
-            Some(MetricsRegistry::new())
-        } else {
-            None
-        };
-        // Dense scratch of the traced utilisation probe: per-resource load,
-        // all zero between probes, and the resources the current one hit.
-        let mut probe_load = vec![0.0f64; if tracing { solver.num_resources() } else { 0 }];
-        let mut probe_touched: Vec<u32> = Vec::new();
-
-        // Count one event in the metrics registry (present iff tracing)
-        // and, only when a sink listens, build it and hand it over: an
-        // untraced run pays one predictable jump per site, a metrics-only
-        // run one counter bump, and neither allocates an event payload.
-        macro_rules! emit {
-            ($counter:ident, $ev:expr) => {
-                if let Some(m) = metrics.as_mut() {
-                    m.$counter += 1;
-                    if let Some(s) = sink.as_mut() {
-                        s.record(&$ev);
-                    }
-                }
-            };
-        }
-
-        // Retire flow `f` at the current time (delivered, degenerate, or
-        // dropped): zero it, stamp its completion, release its dependents.
-        macro_rules! retire {
-            ($f:expr) => {{
-                let f = $f as usize;
-                remaining[f] = 0.0;
-                if self.cfg.record_flow_times {
-                    completion_times[f] = now;
-                }
-                completed += 1;
-                let lo = succ_offsets[f] as usize;
-                let hi = succ_offsets[f + 1] as usize;
-                for &s in &succs[lo..hi] {
-                    indeg[s as usize] -= 1;
-                    if indeg[s as usize] == 0 {
-                        ready.push(s);
-                    }
-                }
-            }};
-        }
-
-        // Admit flow `f` with `path` into the active set, registering its
-        // solver entry.
-        macro_rules! admit {
-            ($f:expr, $path:expr) => {{
-                let f: u32 = $f;
-                let path: PathId = $path;
-                emit!(
-                    flows_started,
-                    TraceEvent::FlowStarted {
-                        t: now,
-                        flow: f,
-                        path: paths.get(path).to_vec(),
-                    }
-                );
-                active_entries.push(solver.insert_entry(&paths, path));
-                active_ids.push(f);
-                active_paths.push(path);
-            }};
-        }
-
-        // Activation: instantly retire degenerate flows (zero bytes or
-        // self-traffic) cascading; queue real flows into the active set or,
-        // under the latency model, into the delayed heap.
-        macro_rules! activate_ready {
-            () => {
-                while let Some(f) = ready.pop() {
-                    let spec = dag.flow(FlowId(f));
-                    emit!(
-                        flows_activated,
-                        TraceEvent::FlowActivated {
-                            t: now,
-                            flow: f,
-                            src: spec.src,
-                            dst: spec.dst,
-                            bytes: spec.bytes,
-                            preds: dag.preds(FlowId(f)).to_vec(),
-                        }
-                    );
-                    if spec.bytes == 0 || spec.src == spec.dst {
-                        emit!(flows_finished, TraceEvent::FlowFinished { t: now, flow: f });
-                        retire!(f);
-                        continue;
-                    }
-                    let path: PathId = match route_cache.get((spec.src, spec.dst)) {
-                        Some(p) => p,
-                        None => {
-                            let built = self
-                                .build_path(&mut overlay, spec.src, spec.dst, &mut scratch)
-                                .map(|()| paths.intern(&scratch.route));
-                            match built {
-                                Ok(p) => {
-                                    route_cache.insert((spec.src, spec.dst), p);
-                                    p
-                                }
-                                // A flow activating toward a destination the
-                                // current faults cut off is exactly what the skip
-                                // policy drops — not only flows already in flight.
-                                Err(SimError::Unreachable { .. })
-                                    if matches!(policy, RecoveryPolicy::SkipUnreachable) =>
-                                {
-                                    emit!(
-                                        flows_skipped,
-                                        TraceEvent::FlowSkipped { t: now, flow: f }
-                                    );
-                                    retire!(f);
-                                    skipped_flow_ids.push(f);
-                                    continue;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    };
-                    if latency_model {
-                        // Physical hops = path minus the two NIC resources.
-                        let hops = paths.get(path).len().saturating_sub(2) as f64;
-                        let at =
-                            now + self.cfg.startup_latency_s + hops * self.cfg.per_hop_latency_s;
-                        delayed.push(Reverse((Time(at), f)));
-                        delayed_paths.insert(f, path);
-                    } else {
-                        admit!(f, path);
-                    }
-                }
-            };
-        }
-
-        // Flows skipped while latency-delayed leave stale heap entries
-        // behind (their `delayed_paths` entry is gone); drop those before
-        // consulting the heap.
-        macro_rules! purge_cancelled {
-            () => {
-                while let Some(Reverse((_, f))) = delayed.peek() {
-                    if delayed_paths.contains_key(f) {
-                        break;
-                    }
-                    delayed.pop();
-                }
-            };
-        }
-
-        // Apply every fault event due at (or before) the current time, then
-        // hand each in-flight flow whose path crossed a newly-downed link to
-        // the recovery policy. Link resources share ids with links, so a
-        // resource path crosses link `l` iff it contains `l` directly.
-        macro_rules! apply_due_faults {
-            () => {{
-                let mut downed: Vec<u32> = Vec::new();
-                while fault_idx < fault_events.len() && fault_events[fault_idx].time_s <= now {
-                    let ev = fault_events[fault_idx];
-                    fault_idx += 1;
-                    match ev.action {
-                        FaultAction::Down => {
-                            if overlay.fail_link(LinkId(ev.link)) {
-                                fault_events_applied += 1;
-                                emit!(
-                                    faults_applied,
-                                    TraceEvent::FaultApplied {
-                                        t: now,
-                                        link: ev.link,
-                                    }
-                                );
-                                downed.push(ev.link);
-                            }
-                        }
-                        FaultAction::Up => {
-                            if overlay.restore_link(LinkId(ev.link)) {
-                                fault_events_applied += 1;
-                                emit!(
-                                    faults_cleared,
-                                    TraceEvent::FaultCleared {
-                                        t: now,
-                                        link: ev.link,
-                                    }
-                                );
-                            }
-                        }
-                    }
-                }
-                if !downed.is_empty() {
-                    route_cache.purge_crossing(&paths, &downed);
-                }
-                // Repair retention invariant: every cached path avoids all
-                // currently-down links (down events purge the crossers,
-                // inserts route around the live down-set), and a repair
-                // only *shrinks* the down-set — so retained entries remain
-                // valid routes. They may keep a detour where the repaired
-                // link would now give a shorter path; flows on fresh pairs
-                // route through the repaired link immediately. Clearing
-                // here (the old behaviour) threw away every warm route on
-                // each up-event in a long-running campaign.
-                if !downed.is_empty() {
-                    let crosses = |p: &[u32]| p.iter().find(|r| downed.contains(r)).copied();
-                    // Active flows first, in deterministic index order...
-                    let mut i = 0;
-                    while i < active_ids.len() {
-                        let f = active_ids[i];
-                        let Some(link) = crosses(paths.get(active_paths[i])) else {
-                            i += 1;
-                            continue;
-                        };
-                        if matches!(policy, RecoveryPolicy::Abort) {
-                            return Err(SimError::LinkLost {
-                                time: now,
-                                link,
-                                flow: f,
-                            });
-                        }
-                        let spec = dag.flow(FlowId(f));
-                        match self.build_path(&mut overlay, spec.src, spec.dst, &mut scratch) {
-                            Ok(()) => {
-                                let p = paths.intern(&scratch.route);
-                                emit!(
-                                    reroutes,
-                                    TraceEvent::RerouteTaken {
-                                        t: now,
-                                        flow: f,
-                                        path: scratch.route.clone(),
-                                        restarted: matches!(policy, RecoveryPolicy::RerouteRestart),
-                                    }
-                                );
-                                solver.remove_entry(active_entries[i]);
-                                active_entries[i] = solver.insert_entry(&paths, p);
-                                active_paths[i] = p;
-                                if matches!(policy, RecoveryPolicy::RerouteRestart) {
-                                    // Retransmit from zero on the new path.
-                                    remaining[f as usize] = spec.bytes as f64 * 8.0;
-                                }
-                                i += 1;
-                            }
-                            Err(e) => {
-                                if matches!(policy, RecoveryPolicy::SkipUnreachable) {
-                                    emit!(
-                                        flows_skipped,
-                                        TraceEvent::FlowSkipped { t: now, flow: f }
-                                    );
-                                    retire!(f);
-                                    skipped_flow_ids.push(f);
-                                    active_ids.swap_remove(i);
-                                    active_paths.swap_remove(i);
-                                    solver.remove_entry(active_entries[i]);
-                                    active_entries.swap_remove(i);
-                                    // `rates` is resized before the next solve.
-                                } else {
-                                    return Err(e);
-                                }
-                            }
-                        }
-                    }
-                    // ...then flows still waiting out their head latency
-                    // (sorted: HashMap order is not deterministic).
-                    let mut waiting: Vec<u32> = delayed_paths.keys().copied().collect();
-                    waiting.sort_unstable();
-                    for f in waiting {
-                        let Some(link) = crosses(paths.get(delayed_paths[&f])) else {
-                            continue;
-                        };
-                        if matches!(policy, RecoveryPolicy::Abort) {
-                            return Err(SimError::LinkLost {
-                                time: now,
-                                link,
-                                flow: f,
-                            });
-                        }
-                        let spec = dag.flow(FlowId(f));
-                        match self.build_path(&mut overlay, spec.src, spec.dst, &mut scratch) {
-                            Ok(()) => {
-                                // Keep the original activation time: the head
-                                // latency was committed when the flow was
-                                // scheduled. Nothing transferred yet, so
-                                // resume and restart coincide here.
-                                emit!(
-                                    reroutes,
-                                    TraceEvent::RerouteTaken {
-                                        t: now,
-                                        flow: f,
-                                        path: scratch.route.clone(),
-                                        restarted: false,
-                                    }
-                                );
-                                delayed_paths.insert(f, paths.intern(&scratch.route));
-                            }
-                            Err(e) => {
-                                if matches!(policy, RecoveryPolicy::SkipUnreachable) {
-                                    emit!(
-                                        flows_skipped,
-                                        TraceEvent::FlowSkipped { t: now, flow: f }
-                                    );
-                                    retire!(f);
-                                    skipped_flow_ids.push(f);
-                                    delayed_paths.remove(&f); // heap entry now stale
-                                } else {
-                                    return Err(e);
-                                }
-                            }
-                        }
-                    }
-                }
-            }};
-        }
-
-        if let Some(s) = sink.as_mut() {
+        if let Some(s) = run.trace.sink.as_mut() {
             s.record(&TraceEvent::RunStarted {
                 flows: n as u64,
-                links: self.num_links as u64,
-                endpoints: self.num_eps as u64,
-                batch_epsilon: self.cfg.batch_epsilon,
-                capacities_bps: self.resource_capacities(),
-                topo_cache_hit: self.topo_cache_hit,
+                links: sim.num_links as u64,
+                endpoints: sim.num_eps as u64,
+                batch_epsilon: cfg.batch_epsilon,
+                capacities_bps: sim.resource_capacities(),
+                topo_cache_hit: sim.topo_cache_hit,
             });
         }
+        Ok(run)
+    }
 
-        apply_due_faults!(); // faults scheduled at t = 0 precede all routing
-        activate_ready!();
+    /// One turn of the event loop; `Ok(false)` once the workload is done.
+    fn step(&mut self) -> Result<bool, SimError> {
+        // Faults due now fire first (at t = 0 they precede all routing);
+        // the flows they skip may release dependents.
+        self.apply_due_faults()?;
+        self.activate_ready()?;
+        // With nothing transferring there is no event: time jumps to the
+        // next fault or delayed activation.
+        let dt = if self.active.is_empty() {
+            f64::INFINITY
+        } else {
+            self.check_limits()?;
+            self.events += 1;
+            self.recompute();
+            self.earliest_completion()?
+        };
+        let t_act = self.next_activation();
+        if self.active.is_empty() && t_act.is_none() {
+            return Ok(false); // workload finished; later faults never fire
+        }
+        // The earliest of a fault, a delayed activation and the completion
+        // batch goes next. A fault at the same instant as an activation
+        // fires first, so the activating flow routes around it.
+        let horizon = self.now + dt;
+        let t_fault = self.faults.peek().map(|ev| ev.time_s);
+        if let Some(t) = t_fault.filter(|&t| t < horizon && t_act.is_none_or(|ta| t <= ta)) {
+            self.advance(t - self.now);
+            self.now = t; // the next step applies the fault batch
+        } else if let Some(t) = t_act.filter(|&t| t < horizon) {
+            self.advance(t - self.now);
+            self.now = t;
+            self.admit_due();
+        } else {
+            self.complete_batch(dt);
+            self.activate_ready()?;
+        }
+        Ok(true)
+    }
 
-        loop {
-            // Fault events due at the current time fire before anything else.
-            if fault_idx < fault_events.len() && fault_events[fault_idx].time_s <= now {
-                apply_due_faults!();
-                activate_ready!(); // skip-retirements may release dependents
+    /// Apply every fault event due by `now`, then hand each in-flight flow
+    /// whose path crosses a newly-downed link to [`RunState::recover`]:
+    /// transferring flows in active order, then delayed flows by id.
+    fn apply_due_faults(&mut self) -> Result<(), SimError> {
+        let now = self.now;
+        let mut downed: Vec<u32> = Vec::new();
+        while let Some(ev) = self.faults.next_if(|ev| ev.time_s <= now) {
+            let link = ev.link;
+            match ev.action {
+                FaultAction::Down if self.overlay.fail_link(LinkId(link)) => {
+                    self.fault_events_applied += 1;
+                    let ev = || TraceEvent::FaultApplied { t: now, link };
+                    self.trace.emit(|m| &mut m.faults_applied, ev);
+                    downed.push(link);
+                }
+                FaultAction::Up if self.overlay.restore_link(LinkId(link)) => {
+                    self.fault_events_applied += 1;
+                    let ev = || TraceEvent::FaultCleared { t: now, link };
+                    self.trace.emit(|m| &mut m.faults_cleared, ev);
+                }
+                _ => {}
             }
+        }
+        if downed.is_empty() {
+            return Ok(());
+        }
+        self.route_cache.purge_crossing(&self.paths, &downed);
+        let mut i = 0;
+        while i < self.active.len() {
+            let a = self.active[i];
+            if !self.recover(a.id, a.path, Some(i), &downed)? {
+                i += 1;
+            }
+        }
+        // Sorted: HashMap order is not deterministic.
+        let mut waiting: Vec<u32> = self.delayed_paths.keys().copied().collect();
+        waiting.sort_unstable();
+        for f in waiting {
+            self.recover(f, self.delayed_paths[&f], None, &downed)?;
+        }
+        Ok(())
+    }
 
-            if active_ids.is_empty() {
-                // Nothing transferring: jump to the next delayed activation
-                // or fault event, whichever comes first.
-                purge_cancelled!();
-                let t_act = match delayed.peek() {
-                    None => break, // workload finished; later faults never fire
-                    Some(Reverse((Time(t), _))) => *t,
-                };
-                if let Some(ev) = fault_events.get(fault_idx) {
-                    if ev.time_s <= t_act {
-                        now = now.max(ev.time_s);
-                        continue; // the loop top applies the fault batch
-                    }
+    /// Apply the recovery policy to in-flight flow `f` on `path`, which is
+    /// at index `slot` of the active set or, with `slot == None`, delayed.
+    /// Returns whether the flow left its set. Link resources share ids with
+    /// links, so the path crosses a downed link iff it lists it. A delayed
+    /// flow keeps its activation time: its head latency was committed when
+    /// it was scheduled, and with nothing sent yet, resume and restart
+    /// coincide.
+    fn recover(
+        &mut self,
+        f: u32,
+        path: PathId,
+        slot: Option<usize>,
+        downed: &[u32],
+    ) -> Result<bool, SimError> {
+        let Some(&link) = self.paths.get(path).iter().find(|r| downed.contains(r)) else {
+            return Ok(false);
+        };
+        let now = self.now;
+        if matches!(self.policy, RecoveryPolicy::Abort) {
+            return Err(SimError::LinkLost {
+                time: now,
+                link,
+                flow: f,
+            });
+        }
+        let spec = self.dag.flow(FlowId(f));
+        let (src, dst, bytes) = (spec.src, spec.dst, spec.bytes);
+        match self.build_path(src, dst) {
+            Ok(path) => {
+                let restarted =
+                    slot.is_some() && matches!(self.policy, RecoveryPolicy::RerouteRestart);
+                self.trace.emit(
+                    |m| &mut m.reroutes,
+                    || TraceEvent::RerouteTaken {
+                        t: now,
+                        flow: f,
+                        path: self.paths.get(path).to_vec(),
+                        restarted,
+                    },
+                );
+                if restarted {
+                    self.remaining[f as usize] = bytes as f64 * 8.0;
                 }
-                let Reverse((Time(t), f)) = delayed.pop().expect("peeked entry");
-                now = now.max(t);
-                admit!(f, delayed_paths.remove(&f).expect("delayed path"));
-                loop {
-                    purge_cancelled!();
-                    match delayed.peek() {
-                        Some(Reverse((Time(t2), _))) if *t2 <= now => {
-                            let Reverse((_, f2)) = delayed.pop().expect("peeked entry");
-                            admit!(f2, delayed_paths.remove(&f2).expect("delayed path"));
-                        }
-                        _ => break,
-                    }
+                if let Some(i) = slot {
+                    self.solver.remove_entry(self.active[i].entry);
+                    self.active[i].entry = self.solver.insert_entry(&self.paths, path);
+                    self.active[i].path = path;
+                } else {
+                    self.delayed_paths.insert(f, path);
                 }
+                Ok(false)
+            }
+            Err(SimError::Unreachable { .. })
+                if matches!(self.policy, RecoveryPolicy::SkipUnreachable) =>
+            {
+                self.skip(f);
+                if let Some(i) = slot {
+                    self.solver.remove_entry(self.active.swap_remove(i).entry);
+                } else {
+                    self.delayed_paths.remove(&f); // its heap entry is now stale
+                }
+                Ok(true)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Activate every ready flow: retire degenerate flows (zero bytes or
+    /// self-traffic) at once, cascading; route the rest and admit them or,
+    /// under the latency model, hold them back by their head latency.
+    fn activate_ready(&mut self) -> Result<(), SimError> {
+        let (dag, cfg) = (self.dag, &self.sim.cfg);
+        let latency_model = cfg.per_hop_latency_s > 0.0 || cfg.startup_latency_s > 0.0;
+        let now = self.now;
+        while let Some(f) = self.ready.pop() {
+            let spec = dag.flow(FlowId(f));
+            self.trace.emit(
+                |m| &mut m.flows_activated,
+                || TraceEvent::FlowActivated {
+                    t: now,
+                    flow: f,
+                    src: spec.src,
+                    dst: spec.dst,
+                    bytes: spec.bytes,
+                    preds: dag.preds(FlowId(f)).to_vec(),
+                },
+            );
+            if spec.bytes == 0 || spec.src == spec.dst {
+                let ev = || TraceEvent::FlowFinished { t: now, flow: f };
+                self.trace.emit(|m| &mut m.flows_finished, ev);
+                self.retire(f);
                 continue;
             }
-
-            // Cooperative cancellation: both limits are checked at the event
-            // boundary, after `events` boundaries have been fully processed
-            // and before the next solve starts, so a cut run is a prefix of
-            // the uninterrupted one. The budget check is deterministic (the
-            // event sequence is); the deadline is host-speed dependent.
-            if let Some(max) = self.cfg.max_events {
-                if events >= max {
-                    emit!(
-                        budget_exhausted,
-                        TraceEvent::BudgetExhausted { t: now, events }
-                    );
-                    return Err(SimError::BudgetExhausted {
-                        max_events: max,
-                        events,
-                        time: now,
-                        delivered_bytes: bytes_accounted(dag, &remaining),
-                        flows_completed: completed as u64,
-                    });
-                }
-            }
-            if let Some((start, limit)) = wall_deadline {
-                if start.elapsed().as_secs_f64() >= limit {
-                    emit!(
-                        deadline_exceeded,
-                        TraceEvent::DeadlineExceeded { t: now, events }
-                    );
-                    return Err(SimError::DeadlineExceeded {
-                        wall_limit_s: limit,
-                        events,
-                        time: now,
-                        delivered_bytes: bytes_accounted(dag, &remaining),
-                        flows_completed: completed as u64,
-                    });
-                }
-            }
-
-            events += 1;
-            rates.resize(active_ids.len(), 0.0);
-            let solve_start = if tracing { Some(Instant::now()) } else { None };
-            let passes = solver.rate_recomputes;
-            solver.recompute(&paths);
-            for (rate, &e) in rates.iter_mut().zip(&active_entries) {
-                *rate = solver.entry_rate(e);
-            }
-            if let Some(m) = metrics.as_mut() {
-                let elapsed = solve_start.expect("set when tracing").elapsed();
-                m.record_solve(elapsed.as_secs_f64(), active_ids.len());
-                // Post-recompute utilisation probe: the most loaded
-                // resource relative to its capacity. Per-resource sums
-                // accumulate in active-index order; a resource listed
-                // twice (its load was still 0.0 at a later visit) is
-                // drained by its first occurrence and contributes 0
-                // afterwards.
-                for (&path, &rate) in active_paths.iter().zip(&rates) {
-                    for &r in paths.get(path) {
-                        if probe_load[r as usize] == 0.0 {
-                            probe_touched.push(r);
-                        }
-                        probe_load[r as usize] += rate;
-                    }
-                }
-                let mut peak = 0.0f64;
-                for r in probe_touched.drain(..) {
-                    let load = std::mem::take(&mut probe_load[r as usize]);
-                    peak = peak.max(load / solver.capacity(r));
-                }
-                m.record_utilization(peak);
-                m.rate_recomputes += 1;
-                let full_pass = solver.rate_recomputes > passes;
-                m.full_passes += full_pass as u64;
-                if let Some(s) = sink.as_mut() {
-                    s.record(&TraceEvent::RateRecompute {
-                        t: now,
-                        flows: active_ids.clone(),
-                        rates_bps: rates.clone(),
-                        entries_solved: solver.last_pass_entries,
-                        full_pass,
-                    });
-                }
-            }
-
-            // Earliest completion among active flows.
-            let mut dt = f64::INFINITY;
-            for (i, &f) in active_ids.iter().enumerate() {
-                let t = remaining[f as usize] / rates[i];
-                if t < dt {
-                    dt = t;
-                }
-            }
-            if !dt.is_finite() {
-                return Err(self.stall_error(
-                    now,
-                    &active_ids,
-                    &active_paths,
-                    &paths,
-                    &rates,
-                    &solver,
-                ));
-            }
-
-            // A fault or a delayed activation may precede the earliest
-            // completion; a fault at the same instant as an activation fires
-            // first, so the activating flow routes around it.
-            purge_cancelled!();
-            let t_act = delayed.peek().map(|Reverse((Time(t), _))| *t);
-            if let Some(ev) = fault_events.get(fault_idx) {
-                let before_act = match t_act {
-                    Some(ta) => ev.time_s <= ta,
-                    None => true,
-                };
-                if ev.time_s < now + dt && before_act {
-                    let step = ev.time_s - now;
-                    Self::advance(
-                        step,
-                        &active_ids,
-                        &active_paths,
-                        &paths,
-                        &rates,
-                        &mut remaining,
-                        &mut resource_bytes,
-                    );
-                    now = ev.time_s;
-                    continue; // the loop top applies the fault batch
-                }
-            }
-            if let Some(t_act) = t_act {
-                if t_act < now + dt {
-                    let step = t_act - now;
-                    Self::advance(
-                        step,
-                        &active_ids,
-                        &active_paths,
-                        &paths,
-                        &rates,
-                        &mut remaining,
-                        &mut resource_bytes,
-                    );
-                    now = t_act;
-                    loop {
-                        purge_cancelled!();
-                        match delayed.peek() {
-                            Some(Reverse((Time(t2), _))) if *t2 <= now => {
-                                let Reverse((_, f2)) = delayed.pop().expect("peeked entry");
-                                admit!(f2, delayed_paths.remove(&f2).expect("delayed path"));
-                            }
-                            _ => break,
-                        }
-                    }
+            let path = match self.route(spec.src, spec.dst) {
+                Ok(path) => path,
+                // A flow activating toward a destination the current faults
+                // cut off is exactly what the skip policy drops.
+                Err(SimError::Unreachable { .. })
+                    if matches!(self.policy, RecoveryPolicy::SkipUnreachable) =>
+                {
+                    self.skip(f);
                     continue;
                 }
-            }
-
-            let cutoff = dt * (1.0 + self.cfg.batch_epsilon);
-            // Identify the completion batch *before* advancing, then advance.
-            done_flags.clear();
-            done_flags.extend(
-                active_ids
-                    .iter()
-                    .zip(&rates)
-                    .map(|(&f, &rate)| remaining[f as usize] / rate <= cutoff),
-            );
-            Self::advance(
-                dt,
-                &active_ids,
-                &active_paths,
-                &paths,
-                &rates,
-                &mut remaining,
-                &mut resource_bytes,
-            );
-            now += dt;
-
-            // Retire the completion batch (swap-remove).
-            let mut i = 0;
-            while i < active_ids.len() {
-                if done_flags[i] {
-                    emit!(
-                        flows_finished,
-                        TraceEvent::FlowFinished {
-                            t: now,
-                            flow: active_ids[i],
-                        }
-                    );
-                    retire!(active_ids[i]);
-                    active_ids.swap_remove(i);
-                    active_paths.swap_remove(i);
-                    rates.swap_remove(i);
-                    done_flags.swap_remove(i);
-                    solver.remove_entry(active_entries[i]);
-                    active_entries.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-
-            activate_ready!();
-        }
-
-        // Internal invariant, not an input error: the builder guarantees
-        // acyclicity, so an incomplete run is an engine bug.
-        assert_eq!(
-            completed, n,
-            "simulation ended with {completed} of {n} flows incomplete (cyclic deps?)"
-        );
-
-        Ok(SimReport {
-            makespan_seconds: now,
-            flows: n as u64,
-            events,
-            maxmin_iterations: solver.iterations,
-            completion_times: if self.cfg.record_flow_times {
-                Some(completion_times)
+                Err(e) => return Err(e),
+            };
+            if latency_model {
+                // Physical hops = path minus the two NIC resources.
+                let hops = self.paths.get(path).len().saturating_sub(2) as f64;
+                let at = now + cfg.startup_latency_s + hops * cfg.per_hop_latency_s;
+                self.delayed.push(Reverse((Time(at), f)));
+                self.delayed_paths.insert(f, path);
             } else {
-                None
-            },
-            resource_bytes: if self.cfg.collect_link_stats {
-                Some(resource_bytes)
-            } else {
-                None
-            },
-            num_links: self.num_links as u64,
-            num_endpoints: self.num_eps as u64,
-            skipped_flows: skipped_flow_ids.len() as u64,
-            skipped_flow_ids,
-            fault_events_applied,
-            rate_recomputes: solver.rate_recomputes,
-            flows_coalesced: solver.flows_coalesced,
-            route_cache_hits: route_cache.hits,
-            route_cache_evictions: route_cache.evictions,
-            metrics: metrics.map(|m| {
-                let mut snap = m.snapshot();
-                snap.topo_cache_hit = self.topo_cache_hit as u64;
-                snap
-            }),
-        })
+                self.admit(f, path);
+            }
+        }
+        Ok(())
     }
 
-    /// Diagnose a stalled rate allocation: name the zero-rate flows and the
-    /// suspected bottleneck (smallest-capacity resource on the first
-    /// stalled flow's path) so a bulk-sweep entry is debuggable without a
-    /// rerun.
-    fn stall_error(
-        &self,
-        now: f64,
-        active_ids: &[u32],
-        active_paths: &[PathId],
-        paths: &PathTable,
-        rates: &[f64],
-        solver: &MaxMinSolver,
-    ) -> SimError {
-        const MAX_REPORTED: usize = 8;
-        let mut stalled = Vec::new();
-        let mut resource = None;
-        for (i, &f) in active_ids.iter().enumerate() {
-            if rates[i] > 0.0 {
-                continue;
-            }
-            if resource.is_none() {
-                resource = paths.get(active_paths[i]).iter().copied().min_by(|&a, &b| {
-                    solver
-                        .capacity(a)
-                        .partial_cmp(&solver.capacity(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-            }
-            if stalled.len() < MAX_REPORTED {
-                stalled.push(f);
-            }
+    /// The route of `src → dst`: cached, or built around the current faults
+    /// and interned.
+    fn route(&mut self, src: u32, dst: u32) -> Result<PathId, SimError> {
+        if let Some(path) = self.route_cache.get((src, dst)) {
+            return Ok(path);
         }
-        SimError::Stalled {
-            time: now,
-            flows: stalled,
-            resource,
-        }
+        let path = self.build_path(src, dst)?;
+        self.route_cache.insert((src, dst), path);
+        Ok(path)
     }
 
-    /// Advance every active flow by `dt` seconds, accounting bytes into
-    /// `resource_bytes` when it is sized (link statistics enabled).
-    fn advance(
-        dt: f64,
-        active_ids: &[u32],
-        active_paths: &[PathId],
-        paths: &PathTable,
-        rates: &[f64],
-        remaining: &mut [f64],
-        resource_bytes: &mut [f64],
-    ) {
-        if dt <= 0.0 {
-            return;
-        }
-        for (i, &f) in active_ids.iter().enumerate() {
-            remaining[f as usize] -= rates[i] * dt;
-            if !resource_bytes.is_empty() {
-                let bytes = rates[i] * dt / 8.0;
-                for &r in paths.get(active_paths[i]) {
-                    resource_bytes[r as usize] += bytes;
-                }
-            }
-        }
-    }
-
-    /// Write the resource path of a flow into `scratch.route`: injection
-    /// resource, physical route links, ejection resource. Routing goes
-    /// through the fault overlay so mid-run link failures are avoided; with
+    /// Build and intern the resource path of `src → dst`: injection
+    /// resource, physical route links, ejection resource. Routing
+    /// goes through the fault overlay, so it avoids every down link; with
     /// no dynamic failures the overlay defers to the topology's own
     /// deterministic route. An unreachable destination (failed links
     /// partitioning the network) is a typed error, not a panic.
-    ///
-    /// The caller interns the route into the run's [`PathTable`].
-    fn build_path(
-        &self,
-        overlay: &mut FaultOverlay,
-        src: u32,
-        dst: u32,
-        scratch: &mut RouteScratch,
-    ) -> Result<(), SimError> {
-        let RouteScratch { links, route } = scratch;
-        links.clear();
-        overlay
-            .try_route(NodeId(src), NodeId(dst), links)
+    fn build_path(&mut self, src: u32, dst: u32) -> Result<PathId, SimError> {
+        self.scratch_links.clear();
+        self.overlay
+            .try_route(NodeId(src), NodeId(dst), &mut self.scratch_links)
             .map_err(|e| SimError::Unreachable {
                 src,
                 dst,
                 topology: e.topology,
                 failed_links: e.failed_links as u64,
             })?;
+        let route = &mut self.scratch_route;
         route.clear();
-        route.push(self.injection_resource(src));
-        route.extend(links.iter().map(|l| l.0));
-        route.push(self.ejection_resource(dst));
+        route.push(self.sim.injection_resource(src));
+        route.extend(self.scratch_links.iter().map(|l| l.0));
+        route.push(self.sim.ejection_resource(dst));
+        Ok(self.paths.intern(route))
+    }
+
+    /// Put flow `f` on `path` into the active set with a solver entry.
+    fn admit(&mut self, f: u32, path: PathId) {
+        let now = self.now;
+        self.trace.emit(
+            |m| &mut m.flows_started,
+            || TraceEvent::FlowStarted {
+                t: now,
+                flow: f,
+                path: self.paths.get(path).to_vec(),
+            },
+        );
+        self.active.push(Active {
+            rate: 0.0,
+            id: f,
+            path,
+            entry: self.solver.insert_entry(&self.paths, path),
+            done: false,
+        });
+    }
+
+    /// Time of the earliest live delayed activation, after dropping the
+    /// stale heap entries of flows skipped while delayed.
+    fn next_activation(&mut self) -> Option<f64> {
+        while let Some(Reverse((Time(t), f))) = self.delayed.peek() {
+            if self.delayed_paths.contains_key(f) {
+                return Some(*t);
+            }
+            self.delayed.pop();
+        }
+        None
+    }
+
+    /// Admit every delayed flow due by `now`.
+    fn admit_due(&mut self) {
+        while self.next_activation().is_some_and(|t| t <= self.now) {
+            let Reverse((_, f)) = self.delayed.pop().expect("peeked entry");
+            let path = self.delayed_paths.remove(&f).expect("delayed path");
+            self.admit(f, path);
+        }
+    }
+
+    /// Drop flow `f` under the skip policy and release its dependents.
+    fn skip(&mut self, f: u32) {
+        let now = self.now;
+        self.trace.emit(
+            |m| &mut m.flows_skipped,
+            || TraceEvent::FlowSkipped { t: now, flow: f },
+        );
+        self.retire(f);
+        self.skipped_flow_ids.push(f);
+    }
+
+    /// Retire flow `f` at `now` (delivered, degenerate, or dropped): zero
+    /// it, stamp its completion, release its dependents.
+    fn retire(&mut self, f: u32) {
+        let f = f as usize;
+        self.remaining[f] = 0.0;
+        if self.sim.cfg.record_flow_times {
+            self.completion_times[f] = self.now;
+        }
+        self.completed += 1;
+        let succs = &self.succs[self.succ_offsets[f] as usize..self.succ_offsets[f + 1] as usize];
+        for &s in succs {
+            self.indeg[s as usize] -= 1;
+            if self.indeg[s as usize] == 0 {
+                self.ready.push(s);
+            }
+        }
+    }
+
+    /// Cooperative cancellation at the event boundary, after `events`
+    /// boundaries and before the next solve, so a cut run is a prefix of
+    /// the uninterrupted one. The event budget is deterministic (the event
+    /// sequence is); the wall-clock deadline is host-speed dependent.
+    fn check_limits(&mut self) -> Result<(), SimError> {
+        let (now, events) = (self.now, self.events);
+        if let Some(max_events) = self.sim.cfg.max_events.filter(|&max| events >= max) {
+            let ev = || TraceEvent::BudgetExhausted { t: now, events };
+            self.trace.emit(|m| &mut m.budget_exhausted, ev);
+            return Err(SimError::BudgetExhausted {
+                max_events,
+                events,
+                time: now,
+                delivered_bytes: self.bytes_accounted(),
+                flows_completed: self.completed as u64,
+            });
+        }
+        let expired = |&(start, limit): &(Instant, f64)| start.elapsed().as_secs_f64() >= limit;
+        if let Some((_, wall_limit_s)) = self.wall_deadline.filter(expired) {
+            let ev = || TraceEvent::DeadlineExceeded { t: now, events };
+            self.trace.emit(|m| &mut m.deadline_exceeded, ev);
+            return Err(SimError::DeadlineExceeded {
+                wall_limit_s,
+                events,
+                time: now,
+                delivered_bytes: self.bytes_accounted(),
+                flows_completed: self.completed as u64,
+            });
+        }
         Ok(())
+    }
+
+    /// Bytes no longer outstanding: total workload bytes minus the bits
+    /// still `remaining`. Finished flows have none left, partial flows
+    /// count their transferred prefix, and skipped flows (zeroed at
+    /// retirement) count as accounted-for.
+    fn bytes_accounted(&self) -> u64 {
+        let total_bits: f64 = self.dag.flows().iter().map(|f| f.bytes as f64 * 8.0).sum();
+        let outstanding_bits: f64 = self.remaining.iter().sum();
+        (((total_bits - outstanding_bits) / 8.0).max(0.0)) as u64
+    }
+
+    /// Settle the solver and copy every active flow's rate. A traced run
+    /// also counts the recompute, probes utilisation and emits the rates.
+    fn recompute(&mut self) {
+        let solve_start = self.trace.metrics.is_some().then(Instant::now);
+        let passes = self.solver.rate_recomputes;
+        self.solver.recompute(&self.paths);
+        for a in &mut self.active {
+            a.rate = self.solver.entry_rate(a.entry);
+        }
+        let (Some(start), Some(m)) = (solve_start, self.trace.metrics.as_mut()) else {
+            return;
+        };
+        m.record_solve(start.elapsed().as_secs_f64(), self.active.len());
+        // The most loaded resource relative to its capacity. Per-resource
+        // sums accumulate in active order; a resource listed twice (its
+        // load was still 0.0 at a later visit) is drained by its first
+        // occurrence and contributes 0 afterwards.
+        for a in &self.active {
+            for &r in self.paths.get(a.path) {
+                if self.probe_load[r as usize] == 0.0 {
+                    self.probe_touched.push(r);
+                }
+                self.probe_load[r as usize] += a.rate;
+            }
+        }
+        let mut peak = 0.0f64;
+        for r in self.probe_touched.drain(..) {
+            let load = std::mem::take(&mut self.probe_load[r as usize]);
+            peak = peak.max(load / self.solver.capacity(r));
+        }
+        m.record_utilization(peak);
+        m.rate_recomputes += 1;
+        let full_pass = self.solver.rate_recomputes > passes;
+        m.full_passes += full_pass as u64;
+        if let Some(s) = self.trace.sink.as_mut() {
+            s.record(&TraceEvent::RateRecompute {
+                t: self.now,
+                flows: self.active.iter().map(|a| a.id).collect(),
+                rates_bps: self.active.iter().map(|a| a.rate).collect(),
+                entries_solved: self.solver.last_pass_entries,
+                full_pass,
+            });
+        }
+    }
+
+    /// Seconds to the earliest completion among active flows.
+    fn earliest_completion(&self) -> Result<f64, SimError> {
+        let mut dt = f64::INFINITY;
+        for a in &self.active {
+            let t = self.remaining[a.id as usize] / a.rate;
+            if t < dt {
+                dt = t;
+            }
+        }
+        if dt.is_finite() {
+            Ok(dt)
+        } else {
+            Err(self.stall_error())
+        }
+    }
+
+    /// Diagnose a stalled rate allocation: name the zero-rate flows and the
+    /// suspected bottleneck (smallest-capacity resource on the first
+    /// stalled flow's path) so a bulk-sweep entry is debuggable without a
+    /// rerun.
+    fn stall_error(&self) -> SimError {
+        const MAX_REPORTED: usize = 8;
+        let mut stalled = Vec::new();
+        let mut resource = None;
+        for a in &self.active {
+            if a.rate > 0.0 {
+                continue;
+            }
+            if resource.is_none() {
+                let capacity = |r: &u32| self.solver.capacity(*r);
+                resource = self
+                    .paths
+                    .get(a.path)
+                    .iter()
+                    .copied()
+                    .min_by(|x, y| capacity(x).total_cmp(&capacity(y)));
+            }
+            if stalled.len() < MAX_REPORTED {
+                stalled.push(a.id);
+            }
+        }
+        SimError::Stalled {
+            time: self.now,
+            flows: stalled,
+            resource,
+        }
+    }
+
+    /// Retire the batch of flows finishing within `batch_epsilon` of the
+    /// earliest completion, `dt` from now. The batch is picked before time
+    /// advances.
+    fn complete_batch(&mut self, dt: f64) {
+        let cutoff = dt * (1.0 + self.sim.cfg.batch_epsilon);
+        for a in &mut self.active {
+            a.done = self.remaining[a.id as usize] / a.rate <= cutoff;
+        }
+        self.advance(dt);
+        self.now += dt;
+        let now = self.now;
+        let mut i = 0;
+        while i < self.active.len() {
+            let a = self.active[i];
+            if !a.done {
+                i += 1;
+                continue;
+            }
+            let ev = || TraceEvent::FlowFinished { t: now, flow: a.id };
+            self.trace.emit(|m| &mut m.flows_finished, ev);
+            self.retire(a.id);
+            self.solver.remove_entry(a.entry);
+            self.active.swap_remove(i);
+        }
+    }
+
+    /// Move every active flow `dt` seconds forward, accounting bytes per
+    /// resource when link statistics are on. The caller moves `now`.
+    fn advance(&mut self, dt: f64) {
+        if dt <= 0.0 {
+            return;
+        }
+        for a in &self.active {
+            self.remaining[a.id as usize] -= a.rate * dt;
+            if !self.resource_bytes.is_empty() {
+                let bytes = a.rate * dt / 8.0;
+                for &r in self.paths.get(a.path) {
+                    self.resource_bytes[r as usize] += bytes;
+                }
+            }
+        }
+    }
+
+    /// The report of a run in which every flow resolved.
+    fn finish(self) -> SimReport {
+        let n = self.dag.len();
+        // Internal invariant, not an input error: the builder guarantees
+        // acyclicity, so an incomplete run is an engine bug.
+        assert_eq!(
+            self.completed, n,
+            "simulation ended with {} of {n} flows incomplete (cyclic deps?)",
+            self.completed
+        );
+        let (sim, cfg) = (self.sim, &self.sim.cfg);
+        SimReport {
+            makespan_seconds: self.now,
+            flows: n as u64,
+            events: self.events,
+            maxmin_iterations: self.solver.iterations,
+            completion_times: cfg.record_flow_times.then_some(self.completion_times),
+            resource_bytes: cfg.collect_link_stats.then_some(self.resource_bytes),
+            num_links: sim.num_links as u64,
+            num_endpoints: sim.num_eps as u64,
+            skipped_flows: self.skipped_flow_ids.len() as u64,
+            skipped_flow_ids: self.skipped_flow_ids,
+            fault_events_applied: self.fault_events_applied,
+            rate_recomputes: self.solver.rate_recomputes,
+            flows_coalesced: self.solver.flows_coalesced,
+            route_cache_hits: self.route_cache.hits,
+            route_cache_evictions: self.route_cache.evictions,
+            metrics: self.trace.metrics.map(|m| MetricsSnapshot {
+                topo_cache_hit: sim.topo_cache_hit as u64,
+                ..m.snapshot()
+            }),
+        }
     }
 }
 
@@ -1582,37 +1523,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_unreachable_error_not_panic() {
-        use exaflow_topo::Degraded;
-        // Ring 0-1-2-3; failing both directions of cables (0,1) and (2,3)
-        // splits {0,3} from {1,2}, so 0 -> 1 cannot route.
-        let base = Torus::new(&[4]);
-        let mut cut = Vec::new();
-        let net = base.network();
-        for (a, b) in [(0u32, 1u32), (2, 3)] {
-            cut.push(net.find_physical_link(NodeId(a), NodeId(b)).unwrap());
-            cut.push(net.find_physical_link(NodeId(b), NodeId(a)).unwrap());
-        }
-        let degraded = Degraded::new(base, cut);
-        let sim = Simulator::new(&degraded);
-        let mut b = FlowDagBuilder::new();
-        b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
-        let err = sim.run(&b.build()).unwrap_err();
-        match err {
-            SimError::Unreachable {
-                src,
-                dst,
-                failed_links,
-                ..
-            } => {
-                assert_eq!((src, dst), (0, 1));
-                assert_eq!(failed_links, 4);
-            }
-            other => panic!("expected Unreachable, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn route_cache_does_not_change_results() {
         let topo = Torus::new(&[4, 4]);
         let mut dagb = FlowDagBuilder::new();
@@ -1701,15 +1611,7 @@ mod tests {
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[bf]);
         let dag = b.build();
         let step = xfer(mb(1), 10.0 * GBPS);
-        let mut events = cable_events(topo.network(), 0.0, 0, 1, FaultAction::Down);
-        events.extend(cable_events(
-            topo.network(),
-            1.5 * step,
-            0,
-            1,
-            FaultAction::Up,
-        ));
-        let schedule = FaultSchedule::new(events).unwrap();
+        let schedule = cables(&topo, &[(0.0, 0, 1, Down), (1.5 * step, 0, 1, Up)]);
 
         let cached = Simulator::with_config(&topo, cfg(SimConfig::default().route_cache_cap))
             .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
@@ -1839,23 +1741,20 @@ mod tests {
     // ---- fault injection ----
 
     use crate::fault::FaultEvent;
+    use FaultAction::{Down, Up};
 
-    /// Down (or up) both directions of the physical cable `a <-> b` at `t`.
-    fn cable_events(
-        net: &exaflow_netgraph::Network,
-        t: f64,
-        a: u32,
-        b: u32,
-        action: FaultAction,
-    ) -> Vec<FaultEvent> {
-        [(a, b), (b, a)]
-            .iter()
-            .map(|&(s, d)| FaultEvent {
-                time_s: t,
+    /// A schedule that downs (or restores) both directions of each physical
+    /// cable `a <-> b` at its time `t`, given as `(t, a, b, action)`.
+    fn cables(topo: &dyn Topology, changes: &[(f64, u32, u32, FaultAction)]) -> FaultSchedule {
+        let net = topo.network();
+        let events = changes.iter().flat_map(|&(time_s, a, b, action)| {
+            [(a, b), (b, a)].map(|(s, d)| FaultEvent {
+                time_s,
                 link: net.find_physical_link(NodeId(s), NodeId(d)).unwrap().0,
                 action,
             })
-            .collect()
+        });
+        FaultSchedule::new(events.collect()).unwrap()
     }
 
     #[test]
@@ -1902,9 +1801,7 @@ mod tests {
         b.add_flow(NodeId(0), NodeId(2), mb(1), &[]);
         let dag = b.build();
         let t_cut = 0.5 * xfer(mb(1), 10.0 * GBPS);
-        let schedule =
-            FaultSchedule::new(cable_events(topo.network(), t_cut, 0, 1, FaultAction::Down))
-                .unwrap();
+        let schedule = cables(&topo, &[(t_cut, 0, 1, Down)]);
 
         let resume = sim
             .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
@@ -1934,9 +1831,7 @@ mod tests {
         let mut b = FlowDagBuilder::new();
         b.add_flow(NodeId(0), NodeId(2), mb(1), &[]);
         let t_cut = 0.5 * xfer(mb(1), 10.0 * GBPS);
-        let schedule =
-            FaultSchedule::new(cable_events(topo.network(), t_cut, 0, 1, FaultAction::Down))
-                .unwrap();
+        let schedule = cables(&topo, &[(t_cut, 0, 1, Down)]);
         let err = sim
             .run_with(&b.build(), &schedule, RecoveryPolicy::Abort, None)
             .unwrap_err();
@@ -1967,9 +1862,7 @@ mod tests {
         b.add_flow(NodeId(3), NodeId(0), mb(1), &[]);
         let dag = b.build();
         let t_cut = 0.5 * xfer(mb(1), 10.0 * GBPS);
-        let mut events = cable_events(topo.network(), t_cut, 0, 1, FaultAction::Down);
-        events.extend(cable_events(topo.network(), t_cut, 2, 3, FaultAction::Down));
-        let schedule = FaultSchedule::new(events).unwrap();
+        let schedule = cables(&topo, &[(t_cut, 0, 1, Down), (t_cut, 2, 3, Down)]);
 
         let r = sim
             .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
@@ -2005,9 +1898,7 @@ mod tests {
         b.add_flow(NodeId(0), NodeId(3), mb(1), &[first]);
         let dag = b.build();
         let t_cut = 0.5 * xfer(mb(1), 10.0 * GBPS);
-        let mut events = cable_events(topo.network(), t_cut, 2, 3, FaultAction::Down);
-        events.extend(cable_events(topo.network(), t_cut, 3, 0, FaultAction::Down));
-        let schedule = FaultSchedule::new(events).unwrap();
+        let schedule = cables(&topo, &[(t_cut, 2, 3, Down), (t_cut, 3, 0, Down)]);
 
         let r = sim
             .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
@@ -2047,17 +1938,10 @@ mod tests {
         let dag = b.build();
         let step = xfer(mb(1), 10.0 * GBPS);
 
-        let down = cable_events(topo.network(), 0.0, 0, 1, FaultAction::Down);
-        let mut with_repair = down.clone();
-        with_repair.extend(cable_events(topo.network(), 1e-4, 0, 1, FaultAction::Up));
-
+        let down = (0.0, 0, 1, Down);
+        let repaired = cables(&topo, &[down, (1e-4, 0, 1, Up)]);
         let repaired = sim
-            .run_with(
-                &dag,
-                &FaultSchedule::new(with_repair).unwrap(),
-                RecoveryPolicy::RerouteResume,
-                None,
-            )
+            .run_with(&dag, &repaired, RecoveryPolicy::RerouteResume, None)
             .unwrap();
         assert!(
             (repaired.makespan_seconds - 2.0 * step).abs() < 1e-12,
@@ -2069,7 +1953,7 @@ mod tests {
         let detoured = sim
             .run_with(
                 &dag,
-                &FaultSchedule::new(down).unwrap(),
+                &cables(&topo, &[down]),
                 RecoveryPolicy::RerouteResume,
                 None,
             )
@@ -2087,8 +1971,7 @@ mod tests {
         let sim = Simulator::new(&topo);
         let mut b = FlowDagBuilder::new();
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
-        let schedule =
-            FaultSchedule::new(cable_events(topo.network(), 1.0, 0, 1, FaultAction::Down)).unwrap();
+        let schedule = cables(&topo, &[(1.0, 0, 1, Down)]);
         let r = sim
             .run_with(&b.build(), &schedule, RecoveryPolicy::Abort, None)
             .unwrap();
@@ -2112,9 +1995,7 @@ mod tests {
         b.add_flow(NodeId(3), NodeId(0), mb(1), &[]);
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
         let dag = b.build();
-        let mut events = cable_events(topo.network(), 5e-4, 0, 1, FaultAction::Down);
-        events.extend(cable_events(topo.network(), 5e-4, 2, 3, FaultAction::Down));
-        let schedule = FaultSchedule::new(events).unwrap();
+        let schedule = cables(&topo, &[(5e-4, 0, 1, Down), (5e-4, 2, 3, Down)]);
 
         let r = sim
             .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
@@ -2147,8 +2028,7 @@ mod tests {
         let sim = Simulator::with_config(&topo, cfg);
         let mut b = FlowDagBuilder::new();
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
-        let schedule =
-            FaultSchedule::new(cable_events(topo.network(), 0.0, 0, 1, FaultAction::Down)).unwrap();
+        let schedule = cables(&topo, &[(0.0, 0, 1, Down)]);
         let r = sim
             .run_with(&b.build(), &schedule, RecoveryPolicy::RerouteResume, None)
             .unwrap();
