@@ -285,7 +285,7 @@ fn analysis_run(qfdbs: u64, sources: usize) -> AnalysisRun {
     let scale = SystemScale::new(qfdbs).unwrap();
     let spec = scale.torus_spec();
     let topo = spec.build().unwrap();
-    let reference_average = exaflow::topo::torus::average_distance_for_dims(&scale.torus_dims());
+    let reference_average = Torus::new(&scale.torus_dims()).average_distance();
 
     let t = Instant::now();
     let exact = distance_sweep(topo.as_ref(), 1);

@@ -3,8 +3,10 @@
 //! the fattree and torus reference values from the table caption.
 //!
 //! By default the analysis runs at the paper's full scale (131 072 QFDBs)
-//! and is *exact*: every topology is built in memory, one at a time, and
-//! swept over all sources and all destinations (see `exaflow-analysis`).
+//! and is *exact*: every topology is swept over all sources and all
+//! destinations (see `exaflow-analysis`). Distances are counted by
+//! equidistant class, so no topology wires a link: the sweep holds each
+//! topology's shapes and tier radices, not its network.
 //! Use `--scale` to change, `--threads` to size the sweep's worker pool,
 //! `--json` to dump.
 
@@ -80,9 +82,8 @@ fn main() {
 
     // Reference rows from the table caption.
     let tree_stats = sweep(scale.fattree_spec());
-    let torus_dims = scale.torus_dims();
-    let torus_avg = exaflow::topo::torus::average_distance_for_dims(&torus_dims);
-    let torus_diam: u32 = torus_dims.iter().map(|&d| d / 2).sum();
+    let torus = Torus::new(&scale.torus_dims());
+    let (torus_avg, torus_diam) = (torus.average_distance(), torus.diameter());
     println!(
         "reference Fattree: avg {:.2}, diameter {}",
         tree_stats.average, tree_stats.diameter

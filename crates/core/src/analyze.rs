@@ -3,8 +3,11 @@
 //! parallel engine in `exaflow_analysis`, and emit a kind-tagged report.
 //!
 //! This is the layer that makes [`SystemScale::PAPER`] actually runnable
-//! for Table 1: topologies are built one at a time and dropped after their
-//! sweep (peak memory is a single full-scale network), sources are either
+//! for Table 1: the paper's generators count distances by equidistant
+//! class and wire their network only on first use, which a distance
+//! analysis never makes, so a topology here costs its shapes and tier
+//! radices, not a full-scale network; they are built one at a time and
+//! dropped after their sweep. Sources are either
 //! *all* endpoints (bit-identical to the sequential exact path at any
 //! thread count) or a stratified deterministic sample whose seed derives
 //! from the topology spec's content fingerprint — re-running the same spec
@@ -85,7 +88,8 @@ pub fn table1_specs(scale: SystemScale, hybrids: bool) -> Result<Vec<TopologySpe
 }
 
 /// Build and analyze each spec at `scale` in order, dropping every
-/// topology before the next is built (peak memory is one network). The
+/// topology before the next is built. No link is wired: the sweep reads
+/// only distances, which the paper's generators answer by arithmetic. The
 /// report is deterministic: no timestamps, no machine-dependent fields.
 pub fn analyze_distances(
     scale: SystemScale,

@@ -239,6 +239,9 @@ pub fn run_experiment_with(
         .map_err(|reason| ExperimentError::InvalidMapping { reason })?;
     let mapping = cfg.mapping.build(tasks, topo.num_endpoints());
     let dag = cfg.workload.generate(&mapping);
+    // Generators wire their network on first use; do it before the clock
+    // starts, so `wall_seconds` times the simulation, not construction.
+    topo.network();
     let started = std::time::Instant::now();
     let mut simulator = Simulator::with_config(&*topo, cfg.sim.clone());
     simulator.set_topo_cache_hit(cache_hit);

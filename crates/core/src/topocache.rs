@@ -24,7 +24,9 @@
 //! 3. **Single-flight builds.** Each key owns a build slot (`OnceLock`);
 //!    the first worker to want a spec builds it while later arrivals block
 //!    on that slot rather than duplicating the work or serialising every
-//!    build behind one global lock.
+//!    build behind one global lock. The topology wires its network on first
+//!    use inside a `OnceLock` of its own, so workers sharing an entry share
+//!    one wiring as well.
 //!
 //! It is a *build* cache and nothing more: an entry is exactly what
 //! [`TopologySpec::build`] returns. Routes are not stored — every topology

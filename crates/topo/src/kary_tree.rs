@@ -14,15 +14,18 @@
 //! tree both as its `Fattree` baseline (restricted to three stages) and as
 //! the `NestTree` upper tier.
 //!
-//! [`TreeTier`] is the reusable core: it wires the switch fabric into an
-//! existing [`NetworkBuilder`] and attaches an arbitrary caller-supplied
-//! list of nodes as ports — endpoints for the standalone [`KAryTree`],
-//! uplinked torus QFDBs for `NestTree`.
+//! [`TreeTier`] is the reusable core: the radices, which answer distances,
+//! and [`TreeTier::wire`], which wires the switch fabric into an existing
+//! [`NetworkBuilder`] and attaches an arbitrary caller-supplied list of
+//! nodes as ports — endpoints for the standalone [`KAryTree`], uplinked
+//! torus QFDBs for `NestTree` — and returns the link ids routes read.
 
 use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
+use std::sync::OnceLock;
 
-/// The switch fabric of a k-ary n-tree attached to a list of port nodes.
+/// The switch fabric of a k-ary n-tree with its first `num_ports` ports
+/// populated.
 #[derive(Debug)]
 pub struct TreeTier {
     k: u32,
@@ -30,8 +33,11 @@ pub struct TreeTier {
     num_ports: usize,
     /// k^(n-1): switches per level.
     words: u64,
-    /// Node id of switch (0, 0); levels are contiguous.
-    switch_base: u32,
+}
+
+/// The link ids of a wired [`TreeTier`].
+#[derive(Debug)]
+pub(crate) struct TreeLinks {
     /// Port uplink / downlink link ids, indexed by port.
     ep_up: Vec<u32>,
     ep_down: Vec<u32>,
@@ -42,50 +48,43 @@ pub struct TreeTier {
 }
 
 impl TreeTier {
-    /// Wire a k-ary n-tree into `b`, attaching `ports` (existing nodes) to
-    /// the first `ports.len()` tree ports in order.
+    /// A k-ary n-tree whose first `num_ports` ports are populated.
     ///
-    /// Panics if `ports.len()` exceeds `k^n` or is zero.
-    pub fn build_into(
-        b: &mut NetworkBuilder,
-        k: u32,
-        n: u32,
-        ports: &[NodeId],
-        capacity_bps: f64,
-    ) -> Self {
-        Self::build_into_oversubscribed(b, k, n, ports, capacity_bps, 1.0)
-    }
-
-    /// Like [`TreeTier::build_into`], but thinning the capacity of every
-    /// switch-to-switch link by `oversubscription` (≥ 1): a factor of 4
-    /// models a 4:1 thintree, the k:k'-ary n-tree of Navaridas et al. 2010
-    /// cited by the paper, at flow-level fidelity (aggregate upward
-    /// bandwidth rather than individual trunk cables).
-    ///
-    /// The paper's own fattrees use no oversubscription (factor 1).
-    pub fn build_into_oversubscribed(
-        b: &mut NetworkBuilder,
-        k: u32,
-        n: u32,
-        ports: &[NodeId],
-        capacity_bps: f64,
-        oversubscription: f64,
-    ) -> Self {
-        assert!(
-            oversubscription >= 1.0 && oversubscription.is_finite(),
-            "oversubscription factor must be >= 1, got {oversubscription}"
-        );
-        let fabric_bps = capacity_bps / oversubscription;
+    /// Panics if `num_ports` exceeds `k^n` or is zero.
+    pub(crate) fn new(k: u32, n: u32, num_ports: usize) -> Self {
         assert!(k >= 2, "arity must be >= 2");
         assert!(n >= 1, "at least one stage required");
         let max_ports = (k as u64).checked_pow(n).expect("tree size overflow");
         assert!(
-            ports.len() as u64 <= max_ports,
-            "{} ports exceed {max_ports} of a {k}-ary {n}-tree",
-            ports.len()
+            num_ports as u64 <= max_ports,
+            "{num_ports} ports exceed {max_ports} of a {k}-ary {n}-tree"
         );
-        assert!(!ports.is_empty(), "at least one port required");
-        let words = (k as u64).pow(n - 1);
+        assert!(num_ports > 0, "at least one port required");
+        TreeTier {
+            k,
+            n,
+            num_ports,
+            words: (k as u64).pow(n - 1),
+        }
+    }
+
+    /// Wire the tree into `b`, attaching `ports` (existing nodes, one per
+    /// populated port) to the tree ports in order, and thinning the
+    /// capacity of every switch-to-switch link by `oversubscription` (≥ 1):
+    /// a factor of 4 models a 4:1 thintree, the k:k'-ary n-tree of
+    /// Navaridas et al. 2010 cited by the paper, at flow-level fidelity
+    /// (aggregate upward bandwidth rather than individual trunk cables).
+    /// The paper's own fattrees use no oversubscription (factor 1).
+    pub(crate) fn wire(
+        &self,
+        b: &mut NetworkBuilder,
+        ports: &[NodeId],
+        capacity_bps: f64,
+        oversubscription: f64,
+    ) -> TreeLinks {
+        debug_assert_eq!(ports.len(), self.num_ports);
+        let fabric_bps = capacity_bps / oversubscription;
+        let (k, n, words) = (self.k, self.n, self.words);
         let switch_base = b.num_nodes() as u32;
         b.add_switches((n as u64 * words) as usize);
         let switch_id =
@@ -113,12 +112,7 @@ impl TreeTier {
                 }
             }
         }
-        TreeTier {
-            k,
-            n,
-            num_ports: ports.len(),
-            words,
-            switch_base,
+        TreeLinks {
             ep_up,
             ep_down,
             up,
@@ -171,13 +165,20 @@ impl TreeTier {
         pos
     }
 
-    /// Append the port-to-port path (including both port attach links).
-    pub fn route_ports(&self, src: u64, dst: u64, path: &mut Vec<LinkId>) {
+    /// Append the port-to-port path (including both port attach links)
+    /// over the link ids `links` of this tier.
+    pub(crate) fn route_ports(
+        &self,
+        links: &TreeLinks,
+        src: u64,
+        dst: u64,
+        path: &mut Vec<LinkId>,
+    ) {
         if src == dst {
             return;
         }
         let k = self.k as u64;
-        path.push(LinkId(self.ep_up[src as usize]));
+        path.push(LinkId(links.ep_up[src as usize]));
         let leaf_s = src / k;
         let leaf_d = dst / k;
         if let Some(hi) = self.highest_diff_digit(leaf_s, leaf_d) {
@@ -193,7 +194,7 @@ impl TreeTier {
                 let v = (dst / stride) % k;
                 let wl = (w / stride) % k;
                 path.push(LinkId(
-                    self.up[((l as u64 * self.words + w) * k + v) as usize],
+                    links.up[((l as u64 * self.words + w) * k + v) as usize],
                 ));
                 w = (w as i64 + (v as i64 - wl as i64) * stride as i64) as u64;
             }
@@ -204,13 +205,13 @@ impl TreeTier {
                 let v = (leaf_d / stride) % k;
                 let wl = (w / stride) % k;
                 path.push(LinkId(
-                    self.down[((l as u64 * self.words + w) * k + v) as usize],
+                    links.down[((l as u64 * self.words + w) * k + v) as usize],
                 ));
                 w = (w as i64 + (v as i64 - wl as i64) * stride as i64) as u64;
             }
             debug_assert_eq!(w, leaf_d, "descent must land on the destination leaf");
         }
-        path.push(LinkId(self.ep_down[dst as usize]));
+        path.push(LinkId(links.ep_down[dst as usize]));
     }
 
     /// Port-to-port hop count: 0, 2 (same leaf) or `2·(hi+1) + 2`.
@@ -260,18 +261,23 @@ impl TreeTier {
         }
         self.distance_ports(0, self.num_ports as u64 - 1)
     }
-
-    /// Node id of switch `(level, word)`.
-    pub fn switch_node(&self, level: u32, word: u64) -> NodeId {
-        NodeId(self.switch_base + (level as u64 * self.words + word) as u32)
-    }
 }
 
 /// A standalone k-ary n-tree whose ports are compute endpoints.
 #[derive(Debug)]
 pub struct KAryTree {
-    net: Network,
     tier: TreeTier,
+    capacity_bps: f64,
+    oversubscription: f64,
+    /// Wired on the first [`Topology::network`] or [`Topology::route`].
+    wiring: OnceLock<Wiring>,
+}
+
+/// The network of a [`KAryTree`] and its link ids.
+#[derive(Debug)]
+struct Wiring {
+    net: Network,
+    links: TreeLinks,
 }
 
 impl KAryTree {
@@ -292,8 +298,9 @@ impl KAryTree {
     }
 
     /// Build a thinned tree: switch-to-switch capacity divided by
-    /// `oversubscription` (a flow-level k:k\'-ary n-tree). Extension beyond
-    /// the paper, which studies non-blocking fattrees only.
+    /// `oversubscription` (a flow-level k:k\'-ary n-tree; see
+    /// [`TreeTier::wire`]). Extension beyond the paper, which studies
+    /// non-blocking fattrees only.
     pub fn with_oversubscription(
         k: u32,
         n: u32,
@@ -301,21 +308,32 @@ impl KAryTree {
         capacity_bps: f64,
         oversubscription: f64,
     ) -> Self {
-        let mut b = NetworkBuilder::new();
-        let first = b.add_endpoints(num_eps);
-        let ports: Vec<NodeId> = (0..num_eps as u32).map(|i| NodeId(first.0 + i)).collect();
-        let tier = TreeTier::build_into_oversubscribed(
-            &mut b,
-            k,
-            n,
-            &ports,
-            capacity_bps,
-            oversubscription,
+        assert!(
+            oversubscription >= 1.0 && oversubscription.is_finite(),
+            "oversubscription factor must be >= 1, got {oversubscription}"
         );
         KAryTree {
-            net: b.build(),
-            tier,
+            tier: TreeTier::new(k, n, num_eps),
+            capacity_bps,
+            oversubscription,
+            wiring: OnceLock::new(),
         }
+    }
+
+    fn wiring(&self) -> &Wiring {
+        self.wiring.get_or_init(|| {
+            let num_eps = self.tier.num_ports;
+            let mut b = NetworkBuilder::new();
+            let first = b.add_endpoints(num_eps);
+            let ports: Vec<NodeId> = (0..num_eps as u32).map(|i| NodeId(first.0 + i)).collect();
+            let links = self
+                .tier
+                .wire(&mut b, &ports, self.capacity_bps, self.oversubscription);
+            Wiring {
+                net: b.build(),
+                links,
+            }
+        })
     }
 
     /// The underlying tier.
@@ -413,11 +431,17 @@ impl Topology for KAryTree {
     }
 
     fn network(&self) -> &Network {
-        &self.net
+        &self.wiring().net
+    }
+
+    fn num_endpoints(&self) -> usize {
+        self.tier.num_ports
     }
 
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
-        self.tier.route_ports(src.0 as u64, dst.0 as u64, path);
+        let links = &self.wiring().links;
+        self.tier
+            .route_ports(links, src.0 as u64, dst.0 as u64, path);
     }
 
     fn distance(&self, src: NodeId, dst: NodeId) -> u32 {
@@ -439,7 +463,7 @@ impl Topology for KAryTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_route;
+    use crate::{assert_distances_leave_it_unwired, check_route};
     use exaflow_netgraph::bfs_distances_physical;
 
     #[test]
@@ -644,7 +668,19 @@ mod tests {
     fn switch_node_layout() {
         let t = KAryTree::new(2, 2);
         // 4 endpoints then switches: (0,0),(0,1),(1,0),(1,1).
-        assert_eq!(t.tier().switch_node(0, 0), NodeId(4));
-        assert_eq!(t.tier().switch_node(1, 1), NodeId(7));
+        let (net, links) = (t.network(), &t.wiring().links);
+        assert_eq!(net.link(LinkId(links.ep_up[0])).dst, NodeId(4));
+        // Switch (0,1) up through word digit 0 = 1 lands on (1,1).
+        assert_eq!(net.link(LinkId(links.up[3])).dst, NodeId(7));
+    }
+
+    #[test]
+    fn distance_queries_leave_it_unwired() {
+        for (k, n, eps) in [(3u32, 3u32, 27usize), (3, 3, 20), (4, 2, 1)] {
+            assert_distances_leave_it_unwired(
+                || KAryTree::with_endpoints(k, n, eps),
+                |t| t.wiring.get().is_some(),
+            );
+        }
     }
 }

@@ -18,13 +18,14 @@
 //!   destination.
 
 use crate::connection::{ConnectionRule, UplinkMap};
-use crate::ghc::GhcTier;
-use crate::kary_tree::TreeTier;
+use crate::ghc::{GhcLinks, GhcTier};
+use crate::kary_tree::{TreeLinks, TreeTier};
 use crate::mixed_radix::{near_equal_dims, MixedRadix};
 use crate::torus::grid;
 use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which topology forms the upper tier.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -88,12 +89,33 @@ enum Upper {
     Ghc(GhcTier),
 }
 
+/// The link ids of a wired [`Upper`], of the same kind.
+enum UpperLinks {
+    Tree(TreeLinks),
+    Ghc(GhcLinks),
+}
+
 impl Upper {
-    #[inline]
-    fn route_ports(&self, a: u64, b: u64, path: &mut Vec<LinkId>) {
+    fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId], capacity_bps: f64) -> UpperLinks {
         match self {
-            Upper::Tree(t) => t.route_ports(a, b, path),
-            Upper::Ghc(g) => g.route_ports(a, b, path),
+            Upper::Tree(t) => UpperLinks::Tree(t.wire(b, ports, capacity_bps, 1.0)),
+            Upper::Ghc(g) => UpperLinks::Ghc(g.wire(b, ports, capacity_bps)),
+        }
+    }
+
+    #[inline]
+    fn route_ports(&self, links: &UpperLinks, a: u64, b: u64, path: &mut Vec<LinkId>) {
+        match (self, links) {
+            (Upper::Tree(t), UpperLinks::Tree(l)) => t.route_ports(l, a, b, path),
+            (Upper::Ghc(g), UpperLinks::Ghc(l)) => g.route_ports(l, a, b, path),
+            _ => unreachable!("an upper tier is wired as its own kind"),
+        }
+    }
+
+    fn num_switches(&self) -> u64 {
+        match self {
+            Upper::Tree(t) => t.num_switches(),
+            Upper::Ghc(g) => g.num_routers(),
         }
     }
 
@@ -177,21 +199,31 @@ impl Descent {
 
 /// A torus nested into an upper-tier fattree or generalised hypercube.
 pub struct Nested {
-    net: Network,
     kind: UpperTierKind,
     rule: ConnectionRule,
+    capacity_bps: f64,
     sub_shape: MixedRadix,
     sub_size: u64,
     num_subtori: u64,
     uplinks_per_sub: u64,
     uplink_map: UplinkMap,
-    /// Per-subtorus DOR link tables, `sub_size * 2*ndims` entries each.
-    torus_tables: Vec<Vec<u32>>,
     upper: Upper,
-    num_upper_switches: u64,
     /// [`grid::distance_profile`] of one subtorus.
     sub_profile: Vec<u64>,
     descent: Descent,
+    /// Wired on the first [`Topology::network`] or [`Topology::route`].
+    wiring: OnceLock<Wiring>,
+}
+
+/// The network of a [`Nested`] and its link ids.
+struct Wiring {
+    net: Network,
+    /// DOR link table of subtorus 0, `sub_size * 2*ndims` entries. The
+    /// same code wires every subtorus, one after another, so subtorus `s`'s
+    /// link ids are these plus `s * links_per_sub`.
+    torus_table: Vec<u32>,
+    links_per_sub: u32,
+    upper: UpperLinks,
 }
 
 impl Nested {
@@ -221,54 +253,24 @@ impl Nested {
         let uplink_map = UplinkMap::new(&sub_shape, rule);
         let uplinks_per_sub = uplink_map.num_uplinks() as u64;
         let total_uplinks = num_subtori * uplinks_per_sub;
-
-        let mut b = NetworkBuilder::new();
-        b.add_endpoints(n as usize);
-
-        // Lower tier: one disjoint torus per subtorus.
-        let mut torus_tables = Vec::with_capacity(num_subtori as usize);
-        for s in 0..num_subtori {
-            let first = (s * sub_size) as u32;
-            torus_tables.push(grid::build_links(&mut b, first, &sub_shape, capacity_bps));
-        }
-
-        // Uplinked QFDB node ids in global port order.
-        let mut ports = Vec::with_capacity(total_uplinks as usize);
-        for s in 0..num_subtori {
-            for &local in uplink_map.uplinked() {
-                ports.push(NodeId((s * sub_size) as u32 + local));
-            }
-        }
-
-        let switches_before = b.num_nodes();
         let upper = match kind {
             UpperTierKind::Fattree => {
                 let k = crate::kary_tree::KAryTree::arity_for_ports(total_uplinks, TREE_STAGES);
-                Upper::Tree(TreeTier::build_into(
-                    &mut b,
-                    k,
-                    TREE_STAGES,
-                    &ports,
-                    capacity_bps,
-                ))
+                Upper::Tree(TreeTier::new(k, TREE_STAGES, total_uplinks as usize))
             }
             UpperTierKind::GeneralizedHypercube => {
                 let (dims, ports_per_router) = ghc_upper_shape(total_uplinks);
-                Upper::Ghc(GhcTier::build_into(
-                    &mut b,
+                Upper::Ghc(GhcTier::new(
                     &dims,
                     ports_per_router,
-                    &ports,
-                    capacity_bps,
+                    total_uplinks as usize,
                 ))
             }
         };
-        let num_upper_switches = (b.num_nodes() - switches_before) as u64;
-
         Nested {
-            net: b.build(),
             kind,
             rule,
+            capacity_bps,
             sub_profile: grid::distance_profile(&sub_shape),
             descent: Descent::new(&sub_shape, &uplink_map),
             sub_shape,
@@ -276,10 +278,41 @@ impl Nested {
             num_subtori,
             uplinks_per_sub,
             uplink_map,
-            torus_tables,
             upper,
-            num_upper_switches,
+            wiring: OnceLock::new(),
         }
+    }
+
+    fn wiring(&self) -> &Wiring {
+        self.wiring.get_or_init(|| {
+            let mut b = NetworkBuilder::new();
+            b.add_endpoints(self.num_endpoints());
+
+            // Lower tier: one disjoint torus per subtorus.
+            let before = b.num_links();
+            let torus_table = grid::build_links(&mut b, 0, &self.sub_shape, self.capacity_bps);
+            let links_per_sub = (b.num_links() - before) as u32;
+            for s in 1..self.num_subtori {
+                let first = (s * self.sub_size) as u32;
+                grid::build_links(&mut b, first, &self.sub_shape, self.capacity_bps);
+            }
+
+            // Uplinked QFDB node ids in global port order.
+            let mut ports = Vec::with_capacity(self.num_uplinks() as usize);
+            for s in 0..self.num_subtori {
+                for &local in self.uplink_map.uplinked() {
+                    ports.push(NodeId((s * self.sub_size) as u32 + local));
+                }
+            }
+
+            let upper = self.upper.wire(&mut b, &ports, self.capacity_bps);
+            Wiring {
+                net: b.build(),
+                torus_table,
+                links_per_sub,
+                upper,
+            }
+        })
     }
 
     /// Nodes per subtorus dimension (the paper's `t`).
@@ -317,9 +350,9 @@ impl Nested {
         self.num_subtori * self.uplinks_per_sub
     }
 
-    /// Switches in the upper tier (as constructed).
+    /// Switches in the upper tier.
     pub fn num_upper_switches(&self) -> u64 {
-        self.num_upper_switches
+        self.upper.num_switches()
     }
 
     /// The subtorus coordinate mapping.
@@ -370,22 +403,29 @@ impl Topology for Nested {
     }
 
     fn network(&self) -> &Network {
-        &self.net
+        &self.wiring().net
+    }
+
+    fn num_endpoints(&self) -> usize {
+        (self.num_subtori * self.sub_size) as usize
     }
 
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         if src == dst {
             return;
         }
+        let w = self.wiring();
         let s_sub = self.subtorus_of(src);
         let d_sub = self.subtorus_of(dst);
         let s_local = self.local_of(src) as u64;
         let d_local = self.local_of(dst) as u64;
+        let s_offset = s_sub as u32 * w.links_per_sub;
         if s_sub == d_sub {
             // Paper rule: intra-subtorus traffic never leaves the subtorus.
             grid::route(
                 &self.sub_shape,
-                &self.torus_tables[s_sub as usize],
+                &w.torus_table,
+                s_offset,
                 s_local,
                 d_local,
                 path,
@@ -396,16 +436,18 @@ impl Topology for Nested {
         let b_local = self.uplink_map.target(d_local as u32) as u64;
         grid::route(
             &self.sub_shape,
-            &self.torus_tables[s_sub as usize],
+            &w.torus_table,
+            s_offset,
             s_local,
             a_local,
             path,
         );
         self.upper
-            .route_ports(self.port_of(src), self.port_of(dst), path);
+            .route_ports(&w.upper, self.port_of(src), self.port_of(dst), path);
         grid::route(
             &self.sub_shape,
-            &self.torus_tables[d_sub as usize],
+            &w.torus_table,
+            d_sub as u32 * w.links_per_sub,
             b_local,
             d_local,
             path,
@@ -467,7 +509,7 @@ impl Topology for Nested {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_route;
+    use crate::{assert_distances_leave_it_unwired, check_route};
 
     fn all_rules() -> [ConnectionRule; 4] {
         ConnectionRule::all()
@@ -623,6 +665,45 @@ mod tests {
         // Paper scale at u=1: 16-port routers, like the Table 2 estimate.
         let (_, p) = ghc_upper_shape(131_072);
         assert_eq!(p, 16);
+    }
+
+    #[test]
+    fn distance_queries_leave_it_unwired() {
+        for kind in [UpperTierKind::Fattree, UpperTierKind::GeneralizedHypercube] {
+            for (subtori, t, rule) in [
+                (5u64, 2u32, ConnectionRule::QuarterNodes),
+                (3, 4, ConnectionRule::EighthNodes),
+                (2, 3, ConnectionRule::EveryNode),
+            ] {
+                let make = || Nested::new(kind, subtori, t, rule);
+                assert_distances_leave_it_unwired(make, |n| n.wiring.get().is_some());
+                let n = make();
+                let switches = n.num_upper_switches();
+                assert!(n.wiring.get().is_none());
+                assert_eq!(n.network().num_switches() as u64, switches, "{}", n.name());
+            }
+        }
+    }
+
+    #[test]
+    fn one_table_serves_every_subtorus() {
+        // Rebuild the per-subtorus tables the way the lower tier is wired
+        // and check each against subtorus 0's plus its offset.
+        for t in [2u32, 3, 4] {
+            let n = Nested::new(UpperTierKind::Fattree, 5, t, ConnectionRule::EveryNode);
+            let w = n.wiring();
+            let mut b = NetworkBuilder::new();
+            b.add_endpoints(n.num_endpoints());
+            for s in 0..n.num_subtori() {
+                let first = (s * n.subtorus_size()) as u32;
+                let table = grid::build_links(&mut b, first, n.subtorus_shape(), LINK_RATE_BPS);
+                assert_eq!(table.len(), w.torus_table.len());
+                for (i, (&raw, &base)) in table.iter().zip(&w.torus_table).enumerate() {
+                    let shifted = base + s as u32 * w.links_per_sub;
+                    assert_eq!(raw, shifted, "t={t}, subtorus {s}, entry {i}");
+                }
+            }
+        }
     }
 
     #[test]

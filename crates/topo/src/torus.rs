@@ -18,6 +18,7 @@
 use crate::mixed_radix::MixedRadix;
 use crate::{Tally, Topology, LINK_RATE_BPS};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
+use std::sync::OnceLock;
 
 /// Torus link construction and DOR routing over a node id range.
 pub(crate) mod grid {
@@ -82,10 +83,12 @@ pub(crate) mod grid {
         table
     }
 
-    /// Append the DOR route between local node indices `src` and `dst`.
+    /// Append the DOR route between local node indices `src` and `dst`,
+    /// adding `offset` to every link id read from `table`.
     pub(crate) fn route(
         shape: &MixedRadix,
         table: &[u32],
+        offset: u32,
         src: u64,
         dst: u64,
         path: &mut Vec<LinkId>,
@@ -107,7 +110,7 @@ pub(crate) mod grid {
                 let idx = at as usize * stride + 2 * dim + usize::from(!positive);
                 let raw = table[idx];
                 debug_assert_ne!(raw, NO_LINK, "missing torus link at {at} dim {dim}");
-                path.push(LinkId(raw));
+                path.push(LinkId(raw + offset));
                 c = if positive {
                     (c + 1) % size
                 } else {
@@ -155,11 +158,19 @@ pub(crate) mod grid {
 /// A d-dimensional torus of endpoints.
 #[derive(Debug)]
 pub struct Torus {
-    net: Network,
     shape: MixedRadix,
-    link_table: Vec<u32>,
+    capacity_bps: f64,
     /// [`grid::distance_profile`] of `shape`.
     profile: Vec<u64>,
+    /// Wired on the first [`Topology::network`] or [`Topology::route`].
+    wiring: OnceLock<Wiring>,
+}
+
+/// The network of a [`Torus`] and its DOR link table.
+#[derive(Debug)]
+struct Wiring {
+    net: Network,
+    link_table: Vec<u32>,
 }
 
 impl Torus {
@@ -171,17 +182,26 @@ impl Torus {
     /// Build a torus with a custom link capacity.
     pub fn with_capacity_bps(dims: &[u32], capacity_bps: f64) -> Self {
         let shape = MixedRadix::new(dims);
-        let n = shape.len() as usize;
-        let ndims = shape.ndims();
-        let mut b = NetworkBuilder::with_capacity(n, n * 2 * ndims);
-        b.add_endpoints(n);
-        let link_table = grid::build_links(&mut b, 0, &shape, capacity_bps);
         Torus {
-            net: b.build(),
             profile: grid::distance_profile(&shape),
             shape,
-            link_table,
+            capacity_bps,
+            wiring: OnceLock::new(),
         }
+    }
+
+    fn wiring(&self) -> &Wiring {
+        self.wiring.get_or_init(|| {
+            let n = self.shape.len() as usize;
+            let ndims = self.shape.ndims();
+            let mut b = NetworkBuilder::with_capacity(n, n * 2 * ndims);
+            b.add_endpoints(n);
+            let link_table = grid::build_links(&mut b, 0, &self.shape, self.capacity_bps);
+            Wiring {
+                net: b.build(),
+                link_table,
+            }
+        })
     }
 
     /// Per-dimension sizes.
@@ -209,28 +229,24 @@ impl Torus {
         self.shape.dims().iter().map(|&d| d / 2).sum()
     }
 
-    /// Exact average DOR distance over ordered pairs `src != dst`.
+    /// Exact average DOR distance over ordered pairs `src != dst`: the
+    /// per-ring means summed over dimensions, rescaled to exclude the
+    /// source itself.
     pub fn average_distance(&self) -> f64 {
-        average_distance_for_dims(self.shape.dims())
+        let shape = &self.shape;
+        let n = shape.len() as f64;
+        if n <= 1.0 {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        for (dim, &size) in shape.dims().iter().enumerate() {
+            let total: u64 = (0..size as u64)
+                .map(|k| shape.ring_distance(0, k as u32, dim) as u64)
+                .sum();
+            sum += total as f64 / size as f64;
+        }
+        sum * n / (n - 1.0)
     }
-}
-
-/// Exact average torus distance for the given dims without building the
-/// network (used to report the paper's full-scale 64×64×32 reference).
-pub fn average_distance_for_dims(dims: &[u32]) -> f64 {
-    let shape = MixedRadix::new(dims);
-    let n = shape.len() as f64;
-    if n <= 1.0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for (dim, &size) in shape.dims().iter().enumerate() {
-        let total: u64 = (0..size as u64)
-            .map(|k| shape.ring_distance(0, k as u32, dim) as u64)
-            .sum();
-        sum += total as f64 / size as f64;
-    }
-    sum * n / (n - 1.0)
 }
 
 impl Topology for Torus {
@@ -240,13 +256,18 @@ impl Topology for Torus {
     }
 
     fn network(&self) -> &Network {
-        &self.net
+        &self.wiring().net
+    }
+
+    fn num_endpoints(&self) -> usize {
+        self.shape.len() as usize
     }
 
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
         grid::route(
             &self.shape,
-            &self.link_table,
+            &self.wiring().link_table,
+            0,
             src.0 as u64,
             dst.0 as u64,
             path,
@@ -271,8 +292,15 @@ impl Topology for Torus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check_route;
+    use crate::{assert_distances_leave_it_unwired, check_route};
     use exaflow_netgraph::bfs_distances_physical;
+
+    #[test]
+    fn distance_queries_leave_it_unwired() {
+        for dims in [&[5u32, 4, 2][..], &[3, 1], &[6]] {
+            assert_distances_leave_it_unwired(|| Torus::new(dims), |t| t.wiring.get().is_some());
+        }
+    }
 
     #[test]
     fn link_counts() {
@@ -321,11 +349,11 @@ mod tests {
     fn paper_full_scale_torus_reference() {
         // Table 1 caption: the 131072-node torus (64x64x32) has diameter 80
         // and average distance 40.
-        let dims = [64u32, 64, 32];
-        let diameter: u32 = dims.iter().map(|&d| d / 2).sum();
-        assert_eq!(diameter, 80);
-        let avg = average_distance_for_dims(&dims);
+        let t = Torus::new(&[64, 64, 32]);
+        assert_eq!(t.diameter(), 80);
+        let avg = t.average_distance();
         assert!((avg - 40.0).abs() < 0.01, "avg = {avg}");
+        assert!(t.wiring.get().is_none(), "closed forms need no network");
     }
 
     #[test]

@@ -104,18 +104,23 @@ done
 expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" --resume
 echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors only"
 
-echo "== paper-scale analyze: exact all-sources averages meet Table 1 (40 / 5.94)"
-$TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources all 2>/dev/null \
+echo "== paper-scale analyze: exact all-sources Table 1 (40 / 5.94, pinned (2,4) hybrid cells)"
+$TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources all --hybrids 2>/dev/null \
   | python3 -c '
 import json, sys
 rows = json.load(sys.stdin)["rows"]
-torus, fattree = rows[0]["stats"], rows[1]["stats"]
-assert torus["exact"] and fattree["exact"], (torus["exact"], fattree["exact"])
+torus, fattree, tree, ghc = (row["stats"] for row in rows)
+assert all(row["stats"]["exact"] for row in rows), [row["stats"]["exact"] for row in rows]
 assert abs(torus["average"] - 40.00030517810958) <= 1e-9, torus["average"]
 assert torus["diameter"] == 80, torus["diameter"]
 assert abs(fattree["average"] - 5.94) <= 0.05, fattree["average"]
 assert fattree["diameter"] == 6, fattree["diameter"]
-print("torus avg %.4f, fattree avg %.4f: exact, meets Table 1" % (torus["average"], fattree["average"]))
+cell = next(row for row in json.load(open("table1_results.json")) if (row["t"], row["u"]) == (2, 4))
+for name, stats, key in (("NestTree(t=2,u=4)", tree, "tree"), ("NestGHC(t=2,u=4)", ghc, "ghc")):
+    assert abs(stats["average"] - cell["avg_" + key]) <= 1e-9, (name, stats["average"], cell["avg_" + key])
+    assert stats["diameter"] == cell["diam_" + key], (name, stats["diameter"], cell["diam_" + key])
+print("torus avg %.4f, fattree avg %.4f: exact, meets Table 1; NestTree %.4f, NestGHC %.4f: the pinned (2,4) cells"
+      % (torus["average"], fattree["average"], tree["average"], ghc["average"]))
 ' || { echo "paper-scale analyze drifted from Table 1"; exit 1; }
 
 echo "All checks passed."

@@ -65,10 +65,64 @@ fn table1_trends_small_scale() {
 fn table1_torus_reference_exact() {
     let dims = SystemScale::PAPER.torus_dims();
     assert_eq!(dims, [64, 64, 32]);
-    let avg = exaflow::topo::torus::average_distance_for_dims(&dims);
-    assert!((avg - 40.0).abs() < 0.01);
-    let diameter: u32 = dims.iter().map(|&d| d / 2).sum();
-    assert_eq!(diameter, 80);
+    let torus = Torus::new(&dims);
+    assert!((torus.average_distance() - 40.0).abs() < 0.01);
+    assert_eq!(torus.diameter(), 80);
+}
+
+/// `exaflow analyze --scale 131072 --hybrids` as it runs by default (64
+/// sampled sources) at the paper's own scale: no topology is wired, so this
+/// is cheap even unoptimised. The baselines meet their closed forms; both
+/// hybrids bracket their exact (2,4) cell of `table1_results.json` inside
+/// their own 95 % interval.
+#[test]
+fn table1_analysis_at_paper_scale() {
+    let scale = SystemScale::PAPER;
+    let specs = table1_specs(scale, true).unwrap();
+    let report = analyze_distances(scale, &specs, SourceBudget::Sample(64), 1).unwrap();
+    let [torus, fattree, tree, ghc] = &report.rows[..] else {
+        panic!("four Table 1 rows, got {}", report.rows.len());
+    };
+    let within_ci = |row: &DistanceAnalysisRow, exact: f64| {
+        let half_width = row.stats.confidence_95.expect("sampled rows carry a CI");
+        assert!(
+            (row.stats.average - exact).abs() <= half_width,
+            "{}: {} ± {half_width} misses {exact}",
+            row.topology,
+            row.stats.average
+        );
+    };
+
+    // The torus is vertex-transitive: every source sees the closed form.
+    let closed = Torus::new(&scale.torus_dims());
+    assert!((torus.stats.average - closed.average_distance()).abs() < 1e-9);
+    assert_eq!(torus.stats.diameter, closed.diameter());
+    let TopologySpec::Fattree { k, n, .. } = specs[1] else {
+        panic!("second Table 1 baseline is the fattree");
+    };
+    let closed = KAryTree::with_endpoints(k, n, scale.qfdbs as usize);
+    within_ci(fattree, closed.average_distance());
+    assert_eq!(fattree.stats.diameter, closed.diameter());
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/table1_results.json");
+    let text = std::fs::read_to_string(path).expect("table1_results.json is checked in");
+    let pinned: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let cell = pinned
+        .as_array()
+        .expect("array of rows")
+        .iter()
+        .find(|row| row["t"] == 2 && row["u"] == 4)
+        .expect("a (2,4) row");
+    within_ci(tree, cell["avg_tree"].as_f64().unwrap());
+    within_ci(ghc, cell["avg_ghc"].as_f64().unwrap());
+    assert_eq!(
+        tree.stats.diameter,
+        cell["diam_tree"].as_u64().unwrap() as u32
+    );
+    assert_eq!(
+        ghc.stats.diameter,
+        cell["diam_ghc"].as_u64().unwrap() as u32
+    );
 }
 
 /// The fattree reference of Table 1's caption: any 3-stage fattree has

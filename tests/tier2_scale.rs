@@ -58,7 +58,7 @@ fn torus_average_distance_dwarfs_fattree_at_16k() {
     );
     // Closed-form checks: a 32x32x16 torus averages 20 (diameter 40); any
     // 3-stage fattree has diameter 6.
-    let torus_ref = exaflow::topo::torus::average_distance_for_dims(&scale.torus_dims());
+    let torus_ref = Torus::new(&scale.torus_dims()).average_distance();
     assert!(
         (torus.average - torus_ref).abs() < 0.01,
         "{}",
@@ -82,7 +82,7 @@ fn paper_scale_table1_within_confidence() {
     let torus_ci = torus.confidence_95.expect("sampled run reports a CI");
     // The torus is vertex-transitive, so the sampled mean equals the exact
     // closed form and the CI collapses to rounding noise.
-    let torus_ref = exaflow::topo::torus::average_distance_for_dims(&scale.torus_dims());
+    let torus_ref = Torus::new(&scale.torus_dims()).average_distance();
     assert!(
         (torus.average - torus_ref).abs() <= torus_ci + 1e-9,
         "sampled {} vs closed form {torus_ref} (CI {torus_ci})",
@@ -144,7 +144,7 @@ fn paper_scale_table1_is_exact() {
     let diameters: Vec<u32> = exact.rows.iter().map(|r| r.stats.diameter).collect();
     assert_eq!(diameters, [80, 6, 8, 8]);
 
-    let torus_ref = exaflow::topo::torus::average_distance_for_dims(&scale.torus_dims());
+    let torus_ref = Torus::new(&scale.torus_dims()).average_distance();
     assert!((exact.rows[0].stats.average - torus_ref).abs() < 1e-9);
     let TopologySpec::Fattree { k, n, .. } = specs[1] else {
         panic!("second Table 1 baseline is the fattree");
