@@ -31,8 +31,8 @@
 //! It is a *build* cache and nothing more: an entry is exactly what
 //! [`TopologySpec::build`] returns. Routes are not stored — every topology
 //! here routes by O(hops) arithmetic, and `(src, dst)` → path memoisation
-//! belongs to the engine's per-run route cache (nominal routes) and
-//! `FaultOverlay`'s detour memo (under faults).
+//! belongs to the engine's per-run route memo, which lives for one failure
+//! epoch and serves nominal routes and detours alike.
 //!
 //! The cache is **provably invisible**: topologies are immutable once
 //! built, routing is a pure function of `(src, dst)`, and the only
@@ -100,8 +100,7 @@ impl CacheState {
             return (slot.clone(), true);
         }
         if let Some(slot) = self.stale.remove(key) {
-            // Promote: a stale hit re-enters the fresh generation, same as
-            // the engine's route cache.
+            // Promote: a stale hit re-enters the fresh generation.
             self.hits += 1;
             self.insert(key.to_owned(), slot.clone());
             return (slot, true);

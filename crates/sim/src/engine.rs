@@ -2,15 +2,15 @@
 //! optional per-hop latency, mid-run faults and per-link accounting.
 //!
 //! [`Simulator::run_with`] validates its inputs, builds a `RunState` (the
-//! solver, the run's [`PathTable`], route cache, fault overlay, per-flow
+//! solver, the run's [`PathTable`], route memo, fault overlay, per-flow
 //! vectors, active and delayed sets, clock, counters and trace) and calls
 //! `RunState::step` until the workload is done. A step runs the engine's
 //! concerns in a fixed order:
 //!
-//! 1. `apply_due_faults`: every fault due by `now` updates the overlay. A
-//!    downed link purges the route cache and hands each in-flight flow that
-//!    crosses it, transferring or delayed, to `recover` (abort, reroute or
-//!    skip, per [`RecoveryPolicy`]).
+//! 1. `apply_due_faults`: every fault due by `now` updates the overlay. Any
+//!    applied transition clears the route memo, and a downed link hands
+//!    each in-flight flow that crosses it, transferring or delayed, to
+//!    `recover` (abort, reroute or skip, per [`RecoveryPolicy`]).
 //! 2. `activate_ready`: flows whose dependencies resolved are routed and
 //!    admitted, or held back by their head latency.
 //! 3. With nothing transferring, jump to the next fault or activation.
@@ -21,10 +21,10 @@
 //!
 //! Invariants the steps rely on:
 //!
-//! * Every cached route avoids every down link: a down event purges the
-//!   routes that cross it, and inserts route around the live down-set. A
-//!   repair only shrinks that set, so it keeps the cache; a kept route may
-//!   hold a detour the repaired link would now shorten.
+//! * A memoised route is what a fresh lookup returns: the topology's route
+//!   if it avoids every down link, otherwise the overlay's shortest detour
+//!   over live links. The memo is keyed by `(src, dst)` alone and lives for
+//!   one failure epoch: every applied transition, down or up, clears it.
 //! * A flow skipped while delayed leaves a stale entry in the delayed heap
 //!   (its `delayed_paths` entry is gone); `next_activation` drops stale
 //!   entries before the heap is read.
@@ -86,10 +86,6 @@ pub struct SimConfig {
     /// event.
     #[serde(default)]
     pub collect_link_stats: bool,
-    /// Maximum number of routes memoised per (src, dst) pair, which pays
-    /// off for iterative workloads that reuse pairs across rounds; `0`
-    /// disables the route cache.
-    pub route_cache_cap: usize,
     /// Collect trace metrics ([`SimReport::metrics`]) even without an
     /// explicit [`TraceSink`]; passing a sink to [`Simulator::run_with`]
     /// enables tracing regardless. Off by default — an untraced run
@@ -178,7 +174,6 @@ impl Default for SimConfig {
             startup_latency_s: 0.0,
             record_flow_times: false,
             collect_link_stats: false,
-            route_cache_cap: 1 << 21,
             trace: false,
             solver_threads: 0,
             max_events: None,
@@ -202,7 +197,6 @@ struct SimConfigUnchecked {
     record_flow_times: bool,
     #[serde(default)]
     collect_link_stats: bool,
-    route_cache_cap: usize,
     #[serde(default)]
     trace: bool,
     #[serde(default)]
@@ -224,7 +218,6 @@ impl serde::de::Deserialize for SimConfig {
             startup_latency_s: raw.startup_latency_s,
             record_flow_times: raw.record_flow_times,
             collect_link_stats: raw.collect_link_stats,
-            route_cache_cap: raw.route_cache_cap,
             trace: raw.trace,
             solver_threads: raw.solver_threads,
             max_events: raw.max_events,
@@ -232,68 +225,6 @@ impl serde::de::Deserialize for SimConfig {
         };
         cfg.validate().map_err(serde::de::Error::custom)?;
         Ok(cfg)
-    }
-}
-
-/// Bounded `(src, dst) -> path id` memo with two-generation eviction.
-///
-/// Inserts land in the `fresh` generation; once it holds half the cap the
-/// previous generation is dropped wholesale and `fresh` becomes `stale`.
-/// A `stale` hit promotes the route back into `fresh`. Total size is thus
-/// bounded by `cap` while recently-used pairs survive. Rotation triggers on
-/// an exact size threshold and lookups happen in the engine's admission
-/// order, so the eviction trajectory is deterministic (no dependence on
-/// `HashMap` iteration order). Eviction forgets a pair, not its path: the
-/// ids index the run's [`PathTable`], which keeps every path it was given.
-struct RouteCache {
-    fresh: IntMap<(u32, u32), PathId>,
-    stale: IntMap<(u32, u32), PathId>,
-    /// Per-generation capacity; 0 disables insertion (`route_cache_cap = 0`).
-    half_cap: usize,
-    hits: u64,
-    evictions: u64,
-}
-
-impl RouteCache {
-    fn new(cap: usize) -> Self {
-        RouteCache {
-            fresh: IntMap::default(),
-            stale: IntMap::default(),
-            half_cap: cap.div_ceil(2),
-            hits: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Cached route for `key`, counting a hit and promoting stale entries.
-    fn get(&mut self, key: (u32, u32)) -> Option<PathId> {
-        if let Some(&p) = self.fresh.get(&key) {
-            self.hits += 1;
-            return Some(p);
-        }
-        let p = self.stale.remove(&key)?;
-        self.hits += 1;
-        self.insert(key, p);
-        Some(p)
-    }
-
-    fn insert(&mut self, key: (u32, u32), path: PathId) {
-        if self.half_cap == 0 {
-            return;
-        }
-        if self.fresh.len() >= self.half_cap {
-            self.evictions += self.stale.len() as u64;
-            self.stale = std::mem::take(&mut self.fresh);
-        }
-        self.fresh.insert(key, path);
-    }
-
-    /// Drop every cached path crossing a newly-downed link. Fault purges
-    /// are not evictions: the counter tracks capacity pressure only.
-    fn purge_crossing(&mut self, paths: &PathTable, downed: &[u32]) {
-        let clear = |p: &mut PathId| !paths.get(*p).iter().any(|r| downed.contains(r));
-        self.fresh.retain(|_, p| clear(p));
-        self.stale.retain(|_, p| clear(p));
     }
 }
 
@@ -407,12 +338,10 @@ impl<'a> Simulator<'a> {
     /// * [`RecoveryPolicy::RerouteRestart`] — reroute and retransmit from
     ///   zero; an unreachable destination is [`SimError::Unreachable`].
     ///
-    /// A restored link benefits flows routed over *fresh* endpoint pairs
-    /// after the repair; pairs still in the route cache keep their cached
-    /// detour (retained, not cleared — every cached path avoids all
-    /// currently-down links by construction, so a repair can never make
-    /// one invalid, only suboptimal), and flows already rerouted keep
-    /// their detour. An empty schedule reproduces [`Simulator::run`]
+    /// Every routing decision, an activation or a reroute, sees the down
+    /// set of its moment: a restored link carries every flow routed after
+    /// the repair, while a flow already on a detour keeps it (a repair
+    /// reroutes nothing). An empty schedule reproduces [`Simulator::run`]
     /// bit-for-bit. Events scheduled after the workload completes never
     /// fire; see [`SimReport::fault_events_applied`].
     ///
@@ -488,12 +417,15 @@ struct RunState<'r> {
     policy: RecoveryPolicy,
     trace: Tracer<'r>,
     solver: MaxMinSolver,
-    /// Every route of the run, interned once; the route cache, the active
+    /// Every route of the run, interned once; the route memo, the active
     /// and delayed sets and the solver all hold ids into it.
     paths: PathTable,
-    route_cache: RouteCache,
+    /// `(src, dst) -> path` under the current down set: cleared by every
+    /// applied fault transition, so a hit is what a fresh lookup returns.
+    routes: IntMap<(u32, u32), PathId>,
+    route_hits: u64,
     overlay: FaultOverlay<'r>,
-    /// `build_path` buffers: the physical route and the resource path.
+    /// `route` buffers: the physical route and the resource path.
     scratch_links: Vec<LinkId>,
     scratch_route: Vec<u32>,
     faults: Peekable<slice::Iter<'r, FaultEvent>>,
@@ -553,7 +485,8 @@ impl<'r> RunState<'r> {
             },
             solver,
             paths: PathTable::new(),
-            route_cache: RouteCache::new(cfg.route_cache_cap),
+            routes: IntMap::default(),
+            route_hits: 0,
             overlay: FaultOverlay::new(sim.topo),
             scratch_links: Vec::new(),
             scratch_route: Vec::new(),
@@ -631,7 +564,7 @@ impl<'r> RunState<'r> {
     /// whose path crosses a newly-downed link to [`RunState::recover`]:
     /// transferring flows in active order, then delayed flows by id.
     fn apply_due_faults(&mut self) -> Result<(), SimError> {
-        let now = self.now;
+        let (now, applied) = (self.now, self.fault_events_applied);
         let mut downed: Vec<u32> = Vec::new();
         while let Some(ev) = self.faults.next_if(|ev| ev.time_s <= now) {
             let link = ev.link;
@@ -650,10 +583,12 @@ impl<'r> RunState<'r> {
                 _ => {}
             }
         }
+        if self.fault_events_applied > applied {
+            self.routes.clear();
+        }
         if downed.is_empty() {
             return Ok(());
         }
-        self.route_cache.purge_crossing(&self.paths, &downed);
         let mut i = 0;
         while i < self.active.len() {
             let a = self.active[i];
@@ -697,7 +632,7 @@ impl<'r> RunState<'r> {
         }
         let spec = self.dag.flow(FlowId(f));
         let (src, dst, bytes) = (spec.src, spec.dst, spec.bytes);
-        match self.build_path(src, dst) {
+        match self.route(src, dst) {
             Ok(path) => {
                 let restarted =
                     slot.is_some() && matches!(self.policy, RecoveryPolicy::RerouteRestart);
@@ -788,24 +723,18 @@ impl<'r> RunState<'r> {
         Ok(())
     }
 
-    /// The route of `src → dst`: cached, or built around the current faults
-    /// and interned.
+    /// The resource path of `src → dst` under the current faults:
+    /// injection resource, physical route links, ejection resource.
+    /// Memoised for the failure epoch; a miss routes through the fault
+    /// overlay, which keeps the topology's deterministic route unless it
+    /// crosses a down link, and interns the result. An unreachable
+    /// destination (failed links partitioning the network) is a typed
+    /// error, not a panic.
     fn route(&mut self, src: u32, dst: u32) -> Result<PathId, SimError> {
-        if let Some(path) = self.route_cache.get((src, dst)) {
+        if let Some(&path) = self.routes.get(&(src, dst)) {
+            self.route_hits += 1;
             return Ok(path);
         }
-        let path = self.build_path(src, dst)?;
-        self.route_cache.insert((src, dst), path);
-        Ok(path)
-    }
-
-    /// Build and intern the resource path of `src → dst`: injection
-    /// resource, physical route links, ejection resource. Routing
-    /// goes through the fault overlay, so it avoids every down link; with
-    /// no dynamic failures the overlay defers to the topology's own
-    /// deterministic route. An unreachable destination (failed links
-    /// partitioning the network) is a typed error, not a panic.
-    fn build_path(&mut self, src: u32, dst: u32) -> Result<PathId, SimError> {
         self.scratch_links.clear();
         self.overlay
             .try_route(NodeId(src), NodeId(dst), &mut self.scratch_links)
@@ -820,7 +749,9 @@ impl<'r> RunState<'r> {
         route.push(self.sim.injection_resource(src));
         route.extend(self.scratch_links.iter().map(|l| l.0));
         route.push(self.sim.ejection_resource(dst));
-        Ok(self.paths.intern(route))
+        let path = self.paths.intern(route);
+        self.routes.insert((src, dst), path);
+        Ok(path)
     }
 
     /// Put flow `f` on `path` into the active set with a solver entry.
@@ -1096,8 +1027,7 @@ impl<'r> RunState<'r> {
             fault_events_applied: self.fault_events_applied,
             rate_recomputes: self.solver.rate_recomputes,
             flows_coalesced: self.solver.flows_coalesced,
-            route_cache_hits: self.route_cache.hits,
-            route_cache_evictions: self.route_cache.evictions,
+            route_cache_hits: self.route_hits,
             metrics: self.trace.metrics.map(|m| MetricsSnapshot {
                 topo_cache_hit: sim.topo_cache_hit as u64,
                 ..m.snapshot()
@@ -1477,8 +1407,7 @@ mod tests {
             "injection_bps": -1.0,
             "ejection_bps": 1e10,
             "batch_epsilon": 1e-9,
-            "record_flow_times": false,
-            "route_cache_cap": 1024
+            "record_flow_times": false
         }"#;
         let err = serde_json::from_str::<SimConfig>(json).unwrap_err();
         let msg = format!("{err}");
@@ -1486,29 +1415,17 @@ mod tests {
     }
 
     /// Config files written before the engine had one mode still carry its
-    /// four mode keys. They are ignored like any unknown key, whatever
+    /// four mode keys, and files written before it had one route memo a
+    /// `route_cache_cap`. They are ignored like any unknown key, whatever
     /// their values: the config and the report match the same file
-    /// without them. So is a thread count from the days of the in-run
+    /// without them, and that file loads although older engines required
+    /// `route_cache_cap`. So is a thread count from the days of the in-run
     /// pool: it loads into the inert `solver_threads` and moves nothing.
     #[test]
     fn old_configs_with_the_deleted_mode_keys_still_load() {
         let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9,
-            "record_flow_times": true, "route_cache_cap": 1024"#;
-        let old = format!(
-            r#"{{{base}, "cache_routes": false, "solver_incremental": false,
-                "coalesce_flows": false, "incremental_full_threshold": 0.0,
-                "solver_threads": 8}}"#
-        );
-        let old: SimConfig = serde_json::from_str(&old).unwrap();
+            "record_flow_times": true"#;
         let new: SimConfig = serde_json::from_str(&format!("{{{base}}}")).unwrap();
-        assert_eq!(old.solver_threads, 8);
-        assert_eq!(
-            SimConfig {
-                solver_threads: 0,
-                ..old.clone()
-            },
-            new
-        );
         let topo = Torus::new(&[4, 4]);
         let mut b = FlowDagBuilder::new();
         for i in 0..16u32 {
@@ -1519,120 +1436,98 @@ mod tests {
             let r = Simulator::with_config(&topo, cfg).run(&dag).unwrap();
             serde_json::to_string(&r).unwrap()
         };
-        assert_eq!(report(old), report(new));
+        for cap in [0, 4] {
+            let old = format!(
+                r#"{{{base}, "cache_routes": false, "solver_incremental": false,
+                    "coalesce_flows": false, "incremental_full_threshold": 0.0,
+                    "route_cache_cap": {cap}, "solver_threads": 8}}"#
+            );
+            let old: SimConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(old.solver_threads, 8);
+            assert_eq!(
+                SimConfig {
+                    solver_threads: 0,
+                    ..old.clone()
+                },
+                new
+            );
+            assert_eq!(report(old), report(new.clone()));
+        }
     }
 
-    #[test]
-    fn route_cache_does_not_change_results() {
-        let topo = Torus::new(&[4, 4]);
-        let mut dagb = FlowDagBuilder::new();
-        let mut prev: Vec<crate::FlowId> = vec![];
-        for _round in 0..3 {
-            let mut cur = vec![];
-            for i in 0..8u32 {
-                let deps: Vec<_> = prev.clone();
-                cur.push(dagb.add_flow(NodeId(i), NodeId((i + 5) % 16), mb(1), &deps));
-            }
-            prev = cur;
-        }
-        let dag = dagb.build();
-        let run = |route_cache_cap: usize| {
-            let cfg = SimConfig {
-                route_cache_cap,
-                ..SimConfig::default()
-            };
-            Simulator::with_config(&topo, cfg)
-                .run(&dag)
-                .unwrap()
-                .makespan_seconds
-        };
-        assert_eq!(run(SimConfig::default().route_cache_cap), run(0));
-    }
-
-    /// Regression: the cache used to silently refuse inserts once full, so
-    /// a workload with more distinct pairs than `route_cache_cap` degraded
-    /// to a zero hit rate for every pair admitted after the cap. The
-    /// generational cache keeps the most recent pairs hot and reports the
-    /// churn.
-    #[test]
-    fn route_cache_keeps_hitting_beyond_its_cap() {
-        let topo = Torus::new(&[4, 4]);
-        let mut b = FlowDagBuilder::new();
-        // Round 1: eight distinct pairs, double the cap of 4. The ready
-        // stack admits a batch highest-flow-first, so flows 0 and 1 carry
-        // the freshest generation's pairs.
-        let mut round1 = vec![];
-        for i in 0..8u32 {
-            round1.push(b.add_flow(NodeId(i), NodeId((i + 5) % 16), mb(1), &[]));
-        }
-        // Round 2: re-request the two freshest pairs. With the old
-        // stop-inserting cache these were never stored and always missed.
-        b.add_flow(NodeId(0), NodeId(5), mb(1), &round1);
-        b.add_flow(NodeId(1), NodeId(6), mb(1), &round1);
-        let dag = b.build();
+    /// The repair scenario: A (2 -> 3) fills time while cable 0-1 is down;
+    /// B (0 -> 1) activates during the outage; C (0 -> 1) activates after
+    /// the repair. Per-hop latency makes path length visible in the
+    /// makespan. Returns the report and the trace.
+    fn repair_run(topo: &Torus) -> (SimReport, Vec<TraceEvent>) {
         let cfg = SimConfig {
-            route_cache_cap: 4,
-            ..SimConfig::default()
-        };
-        let r = Simulator::with_config(&topo, cfg).run(&dag).unwrap();
-        // half_cap = 2: inserts 0..8 rotate three times, the last two
-        // rotations each retiring a full stale generation of 2.
-        assert_eq!(r.route_cache_evictions, 4);
-        assert_eq!(r.route_cache_hits, 2);
-
-        // Capacity pressure must never change physics.
-        let unbounded = Simulator::with_config(&topo, SimConfig::default())
-            .run(&dag)
-            .unwrap();
-        assert_eq!(r.makespan_seconds, unbounded.makespan_seconds);
-        assert_eq!(unbounded.route_cache_evictions, 0);
-    }
-
-    /// Regression: link repair used to clear the whole route cache, while
-    /// link-down purged surgically. Invariant now: every cached path avoids
-    /// every currently-down link, and repair only shrinks the down-set, so
-    /// repair retains the cache verbatim. Retained detours stay in use for
-    /// cached pairs (documented as possibly suboptimal); fresh pairs route
-    /// through the repaired link immediately.
-    #[test]
-    fn link_repair_retains_cached_detours() {
-        let topo = Torus::new(&[4]);
-        // Per-hop latency makes path length observable in the makespan.
-        let cfg = |route_cache_cap: usize| SimConfig {
             per_hop_latency_s: 1e-6,
-            route_cache_cap,
             ..SimConfig::default()
         };
-        // A fills time; B (0 -> 1) activates during the outage and caches
-        // the 3-hop detour 0-3-2-1; C (0 -> 1) activates after the repair.
         let mut b = FlowDagBuilder::new();
         let a = b.add_flow(NodeId(2), NodeId(3), mb(1), &[]);
         let bf = b.add_flow(NodeId(0), NodeId(1), mb(1), &[a]);
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[bf]);
-        let dag = b.build();
         let step = xfer(mb(1), 10.0 * GBPS);
-        let schedule = cables(&topo, &[(0.0, 0, 1, Down), (1.5 * step, 0, 1, Up)]);
-
-        let cached = Simulator::with_config(&topo, cfg(SimConfig::default().route_cache_cap))
-            .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
+        let schedule = cables(topo, &[(0.0, 0, 1, Down), (1.5 * step, 0, 1, Up)]);
+        let mut sink = crate::trace::VecSink::new();
+        let r = Simulator::with_config(topo, cfg)
+            .run_with(
+                &b.build(),
+                &schedule,
+                RecoveryPolicy::RerouteResume,
+                Some(&mut sink),
+            )
             .unwrap();
-        // C hits B's retained detour — the only cache hit in the run.
-        assert_eq!(cached.route_cache_hits, 1);
-        assert_eq!(cached.fault_events_applied, 4);
+        (r, sink.into_events())
+    }
 
-        let uncached = Simulator::with_config(&topo, cfg(0))
-            .run_with(&dag, &schedule, RecoveryPolicy::RerouteResume, None)
-            .unwrap();
-        assert_eq!(uncached.route_cache_hits, 0);
-        // Same transfers; C pays 3 hops of head latency on the retained
-        // detour vs 1 hop on the repaired direct route: +2 µs exactly.
-        let delta = cached.makespan_seconds - uncached.makespan_seconds;
+    /// The `flow_started` path of flow `f`.
+    fn started_path(events: &mut [TraceEvent], f: u32) -> &mut Vec<u32> {
+        events
+            .iter_mut()
+            .find_map(|e| match e {
+                TraceEvent::FlowStarted { flow, path, .. } if *flow == f => Some(path),
+                _ => None,
+            })
+            .expect("flow started")
+    }
+
+    /// A repair reaches every route decided after it: B takes the 3-hop
+    /// detour 0-3-2-1, and C takes the restored 1-hop route, not B's
+    /// detour, because the repair cleared the route memo.
+    #[test]
+    fn a_repair_reaches_every_later_route() {
+        let topo = Torus::new(&[4]);
+        let (r, mut events) = repair_run(&topo);
+        assert_eq!(r.route_cache_hits, 0);
+        assert_eq!(r.fault_events_applied, 4);
+        // Head latency: A 1 hop, B 3 hops, C 1 hop.
+        let expect = 3.0 * xfer(mb(1), 10.0 * GBPS) + 5e-6;
         assert!(
-            (delta - 2e-6).abs() < 1e-12,
-            "cached {} vs uncached {}",
-            cached.makespan_seconds,
-            uncached.makespan_seconds
+            (r.makespan_seconds - expect).abs() < 1e-12,
+            "{} vs {expect}",
+            r.makespan_seconds
         );
+        // Injection + links + ejection.
+        assert_eq!(started_path(&mut events, 1).len(), 3 + 2);
+        assert_eq!(started_path(&mut events, 2).len(), 1 + 2);
+        crate::trace_check::check_trace_with_topology(&events, &topo).unwrap();
+    }
+
+    /// The route oracle catches a detour kept past its repair: the same
+    /// trace with C on B's detour still conserves bytes and is max-min
+    /// fair, but C's route is no longer the topology's.
+    #[test]
+    fn the_oracle_rejects_a_detour_kept_past_its_repair() {
+        use crate::trace_check::{check_trace, check_trace_with_topology};
+        let topo = Torus::new(&[4]);
+        let (_, mut events) = repair_run(&topo);
+        let detour = started_path(&mut events, 1).clone();
+        *started_path(&mut events, 2) = detour;
+        check_trace(&events).unwrap();
+        let err = check_trace_with_topology(&events, &topo).unwrap_err();
+        assert!(err.message.contains("not the topology's route"), "{err}");
     }
 
     #[test]

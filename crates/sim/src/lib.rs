@@ -26,7 +26,7 @@
 //!   over the active set (argued in [`maxmin`], checked at every recompute
 //!   against [`trace_check::textbook_maxmin`] by the equivalence suites).
 //! * **One path table per run** ([`paths`]): a route is interned by content
-//!   when first built; the route cache, the active set and the solver hold
+//!   when first built; the route memo, the active set and the solver hold
 //!   its [`PathId`]. Between events the engine only moves entry weights,
 //!   which the solver settles at the next recompute — a completion batch
 //!   that re-issues the paths it retired costs no water-fill.
@@ -46,7 +46,7 @@
 //!   counters/histograms into [`SimReport::metrics`]; the pure
 //!   [`trace_check`] oracle replays a trace and independently verifies
 //!   byte conservation, capacity limits, time monotonicity, dependency
-//!   order and skip-unreachability.
+//!   order, skip-unreachability and canonical routes.
 
 pub mod dag;
 pub mod engine;

@@ -1,12 +1,13 @@
 //! The per-run path table: every resource path a run uses, stored once.
 //!
-//! A route is interned when it is first built — on a route-cache miss or a
-//! fault reroute — and from then on the route cache, the active set, the
-//! delayed set and the solver all hold its 4-byte [`PathId`]. Interning is
-//! by *content*: two routes with the same resources get the same id, so
-//! "same path" is an integer comparison everywhere (the solver's
-//! coalescing index is a dense array over ids) and a reroute that lands on
-//! a path some other flow already uses joins that flow's solver entry.
+//! A route is interned when it is first built — on a route-memo miss, at
+//! an activation or a fault reroute — and from then on the route memo, the
+//! active set, the delayed set and the solver all hold its 4-byte
+//! [`PathId`]. Interning is by *content*: two routes with the same
+//! resources get the same id, so "same path" is an integer comparison
+//! everywhere (the solver's coalescing index is a dense array over ids)
+//! and a reroute that lands on a path some other flow already uses joins
+//! that flow's solver entry.
 //!
 //! Paths are never evicted: the table lives as long as the run and holds
 //! at most one copy of each distinct route the run ever took — hops × 4

@@ -49,14 +49,11 @@ pub struct SimReport {
     /// Flows absorbed into an existing identical-path solver entry.
     #[serde(default)]
     pub flows_coalesced: u64,
-    /// Activation-time route-cache hits.
+    /// Routes served by the run's route memo, at activation or at a
+    /// reroute: lookups of a `(src, dst)` pair already routed since the
+    /// last fault transition.
     #[serde(default)]
     pub route_cache_hits: u64,
-    /// Cached routes dropped by the cache's generational eviction (never
-    /// counts fault purges). Non-zero means the workload's distinct pair
-    /// count exceeded [`crate::SimConfig::route_cache_cap`].
-    #[serde(default)]
-    pub route_cache_evictions: u64,
     /// Counters and histograms collected when tracing is enabled (see
     /// [`crate::SimConfig::trace`] and [`crate::trace`]); `None` — and the
     /// report bit-identical to pre-tracing builds — otherwise. Contains
@@ -152,7 +149,6 @@ mod tests {
             rate_recomputes: 0,
             flows_coalesced: 0,
             route_cache_hits: 0,
-            route_cache_evictions: 0,
             metrics: None,
         }
     }

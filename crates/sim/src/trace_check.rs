@@ -27,6 +27,14 @@
 //!    hand, [`check_trace_with_topology`] additionally proves every
 //!    skipped flow's destination was *actually unreachable* under the
 //!    failed links at skip time.
+//! 6. **Canonical routes** — also with the topology: a flow's path is
+//!    decided at its `flow_activated` and again at each `reroute_taken`,
+//!    under the down set of that moment. Every `flow_started` and
+//!    `reroute_taken` path must be the topology's own route when that
+//!    route avoids every down link, and otherwise a detour as short as a
+//!    BFS over the live physical links allows. So a route memoised in an
+//!    earlier failure epoch, say a detour kept past its link's repair,
+//!    fails the check.
 //!
 //! This gives the incremental solver, the fault machinery and the
 //! coalescing layer an independent witness. [`textbook_maxmin`] is the
@@ -35,9 +43,9 @@
 //! that; the oracle above stays tolerance-based).
 
 use crate::trace::TraceEvent;
-use exaflow_netgraph::{LinkId, NodeId};
-use exaflow_topo::{FaultOverlay, Topology};
-use std::collections::{BTreeSet, HashMap};
+use exaflow_netgraph::NodeId;
+use exaflow_topo::Topology;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Aggregate facts established by a successful replay.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -109,6 +117,57 @@ struct FlowReplay {
     delivered: f64,
     /// Current resource path (set at start, replaced on reroute).
     path: Vec<u32>,
+    /// What the flow's last routing decision had to produce (`None`
+    /// without a topology).
+    decided: Option<Canonical>,
+}
+
+/// The route a decision under a given down set must produce.
+#[derive(Debug, PartialEq)]
+enum Canonical {
+    /// The topology's route, which avoids every down link: these links.
+    Route(Vec<u32>),
+    /// A detour of this many hops, the BFS distance over live links.
+    Detour(usize),
+    /// No live path.
+    Unreachable,
+}
+
+/// Derive what routing `src → dst` under `down` must produce, sharing no
+/// code with the engine's fault overlay: the topology's route, and when
+/// that crosses a down link, a plain BFS over live physical links.
+fn canonical_route(topo: &dyn Topology, src: u32, dst: u32, down: &BTreeSet<u32>) -> Canonical {
+    let mut route = Vec::new();
+    if topo
+        .try_route(NodeId(src), NodeId(dst), &mut route)
+        .is_err()
+    {
+        return Canonical::Unreachable;
+    }
+    if !route.iter().any(|l| down.contains(&l.0)) {
+        return Canonical::Route(route.iter().map(|l| l.0).collect());
+    }
+    let net = topo.network();
+    let mut hops = vec![usize::MAX; net.num_nodes()];
+    hops[src as usize] = 0;
+    let mut queue = VecDeque::from([NodeId(src)]);
+    while let Some(node) = queue.pop_front() {
+        for &l in net.out_links(node) {
+            let link = net.link(l);
+            let next = link.dst.index();
+            if link.is_virtual || down.contains(&l.0) || topo.link_is_failed(l) {
+                continue;
+            }
+            if hops[next] == usize::MAX {
+                hops[next] = hops[node.index()] + 1;
+                queue.push_back(link.dst);
+            }
+        }
+    }
+    match hops[dst as usize] {
+        usize::MAX => Canonical::Unreachable,
+        h => Canonical::Detour(h),
+    }
 }
 
 /// Verify a complete trace against the engine invariants. See the module
@@ -118,10 +177,11 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<TraceSummary, TraceViolation
     check_inner(events, None)
 }
 
-/// [`check_trace`], plus the unreachability proof for every skipped flow:
-/// re-derive the failed-link set at each `flow_skipped` event and assert
-/// `topo` offers no route from the flow's source to its destination. The
-/// topology must be the one that produced the trace.
+/// [`check_trace`], plus two checks that need the topology (invariants 5
+/// and 6): the unreachability proof for every skipped flow, and the
+/// canonical route of every started or rerouted path, each under the
+/// failed-link set of its moment. The topology must be the one that
+/// produced the trace.
 pub fn check_trace_with_topology(
     events: &[TraceEvent],
     topo: &dyn Topology,
@@ -184,6 +244,7 @@ fn check_inner(
             bits: 0.0,
             delivered: 0.0,
             path: Vec::new(),
+            decided: None,
         })
         .collect();
     // Current rate assignment: (flow, bits/second), valid since `last_t`.
@@ -227,6 +288,29 @@ fn check_inner(
         }
         Ok(())
     };
+    // The path of `flow` against its last routing decision; `check_path`
+    // has vouched for the injection and ejection resources at the ends.
+    let check_canonical = |i: usize, flow: u32, path: &[u32], want: &Option<Canonical>| {
+        let links = &path[1..path.len() - 1];
+        let message = match want {
+            Some(Canonical::Route(route)) if links != route.as_slice() => format!(
+                "flow {flow} took links {links:?}, not the topology's route {route:?}, \
+                 which avoided every down link when it was routed"
+            ),
+            Some(Canonical::Detour(hops)) if links.len() != *hops => format!(
+                "flow {flow} took a {}-hop detour; the shortest over live links had \
+                 {hops} hops when it was routed",
+                links.len()
+            ),
+            Some(Canonical::Unreachable) => {
+                format!("flow {flow} was routed although no live path existed")
+            }
+            _ => return Ok(()),
+        };
+        Err(fail(Some(i), message))
+    };
+    let decide =
+        |src: u32, dst: u32, down: &BTreeSet<u32>| topo.map(|t| canonical_route(t, src, dst, down));
 
     for (i, ev) in events.iter().enumerate() {
         if summary.terminated {
@@ -291,6 +375,7 @@ fn check_inner(
                 replay[idx].src = *src;
                 replay[idx].dst = *dst;
                 replay[idx].bits = *bytes as f64 * 8.0;
+                replay[idx].decided = decide(*src, *dst, &down);
                 summary.flows_activated += 1;
             }
             TraceEvent::FlowStarted { flow, path, .. } => {
@@ -305,6 +390,7 @@ fn check_inner(
                     ));
                 }
                 check_path(i, path, &down)?;
+                check_canonical(i, *flow, path, &replay[idx].decided)?;
                 replay[idx].state = FlowState::Started;
                 replay[idx].path = path.clone();
             }
@@ -354,28 +440,18 @@ fn check_inner(
                         format!("flow {flow} skipped with no link down"),
                     ));
                 }
-                if let Some(t) = topo {
-                    // The skip policy's claim, re-proved from scratch: under
-                    // exactly the currently-failed links, no route exists.
-                    let mut overlay = FaultOverlay::new(t);
-                    for &l in &down {
-                        overlay.fail_link(LinkId(l));
-                    }
-                    let mut scratch = Vec::new();
-                    let (src, dst) = (replay[idx].src, replay[idx].dst);
-                    if overlay
-                        .try_route(NodeId(src), NodeId(dst), &mut scratch)
-                        .is_ok()
-                    {
-                        return Err(fail(
-                            Some(i),
-                            format!(
-                                "flow {flow} ({src} -> {dst}) skipped although a route \
-                                 exists around the {} failed link(s)",
-                                down.len()
-                            ),
-                        ));
-                    }
+                // The skip policy's claim, re-proved from scratch: under
+                // exactly the currently-failed links, no route exists.
+                let (src, dst) = (replay[idx].src, replay[idx].dst);
+                if decide(src, dst, &down).is_some_and(|c| c != Canonical::Unreachable) {
+                    return Err(fail(
+                        Some(i),
+                        format!(
+                            "flow {flow} ({src} -> {dst}) skipped although a route \
+                             exists around the {} failed link(s)",
+                            down.len()
+                        ),
+                    ));
                 }
                 replay[idx].state = FlowState::Skipped;
                 current_rates.retain(|&(f, _)| f != *flow);
@@ -504,6 +580,8 @@ fn check_inner(
                         ));
                     }
                 }
+                replay[idx].decided = decide(replay[idx].src, replay[idx].dst, &down);
+                check_canonical(i, *flow, path, &replay[idx].decided)?;
                 if *restarted {
                     // Restart discards progress: the delivery count begins
                     // again and must still reach the full size.

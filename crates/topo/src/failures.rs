@@ -15,12 +15,13 @@
 //!
 //! [`Degraded`] models failures that exist *before* a run starts;
 //! [`FaultOverlay`] is its dynamic sibling — a mutable overlay the
-//! simulation engine drives with link-down/link-up transitions mid-run,
-//! with a reroute cache that a transition invalidates only as far as it
-//! must.
+//! simulation engine drives with link-down/link-up transitions mid-run.
+//! Neither memoises: a route is a pure function of `(src, dst)` and the
+//! current failure set, and the engine keeps the one route memo, cleared
+//! at every transition.
 
 use crate::{RouteError, Topology};
-use exaflow_netgraph::{IntMap, LinkId, Network, NodeId};
+use exaflow_netgraph::{LinkId, Network, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -288,38 +289,25 @@ impl<T: Topology> Topology for Degraded<T> {
 /// Where `Degraded` freezes a failure set before a run starts, a
 /// `FaultOverlay` borrows any topology (including a `Degraded` one — its
 /// static failures are honoured through [`Topology::link_is_failed`]) and
-/// applies link-down / link-up transitions *during* a run. Routing prefers
-/// the wrapped topology's deterministic path and falls back to a BFS over
-/// links that are neither statically nor dynamically failed.
+/// applies link-down / link-up transitions *during* a run.
 ///
-/// Reroutes are memoised per `(src, dst)` pair under the *current* failure
-/// set; a transition invalidates only what it must:
-///
-/// * [`FaultOverlay::fail_link`] drops exactly the cached reroutes that
-///   traverse the newly-failed link (the rest remain valid), and
-/// * [`FaultOverlay::restore_link`] clears the cache, because *any* cached
-///   detour might now have a shorter — and for determinism, canonical —
-///   alternative through the restored link.
+/// A route is canonical for the current failure set: the wrapped
+/// topology's deterministic route when it avoids every down link,
+/// otherwise the shortest BFS detour over links that are neither
+/// statically nor dynamically failed. Nothing is memoised here, so a
+/// transition is one set update.
 pub struct FaultOverlay<'a> {
     topo: &'a dyn Topology,
     /// Dynamically failed links (on top of whatever `topo` already failed).
     down: HashSet<u32>,
-    /// Reroutes valid under the current failure set.
-    cache: IntMap<(u32, u32), Box<[LinkId]>>,
-    transitions: u64,
 }
 
 impl<'a> FaultOverlay<'a> {
-    /// Bound on memoised reroutes.
-    const CACHE_CAP: usize = 1 << 16;
-
     /// A healthy overlay over `topo` (no dynamic failures yet).
     pub fn new(topo: &'a dyn Topology) -> Self {
         FaultOverlay {
             topo,
             down: HashSet::new(),
-            cache: IntMap::default(),
-            transitions: 0,
         }
     }
 
@@ -334,54 +322,31 @@ impl<'a> FaultOverlay<'a> {
         self.down.contains(&link.0) || self.topo.link_is_failed(link)
     }
 
-    /// Number of dynamically failed links.
-    pub fn num_down(&self) -> usize {
-        self.down.len()
-    }
-
     /// Total failed links: dynamic plus the wrapped topology's static set.
     pub fn total_failed_links(&self) -> usize {
         self.down.len() + self.topo.num_failed_links()
     }
 
-    /// Applied fail/restore transitions so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
     /// Take `link` out of service. Returns `false` (a no-op) when the link
-    /// is virtual, already statically failed, or already down; otherwise
-    /// invalidates exactly the cached reroutes crossing it.
+    /// is virtual, already statically failed, or already down.
     pub fn fail_link(&mut self, link: LinkId) -> bool {
-        if self.topo.network().link(link).is_virtual || self.topo.link_is_failed(link) {
-            return false;
-        }
-        if !self.down.insert(link.0) {
-            return false;
-        }
-        self.transitions += 1;
-        self.cache.retain(|_, path| !path.contains(&link));
-        true
+        let net = self.topo.network();
+        !net.link(link).is_virtual && !self.topo.link_is_failed(link) && self.down.insert(link.0)
     }
 
     /// Return a dynamically-failed `link` to service. Returns `false` when
     /// the link was not dynamically down (static failures cannot be
     /// restored — they belong to the wrapped topology).
     pub fn restore_link(&mut self, link: LinkId) -> bool {
-        if !self.down.remove(&link.0) {
-            return false;
-        }
-        self.transitions += 1;
-        self.cache.clear();
-        true
+        self.down.remove(&link.0)
     }
 
     /// Route `src → dst` avoiding every currently-failed link, appending to
     /// `out`. Prefers the wrapped topology's deterministic route; falls
-    /// back to a (memoised) BFS over surviving links, and reports a
-    /// partition as a [`RouteError`].
+    /// back to a BFS over surviving links, and reports a partition as a
+    /// [`RouteError`].
     pub fn try_route(
-        &mut self,
+        &self,
         src: NodeId,
         dst: NodeId,
         out: &mut Vec<LinkId>,
@@ -397,10 +362,6 @@ impl<'a> FaultOverlay<'a> {
             return Ok(());
         }
         out.truncate(start);
-        if let Some(path) = self.cache.get(&(src.0, dst.0)) {
-            out.extend_from_slice(path);
-            return Ok(());
-        }
         let net = self.topo.network();
         let (down, topo) = (&self.down, self.topo);
         let found = bfs_route(
@@ -417,10 +378,6 @@ impl<'a> FaultOverlay<'a> {
                 topology: self.topo.name(),
                 failed_links: self.total_failed_links(),
             });
-        }
-        if self.cache.len() < Self::CACHE_CAP {
-            self.cache
-                .insert((src.0, dst.0), out[start..].to_vec().into_boxed_slice());
         }
         Ok(())
     }
@@ -563,14 +520,12 @@ mod tests {
     #[test]
     fn overlay_healthy_routes_match_topology() {
         let t = Torus::new(&[4, 4]);
-        let mut overlay = FaultOverlay::new(&t);
+        let overlay = FaultOverlay::new(&t);
         for (s, d) in [(0u32, 5u32), (3, 12), (15, 0)] {
             let mut path = Vec::new();
             overlay.try_route(NodeId(s), NodeId(d), &mut path).unwrap();
             assert_eq!(path, t.route_vec(NodeId(s), NodeId(d)));
         }
-        assert_eq!(overlay.num_down(), 0);
-        assert_eq!(overlay.transitions(), 0);
     }
 
     #[test]
@@ -588,7 +543,7 @@ mod tests {
             .unwrap();
         assert!(!detour.contains(&broken));
         assert_eq!(detour.len(), 3, "detour around one ring link is 3 hops");
-        // The detour is served from cache on a second call.
+        // The detour is canonical: a second call agrees.
         let mut again = Vec::new();
         overlay.try_route(NodeId(0), NodeId(1), &mut again).unwrap();
         assert_eq!(detour, again);
@@ -601,7 +556,6 @@ mod tests {
             back, original,
             "restoration reverts to the deterministic route"
         );
-        assert_eq!(overlay.transitions(), 2);
     }
 
     #[test]

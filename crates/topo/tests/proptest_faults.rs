@@ -3,7 +3,9 @@
 //! link failures, every route the wrappers produce is a contiguous
 //! physical walk from source to destination that avoids every
 //! currently-failed link — and a pair they cannot route is a typed
-//! error, never a bogus path.
+//! error, never a bogus path. The overlay's routes are canonical besides:
+//! the topology's own route while that avoids every down link, otherwise
+//! a detour exactly as short as the live links allow.
 
 use exaflow_netgraph::{LinkId, Network, NodeId};
 use exaflow_topo::{
@@ -12,6 +14,7 @@ use exaflow_topo::{
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::VecDeque;
 
 /// Assert `path` is a contiguous walk `src → dst` over physical links.
 fn assert_contiguous(
@@ -32,6 +35,69 @@ fn assert_contiguous(
     }
     for &l in path {
         prop_assert!(!net.link(l).is_virtual, "path crosses virtual link {l:?}");
+    }
+    Ok(())
+}
+
+/// Hop count of a shortest `src → dst` walk over physical links that
+/// `down` does not block, by a BFS of its own; `None` when there is none.
+fn live_distance(
+    net: &Network,
+    src: NodeId,
+    dst: NodeId,
+    down: impl Fn(LinkId) -> bool,
+) -> Option<usize> {
+    let mut hops = vec![usize::MAX; net.num_nodes()];
+    hops[src.index()] = 0;
+    let mut queue = VecDeque::from([src]);
+    while let Some(node) = queue.pop_front() {
+        for &l in net.out_links(node) {
+            let next = net.link(l).dst;
+            if !net.link(l).is_virtual && !down(l) && hops[next.index()] == usize::MAX {
+                hops[next.index()] = hops[node.index()] + 1;
+                queue.push_back(next);
+            }
+        }
+    }
+    (hops[dst.index()] != usize::MAX).then_some(hops[dst.index()])
+}
+
+/// Route `src → dst` through `overlay` and check the result is the
+/// canonical route under its current failure set: the wrapped topology's
+/// route when that avoids every down link, otherwise a contiguous detour
+/// as short as [`live_distance`]; a typed error only when no live walk
+/// exists.
+fn check_canonical(
+    topo: &dyn Topology,
+    overlay: &FaultOverlay,
+    src: NodeId,
+    dst: NodeId,
+) -> Result<(), TestCaseError> {
+    let net = topo.network();
+    let live = live_distance(net, src, dst, |l| overlay.is_down(l));
+    let mut path = Vec::new();
+    match overlay.try_route(src, dst, &mut path) {
+        Ok(()) => {
+            assert_contiguous(net, src, dst, &path)?;
+            for &l in &path {
+                prop_assert!(
+                    !overlay.is_down(l),
+                    "route {src:?} -> {dst:?} crosses down link {l:?}"
+                );
+            }
+            let mut nominal = Vec::new();
+            topo.try_route(src, dst, &mut nominal).unwrap();
+            if nominal.iter().all(|&l| !overlay.is_down(l)) {
+                prop_assert_eq!(&path, &nominal);
+            } else {
+                prop_assert_eq!(Some(path.len()), live);
+            }
+        }
+        Err(err) => {
+            prop_assert_eq!((err.src, err.dst), (src, dst));
+            prop_assert!(path.is_empty());
+            prop_assert_eq!(live, None, "{src:?} -> {dst:?} reachable but refused");
+        }
     }
     Ok(())
 }
@@ -72,13 +138,14 @@ fn check_degraded<T: Topology>(degraded: &Degraded<T>, seed: u64) -> Result<(), 
 }
 
 /// Drive a [`FaultOverlay`] through fail/route/restore cycles and check
-/// that every produced route is contiguous and avoids every link that is
-/// down *at that moment* (static or dynamic).
+/// that every produced route is canonical for the links that are down *at
+/// that moment* (static or dynamic).
 fn check_overlay(topo: &dyn Topology, seed: u64) -> Result<(), TestCaseError> {
     let net = topo.network();
     let e = topo.num_endpoints() as u64;
     let nl = net.num_links() as u64;
     let mut overlay = FaultOverlay::new(topo);
+    let mut downed: Vec<LinkId> = Vec::new();
     let mut s = seed;
     let mut step = || {
         s = s
@@ -87,38 +154,22 @@ fn check_overlay(topo: &dyn Topology, seed: u64) -> Result<(), TestCaseError> {
         s
     };
     for round in 0..6 {
-        // Alternate failing and restoring a pseudo-random link, so the
-        // cache sees both invalidation paths.
-        let link = LinkId((step() % nl) as u32);
-        if round % 3 == 2 {
-            overlay.restore_link(link);
+        // Fail two pseudo-random links, then repair one of those down, so
+        // routes are checked after both kinds of transition.
+        let r = step();
+        if round % 3 == 2 && !downed.is_empty() {
+            let link = downed.swap_remove((r % downed.len() as u64) as usize);
+            prop_assert!(overlay.restore_link(link));
         } else {
-            overlay.fail_link(link);
+            let link = LinkId((r % nl) as u32);
+            if overlay.fail_link(link) {
+                downed.push(link);
+            }
         }
         let r = step();
         let src = NodeId((r % e) as u32);
         let dst = NodeId(((r >> 32) % e) as u32);
-        let mut path = Vec::new();
-        match overlay.try_route(src, dst, &mut path) {
-            Ok(()) => {
-                assert_contiguous(net, src, dst, &path)?;
-                for &l in &path {
-                    prop_assert!(
-                        !overlay.is_down(l),
-                        "route {src:?} -> {dst:?} crosses down link {l:?}"
-                    );
-                }
-                // Routing is memoised but must stay deterministic: a
-                // second call under the same failure set agrees.
-                let mut again = Vec::new();
-                overlay.try_route(src, dst, &mut again).unwrap();
-                prop_assert_eq!(&path, &again);
-            }
-            Err(err) => {
-                prop_assert_eq!((err.src, err.dst), (src, dst));
-                prop_assert!(path.is_empty());
-            }
-        }
+        check_canonical(topo, &overlay, src, dst)?;
     }
     Ok(())
 }
@@ -178,7 +229,11 @@ proptest! {
         let d = Degraded::with_random_failures(topo, cables, fail_seed);
         check_degraded(&d, pair_seed)?;
     }
+}
 
+// The overlay properties take the default case count, so `PROPTEST_CASES`
+// reaches them (`scripts/check.sh` runs them at 512).
+proptest! {
     #[test]
     fn overlay_torus_routes_avoid_down_links(
         dims in prop::collection::vec(2u32..5, 1..4),
@@ -232,15 +287,12 @@ proptest! {
         overlay.fail_link(LinkId((seed % net.num_links() as u64) as u32));
         let src = NodeId((seed % e) as u32);
         let dst = NodeId(((seed >> 32) % e) as u32);
+        check_canonical(&degraded, &overlay, src, dst)?;
         let mut path = Vec::new();
         if overlay.try_route(src, dst, &mut path).is_ok() {
-            assert_contiguous(net, src, dst, &path)?;
             for &l in &path {
-                prop_assert!(!overlay.is_down(l), "crosses dynamically-down {l:?}");
                 prop_assert!(!static_failed.contains(&l), "crosses statically-failed {l:?}");
             }
-        } else {
-            prop_assert!(path.is_empty());
         }
     }
 }

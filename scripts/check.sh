@@ -30,6 +30,10 @@ CARGO_TARGET_DIR="$PWD/target" $TIMEOUT 900 \
 echo "== max-min replay churn with PROPTEST_CASES=512"
 PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-sim --test proptest_maxmin_equiv
 
+# The same volume for the fault overlay's canonical-route properties.
+echo "== fault-overlay routes with PROPTEST_CASES=512"
+PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-topo --test proptest_faults
+
 echo "== crash-safety gate: kill-and-resume, torn journals, retry/quarantine"
 $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 
