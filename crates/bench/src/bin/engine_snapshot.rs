@@ -86,7 +86,9 @@ struct TopoCacheRun {
     name: &'static str,
     entries: usize,
     endpoints: usize,
+    /// A serial `run_experiment` loop: one build per entry.
     cache_off_wall_seconds: f64,
+    /// The same entries as one serial suite: one build in all.
     cache_on_wall_seconds: f64,
     speedup: f64,
     hits: u64,
@@ -220,11 +222,12 @@ fn engine_run_dag(name: &'static str, topo: &dyn Topology, dag: &FlowDag) -> Eng
     }
 }
 
-/// End-to-end sweep wall-clock with the shared topology cache on vs off:
-/// a 50-entry grid over ONE topology spec — the shape the cache exists
-/// for — where cache-off builds the same graph 50 times and cache-on
-/// builds it once. The per-result comparison drops only wall clocks;
-/// everything physical must be bit-identical.
+/// End-to-end sweep wall-clock with the shared topology cache against a
+/// direct `run_experiment` per entry: a 50-entry grid over ONE topology
+/// spec — the shape the cache exists for — where the direct loop builds
+/// the same graph 50 times and the suite builds it once. The per-result
+/// comparison drops only wall clocks; everything physical must be
+/// bit-identical.
 fn topo_cache_run() -> TopoCacheRun {
     const ENTRIES: usize = 50;
     let spec = TopologySpec::Torus { dims: vec![12, 12] };
@@ -245,8 +248,8 @@ fn topo_cache_run() -> TopoCacheRun {
         })
         .collect();
 
-    let canonical = |run: &SuiteRun| -> Vec<String> {
-        run.results
+    let canonical = |results: &[Result<ExperimentResult, ExperimentError>]| -> Vec<String> {
+        results
             .iter()
             .map(|r| {
                 let mut res = r.as_ref().unwrap().clone();
@@ -256,15 +259,12 @@ fn topo_cache_run() -> TopoCacheRun {
             .collect()
     };
     let t = Instant::now();
-    let off = ExperimentSuite::new(configs.clone())
-        .threads(1)
-        .topo_cache(0)
-        .run();
+    let direct: Vec<_> = configs.iter().map(run_experiment).collect();
     let cache_off_wall_seconds = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let on = ExperimentSuite::new(configs).threads(1).run();
     let cache_on_wall_seconds = t.elapsed().as_secs_f64();
-    let stats = on.report.topo_cache.expect("default cache is on");
+    let stats = on.report.topo_cache.expect("a suite run reports its cache");
     TopoCacheRun {
         name: "sweep_50x_unstructured_144ep_torus",
         entries: ENTRIES,
@@ -274,7 +274,7 @@ fn topo_cache_run() -> TopoCacheRun {
         speedup: cache_off_wall_seconds / cache_on_wall_seconds,
         hits: stats.hits,
         misses: stats.misses,
-        reports_identical: canonical(&on) == canonical(&off),
+        reports_identical: canonical(&on.results) == canonical(&direct),
     }
 }
 
@@ -447,7 +447,7 @@ fn main() {
 
     let topo_cache = topo_cache_run();
     eprintln!(
-        "{}: cache-off {:.4}s, cache-on {:.4}s, speedup {:.2}x, \
+        "{}: direct runs {:.4}s, cached suite {:.4}s, speedup {:.2}x, \
          {} hits / {} misses ({})",
         topo_cache.name,
         topo_cache.cache_off_wall_seconds,

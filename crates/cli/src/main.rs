@@ -112,9 +112,7 @@ fn print_help() {
     eprintln!("                                  --trace streams engine events to a JSONL file");
     eprintln!("                                  and attaches engine metrics to the result");
     eprintln!("  exaflow sweep <suite.json | -> [--threads <n>] [--metrics] [--retries <n>]");
-    eprintln!(
-        "                                 [--journal <f.jsonl>] [--resume] [--topo-cache <n>]"
-    );
+    eprintln!("                                 [--journal <f.jsonl>] [--resume]");
     eprintln!("                                  run a JSON array of configs in parallel,");
     eprintln!("                                  print per-config results + suite metrics;");
     eprintln!("                                  --metrics traces every entry and aggregates");
@@ -122,15 +120,11 @@ fn print_help() {
     eprintln!("                                  --retries re-runs transient failures before");
     eprintln!("                                  quarantining; --journal records each outcome");
     eprintln!("                                  crash-safely, --resume replays the journal;");
-    eprintln!("                                  --topo-cache caps the shared topology cache");
-    eprintln!("                                  (0 disables it; results are bit-identical");
-    eprintln!("                                  either way, only build work changes);");
     eprintln!("                                  exit 3 if any entry ended in a typed error,");
     eprintln!("                                  4 if quarantined entries remain");
     eprintln!(
         "  exaflow resilience <spec.json | -> [--threads <n>] [--journal <f.jsonl>] [--resume]"
     );
-    eprintln!("                                 [--topo-cache <n>]");
     eprintln!("                                  run a Monte-Carlo fault-injection campaign,");
     eprintln!("                                  print per-(rate, policy) degradation metrics;");
     eprintln!("                                  --journal/--resume as for sweep (resumed");
@@ -251,16 +245,15 @@ struct SweepOutput {
 }
 
 /// Shared argument shape for `sweep` and `resilience`:
-/// `<path | -> [--threads <n>] [--journal <f.jsonl>] [--resume] [--retries <n>]
-/// [--topo-cache <n>]`.
+/// `<path | -> [--threads <n>] [--journal <f.jsonl>] [--resume] [--retries <n>]`.
 #[derive(Default)]
 struct CampaignArgs<'a> {
     path: Option<&'a str>,
     threads: Option<usize>,
     journal: Option<&'a str>,
     resume: bool,
-    retries: Option<u32>,
-    topo_cache: Option<usize>,
+    /// Total attempts per entry: `--retries` plus the first.
+    attempts: Option<u32>,
 }
 
 fn parse_campaign_args(args: &[String], allow_retries: bool) -> Result<CampaignArgs<'_>, String> {
@@ -277,14 +270,21 @@ fn parse_campaign_args(args: &[String], allow_retries: bool) -> Result<CampaignA
                 None => return Err("--journal needs a file path".into()),
             },
             "--resume" => parsed.resume = true,
-            "--retries" if allow_retries => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => parsed.retries = Some(n),
-                None => return Err("--retries needs a non-negative integer".into()),
-            },
-            "--topo-cache" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => parsed.topo_cache = Some(n),
-                None => return Err("--topo-cache needs a non-negative integer (0 = off)".into()),
-            },
+            "--retries" if allow_retries => {
+                // --retries counts *extra* attempts beyond the first.
+                match it
+                    .next()
+                    .and_then(|v| v.parse::<u32>().ok()?.checked_add(1))
+                {
+                    Some(n) => parsed.attempts = Some(n),
+                    None => {
+                        return Err(format!(
+                            "--retries needs a non-negative integer below {}",
+                            u32::MAX
+                        ))
+                    }
+                }
+            }
             other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             other if parsed.path.is_none() => parsed.path = Some(other),
             other => return Err(format!("unexpected argument '{other}'")),
@@ -324,12 +324,8 @@ fn cmd_sweep(args: &[String]) -> i32 {
     if let Some(n) = parsed_args.threads {
         suite = suite.threads(n);
     }
-    if let Some(cap) = parsed_args.topo_cache {
-        suite = suite.topo_cache(cap);
-    }
-    if let Some(extra) = parsed_args.retries {
-        // --retries counts *extra* attempts beyond the first.
-        suite = suite.retry_policy(RetryPolicy::attempts(extra + 1));
+    if let Some(n) = parsed_args.attempts {
+        suite = suite.attempts(n);
     }
     let run = match parsed_args.journal {
         Some(journal_path) => {
@@ -349,8 +345,8 @@ fn cmd_sweep(args: &[String]) -> i32 {
     );
     if let Some(tc) = &run.report.topo_cache {
         eprintln!(
-            "sweep: topo-cache {} hit(s), {} miss(es), {} eviction(s)",
-            tc.hits, tc.misses, tc.evictions
+            "sweep: topology cache {} hit(s), {} miss(es)",
+            tc.hits, tc.misses
         );
     }
     if run.report.retries > 0 || run.report.quarantined > 0 {
@@ -416,9 +412,8 @@ fn cmd_resilience(args: &[String]) -> i32 {
     let journal = parsed_args
         .journal
         .map(|p| (std::path::Path::new(p), parsed_args.resume));
-    match run_resilience_campaign_with(&spec, parsed_args.threads, journal, parsed_args.topo_cache)
-    {
-        Ok((report, cache_stats)) => {
+    match run_resilience_campaign(&spec, parsed_args.threads, journal) {
+        Ok(report) => {
             eprintln!(
                 "resilience: {} runs ({} rates x {} policies x {} replicas), {} failed",
                 report.total_runs,
@@ -427,12 +422,6 @@ fn cmd_resilience(args: &[String]) -> i32 {
                 report.replicas_per_cell,
                 report.failed_runs,
             );
-            if let Some(tc) = &cache_stats {
-                eprintln!(
-                    "resilience: topo-cache {} hit(s), {} miss(es), {} eviction(s)",
-                    tc.hits, tc.misses, tc.evictions
-                );
-            }
             for cell in &report.cells {
                 eprintln!(
                     "  rate {:>10.4}/s {:<16} delivered {:>6.2}% inflation p50 {:.3} p99 {:.3}",

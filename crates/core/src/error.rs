@@ -70,7 +70,7 @@ pub enum ExperimentError {
         /// Best-effort panic message.
         message: String,
     },
-    /// Every attempt the suite's [`RetryPolicy`](crate::RetryPolicy)
+    /// Every attempt [`ExperimentSuite::attempts`](crate::ExperimentSuite::attempts)
     /// allowed failed transiently (worker panics, wall-clock deadline
     /// overruns), so the entry was quarantined instead of blocking the
     /// campaign. `attempts` holds each attempt's error in order; the last
@@ -85,6 +85,22 @@ pub enum ExperimentError {
         /// Human-readable reason.
         reason: String,
     },
+}
+
+impl ExperimentError {
+    /// True when the failure depends on the host, not the spec (worker
+    /// panics and [`SimError::DeadlineExceeded`] overruns), so re-running
+    /// on the same host may succeed. Invalid specs, exhausted event budgets
+    /// and simulation errors re-run to the same error and are never retried.
+    pub fn is_transient(&self) -> bool {
+        matches!(
+            self,
+            ExperimentError::Panicked { .. }
+                | ExperimentError::Sim {
+                    sim: SimError::DeadlineExceeded { .. },
+                }
+        )
+    }
 }
 
 impl From<SimError> for ExperimentError {

@@ -192,9 +192,9 @@ pub fn run_experiment_with(
     cfg.workload
         .validate()
         .map_err(|reason| ExperimentError::InvalidWorkload { reason })?;
-    let (built, cache_hit): (Arc<dyn Topology>, bool) = match cache {
-        Some(cache) => cache.get_or_build(&cfg.topology)?,
-        None => (Arc::from(cfg.topology.build()?), false),
+    let built: Arc<dyn Topology> = match cache {
+        Some(cache) => cache.get_or_build(&cfg.topology)?.0,
+        None => Arc::from(cfg.topology.build()?),
     };
     let (mut cables_requested, mut cables_applied) = (0u64, 0u64);
     let topo: Arc<dyn Topology> = match cfg.failures {
@@ -243,8 +243,7 @@ pub fn run_experiment_with(
     // starts, so `wall_seconds` times the simulation, not construction.
     topo.network();
     let started = std::time::Instant::now();
-    let mut simulator = Simulator::with_config(&*topo, cfg.sim.clone());
-    simulator.set_topo_cache_hit(cache_hit);
+    let simulator = Simulator::with_config(&*topo, cfg.sim.clone());
     let (schedule, policy) = match &cfg.fault_injection {
         Some(fi) => (fi.schedule.build(topo.network())?, fi.policy),
         None => (FaultSchedule::empty(), RecoveryPolicy::default()),

@@ -70,11 +70,10 @@ pub use journal::{
 };
 pub use normalize::{normalize_to, NormalizedRow};
 pub use resilience::{
-    run_resilience_campaign, run_resilience_campaign_with, CellReport, ResilienceCampaignReport,
-    ResilienceCampaignSpec,
+    run_resilience_campaign, CellReport, ResilienceCampaignReport, ResilienceCampaignSpec,
 };
 pub use scale::SystemScale;
-pub use suite::{scoped_map, ExperimentSuite, RetryPolicy, SuiteMetrics, SuiteReport, SuiteRun};
+pub use suite::{scoped_map, ExperimentSuite, SuiteMetrics, SuiteReport, SuiteRun};
 pub use topocache::{topology_cache_key, TopoCache, TopoCacheStats};
 pub use topospec::TopologySpec;
 
@@ -102,13 +101,10 @@ pub mod prelude {
     };
     pub use crate::presets;
     pub use crate::resilience::{
-        run_resilience_campaign, run_resilience_campaign_with, CellReport,
-        ResilienceCampaignReport, ResilienceCampaignSpec,
+        run_resilience_campaign, CellReport, ResilienceCampaignReport, ResilienceCampaignSpec,
     };
     pub use crate::scale::SystemScale;
-    pub use crate::suite::{
-        scoped_map, ExperimentSuite, RetryPolicy, SuiteMetrics, SuiteReport, SuiteRun,
-    };
+    pub use crate::suite::{scoped_map, ExperimentSuite, SuiteMetrics, SuiteReport, SuiteRun};
     pub use crate::topocache::{topology_cache_key, TopoCache, TopoCacheStats};
     pub use crate::topospec::TopologySpec;
     pub use exaflow_analysis::{

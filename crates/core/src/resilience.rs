@@ -28,7 +28,7 @@ use crate::experiment::{
 };
 use crate::journal::{fingerprint, Journal, JournalIndex, JournaledOutcome};
 use crate::suite::ExperimentSuite;
-use crate::topocache::{TopoCache, TopoCacheStats};
+use crate::topocache::TopoCache;
 use exaflow_sim::{FaultScheduleSpec, RecoveryPolicy, SimError};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -198,6 +198,12 @@ fn classify(cell: &mut CellReport, err: &ExperimentError) {
     }
 }
 
+fn journal_io(e: std::io::Error) -> ExperimentError {
+    ExperimentError::Journal {
+        reason: e.to_string(),
+    }
+}
+
 /// Run a full resilience campaign: fault-free baseline, then
 /// `rates × policies × replicas` fault-injected runs on `threads` workers
 /// (`None`: one per core), aggregated per cell.
@@ -205,21 +211,6 @@ fn classify(cell: &mut CellReport, err: &ExperimentError) {
 /// Fails fast with a typed error when the spec is inconsistent or the
 /// baseline itself cannot run; per-replica failures inside the campaign
 /// are aggregated, not fatal.
-pub fn run_resilience_campaign(
-    spec: &ResilienceCampaignSpec,
-    threads: Option<usize>,
-) -> Result<ResilienceCampaignReport, ExperimentError> {
-    run_resilience_campaign_with(spec, threads, None, None).map(|(report, _)| report)
-}
-
-fn journal_io(e: std::io::Error) -> ExperimentError {
-    ExperimentError::Journal {
-        reason: e.to_string(),
-    }
-}
-
-/// The full form of [`run_resilience_campaign`]: optional crash-safe
-/// journal, explicit topology-cache capacity.
 ///
 /// With `journal: Some((path, resume))`, every replica outcome (and the
 /// baseline) is appended to the JSONL journal at `path` the moment it
@@ -228,22 +219,15 @@ fn journal_io(e: std::io::Error) -> ExperimentError {
 /// report is **bit-identical** to an uninterrupted one. Without `resume`,
 /// the journal is truncated and the campaign starts fresh.
 ///
-/// `topo_cache_cap` sizes the topology cache (`None`:
-/// [`TopoCache::DEFAULT_CAP`]; `Some(0)`: cache off). One cache is shared
-/// by the baseline and every grid worker — the whole campaign reuses a
-/// single spec, so it builds the topology exactly once. Returns the
-/// cache's lifetime stats alongside the report (the report itself must
-/// stay bit-identical cache-on vs cache-off, so the stats never live
-/// inside it).
-pub fn run_resilience_campaign_with(
+/// The whole campaign runs one spec, so the baseline and every grid worker
+/// share a single topology build.
+pub fn run_resilience_campaign(
     spec: &ResilienceCampaignSpec,
     threads: Option<usize>,
     journal: Option<(&Path, bool)>,
-    topo_cache_cap: Option<usize>,
-) -> Result<(ResilienceCampaignReport, Option<TopoCacheStats>), ExperimentError> {
+) -> Result<ResilienceCampaignReport, ExperimentError> {
     validate(spec)?;
-    let cap = topo_cache_cap.unwrap_or(TopoCache::DEFAULT_CAP);
-    let cache = (cap > 0).then(|| TopoCache::new(cap));
+    let cache = TopoCache::new(TopoCache::DEFAULT_CAP);
     let mut index = match journal {
         Some((path, true)) => JournalIndex::load(path).map_err(journal_io)?,
         _ => JournalIndex::default(),
@@ -259,7 +243,7 @@ pub fn run_resilience_campaign_with(
     let baseline: ExperimentResult = match index.take(&base_fp) {
         Some(outcome) => outcome?,
         None => {
-            let outcome: JournaledOutcome = run_experiment_with(&spec.base, cache.as_ref(), None);
+            let outcome: JournaledOutcome = run_experiment_with(&spec.base, Some(&cache), None);
             if let Some(j) = journal.as_mut() {
                 j.record(&base_fp, &outcome).map_err(journal_io)?;
             }
@@ -308,7 +292,7 @@ pub fn run_resilience_campaign_with(
         journal.as_mut().map(|j| (j, fingerprints.as_slice())),
         prefilled,
         &|_| {},
-        cache.as_ref(),
+        &cache,
     );
     if let Some(e) = io_error {
         return Err(journal_io(e));
@@ -364,20 +348,17 @@ pub fn run_resilience_campaign_with(
         }
     }
 
-    Ok((
-        ResilienceCampaignReport {
-            topology: baseline.topology.clone(),
-            workload: baseline.workload.clone(),
-            baseline_makespan_seconds: baseline.makespan_seconds,
-            baseline_flows: baseline.flows,
-            horizon_s: horizon,
-            replicas_per_cell: spec.replicas,
-            total_runs: run.results.len() as u64,
-            failed_runs,
-            cells,
-        },
-        cache.map(|c| c.stats()),
-    ))
+    Ok(ResilienceCampaignReport {
+        topology: baseline.topology.clone(),
+        workload: baseline.workload.clone(),
+        baseline_makespan_seconds: baseline.makespan_seconds,
+        baseline_flows: baseline.flows,
+        horizon_s: horizon,
+        replicas_per_cell: spec.replicas,
+        total_runs: run.results.len() as u64,
+        failed_runs,
+        cells,
+    })
 }
 
 #[cfg(test)]
@@ -418,7 +399,7 @@ mod tests {
 
     #[test]
     fn zero_rate_cells_reproduce_the_baseline_exactly() {
-        let report = run_resilience_campaign(&spec(), Some(2)).unwrap();
+        let report = run_resilience_campaign(&spec(), Some(2), None).unwrap();
         for cell in report.cells.iter().filter(|c| c.fault_rate_per_s == 0.0) {
             assert_eq!(cell.completed, 3, "{cell:?}");
             assert_eq!(cell.inflation_mean, 1.0, "{cell:?}");
@@ -431,8 +412,8 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
-        let serial = run_resilience_campaign(&spec(), Some(1)).unwrap();
-        let parallel = run_resilience_campaign(&spec(), Some(8)).unwrap();
+        let serial = run_resilience_campaign(&spec(), Some(1), None).unwrap();
+        let parallel = run_resilience_campaign(&spec(), Some(8), None).unwrap();
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -441,7 +422,7 @@ mod tests {
 
     #[test]
     fn policies_share_fault_traces_and_diverge_in_outcome() {
-        let report = run_resilience_campaign(&spec(), None).unwrap();
+        let report = run_resilience_campaign(&spec(), None, None).unwrap();
         let faulted: Vec<&CellReport> = report
             .cells
             .iter()
@@ -482,28 +463,28 @@ mod tests {
         let mut s = spec();
         s.replicas = 0;
         assert!(matches!(
-            run_resilience_campaign(&s, None),
+            run_resilience_campaign(&s, None, None),
             Err(ExperimentError::InvalidCampaign { .. })
         ));
 
         let mut s = spec();
         s.fault_rates_per_s = vec![];
         assert!(matches!(
-            run_resilience_campaign(&s, None),
+            run_resilience_campaign(&s, None, None),
             Err(ExperimentError::InvalidCampaign { .. })
         ));
 
         let mut s = spec();
         s.fault_rates_per_s = vec![f64::NAN];
         assert!(matches!(
-            run_resilience_campaign(&s, None),
+            run_resilience_campaign(&s, None, None),
             Err(ExperimentError::InvalidCampaign { .. })
         ));
 
         let mut s = spec();
         s.replicas = 1_000_000;
         assert!(matches!(
-            run_resilience_campaign(&s, None),
+            run_resilience_campaign(&s, None, None),
             Err(ExperimentError::InvalidCampaign { .. })
         ));
 
@@ -513,7 +494,7 @@ mod tests {
             schedule: FaultScheduleSpec::Explicit { events: vec![] },
         });
         assert!(matches!(
-            run_resilience_campaign(&s, None),
+            run_resilience_campaign(&s, None, None),
             Err(ExperimentError::InvalidCampaign { .. })
         ));
     }
@@ -613,12 +594,10 @@ mod tests {
         ];
 
         let journaled = |threads, resume| {
-            run_resilience_campaign_with(&s, Some(threads), Some((&path, resume)), None)
-                .unwrap()
-                .0
+            run_resilience_campaign(&s, Some(threads), Some((&path, resume))).unwrap()
         };
         let fresh = journaled(2, false);
-        let plain = run_resilience_campaign(&s, Some(2)).unwrap();
+        let plain = run_resilience_campaign(&s, Some(2), None).unwrap();
         assert_eq!(fresh, plain, "journaling must not perturb the report");
         let full_len = crate::journal::read_journal(&path).unwrap().len() as u64;
         assert_eq!(full_len, fresh.total_runs + 1, "grid points + baseline");
@@ -656,7 +635,7 @@ mod tests {
         s.replicas = 1;
         s.fault_rates_per_s = vec![500.0];
         s.policies = vec![RecoveryPolicy::SkipUnreachable];
-        let report = run_resilience_campaign(&s, Some(1)).unwrap();
+        let report = run_resilience_campaign(&s, Some(1), None).unwrap();
         let json = serde_json::to_string(&report).unwrap();
         let back: ResilienceCampaignReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);

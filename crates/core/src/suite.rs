@@ -19,11 +19,16 @@
 //!   boundary) strands only the entry it was running: the stranded index
 //!   becomes a typed [`ExperimentError::Panicked`] entry and the surviving
 //!   workers finish the rest of the suite.
-//! * A [`RetryPolicy`] re-runs transiently-failed entries (panics,
-//!   wall-clock deadline overruns) with capped exponential backoff; an
-//!   entry that keeps failing is **quarantined** into the report as
+//! * [`attempts`](ExperimentSuite::attempts) re-runs transiently-failed
+//!   entries (panics, wall-clock deadline overruns, see
+//!   [`ExperimentError::is_transient`]) straight away; an entry that keeps
+//!   failing is **quarantined** into the report as
 //!   [`ExperimentError::Quarantined`] with its full attempt history
 //!   instead of failing the campaign.
+//!
+//! Every run owns one [`TopoCache`]: each distinct topology spec in the
+//! suite is built once, by the first worker that needs it, and shared by
+//! every entry after.
 //!
 //! [`run_journaled`](ExperimentSuite::run_journaled) additionally streams
 //! every finalised outcome to an append-only JSONL journal (see
@@ -62,95 +67,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A batch of experiments to run as one unit.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ExperimentSuite {
     configs: Vec<ExperimentConfig>,
     threads: Option<usize>,
-    retry: RetryPolicy,
-    topo_cache: Option<usize>,
-}
-
-/// How the suite treats transiently-failed entries (worker panics and
-/// [`SimError::DeadlineExceeded`] overruns — failures that depend on the
-/// host, not the spec). Deterministic failures (invalid specs, exhausted
-/// event budgets, simulation errors) are never retried: re-running them
-/// reproduces the same error by construction.
-///
-/// Attempt `k` (2-based) waits `backoff_base_ms * 2^(k-2)` milliseconds,
-/// capped at `backoff_cap_ms`, plus a deterministic seed-derived jitter in
-/// `[0, backoff_base_ms]` — so restarted campaigns replay the same pacing.
-///
-/// [`SimError::DeadlineExceeded`]: exaflow_sim::SimError::DeadlineExceeded
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total attempts per entry, including the first (>= 1; 1 = never
-    /// retry, the default).
-    #[serde(default = "default_attempts")]
-    pub max_attempts: u32,
-    /// Base backoff before the second attempt, milliseconds.
-    #[serde(default)]
-    pub backoff_base_ms: u64,
-    /// Ceiling on the exponential backoff, milliseconds.
-    #[serde(default)]
-    pub backoff_cap_ms: u64,
-    /// Seed for the deterministic jitter.
-    #[serde(default)]
-    pub seed: u64,
-}
-
-fn default_attempts() -> u32 {
-    1
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts, 100ms base backoff
-    /// capped at 5s, and a zero jitter seed.
-    pub fn attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            backoff_base_ms: 100,
-            backoff_cap_ms: 5_000,
-            seed: 0,
-        }
-    }
-
-    /// True when `error` is transient — worth re-running on the same host.
-    pub fn is_transient(error: &ExperimentError) -> bool {
-        matches!(
-            error,
-            ExperimentError::Panicked { .. }
-                | ExperimentError::Sim {
-                    sim: exaflow_sim::SimError::DeadlineExceeded { .. },
-                }
-        )
-    }
-
-    /// Backoff before attempt `attempt` (2-based), milliseconds.
-    fn backoff_ms(&self, attempt: u32) -> u64 {
-        if attempt < 2 || self.backoff_base_ms == 0 {
-            return 0;
-        }
-        let exp = self
-            .backoff_base_ms
-            .saturating_mul(1u64.checked_shl(attempt - 2).unwrap_or(u64::MAX))
-            .min(self.backoff_cap_ms.max(self.backoff_base_ms));
-        // SplitMix64 finalizer over (seed, attempt): deterministic jitter.
-        let mut z = self.seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        exp + (z ^ (z >> 31)) % (self.backoff_base_ms + 1)
-    }
+    attempts: u32,
 }
 
 /// Everything a finished suite produced: per-experiment outcomes in input
@@ -174,7 +95,7 @@ pub struct SuiteReport {
     pub succeeded: u64,
     /// Experiments that errored or panicked.
     pub failed: u64,
-    /// Extra attempts the [`RetryPolicy`] executed in this invocation
+    /// Extra attempts the suite executed in this invocation
     /// (beyond each entry's first attempt; journal-cached entries are
     /// never re-attempted, so a resumed run counts only its own work).
     #[serde(default)]
@@ -207,10 +128,11 @@ pub struct SuiteReport {
     /// report files.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<SuiteMetrics>,
-    /// Topology-cache statistics for this run (`None` with the cache
-    /// disabled). **Never serialized**: the JSON report must stay
-    /// byte-identical between cache-on and cache-off runs (and to
-    /// pre-cache report files); the CLI surfaces these on stderr instead.
+    /// Topology-cache statistics for this run; always `Some` from a run
+    /// (an `Option` because the frozen benchmark harness maps over it).
+    /// **Never serialized**: the JSON report must not depend on which entry
+    /// paid for a build (and stays byte-identical to pre-cache report
+    /// files); the CLI surfaces these on stderr instead.
     #[serde(default, skip_serializing_if = "never_serialize")]
     pub topo_cache: Option<TopoCacheStats>,
 }
@@ -286,8 +208,7 @@ impl ExperimentSuite {
         ExperimentSuite {
             configs,
             threads: None,
-            retry: RetryPolicy::default(),
-            topo_cache: None,
+            attempts: 1,
         }
     }
 
@@ -298,25 +219,13 @@ impl ExperimentSuite {
         self
     }
 
-    /// Retry transiently-failed entries under `policy` (default: never).
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
+    /// Give each entry up to `attempts` runs in total (clamped to at least
+    /// 1, the default: never retry). Only transient failures are re-run,
+    /// and a retry round starts as soon as the previous one ends — a
+    /// deterministic run gains nothing from waiting.
+    pub fn attempts(mut self, attempts: u32) -> Self {
+        self.attempts = attempts.max(1);
         self
-    }
-
-    /// Hold at most `cap` distinct topologies in the shared per-run
-    /// [`TopoCache`] (default [`TopoCache::DEFAULT_CAP`]; 0 disables the
-    /// cache entirely). Provably invisible either way — only build work
-    /// and the provenance counters change.
-    pub fn topo_cache(mut self, cap: usize) -> Self {
-        self.topo_cache = Some(cap);
-        self
-    }
-
-    /// The per-run topology cache this suite's configuration asks for.
-    pub(crate) fn make_topo_cache(&self) -> Option<TopoCache> {
-        let cap = self.topo_cache.unwrap_or(TopoCache::DEFAULT_CAP);
-        (cap > 0).then(|| TopoCache::new(cap))
     }
 
     /// Number of experiments in the suite.
@@ -339,8 +248,8 @@ impl ExperimentSuite {
 
     /// Run every experiment and aggregate the outcome.
     pub fn run(&self) -> SuiteRun {
-        let cache = self.make_topo_cache();
-        let (run, _) = self.run_prefilled(None, vec![None; self.len()], &|_| {}, cache.as_ref());
+        let cache = TopoCache::new(TopoCache::DEFAULT_CAP);
+        let (run, _) = self.run_prefilled(None, vec![None; self.len()], &|_| {}, &cache);
         run
     }
 
@@ -361,12 +270,12 @@ impl ExperimentSuite {
             }
         }
         let mut journal = Journal::open(path, !resume)?;
-        let cache = self.make_topo_cache();
+        let cache = TopoCache::new(TopoCache::DEFAULT_CAP);
         let (run, io_error) = self.run_prefilled(
             Some((&mut journal, &fingerprints)),
             prefilled,
             &|_| {},
-            cache.as_ref(),
+            &cache,
         );
         match io_error {
             Some(e) => Err(e),
@@ -380,8 +289,8 @@ impl ExperimentSuite {
     /// that worker dead, exactly like an abort-level failure mid-suite.
     #[doc(hidden)]
     pub fn run_with_worker_fault(&self, fault: &(dyn Fn(usize) + Sync)) -> SuiteRun {
-        let cache = self.make_topo_cache();
-        let (run, _) = self.run_prefilled(None, vec![None; self.len()], fault, cache.as_ref());
+        let cache = TopoCache::new(TopoCache::DEFAULT_CAP);
+        let (run, _) = self.run_prefilled(None, vec![None; self.len()], fault, &cache);
         run
     }
 
@@ -396,7 +305,7 @@ impl ExperimentSuite {
         mut journal: Option<(&mut Journal, &[String])>,
         prefilled: Vec<Option<JournaledOutcome>>,
         fault: &(dyn Fn(usize) + Sync),
-        topo_cache: Option<&TopoCache>,
+        topo_cache: &TopoCache,
     ) -> (SuiteRun, Option<std::io::Error>) {
         let n = self.configs.len();
         debug_assert_eq!(prefilled.len(), n);
@@ -408,7 +317,7 @@ impl ExperimentSuite {
         let mut pending: Vec<usize> = (0..n).filter(|&i| finals[i].is_none()).collect();
         let mut retries = 0u64;
         let mut journal_error: Option<std::io::Error> = None;
-        let max_attempts = self.retry.max_attempts.max(1);
+        let max_attempts = self.attempts;
 
         for attempt in 1..=max_attempts {
             if pending.is_empty() {
@@ -416,17 +325,13 @@ impl ExperimentSuite {
             }
             if attempt > 1 {
                 retries += pending.len() as u64;
-                let ms = self.retry.backoff_ms(attempt);
-                if ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
             }
             let batch: Vec<&ExperimentConfig> = pending.iter().map(|&i| &self.configs[i]).collect();
             let mut next_pending: Vec<usize> = Vec::new();
             scoped_map_observed(
                 &batch,
                 threads.min(batch.len()).max(1),
-                &|_, cfg: &&ExperimentConfig| run_experiment_with(cfg, topo_cache, None),
+                &|_, cfg: &&ExperimentConfig| run_experiment_with(cfg, Some(topo_cache), None),
                 fault,
                 |k, outcome| {
                     let i = pending[k];
@@ -444,7 +349,7 @@ impl ExperimentSuite {
                     };
                     let finalised: Option<JournaledOutcome> = match entry {
                         Ok(res) => Some(Ok(res)),
-                        Err(e) if !RetryPolicy::is_transient(&e) => Some(Err(e)),
+                        Err(e) if !e.is_transient() => Some(Err(e)),
                         // Transient, but retries were never requested:
                         // keep the plain error (quarantine describes an
                         // exhausted retry budget, not its absence).
@@ -526,7 +431,7 @@ impl ExperimentSuite {
             },
             per_experiment_wall_seconds: per_wall,
             metrics,
-            topo_cache: topo_cache.map(TopoCache::stats),
+            topo_cache: Some(topo_cache.stats()),
         };
         (SuiteRun { results, report }, journal_error)
     }
@@ -813,39 +718,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_is_capped_exponential_with_deterministic_jitter() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            backoff_base_ms: 100,
-            backoff_cap_ms: 400,
-            seed: 7,
-        };
-        // No wait before the first attempt.
-        assert_eq!(p.backoff_ms(1), 0);
-        // Deterministic: same inputs, same waits.
-        assert_eq!(p.backoff_ms(2), p.backoff_ms(2));
-        for attempt in 2..=10 {
-            let ms = p.backoff_ms(attempt);
-            let exp = (100u64 << (attempt - 2).min(10)).min(400);
-            assert!(
-                ms >= exp && ms <= exp + 100,
-                "attempt {attempt}: {ms} outside [{exp}, {}]",
-                exp + 100
-            );
-        }
-        // Zero base means zero wait regardless of attempt.
-        assert_eq!(RetryPolicy::default().backoff_ms(5), 0);
-        // Huge attempt numbers must not overflow the shift.
-        let _ = p.backoff_ms(u32::MAX);
-    }
-
-    #[test]
     fn transient_classification_matches_the_retry_contract() {
         use exaflow_sim::SimError;
-        assert!(RetryPolicy::is_transient(&ExperimentError::Panicked {
+        assert!(ExperimentError::Panicked {
             message: "x".into()
-        }));
-        assert!(RetryPolicy::is_transient(&ExperimentError::Sim {
+        }
+        .is_transient());
+        assert!(ExperimentError::Sim {
             sim: SimError::DeadlineExceeded {
                 wall_limit_s: 1.0,
                 events: 0,
@@ -853,9 +732,10 @@ mod tests {
                 delivered_bytes: 0,
                 flows_completed: 0,
             }
-        }));
+        }
+        .is_transient());
         // Deterministic failures re-run to the same error: never retried.
-        assert!(!RetryPolicy::is_transient(&ExperimentError::Sim {
+        assert!(!ExperimentError::Sim {
             sim: SimError::BudgetExhausted {
                 max_events: 1,
                 events: 1,
@@ -863,11 +743,13 @@ mod tests {
                 delivered_bytes: 0,
                 flows_completed: 0,
             }
-        }));
-        assert!(!RetryPolicy::is_transient(&ExperimentError::TooManyTasks {
+        }
+        .is_transient());
+        assert!(!ExperimentError::TooManyTasks {
             tasks: 9,
             endpoints: 4,
             topology: "t".into(),
-        }));
+        }
+        .is_transient());
     }
 }

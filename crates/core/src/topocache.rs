@@ -15,12 +15,11 @@
 //!    key survives serde round-trips and key-order permutations, and specs
 //!    that build the same graph under different spellings (a fattree with
 //!    `endpoints: Some(k^n)` vs `endpoints: None`) share one entry.
-//! 2. **Bounded, two-generation eviction.** The cache mirrors the route
-//!    cache from the fluid engine: a `fresh` and a `stale` map, rotation
-//!    when `fresh` reaches half the configured capacity, promotion on a
-//!    stale hit. Campaign working sets (a handful of topologies) fit
-//!    easily; a pathological sweep over thousands of distinct specs
-//!    degrades to bounded memory instead of unbounded growth.
+//! 2. **One build per spec per campaign.** Nothing is ever evicted: an
+//!    entry lives as long as the cache, and a suite or resilience campaign
+//!    owns one cache for its whole run. Memory is one built topology per
+//!    distinct spec in the campaign input — the paper's Fig 4/5 grid has
+//!    26, and a resilience campaign has one.
 //! 3. **Single-flight builds.** Each key owns a build slot (`OnceLock`);
 //!    the first worker to want a spec builds it while later arrivals block
 //!    on that slot rather than duplicating the work or serialising every
@@ -34,11 +33,12 @@
 //! belongs to the engine's per-run route memo, which lives for one failure
 //! epoch and serves nominal routes and detours alike.
 //!
-//! The cache is **provably invisible**: topologies are immutable once
-//! built, routing is a pure function of `(src, dst)`, and the only
-//! observable difference is provenance (the `topo_cache_hit` trace flag and
-//! these [`TopoCacheStats`], neither of which enters report JSON). The
-//! differential suite `tests/topo_cache_equiv.rs` enforces this end to end.
+//! Topologies are immutable once built and routing is a pure function of
+//! `(src, dst)`, so a run on a shared entry is the run on a fresh build:
+//! `tests/topo_cache_equiv.rs` compares cached suites and campaigns with a
+//! direct [`run_experiment`](crate::run_experiment) per entry, reports
+//! and traces alike. The only trace of the cache is [`TopoCacheStats`],
+//! which never enters report JSON.
 
 use crate::error::ExperimentError;
 use crate::journal::fingerprint_value;
@@ -63,7 +63,7 @@ type Slot = Arc<OnceLock<Built>>;
 ///
 /// Surfaced on the in-memory `SuiteReport` and the CLI stderr summary
 /// only — deliberately **never** serialized into report JSON, which must
-/// stay byte-identical between cache-on and cache-off runs.
+/// not depend on which entry paid for a build.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopoCacheStats {
     /// Lookups served from an existing slot (the builder may still have
@@ -71,89 +71,44 @@ pub struct TopoCacheStats {
     pub hits: u64,
     /// Lookups that created a new slot and built the topology.
     pub misses: u64,
-    /// Entries discarded by generation rotation.
-    pub evictions: u64,
     /// Always 0. The frozen `benchmark/src/main.rs` reads it; goes with the next `benchmark` PR.
     pub tables_built: u64,
     /// Entries resident when the stats were taken.
     pub entries: u64,
 }
 
-/// Two-generation bounded state, guarded by the cache-wide mutex. Only
-/// slot *lookup/insertion* happens under this lock; topology builds run on
-/// the claiming worker's thread with the lock released.
+/// Slot map and counters, guarded by the cache-wide mutex. Only slot
+/// *lookup/insertion* happens under this lock; topology builds run on the
+/// claiming worker's thread with the lock released.
+#[derive(Default)]
 struct CacheState {
-    fresh: HashMap<String, Slot>,
-    stale: HashMap<String, Slot>,
-    half_cap: usize,
+    slots: HashMap<String, Slot>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
-impl CacheState {
-    /// Find the slot for `key`, creating (and registering) a fresh one on
-    /// miss. Returns the slot and whether it already existed.
-    fn lookup_or_insert(&mut self, key: &str) -> (Slot, bool) {
-        if let Some(slot) = self.fresh.get(key) {
-            self.hits += 1;
-            return (slot.clone(), true);
-        }
-        if let Some(slot) = self.stale.remove(key) {
-            // Promote: a stale hit re-enters the fresh generation.
-            self.hits += 1;
-            self.insert(key.to_owned(), slot.clone());
-            return (slot, true);
-        }
-        self.misses += 1;
-        let slot: Slot = Arc::new(OnceLock::new());
-        self.insert(key.to_owned(), slot.clone());
-        (slot, false)
-    }
-
-    fn insert(&mut self, key: String, slot: Slot) {
-        if self.half_cap == 0 {
-            return;
-        }
-        if self.fresh.len() >= self.half_cap {
-            self.evictions += self.stale.len() as u64;
-            self.stale = std::mem::take(&mut self.fresh);
-        }
-        self.fresh.insert(key, slot);
-    }
-}
-
-/// Bounded, thread-safe cache of built topologies, keyed by
-/// [`topology_cache_key`].
+/// Thread-safe cache of built topologies, keyed by [`topology_cache_key`].
 pub struct TopoCache {
     state: Mutex<CacheState>,
 }
 
 impl TopoCache {
-    /// Default capacity for campaign runners: far above any real sweep's
-    /// distinct-topology count, small enough that even pathological
-    /// spec-per-entry campaigns stay bounded.
+    /// Ignored by [`new`](Self::new), like any cap. The frozen
+    /// `benchmark/src/trace.rs` names it; goes with the next `benchmark` PR,
+    /// which leaves `new` without an argument.
     pub const DEFAULT_CAP: usize = 64;
 
-    /// A cache holding at most `cap` topologies (two generations of
-    /// `cap.div_ceil(2)`).
-    pub fn new(cap: usize) -> TopoCache {
+    /// An empty cache. `_cap` is ignored: the cache keeps every spec it
+    /// builds for as long as it lives.
+    pub fn new(_cap: usize) -> TopoCache {
         TopoCache {
-            state: Mutex::new(CacheState {
-                fresh: HashMap::new(),
-                stale: HashMap::new(),
-                half_cap: cap.div_ceil(2),
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            state: Mutex::default(),
         }
     }
 
-    /// The built topology for `spec`, building it exactly once per cache
-    /// residency. The `bool` is the provenance flag stamped into the trace
-    /// header: `true` when the slot already existed (another entry paid
-    /// for the build).
+    /// The built topology for `spec`, building it on the first request
+    /// only. The `bool` is `true` when the slot already existed (another
+    /// entry paid for the build).
     pub fn get_or_build(
         &self,
         spec: &TopologySpec,
@@ -161,7 +116,19 @@ impl TopoCache {
         let key = topology_cache_key(spec);
         let (slot, hit) = {
             let mut state = self.state.lock().expect("topology cache lock poisoned");
-            state.lookup_or_insert(&key)
+            let state = &mut *state;
+            match state.slots.get(&key) {
+                Some(slot) => {
+                    state.hits += 1;
+                    (slot.clone(), true)
+                }
+                None => {
+                    state.misses += 1;
+                    let slot: Slot = Arc::default();
+                    state.slots.insert(key, slot.clone());
+                    (slot, false)
+                }
+            }
         };
         let built = slot.get_or_init(|| spec.build().map(Arc::from));
         built.clone().map(|topo| (topo, hit))
@@ -173,9 +140,8 @@ impl TopoCache {
         TopoCacheStats {
             hits: state.hits,
             misses: state.misses,
-            evictions: state.evictions,
             tables_built: 0,
-            entries: (state.fresh.len() + state.stale.len()) as u64,
+            entries: state.slots.len() as u64,
         }
     }
 }
@@ -255,30 +221,6 @@ mod tests {
         assert!(cache.get_or_build(&bad).is_err());
         // The error slot is cached like any other entry.
         assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn two_generation_rotation_bounds_the_cache() {
-        let cache = TopoCache::new(4); // half_cap = 2
-        for d in 2..10 {
-            cache.get_or_build(&torus(d)).unwrap();
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 8);
-        assert_eq!(stats.hits, 0);
-        assert!(stats.entries <= 4, "entries {} exceed cap", stats.entries);
-        assert!(stats.evictions > 0);
-    }
-
-    #[test]
-    fn cap_zero_disables_retention() {
-        let cache = TopoCache::new(0);
-        cache.get_or_build(&torus(4)).unwrap();
-        cache.get_or_build(&torus(4)).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::fault::{FaultAction, FaultEvent, FaultSchedule, RecoveryPolicy};
 use crate::maxmin::MaxMinSolver;
 use crate::paths::{PathId, PathTable};
 use crate::report::SimReport;
-use crate::trace::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceSink};
+use crate::trace::{MetricsRegistry, TraceEvent, TraceSink};
 use exaflow_netgraph::{IntMap, LinkId, NodeId};
 use exaflow_topo::{FaultOverlay, Topology};
 use serde::{Deserialize, Serialize};
@@ -246,7 +246,6 @@ pub struct Simulator<'a> {
     cfg: SimConfig,
     num_links: usize,
     num_eps: usize,
-    topo_cache_hit: bool,
 }
 
 impl<'a> Simulator<'a> {
@@ -262,17 +261,7 @@ impl<'a> Simulator<'a> {
             num_eps: topo.num_endpoints(),
             topo,
             cfg,
-            topo_cache_hit: false,
         }
-    }
-
-    /// Record whether the topology was served from a shared topology
-    /// cache. Pure provenance: it is stamped into the `run_started` trace
-    /// header and the metrics snapshot and never influences the physics —
-    /// a config knob would pollute spec fingerprints, so this lives on the
-    /// simulator instead of [`SimConfig`].
-    pub fn set_topo_cache_hit(&mut self, hit: bool) {
-        self.topo_cache_hit = hit;
     }
 
     /// The configuration in use.
@@ -515,7 +504,6 @@ impl<'r> RunState<'r> {
                 endpoints: sim.num_eps as u64,
                 batch_epsilon: cfg.batch_epsilon,
                 capacities_bps: sim.resource_capacities(),
-                topo_cache_hit: sim.topo_cache_hit,
             });
         }
         Ok(run)
@@ -1028,10 +1016,7 @@ impl<'r> RunState<'r> {
             rate_recomputes: self.solver.rate_recomputes,
             flows_coalesced: self.solver.flows_coalesced,
             route_cache_hits: self.route_hits,
-            metrics: self.trace.metrics.map(|m| MetricsSnapshot {
-                topo_cache_hit: sim.topo_cache_hit as u64,
-                ..m.snapshot()
-            }),
+            metrics: self.trace.metrics.map(|m| m.snapshot()),
         }
     }
 }

@@ -25,12 +25,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// `skip_serializing_if` helper: omit a provenance flag while it is
-/// `false` so traces without it stay byte-identical to older ones.
-fn is_false(b: &bool) -> bool {
-    !*b
-}
-
 /// One engine state transition, kind-tagged for JSONL serialisation
 /// (`{"event":"flow_started",...}`, one object per line).
 ///
@@ -54,15 +48,6 @@ pub enum TraceEvent {
         batch_epsilon: f64,
         /// Capacity of every resource, bits/second, indexed by resource id.
         capacities_bps: Vec<f64>,
-        /// The topology was served from a shared topology cache (campaign
-        /// runners stamp this; standalone runs leave it `false`). Pure
-        /// provenance: absent from the serialized form when `false`, so
-        /// cache-off traces are byte-identical to pre-cache ones, and —
-        /// like the solver-effort fields of
-        /// [`TraceEvent::RateRecompute`] — it is the only header field
-        /// allowed to differ between cache-on and cache-off runs.
-        #[serde(default, skip_serializing_if = "is_false")]
-        topo_cache_hit: bool,
     },
     /// All dependencies satisfied; the flow left the pending set.
     FlowActivated {
@@ -366,7 +351,6 @@ impl MetricsRegistry {
             full_passes: self.full_passes,
             budget_exhausted: self.budget_exhausted,
             deadline_exceeded: self.deadline_exceeded,
-            topo_cache_hit: 0,
             solver_seconds_total: self.solver_seconds_total,
             solver_seconds: self.solver_seconds.clone(),
             flows_active: self.flows_active.clone(),
@@ -406,11 +390,6 @@ pub struct MetricsSnapshot {
     /// Runs cut by the wall-clock deadline (0 or 1 per run).
     #[serde(default)]
     pub deadline_exceeded: u64,
-    /// Runs whose topology came from a shared topology cache
-    /// (stamped by the engine at snapshot time, 0 or 1 per run; never
-    /// affects physics).
-    #[serde(default)]
-    pub topo_cache_hit: u64,
     /// Total solver wall-clock time, seconds. **Non-deterministic.**
     pub solver_seconds_total: f64,
     /// Per-recompute solver wall time, seconds. **Non-deterministic.**
@@ -437,7 +416,6 @@ mod tests {
                 endpoints: 2,
                 batch_epsilon: 1e-9,
                 capacities_bps: vec![1e10; 8],
-                topo_cache_hit: false,
             },
             TraceEvent::FlowActivated {
                 t: 0.0,
@@ -532,6 +510,34 @@ mod tests {
         assert_eq!(snap.flows_active.count, 1);
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+    }
+
+    /// Traces and results written while runs carried a topology-cache
+    /// provenance flag still load; the flag is ignored.
+    #[test]
+    fn old_files_with_the_cache_hit_flag_still_load() {
+        let header = parse_jsonl(
+            "{\"event\":\"run_started\",\"flows\":1,\"links\":2,\"endpoints\":2,\
+             \"batch_epsilon\":1e-9,\"capacities_bps\":[1e9,1e9],\"topo_cache_hit\":true}\n",
+        )
+        .unwrap();
+        assert_eq!(
+            header,
+            vec![TraceEvent::RunStarted {
+                flows: 1,
+                links: 2,
+                endpoints: 2,
+                batch_epsilon: 1e-9,
+                capacities_bps: vec![1e9, 1e9],
+            }]
+        );
+
+        let snap = MetricsRegistry::new().snapshot();
+        let old = serde_json::to_string(&snap)
+            .unwrap()
+            .replacen('{', "{\"topo_cache_hit\":1,", 1);
+        let back: MetricsSnapshot = serde_json::from_str(&old).unwrap();
         assert_eq!(back, snap);
     }
 }

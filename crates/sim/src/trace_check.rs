@@ -679,7 +679,6 @@ mod tests {
             endpoints: 2,
             batch_epsilon: 1e-9,
             capacities_bps: vec![1e9; 6],
-            topo_cache_hit: false,
         }
     }
 
@@ -907,7 +906,6 @@ mod tests {
             endpoints: eps,
             batch_epsilon: 1e-9,
             capacities_bps: vec![1e9; (net_links + 2 * eps) as usize],
-            topo_cache_hit: false,
         };
         // Failing only the reverse cable 1 -> 0 leaves 0 -> 1 reachable:
         // the oracle must reject the skip.

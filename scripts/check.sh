@@ -39,7 +39,7 @@ $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 
 # One pass: the cache stores what `TopologySpec::build` returns, so it
 # cannot change which routing code runs.
-echo "== topology-cache differential gate"
+echo "== topology cache: cached suites and campaigns vs a direct run per entry"
 $TIMEOUT 900 cargo test -q -p exaflow-suite --test topo_cache_equiv
 
 echo "== cargo bench --no-run (benches must keep compiling)"
@@ -106,6 +106,7 @@ for f in "$CORPUS"/bad/*; do
   expect_typed_error $EXAFLOW sweep "$f" --journal "$JOURNAL" --resume
 done
 expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" --resume
+expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --retries 4294967295
 echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors only"
 
 echo "== paper-scale analyze: exact all-sources Table 1 (40 / 5.94, pinned (2,4) hybrid cells)"

@@ -243,8 +243,8 @@ fn campaign_is_deterministic_and_faithful_at_zero_rate() {
         horizon_s: None,
         repair_s: None,
     };
-    let serial = run_resilience_campaign(&spec, Some(1)).unwrap();
-    let parallel = run_resilience_campaign(&spec, Some(8)).unwrap();
+    let serial = run_resilience_campaign(&spec, Some(1), None).unwrap();
+    let parallel = run_resilience_campaign(&spec, Some(8), None).unwrap();
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&parallel).unwrap(),

@@ -199,16 +199,11 @@ fn dead_worker_loses_only_its_own_entry() {
     assert_eq!(run.report.succeeded, 3);
     assert_eq!(run.report.failed, 1);
 
-    // The same fault under a retry policy recovers completely: the retry
+    // The same fault with a second attempt recovers completely: the retry
     // round re-runs the stranded entry on a fresh (serial) pass.
     let run = ExperimentSuite::new(configs)
         .threads(2)
-        .retry_policy(RetryPolicy {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-            seed: 0,
-        })
+        .attempts(2)
         .run_with_worker_fault(&|i| {
             if i == 2 {
                 panic!("simulated worker abort");
@@ -243,12 +238,7 @@ fn deadline_overruns_quarantine_with_attempt_history() {
 
     let run = ExperimentSuite::new(vec![tiny_config(&scale), doomed])
         .threads(1)
-        .retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-            seed: 0,
-        })
+        .attempts(3)
         .run();
     assert!(run.results[0].is_ok());
     match run.results[1].as_ref().unwrap_err() {
@@ -274,7 +264,7 @@ fn deadline_overruns_quarantine_with_attempt_history() {
 }
 
 /// Budget exhaustion is deterministic — re-running it reproduces the same
-/// error — so the retry policy must not burn attempts on it.
+/// error — so the suite must not burn attempts on it.
 #[test]
 fn exhausted_event_budgets_are_not_retried() {
     let scale = SystemScale::new(64).unwrap();
@@ -283,7 +273,7 @@ fn exhausted_event_budgets_are_not_retried() {
 
     let run = ExperimentSuite::new(vec![capped])
         .threads(1)
-        .retry_policy(RetryPolicy::attempts(5))
+        .attempts(5)
         .run();
     match run.results[0].as_ref().unwrap_err() {
         ExperimentError::Sim {

@@ -1,9 +1,9 @@
-//! Topology-cache equivalence: the content-addressed [`TopoCache`] must be
-//! **provably invisible** — cache-on and cache-off runs bit-identical at
-//! the report layer, and event-for-event identical at the trace layer,
-//! across every suite/campaign entry point, all five topology families,
-//! faulted and fault-free, serial and 8-way parallel. The only observable
-//! difference is provenance: the `topo_cache_hit` header flag and the
+//! Topology-cache equivalence: a suite or resilience campaign builds each
+//! distinct [`TopologySpec`] once and shares the build, and every entry
+//! must come out exactly as a direct [`run_experiment`] of that entry on a
+//! fresh build — results bit for bit, traces event for event — across all
+//! five topology families, faulted and fault-free, serial and 8-way
+//! parallel. The only observable trace of the cache is the
 //! never-serialized [`SuiteReport::topo_cache`] stats.
 
 use exaflow::prelude::*;
@@ -96,106 +96,91 @@ fn suite_for(spec: &TopologySpec, eps: usize) -> Vec<ExperimentConfig> {
         .collect()
 }
 
-/// Bit-exact serialized form of a suite outcome minus wall clocks: every
-/// physics field, counter, and error string, in submission order.
+/// Bit-exact serialized form of a batch of outcomes minus wall clocks:
+/// every physics field, counter, and error string, in order.
 fn canonical_results(results: &[Result<ExperimentResult, ExperimentError>]) -> Vec<String> {
-    results
-        .iter()
-        .map(|r| match r {
-            Ok(res) => {
-                let mut res = res.clone();
-                res.wall_seconds = 0.0;
-                // Metrics carry solver wall timings and the cache-hit
-                // provenance counter; both are legitimately cache/timing
-                // dependent.
-                res.metrics = None;
-                serde_json::to_string(&res).unwrap()
-            }
-            Err(e) => format!("{e:?}"),
-        })
-        .collect()
+    results.iter().map(canonical).collect()
 }
 
-/// Serialized [`SuiteReport`] minus wall clocks. Serialization itself
-/// already proves the stats stay out: `topo_cache` is a skip-always field.
-fn canonical_report(report: &SuiteReport) -> String {
-    let mut r = report.clone();
-    r.wall_seconds = 0.0;
-    r.experiment_wall_seconds = 0.0;
-    r.events_per_second = 0.0;
-    r.per_experiment_wall_seconds.clear();
-    serde_json::to_string(&r).unwrap()
+fn canonical(result: &Result<ExperimentResult, ExperimentError>) -> String {
+    match result {
+        Ok(res) => {
+            let mut res = res.clone();
+            res.wall_seconds = 0.0;
+            // Metrics carry solver wall timings.
+            res.metrics = None;
+            serde_json::to_string(&res).unwrap()
+        }
+        Err(e) => format!("{e:?}"),
+    }
 }
 
-/// Zero the provenance flag on the run header — by design the only trace
-/// field allowed to differ between cache-on and cache-off runs.
-fn canonical_trace(events: &[TraceEvent]) -> Vec<TraceEvent> {
-    events
-        .iter()
-        .cloned()
-        .map(|ev| match ev {
-            TraceEvent::RunStarted {
-                flows,
-                links,
-                endpoints,
-                batch_epsilon,
-                capacities_bps,
-                ..
-            } => TraceEvent::RunStarted {
-                flows,
-                links,
-                endpoints,
-                batch_epsilon,
-                capacities_bps,
-                topo_cache_hit: false,
-            },
-            other => other,
-        })
-        .collect()
+fn direct_runs(configs: &[ExperimentConfig]) -> Vec<Result<ExperimentResult, ExperimentError>> {
+    configs.iter().map(run_experiment).collect()
 }
 
-/// Suite path, all five families: default cache vs `topo_cache(0)`,
-/// threads {1, 8}, reports and per-result JSON bit-identical. The cached
-/// run must also show the cache actually engaged — 1 build, 5 hits — or
-/// the comparison proves nothing.
+/// The report's physics counters must be the sums over the direct runs.
+fn assert_report_sums(
+    report: &SuiteReport,
+    direct: &[Result<ExperimentResult, ExperimentError>],
+    what: &str,
+) {
+    let ok: Vec<&ExperimentResult> = direct.iter().flatten().collect();
+    assert_eq!(report.succeeded, ok.len() as u64, "{what}");
+    assert_eq!(
+        report.flows,
+        ok.iter().map(|r| r.flows).sum::<u64>(),
+        "{what}"
+    );
+    assert_eq!(
+        report.events,
+        ok.iter().map(|r| r.events).sum::<u64>(),
+        "{what}"
+    );
+    assert_eq!(
+        report.maxmin_iterations,
+        ok.iter().map(|r| r.maxmin_iterations).sum::<u64>(),
+        "{what}"
+    );
+}
+
+/// Suite path, all five families, threads {1, 8}: per-result JSON
+/// bit-identical to a direct run per entry, report counters equal to their
+/// sums. The suite must also show the cache actually engaged — 1 build,
+/// 5 hits — or the comparison proves nothing.
 #[test]
-fn suite_bit_identical_cache_on_vs_off() {
+fn suite_bit_identical_to_direct_runs() {
     for (name, spec) in specs() {
         let eps = spec.build().unwrap().num_endpoints();
         let configs = suite_for(&spec, eps);
+        let direct = direct_runs(&configs);
         for threads in [1usize, 8] {
-            let off = ExperimentSuite::new(configs.clone())
-                .threads(threads)
-                .topo_cache(0)
-                .run();
-            let on = ExperimentSuite::new(configs.clone()).threads(threads).run();
-            assert_eq!(off.report.topo_cache, None, "{name}: cap 0 must disable");
-            let stats = on.report.topo_cache.expect("default cache must be on");
+            let run = ExperimentSuite::new(configs.clone()).threads(threads).run();
+            let stats = run
+                .report
+                .topo_cache
+                .expect("a suite run reports its cache");
             assert_eq!(stats.misses, 1, "{name}/t{threads}: one spec, one build");
             assert_eq!(stats.hits, 5, "{name}/t{threads}: five shared entries");
             assert_eq!(
-                canonical_results(&on.results),
-                canonical_results(&off.results),
-                "{name}/t{threads}: results diverged cache-on vs cache-off"
+                canonical_results(&run.results),
+                canonical_results(&direct),
+                "{name}/t{threads}: suite results diverged from direct runs"
             );
-            assert_eq!(
-                canonical_report(&on.report),
-                canonical_report(&off.report),
-                "{name}/t{threads}: reports diverged cache-on vs cache-off"
-            );
+            assert_report_sums(&run.report, &direct, &format!("{name}/t{threads}"));
         }
     }
 }
 
 /// Trace layer, all five families, faulted and fault-free: a run served
-/// from a *warm* cache (`topo_cache_hit` stamped) must narrate the same
-/// story event-for-event as the uncached engine, and the header flag must
-/// be the only difference.
+/// from a *warm* cache must narrate the same story, event for event and
+/// header included, as a direct run on a fresh build.
 #[test]
-fn traces_identical_cache_on_vs_off() {
+fn traces_identical_to_direct_runs() {
     for (name, spec) in specs() {
         let eps = spec.build().unwrap().num_endpoints();
         for failures in [None, Some(FailureSpec { count: 1, seed: 7 })] {
+            let faulted = failures.is_some();
             let cfg = ExperimentConfig {
                 topology: spec.clone(),
                 workload: WorkloadSpec::AllReduce {
@@ -208,66 +193,49 @@ fn traces_identical_cache_on_vs_off() {
                 fault_injection: None,
             };
             let mut sink = VecSink::new();
-            let uncached = run_experiment_with(&cfg, None, Some(&mut sink)).unwrap();
+            let direct = run_experiment_with(&cfg, None, Some(&mut sink));
             let reference = sink.into_events();
 
-            let cache = TopoCache::new(4);
+            let cache = TopoCache::new(TopoCache::DEFAULT_CAP);
             // Warm the cache so the traced run below is a genuine hit.
             run_experiment_with(&cfg, Some(&cache), None).unwrap();
             let mut sink = VecSink::new();
-            let cached = run_experiment_with(&cfg, Some(&cache), Some(&mut sink)).unwrap();
-            let events = sink.into_events();
+            let cached = run_experiment_with(&cfg, Some(&cache), Some(&mut sink));
             assert_eq!(cache.stats().hits, 1, "{name}: warm lookup must hit");
-
-            let faulted = failures.is_some();
-            assert!(
-                matches!(
-                    &events[0],
-                    TraceEvent::RunStarted {
-                        topo_cache_hit: true,
-                        ..
-                    }
-                ),
-                "{name}/faulted={faulted}: hit provenance missing from header"
-            );
-            assert!(
-                matches!(
-                    &reference[0],
-                    TraceEvent::RunStarted {
-                        topo_cache_hit: false,
-                        ..
-                    }
-                ),
-                "{name}/faulted={faulted}: uncached run must not claim a hit"
+            assert_eq!(
+                sink.into_events(),
+                reference,
+                "{name}/faulted={faulted}: trace diverged from the direct run"
             );
             assert_eq!(
-                canonical_trace(&events),
-                canonical_trace(&reference),
-                "{name}/faulted={faulted}: trace diverged cache-on vs cache-off"
-            );
-            let mut uncached = uncached;
-            let mut cached = cached;
-            // The metrics snapshot mirrors the provenance flag and carries
-            // wall timings; everything else must match bit-for-bit.
-            assert_eq!(cached.metrics.as_ref().unwrap().topo_cache_hit, 1, "{name}");
-            uncached.wall_seconds = 0.0;
-            cached.wall_seconds = 0.0;
-            uncached.metrics = None;
-            cached.metrics = None;
-            assert_eq!(
-                serde_json::to_string(&cached).unwrap(),
-                serde_json::to_string(&uncached).unwrap(),
-                "{name}/faulted={faulted}: result diverged cache-on vs cache-off"
+                canonical(&cached),
+                canonical(&direct),
+                "{name}/faulted={faulted}: result diverged from the direct run"
             );
         }
     }
 }
 
-/// Resilience campaigns: the shared cache (baseline + every grid cell) vs
-/// cache-off, threads {1, 8}. Campaign reports carry no wall clocks, so
-/// the comparison is full serialized equality, no scrubbing.
+/// Policy-independent schedule seed of replica `replica` at rate index
+/// `rate_idx`, as a resilience campaign derives it from its master seed.
+/// The journal below holds outcomes by config fingerprint, so a drift here
+/// fails loudly as a missing entry.
+fn schedule_seed(seed: u64, rate_idx: u64, replica: u64) -> u64 {
+    let mut z = seed
+        ^ rate_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ replica.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Resilience campaigns share one build between the baseline and every
+/// grid worker. Journal the campaign, then hold each journaled outcome —
+/// baseline and all 16 grid points — to a direct run of its config, at
+/// threads {1, 8}. Campaign reports carry no wall clocks, so serial and
+/// parallel reports must match in full.
 #[test]
-fn campaign_bit_identical_cache_on_vs_off() {
+fn campaign_bit_identical_to_direct_runs() {
     let spec = ResilienceCampaignSpec {
         base: ExperimentConfig {
             topology: TopologySpec::Torus { dims: vec![4, 4] },
@@ -287,68 +255,89 @@ fn campaign_bit_identical_cache_on_vs_off() {
         horizon_s: None,
         repair_s: None,
     };
-    for threads in [1usize, 8] {
-        let (off, off_stats) =
-            run_resilience_campaign_with(&spec, Some(threads), None, Some(0)).unwrap();
-        let (on, on_stats) =
-            run_resilience_campaign_with(&spec, Some(threads), None, None).unwrap();
-        assert_eq!(off_stats, None, "t{threads}: cap 0 must disable");
-        let stats = on_stats.expect("default cache must be on");
-        assert_eq!(stats.misses, 1, "t{threads}: baseline builds, grid shares");
-        assert!(stats.hits >= 16, "t{threads}: grid must hit, got {stats:?}");
-        assert_eq!(
-            serde_json::to_string(&on).unwrap(),
-            serde_json::to_string(&off).unwrap(),
-            "t{threads}: campaign reports diverged cache-on vs cache-off"
-        );
+    let baseline = run_experiment(&spec.base).unwrap();
+    let mut configs = vec![spec.base.clone()];
+    for (rate_idx, &rate) in spec.fault_rates_per_s.iter().enumerate() {
+        for &policy in &spec.policies {
+            for replica in 0..spec.replicas {
+                let mut cfg = spec.base.clone();
+                cfg.fault_injection = Some(FaultInjectionSpec {
+                    policy,
+                    schedule: FaultScheduleSpec::Random {
+                        seed: schedule_seed(spec.seed, rate_idx as u64, replica as u64),
+                        rate_per_s: rate,
+                        horizon_s: baseline.makespan_seconds,
+                        repair_s: spec.repair_s,
+                    },
+                });
+                configs.push(cfg);
+            }
+        }
     }
+    let direct = direct_runs(&configs);
+
+    let path = std::env::temp_dir().join(format!(
+        "exaflow-topocache-campaign-{}.jsonl",
+        std::process::id()
+    ));
+    let mut reports = Vec::new();
+    for threads in [1usize, 8] {
+        let report = run_resilience_campaign(&spec, Some(threads), Some((&path, false))).unwrap();
+        assert_eq!(report.total_runs, 16, "t{threads}");
+        assert_eq!(report.horizon_s, baseline.makespan_seconds, "t{threads}");
+        let mut journal = JournalIndex::load(&path).unwrap();
+        assert_eq!(journal.len(), configs.len(), "t{threads}: grid + baseline");
+        for (i, (cfg, want)) in configs.iter().zip(&direct).enumerate() {
+            let got = journal
+                .take(&fingerprint(cfg))
+                .unwrap_or_else(|| panic!("t{threads}: run {i} missing from the journal"));
+            assert_eq!(
+                canonical(&got),
+                canonical(want),
+                "t{threads}: campaign run {i} diverged from its direct run"
+            );
+        }
+        reports.push(serde_json::to_string(&report).unwrap());
+    }
+    assert_eq!(reports[0], reports[1], "campaign reports diverged t1 vs t8");
+    std::fs::remove_file(&path).ok();
 }
 
-/// Journaled suites: fresh-journal runs with the cache on and off produce
-/// identical results, and a cache-on resume over a cache-off journal
-/// (cold cache, warm journal) reconstructs the same outcome — the journal
-/// fingerprint layer and the cache key layer never interfere.
+/// Journaled suites: a fresh-journal run matches the direct runs, and a
+/// resume over the complete journal (cold cache, warm journal) replays the
+/// same outcome without a single cache lookup — the journal fingerprint
+/// layer and the cache key layer never interfere.
 #[test]
-fn journaled_suite_bit_identical_cache_on_vs_off() {
-    let tmp = |tag: &str| {
-        std::env::temp_dir().join(format!(
-            "exaflow-topocache-{tag}-{}.jsonl",
-            std::process::id()
-        ))
-    };
+fn journaled_suite_bit_identical_to_direct_runs() {
+    let path = std::env::temp_dir().join(format!(
+        "exaflow-topocache-suite-{}.jsonl",
+        std::process::id()
+    ));
     let spec = TopologySpec::Torus {
         dims: vec![4, 4, 2],
     };
     let eps = spec.build().unwrap().num_endpoints();
     let configs = suite_for(&spec, eps);
+    let direct = direct_runs(&configs);
 
-    let path_off = tmp("off");
-    let path_on = tmp("on");
-    let off = ExperimentSuite::new(configs.clone())
+    let fresh = ExperimentSuite::new(configs.clone())
         .threads(2)
-        .topo_cache(0)
-        .run_journaled(&path_off, false)
-        .unwrap();
-    let on = ExperimentSuite::new(configs.clone())
-        .threads(2)
-        .run_journaled(&path_on, false)
+        .run_journaled(&path, false)
         .unwrap();
     assert_eq!(
-        canonical_results(&on.results),
-        canonical_results(&off.results)
+        canonical_results(&fresh.results),
+        canonical_results(&direct)
     );
-    assert_eq!(canonical_report(&on.report), canonical_report(&off.report));
-    assert!(on.report.topo_cache.unwrap().hits > 0);
+    assert_report_sums(&fresh.report, &direct, "fresh journal");
+    assert_eq!(fresh.report.topo_cache.unwrap().hits, 5);
 
-    // Resume the cache-off journal with the cache ON: every entry replays
-    // from the journal (cold cache — zero builds), same results.
     let resumed = ExperimentSuite::new(configs)
         .threads(2)
-        .run_journaled(&path_off, true)
+        .run_journaled(&path, true)
         .unwrap();
     assert_eq!(
         canonical_results(&resumed.results),
-        canonical_results(&off.results)
+        canonical_results(&direct)
     );
     let stats = resumed.report.topo_cache.unwrap();
     assert_eq!(
@@ -356,6 +345,38 @@ fn journaled_suite_bit_identical_cache_on_vs_off() {
         (0, 0),
         "fully-journaled resume must never touch the topology cache"
     );
-    std::fs::remove_file(&path_off).ok();
-    std::fs::remove_file(&path_on).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Memory rule: a campaign keeps every distinct spec it has built for the
+/// rest of the run. Seventy distinct tiny tori, each run once in a first
+/// pass and again in a second, build exactly seventy times.
+#[test]
+fn every_distinct_spec_builds_once_per_suite() {
+    let pass: Vec<ExperimentConfig> = (0..70u32)
+        .map(|i| ExperimentConfig {
+            topology: TopologySpec::Torus {
+                dims: vec![2 + i / 10, 2 + i % 10],
+            },
+            workload: WorkloadSpec::AllReduce {
+                tasks: 4,
+                bytes: 1 << 10,
+            },
+            mapping: MappingSpec::Linear,
+            sim: SimConfig::default(),
+            failures: None,
+            fault_injection: None,
+        })
+        .collect();
+    let configs: Vec<ExperimentConfig> = pass.iter().chain(&pass).cloned().collect();
+    for threads in [1usize, 8] {
+        let run = ExperimentSuite::new(configs.clone()).threads(threads).run();
+        assert_eq!(run.report.succeeded, 140, "t{threads}");
+        let stats = run.report.topo_cache.unwrap();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.entries),
+            (70, 70, 70),
+            "t{threads}: one build per distinct spec"
+        );
+    }
 }
