@@ -62,6 +62,20 @@ $TIMEOUT 300 ./target/release/exaflow run scripts/golden_run_config.json \
   | diff -u scripts/golden_run_expected.json - \
   || { echo "untraced 'exaflow run' output drifted from scripts/golden_run_expected.json"; exit 1; }
 
+# Both extension programs are deterministic: their stdout tables must match
+# the checked-in artefacts byte for byte (regenerate deliberately with
+# scripts/regen_failure_resilience.sh and `throughput --json
+# throughput_results.json > throughput_output.txt`).
+echo "== extension artefacts: failure-resilience and throughput tables are pinned"
+cargo build -q --release --example failure_resilience -p exaflow-suite
+cargo build -q --release -p exaflow-bench --bin throughput
+$TIMEOUT 300 ./target/release/examples/failure_resilience \
+  | diff -u failure_resilience_output.txt - \
+  || { echo "failure_resilience output drifted from failure_resilience_output.txt"; exit 1; }
+$TIMEOUT 300 ./target/release/throughput 2>/dev/null \
+  | diff -u throughput_output.txt - \
+  || { echo "throughput output drifted from throughput_output.txt"; exit 1; }
+
 # Hostile input: every file of a generated corpus, fed to every command
 # that reads JSON, must end in a typed error (exit 1-4) well inside a
 # timeout — never a hang (124) and never a signal (a stack overflow
