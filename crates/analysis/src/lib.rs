@@ -7,13 +7,14 @@
 //! which the paper's families answer by *counting* equidistant classes
 //! rather than by evaluating `distance` per destination — so an exact
 //! all-sources sweep is affordable at the paper's 131,072 QFDBs. Only
-//! topologies on the trait's default per-pair loop (Dragonfly, Jellyfish,
-//! `Degraded`) still pay `O(E)` per source.
+//! topologies on the trait's default per-pair loop (Dragonfly, Jellyfish)
+//! still pay `O(E)` per source. Distances are always of the healthy
+//! network: link failures live in the engine's fault overlay.
 //!
 //! * [`distance_stats_exact`] — every ordered endpoint pair, on the calling
 //!   thread; the sequential reference.
 //! * [`distance_sweep`] / [`distance_estimate`] — the same sweep on
-//!   scoped threads ([`resolve_threads`] picks how many), bit-identical to
+//!   scoped threads ([`default_threads`] unless told how many), bit-identical to
 //!   [`distance_stats_exact`] at any thread count, and a stratified
 //!   deterministic source-sampling estimator that reports a standard error
 //!   and 95% confidence half-width alongside the point estimate.
@@ -30,5 +31,5 @@ pub mod sweep;
 pub use distance::{distance_stats_exact, DistanceStats};
 pub use load::{channel_load_survey, LoadStats};
 pub use sweep::{
-    distance_estimate, distance_sweep, physical_distance_sweep, resolve_threads, stratified_sources,
+    default_threads, distance_estimate, distance_sweep, physical_distance_sweep, stratified_sources,
 };

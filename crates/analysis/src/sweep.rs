@@ -49,26 +49,12 @@ fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
     (start, start + per + usize::from(w < rem))
 }
 
-/// The thread-count rule, free of process state: `requested` when
-/// positive, else `env` (the value of `EXAFLOW_THREADS`, if set) when it
-/// parses to a positive integer, else `fallback`.
-fn pick_threads(requested: usize, env: Option<&str>, fallback: usize) -> usize {
-    if requested >= 1 {
-        return requested;
-    }
-    env.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(fallback)
-}
-
-/// Resolve a configured thread count for work that scales with cores (the
-/// distance sweep, `exaflow analyze`): `0` means "auto" — the
-/// `EXAFLOW_THREADS` environment variable if set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`]. Always at least 1.
-pub fn resolve_threads(requested: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let env = std::env::var("EXAFLOW_THREADS").ok();
-    pick_threads(requested, env.as_deref(), cores)
+/// The worker count when none is given: one per available core, and at
+/// least one. Every command and library entry point that fans out defaults
+/// to it; `--threads` (or an explicit count) is the only way to choose
+/// another.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Run `per_source` over a static partition of `sources` on `threads`
@@ -239,7 +225,6 @@ mod tests {
     use crate::distance_stats_exact;
     use exaflow_netgraph::{LinkId, Network, NetworkBuilder};
     use exaflow_topo::{ConnectionRule, KAryTree, Nested, Torus, UpperTierKind};
-    use std::sync::Arc;
 
     /// A topology that can only count: every other endpoint is one hop
     /// away by `distance_histogram`, and asking for a single `distance`
@@ -269,13 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn arc_dyn_topology_forwards_the_histogram_override() {
-        // What `TopoCache` hands out. Were the `Arc<dyn Topology>` impl to
-        // miss the method, the trait default would run instead — same
-        // numbers on a real topology, so nothing but a panic shows it.
+    fn sweeps_count_through_the_histogram_override() {
+        // Were a sweep to fall back to the per-pair loop, a real topology
+        // would give the same numbers, so nothing but a panic shows it.
         let mut b = NetworkBuilder::new();
         b.add_endpoints(5);
-        let topo: Arc<dyn Topology> = Arc::new(CountingOnly { net: b.build() });
+        let topo = CountingOnly { net: b.build() };
         let swept = distance_sweep(&topo, 2);
         assert_eq!(swept.histogram, vec![0, 20]);
         let estimate = distance_estimate(&topo, 3, 1, 2);
@@ -369,28 +353,6 @@ mod tests {
         let routed = distance_stats_exact(&n);
         assert!(phys.average <= routed.average + 1e-12);
         assert!(phys.diameter <= routed.diameter);
-    }
-
-    #[test]
-    fn resolve_threads_prefers_explicit_request() {
-        assert_eq!(resolve_threads(3), 3);
-        assert_eq!(resolve_threads(1), 1);
-        assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn pick_threads_orders_request_then_env_then_fallback() {
-        // An explicit request wins over everything.
-        assert_eq!(pick_threads(3, Some("8"), 16), 3);
-        // Auto: a usable EXAFLOW_THREADS value, surrounding blanks allowed.
-        assert_eq!(pick_threads(0, Some("8"), 16), 8);
-        assert_eq!(pick_threads(0, Some(" 2\n"), 1), 2);
-        // Auto with the variable unset, empty, zero or garbage: the
-        // fallback, the core count.
-        for env in [None, Some(""), Some("0"), Some("-1"), Some("many")] {
-            assert_eq!(pick_threads(0, env, 16), 16, "{env:?}");
-            assert_eq!(pick_threads(0, env, 1), 1, "{env:?}");
-        }
     }
 
     #[test]

@@ -75,10 +75,10 @@ impl HarnessArgs {
     }
 
     /// The worker count for [`exaflow::scoped_map`]-style grid fan-out:
-    /// `--threads` if given, else one per available core.
+    /// `--threads` if given, else [`exaflow::analysis::default_threads`].
     pub fn grid_threads(&self) -> usize {
         self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .unwrap_or_else(exaflow::analysis::default_threads)
     }
 
     /// Write `value` to the JSON path when requested.

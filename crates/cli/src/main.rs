@@ -458,7 +458,7 @@ fn cmd_resilience(args: &[String]) -> i32 {
 fn cmd_analyze(args: &[String]) -> i32 {
     let mut scale_qfdbs = SystemScale::DEFAULT_SIM.qfdbs;
     let mut sources = SourceBudget::All;
-    let mut threads = 0usize; // 0 = auto (EXAFLOW_THREADS or hardware)
+    let mut threads = None;
     let mut hybrids = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -485,7 +485,7 @@ fn cmd_analyze(args: &[String]) -> i32 {
                 }
             },
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = n,
+                Some(n) if n >= 1 => threads = Some(n),
                 _ => {
                     eprintln!("error: --threads needs a positive integer");
                     return 1;
@@ -512,7 +512,7 @@ fn cmd_analyze(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let threads = exaflow::analysis::resolve_threads(threads);
+    let threads = threads.unwrap_or_else(exaflow::analysis::default_threads);
     let started = std::time::Instant::now();
     match analyze_distances(scale, &specs, sources, threads) {
         Ok(report) => {

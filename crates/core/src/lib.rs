@@ -120,8 +120,8 @@ pub mod prelude {
     };
     pub use exaflow_system::{CostModel, SystemHierarchy};
     pub use exaflow_topo::{
-        ConnectionRule, Degraded, Dragonfly, GeneralizedHypercube, Jellyfish, KAryTree, Nested,
-        Topology, Torus, UpperTierKind,
+        ConnectionRule, Dragonfly, GeneralizedHypercube, Jellyfish, KAryTree, Nested, Topology,
+        Torus, UpperTierKind,
     };
     pub use exaflow_workloads::{TaskMapping, Workload, WorkloadSpec};
 }

@@ -241,7 +241,7 @@ impl ExperimentSuite {
     fn effective_threads(&self) -> usize {
         let requested = self
             .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+            .unwrap_or_else(exaflow_analysis::default_threads);
         // Never spawn more workers than there is work.
         requested.min(self.configs.len()).max(1)
     }

@@ -15,10 +15,17 @@
 //! always yields the same schedule, which is what makes Monte-Carlo
 //! resilience campaigns reproducible and lets different recovery policies
 //! face identical fault traces.
+//!
+//! A schedule also carries the links that are down for the whole run
+//! ([`FaultSchedule::with_failed_links`]): cables cut before t = 0, as
+//! [`random_cable_failures`] picks them. They live in the same overlay as
+//! the scheduled faults, so one route rule serves both, and no scheduled
+//! `Up` restores them.
 
 use crate::error::SimError;
 use exaflow_netgraph::{LinkId, Network};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -43,21 +50,27 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
-/// A time-ordered schedule of link fault events.
+/// A time-ordered schedule of link fault events, plus the links that are
+/// down for the whole run.
 ///
 /// Construction sorts events by time (stably, so same-time events keep
-/// their given order) and rejects non-finite or negative times; link ids
-/// are validated against the topology at [`FaultSchedule::validate_for`]
-/// time, which the engine calls before consuming the schedule.
+/// their given order) and rejects non-finite or negative times; link ids,
+/// of the events and of the run-long set alike, are validated against the
+/// topology at [`FaultSchedule::validate_for`] time, which the engine
+/// calls before consuming the schedule.
 #[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
+    /// Links down from t = 0 to the end of the run, sorted, no duplicates.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    failed: Vec<u32>,
 }
 
 impl FaultSchedule {
-    /// A schedule with no events: simulation behaves exactly as fault-free.
+    /// A schedule with no events and no failed links: simulation behaves
+    /// exactly as fault-free.
     pub fn empty() -> Self {
-        FaultSchedule { events: Vec::new() }
+        FaultSchedule::default()
     }
 
     /// Build a schedule from `events`, sorting them by time.
@@ -76,12 +89,30 @@ impl FaultSchedule {
                 .partial_cmp(&b.time_s)
                 .expect("fault times are finite")
         });
-        Ok(FaultSchedule { events })
+        Ok(FaultSchedule {
+            events,
+            failed: Vec::new(),
+        })
+    }
+
+    /// This schedule with `links` down for the whole run as well: the
+    /// engine fails them before t = 0, a scheduled `Down` on one is a
+    /// no-op and a scheduled `Up` never restores it.
+    pub fn with_failed_links(mut self, links: impl IntoIterator<Item = LinkId>) -> Self {
+        self.failed.extend(links.into_iter().map(|l| l.0));
+        self.failed.sort_unstable();
+        self.failed.dedup();
+        self
     }
 
     /// The events, sorted by time.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
+    }
+
+    /// The links down for the whole run, ascending.
+    pub fn failed_links(&self) -> &[u32] {
+        &self.failed
     }
 
     /// Number of events.
@@ -94,25 +125,25 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// Check every event's link against `net`: it must exist and be
-    /// physical (NIC-virtual links never fail).
+    /// Check every event's link and every run-long failed link against
+    /// `net`: it must exist and be physical (NIC-virtual links never fail).
     pub fn validate_for(&self, net: &Network) -> Result<(), SimError> {
         let num_links = net.num_links();
-        for e in &self.events {
-            if e.link as usize >= num_links {
-                return Err(SimError::InvalidConfig {
-                    field: "fault.link".into(),
-                    value: e.link.to_string(),
-                    constraint: format!("must be < {num_links} (number of links)"),
-                });
-            }
-            if net.link(LinkId(e.link)).is_virtual {
-                return Err(SimError::InvalidConfig {
-                    field: "fault.link".into(),
-                    value: e.link.to_string(),
-                    constraint: "must be a physical link (virtual NIC links cannot fail)".into(),
-                });
-            }
+        let events = self.events.iter().map(|e| ("fault.link", e.link));
+        let failed = self.failed.iter().map(|&l| ("fault.failed_link", l));
+        for (field, link) in events.chain(failed) {
+            let constraint = if link as usize >= num_links {
+                format!("must be < {num_links} (number of links)")
+            } else if net.link(LinkId(link)).is_virtual {
+                "must be a physical link (virtual NIC links cannot fail)".into()
+            } else {
+                continue;
+            };
+            return Err(SimError::InvalidConfig {
+                field: field.into(),
+                value: link.to_string(),
+                constraint,
+            });
         }
         Ok(())
     }
@@ -232,6 +263,41 @@ fn duplex_cables(net: &Network) -> Vec<(LinkId, Option<LinkId>)> {
         cables.push((LinkId(i as u32), reverse));
     }
     cables
+}
+
+/// Pick `count` random duplex cables to cut before a run, deterministic in
+/// `seed`: the cables of [`duplex_cables`] in a seeded shuffle, taking each
+/// unless it is the last physical link of either of its end nodes — a
+/// failure study needs a degraded network, not an isolated node (a
+/// partition of larger parts can still happen, and surfaces as an
+/// unreachable destination). Returns the cut cables, fewer than `count`
+/// when the network runs out of safely removable ones.
+pub fn random_cable_failures(
+    net: &Network,
+    count: usize,
+    seed: u64,
+) -> Vec<(LinkId, Option<LinkId>)> {
+    let mut cables = duplex_cables(net);
+    let mut degree = vec![0u32; net.num_nodes()];
+    for link in net.links().iter().filter(|l| !l.is_virtual) {
+        degree[link.src.index()] += 1;
+    }
+    cables.shuffle(&mut StdRng::seed_from_u64(seed));
+    let mut cut = Vec::new();
+    for cable in cables {
+        if cut.len() >= count {
+            break;
+        }
+        let link = net.link(cable.0);
+        let (a, b) = (link.src.index(), link.dst.index());
+        if degree[a] <= 1 || degree[b] <= 1 {
+            continue;
+        }
+        degree[a] -= 1;
+        degree[b] -= 1;
+        cut.push(cable);
+    }
+    cut
 }
 
 fn generate_random(
@@ -361,6 +427,65 @@ mod tests {
             matches!(err, SimError::InvalidConfig { ref field, .. } if field == "fault.link"),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn failed_links_are_validated_like_events() {
+        let t = Torus::new(&[4]);
+        let s = FaultSchedule::empty().with_failed_links([LinkId(9999)]);
+        let err = s.validate_for(t.network()).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidConfig { ref field, .. } if field == "fault.failed_link"),
+            "{err:?}"
+        );
+        let s = FaultSchedule::empty().with_failed_links([LinkId(3), LinkId(1), LinkId(3)]);
+        assert_eq!(s.failed_links(), [1, 3]);
+        s.validate_for(t.network()).unwrap();
+        // A schedule without run-long failures serialises as before, and
+        // old schedules load.
+        let json = serde_json::to_string(&FaultSchedule::empty()).unwrap();
+        assert_eq!(json, r#"{"events":[]}"#);
+        let back: FaultSchedule = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, FaultSchedule::empty());
+    }
+
+    #[test]
+    fn random_cable_failures_are_deterministic_duplex_cables() {
+        let t = Torus::new(&[4, 4, 2]);
+        let net = t.network();
+        let cut = random_cable_failures(net, 4, 7);
+        assert_eq!(cut, random_cable_failures(net, 4, 7));
+        assert_eq!(cut.len(), 4);
+        for &(fwd, rev) in &cut {
+            let (a, b) = (net.link(fwd), net.link(rev.unwrap()));
+            assert!(!a.is_virtual && !b.is_virtual);
+            assert_eq!((a.src, a.dst), (b.dst, b.src));
+        }
+        // A larger count cuts a superset: the same shuffled order.
+        assert_eq!(random_cable_failures(net, 8, 7)[..4], cut[..]);
+    }
+
+    #[test]
+    fn random_cable_failures_never_isolate_a_node() {
+        // A 2x2 torus has far fewer than 100 safely removable cables: the
+        // shortfall shows in the length, and no node lost its last link.
+        let t = Torus::new(&[2, 2]);
+        let net = t.network();
+        let cut = random_cable_failures(net, 100, 3);
+        assert!(cut.len() < 100);
+        let failed: Vec<LinkId> = cut
+            .iter()
+            .flat_map(|&(f, r)| [Some(f), r])
+            .flatten()
+            .collect();
+        for node in 0..net.num_nodes() as u32 {
+            let surviving = net
+                .out_links(exaflow_netgraph::NodeId(node))
+                .iter()
+                .filter(|l| !net.link(**l).is_virtual && !failed.contains(l))
+                .count();
+            assert!(surviving >= 1, "node {node} was isolated");
+        }
     }
 
     #[test]

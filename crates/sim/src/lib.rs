@@ -61,7 +61,10 @@ pub mod trace_check;
 pub use dag::{FlowDag, FlowDagBuilder, FlowId, FlowSpec};
 pub use engine::{SimConfig, Simulator};
 pub use error::SimError;
-pub use fault::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleSpec, RecoveryPolicy};
+pub use fault::{
+    random_cable_failures, FaultAction, FaultEvent, FaultSchedule, FaultScheduleSpec,
+    RecoveryPolicy,
+};
 pub use paths::{PathId, PathTable};
 pub use report::SimReport;
 pub use trace::{

@@ -48,6 +48,9 @@ pub enum TraceEvent {
         batch_epsilon: f64,
         /// Capacity of every resource, bits/second, indexed by resource id.
         capacities_bps: Vec<f64>,
+        /// Links down for the whole run, ascending (omitted when none).
+        #[serde(default, skip_serializing_if = "Vec::is_empty")]
+        failed_links: Vec<u32>,
     },
     /// All dependencies satisfied; the flow left the pending set.
     FlowActivated {
@@ -416,6 +419,15 @@ mod tests {
                 endpoints: 2,
                 batch_epsilon: 1e-9,
                 capacities_bps: vec![1e10; 8],
+                failed_links: vec![],
+            },
+            TraceEvent::RunStarted {
+                flows: 2,
+                links: 4,
+                endpoints: 2,
+                batch_epsilon: 1e-9,
+                capacities_bps: vec![1e10; 8],
+                failed_links: vec![1, 3],
             },
             TraceEvent::FlowActivated {
                 t: 0.0,
@@ -448,6 +460,9 @@ mod tests {
             TraceEvent::FlowFinished { t: 3e-6, flow: 0 },
             TraceEvent::FlowSkipped { t: 3e-6, flow: 1 },
         ];
+        // A run with no run-long failures keeps the old header.
+        let header = serde_json::to_string(&events[0]).unwrap();
+        assert!(!header.contains("failed_links"), "{header}");
         for ev in &events {
             let json = serde_json::to_string(ev).unwrap();
             assert!(json.contains("\"event\""), "{json}");
@@ -530,6 +545,7 @@ mod tests {
                 endpoints: 2,
                 batch_epsilon: 1e-9,
                 capacities_bps: vec![1e9, 1e9],
+                failed_links: vec![],
             }]
         );
 

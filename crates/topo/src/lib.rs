@@ -23,8 +23,10 @@
 //!
 //! Extensions beyond the paper, clearly flagged in their module docs:
 //! [`Dragonfly`] and [`Jellyfish`] (comparators the paper only discusses in
-//! related work) and [`Degraded`] (link-failure injection with
-//! fault-tolerant rerouting, from the paper's future-work list).
+//! related work) and [`FaultOverlay`] (link failures, run-long or mid-run,
+//! with fault-tolerant rerouting, from the paper's future-work list). The
+//! overlay borrows a topology rather than wrapping it: every [`Topology`]
+//! is healthy, and its `route` is total.
 //!
 //! All routing functions are deterministic arithmetic over link-id arrays:
 //! each generator records the link ids it creates so the hot routing path
@@ -51,7 +53,7 @@ pub mod torus;
 
 pub use connection::{ConnectionRule, UplinkMap};
 pub use dragonfly::Dragonfly;
-pub use failures::{Degraded, FaultOverlay};
+pub use failures::{failed_links_name, FaultOverlay, RouteError};
 pub use ghc::GeneralizedHypercube;
 pub use jellyfish::Jellyfish;
 pub use kary_tree::KAryTree;
@@ -63,37 +65,6 @@ use exaflow_netgraph::{LinkId, Network, NodeId};
 
 /// Default link rate of the ExaNeSt transceivers: 10 Gbps.
 pub const LINK_RATE_BPS: f64 = 10e9;
-
-/// Routing failure: `dst` cannot be reached from `src`.
-///
-/// The generators in this crate route totally by construction, so this can
-/// only arise from wrappers that remove connectivity — today, [`Degraded`]
-/// when injected link failures partition the network. Carried up through
-/// [`Topology::try_route`] so bulk experiment drivers see a per-experiment
-/// error instead of a panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RouteError {
-    /// Source endpoint.
-    pub src: NodeId,
-    /// Destination endpoint.
-    pub dst: NodeId,
-    /// Display name of the topology that failed to route.
-    pub topology: String,
-    /// Number of failed unidirectional links, when failures are in play.
-    pub failed_links: usize,
-}
-
-impl std::fmt::Display for RouteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} cannot reach {} after {} link failures",
-            self.topology, self.src, self.dst, self.failed_links
-        )
-    }
-}
-
-impl std::error::Error for RouteError {}
 
 /// A network topology with deterministic single-path routing.
 ///
@@ -127,36 +98,6 @@ pub trait Topology: Send + Sync {
     /// onto `path`. Appends nothing when `src == dst`.
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>);
 
-    /// Fallible routing: like [`Topology::route`], but reports an
-    /// unreachable destination as a [`RouteError`] instead of panicking.
-    ///
-    /// The default forwards to `route`, which is total for every generator
-    /// in this crate; wrappers that can lose connectivity ([`Degraded`])
-    /// override it. Engines that consume untrusted configuration should
-    /// call this instead of `route`.
-    fn try_route(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        path: &mut Vec<LinkId>,
-    ) -> Result<(), RouteError> {
-        self.route(src, dst, path);
-        Ok(())
-    }
-
-    /// Whether `link` is currently out of service. Always `false` for the
-    /// healthy generators in this crate; [`Degraded`] overrides it so
-    /// wrappers layered on top (notably [`FaultOverlay`]) can avoid links
-    /// that were already failed before the run started.
-    fn link_is_failed(&self, _link: LinkId) -> bool {
-        false
-    }
-
-    /// Number of links currently out of service (for error reporting).
-    fn num_failed_links(&self) -> usize {
-        0
-    }
-
     /// Number of physical link hops of the deterministic route.
     ///
     /// The default computes the route; generators override this with an O(1)
@@ -180,9 +121,8 @@ pub trait Topology: Send + Sync {
     ///
     /// The default is the loop-free-walk bound (a route never revisits a
     /// node, so it spans at most `num_nodes` links); generators override it
-    /// with the exact diameter where a closed form exists. Fault wrappers
-    /// keep the default: a BFS detour may legitimately exceed the nominal
-    /// diameter.
+    /// with the exact diameter where a closed form exists. The bound is for
+    /// the healthy network: a [`FaultOverlay`] detour may exceed it.
     fn diameter_bound(&self) -> u32 {
         self.network().num_nodes() as u32
     }
@@ -210,44 +150,6 @@ pub trait Topology: Send + Sync {
             hops += dist as u64;
         }
         hops
-    }
-}
-
-impl Topology for std::sync::Arc<dyn Topology> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-    fn network(&self) -> &Network {
-        self.as_ref().network()
-    }
-    fn num_endpoints(&self) -> usize {
-        self.as_ref().num_endpoints()
-    }
-    fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>) {
-        self.as_ref().route(src, dst, path)
-    }
-    fn try_route(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        path: &mut Vec<LinkId>,
-    ) -> Result<(), RouteError> {
-        self.as_ref().try_route(src, dst, path)
-    }
-    fn link_is_failed(&self, link: LinkId) -> bool {
-        self.as_ref().link_is_failed(link)
-    }
-    fn num_failed_links(&self) -> usize {
-        self.as_ref().num_failed_links()
-    }
-    fn distance(&self, src: NodeId, dst: NodeId) -> u32 {
-        self.as_ref().distance(src, dst)
-    }
-    fn diameter_bound(&self) -> u32 {
-        self.as_ref().diameter_bound()
-    }
-    fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
-        self.as_ref().distance_histogram(src, histogram)
     }
 }
 

@@ -1,16 +1,16 @@
 //! Property tests for fault-tolerant rerouting: on any topology family,
-//! under any mix of static ([`Degraded`]) and dynamic ([`FaultOverlay`])
-//! link failures, every route the wrappers produce is a contiguous
-//! physical walk from source to destination that avoids every
-//! currently-failed link — and a pair they cannot route is a typed
-//! error, never a bogus path. The overlay's routes are canonical besides:
-//! the topology's own route while that avoids every down link, otherwise
-//! a detour exactly as short as the live links allow.
+//! under any mix of run-long and mid-run link failures in one
+//! [`FaultOverlay`], every route is canonical — the topology's own route
+//! while that avoids every down link, otherwise a contiguous physical
+//! detour exactly as short as the live links allow — and a pair the
+//! overlay cannot route is a typed error, never a bogus path. Run-long
+//! failures are never restored, and a detour survives blocking links it
+//! does not cross.
 
 use exaflow_netgraph::{LinkId, Network, NodeId};
 use exaflow_topo::{
-    ConnectionRule, Degraded, FaultOverlay, GeneralizedHypercube, KAryTree, Nested, Topology,
-    Torus, UpperTierKind,
+    ConnectionRule, FaultOverlay, GeneralizedHypercube, KAryTree, Nested, Topology, Torus,
+    UpperTierKind,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -69,7 +69,7 @@ fn live_distance(
 /// exists.
 fn check_canonical(
     topo: &dyn Topology,
-    overlay: &FaultOverlay,
+    overlay: &mut FaultOverlay,
     src: NodeId,
     dst: NodeId,
 ) -> Result<(), TestCaseError> {
@@ -85,8 +85,7 @@ fn check_canonical(
                     "route {src:?} -> {dst:?} crosses down link {l:?}"
                 );
             }
-            let mut nominal = Vec::new();
-            topo.try_route(src, dst, &mut nominal).unwrap();
+            let nominal = topo.route_vec(src, dst);
             if nominal.iter().all(|&l| !overlay.is_down(l)) {
                 prop_assert_eq!(&path, &nominal);
             } else {
@@ -102,61 +101,48 @@ fn check_canonical(
     Ok(())
 }
 
-/// Route every sampled pair on a degraded topology and check the
-/// invariants: contiguity, failed-link avoidance, typed partitions.
-fn check_degraded<T: Topology>(degraded: &Degraded<T>, seed: u64) -> Result<(), TestCaseError> {
-    let e = degraded.num_endpoints() as u64;
-    let failed: Vec<LinkId> = degraded.failed_links().collect();
-    let mut s = seed;
-    for _ in 0..8 {
-        // SplitMix64 step: cheap deterministic pair sampling.
-        s = s
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let src = NodeId((s % e) as u32);
-        let dst = NodeId(((s >> 32) % e) as u32);
-        let mut path = Vec::new();
-        match degraded.try_route(src, dst, &mut path) {
-            Ok(()) => {
-                assert_contiguous(degraded.network(), src, dst, &path)?;
-                for &l in &failed {
-                    prop_assert!(
-                        !path.contains(&l),
-                        "route {src:?} -> {dst:?} crosses failed link {l:?}"
-                    );
-                }
-            }
-            Err(err) => {
-                // A partition is a legal outcome; the error must name the
-                // pair and leave the buffer clean.
-                prop_assert_eq!((err.src, err.dst), (src, dst));
-                prop_assert!(path.is_empty());
-            }
-        }
-    }
-    Ok(())
+/// SplitMix64 step: cheap deterministic sampling.
+fn splitmix(s: &mut u64) -> u64 {
+    *s = s
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    *s
 }
 
-/// Drive a [`FaultOverlay`] through fail/route/restore cycles and check
-/// that every produced route is canonical for the links that are down *at
-/// that moment* (static or dynamic).
-fn check_overlay(topo: &dyn Topology, seed: u64) -> Result<(), TestCaseError> {
+/// Both directions of up to `cables` pseudo-random physical cables. No
+/// last-link rule: a partition is a legal outcome the overlay must report.
+fn random_cables(net: &Network, cables: usize, seed: u64) -> Vec<LinkId> {
+    let mut s = seed;
+    let mut cut = Vec::new();
+    for _ in 0..cables {
+        let link = LinkId((splitmix(&mut s) % net.num_links() as u64) as u32);
+        let l = net.link(link);
+        if l.is_virtual || cut.contains(&link) {
+            continue;
+        }
+        cut.push(link);
+        cut.extend(net.find_physical_link(l.dst, l.src));
+    }
+    cut
+}
+
+/// Fail `run_long` for the run, then drive the overlay through
+/// fail/route/restore cycles and check that every produced route is
+/// canonical for the links that are down *at that moment*.
+fn check_overlay(topo: &dyn Topology, run_long: &[LinkId], seed: u64) -> Result<(), TestCaseError> {
     let net = topo.network();
     let e = topo.num_endpoints() as u64;
     let nl = net.num_links() as u64;
     let mut overlay = FaultOverlay::new(topo);
+    for &link in run_long {
+        prop_assert!(overlay.fail_for_run(link));
+    }
     let mut downed: Vec<LinkId> = Vec::new();
     let mut s = seed;
-    let mut step = || {
-        s = s
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        s
-    };
     for round in 0..6 {
         // Fail two pseudo-random links, then repair one of those down, so
         // routes are checked after both kinds of transition.
-        let r = step();
+        let r = splitmix(&mut s);
         if round % 3 == 2 && !downed.is_empty() {
             let link = downed.swap_remove((r % downed.len() as u64) as usize);
             prop_assert!(overlay.restore_link(link));
@@ -166,80 +152,147 @@ fn check_overlay(topo: &dyn Topology, seed: u64) -> Result<(), TestCaseError> {
                 downed.push(link);
             }
         }
-        let r = step();
+        let r = splitmix(&mut s);
         let src = NodeId((r % e) as u32);
         let dst = NodeId(((r >> 32) % e) as u32);
-        check_canonical(topo, &overlay, src, dst)?;
+        check_canonical(topo, &mut overlay, src, dst)?;
     }
     Ok(())
+}
+
+/// Route `src → dst` through `overlay`; `None` when it is cut off.
+fn routed(overlay: &mut FaultOverlay, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+    let mut path = Vec::new();
+    overlay.try_route(src, dst, &mut path).ok().map(|()| path)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn degraded_torus_reroutes_avoid_failures(
+    fn run_long_torus_routes_are_canonical(
         dims in prop::collection::vec(2u32..5, 1..4),
         cables in 0usize..6,
         fail_seed in any::<u64>(),
-        pair_seed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
-        let d = Degraded::with_random_failures(Torus::new(&dims), cables, fail_seed);
-        check_degraded(&d, pair_seed)?;
+        let topo = Torus::new(&dims);
+        check_overlay(&topo, &random_cables(topo.network(), cables, fail_seed), seed)?;
     }
 
     #[test]
-    fn degraded_fattree_reroutes_avoid_failures(
+    fn run_long_fattree_routes_are_canonical(
         k in 2u32..5,
         n in 2u32..4,
         cables in 0usize..6,
         fail_seed in any::<u64>(),
-        pair_seed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
-        let d = Degraded::with_random_failures(KAryTree::new(k, n), cables, fail_seed);
-        check_degraded(&d, pair_seed)?;
+        let topo = KAryTree::new(k, n);
+        check_overlay(&topo, &random_cables(topo.network(), cables, fail_seed), seed)?;
     }
 
     #[test]
-    fn degraded_ghc_reroutes_avoid_failures(
+    fn run_long_ghc_routes_are_canonical(
         dims in prop::collection::vec(2u32..5, 1..3),
         cables in 0usize..6,
         fail_seed in any::<u64>(),
-        pair_seed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
-        let d = Degraded::with_random_failures(
-            GeneralizedHypercube::new(&dims, 2),
-            cables,
-            fail_seed,
-        );
-        check_degraded(&d, pair_seed)?;
+        let topo = GeneralizedHypercube::new(&dims, 2);
+        check_overlay(&topo, &random_cables(topo.network(), cables, fail_seed), seed)?;
     }
 
     #[test]
-    fn degraded_nested_reroutes_avoid_failures(
+    fn run_long_nested_routes_are_canonical(
         subtori in 1u64..6,
         u in prop::sample::select(vec![1u32, 2, 4, 8]),
         tree in any::<bool>(),
         cables in 0usize..6,
         fail_seed in any::<u64>(),
-        pair_seed in any::<u64>(),
+        seed in any::<u64>(),
     ) {
         let kind = if tree { UpperTierKind::Fattree } else { UpperTierKind::GeneralizedHypercube };
         let topo = Nested::new(kind, subtori, 2, ConnectionRule::from_u(u).unwrap());
-        let d = Degraded::with_random_failures(topo, cables, fail_seed);
-        check_degraded(&d, pair_seed)?;
+        check_overlay(&topo, &random_cables(topo.network(), cables, fail_seed), seed)?;
+    }
+
+    #[test]
+    fn restore_never_revives_a_run_long_failure(
+        dims in prop::collection::vec(3u32..5, 1..4),
+        cables in 1usize..6,
+        fail_seed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let topo = Torus::new(&dims);
+        let run_long = random_cables(topo.network(), cables, fail_seed);
+        let mut overlay = FaultOverlay::new(&topo);
+        for &link in &run_long {
+            prop_assert!(overlay.fail_for_run(link));
+        }
+        let e = topo.num_endpoints() as u64;
+        let (src, dst) = (NodeId((seed % e) as u32), NodeId(((seed >> 32) % e) as u32));
+        let before = routed(&mut overlay, src, dst);
+        for &link in &run_long {
+            prop_assert!(!overlay.restore_link(link), "restored run-long {link:?}");
+            prop_assert!(!overlay.fail_link(link), "re-failed run-long {link:?}");
+            prop_assert!(overlay.is_down(link));
+        }
+        prop_assert_eq!(overlay.total_failed_links(), run_long.len());
+        prop_assert_eq!(routed(&mut overlay, src, dst), before);
+    }
+
+    #[test]
+    fn a_detour_survives_blocking_links_it_avoids(
+        dims in prop::collection::vec(3u32..6, 2..4),
+        cables in 1usize..5,
+        fail_seed in any::<u64>(),
+        extra in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        // S: run-long cables. The pair is the first cut cable's ends, so
+        // its route under S is a detour.
+        let topo = Torus::new(&dims);
+        let net = topo.network();
+        let s_set = random_cables(net, cables, fail_seed);
+        let (src, dst) = (net.link(s_set[0]).src, net.link(s_set[0]).dst);
+        let mut under_s = FaultOverlay::new(&topo);
+        for &link in &s_set {
+            under_s.fail_for_run(link);
+        }
+        let Some(detour) = routed(&mut under_s, src, dst) else {
+            return Ok(()); // S partitions the pair: nothing to compare.
+        };
+        // D: random cables the detour does not cross.
+        let d_set: Vec<LinkId> = random_cables(net, extra, seed)
+            .into_iter()
+            .filter(|l| !detour.contains(l) && !s_set.contains(l))
+            .collect();
+        // Blocked mid-run on top of S, and for the run with S.
+        let mut mid_run = FaultOverlay::new(&topo);
+        let mut run_long = FaultOverlay::new(&topo);
+        for &link in &s_set {
+            mid_run.fail_for_run(link);
+            run_long.fail_for_run(link);
+        }
+        for &link in &d_set {
+            mid_run.fail_link(link);
+            run_long.fail_for_run(link);
+        }
+        prop_assert_eq!(routed(&mut mid_run, src, dst), Some(detour.clone()));
+        prop_assert_eq!(routed(&mut run_long, src, dst), Some(detour));
     }
 }
 
-// The overlay properties take the default case count, so `PROPTEST_CASES`
-// reaches them (`scripts/check.sh` runs them at 512).
+// The mid-run overlay properties take the default case count, so
+// `PROPTEST_CASES` reaches them (`scripts/check.sh` runs them at 512).
 proptest! {
     #[test]
     fn overlay_torus_routes_avoid_down_links(
         dims in prop::collection::vec(2u32..5, 1..4),
         seed in any::<u64>(),
     ) {
-        check_overlay(&Torus::new(&dims), seed)?;
+        check_overlay(&Torus::new(&dims), &[], seed)?;
     }
 
     #[test]
@@ -248,7 +301,7 @@ proptest! {
         n in 2u32..4,
         seed in any::<u64>(),
     ) {
-        check_overlay(&KAryTree::new(k, n), seed)?;
+        check_overlay(&KAryTree::new(k, n), &[], seed)?;
     }
 
     #[test]
@@ -256,7 +309,7 @@ proptest! {
         dims in prop::collection::vec(2u32..5, 1..3),
         seed in any::<u64>(),
     ) {
-        check_overlay(&GeneralizedHypercube::new(&dims, 2), seed)?;
+        check_overlay(&GeneralizedHypercube::new(&dims, 2), &[], seed)?;
     }
 
     #[test]
@@ -268,31 +321,6 @@ proptest! {
     ) {
         let kind = if tree { UpperTierKind::Fattree } else { UpperTierKind::GeneralizedHypercube };
         let topo = Nested::new(kind, subtori, 2, ConnectionRule::from_u(u).unwrap());
-        check_overlay(&topo, seed)?;
-    }
-
-    #[test]
-    fn overlay_over_degraded_avoids_both_failure_sets(
-        dims in prop::collection::vec(3u32..5, 2..4),
-        cables in 1usize..4,
-        fail_seed in any::<u64>(),
-        seed in any::<u64>(),
-    ) {
-        let degraded = Degraded::with_random_failures(Torus::new(&dims), cables, fail_seed);
-        let static_failed: Vec<LinkId> = degraded.failed_links().collect();
-        let net = degraded.network();
-        let e = degraded.num_endpoints() as u64;
-        let mut overlay = FaultOverlay::new(&degraded);
-        // Dynamically fail one more pseudo-random link on top.
-        overlay.fail_link(LinkId((seed % net.num_links() as u64) as u32));
-        let src = NodeId((seed % e) as u32);
-        let dst = NodeId(((seed >> 32) % e) as u32);
-        check_canonical(&degraded, &overlay, src, dst)?;
-        let mut path = Vec::new();
-        if overlay.try_route(src, dst, &mut path).is_ok() {
-            for &l in &path {
-                prop_assert!(!static_failed.contains(&l), "crosses statically-failed {l:?}");
-            }
-        }
+        check_overlay(&topo, &[], seed)?;
     }
 }

@@ -268,20 +268,23 @@ fn suite_errors_serialize_as_tagged_json() {
 
 #[test]
 fn partitioned_network_is_unreachable_error() {
-    // Force a partition deterministically: wrap a 1-D ring and cut both
-    // directions of two cables, splitting {0,3} from {1,2}.
+    // Force a partition deterministically: on a 1-D ring, cut both
+    // directions of two cables for the whole run, splitting {0,3} from
+    // {1,2}.
     use exaflow::sim::FlowDagBuilder;
-    let base = Torus::new(&[4]);
+    let ring = Torus::new(&[4]);
+    let net = ring.network();
     let mut cut = Vec::new();
     for (a, b) in [(0u32, 1u32), (2, 3)] {
-        let net = base.network();
         cut.push(net.find_physical_link(NodeId(a), NodeId(b)).unwrap());
         cut.push(net.find_physical_link(NodeId(b), NodeId(a)).unwrap());
     }
-    let degraded = Degraded::new(base, cut);
+    let schedule = FaultSchedule::empty().with_failed_links(cut);
     let mut b = FlowDagBuilder::new();
     b.add_flow(NodeId(0), NodeId(1), 1 << 20, &[]);
-    let err = Simulator::new(&degraded).run(&b.build()).unwrap_err();
+    let err = Simulator::new(&ring)
+        .run_with(&b.build(), &schedule, RecoveryPolicy::default(), None)
+        .unwrap_err();
     assert!(
         matches!(
             err,

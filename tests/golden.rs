@@ -19,10 +19,6 @@ use RecoveryPolicy::{RerouteRestart, RerouteResume, SkipUnreachable};
 
 mod common;
 
-fn threads() -> Option<usize> {
-    std::thread::available_parallelism().ok().map(|n| n.get())
-}
-
 /// Every link `a → b` of `pairs` goes down (or up) at `time_s`.
 fn links(net: &Network, time_s: f64, action: FaultAction, pairs: &[(u32, u32)]) -> Vec<FaultEvent> {
     let link = |(a, b): (u32, u32)| net.find_physical_link(NodeId(a), NodeId(b)).unwrap().0;
@@ -207,7 +203,7 @@ fn fig4_allreduce_panel_matches_pinned() {
         tasks: scale.qfdbs as usize,
         bytes: presets::MIB,
     };
-    let panel = figure_panel(scale, &workload, threads()).unwrap();
+    let panel = figure_panel(scale, &workload, None).unwrap();
     assert_matches_pinned(
         serde_json::to_value(&panel).unwrap(),
         &pinned["AllReduce"],
@@ -226,7 +222,7 @@ fn fig5_reduce_panel_matches_pinned() {
         tasks: scale.qfdbs as usize,
         bytes: 64 << 10,
     };
-    let panel = figure_panel(scale, &workload, threads()).unwrap();
+    let panel = figure_panel(scale, &workload, None).unwrap();
     assert_matches_pinned(
         serde_json::to_value(&panel).unwrap(),
         &pinned["Reduce"],
@@ -241,5 +237,5 @@ fn fig5_reduce_panel_matches_pinned() {
 fn every_fig45_panel_at_128_qfdbs_matches_pinned() {
     let scale = SystemScale::new(128).unwrap();
     let files = ["fig4_128_results.json", "fig5_128_results.json"];
-    assert_figures_match(scale, files, threads());
+    assert_figures_match(scale, files, None);
 }

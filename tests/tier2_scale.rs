@@ -181,7 +181,7 @@ fn paper_scale_table1_grid_matches_pinned() {
     let rows = pinned.as_array().expect("array of rows");
     assert_eq!(rows.len(), 12);
     let scale = SystemScale::PAPER;
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = exaflow::analysis::default_threads();
     for row in rows {
         let number = |key: &str| row[key].as_f64().expect("numeric cell");
         let (t, u) = (number("t") as u32, number("u") as u32);

@@ -56,8 +56,8 @@ fn specs() -> Vec<(&'static str, TopologySpec)> {
 
 /// Six entries over ONE topology spec — the shape the cache exists for:
 /// varied workloads, mappings, and (for odd entries) seeded static
-/// failures, so the shared topology is exercised through both the raw and
-/// the `Degraded`-wrapped paths.
+/// failures, so the shared topology is routed both healthy and through
+/// run-long failures in the engine's fault overlay.
 fn suite_for(spec: &TopologySpec, eps: usize) -> Vec<ExperimentConfig> {
     (0..6u64)
         .map(|i| {
