@@ -316,4 +316,62 @@ mod tests {
         assert_eq!(s.num_endpoints(), 40);
         assert_eq!(s.build().unwrap().num_endpoints(), 40);
     }
+
+    /// Every generator wires every physical link at the one link rate of
+    /// the study; no family thins or widens a tier.
+    #[test]
+    fn every_family_wires_every_link_at_the_link_rate() {
+        let nested = |upper| TopologySpec::Nested {
+            upper,
+            subtori: 4,
+            t: 2,
+            u: 2,
+        };
+        let specs = [
+            TopologySpec::Torus {
+                dims: vec![4, 3, 2],
+            },
+            TopologySpec::Fattree {
+                k: 4,
+                n: 3,
+                endpoints: Some(40),
+            },
+            TopologySpec::Ghc {
+                dims: vec![4, 3],
+                ports_per_router: 2,
+                endpoints: None,
+            },
+            nested(UpperTierKind::Fattree),
+            nested(UpperTierKind::GeneralizedHypercube),
+            TopologySpec::Dragonfly {
+                groups: 5,
+                a: 2,
+                p: 2,
+                h: 2,
+            },
+            TopologySpec::Jellyfish {
+                switches: 10,
+                endpoint_ports: 2,
+                fabric_degree: 3,
+                seed: 7,
+            },
+        ];
+        for spec in &specs {
+            let topo = spec.build().unwrap();
+            let physical: Vec<_> = topo
+                .network()
+                .links()
+                .iter()
+                .filter(|l| !l.is_virtual)
+                .collect();
+            assert!(!physical.is_empty(), "{spec:?}");
+            for l in physical {
+                assert_eq!(
+                    l.capacity_bps,
+                    exaflow_topo::LINK_RATE_BPS,
+                    "{spec:?}: {l:?}"
+                );
+            }
+        }
+    }
 }
