@@ -56,7 +56,7 @@
 //! ```
 
 use exaflow::prelude::*;
-use std::io::Read;
+use std::io::{Read, Write};
 
 const SAMPLES: &[(&str, &str)] = &[
     (
@@ -103,6 +103,21 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+/// Writes `text` and a newline to stdout. A reader that closed the pipe
+/// early (`exaflow run c.json | head -1`) wants no more output, so a
+/// broken pipe ends the process quietly with status 0; any other write
+/// error ends it with status 1.
+fn say(text: impl std::fmt::Display) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: write stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn print_help() {
@@ -221,15 +236,12 @@ fn cmd_run(args: &[String]) -> i32 {
     };
     match outcome {
         Ok(result) => {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
+            say(serde_json::to_string_pretty(&result).unwrap());
             0
         }
         Err(e) => {
             eprintln!("error: {e}");
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&ErrorOutput { error: e }).unwrap()
-            );
+            say(serde_json::to_string_pretty(&ErrorOutput { error: e }).unwrap());
             1
         }
     }
@@ -373,7 +385,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
         results: run.results,
         report: run.report,
     };
-    println!("{}", serde_json::to_string_pretty(&out).unwrap());
+    say(serde_json::to_string_pretty(&out).unwrap());
     if quarantined > 0 {
         4
     } else if failed > 0 {
@@ -437,7 +449,7 @@ fn cmd_resilience(args: &[String]) -> i32 {
                 kind: "resilience_campaign",
                 report,
             };
-            println!("{}", serde_json::to_string_pretty(&out).unwrap());
+            say(serde_json::to_string_pretty(&out).unwrap());
             if failed_runs > 0 {
                 3
             } else {
@@ -446,10 +458,7 @@ fn cmd_resilience(args: &[String]) -> i32 {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&ErrorOutput { error: e }).unwrap()
-            );
+            say(serde_json::to_string_pretty(&ErrorOutput { error: e }).unwrap());
             1
         }
     }
@@ -546,15 +555,12 @@ fn cmd_analyze(args: &[String]) -> i32 {
                     }
                 );
             }
-            println!("{}", serde_json::to_string_pretty(&report).unwrap());
+            say(serde_json::to_string_pretty(&report).unwrap());
             0
         }
         Err(e) => {
             eprintln!("error: {e}");
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&ErrorOutput { error: e }).unwrap()
-            );
+            say(serde_json::to_string_pretty(&ErrorOutput { error: e }).unwrap());
             1
         }
     }
@@ -571,10 +577,10 @@ fn cmd_topo(path: Option<&str>) -> i32 {
     match cfg.topology.build() {
         Ok(topo) => {
             let stats = exaflow::netgraph::NetworkStats::of(topo.network());
-            println!("{}", topo.name());
-            println!("{stats}");
+            say(topo.name());
+            say(stats);
             let stats = distance_estimate(topo.as_ref(), 64, 7, 1);
-            println!(
+            say(format_args!(
                 "distance: avg {:.2}, diameter {}{}",
                 stats.average,
                 stats.diameter,
@@ -583,7 +589,7 @@ fn cmd_topo(path: Option<&str>) -> i32 {
                 } else {
                     " (sampled)"
                 }
-            );
+            ));
             0
         }
         Err(e) => {
@@ -597,13 +603,13 @@ fn cmd_sample(name: Option<&str>) -> i32 {
     match name {
         None => {
             for (n, _) in SAMPLES {
-                println!("{n}");
+                say(n);
             }
             0
         }
         Some(n) => match SAMPLES.iter().find(|(k, _)| k == &n) {
             Some((_, body)) => {
-                println!("{body}");
+                say(body);
                 0
             }
             None => {

@@ -1193,3 +1193,36 @@ fn analyze_rejects_bad_scale() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("power of two"));
 }
+
+/// A reader that closes stdout before the result is written
+/// (`exaflow run c.json | head -1` once `head` has exited) ends the
+/// command quietly: no panic, no backtrace.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::Write;
+    let cfg = r#"{"topology": {"topology": "torus", "dims": [4, 4]},
+                  "workload": {"workload": "reduce", "tasks": 8, "bytes": 1024}}"#;
+    for (args, input) in [
+        (["run", "-"], cfg.to_string()),
+        (["sweep", "-"], format!("[{cfg}]")),
+    ] {
+        let mut child = exaflow()
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // The config is read before anything is printed, so closing the
+        // read end first makes the write fail every time.
+        drop(child.stdout.take());
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(input.as_bytes()).unwrap();
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(!err.contains("Broken pipe"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+    }
+}
