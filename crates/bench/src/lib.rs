@@ -91,27 +91,6 @@ impl HarnessArgs {
     }
 }
 
-/// Engine-shaped resource paths of the AllReduce round-0 active set on a
-/// torus: endpoint `i` sends to its recursive-doubling partner `i ^ 1`,
-/// each path `[injection, links.., ejection]` exactly as [`Simulator`]
-/// hands them to the max-min solver. Returns `(resource count, paths)`.
-/// Used by the `engine_snapshot` bin's solver-churn scenario.
-pub fn allreduce_round0_paths(dims: &[u32]) -> (usize, Vec<Vec<u32>>) {
-    let topo = Torus::new(dims);
-    let eps = topo.num_endpoints();
-    let links = topo.network().num_links();
-    let paths = (0..eps as u32)
-        .map(|i| {
-            let peer = i ^ 1;
-            let mut p = vec![(links + i as usize) as u32];
-            p.extend(topo.route_vec(NodeId(i), NodeId(peer)).iter().map(|l| l.0));
-            p.push((links + eps + peer as usize) as u32);
-            p
-        })
-        .collect();
-    (links + 2 * eps, paths)
-}
-
 /// One panel of Figure 4 or 5: a workload swept across the hybrid grid.
 ///
 /// The whole grid — two baselines plus NestGHC/NestTree per viable (t, u)
