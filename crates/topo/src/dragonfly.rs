@@ -49,11 +49,6 @@ impl Dragonfly {
     /// Build a dragonfly at 10 Gbps. `groups` must be at least 1 and at
     /// most `a·h + 1` (one global cable per group pair, no parallel cables).
     pub fn new(groups: u32, a: u32, p: u32, h: u32) -> Self {
-        Self::with_capacity_bps(groups, a, p, h, LINK_RATE_BPS)
-    }
-
-    /// Build with a custom link capacity.
-    pub fn with_capacity_bps(groups: u32, a: u32, p: u32, h: u32, capacity_bps: f64) -> Self {
         assert!(groups >= 1 && a >= 1 && p >= 1 && h >= 1);
         assert!(
             groups <= a * h + 1,
@@ -72,7 +67,7 @@ impl Dragonfly {
         let mut ep_down = vec![0u32; eps as usize];
         for e in 0..eps as u32 {
             let router = e / p;
-            let (up, down) = b.add_duplex(NodeId(e), NodeId(router_base + router), capacity_bps);
+            let (up, down) = b.add_duplex(NodeId(e), NodeId(router_base + router), LINK_RATE_BPS);
             ep_up[e as usize] = up.0;
             ep_down[e as usize] = down.0;
         }
@@ -83,7 +78,7 @@ impl Dragonfly {
             for r1 in 0..a {
                 for r2 in r1 + 1..a {
                     let (fwd, back) =
-                        b.add_duplex(router_node(g, r1), router_node(g, r2), capacity_bps);
+                        b.add_duplex(router_node(g, r1), router_node(g, r2), LINK_RATE_BPS);
                     local[((g * a + r1) * a + r2) as usize] = fwd.0;
                     local[((g * a + r2) * a + r1) as usize] = back.0;
                 }
@@ -105,7 +100,7 @@ impl Dragonfly {
                 let (fwd, back) = b.add_duplex(
                     router_node(i, q / h),
                     router_node(j, q_back / h),
-                    capacity_bps,
+                    LINK_RATE_BPS,
                 );
                 global[(i * a * h + q) as usize] = fwd.0;
                 global[(j * a * h + q_back) as usize] = back.0;

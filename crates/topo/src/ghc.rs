@@ -72,14 +72,10 @@ impl GhcTier {
         }
     }
 
-    /// Wire the GHC into `b`, attaching `ports` (existing nodes, one per
-    /// populated port) to routers in blocks of `ports_per_router`.
-    pub(crate) fn wire(
-        &self,
-        b: &mut NetworkBuilder,
-        ports: &[NodeId],
-        capacity_bps: f64,
-    ) -> GhcLinks {
+    /// Wire the GHC into `b` at [`LINK_RATE_BPS`], attaching `ports`
+    /// (existing nodes, one per populated port) to routers in blocks of
+    /// `ports_per_router`.
+    pub(crate) fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId]) -> GhcLinks {
         debug_assert_eq!(ports.len(), self.num_ports);
         let shape = &self.shape;
         let dims = shape.dims();
@@ -92,7 +88,7 @@ impl GhcTier {
         let mut ep_down = vec![0u32; ports.len()];
         for (p, &node) in ports.iter().enumerate() {
             let home = router_node(p as u64 / self.ports_per_router as u64);
-            let (upl, downl) = b.add_duplex(node, home, capacity_bps);
+            let (upl, downl) = b.add_duplex(node, home, LINK_RATE_BPS);
             ep_up[p] = upl.0;
             ep_down[p] = downl.0;
         }
@@ -102,7 +98,8 @@ impl GhcTier {
                 let my = shape.coord(r, dim);
                 for target in my + 1..dims[dim] {
                     let peer = shape.with_coord(r, dim, target);
-                    let (fwd, back) = b.add_duplex(router_node(r), router_node(peer), capacity_bps);
+                    let (fwd, back) =
+                        b.add_duplex(router_node(r), router_node(peer), LINK_RATE_BPS);
                     router_links[r as usize * link_stride as usize
                         + dim_offset[dim] as usize
                         + target as usize] = fwd.0;
@@ -258,7 +255,6 @@ impl GhcTier {
 #[derive(Debug)]
 pub struct GeneralizedHypercube {
     tier: GhcTier,
-    capacity_bps: f64,
     /// Wired on the first [`Topology::network`] or [`Topology::route`].
     wiring: OnceLock<Wiring>,
 }
@@ -283,19 +279,8 @@ impl GeneralizedHypercube {
 
     /// Build with only the first `num_eps` ports populated.
     pub fn with_endpoints(dims: &[u32], ports_per_router: u32, num_eps: usize) -> Self {
-        Self::with_capacity_bps(dims, ports_per_router, num_eps, LINK_RATE_BPS)
-    }
-
-    /// Build with a custom link capacity.
-    pub fn with_capacity_bps(
-        dims: &[u32],
-        ports_per_router: u32,
-        num_eps: usize,
-        capacity_bps: f64,
-    ) -> Self {
         GeneralizedHypercube {
             tier: GhcTier::new(dims, ports_per_router, num_eps),
-            capacity_bps,
             wiring: OnceLock::new(),
         }
     }
@@ -306,7 +291,7 @@ impl GeneralizedHypercube {
             let mut b = NetworkBuilder::new();
             let first = b.add_endpoints(num_eps);
             let ports: Vec<NodeId> = (0..num_eps as u32).map(|i| NodeId(first.0 + i)).collect();
-            let links = self.tier.wire(&mut b, &ports, self.capacity_bps);
+            let links = self.tier.wire(&mut b, &ports);
             Wiring {
                 net: b.build(),
                 links,

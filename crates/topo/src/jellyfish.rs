@@ -39,17 +39,6 @@ impl Jellyfish {
     /// degree) or ends up disconnected for the given seed (rare for
     /// `fabric_degree >= 3`; pick another seed).
     pub fn new(switches: u32, endpoint_ports: u32, fabric_degree: u32, seed: u64) -> Self {
-        Self::with_capacity_bps(switches, endpoint_ports, fabric_degree, seed, LINK_RATE_BPS)
-    }
-
-    /// Build with a custom link capacity.
-    pub fn with_capacity_bps(
-        switches: u32,
-        endpoint_ports: u32,
-        fabric_degree: u32,
-        seed: u64,
-        capacity_bps: f64,
-    ) -> Self {
         assert!(switches >= 2 && endpoint_ports >= 1);
         assert!(
             fabric_degree >= 1 && fabric_degree < switches,
@@ -71,7 +60,7 @@ impl Jellyfish {
         let mut ep_down = vec![0u32; eps as usize];
         for e in 0..eps as u32 {
             let sw = e / endpoint_ports;
-            let (up, down) = b.add_duplex(NodeId(e), NodeId(switch_base + sw), capacity_bps);
+            let (up, down) = b.add_duplex(NodeId(e), NodeId(switch_base + sw), LINK_RATE_BPS);
             ep_up[e as usize] = up.0;
             ep_down[e as usize] = down.0;
         }
@@ -81,7 +70,7 @@ impl Jellyfish {
             let (fwd, back) = b.add_duplex(
                 NodeId(switch_base + x),
                 NodeId(switch_base + y),
-                capacity_bps,
+                LINK_RATE_BPS,
             );
             adj[x as usize].push((y, fwd.0));
             adj[y as usize].push((x, back.0));

@@ -68,22 +68,10 @@ impl TreeTier {
         }
     }
 
-    /// Wire the tree into `b`, attaching `ports` (existing nodes, one per
-    /// populated port) to the tree ports in order, and thinning the
-    /// capacity of every switch-to-switch link by `oversubscription` (≥ 1):
-    /// a factor of 4 models a 4:1 thintree, the k:k'-ary n-tree of
-    /// Navaridas et al. 2010 cited by the paper, at flow-level fidelity
-    /// (aggregate upward bandwidth rather than individual trunk cables).
-    /// The paper's own fattrees use no oversubscription (factor 1).
-    pub(crate) fn wire(
-        &self,
-        b: &mut NetworkBuilder,
-        ports: &[NodeId],
-        capacity_bps: f64,
-        oversubscription: f64,
-    ) -> TreeLinks {
+    /// Wire the tree into `b` at [`LINK_RATE_BPS`], attaching `ports`
+    /// (existing nodes, one per populated port) to the tree ports in order.
+    pub(crate) fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId]) -> TreeLinks {
         debug_assert_eq!(ports.len(), self.num_ports);
-        let fabric_bps = capacity_bps / oversubscription;
         let (k, n, words) = (self.k, self.n, self.words);
         let switch_base = b.num_nodes() as u32;
         b.add_switches((n as u64 * words) as usize);
@@ -93,7 +81,7 @@ impl TreeTier {
         let mut ep_down = vec![0u32; ports.len()];
         for (p, &node) in ports.iter().enumerate() {
             let leaf = switch_id(0, p as u64 / k as u64);
-            let (upl, downl) = b.add_duplex(node, leaf, capacity_bps);
+            let (upl, downl) = b.add_duplex(node, leaf, LINK_RATE_BPS);
             ep_up[p] = upl.0;
             ep_down[p] = downl.0;
         }
@@ -106,7 +94,8 @@ impl TreeTier {
                 let wl = (w / stride) % k as u64;
                 for v in 0..k as u64 {
                     let w_up = (w as i64 + (v as i64 - wl as i64) * stride as i64) as u64;
-                    let (a, bk) = b.add_duplex(switch_id(l, w), switch_id(l + 1, w_up), fabric_bps);
+                    let (a, bk) =
+                        b.add_duplex(switch_id(l, w), switch_id(l + 1, w_up), LINK_RATE_BPS);
                     up[((l as u64 * words + w) * k as u64 + v) as usize] = a.0;
                     down[((l as u64 * words + w_up) * k as u64 + wl) as usize] = bk.0;
                 }
@@ -267,8 +256,6 @@ impl TreeTier {
 #[derive(Debug)]
 pub struct KAryTree {
     tier: TreeTier,
-    capacity_bps: f64,
-    oversubscription: f64,
     /// Wired on the first [`Topology::network`] or [`Topology::route`].
     wiring: OnceLock<Wiring>,
 }
@@ -289,33 +276,8 @@ impl KAryTree {
 
     /// Build a k-ary n-tree with only the first `num_eps` ports populated.
     pub fn with_endpoints(k: u32, n: u32, num_eps: usize) -> Self {
-        Self::with_capacity_bps(k, n, num_eps, LINK_RATE_BPS)
-    }
-
-    /// Build with a custom link capacity.
-    pub fn with_capacity_bps(k: u32, n: u32, num_eps: usize, capacity_bps: f64) -> Self {
-        Self::with_oversubscription(k, n, num_eps, capacity_bps, 1.0)
-    }
-
-    /// Build a thinned tree: switch-to-switch capacity divided by
-    /// `oversubscription` (a flow-level k:k\'-ary n-tree; see
-    /// [`TreeTier::wire`]). Extension beyond the paper, which studies
-    /// non-blocking fattrees only.
-    pub fn with_oversubscription(
-        k: u32,
-        n: u32,
-        num_eps: usize,
-        capacity_bps: f64,
-        oversubscription: f64,
-    ) -> Self {
-        assert!(
-            oversubscription >= 1.0 && oversubscription.is_finite(),
-            "oversubscription factor must be >= 1, got {oversubscription}"
-        );
         KAryTree {
             tier: TreeTier::new(k, n, num_eps),
-            capacity_bps,
-            oversubscription,
             wiring: OnceLock::new(),
         }
     }
@@ -326,9 +288,7 @@ impl KAryTree {
             let mut b = NetworkBuilder::new();
             let first = b.add_endpoints(num_eps);
             let ports: Vec<NodeId> = (0..num_eps as u32).map(|i| NodeId(first.0 + i)).collect();
-            let links = self
-                .tier
-                .wire(&mut b, &ports, self.capacity_bps, self.oversubscription);
+            let links = self.tier.wire(&mut b, &ports);
             Wiring {
                 net: b.build(),
                 links,
@@ -636,32 +596,6 @@ mod tests {
     #[should_panic(expected = "exceed")]
     fn too_many_endpoints_panics() {
         KAryTree::with_endpoints(2, 2, 5);
-    }
-
-    #[test]
-    fn oversubscription_thins_fabric_links() {
-        let full = KAryTree::new(4, 2);
-        let thin = KAryTree::with_oversubscription(4, 2, 16, 10e9, 4.0);
-        // Endpoint links keep line rate; switch-switch links are thinned.
-        let mut fabric_caps = std::collections::HashSet::new();
-        for l in thin.network().links() {
-            let is_ep_link = thin.network().is_endpoint(l.src) || thin.network().is_endpoint(l.dst);
-            if is_ep_link {
-                assert_eq!(l.capacity_bps, 10e9);
-            } else {
-                fabric_caps.insert(l.capacity_bps.to_bits());
-            }
-        }
-        assert_eq!(fabric_caps.len(), 1);
-        assert_eq!(f64::from_bits(*fabric_caps.iter().next().unwrap()), 2.5e9);
-        // Structure identical to the full tree.
-        assert_eq!(thin.network().num_links(), full.network().num_links());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be >= 1")]
-    fn oversubscription_below_one_rejected() {
-        KAryTree::with_oversubscription(4, 2, 16, 10e9, 0.5);
     }
 
     #[test]

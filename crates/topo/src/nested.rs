@@ -22,7 +22,7 @@ use crate::ghc::{GhcLinks, GhcTier};
 use crate::kary_tree::{TreeLinks, TreeTier};
 use crate::mixed_radix::{near_equal_dims, MixedRadix};
 use crate::torus::grid;
-use crate::{Tally, Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -96,10 +96,10 @@ enum UpperLinks {
 }
 
 impl Upper {
-    fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId], capacity_bps: f64) -> UpperLinks {
+    fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId]) -> UpperLinks {
         match self {
-            Upper::Tree(t) => UpperLinks::Tree(t.wire(b, ports, capacity_bps, 1.0)),
-            Upper::Ghc(g) => UpperLinks::Ghc(g.wire(b, ports, capacity_bps)),
+            Upper::Tree(t) => UpperLinks::Tree(t.wire(b, ports)),
+            Upper::Ghc(g) => UpperLinks::Ghc(g.wire(b, ports)),
         }
     }
 
@@ -201,7 +201,6 @@ impl Descent {
 pub struct Nested {
     kind: UpperTierKind,
     rule: ConnectionRule,
-    capacity_bps: f64,
     sub_shape: MixedRadix,
     sub_size: u64,
     num_subtori: u64,
@@ -230,17 +229,6 @@ impl Nested {
     /// Build a `NestTree(t,u)` or `NestGHC(t,u)` over `num_subtori`
     /// subtori of `t×t×t` QFDBs at 10 Gbps.
     pub fn new(kind: UpperTierKind, num_subtori: u64, t: u32, rule: ConnectionRule) -> Self {
-        Self::with_capacity_bps(kind, num_subtori, t, rule, LINK_RATE_BPS)
-    }
-
-    /// Build with a custom link capacity.
-    pub fn with_capacity_bps(
-        kind: UpperTierKind,
-        num_subtori: u64,
-        t: u32,
-        rule: ConnectionRule,
-        capacity_bps: f64,
-    ) -> Self {
         assert!(num_subtori >= 1, "at least one subtorus required");
         assert!(t >= 2, "subtorus must have at least 2 nodes per dimension");
         let sub_shape = MixedRadix::new(&[t, t, t]);
@@ -270,7 +258,6 @@ impl Nested {
         Nested {
             kind,
             rule,
-            capacity_bps,
             sub_profile: grid::distance_profile(&sub_shape),
             descent: Descent::new(&sub_shape, &uplink_map),
             sub_shape,
@@ -290,11 +277,11 @@ impl Nested {
 
             // Lower tier: one disjoint torus per subtorus.
             let before = b.num_links();
-            let torus_table = grid::build_links(&mut b, 0, &self.sub_shape, self.capacity_bps);
+            let torus_table = grid::build_links(&mut b, 0, &self.sub_shape);
             let links_per_sub = (b.num_links() - before) as u32;
             for s in 1..self.num_subtori {
                 let first = (s * self.sub_size) as u32;
-                grid::build_links(&mut b, first, &self.sub_shape, self.capacity_bps);
+                grid::build_links(&mut b, first, &self.sub_shape);
             }
 
             // Uplinked QFDB node ids in global port order.
@@ -305,7 +292,7 @@ impl Nested {
                 }
             }
 
-            let upper = self.upper.wire(&mut b, &ports, self.capacity_bps);
+            let upper = self.upper.wire(&mut b, &ports);
             Wiring {
                 net: b.build(),
                 torus_table,
@@ -696,7 +683,7 @@ mod tests {
             b.add_endpoints(n.num_endpoints());
             for s in 0..n.num_subtori() {
                 let first = (s * n.subtorus_size()) as u32;
-                let table = grid::build_links(&mut b, first, n.subtorus_shape(), LINK_RATE_BPS);
+                let table = grid::build_links(&mut b, first, n.subtorus_shape());
                 assert_eq!(table.len(), w.torus_table.len());
                 for (i, (&raw, &base)) in table.iter().zip(&w.torus_table).enumerate() {
                     let shifted = base + s as u32 * w.links_per_sub;

@@ -26,16 +26,12 @@ pub(crate) mod grid {
 
     pub(crate) const NO_LINK: u32 = u32::MAX;
 
-    /// Create torus links among the `shape.len()` nodes starting at node id
-    /// `first` (the nodes must already exist in the builder). Returns the
+    /// Create torus links at [`LINK_RATE_BPS`] among the `shape.len()` nodes
+    /// starting at node id `first` (the nodes must already exist in the
+    /// builder). Returns the
     /// link table: `table[local * 2*ndims + 2*dim + dir]` with dir 0 = +1
     /// neighbour, 1 = −1 neighbour; `NO_LINK` where the ring is degenerate.
-    pub(crate) fn build_links(
-        b: &mut NetworkBuilder,
-        first: u32,
-        shape: &MixedRadix,
-        capacity_bps: f64,
-    ) -> Vec<u32> {
+    pub(crate) fn build_links(b: &mut NetworkBuilder, first: u32, shape: &MixedRadix) -> Vec<u32> {
         let n = shape.len();
         let ndims = shape.ndims();
         let dims = shape.dims();
@@ -52,7 +48,7 @@ pub(crate) mod grid {
                 let lid = b.add_link(
                     NodeId(first + node as u32),
                     NodeId(first + plus as u32),
-                    capacity_bps,
+                    LINK_RATE_BPS,
                 );
                 table[node as usize * stride + 2 * dim] = lid.0;
                 if size == 2 {
@@ -75,7 +71,7 @@ pub(crate) mod grid {
                 let lid = b.add_link(
                     NodeId(first + node as u32),
                     NodeId(first + minus as u32),
-                    capacity_bps,
+                    LINK_RATE_BPS,
                 );
                 table[node as usize * stride + 2 * dim + 1] = lid.0;
             }
@@ -159,7 +155,6 @@ pub(crate) mod grid {
 #[derive(Debug)]
 pub struct Torus {
     shape: MixedRadix,
-    capacity_bps: f64,
     /// [`grid::distance_profile`] of `shape`.
     profile: Vec<u64>,
     /// Wired on the first [`Topology::network`] or [`Topology::route`].
@@ -176,16 +171,10 @@ struct Wiring {
 impl Torus {
     /// Build a torus with the given per-dimension sizes and 10 Gbps links.
     pub fn new(dims: &[u32]) -> Self {
-        Self::with_capacity_bps(dims, LINK_RATE_BPS)
-    }
-
-    /// Build a torus with a custom link capacity.
-    pub fn with_capacity_bps(dims: &[u32], capacity_bps: f64) -> Self {
         let shape = MixedRadix::new(dims);
         Torus {
             profile: grid::distance_profile(&shape),
             shape,
-            capacity_bps,
             wiring: OnceLock::new(),
         }
     }
@@ -196,7 +185,7 @@ impl Torus {
             let ndims = self.shape.ndims();
             let mut b = NetworkBuilder::with_capacity(n, n * 2 * ndims);
             b.add_endpoints(n);
-            let link_table = grid::build_links(&mut b, 0, &self.shape, self.capacity_bps);
+            let link_table = grid::build_links(&mut b, 0, &self.shape);
             Wiring {
                 net: b.build(),
                 link_table,
