@@ -21,15 +21,11 @@
 //! * [`physical_distance_sweep`] — the same harness over the frontier-
 //!   bitset BFS kernel, measuring physical shortest-path distances (a
 //!   lower bound certifying routing minimality where it matches).
-//! * [`channel_load_survey`] — per-link load under uniform random traffic
-//!   and the saturation-throughput estimate it implies.
 
 pub mod distance;
-pub mod load;
 pub mod sweep;
 
 pub use distance::{distance_stats_exact, DistanceStats};
-pub use load::{channel_load_survey, LoadStats};
 pub use sweep::{
     default_threads, distance_estimate, distance_sweep, physical_distance_sweep, stratified_sources,
 };

@@ -108,15 +108,15 @@ pub mod prelude {
     pub use crate::topocache::{topology_cache_key, TopoCache, TopoCacheStats};
     pub use crate::topospec::TopologySpec;
     pub use exaflow_analysis::{
-        channel_load_survey, distance_estimate, distance_stats_exact, distance_sweep,
-        physical_distance_sweep, stratified_sources, DistanceStats, LoadStats,
+        distance_estimate, distance_stats_exact, distance_sweep, physical_distance_sweep,
+        stratified_sources, DistanceStats,
     };
     pub use exaflow_netgraph::{LinkId, Network, NodeId};
     pub use exaflow_sim::{
         check_trace, check_trace_with_topology, parse_jsonl, FaultAction, FaultEvent,
-        FaultSchedule, FaultScheduleSpec, FlowDag, FlowDagBuilder, JsonlSink, MetricsRegistry,
-        MetricsSnapshot, RecoveryPolicy, SimConfig, SimError, SimReport, Simulator, TraceEvent,
-        TraceSink, TraceSummary, TraceViolation, VecSink,
+        FaultSchedule, FaultScheduleSpec, FlowDag, FlowDagBuilder, JsonlSink, MetricsSnapshot,
+        RecoveryPolicy, SimConfig, SimError, SimReport, Simulator, TraceEvent, TraceSink,
+        TraceSummary, TraceViolation, VecSink,
     };
     pub use exaflow_system::{CostModel, SystemHierarchy};
     pub use exaflow_topo::{

@@ -42,7 +42,7 @@ use crate::fault::{FaultAction, FaultEvent, FaultSchedule, RecoveryPolicy};
 use crate::maxmin::MaxMinSolver;
 use crate::paths::{PathId, PathTable};
 use crate::report::SimReport;
-use crate::trace::{MetricsRegistry, TraceEvent, TraceSink};
+use crate::trace::{MetricsSnapshot, TraceEvent, TraceSink};
 use exaflow_netgraph::{IntMap, LinkId, NodeId};
 use exaflow_topo::{FaultOverlay, Topology};
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,8 @@ pub struct SimConfig {
     /// `(1 + epsilon)` of the earliest completion time retire in one event.
     /// The default `1e-9` only merges numerically-identical completions and
     /// is exact for all practical purposes; larger values trade accuracy
-    /// for fewer rate recomputations (see the engine ablation bench).
+    /// for fewer rate recomputations, within the error bound pinned by
+    /// `proptest_engine::batching_epsilon_bounds_error`.
     pub batch_epsilon: f64,
     /// Head latency added before a flow starts transferring:
     /// `startup_latency_s + hops · per_hop_latency_s`. Zero by default —
@@ -378,9 +379,9 @@ struct Active {
     done: bool,
 }
 
-/// The metrics registry (present iff tracing) and the optional sink.
+/// The run metrics (present iff tracing) and the optional sink.
 struct Tracer<'r> {
-    metrics: Option<MetricsRegistry>,
+    metrics: Option<MetricsSnapshot>,
     sink: Option<&'r mut dyn TraceSink>,
 }
 
@@ -390,7 +391,7 @@ impl Tracer<'_> {
     /// metrics-only run one counter bump, and neither builds a payload.
     fn emit(
         &mut self,
-        counter: impl FnOnce(&mut MetricsRegistry) -> &mut u64,
+        counter: impl FnOnce(&mut MetricsSnapshot) -> &mut u64,
         event: impl FnOnce() -> TraceEvent,
     ) {
         if let Some(m) = self.metrics.as_mut() {
@@ -473,7 +474,7 @@ impl<'r> RunState<'r> {
             probe_load: vec![0.0; if tracing { resources } else { 0 }],
             probe_touched: Vec::new(),
             trace: Tracer {
-                metrics: tracing.then(MetricsRegistry::new),
+                metrics: tracing.then(MetricsSnapshot::default),
                 sink,
             },
             solver,
@@ -1024,7 +1025,7 @@ impl<'r> RunState<'r> {
             rate_recomputes: self.solver.rate_recomputes,
             flows_coalesced: self.solver.flows_coalesced,
             route_cache_hits: self.route_hits,
-            metrics: self.trace.metrics.map(|m| m.snapshot()),
+            metrics: self.trace.metrics,
         }
     }
 }

@@ -68,7 +68,6 @@ pub use fault::{
 pub use paths::{PathId, PathTable};
 pub use report::SimReport;
 pub use trace::{
-    parse_jsonl, Histogram, JsonlSink, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceSink,
-    VecSink,
+    parse_jsonl, Histogram, JsonlSink, MetricsSnapshot, TraceEvent, TraceSink, VecSink,
 };
 pub use trace_check::{check_trace, check_trace_with_topology, TraceSummary, TraceViolation};

@@ -20,7 +20,7 @@
 //!
 //! Events contain no wall-clock data — a trace is a pure function of
 //! (topology, workload, config, schedule), bit-identical across reruns.
-//! Wall-clock timings live in the separate [`MetricsRegistry`], surfaced
+//! Wall-clock timings live only in [`MetricsSnapshot`], surfaced
 //! through [`SimReport::metrics`](crate::SimReport::metrics).
 
 use serde::{Deserialize, Serialize};
@@ -287,89 +287,18 @@ impl Histogram {
     }
 }
 
-/// Monotonic counters and histograms accumulated during a traced run.
+/// Monotonic counters and histograms accumulated during a traced run,
+/// attached to [`SimReport::metrics`](crate::SimReport::metrics)
+/// (kind-tagged so mixed JSON streams stay self-describing).
 ///
 /// The engine bumps the counters at the same emission sites that feed the
 /// event stream (so counters and trace agree by construction) — without
 /// building the event when no sink listens — and adds per-recompute
-/// wall-clock and utilisation probes. [`MetricsRegistry::snapshot`]
-/// produces the serialisable [`MetricsSnapshot`] attached to
-/// [`SimReport::metrics`](crate::SimReport::metrics).
+/// wall-clock and utilisation probes.
 ///
 /// Solver wall-clock fields are genuinely non-deterministic; everything
 /// else is a pure function of the run. Reports are therefore only
 /// bit-compared with tracing off.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    pub flows_activated: u64,
-    pub flows_started: u64,
-    pub flows_finished: u64,
-    pub flows_skipped: u64,
-    pub faults_applied: u64,
-    pub faults_cleared: u64,
-    pub reroutes: u64,
-    pub rate_recomputes: u64,
-    pub full_passes: u64,
-    pub budget_exhausted: u64,
-    pub deadline_exceeded: u64,
-    pub solver_seconds_total: f64,
-    pub peak_resource_utilization: f64,
-    solver_seconds: Histogram,
-    flows_active: Histogram,
-    resource_utilization: Histogram,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Record one rate recomputation: solver wall time and the size of the
-    /// active set it served.
-    pub fn record_solve(&mut self, seconds: f64, flows_active: usize) {
-        self.solver_seconds_total += seconds;
-        self.solver_seconds.record(seconds);
-        self.flows_active.record(flows_active as f64);
-    }
-
-    /// Record the post-recompute utilisation snapshot: the most loaded
-    /// resource's `allocated / capacity`.
-    pub fn record_utilization(&mut self, peak: f64) {
-        self.peak_resource_utilization = self.peak_resource_utilization.max(peak);
-        self.resource_utilization.record(peak);
-    }
-
-    /// Freeze the registry into its serialisable form.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            kind: metrics_kind(),
-            flows_activated: self.flows_activated,
-            flows_started: self.flows_started,
-            flows_finished: self.flows_finished,
-            flows_skipped: self.flows_skipped,
-            faults_applied: self.faults_applied,
-            faults_cleared: self.faults_cleared,
-            reroutes: self.reroutes,
-            rate_recomputes: self.rate_recomputes,
-            full_passes: self.full_passes,
-            budget_exhausted: self.budget_exhausted,
-            deadline_exceeded: self.deadline_exceeded,
-            solver_seconds_total: self.solver_seconds_total,
-            solver_seconds: self.solver_seconds.clone(),
-            flows_active: self.flows_active.clone(),
-            resource_utilization: self.resource_utilization.clone(),
-            peak_resource_utilization: self.peak_resource_utilization,
-        }
-    }
-}
-
-fn metrics_kind() -> String {
-    "sim_metrics".to_owned()
-}
-
-/// Serialisable snapshot of a [`MetricsRegistry`], attached to
-/// [`SimReport::metrics`](crate::SimReport::metrics) (kind-tagged so mixed
-/// JSON streams stay self-describing).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Always `"sim_metrics"`.
@@ -404,6 +333,51 @@ pub struct MetricsSnapshot {
     pub resource_utilization: Histogram,
     /// Largest utilisation ever observed; ≤ 1 + ε for a correct solver.
     pub peak_resource_utilization: f64,
+}
+
+fn metrics_kind() -> String {
+    "sim_metrics".to_owned()
+}
+
+impl Default for MetricsSnapshot {
+    fn default() -> Self {
+        MetricsSnapshot {
+            kind: metrics_kind(),
+            flows_activated: 0,
+            flows_started: 0,
+            flows_finished: 0,
+            flows_skipped: 0,
+            faults_applied: 0,
+            faults_cleared: 0,
+            reroutes: 0,
+            rate_recomputes: 0,
+            full_passes: 0,
+            budget_exhausted: 0,
+            deadline_exceeded: 0,
+            solver_seconds_total: 0.0,
+            solver_seconds: Histogram::new(),
+            flows_active: Histogram::new(),
+            resource_utilization: Histogram::new(),
+            peak_resource_utilization: 0.0,
+        }
+    }
+}
+
+impl MetricsSnapshot {
+    /// Record one rate recomputation: solver wall time and the size of the
+    /// active set it served.
+    pub fn record_solve(&mut self, seconds: f64, flows_active: usize) {
+        self.solver_seconds_total += seconds;
+        self.solver_seconds.record(seconds);
+        self.flows_active.record(flows_active as f64);
+    }
+
+    /// Record the post-recompute utilisation snapshot: the most loaded
+    /// resource's `allocated / capacity`.
+    pub fn record_utilization(&mut self, peak: f64) {
+        self.peak_resource_utilization = self.peak_resource_utilization.max(peak);
+        self.resource_utilization.record(peak);
+    }
 }
 
 #[cfg(test)]
@@ -508,24 +482,21 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_reach_the_snapshot() {
-        let mut m = MetricsRegistry::new();
+    fn recorded_metrics_roundtrip_as_json() {
+        let mut m = MetricsSnapshot::default();
         m.flows_skipped += 1;
         m.rate_recomputes += 1;
         m.full_passes += 1;
         m.record_solve(1e-6, 3);
         m.record_utilization(0.5);
         m.record_utilization(1.0);
-        let snap = m.snapshot();
-        assert_eq!(snap.kind, "sim_metrics");
-        assert_eq!(snap.flows_skipped, 1);
-        assert_eq!(snap.rate_recomputes, 1);
-        assert_eq!(snap.full_passes, 1);
-        assert_eq!(snap.peak_resource_utilization, 1.0);
-        assert_eq!(snap.flows_active.count, 1);
-        let json = serde_json::to_string(&snap).unwrap();
+        assert_eq!(m.kind, "sim_metrics");
+        assert_eq!(m.peak_resource_utilization, 1.0);
+        assert_eq!(m.flows_active.count, 1);
+        assert_eq!(m.resource_utilization.count, 2);
+        let json = serde_json::to_string(&m).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
+        assert_eq!(back, m);
     }
 
     /// Traces and results written while runs carried a topology-cache
@@ -549,7 +520,7 @@ mod tests {
             }]
         );
 
-        let snap = MetricsRegistry::new().snapshot();
+        let snap = MetricsSnapshot::default();
         let old = serde_json::to_string(&snap)
             .unwrap()
             .replacen('{', "{\"topo_cache_hit\":1,", 1);
