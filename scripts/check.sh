@@ -42,7 +42,7 @@ $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 echo "== topology cache: cached suites and campaigns vs a direct run per entry"
 $TIMEOUT 900 cargo test -q -p exaflow-suite --test topo_cache_equiv
 
-echo "== cargo bench --no-run (benches must keep compiling)"
+echo "== cargo bench --no-run (the trace_overhead bench must keep compiling)"
 $TIMEOUT 1800 cargo bench --workspace --no-run
 
 # `benchmark/` is a package of its own that the pipeline builds from this
@@ -98,8 +98,7 @@ write("bad/truncated.json", config[:-20])
 write("bad/empty.json", "")
 write("bad/random.bin", random.Random(7).randbytes(4096))
 write("bad/negative_rate.json", config + ', "sim": {"injection_bps": -1.0, '
-      '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "record_flow_times": false, '
-      '"route_cache_cap": 1024}}')
+      '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "record_flow_times": false}}')
 PY
 EXAFLOW=./target/release/exaflow
 JOURNAL="$CORPUS/bad/journal.jsonl"
@@ -122,6 +121,10 @@ done
 expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" --resume
 expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --retries 4294967295
 echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors only"
+# The negative rate is that file's only defect, so the error must name it.
+err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/negative_rate.json" 2>&1 >/dev/null || true)"
+grep -q injection_bps <<<"$err" \
+  || { echo "'exaflow run' on a negative injection rate does not name injection_bps: $err"; exit 1; }
 
 echo "== paper-scale analyze: exact all-sources Table 1 (40 / 5.94, pinned (2,4) hybrid cells)"
 $TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources all --hybrids 2>/dev/null \
