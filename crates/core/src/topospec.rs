@@ -230,6 +230,8 @@ impl TopologySpec {
 mod tests {
     use super::*;
 
+    /// Every family builds with the endpoint count its spec predicts and
+    /// wires every physical link at the one link rate of the study.
     #[test]
     fn builds_every_variant() {
         let specs = [
@@ -241,6 +243,11 @@ mod tests {
                 n: 2,
                 endpoints: None,
             },
+            TopologySpec::Fattree {
+                k: 4,
+                n: 3,
+                endpoints: Some(40),
+            },
             TopologySpec::Ghc {
                 dims: vec![4, 4],
                 ports_per_router: 2,
@@ -251,6 +258,12 @@ mod tests {
                 subtori: 4,
                 t: 2,
                 u: 4,
+            },
+            TopologySpec::Nested {
+                upper: UpperTierKind::GeneralizedHypercube,
+                subtori: 4,
+                t: 2,
+                u: 2,
             },
             TopologySpec::Dragonfly {
                 groups: 5,
@@ -268,6 +281,11 @@ mod tests {
         for s in &specs {
             let topo = s.build().unwrap();
             assert_eq!(topo.num_endpoints(), s.num_endpoints(), "{s:?}");
+            let links = topo.network().links();
+            assert!(links.iter().any(|l| !l.is_virtual), "{s:?}");
+            for l in links.iter().filter(|l| !l.is_virtual) {
+                assert_eq!(l.capacity_bps, exaflow_topo::LINK_RATE_BPS, "{s:?}: {l:?}");
+            }
         }
     }
 
@@ -315,63 +333,5 @@ mod tests {
         };
         assert_eq!(s.num_endpoints(), 40);
         assert_eq!(s.build().unwrap().num_endpoints(), 40);
-    }
-
-    /// Every generator wires every physical link at the one link rate of
-    /// the study; no family thins or widens a tier.
-    #[test]
-    fn every_family_wires_every_link_at_the_link_rate() {
-        let nested = |upper| TopologySpec::Nested {
-            upper,
-            subtori: 4,
-            t: 2,
-            u: 2,
-        };
-        let specs = [
-            TopologySpec::Torus {
-                dims: vec![4, 3, 2],
-            },
-            TopologySpec::Fattree {
-                k: 4,
-                n: 3,
-                endpoints: Some(40),
-            },
-            TopologySpec::Ghc {
-                dims: vec![4, 3],
-                ports_per_router: 2,
-                endpoints: None,
-            },
-            nested(UpperTierKind::Fattree),
-            nested(UpperTierKind::GeneralizedHypercube),
-            TopologySpec::Dragonfly {
-                groups: 5,
-                a: 2,
-                p: 2,
-                h: 2,
-            },
-            TopologySpec::Jellyfish {
-                switches: 10,
-                endpoint_ports: 2,
-                fabric_degree: 3,
-                seed: 7,
-            },
-        ];
-        for spec in &specs {
-            let topo = spec.build().unwrap();
-            let physical: Vec<_> = topo
-                .network()
-                .links()
-                .iter()
-                .filter(|l| !l.is_virtual)
-                .collect();
-            assert!(!physical.is_empty(), "{spec:?}");
-            for l in physical {
-                assert_eq!(
-                    l.capacity_bps,
-                    exaflow_topo::LINK_RATE_BPS,
-                    "{spec:?}: {l:?}"
-                );
-            }
-        }
     }
 }
