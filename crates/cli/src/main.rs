@@ -357,8 +357,8 @@ fn cmd_sweep(args: &[String]) -> i32 {
     );
     if let Some(tc) = &run.report.topo_cache {
         eprintln!(
-            "sweep: topology cache {} hit(s), {} miss(es)",
-            tc.hits, tc.misses
+            "sweep: topology cache {} hit(s), {} miss(es), at most {} resident",
+            tc.hits, tc.misses, tc.peak_entries
         );
     }
     if run.report.retries > 0 || run.report.quarantined > 0 {

@@ -1014,12 +1014,17 @@ fn campaign_sweep_topo_cache_is_invisible_on_stdout() {
                 .unwrap();
             assert!(out.status.success(), "threads {threads}");
             // 6 entries, 2 distinct topologies: the fattree full-population
-            // spellings normalize onto one key, so 2 misses and 4 hits.
+            // spellings normalize onto one key, so 2 misses and 4 hits. A
+            // serial sweep runs the entries grouped by topology and frees
+            // each topology after its group: one resident at a time.
             let err = String::from_utf8_lossy(&out.stderr);
             assert!(
-                err.contains("topology cache 4 hit(s), 2 miss(es)"),
+                err.contains("topology cache 4 hit(s), 2 miss(es), at most "),
                 "threads {threads}: stderr: {err}"
             );
+            if threads == "1" {
+                assert!(err.contains("at most 1 resident"), "stderr: {err}");
+            }
             scrubbed(&out.stdout)
         })
         .collect();

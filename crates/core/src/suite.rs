@@ -26,9 +26,14 @@
 //!   [`ExperimentError::Quarantined`] with its full attempt history
 //!   instead of failing the campaign.
 //!
-//! Every run owns one [`TopoCache`]: each distinct topology spec in the
-//! suite is built once, by the first worker that needs it, and shared by
-//! every entry after.
+//! Every run owns one [`TopoCache`], and each attempt round dispatches its
+//! pending entries grouped by [`topology_cache_key`] — groups in order of
+//! first appearance, input order inside a group. A spec is built once per
+//! round, by the first worker that needs it, shared by the rest of its
+//! group, and released when the group's last entry finishes: a serial
+//! suite holds one topology at a time, a pool at most one per worker plus
+//! the group being dispatched. Only the dispatch order changes; results,
+//! per-entry wall times and journal records stay keyed by input index.
 //!
 //! [`run_journaled`](ExperimentSuite::run_journaled) additionally streams
 //! every finalised outcome to an append-only JSONL journal (see
@@ -59,8 +64,9 @@
 use crate::error::ExperimentError;
 use crate::experiment::{run_experiment_with, ExperimentConfig, ExperimentResult};
 use crate::journal::{fingerprint, Journal, JournalIndex, JournaledOutcome};
-use crate::topocache::{TopoCache, TopoCacheStats};
+use crate::topocache::{topology_cache_key, TopoCache, TopoCacheStats};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -160,7 +166,8 @@ pub struct SuiteMetrics {
     pub faults_cleared: u64,
     pub reroutes: u64,
     pub rate_recomputes: u64,
-    /// Recomputations that degraded to a full solver pass.
+    /// Recomputations that ran a solver pass (every pass covers all live
+    /// entries); the others changed no rate.
     pub full_passes: u64,
     /// Total solver wall-clock seconds across all traced experiments.
     /// **Non-deterministic.**
@@ -285,8 +292,10 @@ impl ExperimentSuite {
 
     /// Test support: run the suite with a fault hook that is invoked on
     /// each worker thread *outside* the per-experiment panic isolation,
-    /// with the batch-local index it just claimed — a panicking hook kills
-    /// that worker dead, exactly like an abort-level failure mid-suite.
+    /// with the round-local dispatch position it just claimed (entries are
+    /// dispatched grouped by topology, see the module docs) — a panicking
+    /// hook kills that worker dead, exactly like an abort-level failure
+    /// mid-suite.
     #[doc(hidden)]
     pub fn run_with_worker_fault(&self, fault: &(dyn Fn(usize) + Sync)) -> SuiteRun {
         let cache = TopoCache::new(TopoCache::DEFAULT_CAP);
@@ -326,15 +335,25 @@ impl ExperimentSuite {
             if attempt > 1 {
                 retries += pending.len() as u64;
             }
-            let batch: Vec<&ExperimentConfig> = pending.iter().map(|&i| &self.configs[i]).collect();
+            let dispatch = Dispatch::new(&pending, &self.configs);
+            let batch: Vec<&ExperimentConfig> =
+                dispatch.order.iter().map(|&i| &self.configs[i]).collect();
             let mut next_pending: Vec<usize> = Vec::new();
             scoped_map_observed(
                 &batch,
                 threads.min(batch.len()).max(1),
-                &|_, cfg: &&ExperimentConfig| run_experiment_with(cfg, Some(topo_cache), None),
+                &|k, cfg: &&ExperimentConfig| {
+                    // Dropped after the run, panicking or not.
+                    let _finished = Finished {
+                        dispatch: &dispatch,
+                        position: k,
+                        cache: topo_cache,
+                    };
+                    run_experiment_with(cfg, Some(topo_cache), None)
+                },
                 fault,
                 |k, outcome| {
-                    let i = pending[k];
+                    let i = dispatch.order[k];
                     // Flatten panic (outer) and config (inner) failures
                     // into the one typed error channel.
                     let entry: JournaledOutcome = match &outcome.value {
@@ -378,6 +397,11 @@ impl ExperimentSuite {
                     }
                 },
             );
+            // A worker that died before running its entry never finished
+            // it, so its group still holds the key.
+            for key in &dispatch.keys {
+                topo_cache.release(key);
+            }
             // Completion order is scheduling-dependent; retry rounds are
             // re-sorted so the retry sequence stays deterministic.
             next_pending.sort_unstable();
@@ -434,6 +458,65 @@ impl ExperimentSuite {
             topo_cache: Some(topo_cache.stats()),
         };
         (SuiteRun { results, report }, journal_error)
+    }
+}
+
+/// One attempt round's dispatch plan: the pending entries grouped by
+/// topology cache key, and what each group still owes.
+struct Dispatch {
+    /// Input indices in dispatch order.
+    order: Vec<usize>,
+    /// The group of each dispatch position.
+    group: Vec<usize>,
+    /// Each group's cache key, groups in order of first appearance.
+    keys: Vec<String>,
+    /// Entries of each group not yet finished.
+    owed: Vec<AtomicUsize>,
+}
+
+impl Dispatch {
+    fn new(pending: &[usize], configs: &[ExperimentConfig]) -> Dispatch {
+        let mut keys: Vec<String> = Vec::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<String, usize> = HashMap::new();
+        for &i in pending {
+            let key = topology_cache_key(&configs[i].topology);
+            let g = *group_of.entry(key).or_insert_with_key(|key| {
+                keys.push(key.clone());
+                members.push(Vec::new());
+                keys.len() - 1
+            });
+            members[g].push(i);
+        }
+        let group = members
+            .iter()
+            .enumerate()
+            .flat_map(|(g, m)| std::iter::repeat_n(g, m.len()))
+            .collect();
+        Dispatch {
+            order: members.iter().flatten().copied().collect(),
+            group,
+            keys,
+            owed: members.iter().map(|m| AtomicUsize::new(m.len())).collect(),
+        }
+    }
+}
+
+/// Marks one dispatched entry finished when dropped, on the worker that
+/// ran it and before it claims the next; the last entry of a group
+/// releases the group's topology.
+struct Finished<'a> {
+    dispatch: &'a Dispatch,
+    position: usize,
+    cache: &'a TopoCache,
+}
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        let g = self.dispatch.group[self.position];
+        if self.dispatch.owed[g].fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.cache.release(&self.dispatch.keys[g]);
+        }
     }
 }
 

@@ -3,9 +3,9 @@
 //! Campaigns are "many workloads × few topologies": a sweep or resilience
 //! grid runs dozens of entries against the same [`TopologySpec`], yet each
 //! [`run_experiment`](crate::run_experiment) call would rebuild the
-//! topology from scratch. [`TopoCache`] builds each distinct spec exactly
-//! once and hands out the result as an immutable `Arc<dyn Topology>` to
-//! every worker thread.
+//! topology from scratch. [`TopoCache`] builds each distinct spec once
+//! and hands out the result as an immutable `Arc<dyn Topology>` to every
+//! worker thread that needs it.
 //!
 //! Three design points, in order:
 //!
@@ -15,11 +15,14 @@
 //!    key survives serde round-trips and key-order permutations, and specs
 //!    that build the same graph under different spellings (a fattree with
 //!    `endpoints: Some(k^n)` vs `endpoints: None`) share one entry.
-//! 2. **One build per spec per campaign.** Nothing is ever evicted: an
-//!    entry lives as long as the cache, and a suite or resilience campaign
-//!    owns one cache for its whole run. Memory is one built topology per
-//!    distinct spec in the campaign input — the paper's Fig 4/5 grid has
-//!    26, and a resilience campaign has one.
+//! 2. **Kept only while an entry still needs it.** A suite dispatches its
+//!    entries grouped by cache key and calls [`TopoCache::release`] when
+//!    the last entry of a key finishes, so the built topology drops once no
+//!    worker holds it. Each distinct spec is still built once per attempt
+//!    round, and at most one spec per worker plus the one being dispatched
+//!    is resident at a time ([`TopoCacheStats::peak_entries`]): one for a
+//!    serial suite, whatever the number of distinct specs in its input. A
+//!    resilience campaign runs one spec.
 //! 3. **Single-flight builds.** Each key owns a build slot (`OnceLock`);
 //!    the first worker to want a spec builds it while later arrivals block
 //!    on that slot rather than duplicating the work or serialising every
@@ -73,8 +76,8 @@ pub struct TopoCacheStats {
     pub misses: u64,
     /// Always 0. The frozen `benchmark/src/main.rs` reads it; goes with the next `benchmark` PR.
     pub tables_built: u64,
-    /// Entries resident when the stats were taken.
-    pub entries: u64,
+    /// Most entries resident at once over the cache's lifetime.
+    pub peak_entries: u64,
 }
 
 /// Slot map and counters, guarded by the cache-wide mutex. Only slot
@@ -85,6 +88,7 @@ struct CacheState {
     slots: HashMap<String, Slot>,
     hits: u64,
     misses: u64,
+    peak_entries: u64,
 }
 
 /// Thread-safe cache of built topologies, keyed by [`topology_cache_key`].
@@ -98,8 +102,8 @@ impl TopoCache {
     /// which leaves `new` without an argument.
     pub const DEFAULT_CAP: usize = 64;
 
-    /// An empty cache. `_cap` is ignored: the cache keeps every spec it
-    /// builds for as long as it lives.
+    /// An empty cache. `_cap` is ignored: an entry stays until its owner
+    /// [releases](Self::release) it.
     pub fn new(_cap: usize) -> TopoCache {
         TopoCache {
             state: Mutex::default(),
@@ -126,12 +130,27 @@ impl TopoCache {
                     state.misses += 1;
                     let slot: Slot = Arc::default();
                     state.slots.insert(key, slot.clone());
+                    state.peak_entries = state.peak_entries.max(state.slots.len() as u64);
                     (slot, false)
                 }
             }
         };
         let built = slot.get_or_init(|| spec.build().map(Arc::from));
         built.clone().map(|topo| (topo, hit))
+    }
+
+    /// Drop the entry under `key` (a [`topology_cache_key`]), if any. The
+    /// built topology is freed once the last worker holding it lets go; a
+    /// later request for the spec builds it afresh and counts as a miss.
+    pub fn release(&self, key: &str) {
+        let slot = self
+            .state
+            .lock()
+            .expect("topology cache lock poisoned")
+            .slots
+            .remove(key);
+        // Dropped here, with the cache-wide lock released.
+        drop(slot);
     }
 
     /// Lifetime counters (see [`TopoCacheStats`] for field semantics).
@@ -141,7 +160,7 @@ impl TopoCache {
             hits: state.hits,
             misses: state.misses,
             tables_built: 0,
-            entries: state.slots.len() as u64,
+            peak_entries: state.peak_entries,
         }
     }
 }
@@ -210,7 +229,25 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same spec must share one build");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.entries, 1);
+        assert_eq!(stats.peak_entries, 1);
+    }
+
+    #[test]
+    fn released_specs_rebuild_as_misses() {
+        let cache = TopoCache::new(8);
+        let (a, _) = cache.get_or_build(&torus(4)).unwrap();
+        cache.get_or_build(&torus(5)).unwrap();
+        cache.release(&topology_cache_key(&torus(4)));
+        cache.release(&topology_cache_key(&torus(4)));
+        let (b, hit) = cache.get_or_build(&torus(4)).unwrap();
+        assert!(!hit, "a released spec is built afresh");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(
+            a.route_vec(NodeId(0), NodeId(5)),
+            b.route_vec(NodeId(0), NodeId(5))
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.peak_entries), (0, 3, 2));
     }
 
     #[test]

@@ -171,19 +171,25 @@ fn suite_report_matches_results() {
 /// A worker thread dying outright (panic outside the per-experiment
 /// isolation — the bug class that used to take down the whole suite via
 /// `join().expect(...)`) must strand only the entry it had claimed.
+///
+/// The input is workload-major over four topologies (entry `i` runs on
+/// topology `i % 4`), and a round dispatches it grouped by topology:
+/// inputs 0, 4, 8, then 1, 5, 9, and so on. Dispatch position 2 is
+/// therefore input 8, the last entry on the first topology.
 #[test]
 fn dead_worker_loses_only_its_own_entry() {
-    let configs = mixed_suite().into_iter().take(4).collect::<Vec<_>>();
+    let configs = mixed_suite().into_iter().take(12).collect::<Vec<_>>();
+    let kill_position_2 = |i: usize| {
+        if i == 2 {
+            panic!("simulated worker abort");
+        }
+    };
     let run = ExperimentSuite::new(configs.clone())
         .threads(2)
-        .run_with_worker_fault(&|i| {
-            if i == 2 {
-                panic!("simulated worker abort");
-            }
-        });
-    assert_eq!(run.results.len(), 4, "every entry must come back");
+        .run_with_worker_fault(&kill_position_2);
+    assert_eq!(run.results.len(), 12, "every entry must come back");
     for (i, r) in run.results.iter().enumerate() {
-        if i == 2 {
+        if i == 8 {
             let err = r.as_ref().unwrap_err();
             match err {
                 ExperimentError::Panicked { message } => {
@@ -196,22 +202,25 @@ fn dead_worker_loses_only_its_own_entry() {
             assert!(r.is_ok(), "entry {i} should be unaffected: {r:?}");
         }
     }
-    assert_eq!(run.report.succeeded, 3);
+    assert_eq!(run.report.succeeded, 11);
     assert_eq!(run.report.failed, 1);
 
     // The same fault with a second attempt recovers completely: the retry
-    // round re-runs the stranded entry on a fresh (serial) pass.
-    let run = ExperimentSuite::new(configs)
+    // round re-runs the stranded entry on a fresh (serial) pass. Its
+    // topology was released at the end of the first round, so the retry
+    // builds it again — one miss more than the four distinct topologies —
+    // and still comes out exactly as an uninterrupted run.
+    let run = ExperimentSuite::new(configs.clone())
         .threads(2)
         .attempts(2)
-        .run_with_worker_fault(&|i| {
-            if i == 2 {
-                panic!("simulated worker abort");
-            }
-        });
+        .run_with_worker_fault(&kill_position_2);
     assert!(run.results.iter().all(Result::is_ok), "{:?}", run.report);
     assert_eq!(run.report.retries, 1);
     assert_eq!(run.report.quarantined, 0);
+    let stats = run.report.topo_cache.unwrap();
+    assert_eq!((stats.misses, stats.hits), (5, 7));
+    let reference = ExperimentSuite::new(configs).threads(1).run();
+    assert_eq!(signature(&run.results), signature(&reference.results));
 }
 
 fn tiny_config(scale: &SystemScale) -> ExperimentConfig {

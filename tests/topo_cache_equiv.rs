@@ -1,5 +1,6 @@
 //! Topology-cache equivalence: a suite or resilience campaign builds each
-//! distinct [`TopologySpec`] once and shares the build, and every entry
+//! distinct [`TopologySpec`] once per round, shares the build while entries
+//! still need it, and runs its entries grouped by topology; every entry
 //! must come out exactly as a direct [`run_experiment`] of that entry on a
 //! fresh build — results bit for bit, traces event for event — across all
 //! five topology families, faulted and fault-free, serial and 8-way
@@ -144,31 +145,39 @@ fn assert_report_sums(
     );
 }
 
-/// Suite path, all five families, threads {1, 8}: per-result JSON
-/// bit-identical to a direct run per entry, report counters equal to their
-/// sums. The suite must also show the cache actually engaged — 1 build,
-/// 5 hits — or the comparison proves nothing.
+/// Suite path, all five families in one workload-major input (entry `i`
+/// runs workload `i / 5` on family `i % 5`), so the suite dispatches in a
+/// different order than it reports, threads {1, 8}: per-result JSON
+/// bit-identical to a direct run per entry, in input order, and report
+/// counters equal to their sums. The suite must also show the cache
+/// actually engaged — 5 builds, 25 hits — or the comparison proves nothing.
 #[test]
 fn suite_bit_identical_to_direct_runs() {
-    for (name, spec) in specs() {
-        let eps = spec.build().unwrap().num_endpoints();
-        let configs = suite_for(&spec, eps);
-        let direct = direct_runs(&configs);
-        for threads in [1usize, 8] {
-            let run = ExperimentSuite::new(configs.clone()).threads(threads).run();
-            let stats = run
-                .report
-                .topo_cache
-                .expect("a suite run reports its cache");
-            assert_eq!(stats.misses, 1, "{name}/t{threads}: one spec, one build");
-            assert_eq!(stats.hits, 5, "{name}/t{threads}: five shared entries");
-            assert_eq!(
-                canonical_results(&run.results),
-                canonical_results(&direct),
-                "{name}/t{threads}: suite results diverged from direct runs"
-            );
-            assert_report_sums(&run.report, &direct, &format!("{name}/t{threads}"));
-        }
+    let per_family: Vec<Vec<ExperimentConfig>> = specs()
+        .into_iter()
+        .map(|(_, spec)| {
+            let eps = spec.build().unwrap().num_endpoints();
+            suite_for(&spec, eps)
+        })
+        .collect();
+    let configs: Vec<ExperimentConfig> = (0..6)
+        .flat_map(|w| per_family.iter().map(move |family| family[w].clone()))
+        .collect();
+    let direct = direct_runs(&configs);
+    for threads in [1usize, 8] {
+        let run = ExperimentSuite::new(configs.clone()).threads(threads).run();
+        let stats = run
+            .report
+            .topo_cache
+            .expect("a suite run reports its cache");
+        assert_eq!(stats.misses, 5, "t{threads}: five specs, five builds");
+        assert_eq!(stats.hits, 25, "t{threads}: 25 shared entries");
+        assert_eq!(
+            canonical_results(&run.results),
+            canonical_results(&direct),
+            "t{threads}: suite results diverged from direct runs"
+        );
+        assert_report_sums(&run.report, &direct, &format!("t{threads}"));
     }
 }
 
@@ -348,9 +357,12 @@ fn journaled_suite_bit_identical_to_direct_runs() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Memory rule: a campaign keeps every distinct spec it has built for the
-/// rest of the run. Seventy distinct tiny tori, each run once in a first
-/// pass and again in a second, build exactly seventy times.
+/// Memory rule: a suite keeps a spec only while an entry still needs it.
+/// Seventy distinct tiny tori, each run once in a first pass and again in
+/// a second, build exactly seventy times, since the suite runs a spec's
+/// entries together; and a spec is freed after its last entry, so a serial
+/// suite holds one at a time and a pool one per worker plus the spec being
+/// dispatched.
 #[test]
 fn every_distinct_spec_builds_once_per_suite() {
     let pass: Vec<ExperimentConfig> = (0..70u32)
@@ -374,9 +386,18 @@ fn every_distinct_spec_builds_once_per_suite() {
         assert_eq!(run.report.succeeded, 140, "t{threads}");
         let stats = run.report.topo_cache.unwrap();
         assert_eq!(
-            (stats.misses, stats.hits, stats.entries),
-            (70, 70, 70),
+            (stats.misses, stats.hits),
+            (70, 70),
             "t{threads}: one build per distinct spec"
         );
+        if threads == 1 {
+            assert_eq!(stats.peak_entries, 1, "t1: one spec resident at a time");
+        } else {
+            assert!(
+                (1..=threads as u64 + 1).contains(&stats.peak_entries),
+                "t{threads}: {} specs resident at once",
+                stats.peak_entries
+            );
+        }
     }
 }
