@@ -6,10 +6,9 @@
 //! [`Topology::distance_histogram`](exaflow_topo::Topology::distance_histogram),
 //! which the paper's families answer by *counting* equidistant classes
 //! rather than by evaluating `distance` per destination — so an exact
-//! all-sources sweep is affordable at the paper's 131,072 QFDBs. Only
-//! topologies on the trait's default per-pair loop (Dragonfly, Jellyfish)
-//! still pay `O(E)` per source. Distances are always of the healthy
-//! network: link failures live in the engine's fault overlay.
+//! all-sources sweep is affordable at the paper's 131,072 QFDBs. Distances
+//! are always of the healthy network: link failures live in the engine's
+//! fault overlay.
 //!
 //! * [`distance_stats_exact`] — every ordered endpoint pair, on the calling
 //!   thread; the sequential reference.

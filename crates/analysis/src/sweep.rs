@@ -10,12 +10,11 @@
 //!
 //! A source costs one [`Topology::distance_histogram`]. The torus, the
 //! fattree, the GHC and the nested hybrids count equidistant classes, so
-//! their exact sweep is cheap even at 131,072 QFDBs; a topology on the
-//! default per-pair loop pays 1.7·10¹⁰ distance evaluations there. For
-//! those — and for a quick look at anything — [`distance_estimate`]
-//! measures a stratified deterministic sample of sources: the endpoint
-//! range is split into `samples` equal strata and one source per stratum
-//! is picked by a SplitMix64 stream seeded from the caller's seed. Every
+//! their exact sweep is cheap even at 131,072 QFDBs. For a quick look,
+//! [`distance_estimate`] measures a stratified deterministic sample of
+//! sources: the endpoint range is split into `samples` equal strata and
+//! one source per stratum is picked by a SplitMix64 stream seeded from the
+//! caller's seed. Every
 //! source still covers *all* destinations, so each per-source mean is an
 //! unbiased estimate of the population mean and the spread between them
 //! yields a standard error ([`DistanceStats::stderr`]) and a 95%
@@ -245,6 +244,9 @@ mod tests {
         }
         fn distance(&self, _: NodeId, _: NodeId) -> u32 {
             panic!("the per-pair loop was re-entered");
+        }
+        fn diameter_bound(&self) -> u32 {
+            1
         }
         fn distance_histogram(&self, _: NodeId, histogram: &mut [u64]) -> u64 {
             let others = self.num_endpoints() as u64 - 1;

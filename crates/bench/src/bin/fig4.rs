@@ -4,7 +4,7 @@
 //! NestTree, Fattree and Torus3D.
 //!
 //! `--scale <qfdbs>` (default 2048, the reproduction's simulation scale),
-//! `--quick` for a 512-QFDB smoke run, `--json <path>` for raw data.
+//! `--scale 512` for a smoke run, `--json <path>` for raw data.
 
 use exaflow::presets;
 use exaflow_bench::{run_panels, HarnessArgs};

@@ -8,7 +8,7 @@
 //!   itself (exact reproduction; see `exaflow-system::cost`),
 //! * `built` — the switches actually instantiated by our topology
 //!   generators at the requested scale (`--scale`, default the paper's
-//!   131 072; `--quick` keeps this cheap).
+//!   131 072; `--scale 512` keeps this cheap).
 
 use exaflow::prelude::*;
 use exaflow::presets;

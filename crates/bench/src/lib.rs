@@ -11,9 +11,9 @@
 //! | `fig4`   | Figure 4 | normalised execution time, heavy workloads |
 //! | `fig5`   | Figure 5 | normalised execution time, light workloads |
 //!
-//! Binaries accept `--scale <qfdbs>` (simulation scale for figures,
-//! analysis scale for tables) and `--json <path>` to additionally dump
-//! machine-readable results.
+//! `table1`, `table2`, `fig4` and `fig5` accept `--scale <qfdbs>`
+//! (simulation scale for figures, analysis scale for tables), `--threads
+//! <n>` and `--json <path>` to additionally dump machine-readable results.
 
 use exaflow::prelude::*;
 use exaflow::presets;
@@ -26,8 +26,6 @@ pub struct HarnessArgs {
     pub scale: SystemScale,
     /// Optional JSON output path.
     pub json: Option<String>,
-    /// Quick mode: smaller scale and fewer samples.
-    pub quick: bool,
     /// Worker threads for suite/grid fan-out (default: all cores).
     pub threads: Option<usize>,
 }
@@ -37,7 +35,6 @@ impl HarnessArgs {
     pub fn parse(default_scale: u64) -> Result<Self, String> {
         let mut scale = default_scale;
         let mut json = None;
-        let mut quick = false;
         let mut threads = None;
         let mut it = std::env::args().skip(1);
         while let Some(arg) = it.next() {
@@ -47,7 +44,6 @@ impl HarnessArgs {
                     scale = v.parse().map_err(|e| format!("bad --scale: {e}"))?;
                 }
                 "--json" => json = Some(it.next().ok_or("--json needs a path")?),
-                "--quick" => quick = true,
                 "--threads" => {
                     let v = it.next().ok_or("--threads needs a value")?;
                     let n: usize = v.parse().map_err(|e| format!("bad --threads: {e}"))?;
@@ -57,19 +53,15 @@ impl HarnessArgs {
                     threads = Some(n);
                 }
                 "--help" | "-h" => {
-                    eprintln!("options: --scale <qfdbs> --json <path> --threads <n> --quick");
+                    eprintln!("options: --scale <qfdbs> --json <path> --threads <n>");
                     std::process::exit(0);
                 }
                 other => return Err(format!("unknown option {other}")),
             }
         }
-        if quick {
-            scale = scale.min(512);
-        }
         Ok(HarnessArgs {
             scale: SystemScale::new(scale)?,
             json,
-            quick,
             threads,
         })
     }

@@ -120,8 +120,7 @@ pub mod prelude {
     };
     pub use exaflow_system::{CostModel, SystemHierarchy};
     pub use exaflow_topo::{
-        ConnectionRule, Dragonfly, GeneralizedHypercube, Jellyfish, KAryTree, Nested, Topology,
-        Torus, UpperTierKind,
+        ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Topology, Torus, UpperTierKind,
     };
     pub use exaflow_workloads::{TaskMapping, Workload, WorkloadSpec};
 }

@@ -2,8 +2,7 @@
 
 use crate::error::ExperimentError;
 use exaflow_topo::{
-    ConnectionRule, Dragonfly, GeneralizedHypercube, Jellyfish, KAryTree, Nested, Topology, Torus,
-    UpperTierKind,
+    ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Topology, Torus, UpperTierKind,
 };
 
 /// Shorthand for [`ExperimentError::InvalidTopology`].
@@ -64,15 +63,6 @@ pub enum TopologySpec {
         t: u32,
         u: u32,
     },
-    /// Dragonfly comparator (extension; see `exaflow_topo::dragonfly`).
-    Dragonfly { groups: u32, a: u32, p: u32, h: u32 },
-    /// Jellyfish comparator (extension; see `exaflow_topo::jellyfish`).
-    Jellyfish {
-        switches: u32,
-        endpoint_ports: u32,
-        fabric_degree: u32,
-        seed: u64,
-    },
 }
 
 impl TopologySpec {
@@ -89,14 +79,6 @@ impl TopologySpec {
                 dims.iter().map(|&d| d as usize).product::<usize>() * *ports_per_router as usize
             }),
             TopologySpec::Nested { subtori, t, .. } => (*subtori as usize) * (*t as usize).pow(3),
-            TopologySpec::Dragonfly { groups, a, p, .. } => {
-                (*groups as usize) * (*a as usize) * (*p as usize)
-            }
-            TopologySpec::Jellyfish {
-                switches,
-                endpoint_ports,
-                ..
-            } => (*switches as usize) * (*endpoint_ports as usize),
         }
     }
 
@@ -181,39 +163,6 @@ impl TopologySpec {
                 }
                 Ok(Box::new(Nested::new(*upper, *subtori, *t, rule)))
             }
-            TopologySpec::Dragonfly { groups, a, p, h } => {
-                if *groups == 0 || *a == 0 || *p == 0 || *h == 0 {
-                    return Err(invalid("dragonfly parameters must be positive"));
-                }
-                if *groups > *a * *h + 1 {
-                    return Err(invalid(format!(
-                        "{groups} groups exceed the {} a dragonfly with a={a}, h={h} supports",
-                        *a * *h + 1
-                    )));
-                }
-                Ok(Box::new(Dragonfly::new(*groups, *a, *p, *h)))
-            }
-            TopologySpec::Jellyfish {
-                switches,
-                endpoint_ports,
-                fabric_degree,
-                seed,
-            } => {
-                if *switches < 2
-                    || *endpoint_ports == 0
-                    || *fabric_degree == 0
-                    || *fabric_degree >= *switches
-                    || !(*switches as u64 * *fabric_degree as u64).is_multiple_of(2)
-                {
-                    return Err(invalid("invalid jellyfish parameters"));
-                }
-                Ok(Box::new(Jellyfish::new(
-                    *switches,
-                    *endpoint_ports,
-                    *fabric_degree,
-                    *seed,
-                )))
-            }
         }
     }
 
@@ -264,18 +213,6 @@ mod tests {
                 subtori: 4,
                 t: 2,
                 u: 2,
-            },
-            TopologySpec::Dragonfly {
-                groups: 5,
-                a: 2,
-                p: 1,
-                h: 2,
-            },
-            TopologySpec::Jellyfish {
-                switches: 10,
-                endpoint_ports: 2,
-                fabric_degree: 3,
-                seed: 1,
             },
         ];
         for s in &specs {

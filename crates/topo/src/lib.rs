@@ -21,10 +21,9 @@
 //! * [`connection`] — the four uplink-density connection rules of Figure 3
 //!   (u ∈ {1, 2, 4, 8} QFDBs per uplink).
 //!
-//! Extensions beyond the paper, clearly flagged in their module docs:
-//! [`Dragonfly`] and [`Jellyfish`] (comparators the paper only discusses in
-//! related work) and [`FaultOverlay`] (link failures, run-long or mid-run,
-//! with fault-tolerant rerouting, from the paper's future-work list). The
+//! One extension beyond the paper, flagged in its module doc:
+//! [`FaultOverlay`] (link failures, run-long or mid-run, with
+//! fault-tolerant rerouting, from the paper's future-work list). The
 //! overlay borrows a topology rather than wrapping it: every [`Topology`]
 //! is healthy, and its `route` is total.
 //!
@@ -42,20 +41,16 @@
 //! 131,072 QFDBs without a link in memory.
 
 pub mod connection;
-pub mod dragonfly;
 pub mod failures;
 pub mod ghc;
-pub mod jellyfish;
 pub mod kary_tree;
 pub mod mixed_radix;
 pub mod nested;
 pub mod torus;
 
 pub use connection::{ConnectionRule, UplinkMap};
-pub use dragonfly::Dragonfly;
 pub use failures::{failed_links_name, FaultOverlay, RouteError};
 pub use ghc::GeneralizedHypercube;
-pub use jellyfish::Jellyfish;
 pub use kary_tree::KAryTree;
 pub use mixed_radix::MixedRadix;
 pub use nested::{Nested, UpperTierKind};
@@ -76,7 +71,9 @@ pub const LINK_RATE_BPS: f64 = 10e9;
 /// * `distance(s, d)` equals the length of `route(s, d, ..)`,
 /// * routing is a pure function of `(s, d)`.
 ///
-/// These invariants are exercised by this crate's property tests.
+/// These invariants are exercised by this crate's property tests. Every
+/// generator answers [`Topology::distance`] and [`Topology::diameter_bound`]
+/// in closed form, so both are required methods.
 pub trait Topology: Send + Sync {
     /// Human-readable name, e.g. `NestGHC(t=2,u=4)`.
     fn name(&self) -> String;
@@ -98,15 +95,9 @@ pub trait Topology: Send + Sync {
     /// onto `path`. Appends nothing when `src == dst`.
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>);
 
-    /// Number of physical link hops of the deterministic route.
-    ///
-    /// The default computes the route; generators override this with an O(1)
-    /// closed form where one exists (all of them in this crate do).
-    fn distance(&self, src: NodeId, dst: NodeId) -> u32 {
-        let mut path = Vec::new();
-        self.route(src, dst, &mut path);
-        path.len() as u32
-    }
+    /// Number of physical link hops of the deterministic route, in closed
+    /// form: no route is computed and nothing is wired.
+    fn distance(&self, src: NodeId, dst: NodeId) -> u32;
 
     /// Route into a fresh vector (convenience wrapper).
     fn route_vec(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
@@ -117,15 +108,11 @@ pub trait Topology: Send + Sync {
 
     /// An inclusive upper bound on [`Topology::distance`] over all endpoint
     /// pairs, so histogram consumers can size buffers once instead of
-    /// growing them per pair.
-    ///
-    /// The default is the loop-free-walk bound (a route never revisits a
-    /// node, so it spans at most `num_nodes` links); generators override it
-    /// with the exact diameter where a closed form exists. The bound is for
-    /// the healthy network: a [`FaultOverlay`] detour may exceed it.
-    fn diameter_bound(&self) -> u32 {
-        self.network().num_nodes() as u32
-    }
+    /// growing them per pair: the exact diameter for [`Torus`], [`KAryTree`]
+    /// and [`GeneralizedHypercube`], a leg-by-leg sum for [`Nested`]. The
+    /// bound is for the healthy network: a [`FaultOverlay`] detour may
+    /// exceed it.
+    fn diameter_bound(&self) -> u32;
 
     /// Tally `distance(src, d)` for every endpoint `d != src` into
     /// `histogram`, which the caller pre-sizes to `diameter_bound() + 1`

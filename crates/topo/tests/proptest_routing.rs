@@ -6,8 +6,8 @@
 
 use exaflow_netgraph::{bfs_distances_physical, LinkId, Network, NodeId};
 use exaflow_topo::{
-    check_route, ConnectionRule, Dragonfly, GeneralizedHypercube, Jellyfish, KAryTree, Nested,
-    Topology, Torus, UpperTierKind,
+    check_route, ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Topology, Torus,
+    UpperTierKind,
 };
 use proptest::prelude::*;
 
@@ -79,21 +79,6 @@ fn nested_histogram_counts_what_the_pair_loop_tallies() {
                     assert_counts_what_the_pair_loop_tallies(&Nested::new(kind, count, t, rule));
                 }
             }
-        }
-    }
-}
-
-/// Exhaustively cover the jellyfish parameter space the property test
-/// samples from: every `(switches, graph_seed)` combination must yield a
-/// connected graph (construction panics otherwise), so the proptest below
-/// can never trip over an unlucky sample.
-#[test]
-fn jellyfish_proptest_space_is_constructible() {
-    for switches in 4u32..12 {
-        let fabric_degree = if switches % 2 == 0 { 3 } else { 4 };
-        for graph_seed in 0u64..16 {
-            let j = Jellyfish::new(switches, 1, fabric_degree, graph_seed);
-            check_route(&j, NodeId(0), NodeId(switches - 1)).unwrap();
         }
     }
 }
@@ -237,57 +222,6 @@ proptest! {
     }
 
     #[test]
-    fn dragonfly_routes_valid_and_within_diameter(
-        groups_frac in 1u64..100,
-        a in 2u32..5,
-        p in 1u32..4,
-        h in 1u32..4,
-        seed in any::<u64>(),
-    ) {
-        // Any group count from 2 up to the full a·h + 1.
-        let max_groups = (a * h + 1) as u64;
-        let groups = (2 + groups_frac * (max_groups - 2) / 100).min(max_groups) as u32;
-        let g = Dragonfly::new(groups, a, p, h);
-        let e = g.num_endpoints() as u64;
-        let s = NodeId((seed % e) as u32);
-        let d = NodeId(((seed >> 32) % e) as u32);
-        let len = check_route(&g, s, d).unwrap();
-        // Minimal dragonfly routing: injection + (local, global, local) +
-        // ejection — never more than five physical cables.
-        prop_assert!(len <= 5, "dragonfly route {s}->{d} takes {len} links");
-    }
-
-    #[test]
-    fn dragonfly_balanced_routes_valid(p in 1u32..4, seed in any::<u64>()) {
-        let g = Dragonfly::balanced(p);
-        let e = g.num_endpoints() as u64;
-        let s = NodeId((seed % e) as u32);
-        let d = NodeId(((seed >> 32) % e) as u32);
-        let len = check_route(&g, s, d).unwrap();
-        prop_assert!(len <= 5);
-    }
-
-    #[test]
-    fn jellyfish_routes_valid_and_minimal(
-        switches in 4u32..12,
-        endpoint_ports in 1u32..4,
-        graph_seed in 0u64..16,
-        seed in any::<u64>(),
-    ) {
-        // Keep switches * fabric_degree even so the regular graph exists.
-        let fabric_degree = if switches % 2 == 0 { 3 } else { 4 };
-        let j = Jellyfish::new(switches, endpoint_ports, fabric_degree, graph_seed);
-        let e = j.num_endpoints() as u64;
-        let s = NodeId((seed % e) as u32);
-        let d = NodeId(((seed >> 32) % e) as u32);
-        // check_route already asserts length == distance(); pin the other
-        // side of that equation to the graph-theoretic shortest path.
-        check_route(&j, s, d).unwrap();
-        let bfs = bfs_distances_physical(j.network(), s);
-        prop_assert_eq!(j.distance(s, d), bfs[d.0 as usize]);
-    }
-
-    #[test]
     fn nested_intra_subtorus_never_uses_switches(
         subtori in 1u64..6,
         u in prop::sample::select(vec![1u32, 2, 4, 8]),
@@ -339,8 +273,6 @@ fn diameter_bound_dominates_all_pairs() {
             )),
             false,
         ),
-        (Box::new(Dragonfly::new(3, 2, 2, 1)), false),
-        (Box::new(Jellyfish::new(6, 2, 3, 7)), false),
     ];
     for (topo, exact) in &topos {
         let n = topo.num_endpoints() as u32;

@@ -62,19 +62,14 @@ $TIMEOUT 300 ./target/release/exaflow run scripts/golden_run_config.json \
   | diff -u scripts/golden_run_expected.json - \
   || { echo "untraced 'exaflow run' output drifted from scripts/golden_run_expected.json"; exit 1; }
 
-# Both extension programs are deterministic: their stdout tables must match
-# the checked-in artefacts byte for byte (regenerate deliberately with
-# scripts/regen_failure_resilience.sh and `throughput --json
-# throughput_results.json > throughput_output.txt`).
-echo "== extension artefacts: failure-resilience and throughput tables are pinned"
+# The failure-resilience example is deterministic: its stdout table must
+# match the checked-in artefact byte for byte (regenerate deliberately with
+# scripts/regen_failure_resilience.sh).
+echo "== failure-resilience table is pinned"
 cargo build -q --release --example failure_resilience -p exaflow-suite
-cargo build -q --release -p exaflow-bench --bin throughput
 $TIMEOUT 300 ./target/release/examples/failure_resilience \
   | diff -u failure_resilience_output.txt - \
   || { echo "failure_resilience output drifted from failure_resilience_output.txt"; exit 1; }
-$TIMEOUT 300 ./target/release/throughput 2>/dev/null \
-  | diff -u throughput_output.txt - \
-  || { echo "throughput output drifted from throughput_output.txt"; exit 1; }
 
 # Hostile input: every file of a generated corpus, fed to every command
 # that reads JSON, must end in a typed error (exit 1-4) well inside a
@@ -99,6 +94,8 @@ write("bad/empty.json", "")
 write("bad/random.bin", random.Random(7).randbytes(4096))
 write("bad/negative_rate.json", config + ', "sim": {"injection_bps": -1.0, '
       '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "record_flow_times": false}}')
+write("bad/removed_family.json", config.replace('"torus", "dims": [4, 4]',
+      '"dragonfly", "groups": 5, "a": 2, "p": 1, "h": 2') + "}")
 PY
 EXAFLOW=./target/release/exaflow
 JOURNAL="$CORPUS/bad/journal.jsonl"
@@ -125,6 +122,10 @@ echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors onl
 err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/negative_rate.json" 2>&1 >/dev/null || true)"
 grep -q injection_bps <<<"$err" \
   || { echo "'exaflow run' on a negative injection rate does not name injection_bps: $err"; exit 1; }
+# A family outside the study fails to parse, and the error must name it.
+err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/removed_family.json" 2>&1 >/dev/null || true)"
+grep -q dragonfly <<<"$err" \
+  || { echo "'exaflow run' on a dragonfly config does not name dragonfly: $err"; exit 1; }
 
 echo "== paper-scale analyze: exact all-sources Table 1 (40 / 5.94, pinned (2,4) hybrid cells)"
 $TIMEOUT 300 ./target/release/exaflow analyze --scale 131072 --sources all --hybrids 2>/dev/null \
