@@ -17,9 +17,10 @@
 //!   [`distance_stats_exact`] at any thread count, and a stratified
 //!   deterministic source-sampling estimator that reports a standard error
 //!   and 95% confidence half-width alongside the point estimate.
-//! * [`physical_distance_sweep`] — the same harness over the frontier-
-//!   bitset BFS kernel, measuring physical shortest-path distances (a
-//!   lower bound certifying routing minimality where it matches).
+//! * [`physical_distance_sweep`] — the same harness over one breadth-first
+//!   search per source, measuring physical shortest-path distances (a
+//!   lower bound certifying routing minimality where it matches); a test
+//!   oracle, not a Table 1 path.
 
 pub mod distance;
 pub mod sweep;

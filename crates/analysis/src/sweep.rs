@@ -20,15 +20,16 @@
 //! yields a standard error ([`DistanceStats::stderr`]) and a 95%
 //! confidence half-width ([`DistanceStats::confidence_95`]).
 //!
-//! [`physical_distance_sweep`] applies the same parallel harness to the
-//! frontier-bitset BFS kernel ([`exaflow_netgraph::PhysCsr`]), measuring
-//! *physical shortest-path* distances instead of deterministic-route
-//! distances — the gap between the two is the routing-minimality cost of
-//! a topology's routing rule (zero for torus/fattree/GHC, nonzero for the
-//! nested hybrids whose intra-subtorus traffic must stay local).
+//! [`physical_distance_sweep`] applies the same parallel harness to a
+//! breadth-first search per source ([`exaflow_netgraph::BfsScratch`]),
+//! measuring *physical shortest-path* distances instead of
+//! deterministic-route distances — the gap between the two is the
+//! routing-minimality cost of a topology's routing rule (zero for
+//! torus/fattree/GHC, nonzero for the nested hybrids whose intra-subtorus
+//! traffic must stay local).
 
 use crate::distance::{sized_histogram, DistanceStats};
-use exaflow_netgraph::{BfsScratch, NodeId, PhysCsr};
+use exaflow_netgraph::{BfsScratch, NodeId};
 use exaflow_topo::Topology;
 use std::sync::Mutex;
 
@@ -183,31 +184,51 @@ pub fn distance_estimate(
     stats
 }
 
-/// Physical shortest-path statistics over `sources`, computed with the
-/// allocation-free frontier-bitset BFS kernel on `threads` threads. Each
-/// worker owns one [`BfsScratch`] reused across its whole chunk; no per-
-/// source allocation happens after warm-up.
+/// Physical shortest-path statistics over `sources`, computed with one
+/// physical-links-only BFS per source on `threads` threads. Each worker
+/// owns one [`BfsScratch`] reused across its whole chunk; no per-source
+/// allocation happens after warm-up.
 ///
 /// The metric is graph distance over physical links, a lower bound on the
 /// deterministic-route distance reported by [`distance_sweep`]; equality
-/// certifies that the routing rule is minimal.
+/// certifies that the routing rule is minimal. It is a test oracle: the
+/// link-walking BFS costs a pass over every link per source.
 pub fn physical_distance_sweep(
     topo: &dyn Topology,
     sources: &[NodeId],
     threads: usize,
 ) -> DistanceStats {
-    let csr = PhysCsr::new(topo.network());
+    let net = topo.network();
     let len = sized_histogram(topo).len();
     let sources: Vec<u32> = sources.iter().map(|n| n.0).collect();
     let scratches: Vec<Mutex<BfsScratch>> = (0..threads.max(1))
-        .map(|_| Mutex::new(BfsScratch::new(csr.num_nodes())))
+        .map(|_| Mutex::new(BfsScratch::new(net.num_nodes())))
         .collect();
     let (histogram, _) = parallel_tally(&sources, threads, len, |w, s, hist| {
-        let mut scratch = scratches[w].lock().unwrap();
-        scratch.endpoint_histogram(&csr, NodeId(s), hist)
+        let mut scratch = scratches[w]
+            .lock()
+            .expect("a sweep worker panicked holding its BFS scratch");
+        scratch.run(net, NodeId(s), true);
+        endpoint_histogram(&scratch.distances()[..net.num_endpoints()], s, hist)
     });
     let exact = sources.len() == topo.num_endpoints();
     DistanceStats::from_histogram(histogram, sources.len(), exact)
+}
+
+/// Tally the BFS distance of every endpoint but `src` into
+/// `histogram[d] += 1`, skipping unreachable ones (`u32::MAX`); `dist` is
+/// the endpoint prefix of a BFS distance table. Returns the number
+/// counted.
+fn endpoint_histogram(dist: &[u32], src: u32, histogram: &mut [u64]) -> u64 {
+    let mut counted = 0u64;
+    for (node, &d) in dist.iter().enumerate() {
+        if node as u32 == src || d == u32::MAX {
+            continue;
+        }
+        histogram[d as usize] += 1;
+        counted += 1;
+    }
+    counted
 }
 
 /// SplitMix64 mix function (Steele, Lea & Flood; public-domain constants).
@@ -355,6 +376,40 @@ mod tests {
         let routed = distance_stats_exact(&n);
         assert!(phys.average <= routed.average + 1e-12);
         assert!(phys.diameter <= routed.diameter);
+    }
+
+    #[test]
+    fn endpoint_histogram_counts_endpoints_only() {
+        let mut b = NetworkBuilder::new();
+        let e0 = b.add_endpoint();
+        let e1 = b.add_endpoint();
+        let s = b.add_switch();
+        b.add_duplex(e0, s, 1.0);
+        b.add_duplex(e1, s, 1.0);
+        let net = b.build();
+        let mut scratch = BfsScratch::new(net.num_nodes());
+        scratch.run(&net, e0, true);
+        let mut hist = vec![0u64; 4];
+        let counted =
+            endpoint_histogram(&scratch.distances()[..net.num_endpoints()], e0.0, &mut hist);
+        // Only e1 (2 hops via the switch) counts; the switch itself does not.
+        assert_eq!(counted, 1);
+        assert_eq!(hist, vec![0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn endpoint_histogram_skips_unreachable() {
+        let mut b = NetworkBuilder::new();
+        let e0 = b.add_endpoint();
+        b.add_endpoint();
+        let net = b.build();
+        let mut scratch = BfsScratch::new(net.num_nodes());
+        scratch.run(&net, e0, true);
+        let mut hist = vec![0u64; 1];
+        let counted =
+            endpoint_histogram(&scratch.distances()[..net.num_endpoints()], e0.0, &mut hist);
+        assert_eq!(counted, 0);
+        assert_eq!(hist, vec![0]);
     }
 
     #[test]

@@ -14,6 +14,10 @@ use exaflow::prelude::*;
 use exaflow::topo::ConnectionRule;
 
 fn main() {
+    if std::env::args().len() > 1 {
+        eprintln!("fig2 takes no options");
+        std::process::exit(2);
+    }
     std::fs::create_dir_all("figure2").expect("create figure2/");
 
     let panels: Vec<(&str, Box<dyn Topology>)> = vec![

@@ -5,6 +5,10 @@
 use exaflow::topo::{ConnectionRule, MixedRadix, UplinkMap};
 
 fn main() {
+    if std::env::args().len() > 1 {
+        eprintln!("fig3 takes no options");
+        std::process::exit(2);
+    }
     let shape = MixedRadix::new(&[2, 2, 2]);
     for rule in ConnectionRule::all() {
         let map = UplinkMap::new(&shape, rule);

@@ -14,6 +14,7 @@
 //! `table1`, `table2`, `fig4` and `fig5` accept `--scale <qfdbs>`
 //! (simulation scale for figures, analysis scale for tables), `--threads
 //! <n>` and `--json <path>` to additionally dump machine-readable results.
+//! `fig2` and `fig3` take no options and exit 2 when given any.
 
 use exaflow::prelude::*;
 use exaflow::presets;

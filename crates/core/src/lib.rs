@@ -17,8 +17,8 @@
 //! * [`exaflow_analysis`] — distance statistics,
 //!
 //! and adds declarative experiment configuration ([`ExperimentConfig`]),
-//! execution ([`run_experiment`]), normalisation helpers and the paper's
-//! preset experiment grids ([`presets`]).
+//! execution ([`run_experiment`]) and the paper's preset experiment grids
+//! ([`presets`]).
 //!
 //! ## Quick start
 //!
@@ -48,7 +48,6 @@ pub mod analyze;
 pub mod error;
 pub mod experiment;
 pub mod journal;
-pub mod normalize;
 pub mod presets;
 pub mod resilience;
 pub mod scale;
@@ -68,7 +67,6 @@ pub use experiment::{
 pub use journal::{
     fingerprint, fingerprint_value, read_journal, Journal, JournalEntry, JournalIndex,
 };
-pub use normalize::{normalize_to, NormalizedRow};
 pub use resilience::{
     run_resilience_campaign, CellReport, ResilienceCampaignReport, ResilienceCampaignSpec,
 };
@@ -122,5 +120,5 @@ pub mod prelude {
     pub use exaflow_topo::{
         ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Topology, Torus, UpperTierKind,
     };
-    pub use exaflow_workloads::{TaskMapping, Workload, WorkloadSpec};
+    pub use exaflow_workloads::{TaskMapping, WorkloadSpec};
 }

@@ -6,94 +6,12 @@
 use crate::ids::NodeId;
 use crate::network::Network;
 
-/// Physical-only adjacency of a [`Network`] as a flat u32 CSR: for each
-/// node, the ids of the nodes reachable over one *physical* link.
-///
-/// This strips the two indirections the hop-metric BFS does not need —
-/// link records (BFS cares about the far node, not the link) and virtual
-/// links (NIC serialisation links never count as hops) — so a sweep over
-/// many sources touches two dense `u32` arrays and nothing else. Parallel
-/// physical links collapse to one adjacency entry (BFS only asks about
-/// reachability in one hop).
-#[derive(Clone, Debug)]
-pub struct PhysCsr {
-    /// `num_nodes + 1` offsets into `targets`.
-    offsets: Vec<u32>,
-    /// Neighbor node ids, grouped by source node, destination-sorted.
-    targets: Vec<u32>,
-    num_endpoints: usize,
-}
-
-impl PhysCsr {
-    /// Extract the physical adjacency of `net`.
-    pub fn new(net: &Network) -> PhysCsr {
-        let nodes = net.num_nodes();
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        for node in net.node_ids() {
-            let mut prev = u32::MAX;
-            for &lid in net.out_links(node) {
-                let link = net.link(lid);
-                if link.is_virtual {
-                    continue;
-                }
-                // Adjacency groups are destination-sorted, so parallel
-                // links are adjacent; keep the first of each run.
-                if link.dst.0 != prev {
-                    targets.push(link.dst.0);
-                    prev = link.dst.0;
-                }
-            }
-            let end = u32::try_from(targets.len()).expect("physical adjacency exceeds u32 range");
-            offsets.push(end);
-        }
-        PhysCsr {
-            offsets,
-            targets,
-            num_endpoints: net.num_endpoints(),
-        }
-    }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of compute endpoints (node ids `0..num_endpoints`).
-    #[inline]
-    pub fn num_endpoints(&self) -> usize {
-        self.num_endpoints
-    }
-
-    /// Physical neighbor node ids of `node`.
-    #[inline]
-    pub fn neighbors(&self, node: u32) -> &[u32] {
-        let lo = self.offsets[node as usize] as usize;
-        let hi = self.offsets[node as usize + 1] as usize;
-        &self.targets[lo..hi]
-    }
-}
-
 /// Reusable scratch buffers for repeated BFS sweeps from different sources,
 /// avoiding per-call allocation (a Rust Performance Book staple).
-///
-/// Two kernels share the scratch: the link-walking [`run`](BfsScratch::run)
-/// over a [`Network`] (honours virtual links on demand), and the
-/// frontier-bitset [`run_csr`](BfsScratch::run_csr) over a [`PhysCsr`] —
-/// the paper-scale path, which keeps its frontiers as dense `u32` vectors
-/// and its visited set as a bitset so a 131 072-endpoint sweep stays
-/// allocation-free and cache-resident after the first source.
 #[derive(Debug, Default)]
 pub struct BfsScratch {
     dist: Vec<u32>,
     queue: Vec<NodeId>,
-    /// Current / next BFS frontier (node ids), for the CSR kernel.
-    frontier: Vec<u32>,
-    next: Vec<u32>,
-    /// Visited bitset, one bit per node, for the CSR kernel.
-    seen: Vec<u64>,
 }
 
 impl BfsScratch {
@@ -102,73 +20,12 @@ impl BfsScratch {
         Self {
             dist: vec![u32::MAX; nodes],
             queue: Vec::with_capacity(nodes),
-            frontier: Vec::with_capacity(nodes),
-            next: Vec::with_capacity(nodes),
-            seen: vec![0u64; nodes.div_ceil(64)],
         }
     }
 
     /// Distances computed by the most recent run; `u32::MAX` = unreachable.
     pub fn distances(&self) -> &[u32] {
         &self.dist
-    }
-
-    /// Run the frontier-bitset BFS from `src` over the physical CSR.
-    ///
-    /// Level-synchronous: the current frontier is a dense `u32` vector, the
-    /// visited set a bitset, so the inner loop is two array reads, a bit
-    /// test and (rarely) two writes per edge — no link records, no hash
-    /// sets, no allocation after the scratch is warm. Distances land in
-    /// [`distances`](BfsScratch::distances) (`u32::MAX` = unreachable).
-    pub fn run_csr(&mut self, csr: &PhysCsr, src: NodeId) {
-        assert_eq!(
-            self.dist.len(),
-            csr.num_nodes(),
-            "scratch sized for a different network"
-        );
-        self.dist.fill(u32::MAX);
-        self.seen.fill(0);
-        self.frontier.clear();
-        self.next.clear();
-        self.dist[src.index()] = 0;
-        self.seen[src.index() / 64] |= 1u64 << (src.index() % 64);
-        self.frontier.push(src.0);
-        let mut level = 0u32;
-        while !self.frontier.is_empty() {
-            level += 1;
-            self.next.clear();
-            for &u in &self.frontier {
-                for &v in csr.neighbors(u) {
-                    let (word, bit) = (v as usize / 64, 1u64 << (v as usize % 64));
-                    if self.seen[word] & bit == 0 {
-                        self.seen[word] |= bit;
-                        self.dist[v as usize] = level;
-                        self.next.push(v);
-                    }
-                }
-            }
-            std::mem::swap(&mut self.frontier, &mut self.next);
-        }
-    }
-
-    /// Per-source distance kernel: BFS from `src` and accumulate the hop
-    /// distance of every *other endpoint* into `histogram[d] += 1`, without
-    /// materialising any route. Unreachable endpoints are not counted.
-    ///
-    /// Returns the number of endpoints counted. Panics if an endpoint sits
-    /// farther than `histogram.len() - 1` hops — size the histogram from
-    /// the topology's diameter bound.
-    pub fn endpoint_histogram(&mut self, csr: &PhysCsr, src: NodeId, histogram: &mut [u64]) -> u64 {
-        self.run_csr(csr, src);
-        let mut counted = 0u64;
-        for (node, &d) in self.dist[..csr.num_endpoints()].iter().enumerate() {
-            if node as u32 == src.0 || d == u32::MAX {
-                continue;
-            }
-            histogram[d as usize] += 1;
-            counted += 1;
-        }
-        counted
     }
 
     /// Run BFS from `src`. If `physical_only`, virtual links are not
@@ -282,75 +139,5 @@ mod tests {
         let net = ring4();
         let mut s = BfsScratch::new(2);
         s.run(&net, NodeId(0), false);
-    }
-
-    #[test]
-    fn csr_bfs_matches_link_walking_bfs() {
-        // Endpoints + a switch + a virtual link + a parallel physical pair:
-        // every wrinkle the CSR must normalise away.
-        let mut b = NetworkBuilder::new();
-        let e0 = b.add_endpoint();
-        let e1 = b.add_endpoint();
-        let e2 = b.add_endpoint();
-        let s = b.add_switch();
-        b.add_duplex(e0, s, 1.0);
-        b.add_duplex(e1, s, 1.0);
-        b.add_link(e1, e2, 1.0);
-        b.add_link(e1, e2, 1.0); // parallel link
-        b.add_virtual_link(e0, e2, 1.0); // must not shortcut the hop metric
-        let net = b.build();
-        let csr = PhysCsr::new(&net);
-        assert_eq!(csr.num_nodes(), net.num_nodes());
-        assert_eq!(csr.num_endpoints(), net.num_endpoints());
-        // The parallel pair collapses to one adjacency entry.
-        assert_eq!(csr.neighbors(e1.0), &[e2.0, s.0]);
-        let mut scratch = BfsScratch::new(net.num_nodes());
-        for src in net.node_ids() {
-            let want = bfs_distances_physical(&net, src);
-            scratch.run_csr(&csr, src);
-            assert_eq!(scratch.distances(), &want[..], "src {src}");
-        }
-    }
-
-    #[test]
-    fn csr_bfs_on_ring_and_scratch_reuse() {
-        let net = ring4();
-        let csr = PhysCsr::new(&net);
-        let mut s = BfsScratch::new(net.num_nodes());
-        s.run_csr(&csr, NodeId(0));
-        assert_eq!(s.distances(), &[0, 1, 2, 3]);
-        s.run_csr(&csr, NodeId(3));
-        assert_eq!(s.distances(), &[1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn endpoint_histogram_counts_endpoints_only() {
-        let mut b = NetworkBuilder::new();
-        let e0 = b.add_endpoint();
-        let e1 = b.add_endpoint();
-        let s = b.add_switch();
-        b.add_duplex(e0, s, 1.0);
-        b.add_duplex(e1, s, 1.0);
-        let net = b.build();
-        let csr = PhysCsr::new(&net);
-        let mut scratch = BfsScratch::new(net.num_nodes());
-        let mut hist = vec![0u64; 4];
-        let counted = scratch.endpoint_histogram(&csr, e0, &mut hist);
-        // Only e1 (2 hops via the switch) counts; the switch itself does not.
-        assert_eq!(counted, 1);
-        assert_eq!(hist, vec![0, 0, 1, 0]);
-    }
-
-    #[test]
-    fn endpoint_histogram_skips_unreachable() {
-        let mut b = NetworkBuilder::new();
-        let e0 = b.add_endpoint();
-        b.add_endpoint();
-        let net = b.build();
-        let csr = PhysCsr::new(&net);
-        let mut scratch = BfsScratch::new(net.num_nodes());
-        let mut hist = vec![0u64; 1];
-        assert_eq!(scratch.endpoint_histogram(&csr, e0, &mut hist), 0);
-        assert_eq!(hist, vec![0]);
     }
 }

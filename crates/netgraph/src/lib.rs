@@ -30,7 +30,7 @@ pub mod network;
 pub mod path;
 pub mod stats;
 
-pub use bfs::{bfs_distances, bfs_distances_physical, BfsScratch, PhysCsr};
+pub use bfs::{bfs_distances, bfs_distances_physical, BfsScratch};
 pub use builder::NetworkBuilder;
 pub use dot::DotOptions;
 pub use hash::{IntHasher, IntMap};

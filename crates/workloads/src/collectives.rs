@@ -2,112 +2,63 @@
 //! AllReduce.
 
 use crate::mapping::TaskMapping;
-use crate::Workload;
 use exaflow_sim::{FlowDag, FlowDagBuilder, FlowId};
 
-/// Non-optimised N-to-1 Reduce: every task sends its contribution straight
-/// to the root task.
-///
-/// The paper uses this deliberately pathological pattern to study hot-spot
-/// behaviour: all flows converge on the root's consumption port, which
-/// serialises delivery and makes the result topology-insensitive.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Reduce {
-    /// Number of participating tasks (root included).
-    pub tasks: usize,
-    /// Contribution size per task, bytes.
-    pub bytes: u64,
+/// [`WorkloadSpec::Reduce`](crate::WorkloadSpec::Reduce): every task
+/// sends its `bytes` straight to the root task.
+pub(crate) fn reduce(tasks: usize, bytes: u64, mapping: &TaskMapping) -> FlowDag {
+    assert!(mapping.len() >= tasks);
+    let root = mapping.node_of(0);
+    let mut b = FlowDagBuilder::with_capacity(tasks - 1, 0);
+    for t in 1..tasks {
+        b.add_flow(mapping.node_of(t), root, bytes, &[]);
+    }
+    b.build()
 }
 
-impl Workload for Reduce {
-    fn name(&self) -> &'static str {
-        "Reduce"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(mapping.len() >= self.tasks);
-        let root = mapping.node_of(0);
-        let mut b = FlowDagBuilder::with_capacity(self.tasks - 1, 0);
-        for t in 1..self.tasks {
-            b.add_flow(mapping.node_of(t), root, self.bytes, &[]);
-        }
-        b.build()
-    }
-}
-
-/// Optimised AllReduce: recursive doubling, `log2(tasks)` rounds
-/// (Thakur & Gropp). Requires a power-of-two task count.
+/// [`WorkloadSpec::AllReduce`](crate::WorkloadSpec::AllReduce): recursive
+/// doubling over `log2(tasks)` rounds.
 ///
 /// In round `r`, task `i` exchanges `bytes` with partner `i XOR 2^r`; a
 /// task's round-`r` exchange starts only after its round-`r−1` send *and*
 /// receive have completed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct AllReduce {
-    /// Number of tasks; must be a power of two >= 2.
-    pub tasks: usize,
-    /// Exchange size per round, bytes.
-    pub bytes: u64,
-}
-
-impl Workload for AllReduce {
-    fn name(&self) -> &'static str {
-        "AllReduce"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(
-            self.tasks.is_power_of_two() && self.tasks >= 2,
-            "AllReduce requires a power-of-two task count, got {}",
-            self.tasks
-        );
-        assert!(mapping.len() >= self.tasks);
-        let rounds = self.tasks.trailing_zeros();
-        let mut b = FlowDagBuilder::with_capacity(
-            self.tasks * rounds as usize,
-            2 * self.tasks * rounds as usize,
-        );
-        // send[i] / recv[i]: previous round's flows touching task i.
-        let mut send: Vec<Option<FlowId>> = vec![None; self.tasks];
-        let mut recv: Vec<Option<FlowId>> = vec![None; self.tasks];
-        for r in 0..rounds {
-            let mut new_send = vec![None; self.tasks];
-            for i in 0..self.tasks {
-                let partner = i ^ (1 << r);
-                let mut deps = Vec::with_capacity(2);
-                if let Some(s) = send[i] {
-                    deps.push(s);
-                }
-                if let Some(rcv) = recv[i] {
-                    deps.push(rcv);
-                }
-                let f = b.add_flow(
-                    mapping.node_of(i),
-                    mapping.node_of(partner),
-                    self.bytes,
-                    &deps,
-                );
-                new_send[i] = Some(f);
+pub(crate) fn all_reduce(tasks: usize, bytes: u64, mapping: &TaskMapping) -> FlowDag {
+    assert!(
+        tasks.is_power_of_two() && tasks >= 2,
+        "AllReduce requires a power-of-two task count, got {tasks}"
+    );
+    assert!(mapping.len() >= tasks);
+    let rounds = tasks.trailing_zeros();
+    let mut b = FlowDagBuilder::with_capacity(tasks * rounds as usize, 2 * tasks * rounds as usize);
+    // send[i] / recv[i]: previous round's flows touching task i.
+    let mut send: Vec<Option<FlowId>> = vec![None; tasks];
+    let mut recv: Vec<Option<FlowId>> = vec![None; tasks];
+    for r in 0..rounds {
+        let mut new_send = vec![None; tasks];
+        for i in 0..tasks {
+            let partner = i ^ (1 << r);
+            let mut deps = Vec::with_capacity(2);
+            if let Some(s) = send[i] {
+                deps.push(s);
             }
-            // The flow i received in this round is partner's send.
-            let new_recv: Vec<_> = (0..self.tasks).map(|i| new_send[i ^ (1 << r)]).collect();
-            send = new_send;
-            recv = new_recv;
+            if let Some(rcv) = recv[i] {
+                deps.push(rcv);
+            }
+            let f = b.add_flow(mapping.node_of(i), mapping.node_of(partner), bytes, &deps);
+            new_send[i] = Some(f);
         }
-        b.build()
+        // The flow i received in this round is partner's send.
+        let new_recv: Vec<_> = (0..tasks).map(|i| new_send[i ^ (1 << r)]).collect();
+        send = new_send;
+        recv = new_recv;
     }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadSpec;
     use exaflow_sim::FlowId;
 
     fn map(n: usize) -> TaskMapping {
@@ -116,7 +67,7 @@ mod tests {
 
     #[test]
     fn reduce_shape() {
-        let w = Reduce {
+        let w = WorkloadSpec::Reduce {
             tasks: 8,
             bytes: 100,
         };
@@ -132,7 +83,7 @@ mod tests {
 
     #[test]
     fn allreduce_shape() {
-        let w = AllReduce {
+        let w = WorkloadSpec::AllReduce {
             tasks: 8,
             bytes: 64,
         };
@@ -149,7 +100,7 @@ mod tests {
 
     #[test]
     fn allreduce_partners_are_xor() {
-        let w = AllReduce { tasks: 4, bytes: 1 };
+        let w = WorkloadSpec::AllReduce { tasks: 4, bytes: 1 };
         let dag = w.generate(&map(4));
         // Round 0: partners differ in bit 0.
         for f in &dag.flows()[0..4] {
@@ -164,13 +115,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn allreduce_rejects_non_pow2() {
-        AllReduce { tasks: 6, bytes: 1 }.generate(&map(6));
+        WorkloadSpec::AllReduce { tasks: 6, bytes: 1 }.generate(&map(6));
     }
 
     #[test]
     fn respects_mapping() {
         let mapping = TaskMapping::strided(4, 16, 4);
-        let dag = Reduce { tasks: 4, bytes: 1 }.generate(&mapping);
+        let dag = WorkloadSpec::Reduce { tasks: 4, bytes: 1 }.generate(&mapping);
         for f in dag.flows() {
             assert_eq!(f.dst, 0);
             assert!(f.src % 4 == 0);

@@ -18,9 +18,11 @@ impl Grid3 {
         Grid3 { gx, gy, gz }
     }
 
-    /// A near-cubic grid with at least... exactly `n` tasks when `n` has a
-    /// suitable factorisation: chooses `gx >= gy >= gz` with `gx*gy*gz <= n`
-    /// as close to the cube root as possible (never exceeds `n` tasks).
+    /// A near-cubic grid with exactly `n` tasks when `n` has a suitable
+    /// factorisation: chooses `gx >= gy >= gz` with `gx*gy*gz <= n` as
+    /// close to the cube root as possible (never exceeds `n` tasks). Only
+    /// the tests size grids this way.
+    #[cfg(test)]
     pub fn fitting(n: usize) -> Self {
         assert!(n >= 1);
         let c = (n as f64).cbrt().floor() as u32;
@@ -35,11 +37,6 @@ impl Grid3 {
     /// Total number of tasks.
     pub fn len(&self) -> usize {
         (self.gx * self.gy * self.gz) as usize
-    }
-
-    /// Whether the grid is empty (never true).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Task id of `(x, y, z)`.

@@ -1,21 +1,22 @@
 //! Application-inspired workload generators.
 //!
-//! Every workload of the paper's §4.1, generated as a causal [`FlowDag`]
-//! over *tasks* which a [`TaskMapping`] places onto topology endpoints:
+//! Every workload of the paper's §4.1 is a [`WorkloadSpec`] variant, which
+//! generates a causal [`FlowDag`](exaflow_sim::FlowDag) over *tasks* that
+//! a [`TaskMapping`] places onto topology endpoints:
 //!
-//! | paper name        | type                       | pressure |
-//! |-------------------|----------------------------|----------|
-//! | Reduce            | [`Reduce`]                 | light    |
-//! | AllReduce         | [`AllReduce`]              | heavy    |
-//! | MapReduce         | [`MapReduce`]              | light    |
-//! | Sweep3D           | [`Sweep3d`]                | light    |
-//! | Flood             | [`Flood`]                  | light    |
-//! | Near Neighbors    | [`NearNeighbors`]          | heavy    |
-//! | n-Bodies          | [`NBodies`]                | heavy    |
-//! | UnstructuredApp   | [`UnstructuredApp`]        | heavy    |
-//! | UnstructuredMgnt  | [`UnstructuredMgnt`]       | light    |
-//! | UnstructuredHR    | [`UnstructuredHotRegion`]  | heavy    |
-//! | Bisection         | [`Bisection`]              | heavy    |
+//! | paper name        | [`WorkloadSpec`] variant | pressure |
+//! |-------------------|--------------------------|----------|
+//! | Reduce            | `Reduce`                 | light    |
+//! | AllReduce         | `AllReduce`              | heavy    |
+//! | MapReduce         | `MapReduce`              | light    |
+//! | Sweep3D           | `Sweep3d`                | light    |
+//! | Flood             | `Flood`                  | light    |
+//! | Near Neighbors    | `NearNeighbors`          | heavy    |
+//! | n-Bodies          | `NBodies`                | heavy    |
+//! | UnstructuredApp   | `UnstructuredApp`        | heavy    |
+//! | UnstructuredMgnt  | `UnstructuredMgnt`       | light    |
+//! | UnstructuredHR    | `UnstructuredHr`         | heavy    |
+//! | Bisection         | `Bisection`              | heavy    |
 //!
 //! The heavy/light split above mirrors the paper's Figure 4 / Figure 5
 //! grouping ("heavy" = long periods of congestion with a large proportion of
@@ -30,36 +31,14 @@
 //! All randomised workloads take an explicit seed and are fully
 //! reproducible.
 
-pub mod collectives;
-pub mod grid;
-pub mod mapping;
-pub mod mapreduce;
-pub mod nbodies;
-pub mod spec;
-pub mod sweep;
-pub mod unstructured;
+mod collectives;
+mod grid;
+mod mapping;
+mod mapreduce;
+mod nbodies;
+mod spec;
+mod sweep;
+mod unstructured;
 
-pub use collectives::{AllReduce, Reduce};
-pub use grid::Grid3;
 pub use mapping::TaskMapping;
-pub use mapreduce::MapReduce;
-pub use nbodies::NBodies;
 pub use spec::WorkloadSpec;
-pub use sweep::{Flood, NearNeighbors, Sweep3d};
-pub use unstructured::{Bisection, UnstructuredApp, UnstructuredHotRegion, UnstructuredMgnt};
-
-use exaflow_sim::FlowDag;
-
-/// A workload generator: produces the flow DAG for a given task placement.
-pub trait Workload {
-    /// Paper name of the workload.
-    fn name(&self) -> &'static str;
-
-    /// Number of tasks the workload spans.
-    fn num_tasks(&self) -> usize;
-
-    /// Generate the flow DAG with tasks placed by `mapping`.
-    ///
-    /// Panics if `mapping` has fewer slots than [`Workload::num_tasks`].
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag;
-}

@@ -50,15 +50,6 @@ impl TaskMapping {
         TaskMapping { table: all }
     }
 
-    /// Build from an explicit table (must be collision-free).
-    pub fn from_table(table: Vec<u32>) -> Self {
-        let mut seen = std::collections::HashSet::with_capacity(table.len());
-        for &e in &table {
-            assert!(seen.insert(e), "endpoint {e} assigned to two tasks");
-        }
-        TaskMapping { table }
-    }
-
     /// Number of mapped tasks.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -118,12 +109,6 @@ mod tests {
     #[should_panic(expected = "tasks > ")]
     fn too_many_tasks_panics() {
         TaskMapping::linear(9, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "assigned to two tasks")]
-    fn collision_detected() {
-        TaskMapping::from_table(vec![1, 2, 1]);
     }
 
     #[test]

@@ -1,83 +1,68 @@
 //! MapReduce: distribute → map+shuffle → gather (Dean & Ghemawat).
 
 use crate::mapping::TaskMapping;
-use crate::Workload;
 use exaflow_sim::{FlowDag, FlowDagBuilder, FlowId};
 
-/// The paper's MapReduce model: a root task partitions and distributes the
-/// input; workers map and shuffle all-to-all; results return to the root.
+/// [`WorkloadSpec::MapReduce`](crate::WorkloadSpec::MapReduce): task 0
+/// distributes, every task shuffles all-to-all, and the workers gather
+/// their results back to task 0.
 ///
 /// Each worker's shuffle messages are serialised (one NIC per node), with
 /// destinations visited in rotated order `i+1, i+2, …` so the all-to-all
 /// advances as disjoint rounds rather than N² simultaneous flows.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MapReduce {
-    /// Number of tasks (task 0 is the root and also a worker).
-    pub tasks: usize,
-    /// Bytes of input partition sent root → worker.
-    pub distribute_bytes: u64,
-    /// Bytes of each worker-to-worker shuffle message.
-    pub shuffle_bytes: u64,
-    /// Bytes of each worker's result sent back to the root.
-    pub gather_bytes: u64,
-}
+pub(crate) fn map_reduce(
+    tasks: usize,
+    distribute_bytes: u64,
+    shuffle_bytes: u64,
+    gather_bytes: u64,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    let n = tasks;
+    assert!(n >= 2, "MapReduce needs at least two tasks");
+    assert!(mapping.len() >= n);
+    let root = mapping.node_of(0);
+    let mut b = FlowDagBuilder::with_capacity(n * (n + 1), 2 * n * n);
 
-impl Workload for MapReduce {
-    fn name(&self) -> &'static str {
-        "MapReduce"
+    // Phase 1: distribute. Root sends partition to every worker.
+    let mut distribute: Vec<Option<FlowId>> = vec![None; n];
+    for (t, slot) in distribute.iter_mut().enumerate().skip(1) {
+        *slot = Some(b.add_flow(root, mapping.node_of(t), distribute_bytes, &[]));
     }
 
-    fn num_tasks(&self) -> usize {
-        self.tasks
+    // Phase 2: shuffle. Worker i sends to every j != i, serialised per
+    // sender, first message gated on its distribute receive.
+    // shuffle_in[j] collects the flows arriving at j.
+    let mut shuffle_in: Vec<Vec<FlowId>> = vec![Vec::with_capacity(n - 1); n];
+    let mut last_send: Vec<Option<FlowId>> = distribute.clone();
+    for step in 1..n {
+        for (i, last) in last_send.iter_mut().enumerate() {
+            let j = (i + step) % n;
+            let f = b.add_flow(
+                mapping.node_of(i),
+                mapping.node_of(j),
+                shuffle_bytes,
+                last.as_slice(),
+            );
+            *last = Some(f);
+            shuffle_in[j].push(f);
+        }
     }
 
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        let n = self.tasks;
-        assert!(n >= 2, "MapReduce needs at least two tasks");
-        assert!(mapping.len() >= n);
-        let root = mapping.node_of(0);
-        let mut b = FlowDagBuilder::with_capacity(n * (n + 1), 2 * n * n);
-
-        // Phase 1: distribute. Root sends partition to every worker.
-        let mut distribute: Vec<Option<FlowId>> = vec![None; n];
-        for (t, slot) in distribute.iter_mut().enumerate().skip(1) {
-            *slot = Some(b.add_flow(root, mapping.node_of(t), self.distribute_bytes, &[]));
-        }
-
-        // Phase 2: shuffle. Worker i sends to every j != i, serialised per
-        // sender, first message gated on its distribute receive.
-        // shuffle_in[j] collects the flows arriving at j.
-        let mut shuffle_in: Vec<Vec<FlowId>> = vec![Vec::with_capacity(n - 1); n];
-        let mut last_send: Vec<Option<FlowId>> = distribute.clone();
-        for step in 1..n {
-            for (i, last) in last_send.iter_mut().enumerate() {
-                let j = (i + step) % n;
-                let f = b.add_flow(
-                    mapping.node_of(i),
-                    mapping.node_of(j),
-                    self.shuffle_bytes,
-                    last.as_slice(),
-                );
-                *last = Some(f);
-                shuffle_in[j].push(f);
-            }
-        }
-
-        // Phase 3: gather. Worker j reduces what it received and reports to
-        // the root; gated on all shuffle flows into j.
-        for (j, inflows) in shuffle_in.iter().enumerate().skip(1) {
-            b.add_flow(mapping.node_of(j), root, self.gather_bytes, inflows);
-        }
-        b.build()
+    // Phase 3: gather. Worker j reduces what it received and reports to
+    // the root; gated on all shuffle flows into j.
+    for (j, inflows) in shuffle_in.iter().enumerate().skip(1) {
+        b.add_flow(mapping.node_of(j), root, gather_bytes, inflows);
     }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadSpec;
 
     fn gen(n: usize) -> FlowDag {
-        MapReduce {
+        WorkloadSpec::MapReduce {
             tasks: n,
             distribute_bytes: 1000,
             shuffle_bytes: 100,

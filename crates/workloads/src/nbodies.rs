@@ -1,70 +1,50 @@
 //! n-Bodies: ring-based force exchange.
 
 use crate::mapping::TaskMapping;
-use crate::Workload;
 use exaflow_sim::{FlowDag, FlowDagBuilder};
 
-/// The paper's n-Bodies model: tasks sit on a virtual ring; every task
-/// starts a chain of messages that travels clockwise across half the ring
-/// (each body's state visits the `tasks/2` following tasks, accumulating
-/// pairwise interactions).
+/// [`WorkloadSpec::NBodies`](crate::WorkloadSpec::NBodies): every task
+/// starts a chain of `tasks / 2` clockwise hops around the ring.
 ///
 /// All `tasks` chains run concurrently; within a chain, hop `s+1` starts
 /// when hop `s` completes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct NBodies {
-    /// Number of tasks on the ring.
-    pub tasks: usize,
-    /// Bytes per chain hop.
-    pub bytes: u64,
-}
-
-impl Workload for NBodies {
-    fn name(&self) -> &'static str {
-        "n-Bodies"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(self.tasks >= 2, "n-Bodies needs at least two tasks");
-        assert!(mapping.len() >= self.tasks);
-        let n = self.tasks;
-        let hops = n / 2;
-        let mut b = FlowDagBuilder::with_capacity(n * hops, n * hops);
-        for start in 0..n {
-            let mut prev = None;
-            for s in 0..hops {
-                let from = (start + s) % n;
-                let to = (start + s + 1) % n;
-                prev = Some(b.add_flow(
-                    mapping.node_of(from),
-                    mapping.node_of(to),
-                    self.bytes,
-                    prev.as_slice(),
-                ));
-            }
+pub(crate) fn n_bodies(tasks: usize, bytes: u64, mapping: &TaskMapping) -> FlowDag {
+    assert!(tasks >= 2, "n-Bodies needs at least two tasks");
+    assert!(mapping.len() >= tasks);
+    let n = tasks;
+    let hops = n / 2;
+    let mut b = FlowDagBuilder::with_capacity(n * hops, n * hops);
+    for start in 0..n {
+        let mut prev = None;
+        for s in 0..hops {
+            let from = (start + s) % n;
+            let to = (start + s + 1) % n;
+            prev = Some(b.add_flow(
+                mapping.node_of(from),
+                mapping.node_of(to),
+                bytes,
+                prev.as_slice(),
+            ));
         }
-        b.build()
     }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadSpec;
     use exaflow_sim::FlowId;
 
     #[test]
     fn flow_count() {
-        let dag = NBodies { tasks: 8, bytes: 1 }.generate(&TaskMapping::linear(8, 8));
+        let dag = WorkloadSpec::NBodies { tasks: 8, bytes: 1 }.generate(&TaskMapping::linear(8, 8));
         assert_eq!(dag.len(), 8 * 4);
     }
 
     #[test]
     fn chains_are_serial() {
-        let dag = NBodies { tasks: 6, bytes: 1 }.generate(&TaskMapping::linear(6, 6));
+        let dag = WorkloadSpec::NBodies { tasks: 6, bytes: 1 }.generate(&TaskMapping::linear(6, 6));
         // Each chain of 3 hops: hop 0 no deps, hops 1..: one dep each.
         for c in 0..6u32 {
             let base = c * 3;
@@ -89,7 +69,7 @@ mod tests {
                 prev = Some(b.add_flow(mapping.node_of(from), mapping.node_of(to), bytes, &deps));
             }
         }
-        let dag = NBodies { tasks: n, bytes }.generate(&mapping);
+        let dag = WorkloadSpec::NBodies { tasks: n, bytes }.generate(&mapping);
         assert_eq!(
             serde_json::to_string(&dag).unwrap(),
             serde_json::to_string(&b.build()).unwrap()
@@ -98,7 +78,7 @@ mod tests {
 
     #[test]
     fn hops_go_clockwise() {
-        let dag = NBodies { tasks: 4, bytes: 1 }.generate(&TaskMapping::linear(4, 4));
+        let dag = WorkloadSpec::NBodies { tasks: 4, bytes: 1 }.generate(&TaskMapping::linear(4, 4));
         for f in dag.flows() {
             assert_eq!((f.src + 1) % 4, f.dst);
         }
@@ -107,6 +87,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two")]
     fn one_task_rejected() {
-        NBodies { tasks: 1, bytes: 1 }.generate(&TaskMapping::linear(1, 1));
+        WorkloadSpec::NBodies { tasks: 1, bytes: 1 }.generate(&TaskMapping::linear(1, 1));
     }
 }

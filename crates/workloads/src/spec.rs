@@ -1,43 +1,53 @@
-//! A serialisable, dynamic workload description.
+//! A serialisable workload description that is also the generator.
 //!
-//! [`WorkloadSpec`] is the configuration-facing union of every generator in
-//! this crate; the facade crate's experiment configs and the CLI use it to
-//! describe runs declaratively (JSON).
+//! [`WorkloadSpec`] is the union of every workload of the paper; the
+//! facade crate's experiment configs and the CLI use it to describe runs
+//! declaratively (JSON), and [`WorkloadSpec::generate`] turns one into a
+//! flow DAG.
 
-use crate::collectives::{AllReduce, Reduce};
-use crate::grid::Grid3;
 use crate::mapping::TaskMapping;
-use crate::mapreduce::MapReduce;
-use crate::nbodies::NBodies;
-use crate::sweep::{Flood, NearNeighbors, Sweep3d};
-use crate::unstructured::{Bisection, UnstructuredApp, UnstructuredHotRegion, UnstructuredMgnt};
-use crate::Workload;
+use crate::{collectives, mapreduce, nbodies, sweep, unstructured};
 use exaflow_sim::FlowDag;
 use serde::{Deserialize, Serialize};
 
 /// Every workload of the paper, as tagged configuration data.
+///
+/// Grid workloads place task `x + gx*(y + gy*z)` at `(x, y, z)`; random
+/// ones are deterministic in `seed`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "workload", rename_all = "snake_case")]
 pub enum WorkloadSpec {
-    /// Non-optimised N-to-1 reduce.
+    /// Non-optimised N-to-1 reduce: every task sends `bytes` straight to
+    /// task 0. The paper uses this deliberately pathological pattern to
+    /// study hot-spot behaviour: all flows converge on the root's
+    /// consumption port, which serialises delivery and makes the result
+    /// topology-insensitive.
     Reduce { tasks: usize, bytes: u64 },
-    /// Logarithmic (recursive-doubling) allreduce.
+    /// Logarithmic allreduce by recursive doubling (Thakur & Gropp):
+    /// `log2(tasks)` rounds of `bytes` exchanges; `tasks` must be a power
+    /// of two.
     AllReduce { tasks: usize, bytes: u64 },
-    /// Distribute / shuffle / gather.
+    /// Distribute / shuffle / gather (Dean & Ghemawat): task 0 (also a
+    /// worker) sends each worker its input partition, the workers shuffle
+    /// all-to-all, and each reports its result back to task 0.
     MapReduce {
         tasks: usize,
         distribute_bytes: u64,
         shuffle_bytes: u64,
         gather_bytes: u64,
     },
-    /// Single diagonal wavefront over a 3-D task grid.
+    /// Sweep3D: a single diagonal wavefront of the deterministic
+    /// particle-transport kernel over a `gx × gy × gz` task grid, `bytes`
+    /// along each grid edge.
     Sweep3d {
         gx: u32,
         gy: u32,
         gz: u32,
         bytes: u64,
     },
-    /// Pipelined wavefronts from one corner.
+    /// Like Sweep3D, but the corner task emits `waves` successive
+    /// wavefronts that pipeline through the grid, exerting much heavier
+    /// pressure (paper §4.1).
     Flood {
         gx: u32,
         gy: u32,
@@ -45,7 +55,8 @@ pub enum WorkloadSpec {
         bytes: u64,
         waves: u32,
     },
-    /// 6-point stencil exchange.
+    /// The 6-point stencil exchange of LAMMPS/RegCM-style codes, for
+    /// `iterations` rounds, over a periodic (torus-like) or open grid.
     NearNeighbors {
         gx: u32,
         gy: u32,
@@ -54,22 +65,32 @@ pub enum WorkloadSpec {
         iterations: u32,
         periodic: bool,
     },
-    /// Ring half-circumference chains.
+    /// Ring force exchange: each body's state visits the `tasks / 2`
+    /// following tasks clockwise, accumulating pairwise interactions.
     NBodies { tasks: usize, bytes: u64 },
-    /// Uniform random fixed-size messages.
+    /// Fixed `bytes` messages between uniformly random task pairs: an
+    /// unstructured application whose data is partitioned evenly.
     UnstructuredApp {
         tasks: usize,
         flows_per_task: usize,
         bytes: u64,
         seed: u64,
     },
-    /// Kandula-style management traffic mixture.
+    /// Management traffic of large datacentres, sized after Kandula et
+    /// al. (IMC'09): mostly mice of a few KB with a heavy elephant tail.
+    ///
+    /// **Substitution note (DESIGN.md §5):** the original trace is
+    /// private; we reproduce the published summary statistics with a
+    /// three-component log-uniform mixture — 80% mice (100 B – 10 KB),
+    /// 15% medium (10 KB – 1 MB), 5% elephants (1 MB – 50 MB).
     UnstructuredMgnt {
         tasks: usize,
         flows_per_task: usize,
         seed: u64,
     },
-    /// Random traffic with a hot destination region.
+    /// Like UnstructuredApp, but a message targets the hot tasks (a
+    /// `hot_fraction` of them, which the paper does not specify; the
+    /// presets use 1/8) with probability `hot_probability`.
     UnstructuredHr {
         tasks: usize,
         flows_per_task: usize,
@@ -78,7 +99,9 @@ pub enum WorkloadSpec {
         hot_probability: f64,
         seed: u64,
     },
-    /// Random pairwise exchange, re-paired every round.
+    /// Random pairwise exchange of `bytes` each way, re-paired under a
+    /// fresh random perfect matching every round; it stresses the
+    /// network's bisection bandwidth. `tasks` must be even.
     Bisection {
         tasks: usize,
         rounds: u32,
@@ -176,19 +199,116 @@ impl WorkloadSpec {
         }
     }
 
-    /// Instantiate the generator and produce the DAG.
+    /// Generate the flow DAG with tasks placed by `mapping`.
+    ///
+    /// Panics if `mapping` has fewer slots than
+    /// [`num_tasks`](Self::num_tasks), or where [`validate`](Self::validate)
+    /// would fail.
     pub fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        self.as_workload().generate(mapping)
+        match *self {
+            WorkloadSpec::Reduce { tasks, bytes } => collectives::reduce(tasks, bytes, mapping),
+            WorkloadSpec::AllReduce { tasks, bytes } => {
+                collectives::all_reduce(tasks, bytes, mapping)
+            }
+            WorkloadSpec::MapReduce {
+                tasks,
+                distribute_bytes,
+                shuffle_bytes,
+                gather_bytes,
+            } => mapreduce::map_reduce(
+                tasks,
+                distribute_bytes,
+                shuffle_bytes,
+                gather_bytes,
+                mapping,
+            ),
+            WorkloadSpec::Sweep3d { gx, gy, gz, bytes } => {
+                sweep::sweep3d(gx, gy, gz, bytes, mapping)
+            }
+            WorkloadSpec::Flood {
+                gx,
+                gy,
+                gz,
+                bytes,
+                waves,
+            } => sweep::flood(gx, gy, gz, bytes, waves, mapping),
+            WorkloadSpec::NearNeighbors {
+                gx,
+                gy,
+                gz,
+                bytes,
+                iterations,
+                periodic,
+            } => sweep::near_neighbors(gx, gy, gz, bytes, iterations, periodic, mapping),
+            WorkloadSpec::NBodies { tasks, bytes } => nbodies::n_bodies(tasks, bytes, mapping),
+            WorkloadSpec::UnstructuredApp {
+                tasks,
+                flows_per_task,
+                bytes,
+                seed,
+            } => unstructured::app(tasks, flows_per_task, bytes, seed, mapping),
+            WorkloadSpec::UnstructuredMgnt {
+                tasks,
+                flows_per_task,
+                seed,
+            } => unstructured::mgnt(tasks, flows_per_task, seed, mapping),
+            WorkloadSpec::UnstructuredHr {
+                tasks,
+                flows_per_task,
+                bytes,
+                hot_fraction,
+                hot_probability,
+                seed,
+            } => unstructured::hot_region(
+                tasks,
+                flows_per_task,
+                bytes,
+                hot_fraction,
+                hot_probability,
+                seed,
+                mapping,
+            ),
+            WorkloadSpec::Bisection {
+                tasks,
+                rounds,
+                bytes,
+                seed,
+            } => unstructured::bisection(tasks, rounds, bytes, seed, mapping),
+        }
     }
 
-    /// Paper name of the workload.
+    /// Paper name of the workload, as every result and table prints it.
     pub fn name(&self) -> &'static str {
-        self.as_workload().name()
+        match self {
+            WorkloadSpec::Reduce { .. } => "Reduce",
+            WorkloadSpec::AllReduce { .. } => "AllReduce",
+            WorkloadSpec::MapReduce { .. } => "MapReduce",
+            WorkloadSpec::Sweep3d { .. } => "Sweep3D",
+            WorkloadSpec::Flood { .. } => "Flood",
+            WorkloadSpec::NearNeighbors { .. } => "NearNeighbors",
+            WorkloadSpec::NBodies { .. } => "n-Bodies",
+            WorkloadSpec::UnstructuredApp { .. } => "UnstructuredApp",
+            WorkloadSpec::UnstructuredMgnt { .. } => "UnstructuredMgnt",
+            WorkloadSpec::UnstructuredHr { .. } => "UnstructuredHR",
+            WorkloadSpec::Bisection { .. } => "Bisection",
+        }
     }
 
     /// Number of tasks the workload spans.
     pub fn num_tasks(&self) -> usize {
-        self.as_workload().num_tasks()
+        match *self {
+            WorkloadSpec::Reduce { tasks, .. }
+            | WorkloadSpec::AllReduce { tasks, .. }
+            | WorkloadSpec::MapReduce { tasks, .. }
+            | WorkloadSpec::NBodies { tasks, .. }
+            | WorkloadSpec::UnstructuredApp { tasks, .. }
+            | WorkloadSpec::UnstructuredMgnt { tasks, .. }
+            | WorkloadSpec::UnstructuredHr { tasks, .. }
+            | WorkloadSpec::Bisection { tasks, .. } => tasks,
+            WorkloadSpec::Sweep3d { gx, gy, gz, .. }
+            | WorkloadSpec::Flood { gx, gy, gz, .. }
+            | WorkloadSpec::NearNeighbors { gx, gy, gz, .. } => (gx * gy * gz) as usize,
+        }
     }
 
     /// Whether the paper groups this workload with the heavy set (Figure 4)
@@ -204,104 +324,12 @@ impl WorkloadSpec {
                 | WorkloadSpec::Bisection { .. }
         )
     }
-
-    fn as_workload(&self) -> Box<dyn Workload> {
-        match *self {
-            WorkloadSpec::Reduce { tasks, bytes } => Box::new(Reduce { tasks, bytes }),
-            WorkloadSpec::AllReduce { tasks, bytes } => Box::new(AllReduce { tasks, bytes }),
-            WorkloadSpec::MapReduce {
-                tasks,
-                distribute_bytes,
-                shuffle_bytes,
-                gather_bytes,
-            } => Box::new(MapReduce {
-                tasks,
-                distribute_bytes,
-                shuffle_bytes,
-                gather_bytes,
-            }),
-            WorkloadSpec::Sweep3d { gx, gy, gz, bytes } => Box::new(Sweep3d {
-                grid: Grid3::new(gx, gy, gz),
-                bytes,
-            }),
-            WorkloadSpec::Flood {
-                gx,
-                gy,
-                gz,
-                bytes,
-                waves,
-            } => Box::new(Flood {
-                grid: Grid3::new(gx, gy, gz),
-                bytes,
-                waves,
-            }),
-            WorkloadSpec::NearNeighbors {
-                gx,
-                gy,
-                gz,
-                bytes,
-                iterations,
-                periodic,
-            } => Box::new(NearNeighbors {
-                grid: Grid3::new(gx, gy, gz),
-                bytes,
-                iterations,
-                periodic,
-            }),
-            WorkloadSpec::NBodies { tasks, bytes } => Box::new(NBodies { tasks, bytes }),
-            WorkloadSpec::UnstructuredApp {
-                tasks,
-                flows_per_task,
-                bytes,
-                seed,
-            } => Box::new(UnstructuredApp {
-                tasks,
-                flows_per_task,
-                bytes,
-                seed,
-            }),
-            WorkloadSpec::UnstructuredMgnt {
-                tasks,
-                flows_per_task,
-                seed,
-            } => Box::new(UnstructuredMgnt {
-                tasks,
-                flows_per_task,
-                seed,
-            }),
-            WorkloadSpec::UnstructuredHr {
-                tasks,
-                flows_per_task,
-                bytes,
-                hot_fraction,
-                hot_probability,
-                seed,
-            } => Box::new(UnstructuredHotRegion {
-                tasks,
-                flows_per_task,
-                bytes,
-                hot_fraction,
-                hot_probability,
-                seed,
-            }),
-            WorkloadSpec::Bisection {
-                tasks,
-                rounds,
-                bytes,
-                seed,
-            } => Box::new(Bisection {
-                tasks,
-                rounds,
-                bytes,
-                seed,
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Grid3;
 
     fn all_specs(tasks: usize) -> Vec<WorkloadSpec> {
         let g = Grid3::fitting(tasks);
@@ -453,8 +481,26 @@ mod tests {
     fn all_eleven_generate() {
         let mapping = TaskMapping::linear(16, 16);
         let specs = all_specs(16);
-        assert_eq!(specs.len(), 11, "the paper studies 11 workloads");
+        let names: Vec<&str> = specs.iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "Reduce",
+                "AllReduce",
+                "MapReduce",
+                "Sweep3D",
+                "Flood",
+                "NearNeighbors",
+                "n-Bodies",
+                "UnstructuredApp",
+                "UnstructuredMgnt",
+                "UnstructuredHR",
+                "Bisection"
+            ],
+            "the paper studies 11 workloads, by these display names"
+        );
         for spec in &specs {
+            assert_eq!(spec.num_tasks(), 16, "{}", spec.name());
             let dag = spec.generate(&mapping);
             assert!(!dag.is_empty(), "{} generated nothing", spec.name());
         }

@@ -3,92 +3,57 @@
 
 use crate::grid::Grid3;
 use crate::mapping::TaskMapping;
-use crate::Workload;
 use exaflow_sim::{FlowDag, FlowDagBuilder, FlowId};
 
-/// Sweep3D: a single wavefront of the deterministic particle-transport
-/// kernel. The task grid is traversed diagonally from corner `(0,0,0)`;
-/// each task forwards to its `+X`, `+Y`, `+Z` neighbours once all of its
-/// inbound data has arrived.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Sweep3d {
-    /// Virtual task grid.
-    pub grid: Grid3,
-    /// Bytes forwarded along each grid edge.
-    pub bytes: u64,
+/// [`WorkloadSpec::Sweep3d`](crate::WorkloadSpec::Sweep3d): one wavefront
+/// from corner `(0,0,0)`; each task forwards to its `+X`, `+Y`, `+Z`
+/// neighbours once all of its inbound data has arrived.
+pub(crate) fn sweep3d(gx: u32, gy: u32, gz: u32, bytes: u64, mapping: &TaskMapping) -> FlowDag {
+    let grid = Grid3::new(gx, gy, gz);
+    assert!(mapping.len() >= grid.len());
+    let mut b = FlowDagBuilder::with_capacity(3 * grid.len(), 9 * grid.len());
+    emit_wave(
+        &mut b,
+        &grid,
+        mapping,
+        bytes,
+        &mut vec![Vec::new(); grid.len()],
+        None,
+    );
+    b.build()
 }
 
-impl Workload for Sweep3d {
-    fn name(&self) -> &'static str {
-        "Sweep3D"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.grid.len()
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(mapping.len() >= self.grid.len());
-        let mut b = FlowDagBuilder::with_capacity(3 * self.grid.len(), 9 * self.grid.len());
-        emit_wave(
+/// [`WorkloadSpec::Flood`](crate::WorkloadSpec::Flood): `waves` Sweep3D
+/// wavefronts pipelined from the same corner.
+pub(crate) fn flood(
+    gx: u32,
+    gy: u32,
+    gz: u32,
+    bytes: u64,
+    waves: u32,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    let grid = Grid3::new(gx, gy, gz);
+    assert!(waves >= 1, "Flood needs at least one wave");
+    assert!(mapping.len() >= grid.len());
+    let n = grid.len();
+    let mut b = FlowDagBuilder::with_capacity(3 * n * waves as usize, 12 * n * waves as usize);
+    // For pipelining, a task's wave-w sends additionally depend on its
+    // wave-(w-1) sends (it must finish forwarding the previous wave).
+    let mut prev_out: Option<Vec<Vec<FlowId>>> = None;
+    for _ in 0..waves {
+        let mut inflows = vec![Vec::new(); n];
+        let out = emit_wave(
             &mut b,
-            &self.grid,
+            &grid,
             mapping,
-            self.bytes,
-            &mut vec![Vec::new(); self.grid.len()],
-            None,
+            bytes,
+            &mut inflows,
+            prev_out.as_deref(),
         );
-        b.build()
+        prev_out = Some(out);
     }
-}
-
-/// Flood: like Sweep3D but the corner task emits `waves` successive
-/// wavefronts that pipeline through the grid, exerting much heavier
-/// pressure (paper §4.1).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Flood {
-    /// Virtual task grid.
-    pub grid: Grid3,
-    /// Bytes forwarded along each grid edge per wave.
-    pub bytes: u64,
-    /// Number of pipelined wavefronts.
-    pub waves: u32,
-}
-
-impl Workload for Flood {
-    fn name(&self) -> &'static str {
-        "Flood"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.grid.len()
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(self.waves >= 1, "Flood needs at least one wave");
-        assert!(mapping.len() >= self.grid.len());
-        let n = self.grid.len();
-        let mut b = FlowDagBuilder::with_capacity(
-            3 * n * self.waves as usize,
-            12 * n * self.waves as usize,
-        );
-        // For pipelining, a task's wave-w sends additionally depend on its
-        // wave-(w-1) sends (it must finish forwarding the previous wave).
-        let mut prev_out: Option<Vec<Vec<FlowId>>> = None;
-        for _ in 0..self.waves {
-            let mut inflows = vec![Vec::new(); n];
-            let out = emit_wave(
-                &mut b,
-                &self.grid,
-                mapping,
-                self.bytes,
-                &mut inflows,
-                prev_out.as_deref(),
-            );
-            prev_out = Some(out);
-        }
-        b.build()
-    }
+    b.build()
 }
 
 /// Emit one wavefront. `inflows[t]` accumulates flows arriving at task `t`
@@ -132,104 +97,84 @@ fn emit_wave(
     out
 }
 
-/// Near-Neighbours: the 6-point stencil exchange of LAMMPS/RegCM-style
-/// codes. Every task exchanges with its grid neighbours simultaneously,
-/// for `iterations` rounds; a task's round-r exchanges wait for all of its
+/// The distinct stencil neighbours of `(x, y, z)`: ±1 along every
+/// dimension longer than one, wrapping when `periodic`.
+fn neighbours(g: &Grid3, periodic: bool, x: u32, y: u32, z: u32) -> Vec<usize> {
+    let mut out = Vec::with_capacity(6);
+    let dims = [g.gx, g.gy, g.gz];
+    let pos = [x, y, z];
+    for d in 0..3 {
+        for dir in [-1i64, 1] {
+            let size = dims[d] as i64;
+            if size == 1 {
+                continue;
+            }
+            let c = pos[d] as i64 + dir;
+            let c = if periodic {
+                (c + size) % size
+            } else if (0..size).contains(&c) {
+                c
+            } else {
+                continue;
+            };
+            let mut q = pos;
+            q[d] = c as u32;
+            let id = g.id(q[0], q[1], q[2]);
+            if !out.contains(&id) {
+                out.push(id);
+            }
+        }
+    }
+    out
+}
+
+/// [`WorkloadSpec::NearNeighbors`](crate::WorkloadSpec::NearNeighbors):
+/// every task exchanges with its grid neighbours simultaneously, for
+/// `iterations` rounds; a task's round-r exchanges wait for all of its
 /// round-(r−1) sends and receives.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct NearNeighbors {
-    /// Virtual task grid.
-    pub grid: Grid3,
-    /// Bytes per neighbour exchange.
-    pub bytes: u64,
-    /// Number of stencil iterations.
-    pub iterations: u32,
-    /// Periodic boundaries (torus-like virtual grid) or open boundaries.
-    pub periodic: bool,
-}
-
-impl NearNeighbors {
-    fn neighbours(&self, x: u32, y: u32, z: u32) -> Vec<usize> {
-        let g = &self.grid;
-        let mut out = Vec::with_capacity(6);
-        let dims = [g.gx, g.gy, g.gz];
-        let pos = [x, y, z];
-        for d in 0..3 {
-            for dir in [-1i64, 1] {
-                let size = dims[d] as i64;
-                if size == 1 {
-                    continue;
-                }
-                let c = pos[d] as i64 + dir;
-                let c = if self.periodic {
-                    (c + size) % size
-                } else if (0..size).contains(&c) {
-                    c
-                } else {
-                    continue;
-                };
-                let mut q = pos;
-                q[d] = c as u32;
-                let id = g.id(q[0], q[1], q[2]);
-                if !out.contains(&id) {
-                    out.push(id);
-                }
+pub(crate) fn near_neighbors(
+    gx: u32,
+    gy: u32,
+    gz: u32,
+    bytes: u64,
+    iterations: u32,
+    periodic: bool,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    let grid = Grid3::new(gx, gy, gz);
+    assert!(iterations >= 1);
+    assert!(mapping.len() >= grid.len());
+    let n = grid.len();
+    let mut b =
+        FlowDagBuilder::with_capacity(6 * n * iterations as usize, 24 * n * iterations as usize);
+    // prev[t]: flows of the previous round touching task t.
+    let mut prev: Vec<Vec<FlowId>> = vec![Vec::new(); n];
+    for _ in 0..iterations {
+        let mut cur_send: Vec<Vec<FlowId>> = vec![Vec::with_capacity(6); n];
+        let mut cur_recv: Vec<Vec<FlowId>> = vec![Vec::with_capacity(6); n];
+        for (x, y, z) in grid.iter() {
+            let t = grid.id(x, y, z);
+            for nb in neighbours(&grid, periodic, x, y, z) {
+                let f = b.add_flow(mapping.node_of(t), mapping.node_of(nb), bytes, &prev[t]);
+                cur_send[t].push(f);
+                cur_recv[nb].push(f);
             }
         }
-        out
-    }
-}
-
-impl Workload for NearNeighbors {
-    fn name(&self) -> &'static str {
-        "NearNeighbors"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.grid.len()
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(self.iterations >= 1);
-        assert!(mapping.len() >= self.grid.len());
-        let n = self.grid.len();
-        let mut b = FlowDagBuilder::with_capacity(
-            6 * n * self.iterations as usize,
-            24 * n * self.iterations as usize,
-        );
-        // prev[t]: flows of the previous round touching task t.
-        let mut prev: Vec<Vec<FlowId>> = vec![Vec::new(); n];
-        for _ in 0..self.iterations {
-            let mut cur_send: Vec<Vec<FlowId>> = vec![Vec::with_capacity(6); n];
-            let mut cur_recv: Vec<Vec<FlowId>> = vec![Vec::with_capacity(6); n];
-            for (x, y, z) in self.grid.iter() {
-                let t = self.grid.id(x, y, z);
-                for nb in self.neighbours(x, y, z) {
-                    let f = b.add_flow(
-                        mapping.node_of(t),
-                        mapping.node_of(nb),
-                        self.bytes,
-                        &prev[t],
-                    );
-                    cur_send[t].push(f);
-                    cur_recv[nb].push(f);
-                }
-            }
-            for t in 0..n {
-                prev[t] = cur_send[t]
-                    .iter()
-                    .chain(cur_recv[t].iter())
-                    .copied()
-                    .collect();
-            }
+        for t in 0..n {
+            prev[t] = cur_send[t]
+                .iter()
+                .chain(cur_recv[t].iter())
+                .copied()
+                .collect();
         }
-        b.build()
     }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadSpec;
 
     fn map(n: usize) -> TaskMapping {
         TaskMapping::linear(n, n)
@@ -237,16 +182,26 @@ mod tests {
 
     #[test]
     fn sweep_flow_count() {
-        let g = Grid3::new(3, 3, 3);
-        let dag = Sweep3d { grid: g, bytes: 10 }.generate(&map(27));
+        let dag = WorkloadSpec::Sweep3d {
+            gx: 3,
+            gy: 3,
+            gz: 3,
+            bytes: 10,
+        }
+        .generate(&map(27));
         // Edges: 3 dims * (gx-1)*gy*gz style: 2*3*3 per dim * 3 dims = 54.
         assert_eq!(dag.len(), 54);
     }
 
     #[test]
     fn sweep_corner_has_no_deps_interior_does() {
-        let g = Grid3::new(3, 3, 3);
-        let dag = Sweep3d { grid: g, bytes: 10 }.generate(&map(27));
+        let dag = WorkloadSpec::Sweep3d {
+            gx: 3,
+            gy: 3,
+            gz: 3,
+            bytes: 10,
+        }
+        .generate(&map(27));
         // First three flows leave the (0,0,0) corner with no deps.
         for i in 0..3 {
             assert!(dag.preds(FlowId(i)).is_empty());
@@ -260,15 +215,18 @@ mod tests {
 
     #[test]
     fn flood_scales_with_waves() {
-        let g = Grid3::new(3, 3, 1);
-        let one = Flood {
-            grid: g,
+        let one = WorkloadSpec::Flood {
+            gx: 3,
+            gy: 3,
+            gz: 1,
             bytes: 1,
             waves: 1,
         }
         .generate(&map(9));
-        let four = Flood {
-            grid: g,
+        let four = WorkloadSpec::Flood {
+            gx: 3,
+            gy: 3,
+            gz: 1,
             bytes: 1,
             waves: 4,
         }
@@ -282,9 +240,10 @@ mod tests {
 
     #[test]
     fn stencil_flow_count_periodic() {
-        let g = Grid3::new(4, 4, 4);
-        let dag = NearNeighbors {
-            grid: g,
+        let dag = WorkloadSpec::NearNeighbors {
+            gx: 4,
+            gy: 4,
+            gz: 4,
             bytes: 1,
             iterations: 2,
             periodic: true,
@@ -296,9 +255,10 @@ mod tests {
 
     #[test]
     fn stencil_open_boundaries_fewer_flows() {
-        let g = Grid3::new(4, 4, 4);
-        let open = NearNeighbors {
-            grid: g,
+        let open = WorkloadSpec::NearNeighbors {
+            gx: 4,
+            gy: 4,
+            gz: 4,
             bytes: 1,
             iterations: 1,
             periodic: false,
@@ -313,9 +273,10 @@ mod tests {
     fn stencil_size2_dims_dont_duplicate() {
         // With periodic boundaries and a size-2 dimension, -1 and +1 reach
         // the same neighbour; it must be exchanged once, not twice.
-        let g = Grid3::new(2, 1, 1);
-        let dag = NearNeighbors {
-            grid: g,
+        let dag = WorkloadSpec::NearNeighbors {
+            gx: 2,
+            gy: 1,
+            gz: 1,
             bytes: 1,
             iterations: 1,
             periodic: true,
@@ -326,9 +287,10 @@ mod tests {
 
     #[test]
     fn stencil_rounds_serialised() {
-        let g = Grid3::new(3, 1, 1);
-        let dag = NearNeighbors {
-            grid: g,
+        let dag = WorkloadSpec::NearNeighbors {
+            gx: 3,
+            gy: 1,
+            gz: 1,
             bytes: 1,
             iterations: 2,
             periodic: false,

@@ -2,69 +2,33 @@
 //! traffic, hot-region traffic, and random pairwise bisection exchange.
 
 use crate::mapping::TaskMapping;
-use crate::Workload;
 use exaflow_sim::{FlowDag, FlowDagBuilder, FlowId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// UnstructuredApp: fixed-length messages between uniformly random task
-/// pairs, modelling an unstructured application whose data is partitioned
-/// evenly across tasks. Each task's sends are serialised (one NIC).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct UnstructuredApp {
-    /// Number of tasks.
-    pub tasks: usize,
-    /// Messages sent per task.
-    pub flows_per_task: usize,
-    /// Fixed message size, bytes.
-    pub bytes: u64,
-    /// RNG seed.
-    pub seed: u64,
+/// [`WorkloadSpec::UnstructuredApp`](crate::WorkloadSpec::UnstructuredApp):
+/// `bytes`-sized messages to uniformly random other tasks.
+pub(crate) fn app(
+    tasks: usize,
+    flows_per_task: usize,
+    bytes: u64,
+    seed: u64,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    random_pairs(
+        tasks,
+        flows_per_task,
+        mapping,
+        seed,
+        |_rng| bytes,
+        uniform_other,
+    )
 }
 
-impl Workload for UnstructuredApp {
-    fn name(&self) -> &'static str {
-        "UnstructuredApp"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        random_pairs(
-            self.tasks,
-            self.flows_per_task,
-            mapping,
-            self.seed,
-            |_rng| self.bytes,
-            uniform_other,
-        )
-    }
-}
-
-/// UnstructuredMgnt: the traffic produced by management software in large
-/// datacentres, following the size characterisation of Kandula et al.
-/// (IMC'09): the vast majority of flows are mice of a few KB, with a heavy
-/// elephant tail.
-///
-/// **Substitution note (DESIGN.md §5):** the original trace is private; we
-/// reproduce the published summary statistics with a three-component
-/// log-uniform mixture — 80% mice (100 B – 10 KB), 15% medium (10 KB –
-/// 1 MB), 5% elephants (1 MB – 50 MB).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct UnstructuredMgnt {
-    /// Number of tasks.
-    pub tasks: usize,
-    /// Messages sent per task.
-    pub flows_per_task: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Draw a flow size from the Kandula-style mixture.
-pub fn mgnt_flow_bytes(rng: &mut impl Rng) -> u64 {
+/// Draw a flow size from the Kandula-style mixture of
+/// [`WorkloadSpec::UnstructuredMgnt`](crate::WorkloadSpec::UnstructuredMgnt).
+fn mgnt_flow_bytes(rng: &mut impl Rng) -> u64 {
     let class: f64 = rng.random();
     let (lo, hi): (f64, f64) = if class < 0.80 {
         (100.0, 10e3)
@@ -78,136 +42,97 @@ pub fn mgnt_flow_bytes(rng: &mut impl Rng) -> u64 {
     (lo * (hi / lo).powf(u)) as u64
 }
 
-impl Workload for UnstructuredMgnt {
-    fn name(&self) -> &'static str {
-        "UnstructuredMgnt"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        random_pairs(
-            self.tasks,
-            self.flows_per_task,
-            mapping,
-            self.seed,
-            mgnt_flow_bytes,
-            uniform_other,
-        )
-    }
+/// [`WorkloadSpec::UnstructuredMgnt`](crate::WorkloadSpec::UnstructuredMgnt):
+/// messages to uniformly random other tasks, sized by [`mgnt_flow_bytes`].
+pub(crate) fn mgnt(
+    tasks: usize,
+    flows_per_task: usize,
+    seed: u64,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    random_pairs(
+        tasks,
+        flows_per_task,
+        mapping,
+        seed,
+        mgnt_flow_bytes,
+        uniform_other,
+    )
 }
 
-/// UnstructuredHR: like [`UnstructuredApp`] but a subset of *hot* tasks is
-/// disproportionately likely to be targeted.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct UnstructuredHotRegion {
-    /// Number of tasks.
-    pub tasks: usize,
-    /// Messages sent per task.
-    pub flows_per_task: usize,
-    /// Fixed message size, bytes.
-    pub bytes: u64,
-    /// Fraction of tasks that are hot (the paper does not specify; we use
-    /// 1/8 by default in the presets).
-    pub hot_fraction: f64,
-    /// Probability that a message targets the hot set.
-    pub hot_probability: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Workload for UnstructuredHotRegion {
-    fn name(&self) -> &'static str {
-        "UnstructuredHR"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!((0.0..=1.0).contains(&self.hot_fraction));
-        assert!((0.0..=1.0).contains(&self.hot_probability));
-        let hot = ((self.tasks as f64 * self.hot_fraction).round() as usize).max(1);
-        let hot_probability = self.hot_probability;
-        random_pairs(
-            self.tasks,
-            self.flows_per_task,
-            mapping,
-            self.seed,
-            |_rng| self.bytes,
-            move |rng, src, n| {
-                // Hot tasks are 0..hot (the mapping decides where they sit).
-                loop {
-                    let dst = if rng.random::<f64>() < hot_probability {
-                        rng.random_range(0..hot)
-                    } else {
-                        rng.random_range(0..n)
-                    };
-                    if dst != src {
-                        return dst;
-                    }
+/// [`WorkloadSpec::UnstructuredHr`](crate::WorkloadSpec::UnstructuredHr):
+/// like [`app`], but with probability `hot_probability` a
+/// message targets the hot tasks `0..round(tasks * hot_fraction)`.
+pub(crate) fn hot_region(
+    tasks: usize,
+    flows_per_task: usize,
+    bytes: u64,
+    hot_fraction: f64,
+    hot_probability: f64,
+    seed: u64,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    assert!((0.0..=1.0).contains(&hot_fraction));
+    assert!((0.0..=1.0).contains(&hot_probability));
+    let hot = ((tasks as f64 * hot_fraction).round() as usize).max(1);
+    random_pairs(
+        tasks,
+        flows_per_task,
+        mapping,
+        seed,
+        |_rng| bytes,
+        move |rng, src, n| {
+            // Hot tasks are 0..hot (the mapping decides where they sit).
+            loop {
+                let dst = if rng.random::<f64>() < hot_probability {
+                    rng.random_range(0..hot)
+                } else {
+                    rng.random_range(0..n)
+                };
+                if dst != src {
+                    return dst;
                 }
-            },
-        )
-    }
-}
-
-/// Bisection: tasks perform pairwise exchanges, re-pairing under a fresh
-/// random perfect matching every round. This workload stresses the
-/// network's bisection bandwidth (hence the name).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Bisection {
-    /// Number of tasks; must be even.
-    pub tasks: usize,
-    /// Number of re-pairing rounds.
-    pub rounds: u32,
-    /// Bytes exchanged in each direction of a pair.
-    pub bytes: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Workload for Bisection {
-    fn name(&self) -> &'static str {
-        "Bisection"
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.tasks
-    }
-
-    fn generate(&self, mapping: &TaskMapping) -> FlowDag {
-        assert!(
-            self.tasks >= 2 && self.tasks.is_multiple_of(2),
-            "Bisection needs an even task count"
-        );
-        assert!(self.rounds >= 1);
-        assert!(mapping.len() >= self.tasks);
-        let n = self.tasks;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut b =
-            FlowDagBuilder::with_capacity(n * self.rounds as usize, 2 * n * self.rounds as usize);
-        // prev[t]: the two flows (send+recv) task t took part in last round.
-        let mut prev: Vec<Vec<FlowId>> = vec![Vec::new(); n];
-        let mut order: Vec<usize> = (0..n).collect();
-        for _ in 0..self.rounds {
-            order.shuffle(&mut rng);
-            let mut cur: Vec<Vec<FlowId>> = vec![Vec::with_capacity(2); n];
-            for pair in order.chunks_exact(2) {
-                let (a, c) = (pair[0], pair[1]);
-                let deps_a: Vec<FlowId> = prev[a].iter().chain(prev[c].iter()).copied().collect();
-                let f1 = b.add_flow(mapping.node_of(a), mapping.node_of(c), self.bytes, &deps_a);
-                let f2 = b.add_flow(mapping.node_of(c), mapping.node_of(a), self.bytes, &deps_a);
-                cur[a].extend([f1, f2]);
-                cur[c].extend([f1, f2]);
             }
-            prev = cur;
+        },
+    )
+}
+
+/// [`WorkloadSpec::Bisection`](crate::WorkloadSpec::Bisection): pairwise
+/// exchanges under a fresh random perfect matching every round; a pair's
+/// round-r flows wait for both tasks' round-(r−1) flows.
+pub(crate) fn bisection(
+    tasks: usize,
+    rounds: u32,
+    bytes: u64,
+    seed: u64,
+    mapping: &TaskMapping,
+) -> FlowDag {
+    assert!(
+        tasks >= 2 && tasks.is_multiple_of(2),
+        "Bisection needs an even task count"
+    );
+    assert!(rounds >= 1);
+    assert!(mapping.len() >= tasks);
+    let n = tasks;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = FlowDagBuilder::with_capacity(n * rounds as usize, 2 * n * rounds as usize);
+    // prev[t]: the two flows (send+recv) task t took part in last round.
+    let mut prev: Vec<Vec<FlowId>> = vec![Vec::new(); n];
+    let mut order: Vec<usize> = (0..n).collect();
+    for _ in 0..rounds {
+        order.shuffle(&mut rng);
+        let mut cur: Vec<Vec<FlowId>> = vec![Vec::with_capacity(2); n];
+        for pair in order.chunks_exact(2) {
+            let (a, c) = (pair[0], pair[1]);
+            let deps_a: Vec<FlowId> = prev[a].iter().chain(prev[c].iter()).copied().collect();
+            let f1 = b.add_flow(mapping.node_of(a), mapping.node_of(c), bytes, &deps_a);
+            let f2 = b.add_flow(mapping.node_of(c), mapping.node_of(a), bytes, &deps_a);
+            cur[a].extend([f1, f2]);
+            cur[c].extend([f1, f2]);
         }
-        b.build()
+        prev = cur;
     }
+    b.build()
 }
 
 /// Common machinery: `tasks` senders each emit `flows_per_task` messages to
@@ -255,6 +180,7 @@ fn uniform_other(rng: &mut StdRng, src: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadSpec;
 
     fn map(n: usize) -> TaskMapping {
         TaskMapping::linear(n, n)
@@ -262,7 +188,7 @@ mod tests {
 
     #[test]
     fn app_counts_and_no_self_traffic() {
-        let w = UnstructuredApp {
+        let w = WorkloadSpec::UnstructuredApp {
             tasks: 16,
             flows_per_task: 10,
             bytes: 500,
@@ -292,7 +218,7 @@ mod tests {
                 *slot = Some(b.add_flow(mapping.node_of(src), mapping.node_of(dst), bytes, &deps));
             }
         }
-        let dag = UnstructuredApp {
+        let dag = WorkloadSpec::UnstructuredApp {
             tasks,
             flows_per_task,
             bytes,
@@ -307,7 +233,7 @@ mod tests {
 
     #[test]
     fn app_deterministic_in_seed() {
-        let w = |seed| UnstructuredApp {
+        let w = |seed| WorkloadSpec::UnstructuredApp {
             tasks: 8,
             flows_per_task: 4,
             bytes: 1,
@@ -336,7 +262,7 @@ mod tests {
 
     #[test]
     fn hot_region_is_hot() {
-        let w = UnstructuredHotRegion {
+        let w = WorkloadSpec::UnstructuredHr {
             tasks: 64,
             flows_per_task: 50,
             bytes: 1,
@@ -354,7 +280,7 @@ mod tests {
 
     #[test]
     fn bisection_rounds_pair_everyone() {
-        let w = Bisection {
+        let w = WorkloadSpec::Bisection {
             tasks: 8,
             rounds: 3,
             bytes: 7,
@@ -377,7 +303,7 @@ mod tests {
 
     #[test]
     fn bisection_rounds_depend_on_previous() {
-        let w = Bisection {
+        let w = WorkloadSpec::Bisection {
             tasks: 4,
             rounds: 2,
             bytes: 1,
@@ -392,7 +318,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "even task count")]
     fn bisection_odd_rejected() {
-        Bisection {
+        WorkloadSpec::Bisection {
             tasks: 5,
             rounds: 1,
             bytes: 1,
@@ -413,7 +339,7 @@ mod tests {
 
     #[test]
     fn sender_chains_serialised() {
-        let w = UnstructuredApp {
+        let w = WorkloadSpec::UnstructuredApp {
             tasks: 4,
             flows_per_task: 3,
             bytes: 1,

@@ -71,13 +71,31 @@ $TIMEOUT 300 ./target/release/examples/failure_resilience \
   | diff -u failure_resilience_output.txt - \
   || { echo "failure_resilience output drifted from failure_resilience_output.txt"; exit 1; }
 
+# fig2 and fig3 are deterministic and take no options: their stdout must
+# match the checked-in artefacts byte for byte, and any argument must be
+# rejected with exit 2 rather than ignored. fig2 writes figure2/*.dot into
+# its working directory, so both run in a scratch one.
+echo "== fig2/fig3 output is pinned; both reject options"
+cargo build -q --release -p exaflow-bench --bin fig2 --bin fig3
+FIGDIR="$(mktemp -d)"
+trap 'rm -rf "$FIGDIR"' EXIT
+for b in fig2 fig3; do
+  bin="$PWD/target/release/$b"
+  (cd "$FIGDIR" && $TIMEOUT 60 "$bin") \
+    | diff -u "${b}_output.txt" - \
+    || { echo "$b output drifted from ${b}_output.txt"; exit 1; }
+  code=0
+  (cd "$FIGDIR" && $TIMEOUT 60 "$bin" --json x.json) 2>/dev/null || code=$?
+  [ "$code" -eq 2 ] || { echo "$b --json x.json exited $code, want 2"; exit 1; }
+done
+
 # Hostile input: every file of a generated corpus, fed to every command
 # that reads JSON, must end in a typed error (exit 1-4) well inside a
 # timeout — never a hang (124) and never a signal (a stack overflow
 # aborts with 134).
 echo "== malformed input: every command exits 1-4, never on a signal"
 CORPUS="$(mktemp -d)"
-trap 'rm -rf "$CORPUS"' EXIT
+trap 'rm -rf "$FIGDIR" "$CORPUS"' EXIT
 mkdir "$CORPUS/bad"
 python3 - "$CORPUS" <<'PY'
 import os, random, sys
