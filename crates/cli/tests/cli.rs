@@ -106,6 +106,12 @@ fn run_with_trace_writes_oracle_clean_jsonl_and_metrics() {
     let summary = exaflow::sim::check_trace(&events).expect("trace passes the oracle");
     assert_eq!(summary.flows_finished, body["flows"].as_u64().unwrap());
     assert_eq!(summary.flows_skipped, 0);
+    // Max-min fills some resource: the oracle's own utilisation replay.
+    assert!(
+        summary.max_utilization > 0.99,
+        "{}",
+        summary.max_utilization
+    );
 }
 
 #[test]
@@ -235,8 +241,7 @@ fn run_reports_invalid_sim_config_kind() {
             br#"{"topology": {"topology": "torus", "dims": [4, 4]},
                 "workload": {"workload": "reduce", "tasks": 8, "bytes": 1024},
                 "sim": {"injection_bps": -5.0, "ejection_bps": 1e10,
-                        "batch_epsilon": 1e-9, "record_flow_times": false,
-                        "route_cache_cap": 1024}}"#,
+                        "batch_epsilon": 1e-9, "route_cache_cap": 1024}}"#,
         )
         .unwrap();
     let out = child.wait_with_output().unwrap();
@@ -386,7 +391,6 @@ fn sweep_with_metrics_aggregates_into_suite_report() {
     let total: u64 = sweep.results.iter().flatten().map(|r| r.flows).sum();
     assert_eq!(rollup.flows_finished, total);
     assert!(rollup.rate_recomputes > 0);
-    assert!(rollup.peak_resource_utilization > 0.99);
 
     // Without --metrics the same suite emits no metrics at all.
     std::fs::write(&path, SWEEP_SUITE).unwrap();
@@ -786,7 +790,7 @@ fn campaign_torn_journal_resumes_cleanly() {
 fn sim_json(extra: &str) -> String {
     format!(
         r#"{{"injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9,
-            "record_flow_times": true, "route_cache_cap": 4096{}{extra}}}"#,
+            "route_cache_cap": 4096{}{extra}}}"#,
         if extra.is_empty() { "" } else { ", " }
     )
 }

@@ -9,9 +9,9 @@
 //! reports *which* grid points failed and *why* as structured JSON instead
 //! of aborting on the first bad one.
 //!
-//! The `Sim` variant wraps the engine's own
-//! [`SimError`](exaflow_sim::SimError) rather than flattening it to text;
-//! tooling that post-processes sweep output can match on the inner `kind`.
+//! The `Sim` variant wraps the engine's own [`SimError`] rather than
+//! flattening it to text; tooling that post-processes sweep output can
+//! match on the inner `kind`.
 
 use exaflow_sim::SimError;
 use serde::{Deserialize, Serialize};

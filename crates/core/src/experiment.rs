@@ -153,10 +153,9 @@ pub struct ExperimentResult {
     /// pre-incremental result files).
     #[serde(default)]
     pub flows_coalesced: u64,
-    /// Engine counters and histograms, present only when the experiment ran
-    /// with tracing ([`SimConfig::trace`] or a sink passed to
-    /// [`run_experiment_with`]); untraced result files are byte-identical
-    /// to pre-tracing ones.
+    /// Engine counters, present only when the experiment ran with tracing
+    /// ([`SimConfig::trace`] or a sink passed to [`run_experiment_with`]);
+    /// untraced result files are byte-identical to pre-tracing ones.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub metrics: Option<MetricsSnapshot>,
 }

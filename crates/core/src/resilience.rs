@@ -4,8 +4,8 @@
 //! A campaign takes one base experiment, a grid of fault rates × recovery
 //! policies, and a replica count. For every `(rate, policy)` cell it runs
 //! `replicas` independent seeded fault schedules through the parallel
-//! [`ExperimentSuite`](crate::ExperimentSuite) and aggregates degradation
-//! metrics against the fault-free baseline:
+//! [`ExperimentSuite`] and aggregates degradation metrics against the
+//! fault-free baseline:
 //!
 //! * **completion-time inflation** — makespan over baseline makespan
 //!   (mean, p50, p99 nearest-rank over completed replicas),

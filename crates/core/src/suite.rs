@@ -151,9 +151,8 @@ fn never_serialize<T>(_: &T) -> bool {
 
 /// Engine metrics summed over every traced experiment in a suite.
 ///
-/// Counters mirror [`exaflow_sim::MetricsSnapshot`]; histograms are left
-/// per-experiment (in [`crate::ExperimentResult::metrics`]) since their
-/// merge rarely answers suite-level questions.
+/// Counters mirror [`exaflow_sim::MetricsSnapshot`]; each experiment's own
+/// snapshot stays in [`crate::ExperimentResult::metrics`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SuiteMetrics {
     /// Experiments that carried a metrics snapshot.
@@ -172,8 +171,6 @@ pub struct SuiteMetrics {
     /// Total solver wall-clock seconds across all traced experiments.
     /// **Non-deterministic.**
     pub solver_seconds_total: f64,
-    /// Largest single-resource utilisation observed anywhere in the suite.
-    pub peak_resource_utilization: f64,
 }
 
 impl SuiteMetrics {
@@ -190,9 +187,6 @@ impl SuiteMetrics {
         self.rate_recomputes += m.rate_recomputes;
         self.full_passes += m.full_passes;
         self.solver_seconds_total += m.solver_seconds_total;
-        self.peak_resource_utilization = self
-            .peak_resource_utilization
-            .max(m.peak_resource_utilization);
     }
 }
 

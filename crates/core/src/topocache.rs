@@ -10,11 +10,11 @@
 //! Three design points, in order:
 //!
 //! 1. **Content addressing.** Keys are the canonical-JSON fingerprint
-//!    ([`fingerprint_value`](crate::journal::fingerprint_value)) of the
-//!    *normalised* spec — the same hash the campaign journal uses — so the
-//!    key survives serde round-trips and key-order permutations, and specs
-//!    that build the same graph under different spellings (a fattree with
-//!    `endpoints: Some(k^n)` vs `endpoints: None`) share one entry.
+//!    ([`fingerprint_value`]) of the *normalised* spec — the same hash the
+//!    campaign journal uses — so the key survives serde round-trips and
+//!    key-order permutations, and specs that build the same graph under
+//!    different spellings (a fattree with `endpoints: Some(k^n)` vs
+//!    `endpoints: None`) share one entry.
 //! 2. **Kept only while an entry still needs it.** A suite dispatches its
 //!    entries grouped by cache key and calls [`TopoCache::release`] when
 //!    the last entry of a key finishes, so the built topology drops once no

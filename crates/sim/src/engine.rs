@@ -1,5 +1,5 @@
 //! The simulation engine: activation, rate allocation, batched completions,
-//! optional per-hop latency, mid-run faults and per-link accounting.
+//! optional per-hop latency and mid-run faults.
 //!
 //! [`Simulator::run_with`] validates its inputs, builds a `RunState` (the
 //! solver, the run's [`PathTable`], route memo, fault overlay with the
@@ -81,13 +81,6 @@ pub struct SimConfig {
     /// Fixed protocol/software overhead per flow, seconds.
     #[serde(default)]
     pub startup_latency_s: f64,
-    /// Record per-flow completion times in the report.
-    pub record_flow_times: bool,
-    /// Accumulate bytes carried per resource (links, then injection, then
-    /// ejection ports) in the report. Costs one pass over active paths per
-    /// event.
-    #[serde(default)]
-    pub collect_link_stats: bool,
     /// Collect trace metrics ([`SimReport::metrics`]) even without an
     /// explicit [`TraceSink`]; passing a sink to [`Simulator::run_with`]
     /// enables tracing regardless. Off by default — an untraced run
@@ -174,8 +167,6 @@ impl Default for SimConfig {
             batch_epsilon: 1e-9,
             per_hop_latency_s: 0.0,
             startup_latency_s: 0.0,
-            record_flow_times: false,
-            collect_link_stats: false,
             trace: false,
             solver_threads: 0,
             max_events: None,
@@ -196,9 +187,6 @@ struct SimConfigUnchecked {
     per_hop_latency_s: f64,
     #[serde(default)]
     startup_latency_s: f64,
-    record_flow_times: bool,
-    #[serde(default)]
-    collect_link_stats: bool,
     #[serde(default)]
     trace: bool,
     #[serde(default)]
@@ -218,8 +206,6 @@ impl serde::de::Deserialize for SimConfig {
             batch_epsilon: raw.batch_epsilon,
             per_hop_latency_s: raw.per_hop_latency_s,
             startup_latency_s: raw.startup_latency_s,
-            record_flow_times: raw.record_flow_times,
-            collect_link_stats: raw.collect_link_stats,
             trace: raw.trace,
             solver_threads: raw.solver_threads,
             max_events: raw.max_events,
@@ -430,24 +416,17 @@ struct RunState<'r> {
     succs: Vec<u32>,
     remaining: Vec<f64>,
     indeg: Vec<u32>,
-    completion_times: Vec<f64>,
     /// Flows whose dependencies resolved, not yet activated.
     ready: Vec<u32>,
     active: Vec<Active>,
     /// Flows waiting out their head latency, by activation time.
     delayed: BinaryHeap<Reverse<(Time, u32)>>,
     delayed_paths: IntMap<u32, PathId>,
-    /// Bytes carried per resource; empty unless link statistics are on.
-    resource_bytes: Vec<f64>,
     now: f64,
     completed: usize,
     events: u64,
     /// Armed once per run; checked with the event budget at every event.
     wall_deadline: Option<(Instant, f64)>,
-    /// Dense scratch of the traced utilisation probe: per-resource load,
-    /// all zero between probes, and the resources the current one hit.
-    probe_load: Vec<f64>,
-    probe_touched: Vec<u32>,
 }
 
 impl<'r> RunState<'r> {
@@ -465,14 +444,11 @@ impl<'r> RunState<'r> {
             .map(|f| dag.preds(FlowId(f as u32)).len() as u32)
             .collect();
         let solver = MaxMinSolver::new(sim.resource_capacities())?;
-        let resources = solver.num_resources();
         let tracing = cfg.trace || sink.is_some();
         let mut run = RunState {
             sim,
             dag,
             policy,
-            probe_load: vec![0.0; if tracing { resources } else { 0 }],
-            probe_touched: Vec::new(),
             trace: Tracer {
                 metrics: tracing.then(MetricsSnapshot::default),
                 sink,
@@ -492,11 +468,9 @@ impl<'r> RunState<'r> {
             remaining: dag.flows().iter().map(|f| f.bytes as f64 * 8.0).collect(),
             ready: (0..n as u32).filter(|&f| indeg[f as usize] == 0).collect(),
             indeg,
-            completion_times: vec![f64::NAN; if cfg.record_flow_times { n } else { 0 }],
             active: Vec::new(),
             delayed: BinaryHeap::new(),
             delayed_paths: IntMap::default(),
-            resource_bytes: vec![0.0; if cfg.collect_link_stats { resources } else { 0 }],
             now: 0.0,
             completed: 0,
             events: 0,
@@ -804,13 +778,10 @@ impl<'r> RunState<'r> {
     }
 
     /// Retire flow `f` at `now` (delivered, degenerate, or dropped): zero
-    /// it, stamp its completion, release its dependents.
+    /// it and release its dependents.
     fn retire(&mut self, f: u32) {
         let f = f as usize;
         self.remaining[f] = 0.0;
-        if self.sim.cfg.record_flow_times {
-            self.completion_times[f] = self.now;
-        }
         self.completed += 1;
         let succs = &self.succs[self.succ_offsets[f] as usize..self.succ_offsets[f + 1] as usize];
         for &s in succs {
@@ -864,7 +835,7 @@ impl<'r> RunState<'r> {
     }
 
     /// Settle the solver and copy every active flow's rate. A traced run
-    /// also counts the recompute, probes utilisation and emits the rates.
+    /// also times and counts the recompute and emits the rates.
     fn recompute(&mut self) {
         let solve_start = self.trace.metrics.is_some().then(Instant::now);
         let passes = self.solver.rate_recomputes;
@@ -875,25 +846,7 @@ impl<'r> RunState<'r> {
         let (Some(start), Some(m)) = (solve_start, self.trace.metrics.as_mut()) else {
             return;
         };
-        m.record_solve(start.elapsed().as_secs_f64(), self.active.len());
-        // The most loaded resource relative to its capacity. Per-resource
-        // sums accumulate in active order; a resource listed twice (its
-        // load was still 0.0 at a later visit) is drained by its first
-        // occurrence and contributes 0 afterwards.
-        for a in &self.active {
-            for &r in self.paths.get(a.path) {
-                if self.probe_load[r as usize] == 0.0 {
-                    self.probe_touched.push(r);
-                }
-                self.probe_load[r as usize] += a.rate;
-            }
-        }
-        let mut peak = 0.0f64;
-        for r in self.probe_touched.drain(..) {
-            let load = std::mem::take(&mut self.probe_load[r as usize]);
-            peak = peak.max(load / self.solver.capacity(r));
-        }
-        m.record_utilization(peak);
+        m.solver_seconds_total += start.elapsed().as_secs_f64();
         m.rate_recomputes += 1;
         let full_pass = self.solver.rate_recomputes > passes;
         m.full_passes += full_pass as u64;
@@ -982,20 +935,13 @@ impl<'r> RunState<'r> {
         }
     }
 
-    /// Move every active flow `dt` seconds forward, accounting bytes per
-    /// resource when link statistics are on. The caller moves `now`.
+    /// Move every active flow `dt` seconds forward. The caller moves `now`.
     fn advance(&mut self, dt: f64) {
         if dt <= 0.0 {
             return;
         }
         for a in &self.active {
             self.remaining[a.id as usize] -= a.rate * dt;
-            if !self.resource_bytes.is_empty() {
-                let bytes = a.rate * dt / 8.0;
-                for &r in self.paths.get(a.path) {
-                    self.resource_bytes[r as usize] += bytes;
-                }
-            }
         }
     }
 
@@ -1009,14 +955,12 @@ impl<'r> RunState<'r> {
             "simulation ended with {} of {n} flows incomplete (cyclic deps?)",
             self.completed
         );
-        let (sim, cfg) = (self.sim, &self.sim.cfg);
+        let sim = self.sim;
         SimReport {
             makespan_seconds: self.now,
             flows: n as u64,
             events: self.events,
             maxmin_iterations: self.solver.iterations,
-            completion_times: cfg.record_flow_times.then_some(self.completion_times),
-            resource_bytes: cfg.collect_link_stats.then_some(self.resource_bytes),
             num_links: sim.num_links as u64,
             num_endpoints: sim.num_eps as u64,
             skipped_flows: self.skipped_flow_ids.len() as u64,
@@ -1045,6 +989,35 @@ mod tests {
     /// Time to push `bytes` through `bps`.
     fn xfer(bytes: u64, bps: f64) -> f64 {
         bytes as f64 * 8.0 / bps
+    }
+
+    /// Run `dag` traced: the report and the event stream, which the
+    /// oracle has already accepted (byte conservation, capacities).
+    fn traced(
+        sim: &Simulator,
+        dag: &FlowDag,
+        schedule: &FaultSchedule,
+        policy: RecoveryPolicy,
+    ) -> (SimReport, Vec<TraceEvent>) {
+        let mut sink = crate::trace::VecSink::new();
+        let r = sim
+            .run_with(dag, schedule, policy, Some(&mut sink))
+            .unwrap();
+        let events = sink.into_events();
+        crate::trace_check::check_trace(&events).unwrap();
+        (r, events)
+    }
+
+    /// Each flow's finish or skip time, from the trace's `flow_finished`
+    /// and `flow_skipped` events (NaN for a flow with neither).
+    fn resolve_times(events: &[TraceEvent], flows: usize) -> Vec<f64> {
+        let mut times = vec![f64::NAN; flows];
+        for ev in events {
+            if let TraceEvent::FlowFinished { t, flow } | TraceEvent::FlowSkipped { t, flow } = ev {
+                times[*flow as usize] = *t;
+            }
+        }
+        times
     }
 
     #[test]
@@ -1143,16 +1116,17 @@ mod tests {
     #[test]
     fn completion_times_recorded() {
         let topo = Torus::new(&[8]);
-        let cfg = SimConfig {
-            record_flow_times: true,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
+        let sim = Simulator::new(&topo);
         let mut b = FlowDagBuilder::new();
         let a = b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
         let c = b.add_flow(NodeId(1), NodeId(2), mb(2), &[a]);
-        let r = sim.run(&b.build()).unwrap();
-        let times = r.completion_times.as_ref().unwrap();
+        let (_, events) = traced(
+            &sim,
+            &b.build(),
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+        );
+        let times = resolve_times(&events, 2);
         let step = xfer(mb(1), 10.0 * GBPS);
         assert!((times[a.index()] - step).abs() < 1e-12);
         assert!((times[c.index()] - 3.0 * step).abs() < 1e-9);
@@ -1400,8 +1374,7 @@ mod tests {
         let json = r#"{
             "injection_bps": -1.0,
             "ejection_bps": 1e10,
-            "batch_epsilon": 1e-9,
-            "record_flow_times": false
+            "batch_epsilon": 1e-9
         }"#;
         let err = serde_json::from_str::<SimConfig>(json).unwrap_err();
         let msg = format!("{err}");
@@ -1410,16 +1383,19 @@ mod tests {
 
     /// Config files written before the engine had one mode still carry its
     /// four mode keys, and files written before it had one route memo a
-    /// `route_cache_cap`. They are ignored like any unknown key, whatever
-    /// their values: the config and the report match the same file
-    /// without them, and that file loads although older engines required
-    /// `route_cache_cap`. So is a thread count from the days of the in-run
-    /// pool: it loads into the inert `solver_threads` and moves nothing.
+    /// `route_cache_cap`; files from the days of the report's per-flow
+    /// times and per-resource bytes carry the two switches that asked for
+    /// them. All are ignored like any unknown key, whatever their values:
+    /// the config and the report match the same file without them, and
+    /// that file loads although older engines required `route_cache_cap`
+    /// and `record_flow_times`. So is a thread count from the days of the
+    /// in-run pool: it loads into the inert `solver_threads` and moves
+    /// nothing.
     #[test]
     fn old_configs_with_the_deleted_mode_keys_still_load() {
-        let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9,
-            "record_flow_times": true"#;
+        let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9"#;
         let new: SimConfig = serde_json::from_str(&format!("{{{base}}}")).unwrap();
+        assert_eq!(new, SimConfig::default());
         let topo = Torus::new(&[4, 4]);
         let mut b = FlowDagBuilder::new();
         for i in 0..16u32 {
@@ -1430,14 +1406,25 @@ mod tests {
             let r = Simulator::with_config(&topo, cfg).run(&dag).unwrap();
             serde_json::to_string(&r).unwrap()
         };
-        for cap in [0, 4] {
-            let old = format!(
-                r#"{{{base}, "cache_routes": false, "solver_incremental": false,
-                    "coalesce_flows": false, "incremental_full_threshold": 0.0,
-                    "route_cache_cap": {cap}, "solver_threads": 8}}"#
-            );
-            let old: SimConfig = serde_json::from_str(&old).unwrap();
-            assert_eq!(old.solver_threads, 8);
+        let mode_keys = |cap: u32| {
+            format!(
+                r#""record_flow_times": false, "cache_routes": false,
+                    "solver_incremental": false, "coalesce_flows": false,
+                    "incremental_full_threshold": 0.0, "route_cache_cap": {cap},
+                    "solver_threads": 8"#
+            )
+        };
+        let olds = [
+            (
+                r#""record_flow_times": true, "collect_link_stats": true"#.to_owned(),
+                0,
+            ),
+            (mode_keys(0), 8),
+            (mode_keys(4), 8),
+        ];
+        for (keys, threads) in olds {
+            let old: SimConfig = serde_json::from_str(&format!("{{{base}, {keys}}}")).unwrap();
+            assert_eq!(old.solver_threads, threads);
             assert_eq!(
                 SimConfig {
                     solver_threads: 0,
@@ -1464,16 +1451,8 @@ mod tests {
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[bf]);
         let step = xfer(mb(1), 10.0 * GBPS);
         let schedule = cables(topo, &[(0.0, 0, 1, Down), (1.5 * step, 0, 1, Up)]);
-        let mut sink = crate::trace::VecSink::new();
-        let r = Simulator::with_config(topo, cfg)
-            .run_with(
-                &b.build(),
-                &schedule,
-                RecoveryPolicy::RerouteResume,
-                Some(&mut sink),
-            )
-            .unwrap();
-        (r, sink.into_events())
+        let sim = Simulator::with_config(topo, cfg);
+        traced(&sim, &b.build(), &schedule, RecoveryPolicy::RerouteResume)
     }
 
     /// The `flow_started` path of flow `f`.
@@ -1587,44 +1566,47 @@ mod tests {
         let topo = Torus::new(&[8]);
         let cfg = SimConfig {
             startup_latency_s: 1e-3,
-            record_flow_times: true,
             ..SimConfig::default()
         };
         let sim = Simulator::with_config(&topo, cfg);
         let mut b = FlowDagBuilder::new();
         let a = b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
         let c = b.add_flow(NodeId(1), NodeId(2), mb(1), &[a]);
-        let r = sim.run(&b.build()).unwrap();
-        let times = r.completion_times.unwrap();
+        let (_, events) = traced(
+            &sim,
+            &b.build(),
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+        );
+        let times = resolve_times(&events, 2);
         let step = 1e-3 + xfer(mb(1), 10.0 * GBPS);
         assert!((times[a.index()] - step).abs() < 1e-9);
         assert!((times[c.index()] - 2.0 * step).abs() < 1e-9);
     }
 
     #[test]
-    fn link_stats_conserve_bytes() {
+    fn traced_paths_cover_links_and_nic_ports() {
         let topo = Torus::new(&[8]);
-        let cfg = SimConfig {
-            collect_link_stats: true,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
+        let sim = Simulator::new(&topo);
         let mut b = FlowDagBuilder::new();
         b.add_flow(NodeId(0), NodeId(2), mb(1), &[]); // 2 hops + inj + ej
         b.add_flow(NodeId(4), NodeId(5), mb(2), &[]); // 1 hop + inj + ej
-        let r = sim.run(&b.build()).unwrap();
-        let bytes = r.resource_bytes.as_ref().unwrap();
-        let total: f64 = bytes.iter().sum();
-        // Flow 1 crosses 4 resources with 1 MB, flow 2 crosses 3 with 2 MB.
-        let expect = (4 * mb(1) + 3 * mb(2)) as f64;
-        assert!(
-            (total - expect).abs() / expect < 1e-9,
-            "{total} vs {expect}"
+        let (r, mut events) = traced(
+            &sim,
+            &b.build(),
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
         );
-        // The busiest physical link carried 2 MB.
-        let hottest = r.hottest_links(1);
-        assert_eq!(hottest.len(), 1);
-        assert!((hottest[0].1 - mb(2) as f64).abs() < 1.0);
+        // The oracle held each flow's rate integral to its bytes over the
+        // resources of its `flow_started` path.
+        let (links, eps) = (r.num_links as u32, r.num_endpoints as u32);
+        for (f, hops, src, dst) in [(0, 2, 0, 2), (1, 1, 4, 5)] {
+            let path = started_path(&mut events, f).clone();
+            assert_eq!(path.len(), hops + 2, "flow {f}: {path:?}");
+            assert_eq!(path[0], links + src, "injection port first");
+            assert_eq!(path[hops + 1], links + eps + dst, "ejection port last");
+            assert!(path[1..=hops].iter().all(|&l| l < links), "{path:?}");
+        }
     }
 
     // ---- fault injection ----
@@ -1649,12 +1631,7 @@ mod tests {
     #[test]
     fn empty_schedule_reproduces_fault_free_run_exactly() {
         let topo = Torus::new(&[4, 4]);
-        let cfg = SimConfig {
-            record_flow_times: true,
-            collect_link_stats: true,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
+        let sim = Simulator::new(&topo);
         let mut b = FlowDagBuilder::new();
         let mut prev = vec![];
         for round in 0..3u64 {
@@ -1666,6 +1643,12 @@ mod tests {
         }
         let dag = b.build();
         let plain = sim.run(&dag).unwrap();
+        let (_, plain_trace) = traced(
+            &sim,
+            &dag,
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+        );
         for policy in RecoveryPolicy::ALL {
             let faulted = sim
                 .run_with(&dag, &FaultSchedule::empty(), policy, None)
@@ -1675,6 +1658,8 @@ mod tests {
                 serde_json::to_string(&faulted).unwrap(),
                 "{policy:?}"
             );
+            let (_, trace) = traced(&sim, &dag, &FaultSchedule::empty(), policy);
+            assert_eq!(trace, plain_trace, "{policy:?}");
         }
     }
 
@@ -1739,13 +1724,7 @@ mod tests {
         // {0,3} from {1,2}. Flow 0 -> 1 becomes unreachable and is dropped;
         // flow 3 -> 0 rides the surviving cable to completion.
         let topo = Torus::new(&[4]);
-        let sim = Simulator::with_config(
-            &topo,
-            SimConfig {
-                record_flow_times: true,
-                ..SimConfig::default()
-            },
-        );
+        let sim = Simulator::new(&topo);
         let mut b = FlowDagBuilder::new();
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
         b.add_flow(NodeId(3), NodeId(0), mb(1), &[]);
@@ -1753,13 +1732,11 @@ mod tests {
         let t_cut = 0.5 * xfer(mb(1), 10.0 * GBPS);
         let schedule = cables(&topo, &[(t_cut, 0, 1, Down), (t_cut, 2, 3, Down)]);
 
-        let r = sim
-            .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
-            .unwrap();
+        let (r, events) = traced(&sim, &dag, &schedule, RecoveryPolicy::SkipUnreachable);
         assert_eq!(r.skipped_flows, 1);
         assert_eq!(r.skipped_flow_ids, vec![0]);
         assert_eq!(r.delivered_flows(), 1);
-        let times = r.completion_times.as_ref().unwrap();
+        let times = resolve_times(&events, 2);
         assert!((times[0] - t_cut).abs() < 1e-15, "drop time recorded");
         assert!((times[1] - xfer(mb(1), 10.0 * GBPS)).abs() < 1e-12);
 
@@ -1876,7 +1853,6 @@ mod tests {
         let topo = Torus::new(&[4]);
         let cfg = SimConfig {
             startup_latency_s: 1e-3,
-            record_flow_times: true,
             ..SimConfig::default()
         };
         let sim = Simulator::with_config(&topo, cfg);
@@ -1886,11 +1862,9 @@ mod tests {
         let dag = b.build();
         let schedule = cables(&topo, &[(5e-4, 0, 1, Down), (5e-4, 2, 3, Down)]);
 
-        let r = sim
-            .run_with(&dag, &schedule, RecoveryPolicy::SkipUnreachable, None)
-            .unwrap();
+        let (r, events) = traced(&sim, &dag, &schedule, RecoveryPolicy::SkipUnreachable);
         assert_eq!(r.skipped_flow_ids, vec![1]);
-        let times = r.completion_times.as_ref().unwrap();
+        let times = resolve_times(&events, 2);
         assert!((times[1] - 5e-4).abs() < 1e-15);
         let expect = 1e-3 + xfer(mb(1), 10.0 * GBPS);
         assert!((times[0] - expect).abs() < 1e-12);
@@ -1910,34 +1884,37 @@ mod tests {
         // fluid model charges no per-hop cost by default) and the paths
         // avoid the dead link.
         let topo = Torus::new(&[4]);
-        let cfg = SimConfig {
-            collect_link_stats: true,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
+        let sim = Simulator::new(&topo);
         let mut b = FlowDagBuilder::new();
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
         let schedule = cables(&topo, &[(0.0, 0, 1, Down)]);
-        let r = sim
-            .run_with(&b.build(), &schedule, RecoveryPolicy::RerouteResume, None)
-            .unwrap();
+        let (r, events) = traced(&sim, &b.build(), &schedule, RecoveryPolicy::RerouteResume);
         assert_eq!(r.fault_events_applied, 2);
         let dead = topo
             .network()
             .find_physical_link(NodeId(0), NodeId(1))
             .unwrap();
-        let bytes = r.resource_bytes.as_ref().unwrap();
-        assert_eq!(bytes[dead.0 as usize], 0.0, "dead link carried traffic");
-        // The detour crosses three links with the full megabyte.
-        let carried: f64 = bytes[..r.num_links as usize].iter().sum();
-        assert!((carried - 3.0 * mb(1) as f64).abs() < 1.0, "{carried}");
+        let paths: Vec<&Vec<u32>> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::FlowStarted { path, .. } | TraceEvent::RerouteTaken { path, .. } => {
+                    Some(path)
+                }
+                _ => None,
+            })
+            .collect();
+        // One path, never rerouted: the detour's three links between the
+        // NIC ports, none of them the dead one. The oracle has held the
+        // full megabyte to it.
+        assert_eq!(paths.len(), 1);
+        assert_eq!(paths[0].len(), 3 + 2, "{paths:?}");
+        assert!(!paths[0].contains(&dead.0), "dead link carried traffic");
     }
 
     #[test]
-    fn stats_and_latency_compose() {
+    fn oracle_and_latency_compose() {
         let topo = Torus::new(&[4, 4]);
         let cfg = SimConfig {
-            collect_link_stats: true,
             per_hop_latency_s: 1e-6,
             ..SimConfig::default()
         };
@@ -1946,9 +1923,14 @@ mod tests {
         for i in 0..8u32 {
             b.add_flow(NodeId(i), NodeId(15 - i), mb(1), &[]);
         }
-        let r = sim.run(&b.build()).unwrap();
+        let dag = b.build();
+        let (r, _) = traced(
+            &sim,
+            &dag,
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+        );
         assert!(r.makespan_seconds > 0.0);
-        let bytes = r.resource_bytes.unwrap();
-        assert!(bytes.iter().sum::<f64>() > 0.0);
+        assert_eq!(r.makespan_seconds, sim.run(&dag).unwrap().makespan_seconds);
     }
 }

@@ -156,10 +156,9 @@ impl FaultSchedule {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "snake_case")]
 pub enum RecoveryPolicy {
-    /// Fail the whole run with a typed
-    /// [`SimError::LinkLost`](crate::SimError::LinkLost) the moment a fault
-    /// interrupts any scheduled flow. Models a system with no fault
-    /// tolerance at all.
+    /// Fail the whole run with a typed [`SimError::LinkLost`] the moment
+    /// a fault interrupts any scheduled flow. Models a system with no
+    /// fault tolerance at all.
     Abort,
     /// Reroute interrupted flows over surviving links, keeping transferred
     /// bytes; a flow whose destination became unreachable is dropped and
@@ -169,8 +168,8 @@ pub enum RecoveryPolicy {
     SkipUnreachable,
     /// Reroute interrupted flows over surviving links, keeping transferred
     /// bytes; an unreachable destination fails the run with a typed
-    /// [`SimError::Unreachable`](crate::SimError::Unreachable). Models
-    /// transparent network-level path migration.
+    /// [`SimError::Unreachable`]. Models transparent network-level path
+    /// migration.
     #[default]
     RerouteResume,
     /// Reroute interrupted flows but retransmit from zero — the bytes
@@ -266,7 +265,7 @@ fn duplex_cables(net: &Network) -> Vec<(LinkId, Option<LinkId>)> {
 }
 
 /// Pick `count` random duplex cables to cut before a run, deterministic in
-/// `seed`: the cables of [`duplex_cables`] in a seeded shuffle, taking each
+/// `seed`: the cables of `duplex_cables` in a seeded shuffle, taking each
 /// unless it is the last physical link of either of its end nodes — a
 /// failure study needs a degraded network, not an isolated node (a
 /// partition of larger parts can still happen, and surfaces as an

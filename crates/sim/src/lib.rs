@@ -43,7 +43,7 @@
 //!   water-fill.
 //! * **Event tracing + metrics** ([`trace`], zero-cost when off): a traced
 //!   run streams every state transition to a [`TraceSink`] and aggregates
-//!   counters/histograms into [`SimReport::metrics`]; the pure
+//!   counters into [`SimReport::metrics`]; the pure
 //!   [`trace_check`] oracle replays a trace and independently verifies
 //!   byte conservation, capacity limits, time monotonicity, dependency
 //!   order, skip-unreachability and canonical routes.
@@ -67,7 +67,5 @@ pub use fault::{
 };
 pub use paths::{PathId, PathTable};
 pub use report::SimReport;
-pub use trace::{
-    parse_jsonl, Histogram, JsonlSink, MetricsSnapshot, TraceEvent, TraceSink, VecSink,
-};
+pub use trace::{parse_jsonl, JsonlSink, MetricsSnapshot, TraceEvent, TraceSink, VecSink};
 pub use trace_check::{check_trace, check_trace_with_topology, TraceSummary, TraceViolation};

@@ -650,11 +650,6 @@ impl MaxMinSolver {
         })
     }
 
-    /// Number of registered resources.
-    pub fn num_resources(&self) -> usize {
-        self.capacity.len()
-    }
-
     /// Registered capacity of resource `r` (bits/second).
     pub fn capacity(&self, r: u32) -> f64 {
         self.capacity[r as usize]

@@ -15,25 +15,18 @@ pub struct SimReport {
     pub events: u64,
     /// Total progressive-filling freeze iterations across all events.
     pub maxmin_iterations: u64,
-    /// Per-flow completion times (seconds), when requested via
-    /// [`crate::SimConfig::record_flow_times`].
-    pub completion_times: Option<Vec<f64>>,
-    /// Bytes carried per resource (all links first, then per-endpoint
-    /// injection ports, then ejection ports), when requested via
-    /// [`crate::SimConfig::collect_link_stats`].
-    pub resource_bytes: Option<Vec<f64>>,
-    /// Number of links of the simulated topology (layout key for
-    /// `resource_bytes`).
+    /// Number of unidirectional links of the simulated topology.
     pub num_links: u64,
-    /// Number of endpoints of the simulated topology.
+    /// Number of endpoints of the simulated topology, each with one NIC
+    /// injection and one ejection resource.
     pub num_endpoints: u64,
     /// Flows dropped by the `skip_unreachable` recovery policy because a
     /// mid-run fault made their destination unreachable. Zero for fault-free
     /// runs.
     #[serde(default)]
     pub skipped_flows: u64,
-    /// Ids of the dropped flows (their `completion_times` entries record the
-    /// drop time, not a delivery).
+    /// Ids of the dropped flows, in drop order (a traced run records each
+    /// drop time as a `flow_skipped` event).
     #[serde(default)]
     pub skipped_flow_ids: Vec<u32>,
     /// Link-down/link-up events from the fault schedule that actually fired
@@ -54,7 +47,7 @@ pub struct SimReport {
     /// last fault transition.
     #[serde(default)]
     pub route_cache_hits: u64,
-    /// Counters and histograms collected when tracing is enabled (see
+    /// Counters collected when tracing is enabled (see
     /// [`crate::SimConfig::trace`] and [`crate::trace`]); `None` — and the
     /// report bit-identical to pre-tracing builds — otherwise. Contains
     /// solver wall-clock timings, so traced reports are not bit-comparable
@@ -67,55 +60,6 @@ impl SimReport {
     /// Flows actually delivered to their destination (total minus skipped).
     pub fn delivered_flows(&self) -> u64 {
         self.flows - self.skipped_flows
-    }
-
-    /// Average events per flow — a measure of how much completion batching
-    /// compressed the event loop.
-    pub fn events_per_flow(&self) -> f64 {
-        if self.flows == 0 {
-            0.0
-        } else {
-            self.events as f64 / self.flows as f64
-        }
-    }
-
-    /// The `n` busiest *links* (excludes NIC injection/ejection resources)
-    /// as `(link index, bytes carried)`, hottest first. Empty when link
-    /// statistics were not collected.
-    pub fn hottest_links(&self, n: usize) -> Vec<(usize, f64)> {
-        let Some(bytes) = &self.resource_bytes else {
-            return Vec::new();
-        };
-        let mut links: Vec<(usize, f64)> = bytes[..self.num_links as usize]
-            .iter()
-            .copied()
-            .enumerate()
-            .collect();
-        links.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        links.truncate(n);
-        links
-    }
-
-    /// Bytes injected by each endpoint (empty without link statistics).
-    pub fn injection_bytes(&self) -> &[f64] {
-        match &self.resource_bytes {
-            Some(b) => {
-                let lo = self.num_links as usize;
-                &b[lo..lo + self.num_endpoints as usize]
-            }
-            None => &[],
-        }
-    }
-
-    /// Bytes ejected at each endpoint (empty without link statistics).
-    pub fn ejection_bytes(&self) -> &[f64] {
-        match &self.resource_bytes {
-            Some(b) => {
-                let lo = self.num_links as usize + self.num_endpoints as usize;
-                &b[lo..lo + self.num_endpoints as usize]
-            }
-            None => &[],
-        }
     }
 }
 
@@ -139,8 +83,6 @@ mod tests {
             flows: 10,
             events: 4,
             maxmin_iterations: 9,
-            completion_times: None,
-            resource_bytes: None,
             num_links: 2,
             num_endpoints: 2,
             skipped_flows: 0,
@@ -183,14 +125,17 @@ mod tests {
         let r: SimReport = serde_json::from_str(json).unwrap();
         assert_eq!(r.events, 1);
         assert_eq!(r.route_cache_hits, 3);
-    }
 
-    #[test]
-    fn events_per_flow_handles_zero() {
-        let mut r = base();
-        r.flows = 0;
-        r.events = 0;
-        assert_eq!(r.events_per_flow(), 0.0);
+        // Reports serialized while the engine could record per-flow times
+        // and per-resource bytes still load; both vectors are ignored.
+        let json = r#"{"makespan_seconds":1.0,"flows":2,"events":1,
+            "maxmin_iterations":1,"completion_times":[0.5,1.0],
+            "resource_bytes":[8.0,0.0,8.0,0.0,0.0,8.0],"num_links":2,
+            "num_endpoints":2}"#;
+        let r: SimReport = serde_json::from_str(json).unwrap();
+        assert_eq!(r.flows, 2);
+        assert_eq!(r.num_links, 2);
+        assert!(r.skipped_flow_ids.is_empty());
     }
 
     #[test]
@@ -199,24 +144,5 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("1.5"));
         assert!(s.contains("10 flows"));
-        assert_eq!(r.events_per_flow(), 0.4);
-    }
-
-    #[test]
-    fn hottest_links_empty_without_stats() {
-        assert!(base().hottest_links(3).is_empty());
-        assert!(base().injection_bytes().is_empty());
-        assert!(base().ejection_bytes().is_empty());
-    }
-
-    #[test]
-    fn hottest_links_sorted_and_scoped_to_links() {
-        let mut r = base();
-        // links: [5, 9], injection: [100, 0], ejection: [0, 100]
-        r.resource_bytes = Some(vec![5.0, 9.0, 100.0, 0.0, 0.0, 100.0]);
-        let hot = r.hottest_links(5);
-        assert_eq!(hot, vec![(1, 9.0), (0, 5.0)]);
-        assert_eq!(r.injection_bytes(), &[100.0, 0.0]);
-        assert_eq!(r.ejection_bytes(), &[0.0, 100.0]);
     }
 }

@@ -213,90 +213,17 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     Ok(events)
 }
 
-/// Number of fixed log₂ buckets in a [`Histogram`].
-pub const HISTOGRAM_BUCKETS: usize = 64;
-/// Bucket `i` (for `i >= 1`) covers values in `[2^(i-41), 2^(i-40))`;
-/// bucket 0 collects non-positive values. The span 2⁻⁴⁰..2²³ covers both
-/// sub-microsecond solver timings and active-set sizes in the millions.
-const HISTOGRAM_MIN_EXP: i32 = -40;
-
-/// Fixed-layout log₂ histogram over non-negative samples, plus the exact
-/// count/sum/min/max. Layout is static so snapshots from different runs
-/// merge and compare trivially.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: f64,
-    /// Smallest sample (0 when empty).
-    pub min: f64,
-    /// Largest sample (0 when empty).
-    pub max: f64,
-    /// Per-bucket sample counts; see [`HISTOGRAM_BUCKETS`].
-    pub buckets: Vec<u64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0.0,
-            min: 0.0,
-            max: 0.0,
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    fn bucket_index(value: f64) -> usize {
-        if value <= 0.0 || !value.is_finite() {
-            return 0;
-        }
-        let exp = value.log2().floor() as i32;
-        let idx = exp - HISTOGRAM_MIN_EXP + 1;
-        idx.clamp(1, HISTOGRAM_BUCKETS as i32 - 1) as usize
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: f64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-        self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    /// Arithmetic mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// Monotonic counters and histograms accumulated during a traced run,
-/// attached to [`SimReport::metrics`](crate::SimReport::metrics)
-/// (kind-tagged so mixed JSON streams stay self-describing).
+/// Monotonic counters accumulated during a traced run, attached to
+/// [`SimReport::metrics`](crate::SimReport::metrics) (kind-tagged so mixed
+/// JSON streams stay self-describing).
 ///
 /// The engine bumps the counters at the same emission sites that feed the
 /// event stream (so counters and trace agree by construction) — without
-/// building the event when no sink listens — and adds per-recompute
-/// wall-clock and utilisation probes.
+/// building the event when no sink listens — and adds up the solver's
+/// wall-clock time per recompute. Utilisation is the oracle's to measure:
+/// [`TraceSummary::max_utilization`](crate::TraceSummary::max_utilization).
 ///
-/// Solver wall-clock fields are genuinely non-deterministic; everything
+/// The solver wall-clock total is genuinely non-deterministic; everything
 /// else is a pure function of the run. Reports are therefore only
 /// bit-compared with tracing off.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -324,15 +251,6 @@ pub struct MetricsSnapshot {
     pub deadline_exceeded: u64,
     /// Total solver wall-clock time, seconds. **Non-deterministic.**
     pub solver_seconds_total: f64,
-    /// Per-recompute solver wall time, seconds. **Non-deterministic.**
-    pub solver_seconds: Histogram,
-    /// Active-set size at each recompute.
-    pub flows_active: Histogram,
-    /// Most-loaded-resource utilisation (`allocated / capacity`) at each
-    /// recompute.
-    pub resource_utilization: Histogram,
-    /// Largest utilisation ever observed; ≤ 1 + ε for a correct solver.
-    pub peak_resource_utilization: f64,
 }
 
 fn metrics_kind() -> String {
@@ -355,28 +273,7 @@ impl Default for MetricsSnapshot {
             budget_exhausted: 0,
             deadline_exceeded: 0,
             solver_seconds_total: 0.0,
-            solver_seconds: Histogram::new(),
-            flows_active: Histogram::new(),
-            resource_utilization: Histogram::new(),
-            peak_resource_utilization: 0.0,
         }
-    }
-}
-
-impl MetricsSnapshot {
-    /// Record one rate recomputation: solver wall time and the size of the
-    /// active set it served.
-    pub fn record_solve(&mut self, seconds: f64, flows_active: usize) {
-        self.solver_seconds_total += seconds;
-        self.solver_seconds.record(seconds);
-        self.flows_active.record(flows_active as f64);
-    }
-
-    /// Record the post-recompute utilisation snapshot: the most loaded
-    /// resource's `allocated / capacity`.
-    pub fn record_utilization(&mut self, peak: f64) {
-        self.peak_resource_utilization = self.peak_resource_utilization.max(peak);
-        self.resource_utilization.record(peak);
     }
 }
 
@@ -467,40 +364,21 @@ mod tests {
     }
 
     #[test]
-    fn histogram_tracks_extremes_and_buckets() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        h.record(1e-9);
-        h.record(4.0);
-        h.record(0.0);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min, 0.0);
-        assert_eq!(h.max, 4.0);
-        assert!((h.mean() - (1e-9 + 4.0) / 3.0).abs() < 1e-12);
-        assert_eq!(h.buckets[0], 1, "zero lands in the non-positive bucket");
-        assert_eq!(h.buckets.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
     fn recorded_metrics_roundtrip_as_json() {
         let mut m = MetricsSnapshot::default();
         m.flows_skipped += 1;
         m.rate_recomputes += 1;
         m.full_passes += 1;
-        m.record_solve(1e-6, 3);
-        m.record_utilization(0.5);
-        m.record_utilization(1.0);
+        m.solver_seconds_total += 1e-6;
         assert_eq!(m.kind, "sim_metrics");
-        assert_eq!(m.peak_resource_utilization, 1.0);
-        assert_eq!(m.flows_active.count, 1);
-        assert_eq!(m.resource_utilization.count, 2);
         let json = serde_json::to_string(&m).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
     }
 
     /// Traces and results written while runs carried a topology-cache
-    /// provenance flag still load; the flag is ignored.
+    /// provenance flag still load; the flag is ignored. So do metrics from
+    /// the days of the per-recompute histograms and utilisation probe.
     #[test]
     fn old_files_with_the_cache_hit_flag_still_load() {
         let header = parse_jsonl(
@@ -526,5 +404,28 @@ mod tests {
             .replacen('{', "{\"topo_cache_hit\":1,", 1);
         let back: MetricsSnapshot = serde_json::from_str(&old).unwrap();
         assert_eq!(back, snap);
+
+        let histogram = r#"{"count":2,"sum":3.0,"min":1.0,"max":2.0,"buckets":[0,2]}"#;
+        let old = format!(
+            r#"{{"kind":"sim_metrics","flows_activated":4,"flows_started":4,
+                "flows_finished":4,"flows_skipped":0,"faults_applied":0,
+                "faults_cleared":0,"reroutes":0,"rate_recomputes":2,"full_passes":2,
+                "solver_seconds_total":3e-6,"solver_seconds":{histogram},
+                "flows_active":{histogram},"resource_utilization":{histogram},
+                "peak_resource_utilization":1.0}}"#
+        );
+        let back: MetricsSnapshot = serde_json::from_str(&old).unwrap();
+        assert_eq!(
+            back,
+            MetricsSnapshot {
+                flows_activated: 4,
+                flows_started: 4,
+                flows_finished: 4,
+                rate_recomputes: 2,
+                full_passes: 2,
+                solver_seconds_total: 3e-6,
+                ..MetricsSnapshot::default()
+            }
+        );
     }
 }

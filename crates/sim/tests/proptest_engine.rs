@@ -3,7 +3,10 @@
 //! `proptest_maxmin.rs`).
 
 use exaflow_netgraph::NodeId;
-use exaflow_sim::{FlowDagBuilder, FlowId, SimConfig, Simulator};
+use exaflow_sim::{
+    FaultSchedule, FlowDagBuilder, FlowId, RecoveryPolicy, SimConfig, Simulator, TraceEvent,
+    VecSink,
+};
 use exaflow_topo::Torus;
 use proptest::prelude::*;
 
@@ -91,9 +94,16 @@ proptest! {
             b.add_flow(NodeId(*s), NodeId(*d), *bytes, &deps);
         }
         let dag = b.build();
-        let cfg = SimConfig { record_flow_times: true, ..SimConfig::default() };
-        let report = Simulator::with_config(&topo, cfg).run(&dag).unwrap();
-        let times = report.completion_times.unwrap();
+        let mut sink = VecSink::new();
+        Simulator::new(&topo)
+            .run_with(&dag, &FaultSchedule::empty(), RecoveryPolicy::default(), Some(&mut sink))
+            .unwrap();
+        let mut times = vec![f64::NAN; flows.len()];
+        for ev in sink.into_events() {
+            if let TraceEvent::FlowFinished { t, flow } = ev {
+                times[flow as usize] = t;
+            }
+        }
         for (pred, succ) in dep_pairs {
             prop_assert!(
                 times[pred.index()] <= times[succ.index()] + 1e-15,

@@ -12,7 +12,7 @@
 //! for self-traffic.
 //!
 //! [`GhcTier`] is the reusable core (mirroring [`crate::kary_tree::TreeTier`]):
-//! the router grid, which answers distances, and [`GhcTier::wire`], which
+//! the router grid, which answers distances, and `GhcTier::wire`, which
 //! wires the router fabric into an existing [`NetworkBuilder`], attaches
 //! caller-supplied nodes as ports and returns the link ids routes read.
 

@@ -15,7 +15,7 @@
 //! the `NestTree` upper tier.
 //!
 //! [`TreeTier`] is the reusable core: the radices, which answer distances,
-//! and [`TreeTier::wire`], which wires the switch fabric into an existing
+//! and `TreeTier::wire`, which wires the switch fabric into an existing
 //! [`NetworkBuilder`] and attaches an arbitrary caller-supplied list of
 //! nodes as ports — endpoints for the standalone [`KAryTree`], uplinked
 //! torus QFDBs for `NestTree` — and returns the link ids routes read.

@@ -18,6 +18,13 @@ $TIMEOUT 1800 cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 $TIMEOUT 1800 cargo test -q --workspace
 
+# Broken intra-doc links (a renamed or deleted item, a public page linking a
+# private one) fail here. `--lib` because the CLI binary and the facade
+# library are both named `exaflow` and would collide on one output page.
+echo "== rustdoc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" $TIMEOUT 900 \
+  cargo doc -q --no-deps --workspace --lib --offline --keep-going
+
 # The vendored JSON parser sits outside the workspace; its unit tests
 # (nesting cap included) run against the root target/.
 echo "== vendored JSON parser unit tests"

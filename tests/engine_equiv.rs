@@ -66,8 +66,6 @@ fn specs() -> Vec<(&'static str, TopologySpec)> {
 
 fn cfg() -> SimConfig {
     SimConfig {
-        record_flow_times: true,
-        collect_link_stats: true,
         // Non-zero head latencies route admissions through the
         // delayed-activation heap — the other entry path into the solver.
         per_hop_latency_s: 50e-9,
