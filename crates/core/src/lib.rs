@@ -17,8 +17,9 @@
 //! * [`exaflow_analysis`] — distance statistics,
 //!
 //! and adds declarative experiment configuration ([`ExperimentConfig`]),
-//! execution ([`run_experiment`]) and the paper's preset experiment grids
-//! ([`presets`]).
+//! execution ([`run_experiment`]), the paper's preset experiment grids
+//! ([`presets`]) and its six artefacts, Tables 1–2 and Figures 2–5
+//! ([`reproduce`]).
 //!
 //! ## Quick start
 //!
@@ -49,6 +50,7 @@ pub mod error;
 pub mod experiment;
 pub mod journal;
 pub mod presets;
+pub mod reproduce;
 pub mod resilience;
 pub mod scale;
 pub mod suite;

@@ -27,16 +27,18 @@ pub fn hybrid_grid() -> Vec<(u32, u32)> {
     grid
 }
 
-/// The four curves of every figure: `NestGHC(t,u)`, `NestTree(t,u)`,
-/// `Fattree`, `Torus3D`. Hybrids are parameterised by the grid point; the
-/// baselines are fixed per scale.
-pub fn figure_topologies(scale: SystemScale, t: u32, u: u32) -> Result<Vec<TopologySpec>, String> {
-    Ok(vec![
-        scale.nested_spec(UpperTierKind::GeneralizedHypercube, t, u)?,
-        scale.nested_spec(UpperTierKind::Fattree, t, u)?,
-        scale.fattree_spec(),
-        scale.torus_spec(),
-    ])
+/// The topologies of every figure panel, in the order the figure reducer
+/// reads them: the `Fattree` and `Torus3D` baselines, then a
+/// `NestGHC(t,u)`, `NestTree(t,u)` pair per grid point the scale can host
+/// (tiny scales cannot hold the largest subtori), in [`hybrid_grid`] order.
+pub fn figure_topologies(scale: SystemScale) -> Vec<TopologySpec> {
+    let mut specs = vec![scale.fattree_spec(), scale.torus_spec()];
+    for (t, u) in hybrid_grid() {
+        for upper in [UpperTierKind::GeneralizedHypercube, UpperTierKind::Fattree] {
+            specs.extend(scale.nested_spec(upper, t, u).ok());
+        }
+    }
+    specs
 }
 
 /// The heavy workloads of Figure 4, in the paper's panel order.
@@ -154,31 +156,36 @@ mod tests {
     }
 
     #[test]
-    fn figure_topologies_build_at_tiny_scale() {
+    fn figure_topologies_pin_the_figure_order() {
+        // 64 QFDBs cannot host t=8 subtori: 2 baselines + 8 hybrid pairs.
         let scale = SystemScale::new(64).unwrap();
-        for (t, u) in hybrid_grid() {
-            if scale.subtori(t).is_err() {
-                continue; // 64 QFDBs cannot host t=8 subtori
-            }
-            let topos = figure_topologies(scale, t, u).unwrap();
-            assert_eq!(topos.len(), 4);
-            for spec in topos {
-                let topo = spec.build().unwrap();
-                assert_eq!(topo.num_endpoints(), 64);
-            }
+        let mut want = vec![scale.fattree_spec(), scale.torus_spec()];
+        for (t, u) in hybrid_grid().into_iter().filter(|&(t, _)| t < 8) {
+            want.push(
+                scale
+                    .nested_spec(UpperTierKind::GeneralizedHypercube, t, u)
+                    .unwrap(),
+            );
+            want.push(scale.nested_spec(UpperTierKind::Fattree, t, u).unwrap());
         }
+        let topos = figure_topologies(scale);
+        assert_eq!(topos, want);
+        for spec in topos {
+            assert_eq!(spec.build().unwrap().num_endpoints(), 64);
+        }
+        // The simulation scale hosts the whole grid: 26 topologies.
+        assert_eq!(figure_topologies(SystemScale::DEFAULT_SIM).len(), 26);
     }
 
     #[test]
     fn end_to_end_tiny_figure_cell() {
-        // One cell of Figure 4 at 64 QFDBs: AllReduce on all four curves.
+        // Figure 4's AllReduce at 64 QFDBs on every figure topology.
         let scale = SystemScale::new(64).unwrap();
         let workload = WorkloadSpec::AllReduce {
             tasks: 64,
             bytes: 1 << 16,
         };
-        let mut times = Vec::new();
-        for spec in figure_topologies(scale, 2, 4).unwrap() {
+        for spec in figure_topologies(scale) {
             let res = run_experiment(&ExperimentConfig {
                 topology: spec,
                 workload: workload.clone(),
@@ -189,8 +196,24 @@ mod tests {
             })
             .unwrap();
             assert!(res.makespan_seconds > 0.0);
-            times.push(res.makespan_seconds);
         }
-        assert_eq!(times.len(), 4);
+    }
+
+    #[test]
+    fn figure_panel_tiny() {
+        let scale = SystemScale::new(64).unwrap();
+        let w = WorkloadSpec::Reduce {
+            tasks: 64,
+            bytes: 1 << 12,
+        };
+        let panels = crate::reproduce::figure(scale, &[w], Some(2)).unwrap();
+        // t=8 is skipped at 64 QFDBs: 8 of 12 grid points remain.
+        assert_eq!(panels[0].cells.len(), 8);
+        // Reduce is topology-insensitive: every normalised value ~1.
+        for c in &panels[0].cells {
+            assert!((c.nest_ghc - 1.0).abs() < 1e-6, "{c:?}");
+            assert!((c.torus - 1.0).abs() < 1e-6, "{c:?}");
+        }
+        assert!(panels[0].render().contains("NestGHC"));
     }
 }

@@ -14,7 +14,8 @@
 //! Tracing is **zero-cost when off**: every emission site is guarded by a
 //! single branch on a local flag, no event is constructed, no counter is
 //! touched, and the report is bit-identical to a build without this module
-//! (enforced by the `trace_overhead` bench and `scripts/check.sh`). With
+//! (held by the root test `engine_equiv::fault_free_reports_bit_identical_across_modes`
+//! and `scripts/check.sh`). With
 //! [`SimConfig::trace`](crate::SimConfig::trace) but no sink — metrics
 //! only — the sites bump their counter and still construct no event.
 //!

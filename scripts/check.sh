@@ -49,9 +49,6 @@ $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 echo "== topology cache: cached suites and campaigns vs a direct run per entry"
 $TIMEOUT 900 cargo test -q -p exaflow-suite --test topo_cache_equiv
 
-echo "== cargo bench --no-run (the trace_overhead bench must keep compiling)"
-$TIMEOUT 1800 cargo bench --workspace --no-run
-
 # `benchmark/` is a package of its own that the pipeline builds from this
 # checkout; an API change that breaks it must fail here, not there.
 # run.sh builds into the root target/, so the cargo steps share it.
@@ -78,22 +75,34 @@ $TIMEOUT 300 ./target/release/examples/failure_resilience \
   | diff -u failure_resilience_output.txt - \
   || { echo "failure_resilience output drifted from failure_resilience_output.txt"; exit 1; }
 
-# fig2 and fig3 are deterministic and take no options: their stdout must
-# match the checked-in artefacts byte for byte, and any argument must be
-# rejected with exit 2 rather than ignored. fig2 writes figure2/*.dot into
-# its working directory, so both run in a scratch one.
-echo "== fig2/fig3 output is pinned; both reject options"
-cargo build -q --release -p exaflow-bench --bin fig2 --bin fig3
+# Every artefact is deterministic: `exaflow reproduce` stdout and JSON must
+# match the checked-in files byte for byte. fig2 and fig3 take no options,
+# and any argument must be rejected with exit 2 rather than ignored; fig2
+# writes figure2/*.dot into its working directory, so all run in a scratch
+# one. table2 runs at the paper's scale (under a second on two threads);
+# fig4/fig5 at 128 QFDBs (a fraction of a second each).
+echo "== reproduce: fig2/fig3 stdout, table2, fig4/fig5 at 128 QFDBs are pinned"
 FIGDIR="$(mktemp -d)"
 trap 'rm -rf "$FIGDIR"' EXIT
-for b in fig2 fig3; do
-  bin="$PWD/target/release/$b"
-  (cd "$FIGDIR" && $TIMEOUT 60 "$bin") \
-    | diff -u "${b}_output.txt" - \
-    || { echo "$b output drifted from ${b}_output.txt"; exit 1; }
+EXAFLOW="$PWD/target/release/exaflow"
+for a in fig2 fig3; do
+  (cd "$FIGDIR" && $TIMEOUT 60 "$EXAFLOW" reproduce $a) \
+    | diff -u "${a}_output.txt" - \
+    || { echo "reproduce $a output drifted from ${a}_output.txt"; exit 1; }
   code=0
-  (cd "$FIGDIR" && $TIMEOUT 60 "$bin" --json x.json) 2>/dev/null || code=$?
-  [ "$code" -eq 2 ] || { echo "$b --json x.json exited $code, want 2"; exit 1; }
+  (cd "$FIGDIR" && $TIMEOUT 60 "$EXAFLOW" reproduce $a --json x.json) 2>/dev/null || code=$?
+  [ "$code" -eq 2 ] || { echo "reproduce $a --json x.json exited $code, want 2"; exit 1; }
+done
+$TIMEOUT 300 "$EXAFLOW" reproduce table2 --threads 2 --json "$FIGDIR/table2.json" 2>/dev/null \
+  | diff -u table2_output.txt - \
+  || { echo "reproduce table2 output drifted from table2_output.txt"; exit 1; }
+cmp table2_results.json "$FIGDIR/table2.json" \
+  || { echo "reproduce table2 JSON drifted from table2_results.json"; exit 1; }
+for a in fig4 fig5; do
+  $TIMEOUT 300 "$EXAFLOW" reproduce $a --scale 128 --threads 1 --json "$FIGDIR/$a.json" \
+    >/dev/null 2>&1
+  cmp "${a}_128_results.json" "$FIGDIR/$a.json" \
+    || { echo "reproduce $a --scale 128 drifted from ${a}_128_results.json"; exit 1; }
 done
 
 # Hostile input: every file of a generated corpus, fed to every command
@@ -122,7 +131,6 @@ write("bad/negative_rate.json", config + ', "sim": {"injection_bps": -1.0, '
 write("bad/removed_family.json", config.replace('"torus", "dims": [4, 4]',
       '"dragonfly", "groups": 5, "a": 2, "p": 1, "h": 2') + "}")
 PY
-EXAFLOW=./target/release/exaflow
 JOURNAL="$CORPUS/bad/journal.jsonl"
 $TIMEOUT 60 $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" >/dev/null 2>&1
 printf 'not a journal line\n{"fingerprint": "torn' >>"$JOURNAL"

@@ -3,7 +3,7 @@
 //! relative 1e-9 with a readable mismatch list.
 
 use exaflow::prelude::*;
-use exaflow_bench::run_panels;
+use exaflow::reproduce::{reproduce, Artefact};
 use serde_json::Value;
 use std::path::Path;
 
@@ -69,14 +69,11 @@ pub fn assert_matches_pinned(got: Value, want: &Value, what: &str) {
 }
 
 /// Recompute Figure 4 (heavy workloads) and Figure 5 (light) at `scale`
-/// and diff every panel against the pinned `[fig4, fig5]` files.
+/// as `exaflow reproduce` does and diff every panel of its JSON against
+/// the pinned `[fig4, fig5]` files.
 pub fn assert_figures_match(scale: SystemScale, [fig4, fig5]: [&str; 2], threads: Option<usize>) {
-    let figures = [
-        (fig4, presets::heavy_workloads(scale)),
-        (fig5, presets::light_workloads(scale)),
-    ];
-    for (file, workloads) in figures {
-        let panels = run_panels(scale, &workloads, threads).unwrap();
-        assert_matches_pinned(serde_json::to_value(&panels).unwrap(), &load(file), file);
+    for (file, artefact) in [(fig4, Artefact::Fig4), (fig5, Artefact::Fig5)] {
+        let json = reproduce(artefact, scale, threads).unwrap().json.unwrap();
+        assert_matches_pinned(serde_json::from_str(&json).unwrap(), &load(file), file);
     }
 }

@@ -3,16 +3,16 @@
 //! pinned against freshly computed values, so performance work on the
 //! engine cannot silently shift the reproduced numbers.
 //!
-//! Each test recomputes a deterministic slice at the exact parameters the
-//! generator bins used (two 2,048-QFDB panels, and all eleven panels at
-//! 128 QFDBs) and compares it tolerance-aware (relative 1e-9 — the
+//! Each test recomputes a deterministic slice through the functions
+//! `exaflow reproduce` calls (two 2,048-QFDB panels, and all eleven
+//! panels at 128 QFDBs) and compares it tolerance-aware (relative 1e-9 — the
 //! pipeline is deterministic, the slack only covers printing round-trips)
 //! with a readable diff on mismatch. The full 2,048-QFDB grid is pinned by
 //! `tests/tier2_scale.rs`.
 
 use common::{assert_figures_match, assert_matches_pinned, load, numbers_match};
 use exaflow::prelude::*;
-use exaflow_bench::figure_panel;
+use exaflow::reproduce::figure;
 use std::path::Path;
 use FaultAction::{Down, Up};
 use RecoveryPolicy::{RerouteRestart, RerouteResume, SkipUnreachable};
@@ -161,7 +161,7 @@ fn golden_trace_is_pinned_line_for_line() {
 }
 
 /// Table 1, row (t=2, u=8) at the paper's full 131 072-QFDB scale, as
-/// `crates/bench/src/bin/table1.rs` computes it: the exact sweep over all
+/// `exaflow reproduce table1` computes it: the exact sweep over all
 /// sources. The NestTree half counts in milliseconds; the NestGHC half
 /// and the rest of the grid take seconds a row and are pinned by
 /// `tests/tier2_scale.rs::paper_scale_table1_grid_matches_pinned`.
@@ -192,47 +192,39 @@ fn table1_row_2_8_matches_pinned() {
     assert_eq!(stats.diameter as f64, pinned("diam_tree"));
 }
 
-/// Figure 4, AllReduce panel at the default 2048-QFDB simulation scale —
-/// the heavy workload most sensitive to the rate engine (11 recursive-
-/// doubling rounds across every topology family).
-#[test]
-fn fig4_allreduce_panel_matches_pinned() {
-    let pinned = load("fig4_results.json");
-    let scale = SystemScale::DEFAULT_SIM;
-    let workload = WorkloadSpec::AllReduce {
-        tasks: scale.qfdbs as usize,
-        bytes: presets::MIB,
-    };
-    let panel = figure_panel(scale, &workload, None).unwrap();
+/// The `name` panel of a figure at the default 2048-QFDB simulation scale,
+/// run with the figure's own preset workload, against its entry in `file`.
+fn assert_panel_matches(file: &str, workloads: Vec<WorkloadSpec>, name: &str) {
+    let workload = workloads.into_iter().find(|w| w.name() == name).unwrap();
+    let panel = &figure(SystemScale::DEFAULT_SIM, &[workload], None).unwrap()[0];
+    let what = format!("{file} {name} panel");
     assert_matches_pinned(
-        serde_json::to_value(&panel).unwrap(),
-        &pinned["AllReduce"],
-        "fig4 AllReduce panel",
+        serde_json::to_value(panel).unwrap(),
+        &load(file)[name],
+        &what,
     );
 }
 
-/// Figure 5, Reduce panel at the default 2048-QFDB simulation scale — the
-/// ejection-serialised workload whose topology-insensitivity is a headline
-/// claim of the paper.
+/// Figure 4, AllReduce panel — the heavy workload most sensitive to the
+/// rate engine (11 recursive-doubling rounds across every topology family).
+#[test]
+fn fig4_allreduce_panel_matches_pinned() {
+    let workloads = presets::heavy_workloads(SystemScale::DEFAULT_SIM);
+    assert_panel_matches("fig4_results.json", workloads, "AllReduce");
+}
+
+/// Figure 5, Reduce panel — the ejection-serialised workload whose
+/// topology-insensitivity is a headline claim of the paper.
 #[test]
 fn fig5_reduce_panel_matches_pinned() {
-    let pinned = load("fig5_results.json");
-    let scale = SystemScale::DEFAULT_SIM;
-    let workload = WorkloadSpec::Reduce {
-        tasks: scale.qfdbs as usize,
-        bytes: 64 << 10,
-    };
-    let panel = figure_panel(scale, &workload, None).unwrap();
-    assert_matches_pinned(
-        serde_json::to_value(&panel).unwrap(),
-        &pinned["Reduce"],
-        "fig5 Reduce panel",
-    );
+    let workloads = presets::light_workloads(SystemScale::DEFAULT_SIM);
+    assert_panel_matches("fig5_results.json", workloads, "Reduce");
 }
 
 /// Every Fig 4 and Fig 5 panel at 128 QFDBs, the 18-topology grid of each,
-/// against `fig{4,5}_128_results.json`. Regenerate with `fig4 --scale 128
-/// --threads 1 --json fig4_128_results.json` (and the same for `fig5`).
+/// against `fig{4,5}_128_results.json`. Regenerate with `exaflow reproduce
+/// fig4 --scale 128 --threads 1 --json fig4_128_results.json` (and the
+/// same for `fig5`).
 #[test]
 fn every_fig45_panel_at_128_qfdbs_matches_pinned() {
     let scale = SystemScale::new(128).unwrap();

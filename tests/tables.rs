@@ -214,7 +214,7 @@ fn table1_parallel_sweep_bit_identical_all_families() {
 /// As-constructed upper-tier switch counts track the paper's closed-form
 /// estimates where the model is meaningful (u = 1, large scale — the
 /// model's fixed 1024-switch spine is calibrated for the paper's scale and
-/// dominates at small sizes; the `table2` harness prints both columns).
+/// dominates at small sizes; `exaflow reproduce table2` prints both columns).
 #[test]
 fn built_switch_counts_near_model() {
     let scale = SystemScale::new(32_768).unwrap();

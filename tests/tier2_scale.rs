@@ -171,42 +171,22 @@ fn paper_scale_table1_is_exact() {
 }
 
 /// Every cell of the checked-in Table 1 (`table1_results.json`, written by
-/// the `table1` binary) is the exact all-sources value. Tier-1 pins the
+/// `exaflow reproduce table1`) is the exact all-sources value: the rows
+/// `reproduce` computes match it field for field. Tier-1 pins the
 /// NestTree half of row (2,8) (`tests/golden.rs`); the NestGHC sweeps take
 /// seconds a row in release, so the whole grid lives here.
 #[test]
 #[ignore = "tier-2 full-scale sweep; run with --ignored in the tier2 CI job"]
 fn paper_scale_table1_grid_matches_pinned() {
-    let pinned = common::load("table1_results.json");
-    let rows = pinned.as_array().expect("array of rows");
-    assert_eq!(rows.len(), 12);
-    let scale = SystemScale::PAPER;
     let threads = exaflow::analysis::default_threads();
-    for row in rows {
-        let number = |key: &str| row[key].as_f64().expect("numeric cell");
-        let (t, u) = (number("t") as u32, number("u") as u32);
-        for (kind, avg_key, diam_key) in [
-            (UpperTierKind::GeneralizedHypercube, "avg_ghc", "diam_ghc"),
-            (UpperTierKind::Fattree, "avg_tree", "diam_tree"),
-        ] {
-            let topo = scale.nested_spec(kind, t, u).unwrap().build().unwrap();
-            let started = Instant::now();
-            let stats = distance_sweep(topo.as_ref(), threads);
-            eprintln!(
-                "{}: all-sources sweep in {:.3} s on {threads} threads",
-                topo.name(),
-                started.elapsed().as_secs_f64()
-            );
-            let want = number(avg_key);
-            assert!(
-                (stats.average - want).abs() <= 1e-9 * want,
-                "{}: {} vs pinned {want}",
-                topo.name(),
-                stats.average
-            );
-            assert_eq!(stats.diameter as f64, number(diam_key), "{}", topo.name());
-        }
-    }
+    let started = Instant::now();
+    let (rows, _) = exaflow::reproduce::table1(SystemScale::PAPER, threads).unwrap();
+    eprintln!(
+        "exact Table 1 grid in {:.3} s on {threads} threads",
+        started.elapsed().as_secs_f64()
+    );
+    let pinned = common::load("table1_results.json");
+    common::assert_matches_pinned(serde_json::to_value(&rows).unwrap(), &pinned, "table1");
 }
 
 /// The whole Fig 4 + Fig 5 grid at the 2,048-QFDB simulation scale (11
