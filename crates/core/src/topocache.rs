@@ -22,7 +22,8 @@
 //!    round, and at most one spec per worker plus the one being dispatched
 //!    is resident at a time ([`TopoCacheStats::peak_entries`]): one for a
 //!    serial suite, whatever the number of distinct specs in its input. A
-//!    resilience campaign runs one spec.
+//!    resilience campaign runs one spec, and its baseline and grid suites
+//!    share one `TopoCache::keeping` cache, so it is built once.
 //! 3. **Single-flight builds.** Each key owns a build slot (`OnceLock`);
 //!    the first worker to want a spec builds it while later arrivals block
 //!    on that slot rather than duplicating the work or serialising every
@@ -94,6 +95,9 @@ struct CacheState {
 /// Thread-safe cache of built topologies, keyed by [`topology_cache_key`].
 pub struct TopoCache {
     state: Mutex<CacheState>,
+    /// Set by [`keeping`](Self::keeping): [`release`](Self::release) is a
+    /// no-op.
+    keep: bool,
 }
 
 impl TopoCache {
@@ -107,6 +111,17 @@ impl TopoCache {
     pub fn new(_cap: usize) -> TopoCache {
         TopoCache {
             state: Mutex::default(),
+            keep: false,
+        }
+    }
+
+    /// An empty cache that keeps every entry until it is dropped. A
+    /// resilience campaign runs its baseline and grid suites on one, so
+    /// its topology is built once.
+    pub(crate) fn keeping() -> TopoCache {
+        TopoCache {
+            keep: true,
+            ..TopoCache::new(Self::DEFAULT_CAP)
         }
     }
 
@@ -142,7 +157,11 @@ impl TopoCache {
     /// Drop the entry under `key` (a [`topology_cache_key`]), if any. The
     /// built topology is freed once the last worker holding it lets go; a
     /// later request for the spec builds it afresh and counts as a miss.
+    /// A keeping cache (`TopoCache::keeping`) ignores the call.
     pub fn release(&self, key: &str) {
+        if self.keep {
+            return;
+        }
         let slot = self
             .state
             .lock()
