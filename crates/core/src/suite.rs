@@ -287,18 +287,6 @@ impl ExperimentSuite {
         }
     }
 
-    /// Test support: run the suite with a fault hook that is invoked on
-    /// each worker thread *outside* the per-experiment panic isolation,
-    /// with the round-local dispatch position it just claimed (entries are
-    /// dispatched grouped by topology, see the module docs) — a panicking
-    /// hook kills that worker dead, exactly like an abort-level failure
-    /// mid-suite.
-    #[doc(hidden)]
-    pub fn run_with_worker_fault(&self, fault: &(dyn Fn(usize) + Sync)) -> SuiteRun {
-        let (run, _) = self.run_prefilled(None, vec![None; self.len()], fault, None);
-        run
-    }
-
     /// The shared engine under [`run`](Self::run) and
     /// [`run_journaled`](Self::run_journaled): round-based retries over a
     /// scoped worker pool, with `prefilled` entries (journal hits) taken
@@ -306,6 +294,10 @@ impl ExperimentSuite {
     /// `journal` as it completes. Returns the run plus the first journal
     /// I/O error, if any (experiments keep running; the caller decides).
     /// Topologies come from `shared`, or else from a cache of the run's own.
+    /// `fault` is a test hook invoked on each worker thread *outside* the
+    /// per-experiment panic isolation, with the round-local dispatch
+    /// position it just claimed: a panicking hook kills that worker dead,
+    /// exactly like an abort-level failure mid-suite.
     fn run_prefilled(
         &self,
         mut journal: Option<(&mut Journal, &[String])>,
@@ -709,6 +701,72 @@ mod tests {
         assert_eq!(run.report.retries, 0);
         assert_eq!(run.report.quarantined, 0);
         assert_eq!(run.report.per_experiment_wall_seconds[1], 0.0);
+    }
+
+    /// A worker thread dying outright (panic outside the per-experiment
+    /// isolation — the bug class that used to take down the whole suite via
+    /// `join().expect(...)`) must strand only the entry it had claimed.
+    ///
+    /// The input is workload-major over four topologies (entry `i` runs on
+    /// topology `i % 4`), and a round dispatches it grouped by topology:
+    /// inputs 0, 4, 8, then 1, 5, 9, and so on. Dispatch position 2 is
+    /// therefore input 8, the last entry on the first topology.
+    #[test]
+    fn dead_worker_loses_only_its_own_entry() {
+        let dims = [vec![4, 4], vec![8, 2], vec![4, 4, 2], vec![2, 2, 4]];
+        let configs: Vec<ExperimentConfig> = (0..12)
+            .map(|i| cfg(dims[i % 4].clone(), 4 << (i / 4)))
+            .collect();
+        let kill_position_2 = |i: usize| {
+            if i == 2 {
+                panic!("simulated worker abort");
+            }
+        };
+        let run_killing = |suite: ExperimentSuite| {
+            let prefilled = vec![None; suite.len()];
+            suite
+                .run_prefilled(None, prefilled, &kill_position_2, None)
+                .0
+        };
+        let run = run_killing(ExperimentSuite::new(configs.clone()).threads(2));
+        assert_eq!(run.results.len(), 12, "every entry must come back");
+        for (i, r) in run.results.iter().enumerate() {
+            if i == 8 {
+                let err = r.as_ref().unwrap_err();
+                match err {
+                    ExperimentError::Panicked { message } => {
+                        assert!(message.contains("worker thread died"), "{message}");
+                        assert!(message.contains("simulated worker abort"), "{message}");
+                    }
+                    other => panic!("expected Panicked, got {other:?}"),
+                }
+            } else {
+                assert!(r.is_ok(), "entry {i} should be unaffected: {r:?}");
+            }
+        }
+        assert_eq!(run.report.succeeded, 11);
+        assert_eq!(run.report.failed, 1);
+
+        // The same fault with a second attempt recovers completely: the
+        // retry round re-runs the stranded entry on a fresh (serial) pass.
+        // Its topology was released at the end of the first round, so the
+        // retry builds it again — one miss more than the four distinct
+        // topologies — and still comes out exactly as an uninterrupted run.
+        let run = run_killing(ExperimentSuite::new(configs.clone()).threads(2).attempts(2));
+        assert!(run.results.iter().all(Result::is_ok), "{:?}", run.report);
+        assert_eq!(run.report.retries, 1);
+        assert_eq!(run.report.quarantined, 0);
+        let stats = run.report.topo_cache.unwrap();
+        assert_eq!((stats.misses, stats.hits), (5, 7));
+        let reference = ExperimentSuite::new(configs).threads(1).run();
+        let signature = |results: &[Result<ExperimentResult, ExperimentError>]| {
+            let ok = |r: &Result<ExperimentResult, ExperimentError>| {
+                let r = r.as_ref().expect("experiment");
+                (r.makespan_seconds, r.flows, r.events)
+            };
+            results.iter().map(ok).collect::<Vec<_>>()
+        };
+        assert_eq!(signature(&run.results), signature(&reference.results));
     }
 
     #[test]

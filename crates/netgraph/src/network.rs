@@ -108,12 +108,6 @@ impl Network {
         &self.out_links[lo..hi]
     }
 
-    /// Out-degree of `node` (including virtual links).
-    #[inline]
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_links(node).len()
-    }
-
     /// Find the first link from `src` to `dst`, if any.
     ///
     /// Uses binary search over the destination-sorted adjacency group, so a
@@ -153,16 +147,6 @@ impl Network {
     /// Iterator over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.kinds.len() as u32).map(NodeId)
-    }
-
-    /// Iterator over endpoint node ids (`0..num_endpoints`).
-    pub fn endpoint_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.num_endpoints as u32).map(NodeId)
-    }
-
-    /// Iterator over switch node ids.
-    pub fn switch_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (self.num_endpoints as u32..self.kinds.len() as u32).map(NodeId)
     }
 
     /// Sum of capacities of all physical links, in bits/second.
@@ -208,8 +192,6 @@ mod tests {
         assert_eq!(n.kind(NodeId(2)), NodeKind::Switch);
         assert!(n.is_endpoint(NodeId(1)));
         assert!(!n.is_endpoint(NodeId(2)));
-        assert_eq!(n.endpoint_ids().count(), 2);
-        assert_eq!(n.switch_ids().count(), 1);
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl FlowDagBuilder {
         self.flows.is_empty()
     }
 
-    /// The id the next added flow will get.
-    pub fn next_id(&self) -> FlowId {
-        FlowId(self.flows.len() as u32)
-    }
-
     /// Finalise the DAG.
     pub fn build(self) -> FlowDag {
         FlowDag {
@@ -264,7 +259,7 @@ mod tests {
         let mut b = FlowDagBuilder::with_capacity(10, 10);
         let a = b.add_flow(NodeId(0), NodeId(1), 5, &[]);
         assert_eq!(a, FlowId(0));
-        assert_eq!(b.next_id(), FlowId(1));
+        assert_eq!(b.len(), 1);
         assert!(!b.is_empty());
         let dag = b.build();
         assert_eq!(dag.len(), 1);

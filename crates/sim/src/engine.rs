@@ -1,24 +1,22 @@
-//! The simulation engine: activation, rate allocation, batched completions,
-//! optional per-hop latency and mid-run faults.
+//! The simulation engine: activation, rate allocation, batched completions
+//! and mid-run faults.
 //!
 //! [`Simulator::run_with`] validates its inputs, builds a `RunState` (the
 //! solver, the run's [`PathTable`], route memo, fault overlay with the
-//! schedule's run-long failures already down, per-flow vectors, active and
-//! delayed sets, clock, counters and trace) and calls `RunState::step`
-//! until the workload is done. A step runs the engine's concerns in a
-//! fixed order:
+//! schedule's run-long failures already down, per-flow vectors, active
+//! set, clock, counters and trace) and calls `RunState::step` until the
+//! workload is done. A step runs the engine's concerns in a fixed order:
 //!
 //! 1. `apply_due_faults`: every fault due by `now` updates the overlay. Any
 //!    applied transition clears the route memo, and a downed link hands
-//!    each in-flight flow that crosses it, transferring or delayed, to
-//!    `recover` (abort, reroute or skip, per [`RecoveryPolicy`]).
+//!    each active flow that crosses it to `recover` (abort, reroute or
+//!    skip, per [`RecoveryPolicy`]).
 //! 2. `activate_ready`: flows whose dependencies resolved are routed and
-//!    admitted, or held back by their head latency.
-//! 3. With nothing transferring, jump to the next fault or activation.
+//!    admitted to the active set.
+//! 3. With nothing transferring, the workload is done.
 //! 4. `check_limits`, then `recompute` the max-min rates: one event.
-//! 5. `advance` to the earliest of a fault, a delayed activation (then
-//!    `admit_due`) and the completion batch (then `retire` it and activate
-//!    what it released).
+//! 5. `advance` to the earlier of a due fault and the completion batch
+//!    (then `retire` it and activate what it released).
 //!
 //! Invariants the steps rely on:
 //!
@@ -26,9 +24,6 @@
 //!   if it avoids every down link, otherwise the overlay's shortest detour
 //!   over live links. The memo is keyed by `(src, dst)` alone and lives for
 //!   one failure epoch: every applied transition, down or up, clears it.
-//! * A flow skipped while delayed leaves a stale entry in the delayed heap
-//!   (its `delayed_paths` entry is gone); `next_activation` drops stale
-//!   entries before the heap is read.
 //! * The active set is one `Vec<Active>` and every removal is a
 //!   `swap_remove`, so its order, and with it the order of rates, trace
 //!   events and float sums, is fixed by the event sequence.
@@ -46,8 +41,6 @@ use crate::trace::{MetricsSnapshot, TraceEvent, TraceSink};
 use exaflow_netgraph::{IntMap, LinkId, NodeId};
 use exaflow_topo::{FaultOverlay, Topology};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::iter::Peekable;
 use std::slice;
 use std::time::Instant;
@@ -55,9 +48,9 @@ use std::time::Instant;
 /// Engine configuration.
 ///
 /// Deserialization validates the numeric fields (see
-/// [`SimConfig::validate`]): a config with a non-finite or negative rate,
-/// epsilon or latency is rejected at the JSON boundary instead of stalling
-/// or poisoning the event heap deep inside a run.
+/// [`SimConfig::validate`]): a config with a non-finite or non-positive
+/// rate or a negative epsilon is rejected at the JSON boundary instead of
+/// stalling deep inside a run.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Endpoint injection (NIC transmit) capacity, bits/second.
@@ -72,15 +65,6 @@ pub struct SimConfig {
     /// for fewer rate recomputations, within the error bound pinned by
     /// `proptest_engine::batching_epsilon_bounds_error`.
     pub batch_epsilon: f64,
-    /// Head latency added before a flow starts transferring:
-    /// `startup_latency_s + hops · per_hop_latency_s`. Zero by default —
-    /// the pure fluid model, appropriate for the paper's MB-scale
-    /// transfers where wire time dominates switch latency by 10³.
-    #[serde(default)]
-    pub per_hop_latency_s: f64,
-    /// Fixed protocol/software overhead per flow, seconds.
-    #[serde(default)]
-    pub startup_latency_s: f64,
     /// Collect trace metrics ([`SimReport::metrics`]) even without an
     /// explicit [`TraceSink`]; passing a sink to [`Simulator::run_with`]
     /// enables tracing regardless. Off by default — an untraced run
@@ -113,11 +97,10 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Check every numeric field against its domain: NIC rates must be
-    /// finite and strictly positive, the batching epsilon and latencies
-    /// finite and non-negative. Called by [`Simulator::run`] and by the
-    /// `Deserialize` impl, so an invalid config is a typed
-    /// [`SimError::InvalidConfig`] at the boundary — never a zero-rate
-    /// stall or a NaN in the delayed-activation heap.
+    /// finite and strictly positive, the batching epsilon finite and
+    /// non-negative. Called by [`Simulator::run`] and by the `Deserialize`
+    /// impl, so an invalid config is a typed [`SimError::InvalidConfig`] at
+    /// the boundary — never a zero-rate stall.
     pub fn validate(&self) -> Result<(), SimError> {
         let positive = [
             ("injection_bps", self.injection_bps),
@@ -132,19 +115,13 @@ impl SimConfig {
                 ));
             }
         }
-        let non_negative = [
-            ("batch_epsilon", self.batch_epsilon),
-            ("per_hop_latency_s", self.per_hop_latency_s),
-            ("startup_latency_s", self.startup_latency_s),
-        ];
-        for (field, value) in non_negative {
-            if !(value.is_finite() && value >= 0.0) {
-                return Err(SimError::invalid_config(
-                    field,
-                    value,
-                    "must be finite and >= 0",
-                ));
-            }
+        let epsilon = self.batch_epsilon;
+        if !(epsilon.is_finite() && epsilon >= 0.0) {
+            return Err(SimError::invalid_config(
+                "batch_epsilon",
+                epsilon,
+                "must be finite and >= 0",
+            ));
         }
         if let Some(limit) = self.max_wall_s {
             if !(limit.is_finite() && limit > 0.0) {
@@ -165,8 +142,6 @@ impl Default for SimConfig {
             injection_bps: exaflow_topo::LINK_RATE_BPS,
             ejection_bps: exaflow_topo::LINK_RATE_BPS,
             batch_epsilon: 1e-9,
-            per_hop_latency_s: 0.0,
-            startup_latency_s: 0.0,
             trace: false,
             solver_threads: 0,
             max_events: None,
@@ -178,6 +153,10 @@ impl Default for SimConfig {
 /// Unvalidated mirror of [`SimConfig`] carrying the derive-generated field
 /// logic; the manual `Deserialize` below funnels it through
 /// [`SimConfig::validate`] so malformed JSON surfaces as a config error.
+/// The two head-latency keys of the deleted latency model stay here only
+/// to guard the boundary: files written before its removal carry them as
+/// `0.0`, which loads, and any other value is rejected rather than ignored,
+/// since ignoring it would report times the config did not ask for.
 #[derive(Deserialize)]
 struct SimConfigUnchecked {
     injection_bps: f64,
@@ -200,12 +179,22 @@ struct SimConfigUnchecked {
 impl serde::de::Deserialize for SimConfig {
     fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
         let raw = SimConfigUnchecked::from_value(value)?;
+        let legacy = [
+            ("per_hop_latency_s", raw.per_hop_latency_s),
+            ("startup_latency_s", raw.startup_latency_s),
+        ];
+        if let Some((field, value)) = legacy.into_iter().find(|&(_, v)| v != 0.0) {
+            let err = SimError::invalid_config(
+                field,
+                value,
+                "must be 0 (the engine has no head-latency model)",
+            );
+            return Err(serde::de::Error::custom(err));
+        }
         let cfg = SimConfig {
             injection_bps: raw.injection_bps,
             ejection_bps: raw.ejection_bps,
             batch_epsilon: raw.batch_epsilon,
-            per_hop_latency_s: raw.per_hop_latency_s,
-            startup_latency_s: raw.startup_latency_s,
             trace: raw.trace,
             solver_threads: raw.solver_threads,
             max_events: raw.max_events,
@@ -213,18 +202,6 @@ impl serde::de::Deserialize for SimConfig {
         };
         cfg.validate().map_err(serde::de::Error::custom)?;
         Ok(cfg)
-    }
-}
-
-/// Total-ordered f64 key for the delayed-activation heap (times are always
-/// finite and non-NaN by construction).
-#[derive(PartialEq, PartialOrd)]
-struct Time(f64);
-impl Eq for Time {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other).expect("times are not NaN")
     }
 }
 
@@ -302,11 +279,10 @@ impl<'a> Simulator<'a> {
     /// interrupted flows per `policy`, and streaming every engine state
     /// transition into `sink` when one is given.
     ///
-    /// Fault events join the engine's event ordering alongside completions
-    /// and delayed activations: at each step the earliest of the three
-    /// fires. When a link goes down, every in-flight (active or
-    /// latency-delayed) flow whose path crosses it is handed to the
-    /// recovery policy:
+    /// Fault events join the engine's event ordering alongside completions:
+    /// at each step the earlier of the two fires. When a link goes down,
+    /// every active flow whose path crosses it is handed to the recovery
+    /// policy:
     ///
     /// * [`RecoveryPolicy::Abort`] — the run stops with
     ///   [`SimError::LinkLost`].
@@ -398,7 +374,7 @@ struct RunState<'r> {
     trace: Tracer<'r>,
     solver: MaxMinSolver,
     /// Every route of the run, interned once; the route memo, the active
-    /// and delayed sets and the solver all hold ids into it.
+    /// set and the solver all hold ids into it.
     paths: PathTable,
     /// `(src, dst) -> path` under the current down set: cleared by every
     /// applied fault transition, so a hit is what a fresh lookup returns.
@@ -419,9 +395,6 @@ struct RunState<'r> {
     /// Flows whose dependencies resolved, not yet activated.
     ready: Vec<u32>,
     active: Vec<Active>,
-    /// Flows waiting out their head latency, by activation time.
-    delayed: BinaryHeap<Reverse<(Time, u32)>>,
-    delayed_paths: IntMap<u32, PathId>,
     now: f64,
     completed: usize,
     events: u64,
@@ -469,8 +442,6 @@ impl<'r> RunState<'r> {
             ready: (0..n as u32).filter(|&f| indeg[f as usize] == 0).collect(),
             indeg,
             active: Vec::new(),
-            delayed: BinaryHeap::new(),
-            delayed_paths: IntMap::default(),
             now: 0.0,
             completed: 0,
             events: 0,
@@ -498,32 +469,19 @@ impl<'r> RunState<'r> {
         // the flows they skip may release dependents.
         self.apply_due_faults()?;
         self.activate_ready()?;
-        // With nothing transferring there is no event: time jumps to the
-        // next fault or delayed activation.
-        let dt = if self.active.is_empty() {
-            f64::INFINITY
-        } else {
-            self.check_limits()?;
-            self.events += 1;
-            self.recompute();
-            self.earliest_completion()?
-        };
-        let t_act = self.next_activation();
-        if self.active.is_empty() && t_act.is_none() {
+        if self.active.is_empty() {
             return Ok(false); // workload finished; later faults never fire
         }
-        // The earliest of a fault, a delayed activation and the completion
-        // batch goes next. A fault at the same instant as an activation
-        // fires first, so the activating flow routes around it.
+        self.check_limits()?;
+        self.events += 1;
+        self.recompute();
+        let dt = self.earliest_completion()?;
+        // The earlier of a fault and the completion batch goes next.
         let horizon = self.now + dt;
         let t_fault = self.faults.peek().map(|ev| ev.time_s);
-        if let Some(t) = t_fault.filter(|&t| t < horizon && t_act.is_none_or(|ta| t <= ta)) {
+        if let Some(t) = t_fault.filter(|&t| t < horizon) {
             self.advance(t - self.now);
             self.now = t; // the next step applies the fault batch
-        } else if let Some(t) = t_act.filter(|&t| t < horizon) {
-            self.advance(t - self.now);
-            self.now = t;
-            self.admit_due();
         } else {
             self.complete_batch(dt);
             self.activate_ready()?;
@@ -531,9 +489,9 @@ impl<'r> RunState<'r> {
         Ok(true)
     }
 
-    /// Apply every fault event due by `now`, then hand each in-flight flow
-    /// whose path crosses a newly-downed link to [`RunState::recover`]:
-    /// transferring flows in active order, then delayed flows by id.
+    /// Apply every fault event due by `now`, then hand each active flow
+    /// whose path crosses a newly-downed link to [`RunState::recover`], in
+    /// active order.
     fn apply_due_faults(&mut self) -> Result<(), SimError> {
         let (now, applied) = (self.now, self.fault_events_applied);
         let mut downed: Vec<u32> = Vec::new();
@@ -562,34 +520,18 @@ impl<'r> RunState<'r> {
         }
         let mut i = 0;
         while i < self.active.len() {
-            let a = self.active[i];
-            if !self.recover(a.id, a.path, Some(i), &downed)? {
+            if !self.recover(i, &downed)? {
                 i += 1;
             }
-        }
-        // Sorted: HashMap order is not deterministic.
-        let mut waiting: Vec<u32> = self.delayed_paths.keys().copied().collect();
-        waiting.sort_unstable();
-        for f in waiting {
-            self.recover(f, self.delayed_paths[&f], None, &downed)?;
         }
         Ok(())
     }
 
-    /// Apply the recovery policy to in-flight flow `f` on `path`, which is
-    /// at index `slot` of the active set or, with `slot == None`, delayed.
-    /// Returns whether the flow left its set. Link resources share ids with
-    /// links, so the path crosses a downed link iff it lists it. A delayed
-    /// flow keeps its activation time: its head latency was committed when
-    /// it was scheduled, and with nothing sent yet, resume and restart
-    /// coincide.
-    fn recover(
-        &mut self,
-        f: u32,
-        path: PathId,
-        slot: Option<usize>,
-        downed: &[u32],
-    ) -> Result<bool, SimError> {
+    /// Apply the recovery policy to the flow at index `i` of the active set.
+    /// Returns whether the flow left the set. Link resources share ids with
+    /// links, so the path crosses a downed link iff it lists it.
+    fn recover(&mut self, i: usize, downed: &[u32]) -> Result<bool, SimError> {
+        let Active { id: f, path, .. } = self.active[i];
         let Some(&link) = self.paths.get(path).iter().find(|r| downed.contains(r)) else {
             return Ok(false);
         };
@@ -605,8 +547,7 @@ impl<'r> RunState<'r> {
         let (src, dst, bytes) = (spec.src, spec.dst, spec.bytes);
         match self.route(src, dst) {
             Ok(path) => {
-                let restarted =
-                    slot.is_some() && matches!(self.policy, RecoveryPolicy::RerouteRestart);
+                let restarted = matches!(self.policy, RecoveryPolicy::RerouteRestart);
                 self.trace.emit(
                     |m| &mut m.reroutes,
                     || TraceEvent::RerouteTaken {
@@ -619,24 +560,16 @@ impl<'r> RunState<'r> {
                 if restarted {
                     self.remaining[f as usize] = bytes as f64 * 8.0;
                 }
-                if let Some(i) = slot {
-                    self.solver.remove_entry(self.active[i].entry);
-                    self.active[i].entry = self.solver.insert_entry(&self.paths, path);
-                    self.active[i].path = path;
-                } else {
-                    self.delayed_paths.insert(f, path);
-                }
+                self.solver.remove_entry(self.active[i].entry);
+                self.active[i].entry = self.solver.insert_entry(&self.paths, path);
+                self.active[i].path = path;
                 Ok(false)
             }
             Err(SimError::Unreachable { .. })
                 if matches!(self.policy, RecoveryPolicy::SkipUnreachable) =>
             {
                 self.skip(f);
-                if let Some(i) = slot {
-                    self.solver.remove_entry(self.active.swap_remove(i).entry);
-                } else {
-                    self.delayed_paths.remove(&f); // its heap entry is now stale
-                }
+                self.solver.remove_entry(self.active.swap_remove(i).entry);
                 Ok(true)
             }
             Err(e) => Err(e),
@@ -644,11 +577,9 @@ impl<'r> RunState<'r> {
     }
 
     /// Activate every ready flow: retire degenerate flows (zero bytes or
-    /// self-traffic) at once, cascading; route the rest and admit them or,
-    /// under the latency model, hold them back by their head latency.
+    /// self-traffic) at once, cascading; route the rest and admit them.
     fn activate_ready(&mut self) -> Result<(), SimError> {
-        let (dag, cfg) = (self.dag, &self.sim.cfg);
-        let latency_model = cfg.per_hop_latency_s > 0.0 || cfg.startup_latency_s > 0.0;
+        let dag = self.dag;
         let now = self.now;
         while let Some(f) = self.ready.pop() {
             let spec = dag.flow(FlowId(f));
@@ -681,15 +612,7 @@ impl<'r> RunState<'r> {
                 }
                 Err(e) => return Err(e),
             };
-            if latency_model {
-                // Physical hops = path minus the two NIC resources.
-                let hops = self.paths.get(path).len().saturating_sub(2) as f64;
-                let at = now + cfg.startup_latency_s + hops * cfg.per_hop_latency_s;
-                self.delayed.push(Reverse((Time(at), f)));
-                self.delayed_paths.insert(f, path);
-            } else {
-                self.admit(f, path);
-            }
+            self.admit(f, path);
         }
         Ok(())
     }
@@ -743,27 +666,6 @@ impl<'r> RunState<'r> {
             entry: self.solver.insert_entry(&self.paths, path),
             done: false,
         });
-    }
-
-    /// Time of the earliest live delayed activation, after dropping the
-    /// stale heap entries of flows skipped while delayed.
-    fn next_activation(&mut self) -> Option<f64> {
-        while let Some(Reverse((Time(t), f))) = self.delayed.peek() {
-            if self.delayed_paths.contains_key(f) {
-                return Some(*t);
-            }
-            self.delayed.pop();
-        }
-        None
-    }
-
-    /// Admit every delayed flow due by `now`.
-    fn admit_due(&mut self) {
-        while self.next_activation().is_some_and(|t| t <= self.now) {
-            let Reverse((_, f)) = self.delayed.pop().expect("peeked entry");
-            let path = self.delayed_paths.remove(&f).expect("delayed path");
-            self.admit(f, path);
-        }
     }
 
     /// Drop flow `f` under the skip policy and release its dependents.
@@ -1164,10 +1066,10 @@ mod tests {
     }
 
     #[test]
-    fn nan_latency_is_invalid_config() {
+    fn nan_batch_epsilon_is_invalid_config() {
         let topo = Torus::new(&[4]);
         let cfg = SimConfig {
-            per_hop_latency_s: f64::NAN,
+            batch_epsilon: f64::NAN,
             ..SimConfig::default()
         };
         let sim = Simulator::with_config(&topo, cfg);
@@ -1176,7 +1078,7 @@ mod tests {
         let err = sim.run(&b.build()).unwrap_err();
         match err {
             SimError::InvalidConfig { field, value, .. } => {
-                assert_eq!(field, "per_hop_latency_s");
+                assert_eq!(field, "batch_epsilon");
                 assert_eq!(value, "NaN");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
@@ -1390,7 +1292,9 @@ mod tests {
     /// that file loads although older engines required `route_cache_cap`
     /// and `record_flow_times`. So is a thread count from the days of the
     /// in-run pool: it loads into the inert `solver_threads` and moves
-    /// nothing.
+    /// nothing. Files written before the head-latency model was deleted
+    /// carry its two keys as `0.0` and load the same; any other value,
+    /// NaN included, is an `InvalidConfig` naming the key.
     #[test]
     fn old_configs_with_the_deleted_mode_keys_still_load() {
         let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9"#;
@@ -1421,6 +1325,10 @@ mod tests {
             ),
             (mode_keys(0), 8),
             (mode_keys(4), 8),
+            (
+                r#""per_hop_latency_s": 0.0, "startup_latency_s": 0"#.to_owned(),
+                0,
+            ),
         ];
         for (keys, threads) in olds {
             let old: SimConfig = serde_json::from_str(&format!("{{{base}, {keys}}}")).unwrap();
@@ -1434,24 +1342,36 @@ mod tests {
             );
             assert_eq!(report(old), report(new.clone()));
         }
+        for key in ["per_hop_latency_s", "startup_latency_s"] {
+            let with = |v: serde::Value| {
+                let mut json: serde::Value = serde_json::from_str(&format!("{{{base}}}")).unwrap();
+                let serde::Value::Object(map) = &mut json else {
+                    unreachable!("a config is an object")
+                };
+                map.insert(key, v);
+                SimConfig::from_value(&json).map_err(|e| e.to_string())
+            };
+            let zero = serde::Value::Number(serde::Number::Float(0.0));
+            assert_eq!(with(zero), Ok(SimConfig::default()));
+            for (bad, shown) in [(1e-6, "0.000001"), (f64::NAN, "NaN")] {
+                let err = with(serde::Value::Number(serde::Number::Float(bad))).unwrap_err();
+                let want = format!("sim config: {key} = {shown} must be 0");
+                assert!(err.starts_with(&want), "{err}");
+            }
+        }
     }
 
     /// The repair scenario: A (2 -> 3) fills time while cable 0-1 is down;
     /// B (0 -> 1) activates during the outage; C (0 -> 1) activates after
-    /// the repair. Per-hop latency makes path length visible in the
-    /// makespan. Returns the report and the trace.
+    /// the repair. Returns the report and the trace.
     fn repair_run(topo: &Torus) -> (SimReport, Vec<TraceEvent>) {
-        let cfg = SimConfig {
-            per_hop_latency_s: 1e-6,
-            ..SimConfig::default()
-        };
         let mut b = FlowDagBuilder::new();
         let a = b.add_flow(NodeId(2), NodeId(3), mb(1), &[]);
         let bf = b.add_flow(NodeId(0), NodeId(1), mb(1), &[a]);
         b.add_flow(NodeId(0), NodeId(1), mb(1), &[bf]);
         let step = xfer(mb(1), 10.0 * GBPS);
         let schedule = cables(topo, &[(0.0, 0, 1, Down), (1.5 * step, 0, 1, Up)]);
-        let sim = Simulator::with_config(topo, cfg);
+        let sim = Simulator::new(topo);
         traced(&sim, &b.build(), &schedule, RecoveryPolicy::RerouteResume)
     }
 
@@ -1475,8 +1395,8 @@ mod tests {
         let (r, mut events) = repair_run(&topo);
         assert_eq!(r.route_cache_hits, 0);
         assert_eq!(r.fault_events_applied, 4);
-        // Head latency: A 1 hop, B 3 hops, C 1 hop.
-        let expect = 3.0 * xfer(mb(1), 10.0 * GBPS) + 5e-6;
+        // Uncontended in turn: path length costs no time in the fluid model.
+        let expect = 3.0 * xfer(mb(1), 10.0 * GBPS);
         assert!(
             (r.makespan_seconds - expect).abs() < 1e-12,
             "{} vs {expect}",
@@ -1503,6 +1423,73 @@ mod tests {
         assert!(err.message.contains("not the topology's route"), "{err}");
     }
 
+    /// The oracle rejects a reroute of a flow that has not started: the
+    /// cut run's `reroute_taken`, copied to just after its flow's
+    /// activation, still avoids every down link, but only a transferring
+    /// flow holds a path a fault can cut.
+    #[test]
+    fn the_oracle_rejects_a_reroute_before_the_start() {
+        use crate::trace_check::check_trace;
+        let topo = Torus::new(&[8]);
+        let mut b = FlowDagBuilder::new();
+        b.add_flow(NodeId(0), NodeId(2), mb(1), &[]);
+        let schedule = cables(&topo, &[(0.5 * xfer(mb(1), 10.0 * GBPS), 0, 1, Down)]);
+        let sim = Simulator::new(&topo);
+        let (_, mut events) = traced(&sim, &b.build(), &schedule, RecoveryPolicy::RerouteResume);
+        let mut early = events
+            .iter()
+            .find(|e| matches!(e, TraceEvent::RerouteTaken { .. }))
+            .expect("the cut reroutes the flow")
+            .clone();
+        if let TraceEvent::RerouteTaken { t, .. } = &mut early {
+            *t = 0.0;
+        }
+        let activated = events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::FlowActivated { .. }))
+            .unwrap();
+        events.insert(activated + 1, early);
+        let err = check_trace(&events).unwrap_err();
+        assert!(
+            err.message.contains("rerouted from state Activated"),
+            "{err}"
+        );
+    }
+
+    /// The oracle rejects a flow that starts after it activated: the same
+    /// trace with the start, rates and finish 1 µs later still conserves
+    /// bytes, and passes once the activation moves with them.
+    #[test]
+    fn the_oracle_rejects_a_start_later_than_the_activation() {
+        use crate::trace_check::check_trace;
+        let topo = Torus::new(&[4]);
+        let mut b = FlowDagBuilder::new();
+        b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
+        let sim = Simulator::new(&topo);
+        let (_, mut events) = traced(
+            &sim,
+            &b.build(),
+            &FaultSchedule::empty(),
+            RecoveryPolicy::default(),
+        );
+        for ev in &mut events {
+            if let TraceEvent::FlowStarted { t, .. }
+            | TraceEvent::RateRecompute { t, .. }
+            | TraceEvent::FlowFinished { t, .. } = ev
+            {
+                *t += 1e-6;
+            }
+        }
+        let err = check_trace(&events).unwrap_err();
+        assert!(err.message.contains("started at"), "{err}");
+        for ev in &mut events {
+            if let TraceEvent::FlowActivated { t, .. } = ev {
+                *t += 1e-6;
+            }
+        }
+        check_trace(&events).unwrap();
+    }
+
     #[test]
     fn larger_batch_epsilon_reduces_events() {
         let topo = Torus::new(&[16]);
@@ -1519,69 +1506,6 @@ mod tests {
             Simulator::with_config(&topo, cfg).run(&dag).unwrap().events
         };
         assert!(run(1e-3) < run(1e-12));
-    }
-
-    #[test]
-    fn per_hop_latency_adds_head_time() {
-        let topo = Torus::new(&[8]);
-        let cfg = SimConfig {
-            per_hop_latency_s: 1e-6,
-            startup_latency_s: 5e-6,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
-        let mut b = FlowDagBuilder::new();
-        // 0 -> 2 is two hops.
-        b.add_flow(NodeId(0), NodeId(2), mb(1), &[]);
-        let r = sim.run(&b.build()).unwrap();
-        let expect = 5e-6 + 2.0 * 1e-6 + xfer(mb(1), 10.0 * GBPS);
-        assert!(
-            (r.makespan_seconds - expect).abs() < 1e-12,
-            "{} vs {expect}",
-            r.makespan_seconds
-        );
-    }
-
-    #[test]
-    fn latency_staggers_contending_flows() {
-        // Two flows share the destination but start at different times due
-        // to different path lengths; both must still finish correctly.
-        let topo = Torus::new(&[8]);
-        let cfg = SimConfig {
-            per_hop_latency_s: 1e-3, // exaggerated: comparable to wire time
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
-        let mut b = FlowDagBuilder::new();
-        b.add_flow(NodeId(0), NodeId(1), mb(1), &[]); // 1 hop: starts at 1ms
-        b.add_flow(NodeId(7), NodeId(1), mb(1), &[]); // 2 hops: starts at 2ms
-        let r = sim.run(&b.build()).unwrap();
-        assert!(r.makespan_seconds > 2e-3);
-        assert!(r.makespan_seconds < 4.5e-3);
-        assert_eq!(r.flows, 2);
-    }
-
-    #[test]
-    fn latency_respects_dependencies() {
-        let topo = Torus::new(&[8]);
-        let cfg = SimConfig {
-            startup_latency_s: 1e-3,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
-        let mut b = FlowDagBuilder::new();
-        let a = b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
-        let c = b.add_flow(NodeId(1), NodeId(2), mb(1), &[a]);
-        let (_, events) = traced(
-            &sim,
-            &b.build(),
-            &FaultSchedule::empty(),
-            RecoveryPolicy::default(),
-        );
-        let times = resolve_times(&events, 2);
-        let step = 1e-3 + xfer(mb(1), 10.0 * GBPS);
-        assert!((times[a.index()] - step).abs() < 1e-9);
-        assert!((times[c.index()] - 2.0 * step).abs() < 1e-9);
     }
 
     #[test]
@@ -1846,42 +1770,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_hits_latency_delayed_flow() {
-        // Under a 1 ms startup latency both flows are still delayed when
-        // the partition lands at 0.5 ms; the flow whose destination is cut
-        // off is dropped before it ever transfers, the other proceeds.
-        let topo = Torus::new(&[4]);
-        let cfg = SimConfig {
-            startup_latency_s: 1e-3,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
-        let mut b = FlowDagBuilder::new();
-        b.add_flow(NodeId(3), NodeId(0), mb(1), &[]);
-        b.add_flow(NodeId(0), NodeId(1), mb(1), &[]);
-        let dag = b.build();
-        let schedule = cables(&topo, &[(5e-4, 0, 1, Down), (5e-4, 2, 3, Down)]);
-
-        let (r, events) = traced(&sim, &dag, &schedule, RecoveryPolicy::SkipUnreachable);
-        assert_eq!(r.skipped_flow_ids, vec![1]);
-        let times = resolve_times(&events, 2);
-        assert!((times[1] - 5e-4).abs() < 1e-15);
-        let expect = 1e-3 + xfer(mb(1), 10.0 * GBPS);
-        assert!((times[0] - expect).abs() < 1e-12);
-        assert!((r.makespan_seconds - expect).abs() < 1e-12);
-
-        // Abort sees the delayed flow too.
-        let err = sim
-            .run_with(&dag, &schedule, RecoveryPolicy::Abort, None)
-            .unwrap_err();
-        assert!(matches!(err, SimError::LinkLost { flow: 1, .. }), "{err:?}");
-    }
-
-    #[test]
     fn fault_at_time_zero_shapes_initial_routes() {
         // Cable (0,1) is already down when the flow starts: the 0 -> 1
         // transfer detours 0-3-2-1 from the outset (same wire time — the
-        // fluid model charges no per-hop cost by default) and the paths
+        // fluid model charges no per-hop cost) and the paths
         // avoid the dead link.
         let topo = Torus::new(&[4]);
         let sim = Simulator::new(&topo);
@@ -1909,28 +1801,5 @@ mod tests {
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 3 + 2, "{paths:?}");
         assert!(!paths[0].contains(&dead.0), "dead link carried traffic");
-    }
-
-    #[test]
-    fn oracle_and_latency_compose() {
-        let topo = Torus::new(&[4, 4]);
-        let cfg = SimConfig {
-            per_hop_latency_s: 1e-6,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_config(&topo, cfg);
-        let mut b = FlowDagBuilder::new();
-        for i in 0..8u32 {
-            b.add_flow(NodeId(i), NodeId(15 - i), mb(1), &[]);
-        }
-        let dag = b.build();
-        let (r, _) = traced(
-            &sim,
-            &dag,
-            &FaultSchedule::empty(),
-            RecoveryPolicy::default(),
-        );
-        assert!(r.makespan_seconds > 0.0);
-        assert_eq!(r.makespan_seconds, sim.run(&dag).unwrap().makespan_seconds);
     }
 }

@@ -149,15 +149,13 @@ impl FaultSchedule {
     }
 }
 
-/// What the engine does with a flow whose path just lost a link.
-///
-/// The policy applies uniformly to transferring flows and to flows still
-/// waiting out their head latency (whose routed path is already fixed).
+/// What the engine does with a transferring flow whose path just lost a
+/// link.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "snake_case")]
 pub enum RecoveryPolicy {
     /// Fail the whole run with a typed [`SimError::LinkLost`] the moment
-    /// a fault interrupts any scheduled flow. Models a system with no
+    /// a fault interrupts any transferring flow. Models a system with no
     /// fault tolerance at all.
     Abort,
     /// Reroute interrupted flows over surviving links, keeping transferred

@@ -2,7 +2,7 @@
 //!
 //! A route is interned when it is first built — on a route-memo miss, at
 //! an activation or a fault reroute — and from then on the route memo, the
-//! active set, the delayed set and the solver all hold its 4-byte
+//! active set and the solver all hold its 4-byte
 //! [`PathId`]. Interning is by *content*: two routes with the same
 //! resources get the same id, so "same path" is an integer comparison
 //! everywhere (the solver's coalescing index is a dense array over ids)

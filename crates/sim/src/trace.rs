@@ -64,8 +64,8 @@ pub enum TraceEvent {
         /// by this point, which the oracle verifies.
         preds: Vec<u32>,
     },
-    /// The flow entered the active set and starts transferring (after any
-    /// configured head latency) on this resource path.
+    /// The flow entered the active set and starts transferring on this
+    /// resource path, at the instant it activated.
     FlowStarted { t: f64, flow: u32, path: Vec<u32> },
     /// The flow delivered all its bytes (or was degenerate: zero bytes or
     /// self-traffic, in which case it finishes without ever starting).

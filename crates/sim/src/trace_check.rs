@@ -111,6 +111,8 @@ enum FlowState {
 
 struct FlowReplay {
     state: FlowState,
+    /// `t` of the flow's `flow_activated`, which its `flow_started` shares.
+    activated_at: f64,
     src: u32,
     dst: u32,
     bits: f64,
@@ -235,6 +237,7 @@ fn check_inner(
     let mut replay: Vec<FlowReplay> = (0..n)
         .map(|_| FlowReplay {
             state: FlowState::Pending,
+            activated_at: 0.0,
             src: 0,
             dst: 0,
             bits: 0.0,
@@ -347,12 +350,12 @@ fn check_inner(
                 }
             }
             TraceEvent::FlowActivated {
+                t,
                 flow,
                 src,
                 dst,
                 bytes,
                 preds,
-                ..
             } => {
                 let idx = check_flow(i, *flow)?;
                 if replay[idx].state != FlowState::Pending {
@@ -375,13 +378,14 @@ fn check_inner(
                     }
                 }
                 replay[idx].state = FlowState::Activated;
+                replay[idx].activated_at = *t;
                 replay[idx].src = *src;
                 replay[idx].dst = *dst;
                 replay[idx].bits = *bytes as f64 * 8.0;
                 replay[idx].decided = decide(*src, *dst, &down);
                 summary.flows_activated += 1;
             }
-            TraceEvent::FlowStarted { flow, path, .. } => {
+            TraceEvent::FlowStarted { t, flow, path } => {
                 let idx = check_flow(i, *flow)?;
                 if replay[idx].state != FlowState::Activated {
                     return Err(fail(
@@ -389,6 +393,16 @@ fn check_inner(
                         format!(
                             "flow {flow} started from state {:?} (want activated)",
                             replay[idx].state
+                        ),
+                    ));
+                }
+                // A routed flow starts at the instant it activates.
+                if *t != replay[idx].activated_at {
+                    return Err(fail(
+                        Some(i),
+                        format!(
+                            "flow {flow} started at {t} but activated at {}",
+                            replay[idx].activated_at
                         ),
                     ));
                 }
@@ -574,21 +588,18 @@ fn check_inner(
                 ..
             } => {
                 let idx = check_flow(i, *flow)?;
-                match replay[idx].state {
-                    FlowState::Started => {
-                        check_path(i, path, &down)?;
-                        replay[idx].path = path.clone();
-                    }
-                    // Latency-delayed flows reroute before starting; the
-                    // replacement path arrives again with flow_started.
-                    FlowState::Activated => check_path(i, path, &down)?,
-                    other => {
-                        return Err(fail(
-                            Some(i),
-                            format!("flow {flow} rerouted from state {other:?}"),
-                        ));
-                    }
+                // Only a transferring flow holds a path a fault can cut.
+                if replay[idx].state != FlowState::Started {
+                    return Err(fail(
+                        Some(i),
+                        format!(
+                            "flow {flow} rerouted from state {:?} (want started)",
+                            replay[idx].state
+                        ),
+                    ));
                 }
+                check_path(i, path, &down)?;
+                replay[idx].path = path.clone();
                 replay[idx].decided = decide(replay[idx].src, replay[idx].dst, &down);
                 check_canonical(i, *flow, path, &replay[idx].decided)?;
                 if *restarted {

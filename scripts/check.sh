@@ -128,6 +128,8 @@ write("bad/empty.json", "")
 write("bad/random.bin", random.Random(7).randbytes(4096))
 write("bad/negative_rate.json", config + ', "sim": {"injection_bps": -1.0, '
       '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "record_flow_times": false}}')
+write("bad/latency.json", config + ', "sim": {"injection_bps": 1e10, '
+      '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "per_hop_latency_s": 1e-6}}')
 write("bad/removed_family.json", config.replace('"torus", "dims": [4, 4]',
       '"dragonfly", "groups": 5, "a": 2, "p": 1, "h": 2') + "}")
 PY
@@ -155,6 +157,11 @@ echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors onl
 err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/negative_rate.json" 2>&1 >/dev/null || true)"
 grep -q injection_bps <<<"$err" \
   || { echo "'exaflow run' on a negative injection rate does not name injection_bps: $err"; exit 1; }
+# The engine has no head-latency model: a non-zero latency key is rejected
+# by name rather than ignored.
+err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/latency.json" 2>&1 >/dev/null || true)"
+grep -q per_hop_latency_s <<<"$err" \
+  || { echo "'exaflow run' on a per-hop latency does not name per_hop_latency_s: $err"; exit 1; }
 # A family outside the study fails to parse, and the error must name it.
 err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/removed_family.json" 2>&1 >/dev/null || true)"
 grep -q dragonfly <<<"$err" \

@@ -64,16 +64,6 @@ fn specs() -> Vec<(&'static str, TopologySpec)> {
     ]
 }
 
-fn cfg() -> SimConfig {
-    SimConfig {
-        // Non-zero head latencies route admissions through the
-        // delayed-activation heap — the other entry path into the solver.
-        per_hop_latency_s: 50e-9,
-        startup_latency_s: 1e-6,
-        ..SimConfig::default()
-    }
-}
-
 /// Serialize a report without its metrics snapshot, which only a traced
 /// run carries and which holds wall-clock solver timings.
 fn canonical(report: &SimReport) -> String {
@@ -83,9 +73,9 @@ fn canonical(report: &SimReport) -> String {
 }
 
 /// A fault-free traced run: its report and its event stream.
-fn run_traced(topo: &dyn Topology, cfg: SimConfig, dag: &FlowDag) -> (SimReport, Vec<TraceEvent>) {
+fn run_traced(topo: &dyn Topology, dag: &FlowDag) -> (SimReport, Vec<TraceEvent>) {
     let mut sink = VecSink::new();
-    let report = Simulator::with_config(topo, cfg)
+    let report = Simulator::new(topo)
         .run_with(
             dag,
             &FaultSchedule::empty(),
@@ -141,14 +131,12 @@ fn assert_rates_match_the_textbook(label: &str, trace: &[TraceEvent]) -> usize {
 fn checked_run(
     label: &str,
     topo: &dyn Topology,
-    cfg: SimConfig,
     dag: &FlowDag,
     schedule: &FaultSchedule,
     policy: RecoveryPolicy,
 ) -> (Result<SimReport, SimError>, Vec<TraceEvent>) {
     let mut sink = VecSink::new();
-    let outcome =
-        Simulator::with_config(topo, cfg).run_with(dag, schedule, policy, Some(&mut sink));
+    let outcome = Simulator::new(topo).run_with(dag, schedule, policy, Some(&mut sink));
     let trace = sink.into_events();
     let recomputes = assert_rates_match_the_textbook(label, &trace);
     if outcome.is_ok() {
@@ -173,22 +161,20 @@ fn fault_free_reports_bit_identical_across_modes() {
     for (name, spec) in specs() {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
-        let untraced = Simulator::with_config(topo.as_ref(), cfg())
-            .run(&dag)
-            .unwrap();
+        let untraced = Simulator::new(topo.as_ref()).run(&dag).unwrap();
         assert!(untraced.events > 0, "{name}: degenerate workload");
         assert!(untraced.metrics.is_none(), "{name}");
         let metrics_only = Simulator::with_config(
             topo.as_ref(),
             SimConfig {
                 trace: true,
-                ..cfg()
+                ..SimConfig::default()
             },
         )
         .run(&dag)
         .unwrap();
         assert!(metrics_only.metrics.is_some(), "{name}");
-        let (traced, _) = run_traced(topo.as_ref(), cfg(), &dag);
+        let (traced, _) = run_traced(topo.as_ref(), &dag);
         for (mode, report) in [("metrics-only", &metrics_only), ("traced", &traced)] {
             assert_eq!(
                 canonical(report),
@@ -215,7 +201,6 @@ fn coalescing_merges_identical_paths_bit_identically() {
     let (report, trace) = checked_run(
         "coalescing",
         &topo,
-        cfg(),
         &dag,
         &FaultSchedule::empty(),
         RecoveryPolicy::default(),
@@ -280,7 +265,7 @@ fn fault_free_traces_match_the_textbook_and_pass_the_oracle() {
     for (name, spec) in specs() {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
-        let (_, trace) = run_traced(topo.as_ref(), cfg(), &dag);
+        let (_, trace) = run_traced(topo.as_ref(), &dag);
         assert_rates_match_the_textbook(name, &trace);
         let summary =
             check_trace(&trace).unwrap_or_else(|v| panic!("{name}: trace failed the oracle: {v}"));
@@ -300,13 +285,11 @@ fn faulted_traces_match_the_textbook_and_pass_the_oracle() {
     for (name, spec) in specs() {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
-        let healthy = Simulator::with_config(topo.as_ref(), cfg())
-            .run(&dag)
-            .unwrap();
+        let healthy = Simulator::new(topo.as_ref()).run(&dag).unwrap();
         let schedule = schedule_for(topo.as_ref(), &healthy);
         for policy in RecoveryPolicy::ALL {
             let label = format!("{name}/{policy:?}");
-            let (outcome, _) = checked_run(&label, topo.as_ref(), cfg(), &dag, &schedule, policy);
+            let (outcome, _) = checked_run(&label, topo.as_ref(), &dag, &schedule, policy);
             if policy == RecoveryPolicy::RerouteResume {
                 let report = outcome.expect("resume must survive a repair");
                 assert!(
@@ -326,7 +309,7 @@ fn faulted_reports_bit_identical_across_modes_and_policies() {
     for (name, spec) in specs() {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
-        let engine = Simulator::with_config(topo.as_ref(), cfg());
+        let engine = Simulator::new(topo.as_ref());
         let schedule = schedule_for(topo.as_ref(), &engine.run(&dag).unwrap());
         for policy in RecoveryPolicy::ALL {
             let untraced = engine.run_with(&dag, &schedule, policy, None);
@@ -401,16 +384,13 @@ fn replayed_full_passes_match_the_textbook() {
         ];
         for workload in workloads {
             let dag = workload.generate(&TaskMapping::linear(eps, eps));
-            let healthy = Simulator::with_config(topo.as_ref(), cfg())
-                .run(&dag)
-                .unwrap();
+            let healthy = Simulator::new(topo.as_ref()).run(&dag).unwrap();
             for (schedule, policy) in fault_cells(topo.as_ref(), &healthy) {
                 let label = format!(
                     "{name}/{workload:?}/{policy:?}/{} fault events",
                     schedule.events().len()
                 );
-                let (outcome, trace) =
-                    checked_run(&label, topo.as_ref(), cfg(), &dag, &schedule, policy);
+                let (outcome, trace) = checked_run(&label, topo.as_ref(), &dag, &schedule, policy);
                 let full: Vec<bool> = trace
                     .iter()
                     .filter_map(|ev| match ev {
@@ -435,15 +415,9 @@ fn replayed_full_passes_match_the_textbook() {
 /// textbook's at every recompute, fault-free and across a cut + repair
 /// under all four recovery policies (where reroutes break the symmetry
 /// mid-run), and every complete trace must carry the oracle's fairness
-/// certificate. Head latencies are off here so that rounds stay aligned;
-/// the rows above cover the delayed path.
+/// certificate.
 #[test]
 fn reissued_rounds_match_the_textbook() {
-    let aligned = SimConfig {
-        per_hop_latency_s: 0.0,
-        startup_latency_s: 0.0,
-        ..cfg()
-    };
     let families = [
         (
             "torus-4x4x4",
@@ -489,9 +463,7 @@ fn reissued_rounds_match_the_textbook() {
         ];
         for workload in workloads {
             let dag = workload.generate(&TaskMapping::linear(eps, eps));
-            let healthy = Simulator::with_config(topo.as_ref(), aligned.clone())
-                .run(&dag)
-                .unwrap();
+            let healthy = Simulator::new(topo.as_ref()).run(&dag).unwrap();
             // The premise of the row: the engine really skips passes.
             assert!(
                 healthy.rate_recomputes < healthy.events,
@@ -504,14 +476,7 @@ fn reissued_rounds_match_the_textbook() {
                     "{name}/{workload:?}/{policy:?}/{} fault events",
                     schedule.events().len()
                 );
-                let _ = checked_run(
-                    &label,
-                    topo.as_ref(),
-                    aligned.clone(),
-                    &dag,
-                    &schedule,
-                    policy,
-                );
+                let _ = checked_run(&label, topo.as_ref(), &dag, &schedule, policy);
             }
         }
     }

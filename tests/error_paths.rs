@@ -25,7 +25,7 @@ fn mixed_suite_reports_typed_errors_per_entry() {
     invalid_topology.topology = TopologySpec::Torus { dims: vec![] };
 
     let mut nan_config = valid();
-    nan_config.sim.per_hop_latency_s = f64::NAN;
+    nan_config.sim.batch_epsilon = f64::NAN;
 
     let mut zero_rate = valid();
     zero_rate.sim.injection_bps = 0.0;
@@ -70,7 +70,7 @@ fn mixed_suite_reports_typed_errors_per_entry() {
         ExperimentError::Sim {
             sim: SimError::InvalidConfig { field, value, .. },
         } => {
-            assert_eq!(field, "per_hop_latency_s");
+            assert_eq!(field, "batch_epsilon");
             assert_eq!(value, "NaN");
         }
         other => panic!("expected nested InvalidConfig, got {other:?}"),

@@ -72,14 +72,12 @@ fn ring_cut_and_repair() -> Vec<(Vec<TraceEvent>, TraceSummary)> {
     runs
 }
 
-/// 4×4 torus with 100 µs per hop, so flows wait out a head latency. Cut A
-/// (300 µs) downs the duplex link 1–5, crossed by flow 0 (transferring)
-/// and flow 2 (still delayed). Cut B (330 µs) downs every link into node
-/// 10: flow 3 is transferring toward it, flow 4 is delayed toward it (its
-/// heap entry goes stale) and flow 5, released by flow 3's drop, activates
-/// toward it. Run once under restart with cut A, once under skip with
-/// both cuts.
-fn latency_reroute_and_skip() -> Vec<(Vec<TraceEvent>, TraceSummary)> {
+/// 4×4 torus under the fluid model. Cut A (300 µs) downs the duplex link
+/// 1–5, crossed by flow 0 and flow 2, both transferring. Cut B (330 µs)
+/// downs every link into node 10: flows 3 and 4 are transferring toward
+/// it, and flow 5, released by flow 3's drop, activates toward it. Run
+/// once under restart with cut A, once under skip with both cuts.
+fn recovery_reroute_and_skip() -> Vec<(Vec<TraceEvent>, TraceSummary)> {
     let topo = Torus::new(&[4, 4]);
     let mut b = FlowDagBuilder::new();
     b.add_flow(NodeId(0), NodeId(5), 1 << 20, &[]);
@@ -89,10 +87,6 @@ fn latency_reroute_and_skip() -> Vec<(Vec<TraceEvent>, TraceSummary)> {
     b.add_flow(NodeId(15), NodeId(10), 1 << 20, &[short]);
     b.add_flow(NodeId(3), NodeId(10), 1 << 20, &[toward_10]);
     let dag = b.build();
-    let cfg = SimConfig {
-        per_hop_latency_s: 1e-4,
-        ..SimConfig::default()
-    };
     let net = topo.network();
     let cut_a = links(net, 3.0e-4, Down, &[(1, 5), (5, 1)]);
     let mut both = cut_a.clone();
@@ -103,13 +97,25 @@ fn latency_reroute_and_skip() -> Vec<(Vec<TraceEvent>, TraceSummary)> {
         &[(9, 10), (11, 10), (6, 10), (14, 10)],
     ));
     let runs = vec![(RerouteRestart, cut_a), (SkipUnreachable, both)];
-    let runs = traced(&Simulator::with_config(&topo, cfg), &topo, &dag, runs);
+    let runs = traced(&Simulator::new(&topo), &topo, &dag, runs);
     let (restart, skip) = (&runs[0].1, &runs[1].1);
     assert_eq!((restart.flows_finished, restart.reroutes), (6, 2));
     assert_eq!((skip.flows_finished, skip.flows_skipped), (3, 3));
     let restarted =
         |e: &TraceEvent| matches!(e, TraceEvent::RerouteTaken { restarted, .. } if *restarted);
     assert!(runs[0].0.iter().any(restarted), "no active flow restarted");
+    let skip_run = &runs[1].0;
+    let started = |f: u32| {
+        let is = |e: &TraceEvent| matches!(e, TraceEvent::FlowStarted { flow, .. } if *flow == f);
+        skip_run.iter().any(is)
+    };
+    let skipped = |f: u32| skip_run.contains(&TraceEvent::FlowSkipped { t: 3.3e-4, flow: f });
+    let transferring = [3, 4].into_iter().all(|f| started(f) && skipped(f));
+    assert!(transferring, "flows 3 and 4 were not skipped mid-transfer");
+    assert!(
+        skipped(5) && !started(5),
+        "flow 5 did not activate into the partition"
+    );
     runs
 }
 
@@ -123,7 +129,7 @@ fn golden_trace_is_pinned_line_for_line() {
     type Scenario = fn() -> Vec<(Vec<TraceEvent>, TraceSummary)>;
     let scenarios: [(&str, Scenario); 2] = [
         ("golden_trace.jsonl", ring_cut_and_repair),
-        ("golden_trace_latency.jsonl", latency_reroute_and_skip),
+        ("golden_trace_recovery.jsonl", recovery_reroute_and_skip),
     ];
     for (file, scenario) in scenarios {
         let got: Vec<String> = scenario()
