@@ -79,8 +79,9 @@ $TIMEOUT 300 ./target/release/examples/failure_resilience \
 # match the checked-in files byte for byte. fig2 and fig3 take no options,
 # and any argument must be rejected with exit 2 rather than ignored; fig2
 # writes figure2/*.dot into its working directory, so all run in a scratch
-# one. table2 runs at the paper's scale (under a second on two threads);
-# fig4/fig5 at 128 QFDBs (a fraction of a second each).
+# one, and its four drawings must match the copies pinned in
+# scripts/fig2_expected/. table2 runs at the paper's scale (under a second
+# on two threads); fig4/fig5 at 128 QFDBs (a fraction of a second each).
 echo "== reproduce: fig2/fig3 stdout, table2, fig4/fig5 at 128 QFDBs are pinned"
 FIGDIR="$(mktemp -d)"
 trap 'rm -rf "$FIGDIR"' EXIT
@@ -93,6 +94,8 @@ for a in fig2 fig3; do
   (cd "$FIGDIR" && $TIMEOUT 60 "$EXAFLOW" reproduce $a --json x.json) 2>/dev/null || code=$?
   [ "$code" -eq 2 ] || { echo "reproduce $a --json x.json exited $code, want 2"; exit 1; }
 done
+diff -r scripts/fig2_expected "$FIGDIR/figure2" \
+  || { echo "reproduce fig2 drawings drifted from scripts/fig2_expected/"; exit 1; }
 $TIMEOUT 300 "$EXAFLOW" reproduce table2 --threads 2 --json "$FIGDIR/table2.json" 2>/dev/null \
   | diff -u table2_output.txt - \
   || { echo "reproduce table2 output drifted from table2_output.txt"; exit 1; }
