@@ -83,7 +83,7 @@ pub fn distance_stats_exact(topo: &dyn Topology) -> DistanceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exaflow_netgraph::bfs_distances_physical;
+    use exaflow_netgraph::bfs_distances;
     use exaflow_topo::{
         ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Torus, UpperTierKind,
     };
@@ -129,7 +129,7 @@ mod tests {
             2,
             ConnectionRule::EveryNode,
         );
-        let bfs = bfs_distances_physical(n.network(), NodeId(0));
+        let bfs = bfs_distances(n.network(), NodeId(0));
         for d in 0..n.num_endpoints() as u32 {
             let analytic = n.distance(NodeId(0), NodeId(d));
             assert!(analytic >= bfs[d as usize], "route shorter than BFS?!");

@@ -184,12 +184,12 @@ pub fn distance_estimate(
     stats
 }
 
-/// Physical shortest-path statistics over `sources`, computed with one
-/// physical-links-only BFS per source on `threads` threads. Each worker
-/// owns one [`BfsScratch`] reused across its whole chunk; no per-source
-/// allocation happens after warm-up.
+/// Physical shortest-path statistics over `sources`, computed with one BFS
+/// per source on `threads` threads. Each worker owns one [`BfsScratch`]
+/// reused across its whole chunk; no per-source allocation happens after
+/// warm-up.
 ///
-/// The metric is graph distance over physical links, a lower bound on the
+/// The metric is graph distance in link hops, a lower bound on the
 /// deterministic-route distance reported by [`distance_sweep`]; equality
 /// certifies that the routing rule is minimal. It is a test oracle: the
 /// link-walking BFS costs a pass over every link per source.
@@ -208,7 +208,7 @@ pub fn physical_distance_sweep(
         let mut scratch = scratches[w]
             .lock()
             .expect("a sweep worker panicked holding its BFS scratch");
-        scratch.run(net, NodeId(s), true);
+        scratch.run(net, NodeId(s));
         endpoint_histogram(&scratch.distances()[..net.num_endpoints()], s, hist)
     });
     let exact = sources.len() == topo.num_endpoints();
@@ -384,11 +384,11 @@ mod tests {
         let e0 = b.add_endpoint();
         let e1 = b.add_endpoint();
         let s = b.add_switch();
-        b.add_duplex(e0, s, 1.0);
-        b.add_duplex(e1, s, 1.0);
+        b.add_duplex(e0, s);
+        b.add_duplex(e1, s);
         let net = b.build();
         let mut scratch = BfsScratch::new(net.num_nodes());
-        scratch.run(&net, e0, true);
+        scratch.run(&net, e0);
         let mut hist = vec![0u64; 4];
         let counted =
             endpoint_histogram(&scratch.distances()[..net.num_endpoints()], e0.0, &mut hist);
@@ -404,7 +404,7 @@ mod tests {
         b.add_endpoint();
         let net = b.build();
         let mut scratch = BfsScratch::new(net.num_nodes());
-        scratch.run(&net, e0, true);
+        scratch.run(&net, e0);
         let mut hist = vec![0u64; 1];
         let counted =
             endpoint_histogram(&scratch.distances()[..net.num_endpoints()], e0.0, &mut hist);

@@ -24,7 +24,7 @@ use crate::presets;
 use crate::scale::SystemScale;
 use crate::suite::{scoped_map, ExperimentSuite};
 use crate::topospec::TopologySpec;
-use exaflow_netgraph::dot::{to_dot, DotOptions};
+use exaflow_netgraph::dot::to_dot;
 use exaflow_sim::SimConfig;
 use exaflow_system::{CostModel, UpperTier};
 use exaflow_topo::{
@@ -428,10 +428,6 @@ fn fig2() -> Reproduced {
     let mut text = String::new();
     let mut files = Vec::new();
     for (name, topo) in panels {
-        let opts = DotOptions {
-            name: topo.name(),
-            ..DotOptions::default()
-        };
         let path = format!("figure2/{name}.dot");
         let net = topo.network();
         writeln!(
@@ -442,7 +438,7 @@ fn fig2() -> Reproduced {
             net.num_links()
         )
         .unwrap();
-        files.push((path, to_dot(net, &opts)));
+        files.push((path, to_dot(net, &topo.name())));
     }
     text.push_str("render with: neato -Tpng figure2/<name>.dot -o <name>.png");
     Reproduced {

@@ -218,10 +218,11 @@ mod tests {
         for s in &specs {
             let topo = s.build().unwrap();
             assert_eq!(topo.num_endpoints(), s.num_endpoints(), "{s:?}");
-            let links = topo.network().links();
-            assert!(links.iter().any(|l| !l.is_virtual), "{s:?}");
-            for l in links.iter().filter(|l| !l.is_virtual) {
-                assert_eq!(l.capacity_bps, exaflow_topo::LINK_RATE_BPS, "{s:?}: {l:?}");
+            // Every link is half of a duplex cable: its reverse exists.
+            let net = topo.network();
+            assert!(net.num_links() > 0, "{s:?}");
+            for l in net.links() {
+                assert!(net.find_link(l.dst, l.src).is_some(), "{s:?}: {l:?}");
             }
         }
     }

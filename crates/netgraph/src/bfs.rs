@@ -28,9 +28,8 @@ impl BfsScratch {
         &self.dist
     }
 
-    /// Run BFS from `src`. If `physical_only`, virtual links are not
-    /// traversed (this is the hop metric used in the paper's Table 1).
-    pub fn run(&mut self, net: &Network, src: NodeId, physical_only: bool) {
+    /// Run BFS from `src` (link hops, the metric of the paper's Table 1).
+    pub fn run(&mut self, net: &Network, src: NodeId) {
         assert_eq!(
             self.dist.len(),
             net.num_nodes(),
@@ -46,11 +45,7 @@ impl BfsScratch {
             head += 1;
             let d = self.dist[node.index()];
             for &lid in net.out_links(node) {
-                let link = net.link(lid);
-                if physical_only && link.is_virtual {
-                    continue;
-                }
-                let next = link.dst;
+                let next = net.link(lid).dst;
                 if self.dist[next.index()] == u32::MAX {
                     self.dist[next.index()] = d + 1;
                     self.queue.push(next);
@@ -60,17 +55,10 @@ impl BfsScratch {
     }
 }
 
-/// One-shot BFS distances from `src` over all links.
+/// One-shot BFS distances from `src`.
 pub fn bfs_distances(net: &Network, src: NodeId) -> Vec<u32> {
     let mut s = BfsScratch::new(net.num_nodes());
-    s.run(net, src, false);
-    s.dist
-}
-
-/// One-shot BFS distances from `src` over physical links only.
-pub fn bfs_distances_physical(net: &Network, src: NodeId) -> Vec<u32> {
-    let mut s = BfsScratch::new(net.num_nodes());
-    s.run(net, src, true);
+    s.run(net, src);
     s.dist
 }
 
@@ -84,7 +72,7 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let eps: Vec<NodeId> = (0..4).map(|_| b.add_endpoint()).collect();
         for i in 0..4 {
-            b.add_link(eps[i], eps[(i + 1) % 4], 1.0);
+            b.add_link(eps[i], eps[(i + 1) % 4]);
         }
         b.build()
     }
@@ -107,28 +95,12 @@ mod tests {
     }
 
     #[test]
-    fn physical_only_skips_virtual() {
-        let mut b = NetworkBuilder::new();
-        let e0 = b.add_endpoint();
-        let e1 = b.add_endpoint();
-        let e2 = b.add_endpoint();
-        b.add_virtual_link(e0, e1, 1.0);
-        b.add_link(e1, e2, 1.0);
-        let net = b.build();
-        let d_all = bfs_distances(&net, e0);
-        assert_eq!(d_all[2], 2);
-        let d_phys = bfs_distances_physical(&net, e0);
-        assert_eq!(d_phys[1], u32::MAX);
-        assert_eq!(d_phys[2], u32::MAX);
-    }
-
-    #[test]
     fn scratch_reuse_across_sources() {
         let net = ring4();
         let mut s = BfsScratch::new(net.num_nodes());
-        s.run(&net, NodeId(0), false);
+        s.run(&net, NodeId(0));
         assert_eq!(s.distances()[3], 3);
-        s.run(&net, NodeId(3), false);
+        s.run(&net, NodeId(3));
         assert_eq!(s.distances()[0], 1);
         assert_eq!(s.distances()[2], 3);
     }
@@ -138,6 +110,6 @@ mod tests {
     fn scratch_size_mismatch_panics() {
         let net = ring4();
         let mut s = BfsScratch::new(2);
-        s.run(&net, NodeId(0), false);
+        s.run(&net, NodeId(0));
     }
 }

@@ -1,7 +1,7 @@
 //! Incremental construction of [`Network`]s.
 
 use crate::ids::{LinkId, NodeId};
-use crate::network::{Link, Network, NodeKind};
+use crate::network::{Link, Network};
 
 /// Builder for [`Network`].
 ///
@@ -11,7 +11,7 @@ use crate::network::{Link, Network, NodeKind};
 /// failure rather than a silently mis-indexed network.
 #[derive(Default, Debug)]
 pub struct NetworkBuilder {
-    kinds: Vec<NodeKind>,
+    num_nodes: usize,
     links: Vec<Link>,
     num_endpoints: usize,
     switches_started: bool,
@@ -23,14 +23,12 @@ impl NetworkBuilder {
         Self::default()
     }
 
-    /// Create a builder with capacity reserved for `nodes` nodes and
-    /// `links` unidirectional links.
-    pub fn with_capacity(nodes: usize, links: usize) -> Self {
+    /// Create a builder with capacity reserved for `links` unidirectional
+    /// links.
+    pub fn with_capacity(links: usize) -> Self {
         Self {
-            kinds: Vec::with_capacity(nodes),
             links: Vec::with_capacity(links),
-            num_endpoints: 0,
-            switches_started: false,
+            ..Self::default()
         }
     }
 
@@ -40,15 +38,13 @@ impl NetworkBuilder {
             !self.switches_started,
             "all endpoints must be added before the first switch"
         );
-        let id = NodeId(self.kinds.len() as u32);
-        self.kinds.push(NodeKind::Endpoint);
         self.num_endpoints += 1;
-        id
+        self.push_node()
     }
 
     /// Add `n` endpoints, returning the id of the first.
     pub fn add_endpoints(&mut self, n: usize) -> NodeId {
-        let first = NodeId(self.kinds.len() as u32);
+        let first = NodeId(self.num_nodes as u32);
         for _ in 0..n {
             self.add_endpoint();
         }
@@ -58,71 +54,41 @@ impl NetworkBuilder {
     /// Add a switch node.
     pub fn add_switch(&mut self) -> NodeId {
         self.switches_started = true;
-        let id = NodeId(self.kinds.len() as u32);
-        self.kinds.push(NodeKind::Switch);
-        id
+        self.push_node()
+    }
+
+    fn push_node(&mut self) -> NodeId {
+        self.num_nodes += 1;
+        NodeId(self.num_nodes as u32 - 1)
     }
 
     /// Add `n` switches, returning the id of the first.
     pub fn add_switches(&mut self, n: usize) -> NodeId {
-        let first = NodeId(self.kinds.len() as u32);
+        let first = NodeId(self.num_nodes as u32);
         for _ in 0..n {
             self.add_switch();
         }
         first
     }
 
-    /// Add a unidirectional physical link.
-    pub fn add_link(&mut self, src: NodeId, dst: NodeId, capacity_bps: f64) -> LinkId {
-        self.push_link(src, dst, capacity_bps, false)
-    }
-
-    /// Add a unidirectional virtual (NIC) link. Virtual links share bandwidth
-    /// but are excluded from hop counts.
-    pub fn add_virtual_link(&mut self, src: NodeId, dst: NodeId, capacity_bps: f64) -> LinkId {
-        self.push_link(src, dst, capacity_bps, true)
-    }
-
-    /// Add a bidirectional physical cable as two opposite links.
-    pub fn add_duplex(&mut self, a: NodeId, b: NodeId, capacity_bps: f64) -> (LinkId, LinkId) {
-        let ab = self.add_link(a, b, capacity_bps);
-        let ba = self.add_link(b, a, capacity_bps);
-        (ab, ba)
-    }
-
-    fn push_link(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        capacity_bps: f64,
-        is_virtual: bool,
-    ) -> LinkId {
-        assert!(
-            src.index() < self.kinds.len(),
-            "link src {src} out of range"
-        );
-        assert!(
-            dst.index() < self.kinds.len(),
-            "link dst {dst} out of range"
-        );
+    /// Add a unidirectional link.
+    pub fn add_link(&mut self, src: NodeId, dst: NodeId) -> LinkId {
+        assert!(src.index() < self.num_nodes, "link src {src} out of range");
+        assert!(dst.index() < self.num_nodes, "link dst {dst} out of range");
         assert!(src != dst, "self-loop links are not allowed ({src})");
-        assert!(
-            capacity_bps.is_finite() && capacity_bps > 0.0,
-            "link capacity must be positive and finite, got {capacity_bps}"
-        );
         let id = LinkId(self.links.len() as u32);
-        self.links.push(Link {
-            src,
-            dst,
-            capacity_bps,
-            is_virtual,
-        });
+        self.links.push(Link { src, dst });
         id
+    }
+
+    /// Add a bidirectional cable as two opposite links.
+    pub fn add_duplex(&mut self, a: NodeId, b: NodeId) -> (LinkId, LinkId) {
+        (self.add_link(a, b), self.add_link(b, a))
     }
 
     /// Number of nodes added so far.
     pub fn num_nodes(&self) -> usize {
-        self.kinds.len()
+        self.num_nodes
     }
 
     /// Number of links added so far.
@@ -135,7 +101,7 @@ impl NetworkBuilder {
     /// Link ids are preserved exactly as returned during construction; only
     /// the adjacency index is derived here.
     pub fn build(self) -> Network {
-        let n = self.kinds.len();
+        let n = self.num_nodes;
         // Counting sort of link ids by source node; groups then sorted by
         // destination so `find_link` can binary-search.
         let mut counts = vec![0u32; n + 1];
@@ -159,7 +125,7 @@ impl NetworkBuilder {
             out_links[lo..hi].sort_by_key(|&lid| (self.links[lid.index()].dst, lid));
         }
         Network {
-            kinds: self.kinds,
+            num_nodes: n,
             links: self.links,
             num_endpoints: self.num_endpoints,
             out_offsets,
@@ -185,16 +151,7 @@ mod tests {
     fn self_loop_panics() {
         let mut b = NetworkBuilder::new();
         let e = b.add_endpoint();
-        b.add_link(e, e, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let mut b = NetworkBuilder::new();
-        let e0 = b.add_endpoint();
-        let e1 = b.add_endpoint();
-        b.add_link(e0, e1, 0.0);
+        b.add_link(e, e);
     }
 
     #[test]
@@ -213,11 +170,10 @@ mod tests {
         let e0 = b.add_endpoint();
         let e1 = b.add_endpoint();
         let e2 = b.add_endpoint();
-        let l0 = b.add_link(e2, e0, 5.0);
-        let l1 = b.add_link(e0, e1, 7.0);
+        let l0 = b.add_link(e2, e0);
+        let l1 = b.add_link(e0, e1);
         let net = b.build();
         assert_eq!(net.link(l0).src, e2);
-        assert_eq!(net.link(l0).capacity_bps, 5.0);
         assert_eq!(net.link(l1).dst, e1);
     }
 
@@ -226,7 +182,7 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let e0 = b.add_endpoint();
         let e1 = b.add_endpoint();
-        let (ab, ba) = b.add_duplex(e0, e1, 3.0);
+        let (ab, ba) = b.add_duplex(e0, e1);
         let net = b.build();
         assert_eq!(net.link(ab).src, e0);
         assert_eq!(net.link(ab).dst, e1);

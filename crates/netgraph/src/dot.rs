@@ -1,94 +1,35 @@
 //! Graphviz DOT export.
 //!
-//! Used by the `fig2` harness binary to regenerate the paper's Figure 2
+//! Used by `exaflow reproduce fig2` to regenerate the paper's Figure 2
 //! topology drawings (torus 4x4x2, 4-ary 2-tree, NestGHC(2,8), NestTree(2,8))
 //! as renderable `.dot` files.
 
-use crate::network::{Network, NodeKind};
+use crate::network::Network;
 use std::fmt::Write as _;
 
-/// Options controlling DOT output.
-#[derive(Clone, Debug)]
-pub struct DotOptions {
-    /// Graph name placed in the `digraph`/`graph` header.
-    pub name: String,
-    /// Collapse opposite unidirectional links into one undirected edge.
-    pub merge_duplex: bool,
-    /// Include virtual (NIC) links.
-    pub include_virtual: bool,
-    /// Optional labels per node; falls back to `e<i>`/`s<i>`.
-    pub node_labels: Vec<String>,
-}
-
-impl Default for DotOptions {
-    fn default() -> Self {
-        Self {
-            name: "network".to_owned(),
-            merge_duplex: true,
-            include_virtual: false,
-            node_labels: Vec::new(),
-        }
-    }
-}
-
-/// Render `net` to Graphviz DOT.
+/// Render `net` to an undirected Graphviz DOT graph named `name`.
 ///
-/// Endpoints are drawn as circles, switches as boxes. With
-/// [`DotOptions::merge_duplex`], a pair of opposite links is emitted as a
-/// single undirected edge (the common case for network diagrams).
-pub fn to_dot(net: &Network, opts: &DotOptions) -> String {
+/// Endpoints are drawn as circles labelled `e<i>`, switches as boxes
+/// labelled `s<i>`. A pair of opposite links is emitted as one edge, kept in
+/// its `src < dst` direction; a link without a reverse is emitted as is.
+pub fn to_dot(net: &Network, name: &str) -> String {
     let mut out = String::new();
-    let undirected = opts.merge_duplex;
-    let (kw, edge) = if undirected {
-        ("graph", "--")
-    } else {
-        ("digraph", "->")
-    };
-    writeln!(out, "{kw} {} {{", sanitize(&opts.name)).unwrap();
+    writeln!(out, "graph {} {{", sanitize(name)).unwrap();
     writeln!(out, "  layout=neato;").unwrap();
     for node in net.node_ids() {
         let idx = node.index();
-        let default_label;
-        let label = if idx < opts.node_labels.len() {
-            opts.node_labels[idx].as_str()
+        let (label, shape) = if net.is_endpoint(node) {
+            (format!("e{idx}"), "circle")
         } else {
-            default_label = match net.kind(node) {
-                NodeKind::Endpoint => format!("e{idx}"),
-                NodeKind::Switch => format!("s{}", idx - net.num_endpoints()),
-            };
-            &default_label
-        };
-        let shape = match net.kind(node) {
-            NodeKind::Endpoint => "circle",
-            NodeKind::Switch => "box",
+            (format!("s{}", idx - net.num_endpoints()), "box")
         };
         writeln!(out, "  n{idx} [label=\"{label}\", shape={shape}];").unwrap();
     }
-    for (i, link) in net.links().iter().enumerate() {
-        if link.is_virtual && !opts.include_virtual {
+    for link in net.links() {
+        if link.src > link.dst && net.find_link(link.dst, link.src).is_some() {
             continue;
         }
-        if undirected {
-            // Emit each duplex pair once: keep the (src < dst) direction, and
-            // any link whose reverse does not exist.
-            let reverse_exists = net.find_link(link.dst, link.src).is_some();
-            if reverse_exists && link.src > link.dst {
-                continue;
-            }
-        }
-        let style = if link.is_virtual {
-            " [style=dashed]"
-        } else {
-            ""
-        };
-        writeln!(
-            out,
-            "  n{} {edge} n{}{style};",
-            link.src.index(),
-            link.dst.index()
-        )
-        .unwrap();
-        let _ = i;
+        writeln!(out, "  n{} -- n{};", link.src.index(), link.dst.index()).unwrap();
     }
     writeln!(out, "}}").unwrap();
     out
@@ -117,63 +58,24 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let e0 = b.add_endpoint();
         let s0 = b.add_switch();
-        b.add_duplex(e0, s0, 1.0);
-        b.add_virtual_link(e0, s0, 1.0);
+        b.add_duplex(e0, s0);
         b.build()
     }
 
     #[test]
     fn merged_duplex_emits_single_edge() {
         let net = pair();
-        let dot = to_dot(&net, &DotOptions::default());
+        let dot = to_dot(&net, "network");
         assert_eq!(dot.matches("n0 -- n1").count(), 1);
         assert!(dot.starts_with("graph network {"));
     }
 
     #[test]
-    fn directed_emits_both() {
-        let net = pair();
-        let opts = DotOptions {
-            merge_duplex: false,
-            ..DotOptions::default()
-        };
-        let dot = to_dot(&net, &opts);
-        assert!(dot.contains("n0 -> n1"));
-        assert!(dot.contains("n1 -> n0"));
-    }
-
-    #[test]
-    fn virtual_links_hidden_by_default() {
-        let net = pair();
-        let dot = to_dot(&net, &DotOptions::default());
-        assert!(!dot.contains("dashed"));
-        let opts = DotOptions {
-            include_virtual: true,
-            merge_duplex: false,
-            ..DotOptions::default()
-        };
-        let dot2 = to_dot(&net, &opts);
-        assert!(dot2.contains("dashed"));
-    }
-
-    #[test]
     fn shapes_reflect_node_kind() {
         let net = pair();
-        let dot = to_dot(&net, &DotOptions::default());
+        let dot = to_dot(&net, "network");
         assert!(dot.contains("shape=circle"));
         assert!(dot.contains("shape=box"));
-    }
-
-    #[test]
-    fn custom_labels_used() {
-        let net = pair();
-        let opts = DotOptions {
-            node_labels: vec!["QFDB".into(), "SW".into()],
-            ..DotOptions::default()
-        };
-        let dot = to_dot(&net, &opts);
-        assert!(dot.contains("label=\"QFDB\""));
-        assert!(dot.contains("label=\"SW\""));
     }
 
     #[test]

@@ -100,8 +100,8 @@ mod tests {
     fn line3() -> (Network, Vec<NodeId>) {
         let mut b = NetworkBuilder::new();
         let eps: Vec<NodeId> = (0..3).map(|_| b.add_endpoint()).collect();
-        b.add_duplex(eps[0], eps[1], 1.0);
-        b.add_duplex(eps[1], eps[2], 1.0);
+        b.add_duplex(eps[0], eps[1]);
+        b.add_duplex(eps[1], eps[2]);
         (b.build(), eps)
     }
 

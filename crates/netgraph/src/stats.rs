@@ -1,25 +1,20 @@
 //! Summary statistics over a [`Network`].
 
 use crate::network::Network;
-use serde::{Deserialize, Serialize};
 
 /// Structural summary of a network, used in reports and sanity checks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkStats {
     /// Number of compute endpoints.
     pub endpoints: usize,
     /// Number of switch nodes.
     pub switches: usize,
-    /// Unidirectional physical links.
-    pub physical_links: usize,
-    /// Unidirectional virtual (NIC) links.
-    pub virtual_links: usize,
-    /// Minimum out-degree over all nodes (physical links only).
+    /// Unidirectional links.
+    pub links: usize,
+    /// Minimum out-degree over all nodes.
     pub min_degree: usize,
-    /// Maximum out-degree over all nodes (physical links only).
+    /// Maximum out-degree over all nodes.
     pub max_degree: usize,
-    /// Sum of physical link capacities, bits/second.
-    pub aggregate_capacity_bps: f64,
 }
 
 impl NetworkStats {
@@ -28,26 +23,19 @@ impl NetworkStats {
         let mut min_degree = usize::MAX;
         let mut max_degree = 0;
         for node in net.node_ids() {
-            let deg = net
-                .out_links(node)
-                .iter()
-                .filter(|&&l| !net.link(l).is_virtual)
-                .count();
+            let deg = net.out_links(node).len();
             min_degree = min_degree.min(deg);
             max_degree = max_degree.max(deg);
         }
         if net.num_nodes() == 0 {
             min_degree = 0;
         }
-        let physical = net.num_physical_links();
         NetworkStats {
             endpoints: net.num_endpoints(),
             switches: net.num_switches(),
-            physical_links: physical,
-            virtual_links: net.num_links() - physical,
+            links: net.num_links(),
             min_degree,
             max_degree,
-            aggregate_capacity_bps: net.aggregate_physical_capacity_bps(),
         }
     }
 }
@@ -56,13 +44,8 @@ impl std::fmt::Display for NetworkStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} endpoints, {} switches, {} physical links (degree {}..{}), {:.1} Gbps aggregate",
-            self.endpoints,
-            self.switches,
-            self.physical_links,
-            self.min_degree,
-            self.max_degree,
-            self.aggregate_capacity_bps / 1e9
+            "{} endpoints, {} switches, {} links (degree {}..{})",
+            self.endpoints, self.switches, self.links, self.min_degree, self.max_degree
         )
     }
 }
@@ -78,18 +61,15 @@ mod tests {
         let eps: Vec<_> = (0..3).map(|_| b.add_endpoint()).collect();
         let hub = b.add_switch();
         for &e in &eps {
-            b.add_duplex(e, hub, 10e9);
-            b.add_virtual_link(e, hub, 10e9);
+            b.add_duplex(e, hub);
         }
         let net = b.build();
         let s = NetworkStats::of(&net);
         assert_eq!(s.endpoints, 3);
         assert_eq!(s.switches, 1);
-        assert_eq!(s.physical_links, 6);
-        assert_eq!(s.virtual_links, 3);
+        assert_eq!(s.links, 6);
         assert_eq!(s.min_degree, 1);
         assert_eq!(s.max_degree, 3);
-        assert!((s.aggregate_capacity_bps - 60e9).abs() < 1.0);
     }
 
     #[test]
@@ -106,10 +86,10 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let e0 = b.add_endpoint();
         let e1 = b.add_endpoint();
-        b.add_duplex(e0, e1, 10e9);
+        b.add_duplex(e0, e1);
         let s = NetworkStats::of(&b.build());
         let text = s.to_string();
         assert!(text.contains("2 endpoints"));
-        assert!(text.contains("2 physical links"));
+        assert!(text.contains("2 links"));
     }
 }

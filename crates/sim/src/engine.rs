@@ -247,9 +247,11 @@ impl<'a> Simulator<'a> {
     }
 
     fn resource_capacities(&self) -> Vec<f64> {
-        let net = self.topo.network();
         let mut caps = Vec::with_capacity(self.num_links + 2 * self.num_eps);
-        caps.extend(net.links().iter().map(|l| l.capacity_bps));
+        caps.extend(std::iter::repeat_n(
+            exaflow_topo::LINK_RATE_BPS,
+            self.num_links,
+        ));
         caps.extend(std::iter::repeat_n(self.cfg.injection_bps, self.num_eps));
         caps.extend(std::iter::repeat_n(self.cfg.ejection_bps, self.num_eps));
         caps
@@ -381,7 +383,7 @@ struct RunState<'r> {
     routes: IntMap<(u32, u32), PathId>,
     route_hits: u64,
     overlay: FaultOverlay<'r>,
-    /// `route` buffers: the physical route and the resource path.
+    /// `route` buffers: the link route and the resource path.
     scratch_links: Vec<LinkId>,
     scratch_route: Vec<u32>,
     faults: Peekable<slice::Iter<'r, FaultEvent>>,
@@ -618,7 +620,7 @@ impl<'r> RunState<'r> {
     }
 
     /// The resource path of `src → dst` under the current faults:
-    /// injection resource, physical route links, ejection resource.
+    /// injection resource, route links, ejection resource.
     /// Memoised for the failure epoch; a miss routes through the fault
     /// overlay, which keeps the topology's deterministic route unless it
     /// crosses a down link, and interns the result. An unreachable
@@ -1538,14 +1540,14 @@ mod tests {
     use crate::fault::FaultEvent;
     use FaultAction::{Down, Up};
 
-    /// A schedule that downs (or restores) both directions of each physical
+    /// A schedule that downs (or restores) both directions of each
     /// cable `a <-> b` at its time `t`, given as `(t, a, b, action)`.
     fn cables(topo: &dyn Topology, changes: &[(f64, u32, u32, FaultAction)]) -> FaultSchedule {
         let net = topo.network();
         let events = changes.iter().flat_map(|&(time_s, a, b, action)| {
             [(a, b), (b, a)].map(|(s, d)| FaultEvent {
                 time_s,
-                link: net.find_physical_link(NodeId(s), NodeId(d)).unwrap().0,
+                link: net.find_link(NodeId(s), NodeId(d)).unwrap().0,
                 action,
             })
         });
@@ -1782,10 +1784,7 @@ mod tests {
         let schedule = cables(&topo, &[(0.0, 0, 1, Down)]);
         let (r, events) = traced(&sim, &b.build(), &schedule, RecoveryPolicy::RerouteResume);
         assert_eq!(r.fault_events_applied, 2);
-        let dead = topo
-            .network()
-            .find_physical_link(NodeId(0), NodeId(1))
-            .unwrap();
+        let dead = topo.network().find_link(NodeId(0), NodeId(1)).unwrap();
         let paths: Vec<&Vec<u32>> = events
             .iter()
             .filter_map(|ev| match ev {

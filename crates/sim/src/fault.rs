@@ -125,27 +125,23 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// Check every event's link and every run-long failed link against
-    /// `net`: it must exist and be physical (NIC-virtual links never fail).
+    /// Check that every event's link and every run-long failed link exists
+    /// in `net`.
     pub fn validate_for(&self, net: &Network) -> Result<(), SimError> {
         let num_links = net.num_links();
         let events = self.events.iter().map(|e| ("fault.link", e.link));
         let failed = self.failed.iter().map(|&l| ("fault.failed_link", l));
-        for (field, link) in events.chain(failed) {
-            let constraint = if link as usize >= num_links {
-                format!("must be < {num_links} (number of links)")
-            } else if net.link(LinkId(link)).is_virtual {
-                "must be a physical link (virtual NIC links cannot fail)".into()
-            } else {
-                continue;
-            };
-            return Err(SimError::InvalidConfig {
+        match events
+            .chain(failed)
+            .find(|&(_, link)| link as usize >= num_links)
+        {
+            Some((field, link)) => Err(SimError::InvalidConfig {
                 field: field.into(),
                 value: link.to_string(),
-                constraint,
-            });
+                constraint: format!("must be < {num_links} (number of links)"),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -249,14 +245,14 @@ impl FaultScheduleSpec {
 }
 
 /// Representative duplex cables of `net`: one `(forward, reverse)` pair per
-/// physical cable, `src < dst`.
+/// cable, `src < dst`.
 fn duplex_cables(net: &Network) -> Vec<(LinkId, Option<LinkId>)> {
     let mut cables = Vec::new();
     for (i, link) in net.links().iter().enumerate() {
-        if link.is_virtual || link.src > link.dst {
+        if link.src > link.dst {
             continue;
         }
-        let reverse = net.find_physical_link(link.dst, link.src);
+        let reverse = net.find_link(link.dst, link.src);
         cables.push((LinkId(i as u32), reverse));
     }
     cables
@@ -264,10 +260,10 @@ fn duplex_cables(net: &Network) -> Vec<(LinkId, Option<LinkId>)> {
 
 /// Pick `count` random duplex cables to cut before a run, deterministic in
 /// `seed`: the cables of `duplex_cables` in a seeded shuffle, taking each
-/// unless it is the last physical link of either of its end nodes — a
-/// failure study needs a degraded network, not an isolated node (a
-/// partition of larger parts can still happen, and surfaces as an
-/// unreachable destination). Returns the cut cables, fewer than `count`
+/// unless it is the last link of either of its end nodes — a failure
+/// study needs a degraded network, not an isolated node (a partition of
+/// larger parts can still happen, and surfaces as an unreachable
+/// destination). Returns the cut cables, fewer than `count`
 /// when the network runs out of safely removable ones.
 pub fn random_cable_failures(
     net: &Network,
@@ -276,7 +272,7 @@ pub fn random_cable_failures(
 ) -> Vec<(LinkId, Option<LinkId>)> {
     let mut cables = duplex_cables(net);
     let mut degree = vec![0u32; net.num_nodes()];
-    for link in net.links().iter().filter(|l| !l.is_virtual) {
+    for link in net.links() {
         degree[link.src.index()] += 1;
     }
     cables.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -455,7 +451,6 @@ mod tests {
         assert_eq!(cut.len(), 4);
         for &(fwd, rev) in &cut {
             let (a, b) = (net.link(fwd), net.link(rev.unwrap()));
-            assert!(!a.is_virtual && !b.is_virtual);
             assert_eq!((a.src, a.dst), (b.dst, b.src));
         }
         // A larger count cuts a superset: the same shuffled order.
@@ -479,7 +474,7 @@ mod tests {
             let surviving = net
                 .out_links(exaflow_netgraph::NodeId(node))
                 .iter()
-                .filter(|l| !net.link(**l).is_virtual && !failed.contains(l))
+                .filter(|l| !failed.contains(l))
                 .count();
             assert!(surviving >= 1, "node {node} was isolated");
         }

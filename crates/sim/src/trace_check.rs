@@ -33,7 +33,7 @@
 //!    under the down set of that moment. Every `flow_started` and
 //!    `reroute_taken` path must be the topology's own route when that
 //!    route avoids every down link, and otherwise a detour as short as a
-//!    BFS over the live physical links allows. So a route memoised in an
+//!    BFS over the live links allows. So a route memoised in an
 //!    earlier failure epoch, say a detour kept past its link's repair,
 //!    fails the check.
 //!
@@ -138,7 +138,7 @@ enum Canonical {
 
 /// Derive what routing `src → dst` under `down` must produce, sharing no
 /// code with the engine's fault overlay: the topology's route, and when
-/// that crosses a down link, a plain BFS over live physical links.
+/// that crosses a down link, a plain BFS over live links.
 fn canonical_route(topo: &dyn Topology, src: u32, dst: u32, down: &BTreeSet<u32>) -> Canonical {
     let route = topo.route_vec(NodeId(src), NodeId(dst));
     if !route.iter().any(|l| down.contains(&l.0)) {
@@ -152,7 +152,7 @@ fn canonical_route(topo: &dyn Topology, src: u32, dst: u32, down: &BTreeSet<u32>
         for &l in net.out_links(node) {
             let link = net.link(l);
             let next = link.dst.index();
-            if link.is_virtual || down.contains(&l.0) {
+            if down.contains(&l.0) {
                 continue;
             }
             if hops[next] == usize::MAX {
@@ -931,7 +931,7 @@ mod tests {
         };
         // Failing only the reverse cable 1 -> 0 leaves 0 -> 1 reachable:
         // the oracle must reject the skip.
-        let reverse = net.find_physical_link(NodeId(1), NodeId(0)).unwrap().0;
+        let reverse = net.find_link(NodeId(1), NodeId(0)).unwrap().0;
         let one_down = vec![
             header.clone(),
             TraceEvent::FaultApplied {
@@ -957,7 +957,7 @@ mod tests {
     fn run_long_detour_trace(detour: &[u32]) -> (exaflow_topo::Torus, Vec<TraceEvent>) {
         let topo = exaflow_topo::Torus::new(&[3, 4]);
         let net = topo.network();
-        let link = |a: u32, b: u32| net.find_physical_link(NodeId(a), NodeId(b)).unwrap().0;
+        let link = |a: u32, b: u32| net.find_link(NodeId(a), NodeId(b)).unwrap().0;
         let (links, eps) = (net.num_links() as u64, topo.num_endpoints() as u64);
         let mut path = vec![links as u32];
         path.extend(detour.windows(2).map(|w| link(w[0], w[1])));

@@ -9,7 +9,7 @@
 //!
 //! A route is canonical for the current failure set: the topology's own
 //! deterministic route when it avoids every down link, otherwise the first
-//! shortest detour a breadth-first search finds over live physical links.
+//! shortest detour a breadth-first search finds over live links.
 //! Pairs whose route is unaffected keep it, so the performance impact of a
 //! failure stays local. The BFS visits links in adjacency order, so its
 //! path is the lexicographically least shortest live path; blocking more
@@ -107,11 +107,11 @@ impl<'a> FaultOverlay<'a> {
     }
 
     /// Fail `link` for the rest of the run. Returns `false` (a no-op) when
-    /// the link is virtual or already failed for the run; a link that was
-    /// down becomes failed for the run.
+    /// the link is already failed for the run; a link that was down becomes
+    /// failed for the run.
     pub fn fail_for_run(&mut self, link: LinkId) -> bool {
         let state = &mut self.state[link.index()];
-        if self.topo.network().link(link).is_virtual || *state == LinkState::FailedForRun {
+        if *state == LinkState::FailedForRun {
             return false;
         }
         self.failed += usize::from(*state == LinkState::Up);
@@ -121,10 +121,10 @@ impl<'a> FaultOverlay<'a> {
     }
 
     /// Take `link` out of service until a repair. Returns `false` (a
-    /// no-op) when the link is virtual or already out of service.
+    /// no-op) when the link is already out of service.
     pub fn fail_link(&mut self, link: LinkId) -> bool {
         let state = &mut self.state[link.index()];
-        if self.topo.network().link(link).is_virtual || *state != LinkState::Up {
+        if *state != LinkState::Up {
             return false;
         }
         *state = LinkState::Down;
@@ -197,7 +197,7 @@ impl<'a> FaultOverlay<'a> {
         })
     }
 
-    /// Breadth-first search from `src` over physical links whose state
+    /// Breadth-first search from `src` over links whose state
     /// `blocked` accepts, stopping when `dst` is reached; leaves each
     /// visited node's predecessor link in `pred`. Returns whether `dst`
     /// was reached.
@@ -212,7 +212,7 @@ impl<'a> FaultOverlay<'a> {
         while let Some(node) = queue.pop_front() {
             for &lid in net.out_links(node) {
                 let link = net.link(lid);
-                if link.is_virtual || blocked(self.state[lid.index()]) {
+                if blocked(self.state[lid.index()]) {
                     continue;
                 }
                 if pred[link.dst.index()] == u32::MAX {
@@ -236,8 +236,8 @@ mod tests {
     fn duplex(t: &Torus, a: u32, b: u32) -> [LinkId; 2] {
         let net = t.network();
         [
-            net.find_physical_link(NodeId(a), NodeId(b)).unwrap(),
-            net.find_physical_link(NodeId(b), NodeId(a)).unwrap(),
+            net.find_link(NodeId(a), NodeId(b)).unwrap(),
+            net.find_link(NodeId(b), NodeId(a)).unwrap(),
         ]
     }
 

@@ -17,7 +17,7 @@
 //! caller-supplied nodes as ports and returns the link ids routes read.
 
 use crate::mixed_radix::MixedRadix;
-use crate::{Tally, Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 use std::sync::OnceLock;
 
@@ -72,9 +72,8 @@ impl GhcTier {
         }
     }
 
-    /// Wire the GHC into `b` at [`LINK_RATE_BPS`], attaching `ports`
-    /// (existing nodes, one per populated port) to routers in blocks of
-    /// `ports_per_router`.
+    /// Wire the GHC into `b`, attaching `ports` (existing nodes, one per
+    /// populated port) to routers in blocks of `ports_per_router`.
     pub(crate) fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId]) -> GhcLinks {
         debug_assert_eq!(ports.len(), self.num_ports);
         let shape = &self.shape;
@@ -88,7 +87,7 @@ impl GhcTier {
         let mut ep_down = vec![0u32; ports.len()];
         for (p, &node) in ports.iter().enumerate() {
             let home = router_node(p as u64 / self.ports_per_router as u64);
-            let (upl, downl) = b.add_duplex(node, home, LINK_RATE_BPS);
+            let (upl, downl) = b.add_duplex(node, home);
             ep_up[p] = upl.0;
             ep_down[p] = downl.0;
         }
@@ -98,8 +97,7 @@ impl GhcTier {
                 let my = shape.coord(r, dim);
                 for target in my + 1..dims[dim] {
                     let peer = shape.with_coord(r, dim, target);
-                    let (fwd, back) =
-                        b.add_duplex(router_node(r), router_node(peer), LINK_RATE_BPS);
+                    let (fwd, back) = b.add_duplex(router_node(r), router_node(peer));
                     router_links[r as usize * link_stride as usize
                         + dim_offset[dim] as usize
                         + target as usize] = fwd.0;
@@ -438,7 +436,7 @@ impl Topology for GeneralizedHypercube {
 mod tests {
     use super::*;
     use crate::{assert_distances_leave_it_unwired, check_route};
-    use exaflow_netgraph::bfs_distances_physical;
+    use exaflow_netgraph::bfs_distances;
 
     #[test]
     fn counts_4ary_2cube() {
@@ -465,7 +463,7 @@ mod tests {
     fn distance_matches_bfs() {
         // e-cube is minimal in a GHC.
         let g = GeneralizedHypercube::new(&[4, 3], 2);
-        let bfs = bfs_distances_physical(g.network(), NodeId(5));
+        let bfs = bfs_distances(g.network(), NodeId(5));
         for d in 0..g.num_endpoints() as u32 {
             assert_eq!(g.distance(NodeId(5), NodeId(d)), bfs[d as usize]);
         }

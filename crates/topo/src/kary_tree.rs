@@ -20,7 +20,7 @@
 //! nodes as ports — endpoints for the standalone [`KAryTree`], uplinked
 //! torus QFDBs for `NestTree` — and returns the link ids routes read.
 
-use crate::{Tally, Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 use std::sync::OnceLock;
 
@@ -68,8 +68,8 @@ impl TreeTier {
         }
     }
 
-    /// Wire the tree into `b` at [`LINK_RATE_BPS`], attaching `ports`
-    /// (existing nodes, one per populated port) to the tree ports in order.
+    /// Wire the tree into `b`, attaching `ports` (existing nodes, one per
+    /// populated port) to the tree ports in order.
     pub(crate) fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId]) -> TreeLinks {
         debug_assert_eq!(ports.len(), self.num_ports);
         let (k, n, words) = (self.k, self.n, self.words);
@@ -81,7 +81,7 @@ impl TreeTier {
         let mut ep_down = vec![0u32; ports.len()];
         for (p, &node) in ports.iter().enumerate() {
             let leaf = switch_id(0, p as u64 / k as u64);
-            let (upl, downl) = b.add_duplex(node, leaf, LINK_RATE_BPS);
+            let (upl, downl) = b.add_duplex(node, leaf);
             ep_up[p] = upl.0;
             ep_down[p] = downl.0;
         }
@@ -94,8 +94,7 @@ impl TreeTier {
                 let wl = (w / stride) % k as u64;
                 for v in 0..k as u64 {
                     let w_up = (w as i64 + (v as i64 - wl as i64) * stride as i64) as u64;
-                    let (a, bk) =
-                        b.add_duplex(switch_id(l, w), switch_id(l + 1, w_up), LINK_RATE_BPS);
+                    let (a, bk) = b.add_duplex(switch_id(l, w), switch_id(l + 1, w_up));
                     up[((l as u64 * words + w) * k as u64 + v) as usize] = a.0;
                     down[((l as u64 * words + w_up) * k as u64 + wl) as usize] = bk.0;
                 }
@@ -424,7 +423,7 @@ impl Topology for KAryTree {
 mod tests {
     use super::*;
     use crate::{assert_distances_leave_it_unwired, check_route};
-    use exaflow_netgraph::bfs_distances_physical;
+    use exaflow_netgraph::bfs_distances;
 
     #[test]
     fn counts_4ary_2tree() {
@@ -452,7 +451,7 @@ mod tests {
         // UP*/DOWN* through the LCA is minimal in a k-ary n-tree.
         let t = KAryTree::new(4, 2);
         for s in [0u32, 5, 15] {
-            let bfs = bfs_distances_physical(t.network(), NodeId(s));
+            let bfs = bfs_distances(t.network(), NodeId(s));
             for d in 0..t.num_endpoints() as u32 {
                 assert_eq!(
                     t.distance(NodeId(s), NodeId(d)),

@@ -58,7 +58,8 @@ pub use torus::Torus;
 
 use exaflow_netgraph::{LinkId, Network, NodeId};
 
-/// Default link rate of the ExaNeSt transceivers: 10 Gbps.
+/// Rate of every link: the ExaNeSt transceivers' 10 Gbps. The simulator
+/// gives each link resource this capacity.
 pub const LINK_RATE_BPS: f64 = 10e9;
 
 /// A network topology with deterministic single-path routing.
@@ -67,7 +68,7 @@ pub const LINK_RATE_BPS: f64 = 10e9;
 /// between endpoints. Implementations must guarantee:
 ///
 /// * `route(s, s, ..)` appends nothing,
-/// * the appended path is a loop-free walk `s → d` over physical links,
+/// * the appended path is a loop-free walk `s → d`,
 /// * `distance(s, d)` equals the length of `route(s, d, ..)`,
 /// * routing is a pure function of `(s, d)`.
 ///
@@ -95,7 +96,7 @@ pub trait Topology: Send + Sync {
     /// onto `path`. Appends nothing when `src == dst`.
     fn route(&self, src: NodeId, dst: NodeId, path: &mut Vec<LinkId>);
 
-    /// Number of physical link hops of the deterministic route, in closed
+    /// Number of link hops of the deterministic route, in closed
     /// form: no route is computed and nothing is wired.
     fn distance(&self, src: NodeId, dst: NodeId) -> u32;
 
@@ -176,14 +177,6 @@ pub fn check_route(topo: &dyn Topology, src: NodeId, dst: NodeId) -> Result<u32,
     let path = topo.route_vec(src, dst);
     exaflow_netgraph::validate_path(topo.network(), src, dst, &path)
         .map_err(|e| format!("{}: route {src}->{dst}: {e}", topo.name()))?;
-    for &lid in &path {
-        if topo.network().link(lid).is_virtual {
-            return Err(format!(
-                "{}: route {src}->{dst} traverses virtual link {lid}",
-                topo.name()
-            ));
-        }
-    }
     let d = topo.distance(src, dst);
     if d != path.len() as u32 {
         return Err(format!(

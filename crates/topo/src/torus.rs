@@ -16,7 +16,7 @@
 //! network.
 
 use crate::mixed_radix::MixedRadix;
-use crate::{Tally, Topology, LINK_RATE_BPS};
+use crate::{Tally, Topology};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
 use std::sync::OnceLock;
 
@@ -26,9 +26,8 @@ pub(crate) mod grid {
 
     pub(crate) const NO_LINK: u32 = u32::MAX;
 
-    /// Create torus links at [`LINK_RATE_BPS`] among the `shape.len()` nodes
-    /// starting at node id `first` (the nodes must already exist in the
-    /// builder). Returns the
+    /// Create torus links among the `shape.len()` nodes starting at node id
+    /// `first` (the nodes must already exist in the builder). Returns the
     /// link table: `table[local * 2*ndims + 2*dim + dir]` with dir 0 = +1
     /// neighbour, 1 = −1 neighbour; `NO_LINK` where the ring is degenerate.
     pub(crate) fn build_links(b: &mut NetworkBuilder, first: u32, shape: &MixedRadix) -> Vec<u32> {
@@ -45,11 +44,7 @@ pub(crate) mod grid {
                 }
                 let c = shape.coord(node, dim);
                 let plus = shape.with_coord(node, dim, (c + 1) % size);
-                let lid = b.add_link(
-                    NodeId(first + node as u32),
-                    NodeId(first + plus as u32),
-                    LINK_RATE_BPS,
-                );
+                let lid = b.add_link(NodeId(first + node as u32), NodeId(first + plus as u32));
                 table[node as usize * stride + 2 * dim] = lid.0;
                 if size == 2 {
                     // +1 and −1 coincide: the single pair serves both
@@ -68,11 +63,7 @@ pub(crate) mod grid {
                 }
                 let c = shape.coord(node, dim);
                 let minus = shape.with_coord(node, dim, (c + size - 1) % size);
-                let lid = b.add_link(
-                    NodeId(first + node as u32),
-                    NodeId(first + minus as u32),
-                    LINK_RATE_BPS,
-                );
+                let lid = b.add_link(NodeId(first + node as u32), NodeId(first + minus as u32));
                 table[node as usize * stride + 2 * dim + 1] = lid.0;
             }
         }
@@ -183,7 +174,7 @@ impl Torus {
         self.wiring.get_or_init(|| {
             let n = self.shape.len() as usize;
             let ndims = self.shape.ndims();
-            let mut b = NetworkBuilder::with_capacity(n, n * 2 * ndims);
+            let mut b = NetworkBuilder::with_capacity(n * 2 * ndims);
             b.add_endpoints(n);
             let link_table = grid::build_links(&mut b, 0, &self.shape);
             Wiring {
@@ -282,7 +273,7 @@ impl Topology for Torus {
 mod tests {
     use super::*;
     use crate::{assert_distances_leave_it_unwired, check_route};
-    use exaflow_netgraph::bfs_distances_physical;
+    use exaflow_netgraph::bfs_distances;
 
     #[test]
     fn distance_queries_leave_it_unwired() {
@@ -322,7 +313,7 @@ mod tests {
     fn distance_agrees_with_bfs() {
         // DOR in a torus is minimal, so DOR distance == BFS distance.
         let t = Torus::new(&[5, 4]);
-        let bfs = bfs_distances_physical(t.network(), NodeId(7));
+        let bfs = bfs_distances(t.network(), NodeId(7));
         for d in 0..t.num_endpoints() as u32 {
             assert_eq!(t.distance(NodeId(7), NodeId(d)), bfs[d as usize]);
         }

@@ -1,8 +1,7 @@
 //! Property tests for fault-tolerant rerouting: on any topology family,
 //! under any mix of run-long and mid-run link failures in one
 //! [`FaultOverlay`], every route is canonical — the topology's own route
-//! while that avoids every down link, otherwise a contiguous physical
-//! detour exactly as short as the live links allow — and a pair the
+//! while that avoids every down link, otherwise a contiguous detour exactly as short as the live links allow — and a pair the
 //! overlay cannot route is a typed error, never a bogus path. Run-long
 //! failures are never restored, and a detour survives blocking links it
 //! does not cross.
@@ -16,7 +15,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::VecDeque;
 
-/// Assert `path` is a contiguous walk `src → dst` over physical links.
+/// Assert `path` is a contiguous walk `src → dst`.
 fn assert_contiguous(
     net: &Network,
     src: NodeId,
@@ -33,13 +32,10 @@ fn assert_contiguous(
     for w in path.windows(2) {
         prop_assert_eq!(net.link(w[0]).dst, net.link(w[1]).src);
     }
-    for &l in path {
-        prop_assert!(!net.link(l).is_virtual, "path crosses virtual link {l:?}");
-    }
     Ok(())
 }
 
-/// Hop count of a shortest `src → dst` walk over physical links that
+/// Hop count of a shortest `src → dst` walk over links that
 /// `down` does not block, by a BFS of its own; `None` when there is none.
 fn live_distance(
     net: &Network,
@@ -53,7 +49,7 @@ fn live_distance(
     while let Some(node) = queue.pop_front() {
         for &l in net.out_links(node) {
             let next = net.link(l).dst;
-            if !net.link(l).is_virtual && !down(l) && hops[next.index()] == usize::MAX {
+            if !down(l) && hops[next.index()] == usize::MAX {
                 hops[next.index()] = hops[node.index()] + 1;
                 queue.push_back(next);
             }
@@ -109,7 +105,7 @@ fn splitmix(s: &mut u64) -> u64 {
     *s
 }
 
-/// Both directions of up to `cables` pseudo-random physical cables. No
+/// Both directions of up to `cables` pseudo-random cables. No
 /// last-link rule: a partition is a legal outcome the overlay must report.
 fn random_cables(net: &Network, cables: usize, seed: u64) -> Vec<LinkId> {
     let mut s = seed;
@@ -117,11 +113,11 @@ fn random_cables(net: &Network, cables: usize, seed: u64) -> Vec<LinkId> {
     for _ in 0..cables {
         let link = LinkId((splitmix(&mut s) % net.num_links() as u64) as u32);
         let l = net.link(link);
-        if l.is_virtual || cut.contains(&link) {
+        if cut.contains(&link) {
             continue;
         }
         cut.push(link);
-        cut.extend(net.find_physical_link(l.dst, l.src));
+        cut.extend(net.find_link(l.dst, l.src));
     }
     cut
 }

@@ -1,10 +1,10 @@
 //! Property tests for the routing invariants of every topology family:
-//! routes are valid loop-free physical walks whose length equals the
+//! routes are valid loop-free walks whose length equals the
 //! analytic distance, routing is deterministic, and minimal where the
 //! topology guarantees minimality — and the counting overrides of
 //! `distance_histogram` tally exactly what one `distance` per pair does.
 
-use exaflow_netgraph::{bfs_distances_physical, LinkId, Network, NodeId};
+use exaflow_netgraph::{bfs_distances, LinkId, Network, NodeId};
 use exaflow_topo::{
     check_route, ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Topology, Torus,
     UpperTierKind,
@@ -100,7 +100,7 @@ proptest! {
         let t = Torus::new(&dims);
         let n = t.num_endpoints() as u64;
         let s = NodeId((src % n) as u32);
-        let bfs = bfs_distances_physical(t.network(), s);
+        let bfs = bfs_distances(t.network(), s);
         for d in 0..n as u32 {
             prop_assert_eq!(t.distance(s, NodeId(d)), bfs[d as usize]);
         }
@@ -156,7 +156,7 @@ proptest! {
         let t = KAryTree::new(k, n);
         let e = t.num_endpoints() as u64;
         let s = NodeId((src % e) as u32);
-        let bfs = bfs_distances_physical(t.network(), s);
+        let bfs = bfs_distances(t.network(), s);
         for d in 0..e as u32 {
             prop_assert_eq!(t.distance(s, NodeId(d)), bfs[d as usize]);
         }
@@ -180,7 +180,7 @@ proptest! {
         let g = GeneralizedHypercube::new(&dims, 2);
         let e = g.num_endpoints() as u64;
         let s = NodeId((src % e) as u32);
-        let bfs = bfs_distances_physical(g.network(), s);
+        let bfs = bfs_distances(g.network(), s);
         for d in 0..e as u32 {
             prop_assert_eq!(g.distance(s, NodeId(d)), bfs[d as usize]);
         }

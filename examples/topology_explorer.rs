@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example topology_explorer`
 
-use exaflow::netgraph::dot::{to_dot, DotOptions};
+use exaflow::netgraph::dot::to_dot;
 use exaflow::netgraph::NetworkStats;
 use exaflow::prelude::*;
 use exaflow::topo::ConnectionRule;
@@ -45,17 +45,7 @@ fn main() {
                 .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
                 .collect::<String>()
         );
-        std::fs::write(
-            &file,
-            to_dot(
-                topo.network(),
-                &DotOptions {
-                    name: topo.name(),
-                    ..DotOptions::default()
-                },
-            ),
-        )
-        .expect("write dot");
+        std::fs::write(&file, to_dot(topo.network(), &topo.name())).expect("write dot");
         println!("  wrote {file}\n");
     }
 }

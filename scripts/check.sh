@@ -133,6 +133,8 @@ write("bad/negative_rate.json", config + ', "sim": {"injection_bps": -1.0, '
       '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "record_flow_times": false}}')
 write("bad/latency.json", config + ', "sim": {"injection_bps": 1e10, '
       '"ejection_bps": 1e10, "batch_epsilon": 1e-9, "per_hop_latency_s": 1e-6}}')
+write("bad/null_rate.json", config + ', "sim": {"injection_bps": null, '
+      '"ejection_bps": 1e10, "batch_epsilon": 1e-9}}')
 write("bad/removed_family.json", config.replace('"torus", "dims": [4, 4]',
       '"dragonfly", "groups": 5, "a": 2, "p": 1, "h": 2') + "}")
 PY
@@ -160,6 +162,10 @@ echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors onl
 err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/negative_rate.json" 2>&1 >/dev/null || true)"
 grep -q injection_bps <<<"$err" \
   || { echo "'exaflow run' on a negative injection rate does not name injection_bps: $err"; exit 1; }
+# A value of the wrong type fails to parse, and the error must name its key.
+err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/null_rate.json" 2>&1 >/dev/null || true)"
+grep -q injection_bps <<<"$err" \
+  || { echo "'exaflow run' on a null injection rate does not name injection_bps: $err"; exit 1; }
 # The engine has no head-latency model: a non-zero latency key is rejected
 # by name rather than ignored.
 err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/latency.json" 2>&1 >/dev/null || true)"

@@ -216,7 +216,7 @@ fn coalescing_merges_identical_paths_bit_identically() {
     )));
 }
 
-/// A duplex cut of a physical link actually crossed by traffic, mid-run,
+/// A duplex cut of a link actually crossed by traffic, mid-run,
 /// repaired before the end: exercises reroute churn, the solver
 /// invalidation path, and coalesced-group teardown.
 fn schedule_for(topo: &dyn Topology, reference: &SimReport) -> FaultSchedule {
@@ -227,18 +227,13 @@ fn schedule_for(topo: &dyn Topology, reference: &SimReport) -> FaultSchedule {
     // Prefer a switch-to-switch hop: cutting an endpoint's only uplink
     // (single-homed fattree/GHC NICs) would partition it outright. Torus
     // nodes are their own routers, so any hop there is survivable.
-    let physical: Vec<LinkId> = route
-        .iter()
-        .copied()
-        .filter(|&l| !net.link(l).is_virtual)
-        .collect();
-    let link = physical
+    let link = route
         .iter()
         .copied()
         .find(|&l| net.link(l).src.0 >= eps_nodes && net.link(l).dst.0 >= eps_nodes)
-        .or_else(|| physical.first().copied())
-        .expect("route with no physical link");
-    let peer = net.find_physical_link(net.link(link).dst, net.link(link).src);
+        .or_else(|| route.first().copied())
+        .expect("route with no link");
+    let peer = net.find_link(net.link(link).dst, net.link(link).src);
     let t_cut = reference.makespan_seconds * 0.4;
     let t_fix = reference.makespan_seconds * 0.7;
     let mut events = Vec::new();

@@ -266,6 +266,32 @@ fn suite_errors_serialize_as_tagged_json() {
     assert_eq!(&back, err);
 }
 
+/// A value of the wrong type fails to parse with the key path that holds
+/// it before the type error, so a file with one bad key says which one.
+#[test]
+fn parse_errors_name_the_key_that_holds_the_bad_value() {
+    let torus = r#""topology": {"topology": "torus", "dims": [4, 4]}"#;
+    let cases = [
+        (
+            format!(
+                r#"{{{torus}, "workload": {{"workload": "reduce", "tasks": 8, "bytes": 1024}},
+                "sim": {{"injection_bps": null, "ejection_bps": 1e10, "batch_epsilon": 1e-9}}}}"#
+            ),
+            "sim: injection_bps: invalid type: expected number, found null",
+        ),
+        (
+            format!(
+                r#"{{{torus}, "workload": {{"workload": "reduce", "tasks": "8", "bytes": 1024}}}}"#
+            ),
+            "workload: tasks: invalid type: expected unsigned integer, found string",
+        ),
+    ];
+    for (json, want) in cases {
+        let err = serde_json::from_str::<ExperimentConfig>(&json).unwrap_err();
+        assert_eq!(err.to_string(), want, "{json}");
+    }
+}
+
 #[test]
 fn partitioned_network_is_unreachable_error() {
     // Force a partition deterministically: on a 1-D ring, cut both
@@ -276,8 +302,8 @@ fn partitioned_network_is_unreachable_error() {
     let net = ring.network();
     let mut cut = Vec::new();
     for (a, b) in [(0u32, 1u32), (2, 3)] {
-        cut.push(net.find_physical_link(NodeId(a), NodeId(b)).unwrap());
-        cut.push(net.find_physical_link(NodeId(b), NodeId(a)).unwrap());
+        cut.push(net.find_link(NodeId(a), NodeId(b)).unwrap());
+        cut.push(net.find_link(NodeId(b), NodeId(a)).unwrap());
     }
     let schedule = FaultSchedule::empty().with_failed_links(cut);
     let mut b = FlowDagBuilder::new();

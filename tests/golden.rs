@@ -21,7 +21,7 @@ mod common;
 
 /// Every link `a → b` of `pairs` goes down (or up) at `time_s`.
 fn links(net: &Network, time_s: f64, action: FaultAction, pairs: &[(u32, u32)]) -> Vec<FaultEvent> {
-    let link = |(a, b): (u32, u32)| net.find_physical_link(NodeId(a), NodeId(b)).unwrap().0;
+    let link = |(a, b): (u32, u32)| net.find_link(NodeId(a), NodeId(b)).unwrap().0;
     let event = |&pair: &(u32, u32)| FaultEvent {
         time_s,
         link: link(pair),

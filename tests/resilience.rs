@@ -9,8 +9,8 @@ use exaflow::sim::FaultSchedule;
 fn duplex(topo: &dyn Topology, a: u32, b: u32) -> [u32; 2] {
     let net = topo.network();
     [
-        net.find_physical_link(NodeId(a), NodeId(b)).unwrap().0,
-        net.find_physical_link(NodeId(b), NodeId(a)).unwrap().0,
+        net.find_link(NodeId(a), NodeId(b)).unwrap().0,
+        net.find_link(NodeId(b), NodeId(a)).unwrap().0,
     ]
 }
 
