@@ -3,10 +3,10 @@
 //! This module is the paper-scale engine behind Table 1: where
 //! [`distance_stats_exact`](crate::distance_stats_exact) walks every
 //! source from a single thread, [`distance_sweep`] partitions the source
-//! endpoints into deterministic contiguous chunks across scoped threads
-//! and merges per-worker histograms in fixed worker order. Because the
-//! histograms hold `u64` counts, the merged result is **bit-identical** to
-//! the sequential path at any thread count.
+//! endpoints into one deterministic contiguous chunk per worker of the
+//! [pool](crate::pool) and sums the chunks' histograms in chunk order.
+//! Because the histograms hold `u64` counts, the merged result is
+//! **bit-identical** to the sequential path at any thread count.
 //!
 //! A source costs one [`Topology::distance_histogram`]. The torus, the
 //! fattree, the GHC and the nested hybrids count equidistant classes, so
@@ -29,16 +29,9 @@
 //! traffic must stay local).
 
 use crate::distance::{sized_histogram, DistanceStats};
+use crate::pool::scoped_map;
 use exaflow_netgraph::{BfsScratch, NodeId};
 use exaflow_topo::Topology;
-use std::sync::Mutex;
-
-/// Per-worker partial result, handed back through the worker's join handle.
-struct WorkerOut {
-    histogram: Vec<u64>,
-    /// Total hops per source in this worker's chunk, in chunk order.
-    source_hops: Vec<u64>,
-}
 
 /// Contiguous chunk `[start, end)` of `len` items owned by worker `w` of
 /// `workers`; the first `len % workers` chunks take one extra item.
@@ -49,77 +42,63 @@ fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
     (start, start + per + usize::from(w < rem))
 }
 
-/// The worker count when none is given: one per available core, and at
-/// least one. Every command and library entry point that fans out defaults
-/// to it; `--threads` (or an explicit count) is the only way to choose
-/// another.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Run `per_source` over a static partition of `sources` on `threads`
-/// threads and merge the per-worker histograms in fixed worker order.
-/// Returns the merged histogram plus per-source hop totals in `sources`
-/// order. The calling thread is worker 0, so one worker spawns nothing.
-fn parallel_tally<F>(
+/// Split `sources` into one contiguous chunk per worker, run `chunk` on
+/// each through the [pool](crate::pool) and sum the chunks' histograms in
+/// chunk order. `chunk` tallies its sources into the histogram it is
+/// handed and returns their hop totals; the result is the summed
+/// histogram plus per-source hop totals in `sources` order. A chunk that
+/// panics re-raises here, so a short histogram is never returned.
+fn tally_chunks<F>(
     sources: &[u32],
     threads: usize,
     histogram_len: usize,
-    per_source: F,
+    chunk: F,
 ) -> (Vec<u64>, Vec<u64>)
 where
-    F: Fn(usize, u32, &mut [u64]) -> u64 + Sync,
+    F: Fn(&[u32], &mut [u64]) -> Vec<u64> + Sync,
 {
     let workers = threads.max(1).min(sources.len().max(1));
-    let tally = |w: usize| {
+    let chunks: Vec<usize> = (0..workers).collect();
+    let outs = scoped_map(&chunks, workers, |_, &w| {
         let (lo, hi) = chunk_bounds(sources.len(), workers, w);
         let mut histogram = vec![0u64; histogram_len];
-        let source_hops = sources[lo..hi]
-            .iter()
-            .map(|&s| per_source(w, s, &mut histogram))
-            .collect();
-        WorkerOut {
-            histogram,
-            source_hops,
-        }
-    };
-    let tally = &tally;
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || tally(w)))
-            .collect();
-        let mut outs = vec![tally(0)];
-        outs.extend(
-            spawned
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
-        );
-        outs
+        let hops = chunk(&sources[lo..hi], &mut histogram);
+        (histogram, hops)
     });
     let mut histogram = vec![0u64; histogram_len];
     let mut hops = Vec::with_capacity(sources.len());
     for out in outs {
-        for (acc, v) in histogram.iter_mut().zip(&out.histogram) {
+        let (part, part_hops) = out.unwrap_or_else(|panic| panic!("distance sweep: {panic}"));
+        for (acc, v) in histogram.iter_mut().zip(&part) {
             *acc += v;
         }
-        hops.extend(out.source_hops);
+        hops.extend(part_hops);
     }
     (histogram, hops)
+}
+
+/// `chunk` for [`tally_chunks`] over routed distances: one
+/// [`Topology::distance_histogram`] per source.
+fn routed<'a>(topo: &'a dyn Topology) -> impl Fn(&[u32], &mut [u64]) -> Vec<u64> + Sync + 'a {
+    move |chunk, histogram| {
+        chunk
+            .iter()
+            .map(|&s| topo.distance_histogram(NodeId(s), histogram))
+            .collect()
+    }
 }
 
 /// Exact all-sources distance statistics computed on `threads` threads.
 ///
 /// Bit-identical to [`distance_stats_exact`](crate::distance_stats_exact)
 /// at every thread count: sources are partitioned statically, histogram
-/// counts are integers, and per-worker histograms merge in fixed order, so
+/// counts are integers, and per-chunk histograms merge in fixed order, so
 /// neither scheduling nor summation order can perturb the result.
 pub fn distance_sweep(topo: &dyn Topology, threads: usize) -> DistanceStats {
     let e = topo.num_endpoints();
     let sources: Vec<u32> = (0..e as u32).collect();
     let len = sized_histogram(topo).len();
-    let (histogram, _) = parallel_tally(&sources, threads, len, |_, s, hist| {
-        topo.distance_histogram(NodeId(s), hist)
-    });
+    let (histogram, _) = tally_chunks(&sources, threads, len, routed(topo));
     DistanceStats::from_histogram(histogram, e, true)
 }
 
@@ -167,9 +146,7 @@ pub fn distance_estimate(
     }
     let sources = stratified_sources(e, samples, seed);
     let len = sized_histogram(topo).len();
-    let (histogram, hops) = parallel_tally(&sources, threads, len, |_, s, hist| {
-        topo.distance_histogram(NodeId(s), hist)
-    });
+    let (histogram, hops) = tally_chunks(&sources, threads, len, routed(topo));
     let mut stats = DistanceStats::from_histogram(histogram, sources.len(), false);
     if sources.len() >= 2 && e >= 2 {
         let dests = (e - 1) as f64;
@@ -185,8 +162,8 @@ pub fn distance_estimate(
 }
 
 /// Physical shortest-path statistics over `sources`, computed with one BFS
-/// per source on `threads` threads. Each worker owns one [`BfsScratch`]
-/// reused across its whole chunk; no per-source allocation happens after
+/// per source on `threads` threads. Each chunk owns one [`BfsScratch`]
+/// reused across all its sources; no per-source allocation happens after
 /// warm-up.
 ///
 /// The metric is graph distance in link hops, a lower bound on the
@@ -201,15 +178,15 @@ pub fn physical_distance_sweep(
     let net = topo.network();
     let len = sized_histogram(topo).len();
     let sources: Vec<u32> = sources.iter().map(|n| n.0).collect();
-    let scratches: Vec<Mutex<BfsScratch>> = (0..threads.max(1))
-        .map(|_| Mutex::new(BfsScratch::new(net.num_nodes())))
-        .collect();
-    let (histogram, _) = parallel_tally(&sources, threads, len, |w, s, hist| {
-        let mut scratch = scratches[w]
-            .lock()
-            .expect("a sweep worker panicked holding its BFS scratch");
-        scratch.run(net, NodeId(s));
-        endpoint_histogram(&scratch.distances()[..net.num_endpoints()], s, hist)
+    let (histogram, _) = tally_chunks(&sources, threads, len, |chunk, hist| {
+        let mut scratch = BfsScratch::new(net.num_nodes());
+        chunk
+            .iter()
+            .map(|&s| {
+                scratch.run(net, NodeId(s));
+                endpoint_histogram(&scratch.distances()[..net.num_endpoints()], s, hist)
+            })
+            .collect()
     });
     let exact = sources.len() == topo.num_endpoints();
     DistanceStats::from_histogram(histogram, sources.len(), exact)
@@ -248,9 +225,19 @@ mod tests {
 
     /// A topology that can only count: every other endpoint is one hop
     /// away by `distance_histogram`, and asking for a single `distance`
-    /// panics.
+    /// panics. So does counting from `broken`, when set.
     struct CountingOnly {
         net: Network,
+        broken: Option<NodeId>,
+    }
+
+    fn counting_only(endpoints: usize, broken: Option<NodeId>) -> CountingOnly {
+        let mut b = NetworkBuilder::new();
+        b.add_endpoints(endpoints);
+        CountingOnly {
+            net: b.build(),
+            broken,
+        }
     }
 
     impl Topology for CountingOnly {
@@ -269,7 +256,12 @@ mod tests {
         fn diameter_bound(&self) -> u32 {
             1
         }
-        fn distance_histogram(&self, _: NodeId, histogram: &mut [u64]) -> u64 {
+        fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
+            assert_ne!(
+                Some(src),
+                self.broken,
+                "no histogram from the broken source"
+            );
             let others = self.num_endpoints() as u64 - 1;
             histogram[1] += others;
             others
@@ -280,15 +272,21 @@ mod tests {
     fn sweeps_count_through_the_histogram_override() {
         // Were a sweep to fall back to the per-pair loop, a real topology
         // would give the same numbers, so nothing but a panic shows it.
-        let mut b = NetworkBuilder::new();
-        b.add_endpoints(5);
-        let topo = CountingOnly { net: b.build() };
+        let topo = counting_only(5, None);
         let swept = distance_sweep(&topo, 2);
         assert_eq!(swept.histogram, vec![0, 20]);
         let estimate = distance_estimate(&topo, 3, 1, 2);
         assert_eq!(estimate.histogram, vec![0, 12]);
         assert_eq!(estimate.average, 1.0);
         assert_eq!(estimate.stderr, Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no histogram from the broken source")]
+    fn a_panicking_source_panics_the_sweep() {
+        // The pool catches the chunk's panic; the sweep must re-raise it
+        // rather than sum the chunks that came back.
+        distance_sweep(&counting_only(5, Some(NodeId(3))), 2);
     }
 
     #[test]

@@ -15,15 +15,13 @@
 //!                                size (1 = serial); --metrics enables
 //!                                tracing on every entry and aggregates
 //!                                engine counters into the suite report;
-//!                                --retries N re-runs transient failures
-//!                                (panics, deadline overruns) up to N extra
-//!                                times before quarantining the entry;
 //!                                --journal f.jsonl appends every finished
 //!                                outcome to a crash-safe JSONL journal and
 //!                                --resume reuses journaled outcomes instead
-//!                                of re-running them; exits 3 when any entry
-//!                                ended in a typed error, 4 when quarantined
-//!                                entries remain
+//!                                of re-running them; each entry runs once,
+//!                                and the sweep exits 3 when any entry ended
+//!                                in a typed error (a panic and a deadline
+//!                                overrun included)
 //! exaflow resilience <spec.json> run a Monte-Carlo resilience campaign
 //!                                (fault rates x recovery policies x
 //!                                replicas) and print per-cell degradation
@@ -141,17 +139,16 @@ fn print_help() {
     eprintln!("                                  run an experiment, print the result as JSON;");
     eprintln!("                                  --trace streams engine events to a JSONL file");
     eprintln!("                                  and attaches engine metrics to the result");
-    eprintln!("  exaflow sweep <suite.json | -> [--threads <n>] [--metrics] [--retries <n>]");
+    eprintln!("  exaflow sweep <suite.json | -> [--threads <n>] [--metrics]");
     eprintln!("                                 [--journal <f.jsonl>] [--resume]");
     eprintln!("                                  run a JSON array of configs in parallel,");
     eprintln!("                                  print per-config results + suite metrics;");
     eprintln!("                                  --metrics traces every entry and aggregates");
     eprintln!("                                  engine counters into the suite report;");
-    eprintln!("                                  --retries re-runs transient failures before");
-    eprintln!("                                  quarantining; --journal records each outcome");
-    eprintln!("                                  crash-safely, --resume replays the journal;");
-    eprintln!("                                  exit 3 if any entry ended in a typed error,");
-    eprintln!("                                  4 if quarantined entries remain");
+    eprintln!("                                  --journal records each outcome crash-safely,");
+    eprintln!("                                  --resume replays the journal; each entry runs");
+    eprintln!("                                  once; exit 3 if any entry ended in a typed");
+    eprintln!("                                  error");
     eprintln!(
         "  exaflow resilience <spec.json | -> [--threads <n>] [--journal <f.jsonl>] [--resume]"
     );
@@ -258,18 +255,16 @@ struct SweepOutput {
 }
 
 /// Shared argument shape for `sweep` and `resilience`:
-/// `<path | -> [--threads <n>] [--journal <f.jsonl>] [--resume] [--retries <n>]`.
+/// `<path | -> [--threads <n>] [--journal <f.jsonl>] [--resume]`.
 #[derive(Default)]
 struct CampaignArgs<'a> {
     path: Option<&'a str>,
     threads: Option<usize>,
     journal: Option<&'a str>,
     resume: bool,
-    /// Total attempts per entry: `--retries` plus the first.
-    attempts: Option<u32>,
 }
 
-fn parse_campaign_args(args: &[String], allow_retries: bool) -> Result<CampaignArgs<'_>, String> {
+fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs<'_>, String> {
     let mut parsed = CampaignArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -283,15 +278,6 @@ fn parse_campaign_args(args: &[String], allow_retries: bool) -> Result<CampaignA
                 None => return Err("--journal needs a file path".into()),
             },
             "--resume" => parsed.resume = true,
-            // --retries counts *extra* attempts beyond the first.
-            "--retries" if allow_retries => {
-                let attempts = it
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok()?.checked_add(1));
-                let bound = u32::MAX;
-                let error = format!("--retries needs a non-negative integer below {bound}");
-                parsed.attempts = Some(attempts.ok_or(error)?);
-            }
             other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             other if parsed.path.is_none() => parsed.path = Some(other),
             other => return Err(format!("unexpected argument '{other}'")),
@@ -306,7 +292,7 @@ fn parse_campaign_args(args: &[String], allow_retries: bool) -> Result<CampaignA
 fn cmd_sweep(args: &[String]) -> Result<i32, String> {
     let metrics = args.iter().any(|a| a == "--metrics");
     let rest: Vec<String> = args.iter().filter(|a| *a != "--metrics").cloned().collect();
-    let parsed_args = parse_campaign_args(&rest, true)?;
+    let parsed_args = parse_campaign_args(&rest)?;
     let body = read_body(parsed_args.path)?;
     let mut configs: Vec<ExperimentConfig> =
         serde_json::from_str(&body).map_err(|e| format!("parse suite: {e}"))?;
@@ -318,9 +304,6 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
     let mut suite = ExperimentSuite::new(configs);
     if let Some(n) = parsed_args.threads {
         suite = suite.threads(n);
-    }
-    if let Some(n) = parsed_args.attempts {
-        suite = suite.attempts(n);
     }
     let run = match parsed_args.journal {
         Some(journal_path) => suite
@@ -338,38 +321,18 @@ fn cmd_sweep(args: &[String]) -> Result<i32, String> {
             tc.hits, tc.misses, tc.peak_entries
         );
     }
-    if run.report.retries > 0 || run.report.quarantined > 0 {
-        eprintln!(
-            "sweep: {} retr{} executed, {} entr{} quarantined",
-            run.report.retries,
-            if run.report.retries == 1 { "y" } else { "ies" },
-            run.report.quarantined,
-            if run.report.quarantined == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-        );
-    }
     for (i, res) in run.results.iter().enumerate() {
         if let Err(e) = res {
             eprintln!("error: experiment {i}: {e}");
         }
     }
     let failed = run.report.failed;
-    let quarantined = run.report.quarantined;
     let out = SweepOutput {
         results: run.results,
         report: run.report,
     };
     say(serde_json::to_string_pretty(&out).unwrap());
-    Ok(if quarantined > 0 {
-        4
-    } else if failed > 0 {
-        3
-    } else {
-        0
-    })
+    Ok(if failed > 0 { 3 } else { 0 })
 }
 
 /// JSON document printed by `exaflow resilience`: the campaign report
@@ -382,7 +345,7 @@ struct ResilienceOutput {
 }
 
 fn cmd_resilience(args: &[String]) -> Result<i32, String> {
-    let parsed_args = parse_campaign_args(args, false)?;
+    let parsed_args = parse_campaign_args(args)?;
     let body = read_body(parsed_args.path)?;
     let spec: ResilienceCampaignSpec =
         serde_json::from_str(&body).map_err(|e| format!("parse campaign: {e}"))?;

@@ -681,7 +681,7 @@ fn reproduce_table2_writes_rows_that_parse() {
 }
 
 // --------------------------------------------------------------------------
-// Crash-safe campaign tests (journaling, retries, kill-and-resume). All
+// Crash-safe campaign tests (journaling, typed errors, kill-and-resume). All
 // named `campaign_*` so the check script can gate on them as a group.
 // --------------------------------------------------------------------------
 
@@ -867,19 +867,12 @@ fn sim_json(extra: &str) -> String {
     )
 }
 
-/// An exhausted event budget is a deterministic, typed per-entry error:
-/// exit 3 (failed), never retried, never quarantined.
-#[test]
-fn campaign_event_budget_is_a_typed_error_not_a_retry() {
+/// `exaflow sweep - <extra>` with `suite` on stdin.
+fn sweep_stdin(suite: &str, extra: &[&str]) -> std::process::Output {
     use std::io::Write;
-    let suite = format!(
-        r#"[{{"topology": {{"topology": "torus", "dims": [4, 4]}},
-             "workload": {{"workload": "all_reduce", "tasks": 16, "bytes": 65536}},
-             "sim": {}}}]"#,
-        sim_json(r#""max_events": 3"#)
-    );
     let mut child = exaflow()
-        .args(["sweep", "-", "--retries", "4"])
+        .args(["sweep", "-"])
+        .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -891,7 +884,19 @@ fn campaign_event_budget_is_a_typed_error_not_a_retry() {
         .unwrap()
         .write_all(suite.as_bytes())
         .unwrap();
-    let out = child.wait_with_output().unwrap();
+    child.wait_with_output().unwrap()
+}
+
+/// An exhausted event budget is a typed per-entry error: exit 3 (failed).
+#[test]
+fn campaign_event_budget_is_a_typed_error() {
+    let suite = format!(
+        r#"[{{"topology": {{"topology": "torus", "dims": [4, 4]}},
+             "workload": {{"workload": "all_reduce", "tasks": 16, "bytes": 65536}},
+             "sim": {}}}]"#,
+        sim_json(r#""max_events": 3"#)
+    );
+    let out = sweep_stdin(&suite, &[]);
     assert_eq!(
         out.status.code(),
         Some(3),
@@ -903,16 +908,13 @@ fn campaign_event_budget_is_a_typed_error_not_a_retry() {
     assert_eq!(err["kind"], "sim");
     assert_eq!(err["sim"]["kind"], "budget_exhausted");
     assert_eq!(err["sim"]["max_events"], 3);
-    assert_eq!(body["report"]["retries"], 0, "deterministic: no retries");
-    assert_eq!(body["report"]["quarantined"], 0);
 }
 
-/// A wall-clock deadline overrun is transient: with --retries it is
-/// re-attempted, then quarantined with its attempt history, and the sweep
-/// exits 4 so schedulers can tell "needs investigation" from "failed".
+/// A wall-clock deadline overrun is a typed per-entry error like any
+/// other: the entry runs once, its neighbour is unaffected, and the sweep
+/// exits 3.
 #[test]
-fn campaign_deadline_overruns_quarantine_and_exit_4() {
-    use std::io::Write;
+fn campaign_deadline_overrun_is_a_typed_error() {
     let suite = format!(
         r#"[{{"topology": {{"topology": "torus", "dims": [4, 4]}},
              "workload": {{"workload": "all_reduce", "tasks": 16, "bytes": 65536}},
@@ -921,43 +923,19 @@ fn campaign_deadline_overruns_quarantine_and_exit_4() {
              "workload": {{"workload": "all_reduce", "tasks": 8, "bytes": 65536}}}}]"#,
         sim_json(r#""max_wall_s": 1e-12"#)
     );
-    let mut child = exaflow()
-        .args(["sweep", "-", "--retries", "2", "--threads", "1"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(suite.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let out = sweep_stdin(&suite, &["--threads", "1"]);
+    let err_text = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {err_text}");
     let body: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
     let err = &body["results"][0]["Err"];
-    assert_eq!(err["kind"], "quarantined");
-    let attempts = err["attempts"].as_array().unwrap();
-    assert_eq!(attempts.len(), 3, "1 initial + 2 retries");
-    for attempt in attempts {
-        assert_eq!(attempt["kind"], "sim");
-        assert_eq!(attempt["sim"]["kind"], "deadline_exceeded");
-    }
+    assert_eq!(err["kind"], "sim");
+    assert_eq!(err["sim"]["kind"], "deadline_exceeded");
     assert!(
         body["results"][1]["Ok"].as_object().is_some(),
         "neighbour unaffected"
     );
-    assert_eq!(body["report"]["retries"], 2);
-    assert_eq!(body["report"]["quarantined"], 1);
-    let err_text = String::from_utf8_lossy(&out.stderr);
-    assert!(err_text.contains("quarantined"), "stderr: {err_text}");
+    assert_eq!(body["report"]["failed"], 1);
+    assert!(err_text.contains("experiment 0:"), "stderr: {err_text}");
 }
 
 /// Resilience reports carry no wall-clock fields, so a resumed campaign
@@ -1179,21 +1157,20 @@ fn campaign_kill_warm_cache_resume_cold_reconstructs_the_report() {
     }
 }
 
-/// A `--retries` count whose first attempt overflows the attempt counter
-/// is a usage error, not an overflow panic or a silent single attempt.
+/// Each entry runs once: `--retries` is an unknown option, a usage error.
 #[test]
-fn campaign_rejects_retries_that_overflow_the_attempt_count() {
-    let suite_path = tmpfile("retries-overflow-suite.json");
+fn campaign_rejects_retries_as_an_unknown_option() {
+    let suite_path = tmpfile("retries-suite.json");
     std::fs::write(&suite_path, CACHED_SWEEP).unwrap();
     let out = exaflow()
         .args(["sweep", suite_path.to_str().unwrap()])
-        .args(["--retries", "4294967295"])
+        .args(["--retries", "2"])
         .output()
         .unwrap();
     std::fs::remove_file(&suite_path).ok();
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {err}");
-    assert!(err.contains("--retries"), "stderr: {err}");
+    assert!(err.contains("unknown option '--retries'"), "stderr: {err}");
 }
 
 #[test]

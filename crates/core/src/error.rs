@@ -11,7 +11,9 @@
 //!
 //! The `Sim` variant wraps the engine's own [`SimError`] rather than
 //! flattening it to text; tooling that post-processes sweep output can
-//! match on the inner `kind`.
+//! match on the inner `kind`. A suite runs each entry once, so a
+//! wall-clock deadline overrun or a panic is a per-entry error like any
+//! other, never retried.
 
 use exaflow_sim::SimError;
 use serde::{Deserialize, Serialize};
@@ -70,37 +72,12 @@ pub enum ExperimentError {
         /// Best-effort panic message.
         message: String,
     },
-    /// Every attempt [`ExperimentSuite::attempts`](crate::ExperimentSuite::attempts)
-    /// allowed failed transiently (worker panics, wall-clock deadline
-    /// overruns), so the entry was quarantined instead of blocking the
-    /// campaign. `attempts` holds each attempt's error in order; the last
-    /// one is the terminal failure.
-    Quarantined {
-        /// Per-attempt errors, oldest first.
-        attempts: Vec<ExperimentError>,
-    },
     /// The campaign journal could not be read or written (I/O failure,
     /// mid-file corruption). A harness problem, never a measured result.
     Journal {
         /// Human-readable reason.
         reason: String,
     },
-}
-
-impl ExperimentError {
-    /// True when the failure depends on the host, not the spec (worker
-    /// panics and [`SimError::DeadlineExceeded`] overruns), so re-running
-    /// on the same host may succeed. Invalid specs, exhausted event budgets
-    /// and simulation errors re-run to the same error and are never retried.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ExperimentError::Panicked { .. }
-                | ExperimentError::Sim {
-                    sim: SimError::DeadlineExceeded { .. },
-                }
-        )
-    }
 }
 
 impl From<SimError> for ExperimentError {
@@ -137,14 +114,6 @@ impl fmt::Display for ExperimentError {
             ),
             ExperimentError::Sim { sim } => write!(f, "simulation failed: {sim}"),
             ExperimentError::Panicked { message } => write!(f, "experiment panicked: {message}"),
-            ExperimentError::Quarantined { attempts } => match attempts.last() {
-                Some(last) => write!(
-                    f,
-                    "quarantined after {} failed attempt(s); last: {last}",
-                    attempts.len()
-                ),
-                None => write!(f, "quarantined with no recorded attempts"),
-            },
             ExperimentError::Journal { reason } => write!(f, "campaign journal error: {reason}"),
         }
     }
@@ -190,32 +159,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("64 tasks"), "{s}");
         assert!(s.contains("16 endpoints"), "{s}");
-    }
-
-    #[test]
-    fn quarantined_roundtrips_with_nested_attempt_history() {
-        let e = ExperimentError::Quarantined {
-            attempts: vec![
-                ExperimentError::Panicked {
-                    message: "worker died".into(),
-                },
-                ExperimentError::from(SimError::DeadlineExceeded {
-                    wall_limit_s: 0.5,
-                    events: 10,
-                    time: 0.1,
-                    delivered_bytes: 100,
-                    flows_completed: 1,
-                }),
-            ],
-        };
-        let json = serde_json::to_string(&e).unwrap();
-        assert!(json.contains("\"kind\":\"quarantined\""), "{json}");
-        assert!(json.contains("\"kind\":\"deadline_exceeded\""), "{json}");
-        let back: ExperimentError = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
-        let s = e.to_string();
-        assert!(s.contains("after 2 failed attempt(s)"), "{s}");
-        assert!(s.contains("deadline"), "{s}");
     }
 
     #[test]

@@ -33,9 +33,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::Path;
 
-/// One experiment outcome, `Ok` or typed `Err`, as finalised by the suite
-/// runner (after any retries; a quarantined entry journals its full
-/// attempt history inside [`ExperimentError::Quarantined`]).
+/// One experiment outcome, `Ok` or typed `Err`, as the suite runner
+/// produced it.
 pub type JournaledOutcome = Result<ExperimentResult, ExperimentError>;
 
 /// One line of the journal.
@@ -363,13 +362,20 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[1].fingerprint, "cc");
 
-        // The same garbage followed by a newline is corruption, not a tear.
-        let mut with_newline = text[..cut].to_owned();
-        with_newline.push('\n');
-        std::fs::write(&path, &with_newline).unwrap();
-        let err = read_journal(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("line 2"), "{err}");
+        // The same garbage followed by a newline is corruption, not a tear,
+        // and so is an outcome kind this version no longer has: a
+        // journal holding a quarantined entry cannot be resumed.
+        let quarantined =
+            r#"{"fingerprint": "bb", "outcome": {"Err": {"kind": "quarantined", "attempts": []}}}"#;
+        let (first, torn) = text[..cut].split_once('\n').unwrap();
+        for second in [torn, quarantined] {
+            std::fs::write(&path, format!("{first}\n{second}\n")).unwrap();
+            let err = read_journal(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("corrupt journal line 2"), "{err}");
+            let err = JournalIndex::load(&path).unwrap_err();
+            assert!(err.to_string().contains("corrupt journal line 2"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -62,6 +62,7 @@ pub use analyze::{
     SourceBudget,
 };
 pub use error::ExperimentError;
+pub use exaflow_analysis::scoped_map;
 pub use experiment::{
     run_experiment, run_experiment_with, ExperimentConfig, ExperimentResult, FailureSpec,
     FaultInjectionSpec, MappingSpec,
@@ -73,7 +74,7 @@ pub use resilience::{
     run_resilience_campaign, CellReport, ResilienceCampaignReport, ResilienceCampaignSpec,
 };
 pub use scale::SystemScale;
-pub use suite::{scoped_map, ExperimentSuite, SuiteMetrics, SuiteReport, SuiteRun};
+pub use suite::{ExperimentSuite, SuiteMetrics, SuiteReport, SuiteRun};
 pub use topocache::{topology_cache_key, TopoCache, TopoCacheStats};
 pub use topospec::TopologySpec;
 
@@ -104,12 +105,12 @@ pub mod prelude {
         run_resilience_campaign, CellReport, ResilienceCampaignReport, ResilienceCampaignSpec,
     };
     pub use crate::scale::SystemScale;
-    pub use crate::suite::{scoped_map, ExperimentSuite, SuiteMetrics, SuiteReport, SuiteRun};
+    pub use crate::suite::{ExperimentSuite, SuiteMetrics, SuiteReport, SuiteRun};
     pub use crate::topocache::{topology_cache_key, TopoCache, TopoCacheStats};
     pub use crate::topospec::TopologySpec;
     pub use exaflow_analysis::{
         distance_estimate, distance_stats_exact, distance_sweep, physical_distance_sweep,
-        stratified_sources, DistanceStats,
+        scoped_map, stratified_sources, DistanceStats,
     };
     pub use exaflow_netgraph::{LinkId, Network, NodeId};
     pub use exaflow_sim::{

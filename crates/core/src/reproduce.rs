@@ -22,8 +22,9 @@ use crate::analyze::{analyze_distances, SourceBudget};
 use crate::experiment::{ExperimentConfig, ExperimentResult, MappingSpec};
 use crate::presets;
 use crate::scale::SystemScale;
-use crate::suite::{scoped_map, ExperimentSuite};
+use crate::suite::ExperimentSuite;
 use crate::topospec::TopologySpec;
+use exaflow_analysis::scoped_map;
 use exaflow_netgraph::dot::to_dot;
 use exaflow_sim::SimConfig;
 use exaflow_system::{CostModel, UpperTier};
@@ -368,7 +369,7 @@ pub fn table2(scale: SystemScale, threads: usize) -> Result<Vec<Table2Row>, Stri
         })
     })
     .into_iter()
-    .map(|o| o.unwrap_or_else(|panic| Err(format!("grid point {panic}"))))
+    .map(|o| o.unwrap_or_else(|panic| Err(format!("grid point panicked: {panic}"))))
     .collect()
 }
 

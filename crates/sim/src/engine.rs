@@ -89,8 +89,8 @@ pub struct SimConfig {
     /// [`SimError::DeadlineExceeded`] once this much real time has elapsed
     /// without every flow resolving. Checked at event boundaries, so a
     /// stuck cell becomes a diagnosable suite entry instead of a hung
-    /// sweep. `None` (the default) means unlimited. Host-speed dependent —
-    /// suites treat it as transient and may retry.
+    /// sweep. `None` (the default) means unlimited. Host-speed dependent;
+    /// a suite reports an overrun as that entry's error.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub max_wall_s: Option<f64>,
 }
@@ -189,7 +189,7 @@ impl serde::de::Deserialize for SimConfig {
                 value,
                 "must be 0 (the engine has no head-latency model)",
             );
-            return Err(serde::de::Error::custom(err));
+            return Err(field_error(err));
         }
         let cfg = SimConfig {
             injection_bps: raw.injection_bps,
@@ -200,8 +200,21 @@ impl serde::de::Deserialize for SimConfig {
             max_events: raw.max_events,
             max_wall_s: raw.max_wall_s,
         };
-        cfg.validate().map_err(serde::de::Error::custom)?;
+        cfg.validate().map_err(field_error)?;
         Ok(cfg)
+    }
+}
+
+/// A validation failure as a parse error, `<key> = <value> <constraint>`:
+/// the derive already names the `sim` block the key sits in.
+fn field_error(err: SimError) -> serde::de::Error {
+    match err {
+        SimError::InvalidConfig {
+            field,
+            value,
+            constraint,
+        } => serde::de::Error::custom(format_args!("{field} = {value} {constraint}")),
+        other => serde::de::Error::custom(other),
     }
 }
 
@@ -1296,7 +1309,7 @@ mod tests {
     /// in-run pool: it loads into the inert `solver_threads` and moves
     /// nothing. Files written before the head-latency model was deleted
     /// carry its two keys as `0.0` and load the same; any other value,
-    /// NaN included, is an `InvalidConfig` naming the key.
+    /// NaN included, is a parse error naming the key: `<key> = <v> must be 0`.
     #[test]
     fn old_configs_with_the_deleted_mode_keys_still_load() {
         let base = r#""injection_bps": 1e10, "ejection_bps": 1e10, "batch_epsilon": 1e-9"#;
@@ -1357,7 +1370,7 @@ mod tests {
             assert_eq!(with(zero), Ok(SimConfig::default()));
             for (bad, shown) in [(1e-6, "0.000001"), (f64::NAN, "NaN")] {
                 let err = with(serde::Value::Number(serde::Number::Float(bad))).unwrap_err();
-                let want = format!("sim config: {key} = {shown} must be 0");
+                let want = format!("{key} = {shown} must be 0");
                 assert!(err.starts_with(&want), "{err}");
             }
         }

@@ -88,8 +88,8 @@ pub enum SimError {
     },
     /// The run exceeded the wall-clock deadline
     /// ([`SimConfig::max_wall_s`](crate::SimConfig)) before every flow
-    /// resolved. Non-deterministic by nature (depends on host speed);
-    /// suites treat it as transient and may retry.
+    /// resolved. Non-deterministic by nature (depends on host speed); a
+    /// suite reports it as that entry's error and runs the entry once.
     DeadlineExceeded {
         /// The configured wall-clock limit, in seconds.
         wall_limit_s: f64,

@@ -41,7 +41,7 @@ PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-sim --test proptest_max
 echo "== fault-overlay routes with PROPTEST_CASES=512"
 PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-topo --test proptest_faults
 
-echo "== crash-safety gate: kill-and-resume, torn journals, retry/quarantine"
+echo "== crash-safety gate: kill-and-resume, torn journals, typed per-entry errors"
 $TIMEOUT 900 cargo test -q -p exaflow-cli --test cli campaign
 
 # One pass: the cache stores what `TopologySpec::build` returns, so it
@@ -109,10 +109,10 @@ for a in fig4 fig5; do
 done
 
 # Hostile input: every file of a generated corpus, fed to every command
-# that reads JSON, must end in a typed error (exit 1-4) well inside a
+# that reads JSON, must end in a typed error (exit 1-3) well inside a
 # timeout — never a hang (124) and never a signal (a stack overflow
 # aborts with 134).
-echo "== malformed input: every command exits 1-4, never on a signal"
+echo "== malformed input: every command exits 1-3, never on a signal"
 CORPUS="$(mktemp -d)"
 trap 'rm -rf "$FIGDIR" "$CORPUS"' EXIT
 mkdir "$CORPUS/bad"
@@ -144,8 +144,8 @@ printf 'not a journal line\n{"fingerprint": "torn' >>"$JOURNAL"
 expect_typed_error() {
   local code=0
   timeout -k 5 60 "$@" >/dev/null 2>&1 || code=$?
-  if [ "$code" -lt 1 ] || [ "$code" -gt 4 ]; then
-    echo "exit $code, want 1-4: $*"
+  if [ "$code" -lt 1 ] || [ "$code" -gt 3 ]; then
+    echo "exit $code, want 1-3: $*"
     exit 1
   fi
 }
@@ -156,7 +156,10 @@ for f in "$CORPUS"/bad/*; do
   expect_typed_error $EXAFLOW sweep "$f" --journal "$JOURNAL" --resume
 done
 expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --journal "$JOURNAL" --resume
-expect_typed_error $EXAFLOW sweep "$CORPUS/suite.json" --retries 4294967295
+# A suite entry runs once: --retries is an unknown option, a usage error.
+err="$($TIMEOUT 60 $EXAFLOW sweep "$CORPUS/suite.json" --retries 2 2>&1 >/dev/null)" && code=0 || code=$?
+[ "$code" -eq 1 ] && grep -q "unknown option '--retries'" <<<"$err" \
+  || { echo "'exaflow sweep --retries 2' exited $code, want 1 naming the unknown option: $err"; exit 1; }
 echo "$(ls "$CORPUS/bad" | wc -l) malformed files x 5 commands: typed errors only"
 # The negative rate is that file's only defect, so the error must name it.
 err="$($TIMEOUT 60 $EXAFLOW run "$CORPUS/bad/negative_rate.json" 2>&1 >/dev/null || true)"

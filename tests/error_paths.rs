@@ -266,8 +266,9 @@ fn suite_errors_serialize_as_tagged_json() {
     assert_eq!(&back, err);
 }
 
-/// A value of the wrong type fails to parse with the key path that holds
-/// it before the type error, so a file with one bad key says which one.
+/// A value of the wrong type, or one out of range, fails to parse with the
+/// key path that holds it before the error, so a file with one bad key
+/// says which one, and names the `sim` block once.
 #[test]
 fn parse_errors_name_the_key_that_holds_the_bad_value() {
     let torus = r#""topology": {"topology": "torus", "dims": [4, 4]}"#;
@@ -278,6 +279,13 @@ fn parse_errors_name_the_key_that_holds_the_bad_value() {
                 "sim": {{"injection_bps": null, "ejection_bps": 1e10, "batch_epsilon": 1e-9}}}}"#
             ),
             "sim: injection_bps: invalid type: expected number, found null",
+        ),
+        (
+            format!(
+                r#"{{{torus}, "workload": {{"workload": "reduce", "tasks": 8, "bytes": 1024}},
+                "sim": {{"injection_bps": -1.0, "ejection_bps": 1e10, "batch_epsilon": 1e-9}}}}"#
+            ),
+            "sim: injection_bps = -1 must be finite and > 0",
         ),
         (
             format!(
