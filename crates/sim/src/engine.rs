@@ -14,9 +14,18 @@
 //! 2. `activate_ready`: flows whose dependencies resolved are routed and
 //!    admitted to the active set.
 //! 3. With nothing transferring, the workload is done.
-//! 4. `check_limits`, then `recompute` the max-min rates: one event.
-//! 5. `advance` to the earlier of a due fault and the completion batch
-//!    (then `retire` it and activate what it released).
+//! 4. `check_limits`, then `recompute` the max-min rates in the solver:
+//!    one event. The active set does not hold them yet.
+//! 5. `earliest_completion`: one walk over the active set copies each
+//!    flow's rate from the solver and finds the earliest completion.
+//! 6. The earlier of a due fault and the completion batch goes next. A
+//!    fault: `advance` every flow to it. The batch: `complete_batch` walks
+//!    the active set once more, flagging each flow that finishes within
+//!    `batch_epsilon` and advancing it in the same visit, then retires the
+//!    flagged flows and activates what they released.
+//!
+//! So an event walks the whole active set twice, once in step 5 and once
+//! in step 6; retiring the batch stops at its last flagged flow.
 //!
 //! Invariants the steps rely on:
 //!
@@ -751,15 +760,13 @@ impl<'r> RunState<'r> {
         (((total_bits - outstanding_bits) / 8.0).max(0.0)) as u64
     }
 
-    /// Settle the solver and copy every active flow's rate. A traced run
-    /// also times and counts the recompute and emits the rates.
+    /// Settle the solver. A traced run also times and counts the
+    /// recompute and emits the rates, read from the solver: the active set
+    /// takes them in [`RunState::earliest_completion`].
     fn recompute(&mut self) {
         let solve_start = self.trace.metrics.is_some().then(Instant::now);
         let passes = self.solver.rate_recomputes;
         self.solver.recompute(&self.paths);
-        for a in &mut self.active {
-            a.rate = self.solver.entry_rate(a.entry);
-        }
         let (Some(start), Some(m)) = (solve_start, self.trace.metrics.as_mut()) else {
             return;
         };
@@ -768,20 +775,27 @@ impl<'r> RunState<'r> {
         let full_pass = self.solver.rate_recomputes > passes;
         m.full_passes += full_pass as u64;
         if let Some(s) = self.trace.sink.as_mut() {
+            let solver = &self.solver;
             s.record(&TraceEvent::RateRecompute {
                 t: self.now,
                 flows: self.active.iter().map(|a| a.id).collect(),
-                rates_bps: self.active.iter().map(|a| a.rate).collect(),
-                entries_solved: self.solver.last_pass_entries,
+                rates_bps: self
+                    .active
+                    .iter()
+                    .map(|a| solver.entry_rate(a.entry))
+                    .collect(),
+                entries_solved: solver.last_pass_entries,
                 full_pass,
             });
         }
     }
 
-    /// Seconds to the earliest completion among active flows.
-    fn earliest_completion(&self) -> Result<f64, SimError> {
+    /// Copy every active flow's rate from the solver and return the
+    /// seconds to the earliest completion among them.
+    fn earliest_completion(&mut self) -> Result<f64, SimError> {
         let mut dt = f64::INFINITY;
-        for a in &self.active {
+        for a in &mut self.active {
+            a.rate = self.solver.entry_rate(a.entry);
             let t = self.remaining[a.id as usize] / a.rate;
             if t < dt {
                 dt = t;
@@ -827,18 +841,25 @@ impl<'r> RunState<'r> {
     }
 
     /// Retire the batch of flows finishing within `batch_epsilon` of the
-    /// earliest completion, `dt` from now. The batch is picked before time
-    /// advances.
+    /// earliest completion, `dt` from now. Each flow joins the batch on its
+    /// `remaining` before it advances, in the same walk; the retiring walk
+    /// stops at the batch's last flow.
     fn complete_batch(&mut self, dt: f64) {
         let cutoff = dt * (1.0 + self.sim.cfg.batch_epsilon);
+        let moves = dt > 0.0;
+        let mut batch = 0;
         for a in &mut self.active {
-            a.done = self.remaining[a.id as usize] / a.rate <= cutoff;
+            let left = &mut self.remaining[a.id as usize];
+            a.done = *left / a.rate <= cutoff;
+            batch += a.done as usize;
+            if moves {
+                *left -= a.rate * dt;
+            }
         }
-        self.advance(dt);
         self.now += dt;
         let now = self.now;
         let mut i = 0;
-        while i < self.active.len() {
+        while batch > 0 {
             let a = self.active[i];
             if !a.done {
                 i += 1;
@@ -849,6 +870,7 @@ impl<'r> RunState<'r> {
             self.retire(a.id);
             self.solver.remove_entry(a.entry);
             self.active.swap_remove(i);
+            batch -= 1;
         }
     }
 

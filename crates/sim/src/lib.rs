@@ -15,8 +15,9 @@
 //!   injection and one ejection resource per endpoint (the NIC). The
 //!   ejection resource is what serialises an N-to-1 Reduce at the root — the
 //!   paper's explanation for Reduce being topology-insensitive.
-//! * **Max-min** is computed by progressive filling with a lazy min-heap
-//!   ([`maxmin`]), `O(Σ path length · log R)` per recomputation.
+//! * **Max-min** is computed by progressive filling with an indexed
+//!   min-heap over resources ([`maxmin`]), `O(Σ path length · log R)` per
+//!   recomputation.
 //! * **Incremental rate allocation**: between events the solver keeps a
 //!   persistent flow–resource incidence and the freeze log of its last
 //!   pass; each pass merges that log with a heap over the resources an

@@ -7,10 +7,15 @@
 //! its flows at that share, subtract their rates from every other resource
 //! they cross, and repeat.
 //!
-//! The implementation keeps the bottleneck frontier in a lazy binary heap:
-//! when a resource's share changes, a new entry is pushed with a bumped
-//! version and stale entries are discarded on pop. Each flow is frozen
-//! exactly once, giving `O(Σ path · log R)` per allocation.
+//! The implementation keeps the bottleneck frontier in an indexed binary
+//! heap over resources, one key per resource, `(clamped share, id)` packed
+//! into one integer. A freeze round subtracts from a resource once per
+//! unit of weight of each entry it freezes there, but the resource is
+//! re-keyed once, in place, when the round ends: nothing reads the heap
+//! mid-round. A resource whose entries have all frozen stays on the heap
+//! until it reaches the top, and leaves there. Each flow is frozen exactly
+//! once, giving `O(Σ path · log R)` per allocation, and the heap never
+//! holds more keys than the pass has materialised resources.
 //!
 //! All scratch state lives in [`MaxMinSolver`] and is reused across calls
 //! (the engine recomputes rates at every completion event), with touched
@@ -158,7 +163,7 @@
 
 use crate::error::SimError;
 use crate::paths::{PathId, PathTable};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// `ent_path` of a slot on the free list.
@@ -166,38 +171,189 @@ const FREE: PathId = PathId(u32::MAX);
 /// `entry_of_path` of a path no entry stands for.
 const NO_ENTRY: u32 = u32::MAX;
 
-/// Heap entry: min-share ordering with lazy invalidation by version.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    share: f64,
-    resource: u32,
-    version: u32,
-}
+/// A bottleneck key, `(clamped share, resource id)` as one integer that
+/// sorts in pop order: smaller share first, ties to the smaller id. A share
+/// is never negative, NaN or infinite, so its bits order as its value
+/// (`-0.0` is made `+0.0`). Bit 96 marks a real key, so [`EMPTY`] sorts
+/// before every one, and one integer compare stands for the two-part one.
+type Key = u128;
 
-impl Eq for HeapEntry {}
+/// Tree key of a subtree without rounds: pops before every real key.
+const EMPTY: Key = 0;
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to get the smallest share first.
-        other
-            .share
-            .partial_cmp(&self.share)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.resource.cmp(&self.resource))
-    }
-}
-
-/// The bottleneck order shared by the heap and the replay guard: smaller
-/// clamped share first, ties to the smaller resource id.
 #[inline]
-fn pops_before(a: (f64, u32), b: (f64, u32)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+fn key_of(share: f64, r: u32) -> Key {
+    1 << 96 | ((share + 0.0).to_bits() as u128) << 32 | r as u128
+}
+
+/// The resource a key names.
+#[inline]
+fn key_res(k: Key) -> u32 {
+    k as u32
+}
+
+/// The bottleneck order shared by the heap and the replay guard.
+#[inline]
+fn pops_before(a: Key, b: Key) -> bool {
+    a < b
+}
+
+/// Clamped share of materialised resource `r`: the share it bottlenecks at
+/// if it pops next.
+#[inline]
+fn share(remaining: &[f64], count: &[u32], r: u32) -> f64 {
+    let ri = r as usize;
+    (remaining[ri] / count[ri] as f64).max(0.0)
+}
+
+/// `ResourceHeap::pos` of a resource that is not on the heap.
+const OFF_HEAP: u32 = u32::MAX;
+
+/// Min-heap over resources by [`Key`], `(clamped share, id)` in
+/// [`pops_before`] order. `pos` holds each resource's place in `keys`: a
+/// resource sits on the heap at most once, and a new key moves it in
+/// place, up or down.
+#[derive(Debug)]
+struct ResourceHeap {
+    keys: Vec<Key>,
+    /// Per resource: its index in `keys`, `OFF_HEAP` if absent.
+    pos: Vec<u32>,
+    /// The most keys the heap has held at once.
+    #[cfg(test)]
+    peak: usize,
+}
+
+impl ResourceHeap {
+    fn new(resources: usize) -> Self {
+        ResourceHeap {
+            keys: Vec::new(),
+            pos: vec![OFF_HEAP; resources],
+            #[cfg(test)]
+            peak: 0,
+        }
+    }
+
+    fn peek(&self) -> Option<Key> {
+        self.keys.first().copied()
+    }
+
+    /// The top key of a `live` resource: one that is not (a drained one)
+    /// leaves the heap when it reaches the top.
+    fn top(&mut self, live: impl Fn(u32) -> bool) -> Option<Key> {
+        while let Some(k) = self.peek() {
+            if live(key_res(k)) {
+                return Some(k);
+            }
+            self.take(0);
+        }
+        None
+    }
+
+    fn clear(&mut self) {
+        for &k in &self.keys {
+            self.pos[key_res(k) as usize] = OFF_HEAP;
+        }
+        self.keys.clear();
+    }
+
+    /// Empty the heap, then fill it with `keys` (one per resource) in
+    /// O(n).
+    fn rebuild(&mut self, keys: impl Iterator<Item = Key>) {
+        self.clear();
+        for k in keys {
+            self.pos[key_res(k) as usize] = self.keys.len() as u32;
+            self.keys.push(k);
+        }
+        self.grew();
+        for i in (0..self.keys.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// Put the resource `k` names on the heap at `k`, or move it there.
+    fn set(&mut self, k: Key) {
+        let i = self.pos[key_res(k) as usize];
+        if i == OFF_HEAP {
+            self.keys.push(k);
+            self.grew();
+            self.sift_up(self.keys.len() - 1);
+            return;
+        }
+        let old = std::mem::replace(&mut self.keys[i as usize], k);
+        if pops_before(k, old) {
+            self.sift_up(i as usize);
+        } else {
+            self.sift_down(i as usize);
+        }
+    }
+
+    /// Take the top resource off the heap.
+    fn pop(&mut self) -> Option<u32> {
+        let top = key_res(self.peek()?);
+        self.take(0);
+        Some(top)
+    }
+
+    /// Drop the key at index `i`; the last key fills the hole.
+    fn take(&mut self, i: usize) {
+        let gone = self.keys.swap_remove(i);
+        self.pos[key_res(gone) as usize] = OFF_HEAP;
+        if let Some(&moved) = self.keys.get(i) {
+            if pops_before(moved, gone) {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let k = self.keys[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let above = self.keys[parent];
+            if !pops_before(k, above) {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, k);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let (k, n) = (self.keys[i], self.keys.len());
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && pops_before(self.keys[c + 1], self.keys[c]) {
+                c += 1;
+            }
+            let below = self.keys[c];
+            if !pops_before(below, k) {
+                break;
+            }
+            self.place(i, below);
+            i = c;
+        }
+        self.place(i, k);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, k: Key) {
+        self.keys[i] = k;
+        self.pos[key_res(k) as usize] = i as u32;
+    }
+
+    #[inline]
+    fn grew(&mut self) {
+        #[cfg(test)]
+        {
+            self.peak = self.peak.max(self.keys.len());
+        }
+    }
 }
 
 /// A materialised resource's claim on a pending logged round: replaying
@@ -217,8 +373,6 @@ const NO_ROUND: u32 = u32::MAX;
 /// `slot_of` of a resource that bottlenecks no logged round, and
 /// `res_at` of an empty slot.
 const NO_SLOT: u32 = u32::MAX;
-/// Tree key of a subtree without rounds: pops before every real key.
-const EMPTY: (f64, u32) = (f64::NEG_INFINITY, 0);
 
 /// The freeze log of the last pass (module docs, "Merge replay"): its
 /// rounds in pop order, in an array of slots with gaps between them, so a
@@ -238,10 +392,11 @@ struct FreezeLog {
     /// Per slot: the bottleneck of the round there, `NO_SLOT` if empty.
     res_at: Vec<u32>,
     /// Segment tree: node 1 is the root, slot `s` is leaf `slots + s`.
-    tree: Vec<(f64, u32)>,
-    /// `(slot, bottleneck)` of the rounds with work; an entry whose round
-    /// has moved or been visited since is stale.
-    pending: BinaryHeap<Reverse<(u32, u32)>>,
+    tree: Vec<Key>,
+    /// `slot << 32 | bottleneck` of the rounds with work, one integer so
+    /// the heap compares once; an entry whose round has moved or been
+    /// visited since is stale.
+    pending: BinaryHeap<Reverse<u64>>,
     /// Rounds in the log.
     len: u64,
     /// Re-spacing scratch: the bottlenecks of a window's rounds, in order.
@@ -251,7 +406,7 @@ struct FreezeLog {
     runs: Vec<(usize, u32)>,
     /// The last search of `next_stop` for a key that pops after the heap
     /// top: `(done, top, first such slot)`.
-    seen: Option<(usize, (f64, u32), Option<usize>)>,
+    seen: Option<(usize, Key, Option<usize>)>,
 }
 
 impl FreezeLog {
@@ -269,18 +424,13 @@ impl FreezeLog {
     }
 
     /// Key of the round in slot `s`.
-    fn key(&self, s: usize) -> (f64, u32) {
+    fn key(&self, s: usize) -> Key {
         self.tree[self.slots() + s]
     }
 
-    /// Node `n` as its children make it.
-    fn pull(&self, n: usize) -> (f64, u32) {
-        let (a, b) = (self.tree[2 * n], self.tree[2 * n + 1]);
-        if pops_before(a, b) {
-            b
-        } else {
-            a
-        }
+    /// Node `n` as its children make it: the key that pops last.
+    fn pull(&self, n: usize) -> Key {
+        self.tree[2 * n].max(self.tree[2 * n + 1])
     }
 
     /// Drop the round `r` bottlenecks, and update the tree above its slot
@@ -307,20 +457,21 @@ impl FreezeLog {
         let s = self.slot_of[r as usize];
         if s != NO_SLOT && s as usize >= done && !self.work[r as usize] {
             self.work[r as usize] = true;
-            self.pending.push(Reverse((s, r)));
+            self.pending.push(Reverse((s as u64) << 32 | r as u64));
         }
     }
 
     /// The first slot at or after `done` whose round has work or pops
     /// after `top`: the next round a merge cannot jump.
-    fn next_stop(&mut self, done: usize, top: Option<(f64, u32)>) -> Option<usize> {
-        while let Some(&Reverse((s, r))) = self.pending.peek() {
+    fn next_stop(&mut self, done: usize, top: Option<Key>) -> Option<usize> {
+        while let Some(&Reverse(p)) = self.pending.peek() {
+            let (s, r) = ((p >> 32) as u32, p as u32);
             if self.work[r as usize] && self.slot_of[r as usize] == s {
                 break;
             }
             self.pending.pop(); // stale
         }
-        let work = self.pending.peek().map(|&Reverse((s, _))| s as usize);
+        let work = self.pending.peek().map(|&Reverse(p)| (p >> 32) as usize);
         let end = work.unwrap_or(self.slots());
         let later = top.and_then(|t| match self.seen {
             // No round joins the slots mid-pass, so the last search holds
@@ -344,7 +495,7 @@ impl FreezeLog {
     /// The first slot at or after `s` (`rev`: the last at or before it)
     /// whose key passes `hit`, where a node's key passes iff one of the
     /// keys below it does.
-    fn seek(&self, s: usize, rev: bool, hit: impl Fn((f64, u32)) -> bool) -> Option<usize> {
+    fn seek(&self, s: usize, rev: bool, hit: impl Fn(Key) -> bool) -> Option<usize> {
         let size = self.slots();
         if s >= size || !hit(self.tree[1]) {
             return None;
@@ -382,7 +533,7 @@ impl FreezeLog {
     fn insert_pops(&mut self, pops: &[(u32, u32)]) {
         self.seen = None;
         self.len += pops.len() as u64;
-        let occupied = |key: (f64, u32)| key != EMPTY;
+        let occupied = |key: Key| key != EMPTY;
         self.runs.clear();
         let mut i = 0;
         while i < pops.len() {
@@ -466,7 +617,8 @@ impl FreezeLog {
             let r = self.moved[k];
             self.put(a + k * w / m, r);
             if self.work[r as usize] {
-                self.pending.push(Reverse((self.slot_of[r as usize], r)));
+                let s = self.slot_of[r as usize];
+                self.pending.push(Reverse((s as u64) << 32 | r as u64));
             }
         }
         self.rebuild(a, w);
@@ -478,7 +630,7 @@ impl FreezeLog {
         self.res_at[s] = r;
         self.slot_of[r as usize] = s as u32;
         let n = self.slots();
-        self.tree[n + s] = (self.share[r as usize], r);
+        self.tree[n + s] = key_of(self.share[r as usize], r);
     }
 
     /// Recompute the tree above slots `a..a + w`.
@@ -502,14 +654,18 @@ impl FreezeLog {
 #[derive(Debug)]
 pub struct MaxMinSolver {
     capacity: Vec<f64>,
-    // Per-resource scratch, valid only for resources in `touched`.
+    // Fill state, valid only for the resources the current pass
+    // materialised.
     remaining: Vec<f64>,
     count: Vec<u32>,
-    version: Vec<u32>,
-    touched: Vec<u32>,
-    heap: BinaryHeap<HeapEntry>,
-    /// Materialised resources with a live count: none, and every entry
-    /// left on the heap is stale.
+    /// The materialised resources with unfrozen entries, by share.
+    heap: ResourceHeap,
+    /// Resources whose fill state the current round changed, each listed
+    /// once (`rekey_mark`) and re-keyed when the round ends.
+    rekey: Vec<u32>,
+    rekey_mark: Vec<bool>,
+    /// Materialised resources with unfrozen entries: at zero, every key
+    /// left on the heap is a drained resource's.
     live_res: usize,
     /// Statistics: total freeze iterations across calls.
     pub iterations: u64,
@@ -614,9 +770,9 @@ impl MaxMinSolver {
             capacity: capacities,
             remaining: vec![0.0; r],
             count: vec![0; r],
-            version: vec![0; r],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: ResourceHeap::new(r),
+            rekey: Vec::new(),
+            rekey_mark: vec![false; r],
             live_res: 0,
             iterations: 0,
             rate_recomputes: 0,
@@ -875,11 +1031,6 @@ impl MaxMinSolver {
             return;
         }
         self.rate_recomputes += 1;
-        for &r in &self.touched {
-            self.count[r as usize] = 0;
-            self.version[r as usize] = 0;
-        }
-        self.touched.clear();
         self.subs.clear();
         self.live_res = 0;
         self.bump_epoch();
@@ -887,27 +1038,24 @@ impl MaxMinSolver {
             self.log.flag(self.taint_res[i], 0);
             self.materialise(self.taint_res[i], 0);
         }
-        // Heapified in place: O(n), where n pushes would cost O(n log n).
-        let mut frontier = std::mem::take(&mut self.heap).into_vec();
-        frontier.clear();
-        let live = self.touched.iter().filter(|&&r| self.count[r as usize] > 0);
-        frontier.extend(live.map(|&r| self.heap_entry(r)));
-        self.heap = BinaryHeap::from(frontier);
+        // Heapified in place: O(n), where n inserts would cost O(n log n).
+        let MaxMinSolver {
+            remaining,
+            count,
+            heap,
+            rekey,
+            rekey_mark,
+            ..
+        } = self;
+        heap.rebuild(rekey.drain(..).map(|r| {
+            rekey_mark[r as usize] = false;
+            key_of(share(remaining, count, r), r)
+        }));
 
         // Every round in slots before `done` is behind the merge.
         let mut done = 0;
         loop {
-            if self.live_res == 0 {
-                self.heap.clear(); // every entry left is stale
-            }
-            while let Some(top) = self.heap.peek() {
-                let r = top.resource as usize;
-                if top.version == self.version[r] && self.count[r] > 0 {
-                    break;
-                }
-                self.heap.pop(); // stale
-            }
-            let top = self.heap.peek().map(|h| (h.share, h.resource));
+            let top = self.heap_top();
             // Every logged round before `stop` is jumped: replayed as it
             // stands, with no subscriber to feed and no heap pop ahead.
             let stop = self.log.next_stop(done, top);
@@ -948,12 +1096,11 @@ impl MaxMinSolver {
                 if self.ent_round[ei] == b {
                     self.ent_round[ei] = NO_ROUND;
                     for &r in paths.get(self.ent_path[ei]) {
-                        if self.taint(r, done) {
-                            self.rekey(r);
-                        }
+                        self.taint(r, done);
                     }
                 }
             }
+            self.rekey_round();
             return done;
         }
         // Replayed: the textbook's next pop, fed to its subscribers.
@@ -969,10 +1116,11 @@ impl MaxMinSolver {
             if self.count[ri] == 0 {
                 self.live_res -= 1;
             } else {
-                self.rekey(res);
+                self.queue_rekey(res);
             }
             sub = next;
         }
+        self.rekey_round();
         done
     }
 
@@ -981,8 +1129,9 @@ impl MaxMinSolver {
     /// ordered before it is filled, so a resource materialised during the
     /// round catches up on the entries frozen so far.
     fn heap_round(&mut self, paths: &PathTable, done: usize) {
-        let entry = self.heap.pop().expect("peeked");
-        let (t, share) = (entry.resource, entry.share);
+        let t = self.heap.pop().expect("peeked");
+        // The share the heap keyed `t` at, with its sign of zero.
+        let share = share(&self.remaining, &self.count, t);
         let ti = t as usize;
         self.visited_rounds += 1;
         if self.log.slot_of[ti] != NO_SLOT {
@@ -1024,8 +1173,8 @@ impl MaxMinSolver {
                 }
                 if self.count[r2i] == 0 {
                     self.live_res -= 1;
-                } else if r2 != t {
-                    self.rekey(r2);
+                } else {
+                    self.queue_rekey(r2);
                 }
             }
             self.ent_mark[ei] = self.epoch;
@@ -1034,7 +1183,7 @@ impl MaxMinSolver {
             self.last_pass_entries += 1;
         }
         debug_assert_eq!(self.count[ti], 0, "bottleneck must fully drain");
-        self.version[ti] += 1;
+        self.rekey_round();
     }
 
     /// The place in the round order of the round that froze entry `e`, if
@@ -1052,34 +1201,50 @@ impl MaxMinSolver {
         ((s as usize) < done).then_some((s as u64 + 1) << 32)
     }
 
-    /// Heap entry of materialised resource `r` at its clamped share.
-    fn heap_entry(&self, r: u32) -> HeapEntry {
-        let ri = r as usize;
-        HeapEntry {
-            share: (self.remaining[ri] / self.count[ri] as f64).max(0.0),
-            resource: r,
-            version: self.version[ri],
+    /// List `r`, whose fill state the current round changed, for
+    /// [`MaxMinSolver::rekey_round`].
+    #[inline]
+    fn queue_rekey(&mut self, r: u32) {
+        if !std::mem::replace(&mut self.rekey_mark[r as usize], true) {
+            self.rekey.push(r);
         }
     }
 
-    /// Push `r` onto the lazy heap at its current share, invalidating any
-    /// entry it already has there.
-    fn rekey(&mut self, r: u32) {
-        self.version[r as usize] += 1;
-        self.heap.push(self.heap_entry(r));
+    /// End a round: re-key each resource it changed once, at its clamped
+    /// share, unless it has drained since it was listed; a drained resource
+    /// keeps its old key until it reaches the top, where it leaves. Nothing
+    /// reads the heap mid-round, so one re-key at the end leaves the heap
+    /// as a re-key after every subtraction would.
+    fn rekey_round(&mut self) {
+        for i in 0..self.rekey.len() {
+            let r = self.rekey[i];
+            self.rekey_mark[r as usize] = false;
+            if self.count[r as usize] > 0 {
+                self.heap
+                    .set(key_of(share(&self.remaining, &self.count, r), r));
+            }
+        }
+        self.rekey.clear();
+    }
+
+    /// The key of the first live resource on the heap: a drained one
+    /// leaves when it reaches the top.
+    fn heap_top(&mut self) -> Option<Key> {
+        if self.live_res == 0 {
+            self.heap.clear(); // every resource left is drained
+        }
+        let count = &self.count;
+        self.heap.top(|r| count[r as usize] > 0)
     }
 
     /// Taint `r` in the middle of a merge that has passed the slots before
-    /// `done`, materialising it if it was untainted. Returns whether it
-    /// was materialised with a live count, for the caller to put on the
-    /// heap.
-    fn taint(&mut self, r: u32, done: usize) -> bool {
-        if std::mem::replace(&mut self.taint_mark[r as usize], true) {
-            return false;
+    /// `done`, materialising it if it was untainted.
+    fn taint(&mut self, r: u32, done: usize) {
+        if !std::mem::replace(&mut self.taint_mark[r as usize], true) {
+            self.taint_res.push(r);
+            self.log.flag(r, done);
+            self.materialise(r, done);
         }
-        self.taint_res.push(r);
-        self.log.flag(r, done);
-        self.materialise(r, done)
     }
 
     /// Give tainted resource `r` the fill state the textbook has for it
@@ -1087,12 +1252,11 @@ impl MaxMinSolver {
     /// weight of its unfrozen entries, and `remaining` is `capacity` minus
     /// the shares of its frozen entries, subtracted in round order as the
     /// textbook subtracted them. Each unfrozen entry with a pending logged
-    /// round subscribes `r` to it, which makes the round work. Returns
-    /// whether `r` has a live count, which the caller puts on the heap.
-    fn materialise(&mut self, r: u32, done: usize) -> bool {
+    /// round subscribes `r` to it, which makes the round work. A live `r`
+    /// is queued for the heap.
+    fn materialise(&mut self, r: u32, done: usize) {
         let ri = r as usize;
         self.materialised_resources += 1;
-        self.touched.push(r);
         self.catch_up.clear();
         let mut count = 0;
         for &e in &self.res_entries[ri] {
@@ -1114,7 +1278,9 @@ impl MaxMinSolver {
                 self.log.flag(b, done);
             }
         }
-        self.catch_up.sort_unstable_by_key(|&(key, ..)| key);
+        if self.catch_up.len() > 1 {
+            self.catch_up.sort_unstable_by_key(|&(key, ..)| key);
+        }
         let mut remaining = self.capacity[ri];
         for &(_, b, w) in &self.catch_up {
             let share = self.log.share[b as usize];
@@ -1124,8 +1290,10 @@ impl MaxMinSolver {
         }
         self.remaining[ri] = remaining;
         self.count[ri] = count;
-        self.live_res += (count > 0) as usize;
-        count > 0
+        if count > 0 {
+            self.live_res += 1;
+            self.queue_rekey(r);
+        }
     }
 
     /// The rate of entry `id` as of the last recompute (bits/second). For
@@ -1459,6 +1627,96 @@ mod tests {
         // Both rounds are replayed for r2, which then pops from the heap.
         assert_eq!(t.recompute(), 3);
         assert_eq!(t.fast.entry_rate(x).to_bits(), (20.0 - a - b).to_bits());
+    }
+
+    // ---- the bottleneck heap ----
+
+    /// Keys with many exact ties, `-0.0` against `+0.0` among them, pop
+    /// in the order of a sort by `(share, id)`, whatever order they went
+    /// in.
+    #[test]
+    fn the_resource_heap_pops_in_share_then_id_order_under_exact_ties() {
+        const N: u32 = 200;
+        let shares = [0.0, -0.0, 0.5, 1.0 / 3.0, 2.0];
+        let mut st = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut keys: Vec<(f64, u32)> = (0..N)
+            .map(|r| (shares[xorshift(&mut st) as usize % shares.len()], r))
+            .collect();
+        let mut heap = ResourceHeap::new(N as usize);
+        // Inserted in a shuffled order, and half of them via a rebuild.
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, xorshift(&mut st) as usize % (i + 1));
+        }
+        let (built, set) = keys.split_at(keys.len() / 2);
+        heap.rebuild(built.iter().map(|&(share, r)| key_of(share, r)));
+        for &(share, r) in set {
+            heap.set(key_of(share, r));
+        }
+        keys.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let popped: Vec<u32> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(popped, keys.iter().map(|&(_, r)| r).collect::<Vec<_>>());
+        assert!(heap.pos.iter().all(|&p| p == OFF_HEAP));
+    }
+
+    #[test]
+    fn the_resource_heap_raises_and_lowers_a_key_in_place() {
+        let mut heap = ResourceHeap::new(8);
+        for r in 0..8 {
+            heap.set(key_of(r as f64, r));
+        }
+        heap.set(key_of(10.0, 0)); // the top sinks
+        heap.set(key_of(0.5, 7)); // the last rises
+        heap.set(key_of(3.0, 3)); // unchanged
+        assert_eq!(heap.keys.len(), 8, "one key per resource");
+        let popped: Vec<u32> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(popped, [7, 1, 2, 3, 4, 5, 6, 0]);
+    }
+
+    #[test]
+    fn a_drained_resource_leaves_the_heap_when_it_reaches_the_top() {
+        let mut heap = ResourceHeap::new(4);
+        for r in 0..4 {
+            heap.set(key_of(r as f64, r));
+        }
+        let live = |r: u32| r % 2 == 1;
+        assert_eq!(heap.top(live).map(key_res), Some(1));
+        assert_eq!(heap.pos[0], OFF_HEAP, "drained on top: gone");
+        assert_ne!(heap.pos[2], OFF_HEAP, "drained below the top: held");
+        assert_eq!(heap.pop(), Some(1));
+        assert_eq!(heap.top(live).map(key_res), Some(3));
+        assert_eq!(heap.keys.len(), 1);
+    }
+
+    /// A round that freezes K entries crossing one shared link subtracts
+    /// from that link K times. The link is keyed once, when the round
+    /// ends, so the heap never holds more keys than the pass materialised
+    /// resources: here the bottleneck and the link.
+    #[test]
+    fn a_round_freezing_k_entries_through_a_shared_link_keys_it_once() {
+        const K: u32 = 64;
+        // Resource 0 bottlenecks the K entries, resource 1 is the shared
+        // link, and each entry has a private resource of its own.
+        let mut caps = vec![1.0, 1000.0];
+        caps.extend((0..K).map(|_| 1e6));
+        let mut t = Twin::new(&caps);
+        for i in 0..K {
+            t.insert(&[0, 1, 2 + i]);
+        }
+        t.insert(&[1]); // keeps the link live after the round
+        t.recompute();
+        // A newcomer on the bottleneck: the heap pops it ahead of its
+        // logged round and freezes all K + 1 of its entries at once.
+        t.insert(&[0]);
+        t.fast.heap.peak = 0;
+        let materialised = t.fast.materialised_resources;
+        t.recompute();
+        assert_eq!(t.fast.materialised_resources - materialised, 2);
+        assert_eq!(t.fast.last_pass_entries, u64::from(K) + 2);
+        assert!(
+            t.fast.heap.peak <= 2,
+            "the heap held {} keys for 2 materialised resources",
+            t.fast.heap.peak
+        );
     }
 
     // ---- deferred settle ----

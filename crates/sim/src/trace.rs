@@ -250,7 +250,11 @@ pub struct MetricsSnapshot {
     /// Runs cut by the wall-clock deadline (0 or 1 per run).
     #[serde(default)]
     pub deadline_exceeded: u64,
-    /// Total solver wall-clock time, seconds. **Non-deterministic.**
+    /// Total solver wall-clock time, seconds:
+    /// [`MaxMinSolver::recompute`](crate::maxmin::MaxMinSolver::recompute)
+    /// alone, one timer for one layer. The active set copies the rates in
+    /// its earliest-completion scan, outside the timer, and the trace
+    /// event is built after it stops. **Non-deterministic.**
     pub solver_seconds_total: f64,
 }
 

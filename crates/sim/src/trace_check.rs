@@ -40,8 +40,8 @@
 //! This gives the incremental solver, the fault machinery and the
 //! coalescing layer an independent witness. [`textbook_maxmin`] is the
 //! other one: plain progressive filling, which the engine's rates must
-//! match bit for bit at every recompute (the equivalence suites check
-//! that; the oracle above stays tolerance-based).
+//! match bit for bit at every recompute ([`check_rates_against_textbook`]
+//! replays a trace against it; the oracle above stays tolerance-based).
 
 use crate::trace::TraceEvent;
 use exaflow_netgraph::NodeId;
@@ -688,6 +688,53 @@ pub fn textbook_maxmin<P: AsRef<[u32]>>(caps: &[f64], paths: &[P]) -> (Vec<f64>,
     }
 }
 
+/// Replay `events` and hold every `rate_recompute` to [`textbook_maxmin`]
+/// bit for bit, over the active flows' current paths (each flow's latest
+/// `flow_started` or `reroute_taken`). Returns the number of recomputes
+/// checked, or the first rate that differs.
+pub fn check_rates_against_textbook(events: &[TraceEvent]) -> Result<usize, TraceViolation> {
+    let Some(TraceEvent::RunStarted {
+        flows,
+        capacities_bps,
+        ..
+    }) = events.first()
+    else {
+        return Err(TraceViolation {
+            index: Some(0),
+            message: "trace must start with run_started".into(),
+        });
+    };
+    let mut path_of: Vec<Vec<u32>> = vec![Vec::new(); *flows as usize];
+    let mut recomputes = 0;
+    for (i, ev) in events.iter().enumerate() {
+        match ev {
+            TraceEvent::FlowStarted { flow, path, .. }
+            | TraceEvent::RerouteTaken { flow, path, .. } => {
+                path_of[*flow as usize].clone_from(path);
+            }
+            TraceEvent::RateRecompute {
+                flows, rates_bps, ..
+            } => {
+                let paths: Vec<&[u32]> = flows.iter().map(|&f| &path_of[f as usize][..]).collect();
+                let (want, _) = textbook_maxmin(capacities_bps, &paths);
+                let bad = flows
+                    .iter()
+                    .zip(rates_bps.iter().zip(&want))
+                    .find(|(_, (got, want))| got.to_bits() != want.to_bits());
+                if let Some((f, (got, want))) = bad {
+                    return Err(TraceViolation {
+                        index: Some(i),
+                        message: format!("flow {f}: engine {got:e} != textbook {want:e}"),
+                    });
+                }
+                recomputes += 1;
+            }
+            _ => {}
+        }
+    }
+    Ok(recomputes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,6 +804,24 @@ mod tests {
         let (rates, rounds) = textbook_maxmin(&[4.0 * d, 3.0 * d], &paths);
         assert_eq!(rates, vec![d, d, d, d, 0.0]);
         assert_eq!(rounds, 2);
+    }
+
+    /// A rate one ulp under the textbook's passes the tolerance-based
+    /// oracle but not the bit-for-bit replay.
+    #[test]
+    fn the_textbook_replay_rejects_a_rate_one_ulp_off() {
+        assert_eq!(check_rates_against_textbook(&well_formed()).unwrap(), 1);
+        let mut t = well_formed();
+        let TraceEvent::RateRecompute { rates_bps, .. } = &mut t[3] else {
+            unreachable!()
+        };
+        rates_bps[0] = f64::from_bits(1e9f64.to_bits() - 1);
+        assert!(check_trace(&t).is_ok());
+        let err = check_rates_against_textbook(&t).unwrap_err();
+        assert_eq!(err.index, Some(3));
+        assert!(err.message.contains("textbook"), "{err}");
+        let err = check_rates_against_textbook(&t[1..]).unwrap_err();
+        assert!(err.message.contains("run_started"), "{err}");
     }
 
     #[test]

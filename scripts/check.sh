@@ -37,6 +37,11 @@ CARGO_TARGET_DIR="$PWD/target" $TIMEOUT 900 \
 echo "== max-min replay churn with PROPTEST_CASES=512"
 PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-sim --test proptest_maxmin_equiv
 
+# The same volume for the engine's traced runs under random faults: every
+# recompute at the textbook's rates, every trace oracle-clean.
+echo "== faulted engine traces with PROPTEST_CASES=512"
+PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-sim --test proptest_engine faulted_traces
+
 # The same volume for the fault overlay's canonical-route properties.
 echo "== fault-overlay routes with PROPTEST_CASES=512"
 PROPTEST_CASES=512 $TIMEOUT 900 cargo test -q -p exaflow-topo --test proptest_faults

@@ -14,7 +14,7 @@
 //! across tracing modes.
 
 use exaflow::prelude::*;
-use exaflow::sim::trace_check::textbook_maxmin;
+use exaflow::sim::trace_check::check_rates_against_textbook;
 use exaflow::sim::FaultSchedule;
 use exaflow::topo::UpperTierKind;
 use exaflow_netgraph::NodeId;
@@ -86,45 +86,6 @@ fn run_traced(topo: &dyn Topology, dag: &FlowDag) -> (SimReport, Vec<TraceEvent>
     (report, sink.into_events())
 }
 
-/// Replay `trace` and hold every `rate_recompute` to the textbook: the
-/// capacities come from `run_started`, each flow's path from its latest
-/// `flow_started` / `reroute_taken`. Returns the number of recomputes.
-fn assert_rates_match_the_textbook(label: &str, trace: &[TraceEvent]) -> usize {
-    let Some(TraceEvent::RunStarted {
-        flows,
-        capacities_bps,
-        ..
-    }) = trace.first()
-    else {
-        panic!("{label}: trace has no run_started header");
-    };
-    let mut path_of: Vec<Vec<u32>> = vec![Vec::new(); *flows as usize];
-    let mut recomputes = 0;
-    for (i, ev) in trace.iter().enumerate() {
-        match ev {
-            TraceEvent::FlowStarted { flow, path, .. }
-            | TraceEvent::RerouteTaken { flow, path, .. } => {
-                path_of[*flow as usize] = path.clone();
-            }
-            TraceEvent::RateRecompute {
-                flows, rates_bps, ..
-            } => {
-                let paths: Vec<&[u32]> = flows.iter().map(|&f| &path_of[f as usize][..]).collect();
-                let (want, _) = textbook_maxmin(capacities_bps, &paths);
-                for ((f, got), want) in flows.iter().zip(rates_bps).zip(&want) {
-                    assert!(
-                        got.to_bits() == want.to_bits(),
-                        "{label}: event {i}, flow {f}: engine {got:e} != textbook {want:e}"
-                    );
-                }
-                recomputes += 1;
-            }
-            _ => {}
-        }
-    }
-    recomputes
-}
-
 /// One traced run under `schedule` / `policy`: every recompute is held to
 /// the textbook and, if the run completed, the trace to the topology-backed
 /// oracle. Returns the outcome and the trace for row-specific assertions.
@@ -138,7 +99,8 @@ fn checked_run(
     let mut sink = VecSink::new();
     let outcome = Simulator::new(topo).run_with(dag, schedule, policy, Some(&mut sink));
     let trace = sink.into_events();
-    let recomputes = assert_rates_match_the_textbook(label, &trace);
+    let recomputes =
+        check_rates_against_textbook(&trace).unwrap_or_else(|v| panic!("{label}: {v}"));
     if outcome.is_ok() {
         assert!(recomputes > 0, "{label}: no rate was ever computed");
         check_trace_with_topology(&trace, topo).unwrap_or_else(|v| panic!("{label}: oracle: {v}"));
@@ -261,7 +223,7 @@ fn fault_free_traces_match_the_textbook_and_pass_the_oracle() {
         let topo = spec.build().unwrap();
         let dag = workload_for(topo.num_endpoints());
         let (_, trace) = run_traced(topo.as_ref(), &dag);
-        assert_rates_match_the_textbook(name, &trace);
+        check_rates_against_textbook(&trace).unwrap_or_else(|v| panic!("{name}: {v}"));
         let summary =
             check_trace(&trace).unwrap_or_else(|v| panic!("{name}: trace failed the oracle: {v}"));
         assert_eq!(summary.flows_finished, dag.len() as u64, "{name}");
