@@ -3,9 +3,10 @@
 //!
 //! [`Simulator::run_with`] validates its inputs, builds a `RunState` (the
 //! solver, the run's [`PathTable`], route memo, fault overlay with the
-//! schedule's run-long failures already down, per-flow vectors, active
-//! set, clock, counters and trace) and calls `RunState::step` until the
-//! workload is done. A step runs the engine's concerns in a fixed order:
+//! schedule's run-long failures already down, successor lists and
+//! unresolved-predecessor counts, active set, clock, counters and trace)
+//! and calls `RunState::step` until the workload is done. A step runs the
+//! engine's concerns in a fixed order:
 //!
 //! 1. `apply_due_faults`: every fault due by `now` updates the overlay. Any
 //!    applied transition clears the route memo, and a downed link hands
@@ -15,17 +16,29 @@
 //!    admitted to the active set.
 //! 3. With nothing transferring, the workload is done.
 //! 4. `check_limits`, then `recompute` the max-min rates in the solver:
-//!    one event. The active set does not hold them yet.
+//!    one event. The active set does not hold them yet. The solver's settle
+//!    has let go of every path no flow is on, which the path table records
+//!    as released.
 //! 5. `earliest_completion`: one walk over the active set copies each
-//!    flow's rate from the solver and finds the earliest completion.
+//!    flow's rate from the solver, caches its time to completion and finds
+//!    the earliest.
 //! 6. The earlier of a due fault and the completion batch goes next. A
 //!    fault: `advance` every flow to it. The batch: `complete_batch` walks
 //!    the active set once more, flagging each flow that finishes within
-//!    `batch_epsilon` and advancing it in the same visit, then retires the
-//!    flagged flows and activates what they released.
+//!    `batch_epsilon`, gathering its index and advancing it in the same
+//!    visit, then retires the flows at the gathered indices.
+//!    `sweep_paths` frees the released paths once they outnumber the live
+//!    ones in hops, and `activate_ready` activates what the batch released.
 //!
 //! So an event walks the whole active set twice, once in step 5 and once
-//! in step 6; retiring the batch stops at its last flagged flow.
+//! in step 6; retiring the batch visits only its own indices.
+//!
+//! Memory follows the active set, not the run: an active flow owns its
+//! transfer state (rate, bits left, time to completion), a retired flow
+//! leaves only its `RETIRED` mark, and a route lives in the path table and
+//! the memo only while flows use it, plus until the sweep after the settle
+//! that releases it. The DAG and the successor lists are the only per-flow
+//! state held for the whole run.
 //!
 //! Invariants the steps rely on:
 //!
@@ -33,6 +46,11 @@
 //!   if it avoids every down link, otherwise the overlay's shortest detour
 //!   over live links. The memo is keyed by `(src, dst)` alone and lives for
 //!   one failure epoch: every applied transition, down or up, clears it.
+//!   A sweep drops the pairs of the paths it frees, so every memoised id is
+//!   in the table.
+//! * The path table frees an id only after a settle has freed its solver
+//!   entry, so the solver never holds a freed id. Rates depend on path
+//!   contents and weights, never on ids, so reusing an id moves no bit.
 //! * The active set is one `Vec<Active>` and every removal is a
 //!   `swap_remove`, so its order, and with it the order of rates, trace
 //!   events and float sums, is fixed by the event sequence.
@@ -50,9 +68,14 @@ use crate::trace::{MetricsSnapshot, TraceEvent, TraceSink};
 use exaflow_netgraph::{IntMap, LinkId, NodeId};
 use exaflow_topo::{FaultOverlay, Topology};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::iter::Peekable;
 use std::slice;
 use std::time::Instant;
+
+/// `RunState::indeg` of a flow that has resolved: finished, skipped or
+/// degenerate.
+const RETIRED: u32 = u32::MAX;
 
 /// Engine configuration.
 ///
@@ -268,6 +291,17 @@ impl<'a> Simulator<'a> {
         (self.num_links + self.num_eps + ep as usize) as u32
     }
 
+    /// The `(src, dst)` a path built by `RunState::route` runs between:
+    /// its first hop is `src`'s injection port, its last `dst`'s ejection
+    /// port.
+    fn pair_of(&self, path: &[u32]) -> (u32, u32) {
+        let (first, last) = (path[0] as usize, path[path.len() - 1] as usize);
+        (
+            (first - self.num_links) as u32,
+            (last - self.num_links - self.num_eps) as u32,
+        )
+    }
+
     fn resource_capacities(&self) -> Vec<f64> {
         let mut caps = Vec::with_capacity(self.num_links + 2 * self.num_eps);
         caps.extend(std::iter::repeat_n(
@@ -353,10 +387,15 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// One flow of the active set.
+/// One flow of the active set: it owns its transfer state.
 #[derive(Clone, Copy)]
 struct Active {
     rate: f64,
+    /// Bits still to transfer.
+    left: f64,
+    /// Seconds to completion at `rate`, `left / rate` as of the last
+    /// [`RunState::earliest_completion`].
+    t: f64,
     id: u32,
     path: PathId,
     /// Solver entry id.
@@ -397,11 +436,12 @@ struct RunState<'r> {
     policy: RecoveryPolicy,
     trace: Tracer<'r>,
     solver: MaxMinSolver,
-    /// Every route of the run, interned once; the route memo, the active
-    /// set and the solver all hold ids into it.
+    /// The routes of the active set, interned once and counted per flow;
+    /// the route memo, the active set and the solver all hold ids into it.
     paths: PathTable,
     /// `(src, dst) -> path` under the current down set: cleared by every
-    /// applied fault transition, so a hit is what a fresh lookup returns.
+    /// applied fault transition, so a hit is what a fresh lookup returns,
+    /// and rid of a path's pairs when a sweep frees the path.
     routes: IntMap<(u32, u32), PathId>,
     route_hits: u64,
     overlay: FaultOverlay<'r>,
@@ -411,14 +451,16 @@ struct RunState<'r> {
     faults: Peekable<slice::Iter<'r, FaultEvent>>,
     fault_events_applied: u64,
     skipped_flow_ids: Vec<u32>,
-    /// Successor lists (CSR), then per-flow state by flow id.
+    /// Successor lists (CSR), then each flow's unresolved predecessors,
+    /// `RETIRED` once it has resolved itself.
     succ_offsets: Vec<u32>,
     succs: Vec<u32>,
-    remaining: Vec<f64>,
     indeg: Vec<u32>,
     /// Flows whose dependencies resolved, not yet activated.
     ready: Vec<u32>,
     active: Vec<Active>,
+    /// `complete_batch` scratch: the active-set indices of the batch.
+    batch: Vec<u32>,
     now: f64,
     completed: usize,
     events: u64,
@@ -462,10 +504,10 @@ impl<'r> RunState<'r> {
             skipped_flow_ids: Vec::new(),
             succ_offsets,
             succs,
-            remaining: dag.flows().iter().map(|f| f.bytes as f64 * 8.0).collect(),
             ready: (0..n as u32).filter(|&f| indeg[f as usize] == 0).collect(),
             indeg,
             active: Vec::new(),
+            batch: Vec::new(),
             now: 0.0,
             completed: 0,
             events: 0,
@@ -508,6 +550,7 @@ impl<'r> RunState<'r> {
             self.now = t; // the next step applies the fault batch
         } else {
             self.complete_batch(dt);
+            self.sweep_paths();
             self.activate_ready()?;
         }
         Ok(true)
@@ -581,19 +624,23 @@ impl<'r> RunState<'r> {
                         restarted,
                     },
                 );
+                let a = &mut self.active[i];
                 if restarted {
-                    self.remaining[f as usize] = bytes as f64 * 8.0;
+                    a.left = bytes as f64 * 8.0;
                 }
-                self.solver.remove_entry(self.active[i].entry);
-                self.active[i].entry = self.solver.insert_entry(&self.paths, path);
-                self.active[i].path = path;
+                self.solver.remove_entry(a.entry);
+                a.entry = self.solver.insert_entry(&self.paths, path);
+                self.paths.acquire(path);
+                self.paths.release(std::mem::replace(&mut a.path, path));
                 Ok(false)
             }
             Err(SimError::Unreachable { .. })
                 if matches!(self.policy, RecoveryPolicy::SkipUnreachable) =>
             {
                 self.skip(f);
-                self.solver.remove_entry(self.active.swap_remove(i).entry);
+                let a = self.active.swap_remove(i);
+                self.solver.remove_entry(a.entry);
+                self.paths.release(a.path);
                 Ok(true)
             }
             Err(e) => Err(e),
@@ -683,8 +730,11 @@ impl<'r> RunState<'r> {
                 path: self.paths.get(path).to_vec(),
             },
         );
+        self.paths.acquire(path);
         self.active.push(Active {
             rate: 0.0,
+            left: self.dag.flow(FlowId(f)).bytes as f64 * 8.0,
+            t: f64::INFINITY,
             id: f,
             path,
             entry: self.solver.insert_entry(&self.paths, path),
@@ -703,11 +753,11 @@ impl<'r> RunState<'r> {
         self.skipped_flow_ids.push(f);
     }
 
-    /// Retire flow `f` at `now` (delivered, degenerate, or dropped): zero
+    /// Retire flow `f` at `now` (delivered, degenerate, or dropped): mark
     /// it and release its dependents.
     fn retire(&mut self, f: u32) {
         let f = f as usize;
-        self.remaining[f] = 0.0;
+        self.indeg[f] = RETIRED;
         self.completed += 1;
         let succs = &self.succs[self.succ_offsets[f] as usize..self.succ_offsets[f + 1] as usize];
         for &s in succs {
@@ -751,22 +801,37 @@ impl<'r> RunState<'r> {
     }
 
     /// Bytes no longer outstanding: total workload bytes minus the bits
-    /// still `remaining`. Finished flows have none left, partial flows
-    /// count their transferred prefix, and skipped flows (zeroed at
-    /// retirement) count as accounted-for.
+    /// still to transfer, summed in flow-id order. Retired flows (finished
+    /// or skipped) have none left, active flows count their `left`, and
+    /// every other flow all of its bytes.
     fn bytes_accounted(&self) -> u64 {
-        let total_bits: f64 = self.dag.flows().iter().map(|f| f.bytes as f64 * 8.0).sum();
-        let outstanding_bits: f64 = self.remaining.iter().sum();
+        let flows = self.dag.flows();
+        let total_bits: f64 = flows.iter().map(|f| f.bytes as f64 * 8.0).sum();
+        let mut left: Vec<f64> = flows
+            .iter()
+            .zip(&self.indeg)
+            .map(|(f, &indeg)| match indeg {
+                RETIRED => 0.0,
+                _ => f.bytes as f64 * 8.0,
+            })
+            .collect();
+        for a in &self.active {
+            left[a.id as usize] = a.left;
+        }
+        let outstanding_bits: f64 = left.iter().sum();
         (((total_bits - outstanding_bits) / 8.0).max(0.0)) as u64
     }
 
-    /// Settle the solver. A traced run also times and counts the
-    /// recompute and emits the rates, read from the solver: the active set
-    /// takes them in [`RunState::earliest_completion`].
+    /// Settle the solver and bring its rates up to date. The settle frees
+    /// the entry of every path no flow is on, so the path table releases
+    /// those paths. A traced run also times and counts the recompute and
+    /// emits the rates, read from the solver: the active set takes them in
+    /// [`RunState::earliest_completion`].
     fn recompute(&mut self) {
         let solve_start = self.trace.metrics.is_some().then(Instant::now);
         let passes = self.solver.rate_recomputes;
         self.solver.recompute(&self.paths);
+        self.paths.settled();
         let (Some(start), Some(m)) = (solve_start, self.trace.metrics.as_mut()) else {
             return;
         };
@@ -790,15 +855,37 @@ impl<'r> RunState<'r> {
         }
     }
 
-    /// Copy every active flow's rate from the solver and return the
-    /// seconds to the earliest completion among them.
+    /// Once released hops outnumber live ones, free the released paths and
+    /// drop their pairs from the route memo. A path is released once a
+    /// solver settle has run since its last flow left, and that settle
+    /// freed its entry, so nothing else holds a freed id. A pair whose path
+    /// survives keeps its memo hit.
+    fn sweep_paths(&mut self) {
+        if !self.paths.wants_sweep() {
+            return;
+        }
+        let (sim, solver, routes) = (self.sim, &self.solver, &mut self.routes);
+        self.paths.sweep(|path, hops| {
+            debug_assert!(!solver.has_entry(path), "freed {path:?} has a solver entry");
+            // A fault transition may have cleared the memo since, and the
+            // pair may have been routed anew.
+            if let Entry::Occupied(memo) = routes.entry(sim.pair_of(hops)) {
+                if *memo.get() == path {
+                    memo.remove();
+                }
+            }
+        });
+    }
+
+    /// Copy every active flow's rate from the solver, cache its time to
+    /// completion and return the earliest.
     fn earliest_completion(&mut self) -> Result<f64, SimError> {
         let mut dt = f64::INFINITY;
         for a in &mut self.active {
             a.rate = self.solver.entry_rate(a.entry);
-            let t = self.remaining[a.id as usize] / a.rate;
-            if t < dt {
-                dt = t;
+            a.t = a.left / a.rate;
+            if a.t < dt {
+                dt = a.t;
             }
         }
         if dt.is_finite() {
@@ -842,35 +929,35 @@ impl<'r> RunState<'r> {
 
     /// Retire the batch of flows finishing within `batch_epsilon` of the
     /// earliest completion, `dt` from now. Each flow joins the batch on its
-    /// `remaining` before it advances, in the same walk; the retiring walk
-    /// stops at the batch's last flow.
+    /// cached time to completion before it advances, in the same walk,
+    /// which gathers the batch's indices. Retiring visits those in order,
+    /// retiring while the flow at the index is done, as each `swap_remove`
+    /// moves the last flow into it; an index past the shrunk end is gone.
     fn complete_batch(&mut self, dt: f64) {
         let cutoff = dt * (1.0 + self.sim.cfg.batch_epsilon);
         let moves = dt > 0.0;
-        let mut batch = 0;
-        for a in &mut self.active {
-            let left = &mut self.remaining[a.id as usize];
-            a.done = *left / a.rate <= cutoff;
-            batch += a.done as usize;
+        self.batch.clear();
+        for (i, a) in self.active.iter_mut().enumerate() {
+            a.done = a.t <= cutoff;
+            if a.done {
+                self.batch.push(i as u32);
+            }
             if moves {
-                *left -= a.rate * dt;
+                a.left -= a.rate * dt;
             }
         }
         self.now += dt;
         let now = self.now;
-        let mut i = 0;
-        while batch > 0 {
-            let a = self.active[i];
-            if !a.done {
-                i += 1;
-                continue;
+        for k in 0..self.batch.len() {
+            let i = self.batch[k] as usize;
+            while let Some(&a) = self.active.get(i).filter(|a| a.done) {
+                let ev = || TraceEvent::FlowFinished { t: now, flow: a.id };
+                self.trace.emit(|m| &mut m.flows_finished, ev);
+                self.retire(a.id);
+                self.solver.remove_entry(a.entry);
+                self.paths.release(a.path);
+                self.active.swap_remove(i);
             }
-            let ev = || TraceEvent::FlowFinished { t: now, flow: a.id };
-            self.trace.emit(|m| &mut m.flows_finished, ev);
-            self.retire(a.id);
-            self.solver.remove_entry(a.entry);
-            self.active.swap_remove(i);
-            batch -= 1;
         }
     }
 
@@ -879,8 +966,8 @@ impl<'r> RunState<'r> {
         if dt <= 0.0 {
             return;
         }
-        for a in &self.active {
-            self.remaining[a.id as usize] -= a.rate * dt;
+        for a in &mut self.active {
+            a.left -= a.rate * dt;
         }
     }
 
@@ -1175,8 +1262,7 @@ mod tests {
                 // made equal progress on their disjoint paths.
                 assert_eq!(*flows_completed, 1);
                 assert!(*time > 0.0);
-                assert!(*delivered_bytes >= mb(1));
-                assert!(*delivered_bytes < mb(6));
+                assert_eq!(*delivered_bytes, mb(3));
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
@@ -1191,6 +1277,40 @@ mod tests {
             },
         );
         assert!(roomy.run(&staggered_dag()).is_ok());
+    }
+
+    /// A cut run counts the bytes its partial transfers delivered: three
+    /// flows of odd sizes share node 3's ejection port and a fourth waits
+    /// for the first, so each budget cuts the run with a transfer partly
+    /// done. The outstanding bits are summed in flow-id order, so the count
+    /// is pinned to the byte.
+    #[test]
+    fn a_budget_cut_counts_the_bytes_of_partial_transfers() {
+        let topo = Torus::new(&[8]);
+        let mut b = FlowDagBuilder::new();
+        let a = b.add_flow(NodeId(0), NodeId(3), 1_000_003, &[]);
+        b.add_flow(NodeId(1), NodeId(3), 2_000_017, &[]);
+        b.add_flow(NodeId(2), NodeId(3), 1_500_011, &[]);
+        b.add_flow(NodeId(4), NodeId(6), 777_777, &[a]);
+        let dag = b.build();
+        for (max, delivered, completed) in [(1, 3_000_009, 1), (2, 4_555_563, 2), (3, 4_777_802, 3)]
+        {
+            let cfg = SimConfig {
+                max_events: Some(max),
+                ..SimConfig::default()
+            };
+            match Simulator::with_config(&topo, cfg).run(&dag).unwrap_err() {
+                SimError::BudgetExhausted {
+                    delivered_bytes,
+                    flows_completed,
+                    ..
+                } => {
+                    assert_eq!(delivered_bytes, delivered, "budget {max}");
+                    assert_eq!(flows_completed, completed, "budget {max}");
+                }
+                other => panic!("expected BudgetExhausted, got {other:?}"),
+            }
+        }
     }
 
     #[test]

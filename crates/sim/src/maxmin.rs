@@ -897,7 +897,7 @@ impl MaxMinSolver {
         };
         self.ent_round[ei] = NO_ROUND;
         if self.entry_of_path.len() <= pi {
-            self.entry_of_path.resize(paths.len(), NO_ENTRY);
+            self.entry_of_path.resize(paths.ids(), NO_ENTRY);
         }
         self.entry_of_path[pi] = id;
         self.live_entries += 1;
@@ -1306,6 +1306,14 @@ impl MaxMinSolver {
     /// Number of flows currently represented by entry `id`.
     pub fn entry_weight(&self, id: u32) -> u32 {
         self.ent_weight[id as usize]
+    }
+
+    /// Whether an entry, at any weight, stands for `path`: false for every
+    /// path whose flows have all left, once a recompute has settled.
+    pub(crate) fn has_entry(&self, path: PathId) -> bool {
+        self.entry_of_path
+            .get(path.0 as usize)
+            .is_some_and(|&e| e != NO_ENTRY)
     }
 
     /// Number of entries with a weight above zero right now (settled or
@@ -1748,6 +1756,42 @@ mod tests {
         );
         assert_eq!(s.last_pass_entries, 0);
         assert_eq!(s.entry_rate(b), 5.0);
+    }
+
+    /// The path table may free a path its flows have left once a settle
+    /// has run: the settle freed the path's entry, so the solver holds no
+    /// freed id, and the id, reused for another path, starts a new entry.
+    #[test]
+    fn a_settle_lets_go_of_the_paths_the_sweep_frees() {
+        let mut table = PathTable::new();
+        let mut s = MaxMinSolver::new(vec![9.0, 4.0, 6.0]).unwrap();
+        let [long, short] = [&[0, 1, 2][..], &[0]].map(|p| {
+            let path = table.intern(p);
+            table.acquire(path);
+            (path, s.insert_entry(&table, path))
+        });
+        s.recompute(&table);
+        table.settled();
+        s.remove_entry(long.1);
+        table.release(long.0);
+        assert!(s.has_entry(long.0), "re-issuable until the settle");
+        s.recompute(&table);
+        assert!(!s.has_entry(long.0));
+        table.settled();
+        assert!(table.wants_sweep());
+        let mut freed = Vec::new();
+        table.sweep(|path, hops| {
+            assert!(!s.has_entry(path), "{path:?}");
+            assert_eq!(hops, [0, 1, 2]);
+            freed.push(path);
+        });
+        assert_eq!(freed, [long.0]);
+        let reused = table.intern(&[1, 2]);
+        assert_eq!(reused, long.0);
+        let e = s.insert_entry(&table, reused);
+        s.recompute(&table);
+        let (want, _) = textbook_maxmin(&[9.0, 4.0, 6.0], &[&[0][..], &[1, 2]]);
+        assert_eq!([s.entry_rate(short.1), s.entry_rate(e)], want[..]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The per-run path table: every resource path a run uses, stored once.
+//! The per-run path table: every resource path the active set uses,
+//! stored once.
 //!
 //! A route is interned when it is first built — on a route-memo miss, at
 //! an activation or a fault reroute — and from then on the route memo, the
@@ -9,12 +10,28 @@
 //! and a reroute that lands on a path some other flow already uses joins
 //! that flow's solver entry.
 //!
-//! Paths are never evicted: the table lives as long as the run and holds
-//! at most one copy of each distinct route the run ever took — hops × 4
-//! bytes each, no per-path allocation.
+//! The table counts, per path, the active flows on it (`acquire` /
+//! `release`); a path at zero is *dead*. A dead path stays findable, so a
+//! flow re-issuing it gets the same id back. Whoever else holds ids (the
+//! engine's solver, which keeps the entry of a path until its next settle)
+//! says when it has let go of the paths dead so far (`settled`); those are
+//! *released*. Once released hops outnumber live ones (`wants_sweep`), one
+//! `sweep` walks the paths in hop order, frees every released id for reuse
+//! and compacts the hops of the rest in place. Each id keeps its own
+//! `(start, len)` span, so a live [`PathId`] never moves. The content
+//! index, which a route rebuilt after a fault transition still needs,
+//! keeps the slots of freed ids until it is rebuilt: lookups pass over
+//! them, and they count towards the load that triggers the rebuild, so a
+//! sweep costs the paths it walks and nothing more. Swept whenever it
+//! asks, the table holds the hops of the paths in use and of those dead
+//! since the last settle, and at most as many again released ones — hops ×
+//! 4 bytes each, no per-path allocation.
 
 use exaflow_netgraph::IntHasher;
 use std::hash::Hasher;
+
+/// `start` of a freed id's span: out of range, so reading it panics.
+const FREED: u32 = u32::MAX;
 
 /// Index of an interned path in its [`PathTable`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,12 +40,33 @@ pub struct PathId(pub u32);
 /// Flat, content-deduplicated store of resource paths.
 #[derive(Debug)]
 pub struct PathTable {
-    /// Path `i` is `hops[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
+    /// Path `i` is `hops[start..start + len]` for `spans[i] = (start,
+    /// len)`; a freed id's span is `(FREED, 0)`.
+    spans: Vec<(u32, u32)>,
     hops: Vec<u32>,
+    /// The ids not freed, in the order of their hops.
+    order: Vec<u32>,
+    /// Per id: the active flows on the path.
+    refs: Vec<u32>,
+    /// Per id: `settles` when the path was interned or lost its last
+    /// flow. A dead path is released once `settles` has moved on; a count
+    /// that wraps round to it again only delays the release.
+    dead_since: Vec<u32>,
+    /// Calls of `settled` so far, wrapping.
+    settles: u32,
+    /// Hops of the paths with a flow on them.
+    live_hops: usize,
+    /// Hops of the released paths: what a sweep frees.
+    released_hops: usize,
+    /// Freed ids: `intern` reuses them first.
+    free: Vec<u32>,
     /// Open-addressed content index: `id + 1` per occupied slot, 0 when
-    /// empty; a power of two in length and at most half full.
+    /// empty; a power of two in length. A sweep leaves the slots of the
+    /// ids it frees, which lookups pass over, until occupied slots fill
+    /// half the index and it is rebuilt over the ids in use.
     slots: Vec<u32>,
+    /// Occupied slots of `slots`, stale ones included.
+    occupied: usize,
 }
 
 impl Default for PathTable {
@@ -40,48 +78,154 @@ impl Default for PathTable {
 impl PathTable {
     pub fn new() -> Self {
         PathTable {
-            offsets: vec![0],
+            spans: Vec::new(),
             hops: Vec::new(),
+            order: Vec::new(),
+            refs: Vec::new(),
+            dead_since: Vec::new(),
+            settles: 0,
+            live_hops: 0,
+            released_hops: 0,
+            free: Vec::new(),
             slots: vec![0; 16],
+            occupied: 0,
         }
     }
 
-    /// Number of distinct paths interned so far.
+    /// Number of paths in the table, live or dead: every id not freed.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.order.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
+    /// One past the largest id handed out so far: the length of a dense
+    /// array over ids.
+    pub(crate) fn ids(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether `id` names a path of the table: false once a sweep freed
+    /// it, until `intern` reuses it.
+    pub(crate) fn contains(&self, id: PathId) -> bool {
+        self.spans[id.0 as usize].0 != FREED
+    }
+
     /// The resources of path `id`, in route order.
     #[inline]
     pub fn get(&self, id: PathId) -> &[u32] {
-        let i = id.0 as usize;
-        &self.hops[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let (start, len) = self.spans[id.0 as usize];
+        &self.hops[start as usize..(start + len) as usize]
     }
 
     /// The id of `path`, storing it first if no equal path is in the table.
+    /// A new path starts dead: it lives once a flow acquires it.
     pub fn intern(&mut self, path: &[u32]) -> PathId {
         let mask = self.slots.len() - 1;
         let mut slot = Self::hash(path) as usize & mask;
         while self.slots[slot] != 0 {
             let id = PathId(self.slots[slot] - 1);
-            if self.get(id) == path {
+            if self.contains(id) && self.get(id) == path {
                 return id;
             }
             slot = (slot + 1) & mask;
         }
-        let id = u32::try_from(self.len()).expect("path table holds under 2^32 paths");
+        let start = self.hops.len();
         self.hops.extend_from_slice(path);
         let end = u32::try_from(self.hops.len()).expect("path table holds under 2^32 hops");
-        self.offsets.push(end);
+        let span = (start as u32, end - start as u32);
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.spans[id as usize] = span;
+                self.dead_since[id as usize] = self.settles;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.spans.len())
+                    .ok()
+                    .filter(|&id| id != u32::MAX)
+                    .expect("path table holds under 2^32 - 1 paths");
+                self.spans.push(span);
+                self.refs.push(0);
+                self.dead_since.push(self.settles);
+                id
+            }
+        };
+        self.order.push(id);
         self.slots[slot] = id + 1;
-        if 2 * self.len() > self.slots.len() {
-            self.grow();
+        self.occupied += 1;
+        if 2 * self.occupied > self.slots.len() {
+            self.index();
         }
         PathId(id)
+    }
+
+    /// Count one more flow on path `id`.
+    #[inline]
+    pub(crate) fn acquire(&mut self, id: PathId) {
+        let i = id.0 as usize;
+        self.refs[i] += 1;
+        if self.refs[i] == 1 {
+            let len = self.spans[i].1 as usize;
+            self.live_hops += len;
+            if self.dead_since[i] != self.settles {
+                self.released_hops -= len;
+            }
+        }
+    }
+
+    /// Count one flow fewer on path `id`, which must have one.
+    #[inline]
+    pub(crate) fn release(&mut self, id: PathId) {
+        let i = id.0 as usize;
+        self.refs[i] = self.refs[i].checked_sub(1).expect("release of a live path");
+        if self.refs[i] == 0 {
+            self.live_hops -= self.spans[i].1 as usize;
+            self.dead_since[i] = self.settles;
+        }
+    }
+
+    /// Release every path dead now: nothing but the active set holds an
+    /// id any more, so the next sweep may free them.
+    pub(crate) fn settled(&mut self) {
+        self.settles = self.settles.wrapping_add(1);
+        self.released_hops = self.hops.len() - self.live_hops;
+    }
+
+    /// Whether released hops outnumber live ones, so a sweep frees more
+    /// than it keeps of what is in use.
+    pub(crate) fn wants_sweep(&self) -> bool {
+        self.released_hops > self.live_hops
+    }
+
+    /// Free every released path, calling `freed` with its id and hops
+    /// before the id can be reused, and compact the hops of the rest,
+    /// whose ids and contents stay. One walk over the paths in the table.
+    pub(crate) fn sweep(&mut self, mut freed: impl FnMut(PathId, &[u32])) {
+        let (mut kept, mut end) = (0, 0);
+        for k in 0..self.order.len() {
+            let id = self.order[k];
+            let i = id as usize;
+            let (start, len) = self.spans[i];
+            let hops = start as usize..(start + len) as usize;
+            if self.refs[i] == 0 && self.dead_since[i] != self.settles {
+                freed(PathId(id), &self.hops[hops]);
+                self.spans[i] = (FREED, 0);
+                self.free.push(id);
+                continue;
+            }
+            // Spans lie in `order`: none lands past one not yet moved.
+            self.hops.copy_within(hops, end as usize);
+            self.spans[i] = (end, len);
+            end += len;
+            self.order[kept] = id;
+            kept += 1;
+        }
+        self.order.truncate(kept);
+        self.hops.truncate(end as usize);
+        self.released_hops = 0;
     }
 
     fn hash(path: &[u32]) -> u64 {
@@ -92,10 +236,18 @@ impl PathTable {
         h.finish()
     }
 
-    fn grow(&mut self) {
-        let mask = self.slots.len() * 2 - 1;
-        let mut slots = vec![0u32; mask + 1];
-        for id in 0..self.len() as u32 {
+    /// Rebuild the content index over the ids in use, at twice its size
+    /// if they fill over a quarter of it; otherwise stale slots made the
+    /// load, and the rebuilt index is at most a quarter full.
+    fn index(&mut self) {
+        let size = if 4 * self.len() > self.slots.len() {
+            2 * self.slots.len()
+        } else {
+            (4 * self.len()).next_power_of_two().max(16)
+        };
+        let mask = size - 1;
+        let mut slots = vec![0u32; size];
+        for &id in &self.order {
             let mut slot = Self::hash(self.get(PathId(id))) as usize & mask;
             while slots[slot] != 0 {
                 slot = (slot + 1) & mask;
@@ -103,6 +255,7 @@ impl PathTable {
             slots[slot] = id + 1;
         }
         self.slots = slots;
+        self.occupied = self.len();
     }
 }
 
@@ -138,5 +291,114 @@ mod tests {
         assert_ne!(t.intern(&[1, 2, 3, 0]), a);
         assert_eq!(t.intern(&[1, 2, 3]), a);
         assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn a_sweep_frees_released_paths_and_keeps_every_other_id_and_content() {
+        // 64 distinct paths of 1..=4 hops; path `i` has a flow iff `i % 3
+        // == 0`, and two if it is also even.
+        let mut t = PathTable::new();
+        let paths: Vec<(PathId, Vec<u32>)> = (0..64u32)
+            .map(|i| {
+                let p: Vec<u32> = (0..=i % 4).map(|h| i * 10 + h).collect();
+                (t.intern(&p), p)
+            })
+            .collect();
+        for (i, &(id, _)) in paths.iter().enumerate().step_by(3) {
+            (0..1 + (i % 2)).for_each(|_| t.acquire(id));
+        }
+        // Nothing is released before the holder settles.
+        assert!(!t.wants_sweep());
+        t.settled();
+        assert!(t.wants_sweep(), "two thirds of the paths are dead");
+        let mut freed = Vec::new();
+        t.sweep(|id, _| freed.push(id));
+        let dead: Vec<PathId> = (0..64).filter(|i| i % 3 != 0).map(|i| paths[i].0).collect();
+        freed.sort_unstable_by_key(|id| id.0);
+        assert_eq!(freed, dead);
+        assert_eq!(t.len(), 64 - dead.len());
+        for (i, (id, p)) in paths.iter().enumerate() {
+            assert_eq!(t.contains(*id), i % 3 == 0, "{id:?}");
+            if i % 3 == 0 {
+                assert_eq!(t.get(*id), p.as_slice(), "a live path keeps its content");
+                assert_eq!(t.intern(p), *id, "the rebuilt index finds it");
+            }
+        }
+        assert!(!t.wants_sweep(), "a sweep releases nothing twice");
+        // Freed ids are reused before the ids bound grows.
+        let ids = t.ids();
+        let fresh: Vec<PathId> = (0..dead.len() as u32)
+            .map(|i| t.intern(&[1000 + i, 7]))
+            .collect();
+        let mut reused = fresh.clone();
+        reused.sort_unstable_by_key(|id| id.0);
+        assert_eq!(reused, dead);
+        assert_eq!(t.ids(), ids);
+        for (i, &id) in fresh.iter().enumerate() {
+            assert_eq!(t.get(id), &[1000 + i as u32, 7]);
+        }
+        for (i, (id, p)) in paths.iter().enumerate().step_by(3) {
+            assert_eq!(t.get(*id), p.as_slice(), "path {i} after reuse");
+        }
+    }
+
+    /// The engine's order, round after round of new paths: release a
+    /// round, sweep if asked, intern and acquire the next, settle. Each
+    /// round is freed one round after it dies, so the ids, the hops and
+    /// the index stay the size of two rounds, however many pass, and every
+    /// path in use stays findable past the stale slots.
+    #[test]
+    fn rounds_of_new_paths_keep_the_table_the_size_of_two_rounds() {
+        let mut t = PathTable::new();
+        let mut live: Vec<PathId> = Vec::new();
+        for round in 0..200u32 {
+            live.drain(..).for_each(|id| t.release(id));
+            if t.wants_sweep() {
+                t.sweep(|_, _| {});
+            }
+            for i in 0..8 {
+                live.push(t.intern(&[round, i, 7]));
+                t.acquire(live[i as usize]);
+            }
+            t.settled();
+            for (i, &id) in live.iter().enumerate() {
+                assert_eq!(t.intern(&[round, i as u32, 7]), id);
+            }
+            assert!(t.len() <= 16, "round {round}: {} paths", t.len());
+        }
+        assert_eq!(t.ids(), 16);
+        assert_eq!(t.hops.len(), 16 * 3);
+        assert!(t.slots.len() <= 64, "{} index slots", t.slots.len());
+    }
+
+    #[test]
+    fn a_path_dead_since_the_last_settle_or_revived_survives_a_sweep() {
+        let mut t = PathTable::new();
+        let old = t.intern(&[1, 2, 3, 4, 5, 6]);
+        let revived = t.intern(&[7, 8, 9, 10, 11, 12]);
+        let dying = t.intern(&[13, 14]);
+        for id in [old, revived, dying] {
+            t.acquire(id);
+            t.release(id);
+        }
+        t.acquire(dying);
+        t.settled();
+        // Released since: `old` and `revived`; `dying` loses its flow only
+        // now, so its holder may still use it.
+        t.release(dying);
+        t.acquire(revived);
+        assert!(!t.wants_sweep(), "6 released hops against 6 live ones");
+        let stray = t.intern(&[15]);
+        t.acquire(stray);
+        t.release(revived);
+        assert!(t.wants_sweep(), "6 released hops against 1 live one");
+        let mut freed = Vec::new();
+        t.sweep(|id, _| freed.push(id));
+        assert_eq!(freed, [old]);
+        for (id, p) in [(revived, &[7, 8, 9, 10, 11, 12][..]), (dying, &[13, 14])] {
+            assert_eq!(t.get(id), p);
+            assert_eq!(t.intern(p), id);
+        }
+        assert_eq!(t.intern(&[1, 2, 3, 4, 5, 6]), old, "the freed id is reused");
     }
 }

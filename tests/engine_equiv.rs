@@ -15,7 +15,7 @@
 
 use exaflow::prelude::*;
 use exaflow::sim::trace_check::check_rates_against_textbook;
-use exaflow::sim::FaultSchedule;
+use exaflow::sim::{FaultSchedule, FlowId};
 use exaflow::topo::UpperTierKind;
 use exaflow_netgraph::NodeId;
 
@@ -455,4 +455,48 @@ fn a_reissued_ring_round_costs_no_water_fill() {
     assert_eq!(report.events, 8);
     assert_eq!(report.rate_recomputes, 1);
     assert_eq!(report.flows_coalesced, 0);
+}
+
+/// A pair recurs after its path was swept from the path table. On the
+/// 8-ring, `0 -> 3` runs, then `1 -> 2`; when that completes, the settle
+/// between the two has released `0 -> 3`'s path, and released hops
+/// outnumber the live ones (none), so a sweep frees it and drops its pair
+/// from the route memo. The second `0 -> 3` misses the memo and is routed
+/// and interned again; the second `1 -> 2`, whose path was dead only since
+/// the settle, keeps its memo hit. The two share the link 1 -> 2, and the
+/// rates stay the textbook's.
+#[test]
+fn a_pair_recurring_after_its_path_was_swept_matches_the_textbook() {
+    let topo = Torus::new(&[8]);
+    let mut b = FlowDagBuilder::new();
+    let first = b.add_flow(NodeId(0), NodeId(3), 1 << 20, &[]);
+    let hop = b.add_flow(NodeId(1), NodeId(2), 1 << 20, &[first]);
+    let again = b.add_flow(NodeId(0), NodeId(3), 1 << 20, &[hop]);
+    b.add_flow(NodeId(1), NodeId(2), 1 << 20, &[hop]);
+    let dag = b.build();
+    let (report, trace) = checked_run(
+        "swept pair",
+        &topo,
+        &dag,
+        &FaultSchedule::empty(),
+        RecoveryPolicy::default(),
+    );
+    let report = report.unwrap();
+    assert_eq!(report.route_cache_hits, 1, "only 1 -> 2 is still memoised");
+    let path = |f: FlowId| {
+        trace
+            .iter()
+            .find_map(|ev| match ev {
+                TraceEvent::FlowStarted { flow, path, .. } if *flow == f.0 => Some(path.clone()),
+                _ => None,
+            })
+            .unwrap()
+    };
+    assert_eq!(path(again), path(first), "the same route, interned anew");
+    let link_1_2 = path(hop)[1];
+    assert!(path(again).contains(&link_1_2), "{:?}", path(again));
+    assert_eq!(
+        report.events, 3,
+        "the last two share 1 -> 2 and end together"
+    );
 }
