@@ -859,14 +859,16 @@ impl<'r> RunState<'r> {
     /// drop their pairs from the route memo. A path is released once a
     /// solver settle has run since its last flow left, and that settle
     /// freed its entry, so nothing else holds a freed id. A pair whose path
-    /// survives keeps its memo hit.
+    /// survives keeps its memo hit. The solver compacts the incidence
+    /// lists of the freed paths' resources at the same time.
     fn sweep_paths(&mut self) {
         if !self.paths.wants_sweep() {
             return;
         }
-        let (sim, solver, routes) = (self.sim, &self.solver, &mut self.routes);
+        let (sim, solver, routes) = (self.sim, &mut self.solver, &mut self.routes);
         self.paths.sweep(|path, hops| {
             debug_assert!(!solver.has_entry(path), "freed {path:?} has a solver entry");
+            solver.compact(hops);
             // A fault transition may have cleared the memo since, and the
             // pair may have been routed anew.
             if let Entry::Occupied(memo) = routes.entry(sim.pair_of(hops)) {

@@ -1316,6 +1316,20 @@ impl MaxMinSolver {
             .is_some_and(|&e| e != NO_ENTRY)
     }
 
+    /// Shrink the incidence lists of `resources` (a freed path's hops) that
+    /// fell below a quarter of their capacity. A list is only `retain`ed
+    /// as entries leave, so it keeps its peak capacity until compacted
+    /// here; the engine calls this at its path-table sweep, not per event,
+    /// so a list that empties and refills every event is not reallocated.
+    pub(crate) fn compact(&mut self, resources: &[u32]) {
+        for &r in resources {
+            let list = &mut self.res_entries[r as usize];
+            if list.len() < list.capacity() / 4 {
+                list.shrink_to_fit();
+            }
+        }
+    }
+
     /// Number of entries with a weight above zero right now (settled or
     /// not).
     pub fn live_entries(&self) -> usize {
@@ -1901,6 +1915,14 @@ mod tests {
         s.recompute(&table);
         assert_eq!(s.res_entries[0], vec![survivor]);
         assert_eq!(s.entry_rate(survivor), 1e9);
+        // The unlink keeps the list's peak capacity; a compaction gives
+        // it back, and leaves lists above a quarter full alone.
+        assert!(s.res_entries[0].capacity() >= N as usize);
+        // The survivor's own resource is 18, which it alone uses.
+        let own = s.res_entries[18].capacity();
+        s.compact(&[0, 18]);
+        assert_eq!(s.res_entries[0].capacity(), 1);
+        assert_eq!(s.res_entries[18].capacity(), own);
         s.remove_entry(survivor);
         s.recompute(&table);
         assert_eq!(s.live_entries(), 0);

@@ -19,6 +19,7 @@
 use crate::mixed_radix::MixedRadix;
 use crate::{Tally, Topology};
 use exaflow_netgraph::{LinkId, Network, NetworkBuilder, NodeId};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The router fabric of a generalised hypercube with its first
@@ -178,65 +179,139 @@ impl GhcTier {
         if src == dst {
             return 0;
         }
-        let (a, b) = (self.home(src), self.home(dst));
-        let mut d = 2;
-        for dim in 0..self.shape.ndims() {
-            if self.shape.coord(a, dim) != self.shape.coord(b, dim) {
-                d += 1;
-            }
-        }
-        d
+        2 + self.hamming(self.home(src), self.home(dst))
     }
 
-    /// Call `f(lo, hi, d)` on disjoint port ranges `[lo, hi)` that cover
-    /// every populated port but `src` exactly once, each range at
-    /// [`distance_ports`](Self::distance_ports) `d` from `src`, in port
-    /// order. Ranges are maximal — consecutive routers at one distance are
-    /// one range, so a row of routers off the home router's coordinate in
-    /// dimension 0 gives one or two — except that the two ranges around
-    /// `src` on its home router stay apart. Routers are walked in index
-    /// order by a mixed-radix odometer that carries the Hamming distance to
-    /// the home router along, so a router costs O(1) amortised instead of
-    /// a coordinate decode.
-    pub fn equidistant_ranges(&self, src: u64, mut f: impl FnMut(u64, u64, u32)) {
+    /// Hamming distance between routers `a` and `b`.
+    #[inline]
+    fn hamming(&self, a: u64, b: u64) -> u32 {
+        (0..self.shape.ndims())
+            .map(|dim| u32::from(self.shape.coord(a, dim) != self.shape.coord(b, dim)))
+            .sum()
+    }
+
+    /// Count, seen from port `src`, every populated port outside `skip` (a
+    /// port range that holds `src`) by its
+    /// [`distance_ports`](Self::distance_ports), in two parts:
+    ///
+    /// * the fully populated routers that `skip` does not touch, by class:
+    ///   `classes[h * period + r % period]` becomes the number of such
+    ///   routers `r` at Hamming distance `h` from `src`'s home router, whose
+    ///   ports are therefore `2 + h` away. `classes` has
+    ///   `(ndims + 1) * period` slots;
+    /// * every other populated port, that is the rest of the routers `skip`
+    ///   cuts and the one partly populated router, as `f(lo, hi, d)` on
+    ///   port ranges `[lo, hi)` at distance `d`.
+    ///
+    /// A caller picks `period` so that whatever it hangs below a router's
+    /// ports depends only on the router's index modulo `period`. The
+    /// classes come from one digit DP over the routers' mixed-radix
+    /// digits, so a source costs `O(Σ dims × ndims × period)` steps, not
+    /// one per router.
+    pub(crate) fn port_classes(
+        &self,
+        src: u64,
+        skip: Range<u64>,
+        period: usize,
+        classes: &mut [u64],
+        mut f: impl FnMut(u64, u64, u32),
+    ) {
         let ports = self.num_ports as u64;
         let per_router = self.ports_per_router as u64;
-        let dims = self.shape.dims();
+        debug_assert!(skip.contains(&src) && skip.end <= ports);
         let home = self.home(src);
-        let home_coords = self.shape.decode(home);
-        let mut coords = vec![0u32; dims.len()];
-        let mut hamming = home_coords.iter().filter(|&&c| c != 0).count() as u32;
-        // The range being grown: its first port and its distance.
-        let (mut run_lo, mut run_d) = (0u64, u32::MAX);
-        for router in 0..ports.div_ceil(per_router) {
-            let lo = router * per_router;
-            if router == home {
-                if run_lo < lo {
-                    f(run_lo, lo, run_d);
-                }
-                if lo < src {
-                    f(lo, src, 2);
-                }
-                (run_lo, run_d) = (src + 1, 2);
-            } else if 2 + hamming != run_d {
-                if run_lo < lo {
-                    f(run_lo, lo, run_d);
-                }
-                (run_lo, run_d) = (lo, 2 + hamming);
-            }
-            // Step the odometer to the next router.
-            for ((c, &size), &at_home) in coords.iter_mut().zip(dims).zip(&home_coords) {
-                hamming -= u32::from(*c != at_home);
-                *c = if *c + 1 < size { *c + 1 } else { 0 };
-                hamming += u32::from(*c != at_home);
-                if *c != 0 {
-                    break;
-                }
-            }
+        let full = ports / per_router;
+        // The routers `skip` touches.
+        let (cut_lo, cut_hi) = (skip.start / per_router, (skip.end - 1) / per_router + 1);
+        // Full routers outside the cut: [0, full) less [cut_lo, cut_hi).
+        self.count_classes(
+            home,
+            [
+                (full, 1),
+                (cut_hi.min(full), u64::MAX),
+                (cut_lo.min(full), 1),
+            ],
+            period,
+            classes,
+        );
+        let distance = |router: u64| 2 + self.hamming(home, router);
+        if cut_lo * per_router < skip.start {
+            f(cut_lo * per_router, skip.start, distance(cut_lo));
         }
-        if run_lo < ports {
-            f(run_lo, ports, run_d);
+        let cut_end = (cut_hi * per_router).min(ports);
+        if skip.end < cut_end {
+            f(skip.end, cut_end, distance(cut_hi - 1));
         }
+        if full * per_router < ports && full >= cut_hi {
+            f(full * per_router, ports, distance(full));
+        }
+    }
+
+    /// Set `classes[h * period + res]` to `Σ sign` over the `(bound, sign)`
+    /// pairs of the number of routers `r < bound` with
+    /// `hamming(home, r) = h` and `r % period = res`. A sign is `1` or
+    /// `u64::MAX` (minus one): the sums wrap, and come out exact whenever
+    /// the signed total is not negative.
+    ///
+    /// The DP walks the digits from the most significant down. `table`
+    /// counts the routers already below every bound's prefix, by Hamming
+    /// distance and residue over the digits seen; each digit spreads them
+    /// over its values, and each bound adds the routers that leave its
+    /// prefix at this digit with a smaller value.
+    fn count_classes(
+        &self,
+        home: u64,
+        bounds: [(u64, u64); 3],
+        period: usize,
+        classes: &mut [u64],
+    ) {
+        let dims = self.shape.dims();
+        let top = dims.len() - 1;
+        let slots = (top + 2) * period;
+        debug_assert_eq!(classes.len(), slots);
+        let mut tables = vec![0u64; 2 * slots];
+        let (mut table, mut next) = tables.split_at_mut(slots);
+        // Each bound's prefix so far: its Hamming distance and residue.
+        let mut prefix = [(0usize, 0usize); 3];
+        for dim in (0..=top).rev() {
+            let size = dims[dim] as u64;
+            let stride = self.shape.stride(dim);
+            let step = (stride % period as u64) as usize;
+            let at_home = self.shape.coord(home, dim) as u64;
+            // Spread `count` routers at (h, res) over this digit's values
+            // `0..values`.
+            let spread = |next: &mut [u64], h: usize, res: usize, values: u64, count: u64| {
+                let mut at = res;
+                for value in 0..values {
+                    let slot = (h + usize::from(value != at_home)) * period + at;
+                    next[slot] = next[slot].wrapping_add(count);
+                    at += step;
+                    if at >= period {
+                        at -= period;
+                    }
+                }
+                at
+            };
+            next.fill(0);
+            for (slot, &count) in table.iter().enumerate().take((top - dim + 1) * period) {
+                if count != 0 {
+                    spread(next, slot / period, slot % period, size, count);
+                }
+            }
+            for (&(bound, sign), (h, res)) in bounds.iter().zip(&mut prefix) {
+                // The top digit is not reduced, so a bound of every router
+                // counts them all.
+                let digit = if dim == top {
+                    bound / stride
+                } else {
+                    bound / stride % size
+                };
+                *res = spread(next, *h, *res, digit, sign);
+                *h += usize::from(digit != at_home);
+            }
+            std::mem::swap(&mut table, &mut next);
+        }
+        classes.copy_from_slice(table);
     }
 
     /// Largest possible port-to-port hop count: both attach links plus one
@@ -372,13 +447,7 @@ impl GeneralizedHypercube {
                 if a == b {
                     total += ca * (ca - 1.0) * 2.0;
                 } else {
-                    let mut h = 0u32;
-                    for dim in 0..shape.ndims() {
-                        if shape.coord(a, dim) != shape.coord(b, dim) {
-                            h += 1;
-                        }
-                    }
-                    total += ca * cb * (2 + h) as f64;
+                    total += ca * cb * (2 + self.tier.hamming(a, b)) as f64;
                 }
             }
         }
@@ -426,8 +495,18 @@ impl Topology for GeneralizedHypercube {
 
     fn distance_histogram(&self, src: NodeId, histogram: &mut [u64]) -> u64 {
         let mut tally = Tally::new(histogram);
+        let src = src.0 as u64;
+        let mut routers = vec![0u64; self.tier.shape.ndims() + 1];
         self.tier
-            .equidistant_ranges(src.0 as u64, |lo, hi, d| tally.add(d, hi - lo));
+            .port_classes(src, src..src + 1, 1, &mut routers, |lo, hi, d| {
+                tally.add(d, hi - lo)
+            });
+        let per_router = self.tier.ports_per_router as u64;
+        for (h, &count) in routers.iter().enumerate() {
+            if count != 0 {
+                tally.add(2 + h as u32, count * per_router);
+            }
+        }
         tally.hops
     }
 }
@@ -549,57 +628,62 @@ mod tests {
         assert!((g.average_distance() - brute).abs() < 1e-9);
     }
 
-    #[test]
-    fn equidistant_ranges_partition_the_other_ports() {
-        // A size-1 dimension makes the odometer carry through it; 14 and 7
-        // endpoints leave the last populated router partly filled.
-        for eps in [18usize, 14, 7, 1] {
-            let g = GeneralizedHypercube::with_endpoints(&[3, 1, 2], 3, eps);
-            for src in 0..eps as u64 {
-                let mut seen = vec![0u32; eps];
-                g.tier().equidistant_ranges(src, |lo, hi, d| {
-                    assert!(lo < hi, "empty range");
-                    for port in lo..hi {
-                        seen[port as usize] += 1;
-                        assert_eq!(g.tier().distance_ports(src, port), d);
-                    }
-                });
-                for (port, &count) in seen.iter().enumerate() {
-                    assert_eq!(count, u32::from(port as u64 != src), "port {port}");
+    /// The reference walk over every router: from `src`, every populated
+    /// port outside `skip`, each full router that `skip` does not touch by
+    /// (Hamming distance, residue) class and every other port by itself.
+    fn classes_by_walk(
+        g: &GeneralizedHypercube,
+        src: u64,
+        skip: &Range<u64>,
+        period: usize,
+    ) -> (Vec<u64>, Vec<u32>) {
+        let tier = g.tier();
+        let (ports, per_router) = (tier.num_ports() as u64, tier.ports_per_router() as u64);
+        let mut classes = vec![0u64; (tier.shape().ndims() + 1) * period];
+        let mut singles = vec![0u32; ports as usize];
+        for router in 0..ports.div_ceil(per_router) {
+            let block = router * per_router..((router + 1) * per_router).min(ports);
+            let touched = block.clone().any(|port| skip.contains(&port));
+            if block.end - block.start == per_router && !touched {
+                let h = tier.hamming(tier.home(src), router) as usize;
+                classes[h * period + router as usize % period] += 1;
+            } else {
+                for port in block.filter(|port| !skip.contains(port)) {
+                    singles[port as usize] = tier.distance_ports(src, port);
                 }
             }
         }
+        (classes, singles)
     }
 
     #[test]
-    fn equidistant_ranges_are_maximal() {
-        // A 4x2x3 grid: off the home router's row, the routers of a row in
-        // dimension 0 share a distance, and rows meet at equal distances.
-        for eps in [48usize, 37, 9] {
-            let g = GeneralizedHypercube::with_endpoints(&[4, 2, 3], 2, eps);
-            let slots = g.diameter_bound() as usize + 1;
-            for src in 0..eps as u32 {
-                let mut ranges = Vec::new();
-                g.tier()
-                    .equidistant_ranges(src as u64, |lo, hi, d| ranges.push((lo, hi, d)));
-                for pair in ranges.windows(2) {
-                    let ((_, hi, d), (lo, _, next_d)) = (pair[0], pair[1]);
-                    assert!(
-                        hi != lo || d != next_d,
-                        "from {src}: {:?} and {:?} touch at one distance",
-                        pair[0],
-                        pair[1]
+    fn port_classes_match_a_walk_over_every_router() {
+        // A size-1 dimension, radices 3 and 5, routers of 3 ports; 44 and
+        // 31 endpoints leave whole routers empty past a partly populated
+        // one, and skips of 1 to 10 ports touch up to 5 routers.
+        for (eps, period) in [(45usize, 1usize), (44, 2), (31, 3), (7, 4), (1, 2)] {
+            let g = GeneralizedHypercube::with_endpoints(&[3, 1, 5], 3, eps);
+            let tier = g.tier();
+            for src in 0..eps as u64 {
+                for width in [1u64, 2, 4, 10] {
+                    let start = src.saturating_sub(width / 2);
+                    let skip = start..(start + width).min(eps as u64).max(src + 1);
+                    let mut classes = vec![0u64; 4 * period];
+                    let mut singles = vec![0u32; eps];
+                    tier.port_classes(src, skip.clone(), period, &mut classes, |lo, hi, d| {
+                        assert!(lo < hi, "empty range");
+                        for port in lo..hi {
+                            assert_eq!(singles[port as usize], 0, "port {port} twice");
+                            singles[port as usize] = d;
+                        }
+                    });
+                    let what = format!("{eps} ports, period {period}, from {src}, skip {skip:?}");
+                    assert_eq!(
+                        (classes, singles),
+                        classes_by_walk(&g, src, &skip, period),
+                        "{what}"
                     );
                 }
-                let (mut counted, mut looped) = (vec![0u64; slots], vec![0u64; slots]);
-                let counted_hops = g.distance_histogram(NodeId(src), &mut counted);
-                let mut looped_hops = 0u64;
-                for dst in (0..eps as u32).filter(|&d| d != src) {
-                    let d = g.distance(NodeId(src), NodeId(dst));
-                    looped[d as usize] += 1;
-                    looped_hops += d as u64;
-                }
-                assert_eq!((counted, counted_hops), (looped, looped_hops), "from {src}");
             }
         }
     }

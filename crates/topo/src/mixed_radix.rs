@@ -60,6 +60,13 @@ impl MixedRadix {
         self.total == 0
     }
 
+    /// Linear-index step of one unit in dimension `dim`: the product of
+    /// the sizes below it.
+    #[inline]
+    pub fn stride(&self, dim: usize) -> u64 {
+        self.strides[dim]
+    }
+
     /// Decode linear index `i` into `coords` (which is resized to fit).
     #[inline]
     pub fn decode_into(&self, i: u64, coords: &mut Vec<u32>) {

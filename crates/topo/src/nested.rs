@@ -86,7 +86,16 @@ pub fn ghc_upper_shape(uplinks: u64) -> (Vec<u32>, u32) {
 
 enum Upper {
     Tree(TreeTier),
-    Ghc(GhcTier),
+    Ghc {
+        tier: GhcTier,
+        /// What sits below a fully populated router depends only on its
+        /// index modulo `period`, a divisor of
+        /// `U / gcd(U, ports_per_router)` for `U` uplinks a subtorus.
+        period: usize,
+        /// `below_router[res * width + j]`: endpoints `j` hops below a full
+        /// router of residue `res` (in the layout of [`Descent`]).
+        below_router: Vec<u64>,
+    },
 }
 
 /// The link ids of a wired [`Upper`], of the same kind.
@@ -99,7 +108,7 @@ impl Upper {
     fn wire(&self, b: &mut NetworkBuilder, ports: &[NodeId]) -> UpperLinks {
         match self {
             Upper::Tree(t) => UpperLinks::Tree(t.wire(b, ports)),
-            Upper::Ghc(g) => UpperLinks::Ghc(g.wire(b, ports)),
+            Upper::Ghc { tier, .. } => UpperLinks::Ghc(tier.wire(b, ports)),
         }
     }
 
@@ -107,7 +116,7 @@ impl Upper {
     fn route_ports(&self, links: &UpperLinks, a: u64, b: u64, path: &mut Vec<LinkId>) {
         match (self, links) {
             (Upper::Tree(t), UpperLinks::Tree(l)) => t.route_ports(l, a, b, path),
-            (Upper::Ghc(g), UpperLinks::Ghc(l)) => g.route_ports(l, a, b, path),
+            (Upper::Ghc { tier, .. }, UpperLinks::Ghc(l)) => tier.route_ports(l, a, b, path),
             _ => unreachable!("an upper tier is wired as its own kind"),
         }
     }
@@ -115,7 +124,7 @@ impl Upper {
     fn num_switches(&self) -> u64 {
         match self {
             Upper::Tree(t) => t.num_switches(),
-            Upper::Ghc(g) => g.num_routers(),
+            Upper::Ghc { tier, .. } => tier.num_routers(),
         }
     }
 
@@ -123,7 +132,7 @@ impl Upper {
     fn distance_ports(&self, a: u64, b: u64) -> u32 {
         match self {
             Upper::Tree(t) => t.distance_ports(a, b),
-            Upper::Ghc(g) => g.distance_ports(a, b),
+            Upper::Ghc { tier, .. } => tier.distance_ports(a, b),
         }
     }
 
@@ -131,15 +140,7 @@ impl Upper {
     fn max_distance_ports(&self) -> u32 {
         match self {
             Upper::Tree(t) => t.max_distance_ports(),
-            Upper::Ghc(g) => g.max_distance_ports(),
-        }
-    }
-
-    #[inline]
-    fn equidistant_ranges(&self, src: u64, f: impl FnMut(u64, u64, u32)) {
-        match self {
-            Upper::Tree(t) => t.equidistant_ranges(src, f),
-            Upper::Ghc(g) => g.equidistant_ranges(src, f),
+            Upper::Ghc { tier, .. } => tier.max_distance_ports(),
         }
     }
 }
@@ -195,6 +196,37 @@ impl Descent {
             f(j as u32, whole * full[j] + upto_hi[j] - upto_lo[j]);
         }
     }
+
+    /// For a GHC with `per_router` ports a router, the period of the
+    /// routers' descent and its `below_router` table (see [`Upper::Ghc`]).
+    /// Router `r`'s ports start at `r * per_router`, whose offset in a
+    /// subtorus's ports repeats every `U / gcd(U, per_router)` routers; the
+    /// rows may repeat sooner, and the shortest period is kept. With each
+    /// of the four connection rules every uplink has the same descent, so
+    /// that period is 1.
+    fn router_profiles(&self, per_router: u64) -> (usize, Vec<u64>) {
+        let (mut a, mut b) = (self.uplinks_per_sub, per_router);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        let offsets = (self.uplinks_per_sub / a) as usize;
+        let mut below = vec![0u64; offsets * self.width];
+        for (res, row) in below.chunks_mut(self.width).enumerate() {
+            let lo = res as u64 * per_router;
+            self.below_ports(lo, lo + per_router, |j, count| row[j as usize] = count);
+        }
+        let period = (1..=offsets)
+            .filter(|&p| offsets.is_multiple_of(p))
+            .find(|&p| {
+                below[p * self.width..]
+                    .iter()
+                    .zip(&below)
+                    .all(|(x, y)| x == y)
+            })
+            .expect("the offsets' own period");
+        below.truncate(period * self.width);
+        (period, below)
+    }
 }
 
 /// A torus nested into an upper-tier fattree or generalised hypercube.
@@ -241,6 +273,7 @@ impl Nested {
         let uplink_map = UplinkMap::new(&sub_shape, rule);
         let uplinks_per_sub = uplink_map.num_uplinks() as u64;
         let total_uplinks = num_subtori * uplinks_per_sub;
+        let descent = Descent::new(&sub_shape, &uplink_map);
         let upper = match kind {
             UpperTierKind::Fattree => {
                 let k = crate::kary_tree::KAryTree::arity_for_ports(total_uplinks, TREE_STAGES);
@@ -248,18 +281,19 @@ impl Nested {
             }
             UpperTierKind::GeneralizedHypercube => {
                 let (dims, ports_per_router) = ghc_upper_shape(total_uplinks);
-                Upper::Ghc(GhcTier::new(
-                    &dims,
-                    ports_per_router,
-                    total_uplinks as usize,
-                ))
+                let (period, below_router) = descent.router_profiles(ports_per_router as u64);
+                Upper::Ghc {
+                    tier: GhcTier::new(&dims, ports_per_router, total_uplinks as usize),
+                    period,
+                    below_router,
+                }
             }
         };
         Nested {
             kind,
             rule,
             sub_profile: grid::distance_profile(&sub_shape),
-            descent: Descent::new(&sub_shape, &uplink_map),
+            descent,
             sub_shape,
             sub_size,
             num_subtori,
@@ -472,23 +506,56 @@ impl Topology for Nested {
         let mut tally = Tally::new(histogram);
         // The source's own subtorus never leaves the lower tier.
         tally.add_profile(&self.sub_profile);
-        // Everyone else: up to the uplink, across to an equidistant range
-        // of upper-tier ports, down to whoever descends through them. The
-        // ranges are over all ports but the source's; clip the rest of its
-        // subtorus out.
+        // Everyone else: up to the uplink, across the upper tier, down to
+        // whoever descends below the ports reached. The rest of the
+        // source's subtorus, `[own_lo, own_hi)`, is left out.
         let own_lo = self.subtorus_of(src) * self.uplinks_per_sub;
         let own_hi = own_lo + self.uplinks_per_sub;
         let climb = self.hops_to_uplink(src);
-        self.upper
-            .equidistant_ranges(self.port_of(src), |lo, hi, across| {
+        let port = self.port_of(src);
+        let descend = |tally: &mut Tally, lo: u64, hi: u64, across: u32| {
+            self.descent.below_ports(lo, hi, |descend, count| {
+                tally.add(climb + across + descend, count)
+            });
+        };
+        match &self.upper {
+            // Equidistant port ranges, clipped.
+            Upper::Tree(tree) => tree.equidistant_ranges(port, |lo, hi, across| {
                 for (lo, hi) in [(lo, hi.min(own_lo)), (lo.max(own_hi), hi)] {
                     if lo < hi {
-                        self.descent.below_ports(lo, hi, |descend, count| {
-                            tally.add(climb + across + descend, count)
-                        });
+                        descend(&mut tally, lo, hi, across);
                     }
                 }
-            });
+            }),
+            // Whole routers by (Hamming distance, residue) class, each
+            // class's descent read off its residue's profile; the routers
+            // the own subtorus cuts and the partly populated one by range.
+            Upper::Ghc {
+                tier,
+                period,
+                below_router,
+            } => {
+                let mut classes = vec![0u64; (tier.shape().ndims() + 1) * period];
+                tier.port_classes(
+                    port,
+                    own_lo..own_hi,
+                    *period,
+                    &mut classes,
+                    |lo, hi, across| descend(&mut tally, lo, hi, across),
+                );
+                let width = self.descent.width;
+                for (slot, &routers) in classes.iter().enumerate() {
+                    if routers == 0 {
+                        continue;
+                    }
+                    let (hamming, res) = ((slot / period) as u32, slot % period);
+                    let below = &below_router[res * width..][..width];
+                    for (descend, &count) in below.iter().enumerate() {
+                        tally.add(climb + 2 + hamming + descend as u32, routers * count);
+                    }
+                }
+            }
+        }
         tally.hops
     }
 }
@@ -631,6 +698,26 @@ mod tests {
                     n.distance(NodeId(s), NodeId(d)),
                     n.distance(NodeId(d), NodeId(s))
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_uplink_descends_alike_so_one_router_class_per_distance() {
+        // Were it not so, the residue classes would carry the difference:
+        // `GhcTier::port_classes` is held to a walk at periods above 1.
+        for t in 2..=8 {
+            for rule in ConnectionRule::all() {
+                let shape = MixedRadix::new(&[t, t, t]);
+                if t % 2 == 1 && rule != ConnectionRule::EveryNode {
+                    continue; // odd t exists only fully uplinked
+                }
+                let descent = Descent::new(&shape, &UplinkMap::new(&shape, rule));
+                for per_router in [1u64, 3, 8, 16] {
+                    let (period, below) = descent.router_profiles(per_router);
+                    assert_eq!(period, 1, "t={t}, u={}, {per_router} ports", rule.u());
+                    assert_eq!(below.iter().sum::<u64>(), per_router * rule.u() as u64);
+                }
             }
         }
     }

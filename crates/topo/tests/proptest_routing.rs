@@ -5,6 +5,7 @@
 //! `distance_histogram` tally exactly what one `distance` per pair does.
 
 use exaflow_netgraph::{bfs_distances, LinkId, Network, NodeId};
+use exaflow_topo::nested::ghc_upper_shape;
 use exaflow_topo::{
     check_route, ConnectionRule, GeneralizedHypercube, KAryTree, Nested, Topology, Torus,
     UpperTierKind,
@@ -63,7 +64,9 @@ fn populations(full: usize) -> Vec<usize> {
 
 /// The hybrids over the whole grid the paper draws from, at subtorus
 /// counts that leave the upper tier partly empty and put its range edges
-/// in the middle of a subtorus; t = 3 only exists fully uplinked.
+/// in the middle of a subtorus; t = 3 only exists fully uplinked. The
+/// grid reaches every edge of the GHC's router-class counting, which the
+/// test checks from the upper tier's shape.
 #[test]
 fn nested_histogram_counts_what_the_pair_loop_tallies() {
     let cases: [(u32, &[u64], &[ConnectionRule]); 4] = [
@@ -72,15 +75,38 @@ fn nested_histogram_counts_what_the_pair_loop_tallies() {
         (3, &[1, 2, 3, 5, 17], &[ConnectionRule::EveryNode]),
         (6, &[1, 3], &ConnectionRule::all()),
     ];
+    let mut ghc_edges = [false; 4];
     for kind in [UpperTierKind::Fattree, UpperTierKind::GeneralizedHypercube] {
         for (t, subtori, rules) in cases {
             for &rule in rules {
                 for &count in subtori {
-                    assert_counts_what_the_pair_loop_tallies(&Nested::new(kind, count, t, rule));
+                    let nested = Nested::new(kind, count, t, rule);
+                    assert_counts_what_the_pair_loop_tallies(&nested);
+                    if kind == UpperTierKind::GeneralizedHypercube {
+                        let ports = nested.num_uplinks();
+                        let (dims, per_router) = ghc_upper_shape(ports);
+                        let (per_router, routers) =
+                            (per_router as u64, dims.iter().map(|&d| d as u64).product());
+                        for (seen, holds) in ghc_edges.iter_mut().zip([
+                            // A partly populated router, empty ones past it.
+                            !ports.is_multiple_of(per_router)
+                                && ports.div_ceil(per_router) < routers,
+                            // An own subtorus that cuts 3 routers or more.
+                            ports / count > 2 * per_router,
+                            dims.contains(&1),
+                            dims.iter().any(|d| !d.is_power_of_two()),
+                        ]) {
+                            *seen |= holds;
+                        }
+                    }
                 }
             }
         }
     }
+    assert_eq!(
+        ghc_edges, [true; 4],
+        "the grid misses an edge of the GHC counting"
+    );
 }
 
 proptest! {

@@ -85,9 +85,10 @@ $TIMEOUT 300 ./target/release/examples/failure_resilience \
 # and any argument must be rejected with exit 2 rather than ignored; fig2
 # writes figure2/*.dot into its working directory, so all run in a scratch
 # one, and its four drawings must match the copies pinned in
-# scripts/fig2_expected/. table2 runs at the paper's scale (under a second
-# on two threads); fig4/fig5 at 128 QFDBs (a fraction of a second each).
-echo "== reproduce: fig2/fig3 stdout, table2, fig4/fig5 at 128 QFDBs are pinned"
+# scripts/fig2_expected/. table1 and table2 run at the paper's 131,072
+# QFDBs (about a second each on two threads); fig4/fig5 at 128 QFDBs (a
+# fraction of a second each).
+echo "== reproduce: fig2/fig3 stdout, table1, table2, fig4/fig5 at 128 QFDBs are pinned"
 FIGDIR="$(mktemp -d)"
 trap 'rm -rf "$FIGDIR"' EXIT
 EXAFLOW="$PWD/target/release/exaflow"
@@ -101,11 +102,13 @@ for a in fig2 fig3; do
 done
 diff -r scripts/fig2_expected "$FIGDIR/figure2" \
   || { echo "reproduce fig2 drawings drifted from scripts/fig2_expected/"; exit 1; }
-$TIMEOUT 300 "$EXAFLOW" reproduce table2 --threads 2 --json "$FIGDIR/table2.json" 2>/dev/null \
-  | diff -u table2_output.txt - \
-  || { echo "reproduce table2 output drifted from table2_output.txt"; exit 1; }
-cmp table2_results.json "$FIGDIR/table2.json" \
-  || { echo "reproduce table2 JSON drifted from table2_results.json"; exit 1; }
+for a in table1 table2; do
+  $TIMEOUT 300 "$EXAFLOW" reproduce $a --threads 2 --json "$FIGDIR/$a.json" 2>/dev/null \
+    | diff -u "${a}_output.txt" - \
+    || { echo "reproduce $a output drifted from ${a}_output.txt"; exit 1; }
+  cmp "${a}_results.json" "$FIGDIR/$a.json" \
+    || { echo "reproduce $a JSON drifted from ${a}_results.json"; exit 1; }
+done
 for a in fig4 fig5; do
   $TIMEOUT 300 "$EXAFLOW" reproduce $a --scale 128 --threads 1 --json "$FIGDIR/$a.json" \
     >/dev/null 2>&1

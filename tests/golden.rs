@@ -168,9 +168,9 @@ fn golden_trace_is_pinned_line_for_line() {
 
 /// Table 1, row (t=2, u=8) at the paper's full 131 072-QFDB scale, as
 /// `exaflow reproduce table1` computes it: the exact sweep over all
-/// sources. The NestTree half counts in milliseconds; the NestGHC half
-/// and the rest of the grid take seconds a row and are pinned by
-/// `tests/tier2_scale.rs::paper_scale_table1_grid_matches_pinned`.
+/// sources, for both hybrids. Both count a source by equidistant class,
+/// so the row takes well under a second; the rest of the grid is pinned
+/// by `tests/tier2_scale.rs::paper_scale_table1_grid_matches_pinned`.
 #[test]
 fn table1_row_2_8_matches_pinned() {
     let pinned = load("table1_results.json");
@@ -180,22 +180,29 @@ fn table1_row_2_8_matches_pinned() {
         .iter()
         .find(|r| r["t"] == 2 && r["u"] == 8)
         .expect("table1_results.json: row (2,8)");
-
-    let topo = SystemScale::PAPER
-        .nested_spec(UpperTierKind::Fattree, 2, 8)
-        .unwrap()
-        .build()
-        .unwrap();
-    let stats = distance_sweep(topo.as_ref(), 1);
-    assert!(stats.exact);
     let pinned = |key: &str| row[key].as_f64().expect("numeric cell");
-    assert!(
-        numbers_match(stats.average, pinned("avg_tree")),
-        "NestTree(2,8) average: got {:.17e}, pinned {:.17e}",
-        stats.average,
-        pinned("avg_tree")
-    );
-    assert_eq!(stats.diameter as f64, pinned("diam_tree"));
+
+    for (kind, half) in [
+        (UpperTierKind::Fattree, "tree"),
+        (UpperTierKind::GeneralizedHypercube, "ghc"),
+    ] {
+        let topo = SystemScale::PAPER
+            .nested_spec(kind, 2, 8)
+            .unwrap()
+            .build()
+            .unwrap();
+        let stats = distance_sweep(topo.as_ref(), 1);
+        assert!(stats.exact);
+        let (avg, diam) = (format!("avg_{half}"), format!("diam_{half}"));
+        assert!(
+            numbers_match(stats.average, pinned(&avg)),
+            "{} average: got {:.17e}, pinned {:.17e}",
+            topo.name(),
+            stats.average,
+            pinned(&avg)
+        );
+        assert_eq!(stats.diameter as f64, pinned(&diam), "{}", topo.name());
+    }
 }
 
 /// The `name` panel of a figure at the default 2048-QFDB simulation scale,

@@ -16,7 +16,7 @@ use exaflow::prelude::*;
 use std::time::Instant;
 
 /// The bound on the cell's peak resident set, MiB.
-const PEAK_BOUND_MIB: f64 = 400.0;
+const PEAK_BOUND_MIB: f64 = 339.0;
 
 /// The process's peak resident set so far, MiB.
 fn peak_rss_mib() -> f64 {

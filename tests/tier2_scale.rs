@@ -172,9 +172,8 @@ fn paper_scale_table1_is_exact() {
 
 /// Every cell of the checked-in Table 1 (`table1_results.json`, written by
 /// `exaflow reproduce table1`) is the exact all-sources value: the rows
-/// `reproduce` computes match it field for field. Tier-1 pins the
-/// NestTree half of row (2,8) (`tests/golden.rs`); the NestGHC sweeps take
-/// seconds a row in release, so the whole grid lives here.
+/// `reproduce` computes match it field for field. Tier-1 pins row (2,8)
+/// (`tests/golden.rs`); the whole grid lives here.
 #[test]
 #[ignore = "tier-2 full-scale sweep; run with --ignored in the tier2 CI job"]
 fn paper_scale_table1_grid_matches_pinned() {
@@ -187,6 +186,38 @@ fn paper_scale_table1_grid_matches_pinned() {
     );
     let pinned = common::load("table1_results.json");
     common::assert_matches_pinned(serde_json::to_value(&rows).unwrap(), &pinned, "table1");
+}
+
+/// Every NestGHC(t,u) of Table 1 at 131,072 QFDBs counts, from 16 sources
+/// at a fixed stride, the histogram and hop total that one `distance` per
+/// pair tallies: the class counting at the upper tier's real shapes (up to
+/// 9,000 routers of 16 ports), not only at test sizes.
+#[test]
+#[ignore = "tier-2 full-scale sweep; run with --ignored in the tier2 CI job"]
+fn paper_scale_nestghc_histograms_match_the_pair_loop() {
+    let scale = SystemScale::PAPER;
+    for (t, u) in exaflow::presets::hybrid_grid() {
+        let Ok(spec) = scale.nested_spec(UpperTierKind::GeneralizedHypercube, t, u) else {
+            continue;
+        };
+        let topo = spec.build().unwrap();
+        let e = topo.num_endpoints() as u32;
+        let slots = topo.diameter_bound() as usize + 1;
+        // A stride one short of e/16 moves each source to another offset
+        // in its subtorus and another port of its router.
+        for src in (0..16).map(|i| NodeId(i * (e / 16 - 1))) {
+            let (mut counted, mut looped) = (vec![0u64; slots], vec![0u64; slots]);
+            let counted_hops = topo.distance_histogram(src, &mut counted);
+            let mut looped_hops = 0u64;
+            for dst in (0..e).filter(|&d| d != src.0).map(NodeId) {
+                let d = topo.distance(src, dst);
+                looped[d as usize] += 1;
+                looped_hops += d as u64;
+            }
+            let what = format!("{} from {src}", topo.name());
+            assert_eq!((counted, counted_hops), (looped, looped_hops), "{what}");
+        }
+    }
 }
 
 /// The whole Fig 4 + Fig 5 grid at the 2,048-QFDB simulation scale (11
