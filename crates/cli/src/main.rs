@@ -39,13 +39,14 @@
 //!                                stderr + 95% confidence bounds;
 //!                                --hybrids adds NestTree/NestGHC(t=2,u=4)
 //! exaflow reproduce <artefact>   regenerate one of the paper's artefacts:
-//!                                fig2 | fig3 | fig4 | fig5 | table1 | table2;
-//!                                prints its text (fig2 also writes
-//!                                figure2/*.dot); fig4, fig5, table1 and
-//!                                table2 take --scale <qfdbs> (default 2048
-//!                                for figures, 131072 for tables),
-//!                                --threads <n> and --json <path>; fig2 and
-//!                                fig3 take no options; usage errors exit 2
+//!                                fig2 | fig3 | fig4 | fig5 | table1 | table2,
+//!                                or the resilience extension; prints its
+//!                                text (fig2 also writes figure2/*.dot);
+//!                                fig4, fig5, table1 and table2 take
+//!                                --scale <qfdbs> (default 2048 for figures,
+//!                                131072 for tables), --threads <n> and
+//!                                --json <path>; fig2, fig3 and resilience
+//!                                take no options; usage errors exit 2
 //! exaflow topo <config.json>     build the topology and print its stats
 //! exaflow sample <name>          print a sample experiment config
 //! exaflow help                   this text
@@ -166,14 +167,15 @@ fn print_help() {
     eprintln!("                                  number = stratified sample with error bounds;");
     eprintln!("                                  --hybrids adds NestTree/NestGHC(t=2,u=4);");
     eprintln!("                                  prints a kind-tagged JSON report");
-    eprintln!("  exaflow reproduce <fig2|fig3|fig4|fig5|table1|table2>");
+    eprintln!("  exaflow reproduce <fig2|fig3|fig4|fig5|table1|table2|resilience>");
     eprintln!("                    [--scale <qfdbs>] [--threads <n>] [--json <path>]");
     eprintln!("                                  regenerate one of the paper's artefacts and");
     eprintln!("                                  print it (fig2 also writes figure2/*.dot);");
     eprintln!("                                  --scale defaults to 2048 QFDBs for figures and");
     eprintln!("                                  131072 for tables; --json writes the results;");
-    eprintln!("                                  fig2 and fig3 take no options; usage errors");
-    eprintln!("                                  exit 2");
+    eprintln!("                                  fig2, fig3 and resilience (random cable");
+    eprintln!("                                  failures, an extension) take no options;");
+    eprintln!("                                  usage errors exit 2");
     eprintln!("  exaflow topo <config.json | ->  build the topology of a config, print stats");
     eprintln!("  exaflow sample [name]           print a sample config (or list names)");
 }
@@ -464,9 +466,10 @@ fn cmd_reproduce(args: &[String]) -> Result<i32, String> {
             print_help();
             return Ok(0);
         }
-        return usage("reproduce needs one of fig2, fig3, fig4, fig5, table1, table2");
+        return usage("reproduce needs one of fig2, fig3, fig4, fig5, table1, table2, resilience");
     };
-    if matches!(artefact, Artefact::Fig2 | Artefact::Fig3) && args.len() > 1 {
+    let fixed = [Artefact::Fig2, Artefact::Fig3, Artefact::Resilience];
+    if fixed.contains(&artefact) && args.len() > 1 {
         return usage(&format!("{} takes no options", args[0]));
     }
     if args.iter().any(help) {

@@ -1,6 +1,6 @@
-//! The paper's six artefacts, computed and rendered. `exaflow reproduce
-//! <artefact>` prints [`Reproduced::text`] and writes [`Reproduced::json`];
-//! the golden tests call the same functions.
+//! The paper's six artefacts and one extension, computed and rendered.
+//! `exaflow reproduce <artefact>` prints [`Reproduced::text`] and writes
+//! [`Reproduced::json`]; the golden tests call the same functions.
 //!
 //! | artefact | contents |
 //! |----------|----------|
@@ -10,6 +10,7 @@
 //! | `fig3`   | the four uplink-density connection rules |
 //! | `fig4`   | normalised execution time, heavy workloads |
 //! | `fig5`   | normalised execution time, light workloads |
+//! | `resilience` | slowdown as random cables fail (an extension) |
 //!
 //! Figures 4 and 5 are one [`ExperimentSuite`] each: the expander crosses
 //! the figure's workloads with [`presets::figure_topologies`], the suite
@@ -19,7 +20,7 @@
 //! count.
 
 use crate::analyze::{analyze_distances, SourceBudget};
-use crate::experiment::{ExperimentConfig, ExperimentResult, MappingSpec};
+use crate::experiment::{ExperimentConfig, ExperimentResult, FailureSpec, MappingSpec};
 use crate::presets;
 use crate::scale::SystemScale;
 use crate::suite::ExperimentSuite;
@@ -45,17 +46,19 @@ pub enum Artefact {
     Fig5,
     Table1,
     Table2,
+    Resilience,
 }
 
 impl Artefact {
     /// Every artefact with its command-line name.
-    const ALL: [(&'static str, Artefact); 6] = [
+    const ALL: [(&'static str, Artefact); 7] = [
         ("fig2", Artefact::Fig2),
         ("fig3", Artefact::Fig3),
         ("fig4", Artefact::Fig4),
         ("fig5", Artefact::Fig5),
         ("table1", Artefact::Table1),
         ("table2", Artefact::Table2),
+        ("resilience", Artefact::Resilience),
     ];
 
     /// The artefact called `name` on the command line.
@@ -66,7 +69,7 @@ impl Artefact {
     /// The scale to run at when none is given: the tables analyse the
     /// paper's own [`SystemScale::PAPER`], the figures simulate at
     /// [`SystemScale::DEFAULT_SIM`]. Figures 2 and 3 draw fixed instances
-    /// and ignore it.
+    /// and the resilience table runs a fixed one; they ignore it.
     pub fn default_scale(self) -> SystemScale {
         match self {
             Artefact::Table1 | Artefact::Table2 => SystemScale::PAPER,
@@ -79,7 +82,8 @@ impl Artefact {
 pub struct Reproduced {
     /// The text printed on stdout, without its final newline.
     pub text: String,
-    /// Pretty-printed results for `--json`; Figures 2 and 3 have none.
+    /// Pretty-printed results for `--json`; Figures 2 and 3 and the
+    /// resilience table have none.
     pub json: Option<String>,
     /// Further files, as (relative path, contents): Figure 2's drawings.
     pub files: Vec<(String, String)>,
@@ -96,6 +100,7 @@ pub fn reproduce(
     let (text, json) = match artefact {
         Artefact::Fig2 => return Ok(fig2()),
         Artefact::Fig3 => (fig3(), None),
+        Artefact::Resilience => (resilience(all_cores())?, None),
         Artefact::Fig4 | Artefact::Fig5 => {
             let workloads = if artefact == Artefact::Fig4 {
                 presets::heavy_workloads(scale)
@@ -447,6 +452,60 @@ fn fig2() -> Reproduced {
         json: None,
         files,
     }
+}
+
+/// Slowdown as random cables fail, an extension from the paper's
+/// future-work list: the heavy UnstructuredApp workload at 512 QFDBs on
+/// the fattree, a fattree-topped hybrid and the torus, with 0, 4, 16 and
+/// 64 duplex cables cut for the whole run, each row normalised to its
+/// healthy run. One suite on `threads` workers.
+fn resilience(threads: usize) -> Result<String, String> {
+    const FAILED: [usize; 4] = [0, 4, 16, 64];
+    let scale = SystemScale::new(512)?;
+    let workload = WorkloadSpec::UnstructuredApp {
+        tasks: 512,
+        flows_per_task: 2,
+        bytes: 1 << 20,
+        seed: 21,
+    };
+    let topologies = [
+        scale.fattree_spec(),
+        scale.nested_spec(UpperTierKind::Fattree, 2, 2)?,
+        scale.torus_spec(),
+    ];
+    let configs = topologies
+        .iter()
+        .flat_map(|topology| {
+            FAILED.map(|count| ExperimentConfig {
+                topology: topology.clone(),
+                workload: workload.clone(),
+                mapping: MappingSpec::Linear,
+                sim: SimConfig::default(),
+                failures: (count > 0).then_some(FailureSpec { count, seed: 5 }),
+                fault_injection: None,
+            })
+        })
+        .collect();
+    let results: Vec<ExperimentResult> = ExperimentSuite::new(configs)
+        .threads(threads)
+        .run()
+        .results
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.to_string())?;
+    let mut text = String::from("slowdown vs healthy network as random cables fail\n");
+    write!(text, "{:<28}", "topology").unwrap();
+    for count in FAILED {
+        write!(text, " {:>8}", format!("{count} fail")).unwrap();
+    }
+    for (spec, row) in topologies.iter().zip(results.chunks_exact(FAILED.len())) {
+        write!(text, "\n{:<28}", spec.display_name()).unwrap();
+        let healthy = row[0].makespan_seconds;
+        for r in row {
+            write!(text, " {:>8.3}", r.makespan_seconds / healthy).unwrap();
+        }
+    }
+    Ok(text)
 }
 
 /// Figure 3: the four uplink-density connection rules over a 2×2×2

@@ -17,8 +17,7 @@
 //! 3. With nothing transferring, the workload is done.
 //! 4. `check_limits`, then `recompute` the max-min rates in the solver:
 //!    one event. The active set does not hold them yet. The solver's settle
-//!    has let go of every path no flow is on, which the path table records
-//!    as released.
+//!    has let go of every path no flow is on.
 //! 5. `earliest_completion`: one walk over the active set copies each
 //!    flow's rate from the solver, caches its time to completion and finds
 //!    the earliest.
@@ -27,8 +26,9 @@
 //!    the active set once more, flagging each flow that finishes within
 //!    `batch_epsilon`, gathering its index and advancing it in the same
 //!    visit, then retires the flows at the gathered indices.
-//!    `sweep_paths` frees the released paths once they outnumber the live
-//!    ones in hops, and `activate_ready` activates what the batch released.
+//!    `sweep_paths` frees the paths the solver let go of once they
+//!    outnumber the live ones in hops, and `activate_ready` activates what
+//!    the batch released.
 //!
 //! So an event walks the whole active set twice, once in step 5 and once
 //! in step 6; retiring the batch visits only its own indices.
@@ -37,8 +37,8 @@
 //! transfer state (rate, bits left, time to completion), a retired flow
 //! leaves only its `RETIRED` mark, and a route lives in the path table and
 //! the memo only while flows use it, plus until the sweep after the settle
-//! that releases it. The DAG and the successor lists are the only per-flow
-//! state held for the whole run.
+//! that lets go of it. The DAG and the successor lists are the only
+//! per-flow state held for the whole run.
 //!
 //! Invariants the steps rely on:
 //!
@@ -48,9 +48,13 @@
 //!   one failure epoch: every applied transition, down or up, clears it.
 //!   A sweep drops the pairs of the paths it frees, so every memoised id is
 //!   in the table.
-//! * The path table frees an id only after a settle has freed its solver
-//!   entry, so the solver never holds a freed id. Rates depend on path
-//!   contents and weights, never on ids, so reusing an id moves no bit.
+//! * A flow's [`PathId`] is its solver entry: admit, reroute, skip and
+//!   retire each move the entry's weight, and the solver alone knows which
+//!   paths are in use. A sweep keeps every id the solver holds (a flow is
+//!   on it, or its last flow left after the last settle), so it frees no
+//!   id the solver has linked or logged, and the solver starts a reused id
+//!   as a new entry. Rates depend on path contents and weights, never on
+//!   ids, so reusing an id moves no bit.
 //! * The active set is one `Vec<Active>` and every removal is a
 //!   `swap_remove`, so its order, and with it the order of rates, trace
 //!   events and float sums, is fixed by the event sequence.
@@ -185,14 +189,19 @@ impl Default for SimConfig {
 /// Unvalidated mirror of [`SimConfig`] carrying the derive-generated field
 /// logic; the manual `Deserialize` below funnels it through
 /// [`SimConfig::validate`] so malformed JSON surfaces as a config error.
+/// A key left out takes [`SimConfig::default`]'s value, as an absent `sim`
+/// block does; a key present with the wrong type is still an error.
 /// The two head-latency keys of the deleted latency model stay here only
 /// to guard the boundary: files written before its removal carry them as
 /// `0.0`, which loads, and any other value is rejected rather than ignored,
 /// since ignoring it would report times the config did not ask for.
 #[derive(Deserialize)]
 struct SimConfigUnchecked {
+    #[serde(default = "default_injection_bps")]
     injection_bps: f64,
+    #[serde(default = "default_ejection_bps")]
     ejection_bps: f64,
+    #[serde(default = "default_batch_epsilon")]
     batch_epsilon: f64,
     #[serde(default)]
     per_hop_latency_s: f64,
@@ -206,6 +215,18 @@ struct SimConfigUnchecked {
     max_events: Option<u64>,
     #[serde(default)]
     max_wall_s: Option<f64>,
+}
+
+fn default_injection_bps() -> f64 {
+    SimConfig::default().injection_bps
+}
+
+fn default_ejection_bps() -> f64 {
+    SimConfig::default().ejection_bps
+}
+
+fn default_batch_epsilon() -> f64 {
+    SimConfig::default().batch_epsilon
 }
 
 impl serde::de::Deserialize for SimConfig {
@@ -397,9 +418,8 @@ struct Active {
     /// [`RunState::earliest_completion`].
     t: f64,
     id: u32,
+    /// The flow's path, which is also its solver entry.
     path: PathId,
-    /// Solver entry id.
-    entry: u32,
     /// In the completion batch; set before the batch advances time.
     done: bool,
 }
@@ -436,8 +456,9 @@ struct RunState<'r> {
     policy: RecoveryPolicy,
     trace: Tracer<'r>,
     solver: MaxMinSolver,
-    /// The routes of the active set, interned once and counted per flow;
-    /// the route memo, the active set and the solver all hold ids into it.
+    /// The routes of the active set, interned once; the route memo, the
+    /// active set and the solver all hold ids into it, and the solver's
+    /// entries are those ids.
     paths: PathTable,
     /// `(src, dst) -> path` under the current down set: cleared by every
     /// applied fault transition, so a hit is what a fresh lookup returns,
@@ -628,10 +649,9 @@ impl<'r> RunState<'r> {
                 if restarted {
                     a.left = bytes as f64 * 8.0;
                 }
-                self.solver.remove_entry(a.entry);
-                a.entry = self.solver.insert_entry(&self.paths, path);
-                self.paths.acquire(path);
-                self.paths.release(std::mem::replace(&mut a.path, path));
+                self.solver.remove_entry(&self.paths, a.path);
+                self.solver.insert_entry(&self.paths, path);
+                a.path = path;
                 Ok(false)
             }
             Err(SimError::Unreachable { .. })
@@ -639,8 +659,7 @@ impl<'r> RunState<'r> {
             {
                 self.skip(f);
                 let a = self.active.swap_remove(i);
-                self.solver.remove_entry(a.entry);
-                self.paths.release(a.path);
+                self.solver.remove_entry(&self.paths, a.path);
                 Ok(true)
             }
             Err(e) => Err(e),
@@ -730,14 +749,13 @@ impl<'r> RunState<'r> {
                 path: self.paths.get(path).to_vec(),
             },
         );
-        self.paths.acquire(path);
+        self.solver.insert_entry(&self.paths, path);
         self.active.push(Active {
             rate: 0.0,
             left: self.dag.flow(FlowId(f)).bytes as f64 * 8.0,
             t: f64::INFINITY,
             id: f,
             path,
-            entry: self.solver.insert_entry(&self.paths, path),
             done: false,
         });
     }
@@ -822,16 +840,15 @@ impl<'r> RunState<'r> {
         (((total_bits - outstanding_bits) / 8.0).max(0.0)) as u64
     }
 
-    /// Settle the solver and bring its rates up to date. The settle frees
-    /// the entry of every path no flow is on, so the path table releases
-    /// those paths. A traced run also times and counts the recompute and
-    /// emits the rates, read from the solver: the active set takes them in
+    /// Settle the solver and bring its rates up to date. The settle lets
+    /// go of every path no flow is on, which the next sweep may free. A
+    /// traced run also times and counts the recompute and emits the rates,
+    /// read from the solver: the active set takes them in
     /// [`RunState::earliest_completion`].
     fn recompute(&mut self) {
         let solve_start = self.trace.metrics.is_some().then(Instant::now);
         let passes = self.solver.rate_recomputes;
         self.solver.recompute(&self.paths);
-        self.paths.settled();
         let (Some(start), Some(m)) = (solve_start, self.trace.metrics.as_mut()) else {
             return;
         };
@@ -847,7 +864,7 @@ impl<'r> RunState<'r> {
                 rates_bps: self
                     .active
                     .iter()
-                    .map(|a| solver.entry_rate(a.entry))
+                    .map(|a| solver.entry_rate(a.path))
                     .collect(),
                 entries_solved: solver.last_pass_entries,
                 full_pass,
@@ -855,19 +872,21 @@ impl<'r> RunState<'r> {
         }
     }
 
-    /// Once released hops outnumber live ones, free the released paths and
-    /// drop their pairs from the route memo. A path is released once a
-    /// solver settle has run since its last flow left, and that settle
-    /// freed its entry, so nothing else holds a freed id. A pair whose path
-    /// survives keeps its memo hit. The solver compacts the incidence
-    /// lists of the freed paths' resources at the same time.
+    /// Once the solver asks (the table's unlinked hops outnumber the
+    /// live ones), free every path the solver does not hold and drop its
+    /// pair from the route memo. The solver lets go of a path at the first
+    /// settle after its last flow left, so nothing else holds a freed id. A
+    /// pair whose path survives keeps its memo hit. The solver compacts the
+    /// incidence lists of the freed paths' resources at the same time.
     fn sweep_paths(&mut self) {
-        if !self.paths.wants_sweep() {
+        if !self.solver.wants_sweep(&self.paths) {
             return;
         }
         let (sim, solver, routes) = (self.sim, &mut self.solver, &mut self.routes);
         self.paths.sweep(|path, hops| {
-            debug_assert!(!solver.has_entry(path), "freed {path:?} has a solver entry");
+            if solver.holds(path) {
+                return true;
+            }
             solver.compact(hops);
             // A fault transition may have cleared the memo since, and the
             // pair may have been routed anew.
@@ -876,6 +895,7 @@ impl<'r> RunState<'r> {
                     memo.remove();
                 }
             }
+            false
         });
     }
 
@@ -884,7 +904,7 @@ impl<'r> RunState<'r> {
     fn earliest_completion(&mut self) -> Result<f64, SimError> {
         let mut dt = f64::INFINITY;
         for a in &mut self.active {
-            a.rate = self.solver.entry_rate(a.entry);
+            a.rate = self.solver.entry_rate(a.path);
             a.t = a.left / a.rate;
             if a.t < dt {
                 dt = a.t;
@@ -956,8 +976,7 @@ impl<'r> RunState<'r> {
                 let ev = || TraceEvent::FlowFinished { t: now, flow: a.id };
                 self.trace.emit(|m| &mut m.flows_finished, ev);
                 self.retire(a.id);
-                self.solver.remove_entry(a.entry);
-                self.paths.release(a.path);
+                self.solver.remove_entry(&self.paths, a.path);
                 self.active.swap_remove(i);
             }
         }

@@ -28,12 +28,13 @@
 //!   against [`trace_check::textbook_maxmin`] by the equivalence suites).
 //! * **One path table per run** ([`paths`]): a route is interned by content
 //!   when first built; the route memo, the active set and the solver hold
-//!   its [`PathId`]. Between events the engine only moves entry weights,
-//!   which the solver settles at the next recompute — a completion batch
-//!   that re-issues the paths it retired costs no water-fill. The table
-//!   counts the active flows per path and frees the paths that settle let
-//!   go of once they outnumber the live ones, so its memory, like the
-//!   active set's transfer state, follows the flows in flight, not the run.
+//!   its [`PathId`], which is also the path's solver entry. Between events
+//!   the engine only moves entry weights, which the solver settles at the
+//!   next recompute — a completion batch that re-issues the paths it
+//!   retired costs no water-fill. The solver's weights are the one record
+//!   of which paths are in use: the table frees the paths a settle let go
+//!   of once they outnumber the live ones, so its memory, like the active
+//!   set's transfer state, follows the flows in flight, not the run.
 //! * **Batched completions** ([`engine`]): all flows finishing within a
 //!   relative `epsilon` of the earliest completion are retired in one event,
 //!   so symmetric workloads (collectives, stencils) advance in a handful of

@@ -30,8 +30,9 @@
 //! merged with the freeze log of the pass before so that it costs only the
 //! rounds and resources the change reaches ("Merge replay"). Identical
 //! paths — equal [`PathId`]s of the run's [`PathTable`], which interns by
-//! content — share one weighted entry. [`MaxMinSolver::solve`] is the
-//! one-shot form: insert every path, one pass.
+//! content — share one weighted entry, named by that id.
+//! [`MaxMinSolver::solve`] is the one-shot form: insert every path, one
+//! pass.
 //!
 //! Rates are **bit-identical** to textbook progressive filling over the
 //! same flow set ([`crate::trace_check::textbook_maxmin`], the reference
@@ -42,13 +43,14 @@
 //!
 //! # Deferred settle
 //!
-//! An entry *is* an interned path ([`PathId`] of the run's [`PathTable`])
-//! with a weight, and everything the engine tells the solver between two
+//! An entry *is* an interned path: entry `e` is [`PathId`]`(e)` of the
+//! run's [`PathTable`], with a weight, and every per-entry array is
+//! indexed by path id. Everything the engine tells the solver between two
 //! recomputes is a weight delta: `insert_entry` / `remove_entry` bump
 //! `ent_weight` and list the entry once in `changed` — O(1), no per-hop
-//! work, no hashing (the coalescing index is a dense array over path ids).
-//! The next recompute opens with a *settle* pass over `changed`, comparing
-//! each weight with `ent_solved`, the weight the previous settle left:
+//! work, no hashing. The next recompute opens with a *settle* pass over
+//! `changed`, comparing each weight with `ent_solved`, the weight the
+//! previous settle left:
 //!
 //! * equal and non-zero — the entry was retired and re-issued (the
 //!   paper's iterative workloads re-issue the endpoint pairs of a round in
@@ -57,25 +59,34 @@
 //! * different — the resources of its path are tainted exactly as an
 //!   eager insert/remove would have; an entry no settle has seen is linked
 //!   into the incidence lists, an entry at zero is unlinked (per touched
-//!   resource, with one `retain`) and its id freed.
-//! * both zero — inserted and removed again unseen: the id is freed and
-//!   nothing is tainted, since the incidence never knew it.
+//!   resource, with one `retain`).
+//! * both zero — inserted and removed again unseen: nothing is tainted,
+//!   since the incidence never knew it.
 //!
-//! A weight-zero entry stays in the coalescing index until the settle that
-//! frees it, so a flow re-issuing its path *resurrects* it: same id, rate
-//! intact. A recompute whose tainted resources host no entry any more —
-//! pure departures — runs no pass either: no remaining flow crosses what
-//! changed, so every rate and every other logged round stands.
+//! The solver *holds* a path while a flow is on it or a change to its
+//! weight awaits the settle; this one record is what the path table's
+//! sweep keeps. A retired entry is held until the settle, so a flow
+//! re-issuing its path *resurrects* it: same id, rate intact. After the
+//! settle a path at zero is neither linked nor logged, and a sweep may
+//! free its id and the table reuse it for other content; the next insert
+//! of an id the solver does not hold starts a new entry (`ent_round` =
+//! `NO_ROUND`, `ent_rate` −1, or ∞ for an empty path). The settle counts
+//! the hops it links and unlinks, and insert/remove the hops of the paths
+//! with a flow on them; the engine sweeps when the table's hops no settle
+//! linked outnumber those. A recompute whose tainted resources host no
+//! entry any more — pure departures — runs no pass either: no remaining
+//! flow crosses what changed, so every rate and every other logged round
+//! stands.
 //!
 //! Eliding a pass is **bit-identical** to running it. Max-min rates are a
 //! function of the multiset of (path, weight), as heap ties break by
 //! resource id and the order of subtractions within a round is irrelevant.
 //! Every entry whose weight *did* change taints its resources exactly as
 //! at insert/remove time (a net change through zero, 1 → 0 → 2, is a
-//! change), and ids are recycled only at settle, as their paths are
-//! tainted, so a recycled id's stale logged round is never replayed. Only
-//! the effort counters (`iterations`, `rate_recomputes`) differ from eager
-//! maintenance, and only downward.
+//! change), and an id is reused only once a settle has let go of it, as
+//! its path is tainted, and starts afresh, so a reused id's stale logged
+//! round is never replayed. Only the effort counters (`iterations`,
+//! `rate_recomputes`) differ from eager maintenance, and only downward.
 //!
 //! # Merge replay
 //!
@@ -97,8 +108,8 @@
 //! tainted, and keeps the invariant that **a frozen entry's `ent_rate` is
 //! the share of the logged round that froze it**.
 //!
-//! * *Taint set.* Seeded with every resource on a path whose settled
-//!   weight changed since the last pass; it grows during the pass.
+//! * *Taint set.* Seeded with every resource on a path whose weight the
+//!   settle found changed since the last pass; it grows during the pass.
 //! * *Materialisation.* A resource gets `count`/`remaining` when it is
 //!   first tainted, never before: `count` is the weight of its entries not
 //!   yet frozen this pass, `remaining` its capacity less the share of each
@@ -165,11 +176,6 @@ use crate::error::SimError;
 use crate::paths::{PathId, PathTable};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// `ent_path` of a slot on the free list.
-const FREE: PathId = PathId(u32::MAX);
-/// `entry_of_path` of a path no entry stands for.
-const NO_ENTRY: u32 = u32::MAX;
 
 /// A bottleneck key, `(clamped share, resource id)` as one integer that
 /// sorts in pop order: smaller share first, ties to the smaller id. A share
@@ -686,12 +692,11 @@ pub struct MaxMinSolver {
     /// the last recompute found nothing to do.
     pub last_pass_entries: u64,
     // ---- incremental entry store (see module docs) ----
-    // Slot `e` is allocated iff `ent_path[e] != FREE`; freed slots recycle
-    // through `free_ents`. An entry is an interned path with a weight: it
-    // stands for `ent_weight[e]` flows sharing that path. Inserts and
-    // removals only move the weight; `settle` (module docs, "Deferred
-    // settle") reconciles everything else at the next recompute.
-    ent_path: Vec<PathId>,
+    // Entry `e` is path `PathId(e)` of the run's table, and every `ent_*`
+    // array is indexed by path id. The entry stands for `ent_weight[e]`
+    // flows on that path. Inserts and removals only move the weight;
+    // `settle` (module docs, "Deferred settle") reconciles everything else
+    // at the next recompute.
     ent_weight: Vec<u32>,
     /// The weight the last settle left the entry with — what `res_entries`
     /// and every rate reflect. Zero for an entry no settle has seen yet.
@@ -705,18 +710,17 @@ pub struct MaxMinSolver {
     /// of the pass stamped it in `ent_mark` or its round's slot is behind
     /// the merge.
     ent_round: Vec<u32>,
-    free_ents: Vec<u32>,
-    /// Entries with `ent_weight > 0`.
+    /// Entries with `ent_weight > 0`, and the hops of their paths.
     live_entries: usize,
+    live_hops: usize,
+    /// Hops of the paths of the linked entries (`ent_solved > 0`), moved
+    /// where the settle links and unlinks.
+    linked_hops: usize,
     /// Entries inserted into or removed from since the last settle, each
     /// listed once (`ent_changed` is the membership flag).
     changed: Vec<u32>,
     ent_changed: Vec<bool>,
-    /// Coalescing index: path id -> entry id or `NO_ENTRY`. Outlives a
-    /// weight of zero until the settle that frees the entry, so a re-issued
-    /// path finds its entry again.
-    entry_of_path: Vec<u32>,
-    /// Persistent incidence: resource -> settled entries crossing it, one
+    /// Persistent incidence: resource -> linked entries crossing it, one
     /// occurrence per occurrence of the resource on the entry's path.
     res_entries: Vec<Vec<u32>>,
     /// Settle scratch: resources that host an entry being unlinked, and
@@ -780,16 +784,15 @@ impl MaxMinSolver {
             visited_rounds: 0,
             materialised_resources: 0,
             last_pass_entries: 0,
-            ent_path: Vec::new(),
             ent_weight: Vec::new(),
             ent_solved: Vec::new(),
             ent_rate: Vec::new(),
             ent_round: Vec::new(),
-            free_ents: Vec::new(),
             live_entries: 0,
+            live_hops: 0,
+            linked_hops: 0,
             changed: Vec::new(),
             ent_changed: Vec::new(),
-            entry_of_path: Vec::new(),
             res_entries: vec![Vec::new(); r],
             unlink_res: Vec::new(),
             res_mark: vec![0; r],
@@ -822,19 +825,20 @@ impl MaxMinSolver {
     pub fn solve<P: AsRef<[u32]>>(&mut self, paths: &[P], rates: &mut [f64]) {
         assert!(rates.len() >= paths.len());
         let mut table = PathTable::new();
-        let ids: Vec<u32> = paths
+        let ids: Vec<PathId> = paths
             .iter()
             .map(|p| {
                 let path = table.intern(p.as_ref());
-                self.insert_entry(&table, path)
+                self.insert_entry(&table, path);
+                path
             })
             .collect();
         self.recompute(&table);
-        for (rate, &e) in rates.iter_mut().zip(&ids) {
-            *rate = self.entry_rate(e);
+        for (rate, &path) in rates.iter_mut().zip(&ids) {
+            *rate = self.entry_rate(path);
         }
-        for &e in &ids {
-            self.remove_entry(e);
+        for &path in &ids {
+            self.remove_entry(&table, path);
         }
         // Unlink now, while the table the entries index is still alive.
         self.settle(&table);
@@ -843,79 +847,61 @@ impl MaxMinSolver {
     // ---- incremental entry API ----
 
     /// Register one flow crossing `path` (an id of `paths`). A flow whose
-    /// path already has an entry joins it (weight + 1) and the same id is
-    /// returned; every [`MaxMinSolver::remove_entry`] of that id sheds one
-    /// unit of weight.
+    /// path already has an entry joins it (weight + 1); every
+    /// [`MaxMinSolver::remove_entry`] of the path sheds one unit of weight.
     /// O(1): the incidence lists are brought up to date by the next
     /// recompute, after which the rate is available from
     /// [`MaxMinSolver::entry_rate`] (an empty path is unconstrained and
     /// rated `INFINITY` immediately).
     ///
-    /// An entry retired since the last recompute is still indexed: a flow
-    /// re-issuing its path gets the same id back, rate intact, and if the
-    /// weight ends up where the last recompute left it the next one has
-    /// nothing to do for it. Such a resurrection is not a coalesced flow —
+    /// An entry retired since the last recompute is still held: a flow
+    /// re-issuing its path finds it, rate intact, and if the weight ends up
+    /// where the last recompute left it the next one has nothing to do for
+    /// it. Such a resurrection is not a coalesced flow —
     /// [`MaxMinSolver::flows_coalesced`] counts joins of a weight > 0 only.
-    pub fn insert_entry(&mut self, paths: &PathTable, path: PathId) -> u32 {
-        debug_assert!(paths
-            .get(path)
-            .iter()
-            .all(|&r| (r as usize) < self.capacity.len()));
-        let pi = path.0 as usize;
-        if let Some(&id) = self.entry_of_path.get(pi).filter(|&&id| id != NO_ENTRY) {
-            let ei = id as usize;
-            if self.ent_weight[ei] > 0 {
-                self.flows_coalesced += 1;
-            } else {
-                self.live_entries += 1;
-            }
-            self.ent_weight[ei] += 1;
-            self.mark_changed(id);
-            return id;
+    /// A path the solver does not hold starts a new entry, whatever its id
+    /// stood for before a sweep freed it.
+    pub fn insert_entry(&mut self, paths: &PathTable, path: PathId) {
+        let hops = paths.get(path);
+        debug_assert!(hops.iter().all(|&r| (r as usize) < self.capacity.len()));
+        let e = path.0 as usize;
+        if e >= self.ent_weight.len() {
+            let ids = paths.ids();
+            self.ent_weight.resize(ids, 0);
+            self.ent_solved.resize(ids, 0);
+            self.ent_rate.resize(ids, 0.0);
+            self.ent_round.resize(ids, NO_ROUND);
+            self.ent_changed.resize(ids, false);
+            self.ent_mark.resize(ids, 0);
         }
-        let id = match self.free_ents.pop() {
-            Some(i) => i,
-            None => {
-                self.ent_path.push(FREE);
-                self.ent_weight.push(0);
-                self.ent_solved.push(0);
-                self.ent_rate.push(-1.0);
-                self.ent_round.push(NO_ROUND);
-                self.ent_changed.push(false);
-                self.ent_mark.push(0);
-                (self.ent_path.len() - 1) as u32
-            }
-        };
-        let ei = id as usize;
-        self.ent_path[ei] = path;
-        self.ent_weight[ei] = 1;
-        self.ent_solved[ei] = 0;
-        self.ent_rate[ei] = if paths.get(path).is_empty() {
-            f64::INFINITY
-        } else {
-            -1.0
-        };
-        self.ent_round[ei] = NO_ROUND;
-        if self.entry_of_path.len() <= pi {
-            self.entry_of_path.resize(paths.ids(), NO_ENTRY);
+        if !self.holds(path) {
+            // No settle left it linked (`ent_solved` is 0): a new entry.
+            self.ent_rate[e] = if hops.is_empty() { f64::INFINITY } else { -1.0 };
+            self.ent_round[e] = NO_ROUND;
+        } else if self.ent_weight[e] > 0 {
+            self.flows_coalesced += 1;
         }
-        self.entry_of_path[pi] = id;
-        self.live_entries += 1;
-        self.mark_changed(id);
-        id
+        if self.ent_weight[e] == 0 {
+            self.live_entries += 1;
+            self.live_hops += hops.len();
+        }
+        self.ent_weight[e] += 1;
+        self.mark_changed(path.0);
     }
 
-    /// Remove one flow from entry `id` (one unit of weight). O(1); an
-    /// entry still at weight zero at the next recompute is freed there.
-    pub fn remove_entry(&mut self, id: u32) {
-        let ei = id as usize;
-        self.ent_weight[ei] = self.ent_weight[ei]
+    /// Remove one flow from the entry of `path` (one unit of weight). O(1);
+    /// an entry still at weight zero at the next recompute is let go of
+    /// there.
+    pub fn remove_entry(&mut self, paths: &PathTable, path: PathId) {
+        let e = path.0 as usize;
+        self.ent_weight[e] = self.ent_weight[e]
             .checked_sub(1)
             .expect("remove of a live entry");
-        if self.ent_weight[ei] == 0 {
+        if self.ent_weight[e] == 0 {
             self.live_entries -= 1;
+            self.live_hops -= paths.get(path).len();
         }
-        self.mark_changed(id);
+        self.mark_changed(path.0);
     }
 
     fn mark_changed(&mut self, id: u32) {
@@ -935,26 +921,25 @@ impl MaxMinSolver {
         self.epoch
     }
 
-    /// Reconcile the incidence lists, the coalescing index and the taint
-    /// set with every weight change since the last recompute (module docs,
-    /// "Deferred settle"). An entry back at its settled weight costs one
+    /// Reconcile the incidence lists and the taint set with every weight
+    /// change since the last recompute (module docs, "Deferred settle").
+    /// An entry back at the weight the last settle left costs one
     /// comparison; any other taints the resources of its path, is linked
-    /// if no settle has seen it yet, and is unlinked and freed if it ended
-    /// at zero — per touched resource with one `retain`, so a batch that
-    /// retires k entries sharing a link is O(k), not O(k²).
+    /// if no settle has seen it yet, and is unlinked if it ended at zero —
+    /// per touched resource with one `retain`, so a batch that retires k
+    /// entries sharing a link is O(k), not O(k²). An entry left at zero is
+    /// no longer held.
     fn settle(&mut self, paths: &PathTable) {
         if self.changed.is_empty() {
             return;
         }
         let epoch = self.bump_epoch();
         let MaxMinSolver {
-            ent_path,
             ent_weight,
             ent_solved,
             ent_changed,
             changed,
-            free_ents,
-            entry_of_path,
+            linked_hops,
             res_entries,
             res_mark,
             unlink_res,
@@ -966,40 +951,32 @@ impl MaxMinSolver {
             let ei = e as usize;
             ent_changed[ei] = false;
             let (weight, solved) = (ent_weight[ei], ent_solved[ei]);
-            if weight != solved {
-                let path = paths.get(ent_path[ei]);
+            if weight == solved {
+                continue;
+            }
+            let path = paths.get(PathId(e));
+            for &r in path {
+                if !std::mem::replace(&mut taint_mark[r as usize], true) {
+                    taint_res.push(r);
+                }
+            }
+            if solved == 0 {
+                *linked_hops += path.len();
                 for &r in path {
-                    if !std::mem::replace(&mut taint_mark[r as usize], true) {
-                        taint_res.push(r);
+                    res_entries[r as usize].push(e);
+                }
+            } else if weight == 0 {
+                *linked_hops -= path.len();
+                for &r in path {
+                    if res_mark[r as usize] != epoch {
+                        res_mark[r as usize] = epoch;
+                        unlink_res.push(r);
                     }
                 }
-                if solved == 0 {
-                    for &r in path {
-                        res_entries[r as usize].push(e);
-                    }
-                } else if weight == 0 {
-                    for &r in path {
-                        if res_mark[r as usize] != epoch {
-                            res_mark[r as usize] = epoch;
-                            unlink_res.push(r);
-                        }
-                    }
-                }
-                ent_solved[ei] = weight;
             }
-            if weight == 0 {
-                // Free the slot. A retired entry's id is recycled only
-                // now, as its path is tainted; one inserted and removed
-                // again unseen was never linked or logged.
-                let pi = ent_path[ei].0 as usize;
-                if entry_of_path.get(pi) == Some(&e) {
-                    entry_of_path[pi] = NO_ENTRY;
-                }
-                ent_path[ei] = FREE;
-                free_ents.push(e);
-            }
+            ent_solved[ei] = weight;
         }
-        // Everything listed at weight zero is an entry freed above.
+        // Everything listed at weight zero is an entry unlinked above.
         for r in unlink_res.drain(..) {
             res_entries[r as usize].retain(|&e| ent_weight[e as usize] > 0);
         }
@@ -1092,10 +1069,10 @@ impl MaxMinSolver {
             // never fire.
             self.log.remove(b);
             for i in 0..self.res_entries[b as usize].len() {
-                let ei = self.res_entries[b as usize][i] as usize;
-                if self.ent_round[ei] == b {
-                    self.ent_round[ei] = NO_ROUND;
-                    for &r in paths.get(self.ent_path[ei]) {
+                let e = self.res_entries[b as usize][i];
+                if self.ent_round[e as usize] == b {
+                    self.ent_round[e as usize] = NO_ROUND;
+                    for &r in paths.get(PathId(e)) {
                         self.taint(r, done);
                     }
                 }
@@ -1155,7 +1132,7 @@ impl MaxMinSolver {
                 continue; // already frozen by an earlier bottleneck
             }
             let w = self.ent_weight[ei];
-            for &r2 in paths.get(self.ent_path[ei]) {
+            for &r2 in paths.get(PathId(e)) {
                 let r2i = r2 as usize;
                 if !self.taint_mark[r2i] && self.res_entries[r2i].len() == 1 {
                     // `e` is its only entry and freezes here: no fill state.
@@ -1296,24 +1273,35 @@ impl MaxMinSolver {
         }
     }
 
-    /// The rate of entry `id` as of the last recompute (bits/second). For
-    /// a coalesced entry this is the rate of *each* member flow.
+    /// The rate of the entry of `path` as of the last recompute
+    /// (bits/second). For a coalesced entry this is the rate of *each*
+    /// member flow.
     #[inline]
-    pub fn entry_rate(&self, id: u32) -> f64 {
-        self.ent_rate[id as usize]
+    pub fn entry_rate(&self, path: PathId) -> f64 {
+        self.ent_rate[path.0 as usize]
     }
 
-    /// Number of flows currently represented by entry `id`.
-    pub fn entry_weight(&self, id: u32) -> u32 {
-        self.ent_weight[id as usize]
+    /// Number of flows currently on `path`.
+    pub fn entry_weight(&self, path: PathId) -> u32 {
+        self.ent_weight[path.0 as usize]
     }
 
-    /// Whether an entry, at any weight, stands for `path`: false for every
-    /// path whose flows have all left, once a recompute has settled.
-    pub(crate) fn has_entry(&self, path: PathId) -> bool {
-        self.entry_of_path
-            .get(path.0 as usize)
-            .is_some_and(|&e| e != NO_ENTRY)
+    /// Whether the solver holds `path`: a flow is on it, or a change to its
+    /// weight awaits the next settle. A path the solver does not hold is
+    /// neither linked nor logged, so a sweep may free its id.
+    pub fn holds(&self, path: PathId) -> bool {
+        let e = path.0 as usize;
+        self.ent_weight.get(e).is_some_and(|&w| w > 0)
+            || self.ent_changed.get(e).is_some_and(|&c| c)
+    }
+
+    /// Whether the path table's hops that no settle left linked outnumber
+    /// the hops of the paths flows are on, so that a sweep frees more than
+    /// it keeps of what is in use. Right after a settle and the removals
+    /// that follow it, as the engine asks, the unlinked hops are exactly
+    /// those of the paths the solver no longer holds: what a sweep frees.
+    pub(crate) fn wants_sweep(&self, paths: &PathTable) -> bool {
+        paths.hops() - self.linked_hops > self.live_hops
     }
 
     /// Shrink the incidence lists of `resources` (a freed path's hops) that
@@ -1330,8 +1318,8 @@ impl MaxMinSolver {
         }
     }
 
-    /// Number of entries with a weight above zero right now (settled or
-    /// not).
+    /// Number of entries with a weight above zero right now, whether a
+    /// settle has seen them yet or not.
     pub fn live_entries(&self) -> usize {
         self.live_entries
     }
@@ -1343,9 +1331,33 @@ mod tests {
     use crate::trace_check::textbook_maxmin;
 
     /// Intern `path` and register one flow on it.
-    fn insert(s: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> u32 {
+    fn insert(s: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> PathId {
         let id = table.intern(path);
-        s.insert_entry(table, id)
+        s.insert_entry(table, id);
+        id
+    }
+
+    /// Record that `id` holds `path` now, in `contents` by id; true if it
+    /// held other content before, which a sweep must have freed.
+    fn reused(contents: &mut Vec<Option<Vec<u32>>>, id: PathId, path: &[u32]) -> bool {
+        let i = id.0 as usize;
+        if contents.len() <= i {
+            contents.resize(i + 1, None);
+        }
+        let old = contents[i].replace(path.to_vec());
+        old.is_some_and(|old| old != path)
+    }
+
+    /// Free every path of `table` that `s` does not hold, as the engine's
+    /// sweep does.
+    fn sweep(s: &mut MaxMinSolver, table: &mut PathTable) {
+        table.sweep(|path, hops| {
+            let keep = s.holds(path);
+            if !keep {
+                s.compact(hops);
+            }
+            keep
+        });
     }
 
     /// Deterministic xorshift64* for structured-random path sets.
@@ -1358,13 +1370,19 @@ mod tests {
 
     /// A solver held after every recompute to textbook progressive filling
     /// over its live flows: bit-equal rates, and as many freeze rounds as
-    /// the textbook counts whenever a pass ran.
+    /// the textbook counts whenever a pass ran. Its table is swept after
+    /// every removal, more often than the engine's trigger would, which at
+    /// these sizes rarely fires: so freed ids come back with new contents.
     struct Twin {
         table: PathTable,
         caps: Vec<f64>,
         fast: MaxMinSolver,
         /// One `(entry, path)` per live flow.
-        live: Vec<(u32, Vec<u32>)>,
+        live: Vec<(PathId, Vec<u32>)>,
+        /// Per id, the last path inserted under it; and how many inserts
+        /// found an id with other content before.
+        contents: Vec<Option<Vec<u32>>>,
+        reused: u64,
     }
 
     impl Twin {
@@ -1374,19 +1392,27 @@ mod tests {
                 caps: caps.to_vec(),
                 fast: MaxMinSolver::new(caps.to_vec()).unwrap(),
                 live: Vec::new(),
+                contents: Vec::new(),
+                reused: 0,
             }
         }
 
-        fn insert(&mut self, path: &[u32]) -> u32 {
+        fn insert(&mut self, path: &[u32]) -> PathId {
             let id = insert(&mut self.fast, &mut self.table, path);
+            self.reused += u64::from(reused(&mut self.contents, id, path));
             self.live.push((id, path.to_vec()));
             id
         }
 
-        fn remove(&mut self, id: u32) {
-            self.fast.remove_entry(id);
+        fn remove(&mut self, id: PathId) {
+            self.fast.remove_entry(&self.table, id);
             let i = self.live.iter().position(|&(e, _)| e == id).unwrap();
             self.live.swap_remove(i);
+            self.sweep();
+        }
+
+        fn sweep(&mut self) {
+            sweep(&mut self.fast, &mut self.table);
         }
 
         /// Recompute and check; returns the rounds the pass visited.
@@ -1400,18 +1426,18 @@ mod tests {
                 assert_eq!(s.iterations - before.1, rounds);
             }
             for (&(e, _), want) in self.live.iter().zip(&rates) {
-                assert_eq!(s.entry_rate(e).to_bits(), want.to_bits(), "entry {e}");
+                assert_eq!(s.entry_rate(e).to_bits(), want.to_bits(), "entry {e:?}");
             }
             s.visited_rounds - before.0
         }
 
-        fn max_rate_entry(&self) -> u32 {
+        fn max_rate_entry(&self) -> PathId {
             self.live
                 .iter()
                 .map(|&(e, _)| e)
                 .max_by(|&a, &b| {
                     let (ra, rb) = (self.fast.entry_rate(a), self.fast.entry_rate(b));
-                    ra.partial_cmp(&rb).unwrap().then(b.cmp(&a))
+                    ra.partial_cmp(&rb).unwrap().then(b.0.cmp(&a.0))
                 })
                 .unwrap()
         }
@@ -1419,7 +1445,7 @@ mod tests {
 
     /// Chain of three bottlenecks freezing at 5, 15 and 25: rounds
     /// `(5, r0, [A, B])`, `(15, r1, [C])`, `(25, r2, [D])`.
-    fn chain() -> (Twin, [u32; 4]) {
+    fn chain() -> (Twin, [PathId; 4]) {
         let mut t = Twin::new(&[10.0, 20.0, 40.0, 1.0]);
         let ids = [
             t.insert(&[0]),
@@ -1497,17 +1523,14 @@ mod tests {
         let b = t.insert(&[1]);
         t.insert(&[2]);
         t.recompute();
-        // The id is freed by the settle of the next recompute — the round
-        // of resource 1 at share 20 is skipped there, and dropped from the
-        // log — and comes back afterwards for a different path.
+        // The settle of the next recompute lets go of the id — the round of
+        // resource 1 at share 20 is skipped there, and dropped from the log
+        // — and a sweep frees it for a different path.
         t.remove(b);
-        assert_ne!(
-            t.insert(&[3]),
-            b,
-            "ids are recycled at settle, not at remove"
-        );
+        assert_ne!(t.insert(&[3]), b, "ids are reused after a sweep only");
         assert_eq!(t.recompute(), 2);
         assert_eq!(logged_bottlenecks(&t.fast), [0, 2, 3]);
+        t.sweep();
         assert_eq!(t.insert(&[1, 3]), b);
         // (10, r0) and (30, r2) are jumped; the heap pops r1 and r3 at 20
         // = 40 / 2 in between, and the stale round of r3 is dropped.
@@ -1759,7 +1782,7 @@ mod tests {
         let before = (s.rate_recomputes, s.iterations, s.entry_rate(a).to_bits());
         assert_eq!(f64::from_bits(before.2), 4.0);
 
-        s.remove_entry(a);
+        s.remove_entry(&table, a);
         assert_eq!(s.live_entries(), 1, "counts weight > 0 at call time");
         assert_eq!(insert(&mut s, &mut table, &[0, 1]), a);
         assert_eq!(s.flows_coalesced, 0, "a resurrection is not a join");
@@ -1773,39 +1796,70 @@ mod tests {
     }
 
     /// The path table may free a path its flows have left once a settle
-    /// has run: the settle freed the path's entry, so the solver holds no
-    /// freed id, and the id, reused for another path, starts a new entry.
+    /// has run: the settle unlinked the path's entry, so the solver no
+    /// longer holds it, and the id, reused for another path, starts a new
+    /// entry.
     #[test]
     fn a_settle_lets_go_of_the_paths_the_sweep_frees() {
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![9.0, 4.0, 6.0]).unwrap();
-        let [long, short] = [&[0, 1, 2][..], &[0]].map(|p| {
-            let path = table.intern(p);
-            table.acquire(path);
-            (path, s.insert_entry(&table, path))
-        });
+        let long = insert(&mut s, &mut table, &[0, 1, 2]);
+        let short = insert(&mut s, &mut table, &[0]);
         s.recompute(&table);
-        table.settled();
-        s.remove_entry(long.1);
-        table.release(long.0);
-        assert!(s.has_entry(long.0), "re-issuable until the settle");
+        s.remove_entry(&table, long);
+        assert!(s.holds(long), "re-issuable until the settle");
+        assert!(!s.wants_sweep(&table));
         s.recompute(&table);
-        assert!(!s.has_entry(long.0));
-        table.settled();
-        assert!(table.wants_sweep());
+        assert!(!s.holds(long));
+        assert!(s.wants_sweep(&table), "3 unlinked hops against 1 live one");
         let mut freed = Vec::new();
         table.sweep(|path, hops| {
-            assert!(!s.has_entry(path), "{path:?}");
-            assert_eq!(hops, [0, 1, 2]);
-            freed.push(path);
+            let keep = s.holds(path);
+            if !keep {
+                assert_eq!(hops, [0, 1, 2]);
+                freed.push(path);
+            }
+            keep
         });
-        assert_eq!(freed, [long.0]);
+        assert_eq!(freed, [long]);
+        assert!(!s.wants_sweep(&table));
         let reused = table.intern(&[1, 2]);
-        assert_eq!(reused, long.0);
-        let e = s.insert_entry(&table, reused);
+        assert_eq!(reused, long);
+        s.insert_entry(&table, reused);
         s.recompute(&table);
         let (want, _) = textbook_maxmin(&[9.0, 4.0, 6.0], &[&[0][..], &[1, 2]]);
-        assert_eq!([s.entry_rate(short.1), s.entry_rate(e)], want[..]);
+        assert_eq!([s.entry_rate(short), s.entry_rate(reused)], want[..]);
+    }
+
+    /// An id the table reuses starts exactly where a new entry starts: no
+    /// logged round, and a rate of −1, or ∞ for an empty path, until a
+    /// pass writes one. X froze in r0's round; once its id holds Z = [2],
+    /// r0 logs a round again (for Y). A stale `ent_round` would subscribe
+    /// r2 to that round and leave Z at X's old rate, 10, not 100; a stale
+    /// rate would leave the empty path that takes Y's id at Y's.
+    #[test]
+    fn a_reused_id_starts_where_a_new_entry_starts() {
+        let mut t = Twin::new(&[10.0, 20.0, 100.0]);
+        let x = t.insert(&[0]);
+        t.recompute();
+        t.remove(x);
+        let y = t.insert(&[0, 1]);
+        t.recompute();
+        assert_eq!(logged_bottlenecks(&t.fast), [0]);
+        t.sweep();
+        let z = t.insert(&[2]);
+        assert_eq!(z, x, "the swept id is reused");
+        assert_eq!(t.fast.ent_round[z.0 as usize], NO_ROUND);
+        assert_eq!(t.fast.entry_rate(z), -1.0, "no pass has rated it");
+        t.recompute();
+        assert_eq!(t.fast.entry_rate(z), 100.0);
+        t.remove(y);
+        t.recompute();
+        t.sweep();
+        let empty = t.insert(&[]);
+        assert_eq!(empty, y);
+        assert!(t.fast.entry_rate(empty).is_infinite(), "rated on insert");
+        t.recompute();
     }
 
     #[test]
@@ -1816,7 +1870,7 @@ mod tests {
         s.recompute(&table);
         assert_eq!(s.entry_rate(a), 12.0);
         // 1 -> 0 -> 2: resurrected, then joined.
-        s.remove_entry(a);
+        s.remove_entry(&table, a);
         assert_eq!(insert(&mut s, &mut table, &[0]), a);
         assert_eq!(insert(&mut s, &mut table, &[0]), a);
         assert_eq!(
@@ -1829,7 +1883,7 @@ mod tests {
         assert_eq!(s.entry_rate(a), 6.0);
         assert_eq!(
             s.res_entries[0],
-            vec![a],
+            vec![a.0],
             "linked once, whatever the weight"
         );
     }
@@ -1841,20 +1895,21 @@ mod tests {
         let keep = insert(&mut s, &mut table, &[1]);
         s.recompute(&table);
         let gone = insert(&mut s, &mut table, &[0, 1]);
-        s.remove_entry(gone);
+        s.remove_entry(&table, gone);
         assert_eq!(s.live_entries(), 1);
         s.recompute(&table);
         assert_eq!(s.rate_recomputes, 1, "weight 0 = solved 0 dirties nothing");
         assert!(s.res_entries[0].is_empty());
-        assert_eq!(s.res_entries[1], vec![keep]);
-        // The slot and the index entry were released all the same.
+        assert_eq!(s.res_entries[1], vec![keep.0]);
+        // The solver let go of the path all the same: a new entry.
+        assert!(!s.holds(gone));
         assert_eq!(insert(&mut s, &mut table, &[0, 1]), gone);
         assert_eq!(s.flows_coalesced, 0);
 
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![8.0]).unwrap();
         let e = insert(&mut s, &mut table, &[0]);
-        s.remove_entry(e);
+        s.remove_entry(&table, e);
         s.recompute(&table);
         assert_eq!(s.live_entries(), 0);
         assert!(incidence_is_empty(&s));
@@ -1869,14 +1924,14 @@ mod tests {
         let b = insert(&mut s, &mut table, &[1]);
         s.recompute(&table);
         assert_eq!(s.entry_rate(b), 4.0);
-        s.remove_entry(a);
+        s.remove_entry(&table, a);
         s.recompute(&table);
         assert_eq!(
             s.last_pass_entries, 1,
             "the retired entry is not in the pass"
         );
         assert!(s.res_entries[0].is_empty());
-        assert_eq!(s.res_entries[1], vec![b]);
+        assert_eq!(s.res_entries[1], vec![b.0]);
         assert_eq!(s.entry_rate(b), 8.0);
     }
 
@@ -1887,7 +1942,7 @@ mod tests {
         let e = insert(&mut s, &mut table, &[]);
         assert!(s.entry_rate(e).is_infinite());
         s.recompute(&table);
-        s.remove_entry(e);
+        s.remove_entry(&table, e);
         assert_eq!(insert(&mut s, &mut table, &[]), e);
         s.recompute(&table);
         assert!(s.entry_rate(e).is_infinite());
@@ -1901,7 +1956,7 @@ mod tests {
         const N: u32 = 4096;
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(vec![1e9; N as usize + 1]).unwrap();
-        let ids: Vec<u32> = (1..=N)
+        let ids: Vec<PathId> = (1..=N)
             .map(|i| insert(&mut s, &mut table, &[0, i]))
             .collect();
         s.recompute(&table);
@@ -1909,11 +1964,11 @@ mod tests {
         let survivor = ids[17];
         for &e in &ids {
             if e != survivor {
-                s.remove_entry(e);
+                s.remove_entry(&table, e);
             }
         }
         s.recompute(&table);
-        assert_eq!(s.res_entries[0], vec![survivor]);
+        assert_eq!(s.res_entries[0], vec![survivor.0]);
         assert_eq!(s.entry_rate(survivor), 1e9);
         // The unlink keeps the list's peak capacity; a compaction gives
         // it back, and leaves lists above a quarter full alone.
@@ -1923,7 +1978,7 @@ mod tests {
         s.compact(&[0, 18]);
         assert_eq!(s.res_entries[0].capacity(), 1);
         assert_eq!(s.res_entries[18].capacity(), own);
-        s.remove_entry(survivor);
+        s.remove_entry(&table, survivor);
         s.recompute(&table);
         assert_eq!(s.live_entries(), 0);
         assert!(incidence_is_empty(&s));
@@ -2000,6 +2055,7 @@ mod tests {
         let later = t.fast.iterations - first_pass;
         let visited = t.fast.visited_rounds - first_visits;
         assert!(visited * 5 <= later, "visited {visited} of {later} rounds");
+        assert!(t.reused > 100, "{} ids reused for new paths", t.reused);
         // Work guard: the passes build fill state for about one resource
         // in twelve; walking the bulk would make it every one.
         assert_eq!(t.fast.rate_recomputes, 301, "every later step ran a pass");
@@ -2011,18 +2067,21 @@ mod tests {
     }
 
     /// Work guard for the jump: `n` disjoint two-resource chains, and a
-    /// step that retires one flow of a chain and admits another. Only the
-    /// same 64 chains ever change, so a pass that visits only the rounds
-    /// its change reaches does the same work at 64 chains as at 1,024; one
-    /// that walks every logged round does 16 times more at 1,024. Returns
-    /// `(rounds visited, resources materialised)` over the steps.
+    /// step that retires one flow of a chain, sweeps the table, and admits
+    /// another flow. Only the same 64 chains ever
+    /// change, so a pass that visits only the rounds its change reaches
+    /// does the same work at 64 chains as at 1,024; one that walks every
+    /// logged round does 16 times more at 1,024. Each step holds the chain
+    /// it changed to the textbook (a chain's rates are those of the chain
+    /// alone), and the end holds every chain. Returns `(rounds visited,
+    /// resources materialised)` over the steps.
     fn disjoint_chain_churn(n: u32) -> (u64, u64) {
         let caps: Vec<f64> = (0..2 * n).map(|r| [10.0, 16.0][r as usize % 2]).collect();
         let mut table = PathTable::new();
         let mut s = MaxMinSolver::new(caps.clone()).unwrap();
         let shapes = |c: u32| [vec![2 * c], vec![2 * c, 2 * c + 1], vec![2 * c + 1]];
         // Per chain, its live flows oldest first: `(entry, path)`.
-        let mut chains: Vec<Vec<(u32, usize)>> = (0..n)
+        let mut chains: Vec<Vec<(PathId, usize)>> = (0..n)
             .map(|c| {
                 (0..3)
                     .map(|k| (insert(&mut s, &mut table, &shapes(c)[k]), k))
@@ -2031,14 +2090,23 @@ mod tests {
             .collect();
         s.recompute(&table);
         let before = (s.visited_rounds, s.materialised_resources);
+        let bits = |rates: Vec<f64>| rates.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let (mut contents, mut reuses) = (Vec::new(), 0);
         for k in 0..512u32 {
             let c = (k % 64) * (n / 64);
-            let (old, shape) = chains[c as usize].remove(0);
-            s.remove_entry(old);
+            let chain = &mut chains[c as usize];
+            let (old, shape) = chain.remove(0);
+            s.remove_entry(&table, old);
+            sweep(&mut s, &mut table);
             let shape = (shape + 1) % 3;
-            let e = insert(&mut s, &mut table, &shapes(c)[shape]);
-            chains[c as usize].push((e, shape));
+            let path = &shapes(c)[shape];
+            let e = insert(&mut s, &mut table, path);
+            reuses += usize::from(reused(&mut contents, e, path));
+            chain.push((e, shape));
             s.recompute(&table);
+            let alone: Vec<_> = chain.iter().map(|&(_, k)| shapes(0)[k].clone()).collect();
+            let got = chain.iter().map(|&(e, _)| s.entry_rate(e)).collect();
+            assert_eq!(bits(got), bits(textbook_maxmin(&caps[..2], &alone).0));
         }
         let flows = chains
             .iter()
@@ -2048,11 +2116,12 @@ mod tests {
             .clone()
             .map(|(c, (_, k))| shapes(c as u32)[k].clone())
             .collect();
-        let want = textbook_maxmin(&caps, &paths)
-            .0
-            .into_iter()
-            .map(f64::to_bits);
-        assert!(want.eq(flows.map(|(_, (e, _))| s.entry_rate(e).to_bits())));
+        let want = textbook_maxmin(&caps, &paths).0;
+        assert_eq!(
+            bits(flows.map(|(_, (e, _))| s.entry_rate(e)).collect()),
+            bits(want)
+        );
+        assert!(reuses >= 64, "{reuses} ids reused for new paths");
         let work = (s.visited_rounds, s.materialised_resources);
         (work.0 - before.0, work.1 - before.1)
     }

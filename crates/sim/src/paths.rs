@@ -6,26 +6,24 @@
 //! active set and the solver all hold its 4-byte
 //! [`PathId`]. Interning is by *content*: two routes with the same
 //! resources get the same id, so "same path" is an integer comparison
-//! everywhere (the solver's coalescing index is a dense array over ids)
-//! and a reroute that lands on a path some other flow already uses joins
-//! that flow's solver entry.
+//! everywhere, and a reroute that lands on a path some other flow already
+//! uses joins that flow's solver entry. The id *is* the solver's entry:
+//! its per-entry arrays are indexed by it.
 //!
-//! The table counts, per path, the active flows on it (`acquire` /
-//! `release`); a path at zero is *dead*. A dead path stays findable, so a
-//! flow re-issuing it gets the same id back. Whoever else holds ids (the
-//! engine's solver, which keeps the entry of a path until its next settle)
-//! says when it has let go of the paths dead so far (`settled`); those are
-//! *released*. Once released hops outnumber live ones (`wants_sweep`), one
-//! `sweep` walks the paths in hop order, frees every released id for reuse
-//! and compacts the hops of the rest in place. Each id keeps its own
-//! `(start, len)` span, so a live [`PathId`] never moves. The content
-//! index, which a route rebuilt after a fault transition still needs,
-//! keeps the slots of freed ids until it is rebuilt: lookups pass over
-//! them, and they count towards the load that triggers the rebuild, so a
-//! sweep costs the paths it walks and nothing more. Swept whenever it
-//! asks, the table holds the hops of the paths in use and of those dead
-//! since the last settle, and at most as many again released ones — hops ×
-//! 4 bytes each, no per-path allocation.
+//! The table is a content store and nothing more: it does not know which
+//! paths are in use. The solver does (its entry weights, see the
+//! [`crate::maxmin`] module docs, "Deferred settle"), so the solver says
+//! when a sweep pays and which ids it keeps. A `sweep` walks the paths in
+//! hop order, frees every id its caller lets go of for reuse and compacts
+//! the hops of the rest in place. Each id keeps its own `(start, len)`
+//! span, so a kept [`PathId`] never moves. The content index, which a
+//! route rebuilt after a fault transition still needs, keeps the slots of
+//! freed ids until it is rebuilt: lookups pass over them, and they count
+//! towards the load that triggers the rebuild, so a sweep costs the paths
+//! it walks and nothing more. Swept whenever the solver asks, the table
+//! holds the hops of the paths in use and of those dead since the last
+//! settle, and at most as many again dead ones — hops × 4 bytes each, no
+//! per-path allocation.
 
 use exaflow_netgraph::IntHasher;
 use std::hash::Hasher;
@@ -46,18 +44,6 @@ pub struct PathTable {
     hops: Vec<u32>,
     /// The ids not freed, in the order of their hops.
     order: Vec<u32>,
-    /// Per id: the active flows on the path.
-    refs: Vec<u32>,
-    /// Per id: `settles` when the path was interned or lost its last
-    /// flow. A dead path is released once `settles` has moved on; a count
-    /// that wraps round to it again only delays the release.
-    dead_since: Vec<u32>,
-    /// Calls of `settled` so far, wrapping.
-    settles: u32,
-    /// Hops of the paths with a flow on them.
-    live_hops: usize,
-    /// Hops of the released paths: what a sweep frees.
-    released_hops: usize,
     /// Freed ids: `intern` reuses them first.
     free: Vec<u32>,
     /// Open-addressed content index: `id + 1` per occupied slot, 0 when
@@ -81,18 +67,13 @@ impl PathTable {
             spans: Vec::new(),
             hops: Vec::new(),
             order: Vec::new(),
-            refs: Vec::new(),
-            dead_since: Vec::new(),
-            settles: 0,
-            live_hops: 0,
-            released_hops: 0,
             free: Vec::new(),
             slots: vec![0; 16],
             occupied: 0,
         }
     }
 
-    /// Number of paths in the table, live or dead: every id not freed.
+    /// Number of paths in the table: every id not freed.
     pub fn len(&self) -> usize {
         self.order.len()
     }
@@ -105,6 +86,11 @@ impl PathTable {
     /// array over ids.
     pub(crate) fn ids(&self) -> usize {
         self.spans.len()
+    }
+
+    /// Hops stored, over every path in the table.
+    pub(crate) fn hops(&self) -> usize {
+        self.hops.len()
     }
 
     /// Whether `id` names a path of the table: false once a sweep freed
@@ -120,8 +106,8 @@ impl PathTable {
         &self.hops[start as usize..(start + len) as usize]
     }
 
-    /// The id of `path`, storing it first if no equal path is in the table.
-    /// A new path starts dead: it lives once a flow acquires it.
+    /// The id of `path`, storing it first if no equal path is in the
+    /// table. A stored path may take an id a sweep freed.
     pub fn intern(&mut self, path: &[u32]) -> PathId {
         let mask = self.slots.len() - 1;
         let mut slot = Self::hash(path) as usize & mask;
@@ -139,7 +125,6 @@ impl PathTable {
         let id = match self.free.pop() {
             Some(id) => {
                 self.spans[id as usize] = span;
-                self.dead_since[id as usize] = self.settles;
                 id
             }
             None => {
@@ -148,8 +133,6 @@ impl PathTable {
                     .filter(|&id| id != u32::MAX)
                     .expect("path table holds under 2^32 - 1 paths");
                 self.spans.push(span);
-                self.refs.push(0);
-                self.dead_since.push(self.settles);
                 id
             }
         };
@@ -162,56 +145,18 @@ impl PathTable {
         PathId(id)
     }
 
-    /// Count one more flow on path `id`.
-    #[inline]
-    pub(crate) fn acquire(&mut self, id: PathId) {
-        let i = id.0 as usize;
-        self.refs[i] += 1;
-        if self.refs[i] == 1 {
-            let len = self.spans[i].1 as usize;
-            self.live_hops += len;
-            if self.dead_since[i] != self.settles {
-                self.released_hops -= len;
-            }
-        }
-    }
-
-    /// Count one flow fewer on path `id`, which must have one.
-    #[inline]
-    pub(crate) fn release(&mut self, id: PathId) {
-        let i = id.0 as usize;
-        self.refs[i] = self.refs[i].checked_sub(1).expect("release of a live path");
-        if self.refs[i] == 0 {
-            self.live_hops -= self.spans[i].1 as usize;
-            self.dead_since[i] = self.settles;
-        }
-    }
-
-    /// Release every path dead now: nothing but the active set holds an
-    /// id any more, so the next sweep may free them.
-    pub(crate) fn settled(&mut self) {
-        self.settles = self.settles.wrapping_add(1);
-        self.released_hops = self.hops.len() - self.live_hops;
-    }
-
-    /// Whether released hops outnumber live ones, so a sweep frees more
-    /// than it keeps of what is in use.
-    pub(crate) fn wants_sweep(&self) -> bool {
-        self.released_hops > self.live_hops
-    }
-
-    /// Free every released path, calling `freed` with its id and hops
-    /// before the id can be reused, and compact the hops of the rest,
-    /// whose ids and contents stay. One walk over the paths in the table.
-    pub(crate) fn sweep(&mut self, mut freed: impl FnMut(PathId, &[u32])) {
+    /// Keep the paths `keep` accepts and free the rest: one walk over the
+    /// paths in the table, calling `keep` with each id and its hops. A
+    /// freed id can be reused once `keep` has returned; the kept paths'
+    /// hops are compacted, and their ids and contents stay.
+    pub fn sweep(&mut self, mut keep: impl FnMut(PathId, &[u32]) -> bool) {
         let (mut kept, mut end) = (0, 0);
         for k in 0..self.order.len() {
             let id = self.order[k];
             let i = id as usize;
             let (start, len) = self.spans[i];
             let hops = start as usize..(start + len) as usize;
-            if self.refs[i] == 0 && self.dead_since[i] != self.settles {
-                freed(PathId(id), &self.hops[hops]);
+            if !keep(PathId(id), &self.hops[hops.clone()]) {
                 self.spans[i] = (FREED, 0);
                 self.free.push(id);
                 continue;
@@ -225,7 +170,6 @@ impl PathTable {
         }
         self.order.truncate(kept);
         self.hops.truncate(end as usize);
-        self.released_hops = 0;
     }
 
     fn hash(path: &[u32]) -> u64 {
@@ -262,6 +206,7 @@ impl PathTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxmin::MaxMinSolver;
 
     #[test]
     fn equal_content_shares_an_id_and_survives_growth() {
@@ -293,29 +238,55 @@ mod tests {
         assert_eq!(t.len(), 4);
     }
 
+    /// A solver over `n` resources, the owner of which paths are in use.
+    fn solver(n: usize) -> MaxMinSolver {
+        MaxMinSolver::new(vec![1.0; n]).unwrap()
+    }
+
+    /// Sweep `t`, keeping what `s` holds; returns the freed ids in id
+    /// order.
+    fn sweep(t: &mut PathTable, s: &MaxMinSolver) -> Vec<PathId> {
+        let mut freed = Vec::new();
+        t.sweep(|id, _| {
+            let keep = s.holds(id);
+            if !keep {
+                freed.push(id);
+            }
+            keep
+        });
+        freed.sort_unstable_by_key(|id| id.0);
+        freed
+    }
+
     #[test]
     fn a_sweep_frees_released_paths_and_keeps_every_other_id_and_content() {
-        // 64 distinct paths of 1..=4 hops; path `i` has a flow iff `i % 3
-        // == 0`, and two if it is also even.
+        // 64 distinct paths of 1..=4 hops, each with a flow; then path `i`
+        // keeps its flow iff `i % 3 == 0`, and a second one if it is also
+        // even.
         let mut t = PathTable::new();
+        let mut s = solver(700);
         let paths: Vec<(PathId, Vec<u32>)> = (0..64u32)
             .map(|i| {
                 let p: Vec<u32> = (0..=i % 4).map(|h| i * 10 + h).collect();
-                (t.intern(&p), p)
+                let id = t.intern(&p);
+                s.insert_entry(&t, id);
+                (id, p)
             })
             .collect();
-        for (i, &(id, _)) in paths.iter().enumerate().step_by(3) {
-            (0..1 + (i % 2)).for_each(|_| t.acquire(id));
+        s.recompute(&t);
+        for (i, (id, _)) in paths.iter().enumerate() {
+            match (i % 3, i % 2) {
+                (0, 0) => s.insert_entry(&t, *id),
+                (0, _) => {}
+                _ => s.remove_entry(&t, *id),
+            }
         }
-        // Nothing is released before the holder settles.
-        assert!(!t.wants_sweep());
-        t.settled();
-        assert!(t.wants_sweep(), "two thirds of the paths are dead");
-        let mut freed = Vec::new();
-        t.sweep(|id, _| freed.push(id));
+        // Nothing is released before the solver settles.
+        assert!(!s.wants_sweep(&t));
+        s.recompute(&t);
+        assert!(s.wants_sweep(&t), "two thirds of the paths are dead");
         let dead: Vec<PathId> = (0..64).filter(|i| i % 3 != 0).map(|i| paths[i].0).collect();
-        freed.sort_unstable_by_key(|id| id.0);
-        assert_eq!(freed, dead);
+        assert_eq!(sweep(&mut t, &s), dead);
         assert_eq!(t.len(), 64 - dead.len());
         for (i, (id, p)) in paths.iter().enumerate() {
             assert_eq!(t.contains(*id), i % 3 == 0, "{id:?}");
@@ -324,7 +295,7 @@ mod tests {
                 assert_eq!(t.intern(p), *id, "the rebuilt index finds it");
             }
         }
-        assert!(!t.wants_sweep(), "a sweep releases nothing twice");
+        assert!(!s.wants_sweep(&t), "a sweep releases nothing twice");
         // Freed ids are reused before the ids bound grows.
         let ids = t.ids();
         let fresh: Vec<PathId> = (0..dead.len() as u32)
@@ -342,27 +313,28 @@ mod tests {
         }
     }
 
-    /// The engine's order, round after round of new paths: release a
-    /// round, sweep if asked, intern and acquire the next, settle. Each
+    /// The engine's order, round after round of new paths: retire a round,
+    /// sweep if the solver asks, intern and admit the next, recompute. Each
     /// round is freed one round after it dies, so the ids, the hops and
     /// the index stay the size of two rounds, however many pass, and every
     /// path in use stays findable past the stale slots.
     #[test]
     fn rounds_of_new_paths_keep_the_table_the_size_of_two_rounds() {
         let mut t = PathTable::new();
+        let mut s = solver(209);
         let mut live: Vec<PathId> = Vec::new();
         for round in 0..200u32 {
-            live.drain(..).for_each(|id| t.release(id));
-            if t.wants_sweep() {
-                t.sweep(|_, _| {});
+            live.drain(..).for_each(|id| s.remove_entry(&t, id));
+            if s.wants_sweep(&t) {
+                sweep(&mut t, &s);
             }
             for i in 0..8 {
-                live.push(t.intern(&[round, i, 7]));
-                t.acquire(live[i as usize]);
+                live.push(t.intern(&[round, 200 + i, 208]));
+                s.insert_entry(&t, live[i as usize]);
             }
-            t.settled();
+            s.recompute(&t);
             for (i, &id) in live.iter().enumerate() {
-                assert_eq!(t.intern(&[round, i as u32, 7]), id);
+                assert_eq!(t.intern(&[round, 200 + i as u32, 208]), id);
             }
             assert!(t.len() <= 16, "round {round}: {} paths", t.len());
         }
@@ -374,27 +346,24 @@ mod tests {
     #[test]
     fn a_path_dead_since_the_last_settle_or_revived_survives_a_sweep() {
         let mut t = PathTable::new();
+        let mut s = solver(16);
         let old = t.intern(&[1, 2, 3, 4, 5, 6]);
         let revived = t.intern(&[7, 8, 9, 10, 11, 12]);
         let dying = t.intern(&[13, 14]);
         for id in [old, revived, dying] {
-            t.acquire(id);
-            t.release(id);
+            s.insert_entry(&t, id);
         }
-        t.acquire(dying);
-        t.settled();
-        // Released since: `old` and `revived`; `dying` loses its flow only
-        // now, so its holder may still use it.
-        t.release(dying);
-        t.acquire(revived);
-        assert!(!t.wants_sweep(), "6 released hops against 6 live ones");
-        let stray = t.intern(&[15]);
-        t.acquire(stray);
-        t.release(revived);
-        assert!(t.wants_sweep(), "6 released hops against 1 live one");
-        let mut freed = Vec::new();
-        t.sweep(|id, _| freed.push(id));
-        assert_eq!(freed, [old]);
+        s.recompute(&t);
+        s.remove_entry(&t, old);
+        s.remove_entry(&t, revived);
+        s.recompute(&t);
+        assert!(s.wants_sweep(&t), "12 released hops against 2 live ones");
+        // Released: `old` and `revived`. `dying` loses its flow only now,
+        // so the solver still holds it until its next settle; `revived`
+        // gets a flow back.
+        s.remove_entry(&t, dying);
+        s.insert_entry(&t, revived);
+        assert_eq!(sweep(&mut t, &s), [old]);
         for (id, p) in [(revived, &[7, 8, 9, 10, 11, 12][..]), (dying, &[13, 14])] {
             assert_eq!(t.get(id), p);
             assert_eq!(t.intern(p), id);

@@ -4,7 +4,9 @@
 //! that make full passes replay their logged prefix, and under batches that
 //! re-issue the paths they just retired (which the settle elides) — the
 //! rates match `textbook_maxmin`, plain progressive filling over the same
-//! flow set, and every pass counts the textbook's rounds.
+//! flow set, and every pass counts the textbook's rounds. The path table
+//! is swept after every removal, more often than the engine sweeps it, so
+//! entries come back under reused ids with new contents.
 //!
 //! The design guarantee is stronger than the 1e-9 tolerance the engine
 //! needs: the solver is *bit-identical* to the textbook (see the `maxmin`
@@ -13,7 +15,7 @@
 use exaflow_netgraph::{LinkId, NodeId};
 use exaflow_sim::maxmin::MaxMinSolver;
 use exaflow_sim::trace_check::textbook_maxmin;
-use exaflow_sim::PathTable;
+use exaflow_sim::{PathId, PathTable};
 use exaflow_topo::{FaultOverlay, Topology, Torus};
 use proptest::prelude::*;
 
@@ -47,9 +49,17 @@ fn ops_strategy(
 }
 
 /// Intern `path` into the run's table and register one flow on it.
-fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> u32 {
+fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> PathId {
     let id = table.intern(path);
-    solver.insert_entry(table, id)
+    solver.insert_entry(table, id);
+    id
+}
+
+/// Remove one flow from `id`, then free every path the solver no longer
+/// holds.
+fn remove(solver: &mut MaxMinSolver, table: &mut PathTable, id: PathId) {
+    solver.remove_entry(table, id);
+    table.sweep(|path, _| solver.holds(path));
 }
 
 /// Recompute, then hold the solver to the textbook over the live flows:
@@ -59,7 +69,7 @@ fn insert(solver: &mut MaxMinSolver, table: &mut PathTable, path: &[u32]) -> u32
 fn recompute_and_check(
     solver: &mut MaxMinSolver,
     table: &PathTable,
-    live: &[(u32, Vec<u32>)],
+    live: &[(PathId, Vec<u32>)],
     caps: &[f64],
     step: usize,
 ) {
@@ -94,14 +104,14 @@ fn run_churn(caps: Vec<f64>, preload: Vec<Vec<u32>>, ops: Vec<(u8, Vec<u32>, usi
     let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
     let mut table = PathTable::new();
     // Mirror of the live flows: (entry id, path). Coalesced flows share ids.
-    let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
+    let mut live: Vec<(PathId, Vec<u32>)> = Vec::new();
     for path in preload {
         live.push((insert(&mut solver, &mut table, &path), path));
     }
     let ops = std::iter::once((u8::MAX, Vec::new(), 0)).chain(ops);
     for (step, (kind, path, pick)) in ops.enumerate() {
         // Index of the live flow with the extreme rate (first among ties).
-        let extreme = |solver: &MaxMinSolver, live: &[(u32, Vec<u32>)], fastest: bool| {
+        let extreme = |solver: &MaxMinSolver, live: &[(PathId, Vec<u32>)], fastest: bool| {
             let key = |i: &usize| solver.entry_rate(live[*i].0);
             let cmp = |a: &usize, b: &usize| key(a).partial_cmp(&key(b)).unwrap().then(b.cmp(a));
             let all = 0..live.len();
@@ -118,7 +128,7 @@ fn run_churn(caps: Vec<f64>, preload: Vec<Vec<u32>>, ops: Vec<(u8, Vec<u32>, usi
         };
         if let Some(i) = victim {
             let (id, _) = live.swap_remove(i);
-            solver.remove_entry(id);
+            remove(&mut solver, &mut table, id);
         }
         if matches!(kind, 0 | 1 | 5 | 6) {
             live.push((insert(&mut solver, &mut table, &path), path));
@@ -186,7 +196,7 @@ proptest! {
         let caps = vec![cap; RESOURCES];
         let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
         let mut table = PathTable::new();
-        let mut live: Vec<(u32, Vec<u32>)> = preload
+        let mut live: Vec<(PathId, Vec<u32>)> = preload
             .into_iter()
             .map(|path| (insert(&mut solver, &mut table, &path), path))
             .collect();
@@ -198,7 +208,7 @@ proptest! {
                 let go = retire[i % retire.len()];
                 i += 1;
                 if go {
-                    solver.remove_entry(*id);
+                    remove(&mut solver, &mut table, *id);
                     retired.push(path.clone());
                 }
                 !go
@@ -212,7 +222,7 @@ proptest! {
                 live.push((insert(&mut solver, &mut table, &path), path));
             }
             let live_entries: std::collections::HashSet<u32> =
-                live.iter().map(|(id, _)| *id).collect();
+                live.iter().map(|(id, _)| id.0).collect();
             prop_assert_eq!(solver.live_entries(), live_entries.len());
             recompute_and_check(&mut solver, &table, &live, &caps, step);
         }
@@ -271,7 +281,7 @@ fn overlay_path_churn_matches_the_textbook() {
     let mut overlay = FaultOverlay::new(&topo);
     let mut solver = MaxMinSolver::new(caps.clone()).unwrap();
     let mut table = PathTable::new();
-    let mut live: Vec<(u32, u32, u32, Vec<u32>)> = Vec::new(); // (entry, src, dst, path)
+    let mut live: Vec<(PathId, u32, u32, Vec<u32>)> = Vec::new(); // (entry, src, dst, path)
     let mut x = 0x2545F49_u64; // deterministic xorshift stream
     let mut rng = move || {
         x ^= x << 13;
@@ -295,7 +305,7 @@ fn overlay_path_churn_matches_the_textbook() {
                 if !live.is_empty() {
                     let i = rng() as usize % live.len();
                     let (id, ..) = live.swap_remove(i);
-                    solver.remove_entry(id);
+                    remove(&mut solver, &mut table, id);
                 }
             }
             3 => {
@@ -309,7 +319,7 @@ fn overlay_path_churn_matches_the_textbook() {
                             continue;
                         }
                         let (id, src, dst, _) = live[i].clone();
-                        solver.remove_entry(id);
+                        remove(&mut solver, &mut table, id);
                         match build(&mut overlay, src, dst) {
                             Some(p) => {
                                 let nid = insert(&mut solver, &mut table, &p);
@@ -327,7 +337,7 @@ fn overlay_path_churn_matches_the_textbook() {
                 overlay.restore_link(LinkId(rng() as u32 % num_links as u32));
             }
         }
-        let flows: Vec<(u32, Vec<u32>)> =
+        let flows: Vec<(PathId, Vec<u32>)> =
             live.iter().map(|(id, _, _, p)| (*id, p.clone())).collect();
         recompute_and_check(&mut solver, &table, &flows, &caps, step);
     }

@@ -71,31 +71,26 @@ $TIMEOUT 300 ./target/release/exaflow run scripts/golden_run_config.json \
   | diff -u scripts/golden_run_expected.json - \
   || { echo "untraced 'exaflow run' output drifted from scripts/golden_run_expected.json"; exit 1; }
 
-# The failure-resilience example is deterministic: its stdout table must
-# match the checked-in artefact byte for byte (regenerate deliberately with
-# scripts/regen_failure_resilience.sh).
-echo "== failure-resilience table is pinned"
-cargo build -q --release --example failure_resilience -p exaflow-suite
-$TIMEOUT 300 ./target/release/examples/failure_resilience \
-  | diff -u failure_resilience_output.txt - \
-  || { echo "failure_resilience output drifted from failure_resilience_output.txt"; exit 1; }
-
 # Every artefact is deterministic: `exaflow reproduce` stdout and JSON must
-# match the checked-in files byte for byte. fig2 and fig3 take no options,
-# and any argument must be rejected with exit 2 rather than ignored; fig2
-# writes figure2/*.dot into its working directory, so all run in a scratch
-# one, and its four drawings must match the copies pinned in
+# match the checked-in files byte for byte. fig2, fig3 and resilience (the
+# random-cable-failure table, pinned as failure_resilience_output.txt) take
+# no options, and any argument must be rejected with exit 2 rather than
+# ignored; fig2 writes figure2/*.dot into its working directory, so all run
+# in a scratch one, and its four drawings must match the copies pinned in
 # scripts/fig2_expected/. table1 and table2 run at the paper's 131,072
 # QFDBs (about a second each on two threads); fig4/fig5 at 128 QFDBs (a
-# fraction of a second each).
-echo "== reproduce: fig2/fig3 stdout, table1, table2, fig4/fig5 at 128 QFDBs are pinned"
+# fraction of a second each) and at the default 2,048 (about 25 s together
+# on two threads).
+echo "== reproduce: fig2/fig3/resilience stdout, table1, table2, fig4/fig5 at 128 and 2,048 QFDBs are pinned"
 FIGDIR="$(mktemp -d)"
 trap 'rm -rf "$FIGDIR"' EXIT
 EXAFLOW="$PWD/target/release/exaflow"
-for a in fig2 fig3; do
+for a in fig2 fig3 resilience; do
+  out="${a}_output.txt"
+  if [ "$a" = resilience ]; then out=failure_resilience_output.txt; fi
   (cd "$FIGDIR" && $TIMEOUT 60 "$EXAFLOW" reproduce $a) \
-    | diff -u "${a}_output.txt" - \
-    || { echo "reproduce $a output drifted from ${a}_output.txt"; exit 1; }
+    | diff -u "$out" - \
+    || { echo "reproduce $a output drifted from $out"; exit 1; }
   code=0
   (cd "$FIGDIR" && $TIMEOUT 60 "$EXAFLOW" reproduce $a --json x.json) 2>/dev/null || code=$?
   [ "$code" -eq 2 ] || { echo "reproduce $a --json x.json exited $code, want 2"; exit 1; }
@@ -114,6 +109,11 @@ for a in fig4 fig5; do
     >/dev/null 2>&1
   cmp "${a}_128_results.json" "$FIGDIR/$a.json" \
     || { echo "reproduce $a --scale 128 drifted from ${a}_128_results.json"; exit 1; }
+  $TIMEOUT 600 "$EXAFLOW" reproduce $a --threads 2 --json "$FIGDIR/$a.json" 2>/dev/null \
+    | diff -u "${a}_output.txt" - \
+    || { echo "reproduce $a output drifted from ${a}_output.txt"; exit 1; }
+  cmp "${a}_results.json" "$FIGDIR/$a.json" \
+    || { echo "reproduce $a JSON drifted from ${a}_results.json"; exit 1; }
 done
 
 # Hostile input: every file of a generated corpus, fed to every command

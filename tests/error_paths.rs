@@ -268,7 +268,8 @@ fn suite_errors_serialize_as_tagged_json() {
 
 /// A value of the wrong type, or one out of range, fails to parse with the
 /// key path that holds it before the error, so a file with one bad key
-/// says which one, and names the `sim` block once.
+/// says which one, and names the `sim` block once. A key left out is no
+/// error: a partial `sim` block takes the defaults of the keys it omits.
 #[test]
 fn parse_errors_name_the_key_that_holds_the_bad_value() {
     let torus = r#""topology": {"topology": "torus", "dims": [4, 4]}"#;
@@ -298,6 +299,16 @@ fn parse_errors_name_the_key_that_holds_the_bad_value() {
         let err = serde_json::from_str::<ExperimentConfig>(&json).unwrap_err();
         assert_eq!(err.to_string(), want, "{json}");
     }
+    let json = format!(
+        r#"{{{torus}, "workload": {{"workload": "reduce", "tasks": 8, "bytes": 1024}},
+        "sim": {{"max_events": 5}}}}"#
+    );
+    let cfg = serde_json::from_str::<ExperimentConfig>(&json).unwrap();
+    let want = SimConfig {
+        max_events: Some(5),
+        ..SimConfig::default()
+    };
+    assert_eq!(cfg.sim, want);
 }
 
 #[test]
